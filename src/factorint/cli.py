@@ -14,14 +14,13 @@ import argparse
 import csv
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 from . import io as fio
 from .errors import ConfigError, FactorIntError
 from .genomics import OverlapTestInput, detect_interactions, overlap_permutation_test, posterior_summary
-from .model import Family, McmcSettings, PosteriorDraws, standardize_rows
+from .model import Family, PosteriorDraws, standardize_rows
 from .simulate import (
     compare_models,
     export_surface,
@@ -43,8 +42,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a configuration key (repeatable)")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override mcmc.seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="parallel chains inside fit")
     return parser
 
 
@@ -76,13 +73,13 @@ def _finish(out: Path, command: str, cfg: dict, seed: int, artifacts: list[str])
         print(f"wrote {out / name}")
 
 
-def cmd_simulate(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_simulate(cfg: dict[str, str], out: Path) -> None:
     settings = fio.settings_from_config(cfg)
     data, truth = generate_saddle_dataset(
-        m=int(cfg.get("simulate.features", 100)),
-        n=int(cfg.get("simulate.samples", 100)),
-        frac_affected=float(cfg.get("simulate.frac_affected", 0.1)),
-        noise_scale=float(cfg.get("simulate.noise_scale", 1.0)),
+        m=fio.config_int(cfg, "simulate.features", 100),
+        n=fio.config_int(cfg, "simulate.samples", 100),
+        frac_affected=fio.config_float(cfg, "simulate.frac_affected", 0.1),
+        noise_scale=fio.config_float(cfg, "simulate.noise_scale", 1.0),
         seed=settings.seed)
     fio.write_data_csv(out / "data.csv", data)
     fio.write_bundle(out / "truth.bin", {"kind": "truth", "seed": settings.seed}, {
@@ -92,23 +89,13 @@ def cmd_simulate(cfg: dict[str, str], out: Path, threads: int) -> None:
     _finish(out, "simulate", cfg, settings.seed, ["data.csv", "truth.bin"])
 
 
-def _chain_draws(spec, data, settings: McmcSettings, threads: int) -> list[PosteriorDraws]:
-    def one(chain: int) -> PosteriorDraws:
-        return fit_spec(spec, data, settings, chain=chain)
-
-    if settings.n_chains == 1 or threads <= 1:
-        return [one(c) for c in range(settings.n_chains)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(settings.n_chains)))
-
-
-def cmd_fit(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_fit(cfg: dict[str, str], out: Path) -> None:
     if "paths.data" not in cfg:
         raise ConfigError("fit requires paths.data")
     data = standardize_rows(fio.read_data_csv(cfg["paths.data"]))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
-    all_draws = _chain_draws(spec, data, settings, threads)
+    all_draws = [fit_spec(spec, data, settings, chain=c) for c in range(settings.n_chains)]
 
     artifacts: list[str] = []
     for draws in all_draws:
@@ -142,15 +129,15 @@ def _load_draws_from_cfg(cfg: dict[str, str]) -> PosteriorDraws:
     return fio.load_draws(cfg["paths.draws"])
 
 
-def cmd_summarize(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_summarize(cfg: dict[str, str], out: Path) -> None:
     draws = _load_draws_from_cfg(cfg)
     posterior_summary(draws).write_csv(out / "summary.csv")
     _finish(out, "summarize", cfg, draws.seed, ["summary.csv"])
 
 
-def cmd_detect(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_detect(cfg: dict[str, str], out: Path) -> None:
     draws = _load_draws_from_cfg(cfg)
-    detected = detect_interactions(draws, float(cfg.get("detect.threshold", 0.5)))
+    detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
     fids = draws.feature_ids or tuple(str(i) for i in range(len(draws.states[0].noise_var)))
     with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -160,7 +147,7 @@ def cmd_detect(cfg: dict[str, str], out: Path, threads: int) -> None:
     _finish(out, "detect", cfg, draws.seed, ["detected.csv"])
 
 
-def cmd_compare(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_compare(cfg: dict[str, str], out: Path) -> None:
     for key in ("paths.data", "paths.truth", "compare.specs"):
         if key not in cfg:
             raise ConfigError(f"compare requires {key}")
@@ -190,16 +177,16 @@ def cmd_compare(cfg: dict[str, str], out: Path, threads: int) -> None:
     _finish(out, "compare", cfg, settings.seed, artifacts)
 
 
-def cmd_test_overlap(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_test_overlap(cfg: dict[str, str], out: Path) -> None:
     for key in ("overlap.population", "overlap.counts", "overlap.observed"):
         if key not in cfg:
             raise ConfigError(f"test-overlap requires {key}")
     settings = fio.settings_from_config(cfg)
     inp = OverlapTestInput(
-        population_size=int(cfg["overlap.population"]),
-        per_dataset_counts=tuple(int(c) for c in cfg["overlap.counts"].split(",")),
-        observed_overlap=int(cfg["overlap.observed"]),
-        n_replicates=int(cfg.get("overlap.replicates", 100_000)))
+        population_size=fio.config_int(cfg, "overlap.population"),
+        per_dataset_counts=fio.config_ints(cfg, "overlap.counts"),
+        observed_overlap=fio.config_int(cfg, "overlap.observed"),
+        n_replicates=fio.config_int(cfg, "overlap.replicates", 100_000))
     p_value, reps = overlap_permutation_test(inp, seed=settings.seed)
     with open(out / "overlap.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -210,19 +197,20 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path, threads: int) -> None:
     _finish(out, "test-overlap", cfg, settings.seed, ["overlap.csv"])
 
 
-def cmd_export_surface(cfg: dict[str, str], out: Path, threads: int) -> None:
+def cmd_export_surface(cfg: dict[str, str], out: Path) -> None:
     draws = _load_draws_from_cfg(cfg)
     if "surface.feature" not in cfg:
         raise ConfigError("export-surface requires surface.feature")
     token = cfg["surface.feature"]
     fids = draws.feature_ids or ()
+    m = len(draws.states[0].noise_var)
     if token in fids:
         feature = fids.index(token)
+    elif token.isdecimal() and int(token) < m:
+        feature = int(token)
     else:
-        try:
-            feature = int(token)
-        except ValueError:
-            raise ConfigError(f"surface.feature: unknown feature {token!r}") from None
+        raise ConfigError(f"surface.feature: {token!r} is neither a feature id "
+                          f"nor an index in 0..{m - 1}")
     effects = posterior_mean_effects(draws)
     scores = draws.stack("scores").mean(axis=0)
     export_surface(effects[feature], scores[:2]).write_csv(out / "surface.csv")
@@ -245,7 +233,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         out = _output_dir(args)
-        _COMMANDS[args.command](cfg, out, max(1, args.threads))
+        _COMMANDS[args.command](cfg, out)
     except FactorIntError as exc:
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

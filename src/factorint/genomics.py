@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllRemoved, ConfigError, EmptyWindowWarning, InsufficientDraws
-from .model import DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, mult_spec
+from .model import DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, mult_spec, run_chain
+from .mult import MultChain
 from .rng import stream
 
 
@@ -85,11 +86,8 @@ def _mixture_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 def _fit_null_model(data: DataMatrix, settings: McmcSettings,
                     seed_groups: dict[int, frozenset[int]] | None = None) -> PosteriorDraws:
-    from .mult import run_mult_chain
-
     spec = two_factor_null_spec(seed_groups=seed_groups)
-    return run_mult_chain(spec, data, n_iters=settings.n_iters, burn_in=settings.burn_in,
-                          thin=settings.thin, seed=settings.seed)
+    return run_chain(MultChain(spec, data, seed=settings.seed), settings)
 
 
 def _submatrix(data: DataMatrix, rows: np.ndarray) -> DataMatrix:

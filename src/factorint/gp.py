@@ -20,19 +20,22 @@ from .kernels import KernelMatrix, marginal_ratio_rows, se_kernel
 from .model import (
     DataMatrix,
     Family,
+    McmcSettings,
     McmcState,
     ModelSpec,
     PosteriorDraws,
     PriorLayout,
     build_layout,
+    run_chain,
     validate_spec,
 )
 from .mult import (
     _logit,
+    inclusion_log_density,
     initial_state,
-    sample_inclusion_probs,
     update_loadings,
     update_noise,
+    update_probs,
 )
 from .rng import RngStreams
 
@@ -42,6 +45,7 @@ from .rng import RngStreams
 _ADAPT_DECAY = 0.7
 _ADAPT_GAIN_FLOOR = 0.1
 _RW_STEP_BOUNDS = (1e-4, 10.0)
+_MH_TARGET = 0.30  # acceptance rate the burn-in adaptation steers toward
 
 
 def gp_prior_logdens(kernel: KernelMatrix, state: McmcState, spec: ModelSpec) -> float:
@@ -147,7 +151,7 @@ class GpChain:
     """One nonlinear-family chain; owns the kernel tied to the current scores."""
 
     def __init__(self, spec: ModelSpec, data: DataMatrix, seed: int = 0, chain: int = 0,
-                 rw_step: float = 0.1, adapt_rw: bool = True, mh_target: float = 0.30):
+                 rw_step: float = 0.1, adapt_rw: bool = True):
         if spec.family is not Family.GP:
             raise SpecConflict("GpChain requires a gp family spec")
         self.spec = validate_spec(spec)
@@ -158,14 +162,10 @@ class GpChain:
         self.kernel = se_kernel(self.state.scores, spec.length_scale)
         self.rw_step = float(rw_step)
         self.adapt_rw = adapt_rw
-        self.mh_target = mh_target
         self.iteration = 0
         self.adapting = True
         # accepted / proposed per column, tallied only while adaptation is frozen
         self.accept_counts = np.zeros((data.n_samples, 2), dtype=np.int64)
-
-    def freeze_adaptation(self) -> None:
-        self.adapting = False
 
     def update_score_columns(self) -> int:
         """Random-walk Metropolis over every score column; returns the number
@@ -202,7 +202,7 @@ class GpChain:
         if self.adapting and self.adapt_rw:
             rate = accepted / self.data.n_samples
             gain = max((self.iteration + 1) ** -_ADAPT_DECAY, _ADAPT_GAIN_FLOOR)
-            step = np.log(self.rw_step) + gain * (rate - self.mh_target)
+            step = np.log(self.rw_step) + gain * (rate - _MH_TARGET)
             self.rw_step = float(np.clip(np.exp(step), *_RW_STEP_BOUNDS))
         if self.spec.shared_effect:
             update_shared_effect(self.state, self.data, self.spec, self.layout,
@@ -211,43 +211,18 @@ class GpChain:
             update_effect_rows(self.state, self.data, self.spec, self.layout,
                                self.kernel, self.streams.get("effects"))
         update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
-        self._update_probs()
+        update_probs(self.state, self.spec, self.layout, self.streams.get("probs"))
         self.iteration += 1
-
-    def _update_probs(self) -> None:
-        rng = self.streams.get("probs")
-        lay, spec, state = self.layout, self.spec, self.state
-        state.load_prob = sample_inclusion_probs(
-            rng, state.load_mask, lay.fixed_load, lay.load_group,
-            lay.load_a, lay.load_b, spec.load_prob_model.value)
-        state.inter_prob = sample_inclusion_probs(
-            rng, state.inter_mask, lay.fixed_inter, lay.inter_group,
-            lay.inter_a, lay.inter_b, spec.inter_prob_model.value)
 
 
 def run_gp_chain(spec: ModelSpec, data: DataMatrix, n_iters: int = 600,
                  burn_in: int | None = None, thin: int = 1, seed: int = 0,
-                 chain: int = 0, rw_step: float = 0.1, adapt_rw: bool = True,
-                 mh_target: float = 0.30) -> PosteriorDraws:
+                 chain: int = 0, rw_step: float = 0.1, adapt_rw: bool = True) -> PosteriorDraws:
     """Run one chain; the proposal scale adapts during burn-in (Robbins-Monro
     toward the target acceptance rate) and is frozen afterwards."""
-    from .model import McmcSettings
-
     settings = McmcSettings(n_iters=n_iters, burn_in=burn_in, thin=thin, seed=seed)
-    burn = settings.resolve_burn_in(spec.family)
-    gc = GpChain(spec, data, seed=seed, chain=chain, rw_step=rw_step,
-                 adapt_rw=adapt_rw, mh_target=mh_target)
-    states: list[McmcState] = []
-    for it in range(1, n_iters + 1):
-        if it == burn + 1:
-            gc.freeze_adaptation()
-        gc.sweep()
-        if it > burn and (it - burn) % thin == 0:
-            states.append(gc.state.copy())
-    return PosteriorDraws(
-        spec=spec, states=states, burn_in=burn, thin=thin, n_iters=n_iters,
-        seed=seed, chain=chain, feature_ids=data.feature_ids, sample_ids=data.sample_ids,
-        mh_accept_counts=gc.accept_counts, rw_step_final=gc.rw_step)
+    return run_chain(GpChain(spec, data, seed=seed, chain=chain, rw_step=rw_step,
+                             adapt_rw=adapt_rw), settings)
 
 
 def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
@@ -255,8 +230,6 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
               layout: PriorLayout | None = None) -> float:
     """Unnormalized log joint of the nonlinear model at a state (diagnostics
     and conditional-correctness checks)."""
-    from .mult import _prob_block
-
     if layout is None:
         layout = build_layout(spec, data.n_features)
     if kernel is None:
@@ -275,10 +248,4 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 
     a, b = spec.noise_prior
     total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
-    total += _prob_block(state.load_mask, state.load_prob, layout.fixed_load,
-                         layout.load_group, layout.load_a, layout.load_b,
-                         spec.load_prob_model.value)
-    total += _prob_block(state.inter_mask, state.inter_prob, layout.fixed_inter,
-                         layout.inter_group, layout.inter_a, layout.inter_b,
-                         spec.inter_prob_model.value)
-    return total
+    return total + inclusion_log_density(state, spec, layout)

@@ -32,6 +32,7 @@ from .genomics import Annotation
 from .model import (
     BetaTable,
     DataMatrix,
+    GP_VARIANT_TABLE,
     Family,
     InterProbModel,
     LoadProbModel,
@@ -39,6 +40,7 @@ from .model import (
     McmcState,
     ModelSpec,
     PosteriorDraws,
+    STATE_FIELDS,
     validate_spec,
 )
 
@@ -80,7 +82,7 @@ simulate.samples          n (default 100)
 simulate.frac_affected    fraction of candidates with effects (default 0.1)
 simulate.noise_scale      noise standard deviation (default 1.0)
 detect.threshold          posterior probability threshold (default 0.5)
-surface.feature           feature id or index
+surface.feature           feature id or 0-based index
 compare.specs             comma-separated model config paths
 overlap.population        population size
 overlap.counts            per-dataset counts, comma-separated
@@ -270,16 +272,11 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 # -------------------------------------------------------- draws persistence
 
-_STATE_FIELDS = ("loadings", "scores", "load_mask", "load_prob", "noise_var",
-                 "inter_mask", "inter_prob", "inter_loadings", "inter_scores",
-                 "effects", "shared_effect")
-
-
 def persist_draws(draws: PosteriorDraws, path) -> None:
     """Lossless, versioned, checksummed dump of the retained states."""
     arrays: dict[str, np.ndarray] = {}
     present = []
-    for name in _STATE_FIELDS:
+    for name in STATE_FIELDS:
         if getattr(draws.states[0], name) is None:
             continue
         present.append(name)
@@ -345,6 +342,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     return out
 
 
+def _parse(kind, value: str, key: str, expected: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
+
+
 def _as_bool(value: str, key: str) -> bool:
     low = value.lower()
     if low in ("true", "1", "yes", "on"):
@@ -355,10 +359,29 @@ def _as_bool(value: str, key: str) -> bool:
 
 
 def _as_pair(value: str, key: str) -> tuple[float, float]:
-    parts = [p.strip() for p in value.split(",")]
+    parts = value.split(",")
     if len(parts) != 2:
         raise ConfigError(f"{key}: expected 'a, b', got {value!r}")
-    return float(parts[0]), float(parts[1])
+    return tuple(_parse(float, part, key, "'a, b'") for part in parts)
+
+
+def config_int(cfg: dict[str, str], key: str, default: int | None = None) -> int | None:
+    """``cfg[key]`` as an integer, or ``default`` when the key is absent."""
+    return _parse(int, cfg[key], key, "an integer") if key in cfg else default
+
+
+def config_float(cfg: dict[str, str], key: str, default: float | None = None) -> float | None:
+    """``cfg[key]`` as a real number, or ``default`` when the key is absent."""
+    return _parse(float, cfg[key], key, "a number") if key in cfg else default
+
+
+def config_ints(cfg: dict[str, str], key: str) -> tuple[int, ...]:
+    """Comma-separated integers under ``key``."""
+    return tuple(_parse(int, v, key, "comma-separated integers") for v in cfg[key].split(","))
+
+
+def _config_choice(cfg: dict[str, str], key: str, kind, default: str):
+    return _parse(kind, cfg.get(key, default), key, " | ".join(m.value for m in kind))
 
 
 def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> frozenset[int]:
@@ -374,11 +397,7 @@ def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> f
 
 
 def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> ModelSpec:
-    family_raw = cfg.get("model.family", "mult_approach2")
-    try:
-        family = Family(family_raw)
-    except ValueError:
-        raise ConfigError(f"model.family: unknown family {family_raw!r}") from None
+    family = _config_choice(cfg, "model.family", Family, "mult_approach2")
 
     def beta_table(default_key: str) -> BetaTable:
         default = _as_pair(cfg[default_key], default_key) if default_key in cfg else (1.0, 1.0)
@@ -391,17 +410,17 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
     seed_groups: dict[int, frozenset[int]] = {}
     for key, value in cfg.items():
         if key.startswith("model.seed_group."):
-            factor = int(key.rsplit(".", 1)[1]) - 1
+            factor = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number") - 1
             tokens = [t.strip() for t in value.split(",") if t.strip()]
             seed_groups[factor] = _resolve_features(tokens, data, key)
 
     kwargs = dict(
         family=family,
-        n_factors=int(cfg.get("model.factors", 2)),
-        slab_var_loading=float(cfg.get("model.slab_var_loading", 10.0)),
-        slab_var_inter=float(cfg.get("model.slab_var_inter", 10.0)),
-        noise_prior=(float(cfg.get("model.noise_shape", 2.1)),
-                     float(cfg.get("model.noise_scale", 1.1))),
+        n_factors=config_int(cfg, "model.factors", 2),
+        slab_var_loading=config_float(cfg, "model.slab_var_loading", 10.0),
+        slab_var_inter=config_float(cfg, "model.slab_var_inter", 10.0),
+        noise_prior=(config_float(cfg, "model.noise_shape", 2.1),
+                     config_float(cfg, "model.noise_scale", 1.1)),
         load_prob_prior=beta_table("model.gamma"),
         inter_prob_prior=beta_table("model.beta"),
         seed_groups=seed_groups or None,
@@ -411,33 +430,31 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
                                       "model.include_interactions"),
     )
     if family is Family.GP:
-        variant = int(cfg.get("model.gp_variant", 1))
-        from .model import GP_VARIANT_TABLE
+        variant = config_int(cfg, "model.gp_variant", 1)
         if variant not in GP_VARIANT_TABLE:
             raise ConfigError(f"model.gp_variant: must be 1..5, got {variant}")
         load_model, _, inter_model = GP_VARIANT_TABLE[variant]
-        kwargs.update(
-            gp_variant=variant,
-            length_scale=float(cfg.get("model.length_scale", 0.2)),
-            load_prob_model=LoadProbModel(cfg.get("model.load_prob_model", load_model.value)),
-            inter_prob_model=InterProbModel(cfg.get("model.inter_prob_model", inter_model.value)),
-        )
+        kwargs.update(gp_variant=variant,
+                      length_scale=config_float(cfg, "model.length_scale", 0.2))
     else:
         if family is Family.MULT_APPROACH1:
-            kwargs["product_var"] = float(cfg.get("model.product_var", 1e-5))
-        kwargs["load_prob_model"] = LoadProbModel(cfg.get("model.load_prob_model", "per_entry"))
-        kwargs["inter_prob_model"] = InterProbModel(cfg.get("model.inter_prob_model", "per_feature"))
+            kwargs["product_var"] = config_float(cfg, "model.product_var", 1e-5)
+        load_model, inter_model = LoadProbModel.PER_ENTRY, InterProbModel.PER_FEATURE
+    kwargs["load_prob_model"] = _config_choice(cfg, "model.load_prob_model", LoadProbModel,
+                                               load_model.value)
+    kwargs["inter_prob_model"] = _config_choice(cfg, "model.inter_prob_model", InterProbModel,
+                                                inter_model.value)
     return validate_spec(ModelSpec(**kwargs))
 
 
 def settings_from_config(cfg: dict[str, str]) -> McmcSettings:
     return McmcSettings(
-        n_iters=int(cfg.get("mcmc.iters", 600)),
-        burn_in=int(cfg["mcmc.burn_in"]) if "mcmc.burn_in" in cfg else None,
-        thin=int(cfg.get("mcmc.thin", 1)),
-        seed=int(cfg.get("mcmc.seed", 0)),
-        n_chains=int(cfg.get("mcmc.chains", 1)),
-        rw_step=float(cfg.get("mcmc.rw_step", 0.1)),
+        n_iters=config_int(cfg, "mcmc.iters", 600),
+        burn_in=config_int(cfg, "mcmc.burn_in"),
+        thin=config_int(cfg, "mcmc.thin", 1),
+        seed=config_int(cfg, "mcmc.seed", 0),
+        n_chains=config_int(cfg, "mcmc.chains", 1),
+        rw_step=config_float(cfg, "mcmc.rw_step", 0.1),
         adapt_rw=_as_bool(cfg.get("mcmc.adapt_rw", "true"), "mcmc.adapt_rw"),
     )
 

@@ -2,12 +2,13 @@
 
 Defines the standardized data matrix, the declarative model specification
 (family, factor count, prior layout, seed-gene constraints), the mutable
-sampler state, and the container of retained posterior draws.
+sampler state, the container of retained posterior draws, and the one loop
+(``run_chain``) that drives either family's sampler and fills it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -422,20 +423,11 @@ class McmcState:
     shared_effect: np.ndarray | None = None   # (n,)
 
     def copy(self) -> "McmcState":
-        opt = lambda x: None if x is None else x.copy()
-        return McmcState(
-            loadings=self.loadings.copy(),
-            scores=self.scores.copy(),
-            load_mask=self.load_mask.copy(),
-            load_prob=self.load_prob.copy(),
-            noise_var=self.noise_var.copy(),
-            inter_mask=self.inter_mask.copy(),
-            inter_prob=self.inter_prob.copy(),
-            inter_loadings=opt(self.inter_loadings),
-            inter_scores=opt(self.inter_scores),
-            effects=opt(self.effects),
-            shared_effect=opt(self.shared_effect),
-        )
+        values = (getattr(self, name) for name in STATE_FIELDS)
+        return McmcState(*(None if v is None else v.copy() for v in values))
+
+
+STATE_FIELDS = tuple(f.name for f in fields(McmcState))
 
 
 @dataclass
@@ -475,7 +467,12 @@ class McmcSettings:
     n_chains: int = 1
     rw_step: float = 0.1
     adapt_rw: bool = True
-    mh_target: float = 0.30
+
+    def __post_init__(self):
+        if self.thin < 1:
+            raise ConfigError(f"thin must be >= 1, got {self.thin}")
+        if self.n_chains < 1:
+            raise ConfigError(f"n_chains must be >= 1, got {self.n_chains}")
 
     def resolve_burn_in(self, family: Family) -> int:
         if self.burn_in is not None:
@@ -484,10 +481,32 @@ class McmcSettings:
             burn = 300 if family is Family.GP else 400
         if not 0 <= burn < self.n_iters:
             raise ConfigError(f"burn_in {burn} must lie in [0, n_iters={self.n_iters})")
-        if self.thin < 1:
-            raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if (self.n_iters - burn) % self.thin:
             raise ConfigError(
                 f"(n_iters - burn_in) = {self.n_iters - burn} is not divisible by thin = {self.thin}"
             )
         return burn
+
+
+def run_chain(sampler, settings: McmcSettings) -> PosteriorDraws:
+    """Sweep a ``MultChain`` or ``GpChain`` ``settings.n_iters`` times and keep
+    every ``thin``-th state after burn-in.
+
+    Proposal adaptation ends before the first post-burn-in sweep, so the
+    retained states come from a fixed Metropolis kernel and the acceptance
+    ledger counts only them.
+    """
+    burn = settings.resolve_burn_in(sampler.spec.family)
+    states: list[McmcState] = []
+    for it in range(1, settings.n_iters + 1):
+        if it == burn + 1:
+            sampler.adapting = False
+        sampler.sweep()
+        if it > burn and (it - burn) % settings.thin == 0:
+            states.append(sampler.state.copy())
+    data = sampler.data
+    return PosteriorDraws(
+        spec=sampler.spec, states=states, burn_in=burn, thin=settings.thin,
+        n_iters=settings.n_iters, seed=sampler.streams.seed, chain=sampler.streams.chain,
+        feature_ids=data.feature_ids, sample_ids=data.sample_ids,
+        mh_accept_counts=sampler.accept_counts, rw_step_final=sampler.rw_step)

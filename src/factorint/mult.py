@@ -25,12 +25,14 @@ from .errors import SpecConflict
 from .model import (
     DataMatrix,
     Family,
+    McmcSettings,
     McmcState,
     ModelSpec,
     PosteriorDraws,
     PriorLayout,
     build_layout,
     factor_pairs,
+    run_chain,
     validate_spec,
 )
 from .rng import RngStreams
@@ -77,6 +79,12 @@ def sample_spike_slab(rng: np.random.Generator, logit_prob: np.ndarray, log_bf: 
     return mask.astype(np.int8), np.where(mask, draws, 0.0)
 
 
+def _entry_groups(groups: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Group label of every entry: per-feature labels repeated along the
+    trailing (factor or pair) axes."""
+    return np.broadcast_to(groups.reshape(groups.shape + (1,) * (len(shape) - groups.ndim)), shape)
+
+
 def inclusion_posterior_params(mask: np.ndarray, fixed: np.ndarray, groups: np.ndarray,
                                prior_a: np.ndarray, prior_b: np.ndarray, model: str):
     """Beta posterior parameters for the inclusion probabilities.
@@ -94,8 +102,7 @@ def inclusion_posterior_params(mask: np.ndarray, fixed: np.ndarray, groups: np.n
                 float(prior_b.flat[0] + free.sum() - k[free].sum()))
     if model == "grouped":
         out = {}
-        grp = np.broadcast_to(groups.reshape(groups.shape + (1,) * (mask.ndim - groups.ndim)),
-                              mask.shape)
+        grp = _entry_groups(groups, mask.shape)
         for g in np.unique(grp):
             sel = free & (grp == g)
             a0 = prior_a[grp == g].flat[0]
@@ -112,19 +119,13 @@ def sample_inclusion_probs(rng: np.random.Generator, mask: np.ndarray, fixed: np
     they govern; degenerate entries keep their fixed value."""
     params = inclusion_posterior_params(mask, fixed, groups, prior_a, prior_b, model)
     prob = np.empty(mask.shape, dtype=float)
-    if model in ("per_entry", "per_feature"):
-        a, b = params
-        prob[...] = rng.beta(a, b)
-    elif model == "global":
-        a, b = params
-        prob[...] = rng.beta(a, b)
-    else:
-        grp = np.broadcast_to(groups.reshape(groups.shape + (1,) * (mask.ndim - groups.ndim)),
-                              mask.shape)
+    if model == "grouped":
+        grp = _entry_groups(groups, mask.shape)
         for g, (a, b) in params.items():
             prob[grp == g] = rng.beta(a, b)
-    free = np.isnan(fixed)
-    return np.where(free, prob, fixed)
+    else:
+        prob[...] = rng.beta(*params)
+    return np.where(np.isnan(fixed), prob, fixed)
 
 
 def interaction_term(state: McmcState, spec: ModelSpec) -> np.ndarray:
@@ -300,6 +301,11 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
 class MultChain:
     """One multiplicative-family chain over immutable data."""
 
+    # plain Gibbs: no proposal to adapt and no Metropolis acceptance ledger
+    adapting = False
+    accept_counts = None
+    rw_step = None
+
     def __init__(self, spec: ModelSpec, data: DataMatrix, seed: int = 0, chain: int = 0):
         if not spec.is_mult:
             raise SpecConflict("MultChain requires a multiplicative family spec")
@@ -328,19 +334,8 @@ def run_mult_chain(spec: ModelSpec, data: DataMatrix, n_iters: int = 600,
                    burn_in: int | None = None, thin: int = 1, seed: int = 0,
                    chain: int = 0) -> PosteriorDraws:
     """Run one chain and return the retained states; deterministic given seed."""
-    from .model import McmcSettings
-
     settings = McmcSettings(n_iters=n_iters, burn_in=burn_in, thin=thin, seed=seed)
-    burn = settings.resolve_burn_in(spec.family)
-    mc = MultChain(spec, data, seed=seed, chain=chain)
-    states: list[McmcState] = []
-    for it in range(1, n_iters + 1):
-        mc.sweep()
-        if it > burn and (it - burn) % thin == 0:
-            states.append(mc.state.copy())
-    return PosteriorDraws(
-        spec=spec, states=states, burn_in=burn, thin=thin, n_iters=n_iters,
-        seed=seed, chain=chain, feature_ids=data.feature_ids, sample_ids=data.sample_ids)
+    return run_chain(MultChain(spec, data, seed=seed, chain=chain), settings)
 
 
 def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
@@ -382,13 +377,18 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
     a, b = spec.noise_prior
     total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
 
-    total += _prob_block(state.load_mask, state.load_prob, layout.fixed_load,
-                         layout.load_group, layout.load_a, layout.load_b,
-                         spec.load_prob_model.value)
-    total += _prob_block(state.inter_mask, state.inter_prob, layout.fixed_inter,
-                         layout.inter_group, layout.inter_a, layout.inter_b,
-                         spec.inter_prob_model.value)
-    return total
+    return total + inclusion_log_density(state, spec, layout)
+
+
+def inclusion_log_density(state: McmcState, spec: ModelSpec, layout: PriorLayout) -> float:
+    """Log-joint terms of both inclusion-probability blocks (shared by both
+    families)."""
+    return (_prob_block(state.load_mask, state.load_prob, layout.fixed_load,
+                        layout.load_group, layout.load_a, layout.load_b,
+                        spec.load_prob_model.value)
+            + _prob_block(state.inter_mask, state.inter_prob, layout.fixed_inter,
+                          layout.inter_group, layout.inter_a, layout.inter_b,
+                          spec.inter_prob_model.value))
 
 
 def _prob_block(mask, prob, fixed, groups, prior_a, prior_b, model) -> float:
@@ -406,8 +406,7 @@ def _prob_block(mask, prob, fixed, groups, prior_a, prior_b, model) -> float:
         p0 = float(p_all.flat[0])
         total += (prior_a.flat[0] - 1) * np.log(p0) + (prior_b.flat[0] - 1) * np.log1p(-p0)
     else:
-        grp = np.broadcast_to(groups.reshape(groups.shape + (1,) * (mask.ndim - groups.ndim)),
-                              mask.shape)
+        grp = _entry_groups(groups, mask.shape)
         p_all = np.clip(prob, _PROB_FLOOR, 1 - 1e-16)
         for g in np.unique(grp):
             sel = grp == g

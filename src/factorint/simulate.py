@@ -17,9 +17,17 @@ from scipy.spatial.distance import cdist
 
 from .errors import InvalidFraction, ShapeMismatch
 from .genomics import detect_interactions
-from .gp import run_gp_chain
-from .model import DataMatrix, Family, McmcSettings, ModelSpec, PosteriorDraws, standardize_rows
-from .mult import run_mult_chain
+from .gp import GpChain
+from .model import (
+    DataMatrix,
+    Family,
+    McmcSettings,
+    ModelSpec,
+    PosteriorDraws,
+    run_chain,
+    standardize_rows,
+)
+from .mult import MultChain
 from .rng import stream
 
 
@@ -276,14 +284,13 @@ class ComparisonReport:
 
 def fit_spec(spec: ModelSpec, data: DataMatrix, settings: McmcSettings,
              chain: int = 0) -> PosteriorDraws:
-    """Dispatch one fit to the family's sampler."""
+    """Run one chain of the family's sampler under ``settings``."""
     if spec.family is Family.GP:
-        return run_gp_chain(spec, data, n_iters=settings.n_iters, burn_in=settings.burn_in,
-                            thin=settings.thin, seed=settings.seed, chain=chain,
-                            rw_step=settings.rw_step, adapt_rw=settings.adapt_rw,
-                            mh_target=settings.mh_target)
-    return run_mult_chain(spec, data, n_iters=settings.n_iters, burn_in=settings.burn_in,
-                          thin=settings.thin, seed=settings.seed, chain=chain)
+        sampler = GpChain(spec, data, seed=settings.seed, chain=chain,
+                          rw_step=settings.rw_step, adapt_rw=settings.adapt_rw)
+    else:
+        sampler = MultChain(spec, data, seed=settings.seed, chain=chain)
+    return run_chain(sampler, settings)
 
 
 def compare_models(data: DataMatrix, truth: SyntheticTruth, specs: list[ModelSpec],

@@ -194,6 +194,17 @@ def run_cli(*argv):
     return cli_main(list(argv))
 
 
+@pytest.fixture(scope="module")
+def fitted(tmp_path_factory):
+    """Directory holding a small data file and the draws of a short fit on it."""
+    out = tmp_path_factory.mktemp("fitted")
+    fio.write_data_csv(out / "data.csv", small_data(8, m=6, n=8))
+    assert run_cli("fit", "--output-dir", str(out), "--seed", "1",
+                   "--set", f"paths.data={out / 'data.csv'}",
+                   "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 0
+    return out
+
+
 class TestCli:
     def test_simulate_fit_summarize_deterministic(self, tmp_path):
         outs = []
@@ -281,6 +292,36 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("ERROR ConfigError:")
 
+    @pytest.mark.parametrize("command, setting", [
+        ("fit", "model.factors=abc"),
+        ("fit", "model.load_prob_model=bogus"),
+        ("fit", "mcmc.iters=x"),
+        ("fit", "model.gamma=1,x"),
+        ("fit", "model.seed_group.x=1,2"),
+        ("fit", "mcmc.chains=0"),
+        ("simulate", "simulate.features=abc"),
+        ("test-overlap", "overlap.counts=3,x"),
+        ("detect", "detect.threshold=abc"),
+        ("export-surface", "surface.feature=999"),
+        ("export-surface", "surface.feature=-1"),
+    ])
+    def test_bad_config_value_prints_one_config_error(self, fitted, tmp_path, capsys,
+                                                      command, setting):
+        valid = {
+            "fit": [f"paths.data={fitted / 'data.csv'}", "mcmc.iters=30", "mcmc.burn_in=10"],
+            "simulate": [],
+            "test-overlap": ["overlap.population=100", "overlap.observed=8"],
+            "detect": [f"paths.draws={fitted / 'draws.bin'}"],
+            "export-surface": [f"paths.draws={fitted / 'draws.bin'}"],
+        }[command]
+        args = [command, "--output-dir", str(tmp_path)]
+        for item in valid + [setting]:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR ConfigError:")
+
     def test_config_file_with_set_override(self, tmp_path):
         out = tmp_path / "cfg"
         cfg = tmp_path / "run.cfg"
@@ -302,7 +343,7 @@ class TestCli:
         out = tmp_path / "chains"
         out.mkdir()
         fio.write_data_csv(out / "data.csv", small_data(7, m=6, n=8))
-        assert run_cli("fit", "--output-dir", str(out), "--seed", "3", "--threads", "2",
+        assert run_cli("fit", "--output-dir", str(out), "--seed", "3",
                        "--set", f"paths.data={out / 'data.csv'}",
                        "--set", "model.family=mult_approach2",
                        "--set", "mcmc.chains=2",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from factorint import (
+    Family,
     InvalidFraction,
     McmcSettings,
     ShapeMismatch,
@@ -11,11 +12,17 @@ from factorint import (
     align_factors,
     compare_models,
     export_surface,
+    fit_spec,
     generate_hidden_factor_dataset,
     generate_saddle_dataset,
+    gp_spec,
     mult_spec,
+    run_gp_chain,
+    run_mult_chain,
     saddle_quadrant_recovery,
+    standardize_rows,
 )
+from factorint.model import STATE_FIELDS
 
 
 class TestGenerateSaddleDataset:
@@ -183,3 +190,34 @@ class TestCompareModels:
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 2
         assert lines[0].startswith("label,aad_loadings")
+
+
+def _same(a, b) -> bool:
+    return (a is None and b is None) or np.array_equal(a, b)
+
+
+class TestFitSpec:
+    @pytest.mark.parametrize("spec, settings, chain", [
+        (mult_spec(1), McmcSettings(n_iters=24, burn_in=10, thin=2, seed=3), 1),
+        (mult_spec(2), McmcSettings(n_iters=20, burn_in=10, seed=5), 0),
+        (gp_spec(1), McmcSettings(n_iters=24, burn_in=10, thin=2, seed=3), 1),
+        (gp_spec(2), McmcSettings(n_iters=20, burn_in=10, seed=6, rw_step=0.4,
+                                  adapt_rw=False), 0),
+    ])
+    def test_matches_the_family_runner(self, spec, settings, chain):
+        data = standardize_rows(np.random.default_rng(31).normal(size=(6, 8)))
+        via_settings = fit_spec(spec, data, settings, chain=chain)
+        kwargs = dict(n_iters=settings.n_iters, burn_in=settings.burn_in, thin=settings.thin,
+                      seed=settings.seed, chain=chain)
+        if spec.family is Family.GP:
+            direct = run_gp_chain(spec, data, rw_step=settings.rw_step,
+                                  adapt_rw=settings.adapt_rw, **kwargs)
+        else:
+            direct = run_mult_chain(spec, data, **kwargs)
+
+        assert via_settings.chain == direct.chain == chain
+        assert len(via_settings) == len(direct) == (settings.n_iters - 10) // settings.thin
+        for a, b in zip(via_settings.states, direct.states):
+            assert all(_same(getattr(a, name), getattr(b, name)) for name in STATE_FIELDS)
+        assert _same(via_settings.mh_accept_counts, direct.mh_accept_counts)
+        assert via_settings.rw_step_final == direct.rw_step_final
