@@ -7,7 +7,19 @@ Gaussian-process prior. Spike-and-slab priors give exact sparsity and
 posterior inclusion probabilities for significance testing; fitting is Gibbs
 sampling with a random-walk Metropolis step for the scores under the
 nonlinear family.
+
+Importing the package sets ``OPENBLAS_NUM_THREADS=1`` unless one of
+``BLAS_THREAD_VARS`` is already set: the samplers make many small (n x n)
+linear-algebra calls, which a BLAS thread pool slows down. Set any of those
+variables before the import to choose the thread count yourself.
 """
+
+import os as _os
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# Must run before numpy is first imported; BLAS reads these once, at load.
+if not any(name in _os.environ for name in BLAS_THREAD_VARS):
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .errors import (
     AllRemoved,

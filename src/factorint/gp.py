@@ -5,7 +5,10 @@ effect row is either zero or a draw from a Gaussian process over the score
 columns (squared-exponential kernel). The loading block reuses the
 spike-and-slab machinery of the multiplicative sampler. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
-row; the kernel is rebuilt after every accepted column. Indicator updates
+row; a move of column j changes only row and column j of the kernel, so it is
+scored by the change in the conditional GP density of entry j, through a
+Cholesky factor kept current by rank-one updates, and the kernel is rebuilt
+once per sweep. Indicator updates
 integrate the effect row out analytically, so the spike never absorbs the
 chain; the row (or the shared effect) is redrawn afterwards.
 """
@@ -15,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import expit
 
-from .errors import CholeskyFailure, SpecConflict
-from .kernels import KernelMatrix, marginal_ratio_rows, se_kernel
+from .errors import SpecConflict
+from .kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows, se_kernel
 from .model import (
     DataMatrix,
     Family,
@@ -48,15 +51,18 @@ _RW_STEP_BOUNDS = (1e-4, 10.0)
 _MH_TARGET = 0.30  # acceptance rate the burn-in adaptation steers toward
 
 
-def gp_prior_logdens(kernel: KernelMatrix, state: McmcState, spec: ModelSpec) -> float:
-    """Log density of the latent effect structure under the kernel: the active
-    rows for the per-row prior, the shared row for the shared prior."""
+def gp_rows(state: McmcState, spec: ModelSpec) -> np.ndarray:
+    """The (k, n) rows under the GP prior: the shared row for the shared prior,
+    the active rows (possibly none) for the per-row prior."""
     if spec.shared_effect:
-        return kernel.logdens(state.shared_effect)
-    active = state.inter_mask.astype(bool)
-    if not active.any():
-        return 0.0
-    return kernel.logdens(state.effects[active])
+        return state.shared_effect[None, :]
+    return state.effects[state.inter_mask.astype(bool)]
+
+
+def gp_prior_logdens(kernel: KernelMatrix, state: McmcState, spec: ModelSpec) -> float:
+    """Log density of the latent effect structure under the kernel (0 when no
+    row is under the prior)."""
+    return kernel.logdens(gp_rows(state, spec))
 
 
 def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
@@ -122,6 +128,19 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
     state.effects = np.where(mask[:, None], fstar[None, :], 0.0)
 
 
+def column_data_delta(state: McmcState, data: DataMatrix, j: int,
+                      proposal: np.ndarray) -> float:
+    """Change in the data likelihood at column j plus the standard-normal
+    score prior for replacing score column j with ``proposal``."""
+    current = state.scores[:, j]
+    x = data.values[:, j] - state.effects[:, j]
+    w = 1.0 / state.noise_var
+    res_cur = x - state.loadings @ current
+    res_prop = x - state.loadings @ proposal
+    delta = -0.5 * float((res_prop * res_prop - res_cur * res_cur) @ w)
+    return delta - 0.5 * (float(proposal @ proposal) - float(current @ current))
+
+
 def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
                            kernel: KernelMatrix, j: int, proposal: np.ndarray,
                            gp_logdens_current: float) -> tuple[float, KernelMatrix, float]:
@@ -129,16 +148,11 @@ def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 
     Covers the data likelihood at column j, the standard-normal score prior,
     and the GP density of the latent effect structure under the rebuilt
-    kernel. Returns (delta, proposed kernel, proposed GP density).
+    kernel. Returns (delta, proposed kernel, proposed GP density). This full
+    O(n^3) rebuild is the reference the sampler's factor updates are checked
+    against.
     """
-    current = state.scores[:, j]
-    x = data.values[:, j] - state.effects[:, j]
-    w = 1.0 / state.noise_var
-    res_cur = x - state.loadings @ current
-    res_prop = x - state.loadings @ proposal
-    delta = -0.5 * float((res_prop * res_prop - res_cur * res_cur) @ w)
-    delta -= 0.5 * (float(proposal @ proposal) - float(current @ current))
-
+    delta = column_data_delta(state, data, j, proposal)
     scores_prop = state.scores.copy()
     scores_prop[:, j] = proposal
     kernel_prop = se_kernel(scores_prop, spec.length_scale)
@@ -169,30 +183,36 @@ class GpChain:
 
     def update_score_columns(self) -> int:
         """Random-walk Metropolis over every score column; returns the number
-        of accepted proposals in this sweep."""
+        of accepted proposals in this sweep.
+
+        The GP term is scored at the sweep's starting jitter, through a
+        ``ColumnFactor`` of the current kernel; a proposal whose conditional
+        variance is not positive there is rejected. With no row under the GP
+        prior the term is 0 and no kernel work is done. The kernel is rebuilt
+        once, after the sweep, if any column moved.
+        """
         rng = self.streams.get("scores_mh")
         state, spec = self.state, self.spec
-        gp_cur = gp_prior_logdens(self.kernel, state, spec)
+        rows = gp_rows(state, spec)
+        factor = ColumnFactor(self.kernel) if rows.shape[0] else None
         accepted = 0
         for j in range(self.data.n_samples):
             proposal = state.scores[:, j] + self.rw_step * rng.standard_normal(spec.n_factors)
             log_u = np.log(rng.random())
-            try:
-                delta, kernel_prop, gp_prop = column_delta_log_joint(
-                    state, self.data, spec, self.kernel, j, proposal, gp_cur)
-            except CholeskyFailure:
-                if not self.adapting:
-                    self.accept_counts[j, 1] += 1
-                continue
+            delta = column_data_delta(state, self.data, j, proposal)
+            if factor is not None:
+                gp_delta, moved, kept = factor.column_delta(state.scores, j, proposal, rows)
+                delta = -np.inf if gp_delta is None else delta + gp_delta
+            accept = bool(log_u < delta)
+            if factor is not None:
+                factor.append(moved if accept else kept)
             if not self.adapting:
-                self.accept_counts[j, 1] += 1
-            if log_u < delta:
+                self.accept_counts[j] += (accept, 1)
+            if accept:
                 state.scores[:, j] = proposal
-                self.kernel = kernel_prop
-                gp_cur = gp_prop
                 accepted += 1
-                if not self.adapting:
-                    self.accept_counts[j, 0] += 1
+        if accepted:
+            self.kernel = se_kernel(state.scores, spec.length_scale)
         return accepted
 
     def sweep(self) -> None:

@@ -22,11 +22,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
+import platform
 import struct
 from pathlib import Path
 
 import numpy as np
+import scipy
 
+from . import BLAS_THREAD_VARS
 from .errors import ConfigError, CorruptFile, FormatVersionMismatch
 from .genomics import Annotation
 from .model import (
@@ -469,15 +473,25 @@ def sha256_file(path) -> str:
     return h.hexdigest()
 
 
+def _run_environment() -> dict:
+    """Interpreter and library versions, and the BLAS thread variables as this
+    process sees them (None where unset)."""
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
+
+
 def write_manifest(output_dir, command: str, config: dict, seed: int,
                    artifacts: list[str]) -> Path:
-    """Record the resolved configuration and a checksum for every artifact."""
+    """Record the resolved configuration, the run environment and a checksum
+    for every artifact."""
     output_dir = Path(output_dir)
     entries = []
     for name in sorted(artifacts):
         p = output_dir / name
         entries.append({"path": name, "sha256": sha256_file(p), "bytes": p.stat().st_size})
-    manifest = {"command": command, "config": config, "seed": seed, "artifacts": entries}
+    manifest = {"command": command, "config": config, "seed": seed, "artifacts": entries,
+                "environment": _run_environment()}
     path = output_dir / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path

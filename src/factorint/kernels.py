@@ -3,13 +3,16 @@
 The kernel K(scores)[j1, j2] = exp(-||s_j1 - s_j2||^2 / (2 ls^2)) drives the
 Gaussian prior on interaction-effect rows. Construction factors K + jitter*I
 with an escalating jitter, and the module provides the marginal log-likelihood
-ratio used to decide whether a residual row carries a nonlinear effect.
+ratio used to decide whether a residual row carries a nonlinear effect, and
+the updatable factor (``ColumnFactor``) that scores a move of one score column
+at O(n^2) cost.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import qr_delete, solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.spatial.distance import pdist, squareform
 
 from .errors import CholeskyFailure, ShapeMismatch
@@ -93,6 +96,71 @@ def se_kernel(scores: np.ndarray, length_scale: float) -> KernelMatrix:
         np.fill_diagonal(K, 1.0)
     chol, jitter = _chol_with_jitter(K)
     return KernelMatrix(K, length_scale, jitter, chol)
+
+
+class ColumnFactor:
+    """Cholesky factor of a kernel's K + jitter*I for moving one column at a time.
+
+    Moving score column j changes only row and column j of the kernel, so the
+    change in a row's N(0, K + jitter*I) log-density is the change in the
+    conditional density of its entry j given the others. The factor is kept
+    in a permuted column order: ``column_delta`` drops j with a stable O(n^2)
+    rank-one update (Givens rotations through ``qr_delete`` on the upper
+    factor; Seeger 2004, Golub & Van Loan 6.5.4), and ``append`` puts j back
+    as the last column, at its old or its new position. The jitter stays the kernel's throughout; updates of
+    the inverse would lose too much accuracy on these ill-conditioned kernels.
+    """
+
+    def __init__(self, kernel: KernelMatrix):
+        self.length_scale = kernel.length_scale
+        self.variance = 1.0 + kernel.jitter     # diagonal of K + jitter*I
+        # C[order][:, order] = upper.T @ upper; Fortran order so that qr_delete
+        # updates it in place (its rotations of Q go to a scratch buffer)
+        self.upper = np.array(kernel.chol.T, order="F")
+        self.order = np.arange(kernel.n)
+        self._q = np.eye(kernel.n, order="F")
+
+    def column_delta(self, scores: np.ndarray, j: int, proposal: np.ndarray,
+                     rows: np.ndarray) -> tuple[float | None, np.ndarray | None, np.ndarray]:
+        """Drop column j, then score moving it from ``scores[:, j]`` to ``proposal``.
+
+        Returns (delta, moved, kept): the change in the summed log-density of
+        ``rows`` (k, n), and the last factor column for j at the proposal and
+        at its current position, one of which must go to ``append`` next.
+        delta and moved are None when the proposal's conditional variance is
+        not positive.
+        """
+        p = int(np.flatnonzero(self.order == j)[0])
+        # overwrite_qr: the reduced factor is the first n-1 columns of self.upper
+        qr_delete(self._q, self.upper, p, which="col", overwrite_qr=True, check_finite=False)
+        self.order[p:-1] = self.order[p + 1:]
+        self.order[-1] = j
+        others = self.order[:-1]
+        # a unit last column passes the padded last row of a solve through
+        self.upper[:, -1] = 0.0
+        self.upper[-1, -1] = 1.0
+
+        points = np.column_stack([scores[:, j], proposal])
+        d2 = np.sum((scores[:, others, None] - points[:, None, :]) ** 2, axis=0)
+        rhs = np.zeros((self.order.size, 2 + rows.shape[0]))
+        rhs[:-1, :2] = np.exp(-0.5 * d2 / self.length_scale**2)   # kernel rows
+        rhs[:-1, 2:] = rows[:, others].T
+        solved, info = dtrtrs(self.upper, rhs, lower=0, trans=1, overwrite_b=1)
+        if info:
+            raise CholeskyFailure("column factor became singular")
+        w, a = solved[:-1, :2], solved[:-1, 2:]
+        var = self.variance - np.sum(w * w, axis=0)
+        kept = np.append(w[:, 0], np.sqrt(var[0]))
+        if not var[1] > 0.0:
+            return None, None, kept
+        resid = rows[:, j][None, :] - w.T @ a                      # (2, k)
+        logdens = -0.5 * (rows.shape[0] * np.log(var) + np.sum(resid * resid, axis=1) / var)
+        return float(logdens[1] - logdens[0]), np.append(w[:, 1], np.sqrt(var[1])), kept
+
+    def append(self, column: np.ndarray) -> None:
+        """Complete ``column_delta``: the dropped column comes back as the last
+        column of the factor, with last factor column ``column``."""
+        self.upper[:, -1] = column
 
 
 def gp_marginal_loglik_ratio(residual: np.ndarray, kernel: KernelMatrix, sigma2: float) -> float:

@@ -473,6 +473,10 @@ class McmcSettings:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if self.n_chains < 1:
             raise ConfigError(f"n_chains must be >= 1, got {self.n_chains}")
+        if not (np.isfinite(self.rw_step) and self.rw_step >= 0):
+            raise ConfigError(f"rw_step must be finite and >= 0, got {self.rw_step}")
+        if self.rw_step == 0 and self.adapt_rw:
+            raise ConfigError("rw_step must be positive when adapt_rw is on")
 
     def resolve_burn_in(self, family: Family) -> int:
         if self.burn_in is not None:

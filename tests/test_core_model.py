@@ -160,6 +160,16 @@ class TestSettings:
         with pytest.raises(ConfigError):
             McmcSettings(n_iters=10, burn_in=3, thin=2).resolve_burn_in(Family.GP)
 
+    @pytest.mark.parametrize("rw_step, adapt_rw", [
+        (-1.0, False), (float("nan"), False), (float("inf"), False), (0.0, True)])
+    def test_bad_rw_step_rejected(self, rw_step, adapt_rw):
+        from factorint import ConfigError
+        with pytest.raises(ConfigError):
+            McmcSettings(rw_step=rw_step, adapt_rw=adapt_rw)
+
+    def test_fixed_zero_step_allowed(self):
+        assert McmcSettings(rw_step=0.0, adapt_rw=False).rw_step == 0.0
+
     def test_burn_in_must_precede_end(self):
         from factorint import ConfigError
         with pytest.raises(ConfigError):

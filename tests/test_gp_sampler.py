@@ -1,13 +1,18 @@
 """Nonlinear-family sampler: effect-row conditionals, the shared effect,
 the score Metropolis step, and chain contracts."""
 
+import copy
+
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+import factorint.gp as gp_module
 from factorint import (
+    CholeskyFailure,
     DataMatrix,
     GpChain,
+    generate_saddle_dataset,
     gp_spec,
     run_gp_chain,
     se_kernel,
@@ -16,11 +21,12 @@ from factorint import (
 from factorint.gp import (
     column_delta_log_joint,
     gp_prior_logdens,
+    gp_rows,
     log_joint,
     shared_effect_posterior,
     update_shared_effect,
 )
-from factorint.kernels import marginal_ratio_rows
+from factorint.kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows
 from factorint.model import build_layout
 from factorint.mult import _logit, initial_state
 from factorint.rng import stream
@@ -205,18 +211,48 @@ class TestScoreMetropolis:
         np.testing.assert_array_equal(chain.state.scores, start)
 
     def test_cholesky_failure_rejects_proposal(self, monkeypatch):
-        chain = make_chain()
-        from factorint.errors import CholeskyFailure
-        import factorint.gp as gp_module
+        # Columns 10 apart at ls 0.2 make K exactly the identity; held at zero
+        # jitter, a proposal landing exactly on another column makes K singular,
+        # so its conditional variance is 0 and the move must be rejected.
+        rng = np.random.default_rng(19)
+        data = standardize_rows(rng.normal(size=(4, 6)))
+        chain = GpChain(gp_spec(1), data, seed=7, rw_step=1.0, adapt_rw=False)
+        st = chain.state
+        st.scores[:] = 0.0
+        st.scores[0] = 10.0 * np.arange(6)
+        st.inter_mask[:] = 0
+        st.inter_mask[1] = 1
+        st.effects[:] = 0.0
+        st.effects[1] = np.linspace(-1.0, 1.0, 6)
+        K = se_kernel(st.scores, chain.spec.length_scale).K
+        np.testing.assert_array_equal(K, np.eye(6))
+        chain.kernel = KernelMatrix(K, chain.spec.length_scale, 0.0, np.eye(6))
+        chain.adapting = False
 
-        def broken(scores, length_scale):
-            raise CholeskyFailure("synthetic failure")
+        class OntoNextColumn:
+            """Proposal noise moving column j exactly onto column j + 1."""
 
-        before = chain.state.scores.copy()
-        monkeypatch.setattr(gp_module, "se_kernel", broken)
+            def __init__(self, scores):
+                self.scores, self.j = scores.copy(), 0
+
+            def standard_normal(self, size):
+                n = self.scores.shape[1]
+                step = self.scores[:, (self.j + 1) % n] - self.scores[:, self.j]
+                self.j += 1
+                return step
+
+            def random(self):
+                return 0.5
+
+        proposals = OntoNextColumn(st.scores)
+        monkeypatch.setattr(chain.streams, "get", lambda purpose: proposals)
+        before = st.scores.copy()
+        kernel = chain.kernel
         accepted = chain.update_score_columns()
         assert accepted == 0
-        np.testing.assert_array_equal(chain.state.scores, before)
+        np.testing.assert_array_equal(st.scores, before)
+        assert chain.kernel is kernel
+        np.testing.assert_array_equal(chain.accept_counts, [[0, 1]] * 6)
 
     def test_prior_recovery_with_likelihood_disabled(self):
         # loadings and effects pinned at zero: the score columns must sample
@@ -239,6 +275,115 @@ class TestScoreMetropolis:
         var_means = (batch_var**2).mean(axis=(1, 2))
         se_var = var_means.std(ddof=1) / np.sqrt(n_batches)
         assert abs((flat**2).mean() - 1.0) < 3 * se_var
+
+
+def reference_update_score_columns(chain):
+    """The score-column sweep with a full kernel rebuild per proposal."""
+    rng = chain.streams.get("scores_mh")
+    state, spec = chain.state, chain.spec
+    gp_cur = gp_prior_logdens(chain.kernel, state, spec)
+    accepted = 0
+    for j in range(chain.data.n_samples):
+        proposal = state.scores[:, j] + chain.rw_step * rng.standard_normal(spec.n_factors)
+        log_u = np.log(rng.random())
+        try:
+            delta, kernel_prop, gp_prop = column_delta_log_joint(
+                state, chain.data, spec, chain.kernel, j, proposal, gp_cur)
+        except CholeskyFailure:
+            if not chain.adapting:
+                chain.accept_counts[j, 1] += 1
+            continue
+        if not chain.adapting:
+            chain.accept_counts[j, 1] += 1
+        if log_u < delta:
+            state.scores[:, j] = proposal
+            chain.kernel = kernel_prop
+            gp_cur = gp_prop
+            accepted += 1
+            if not chain.adapting:
+                chain.accept_counts[j, 0] += 1
+    return accepted
+
+
+class TestColumnFactorSweep:
+    """The O(n^2) factor-update sweep against the full-rebuild reference."""
+
+    @pytest.mark.parametrize("variant, active", [(1, True), (1, False), (2, True)])
+    def test_sweep_matches_full_rebuild_loop(self, variant, active):
+        # ls = 0.8 couples the columns, so a stale factor would change decisions
+        chain = make_chain(variant=variant, m=6, n=12, sweeps=6, length_scale=0.8)
+        st = chain.state
+        if variant == 1:
+            st.inter_mask[:] = 0
+            st.effects[:] = 0.0
+            if active:
+                st.inter_mask[[0, 3]] = 1
+                st.effects[[0, 3]] = (chain.kernel.chol
+                                      @ np.random.default_rng(31).normal(size=(12, 2))).T
+        chain.adapting = False
+        twin = copy.deepcopy(chain)
+        total = 0
+        for _ in range(3):
+            accepted = chain.update_score_columns()
+            assert accepted == reference_update_score_columns(twin)
+            total += accepted
+            np.testing.assert_array_equal(chain.state.scores, twin.state.scores)
+            np.testing.assert_array_equal(chain.accept_counts, twin.accept_counts)
+            np.testing.assert_array_equal(chain.kernel.K, twin.kernel.K)
+            assert chain.kernel.jitter == twin.kernel.jitter
+        assert 0 < total < 3 * 12
+
+    @pytest.mark.parametrize("active", [True, False])
+    def test_at_most_one_kernel_build_per_sweep(self, monkeypatch, active):
+        chain = make_chain(m=6, n=12, sweeps=4)
+        chain.state.inter_mask[:] = 0
+        chain.state.effects[:] = 0.0
+        if active:
+            chain.state.inter_mask[2] = 1
+            chain.state.effects[2] = np.sin(np.arange(12.0))
+        calls = []
+
+        def counted(scores, length_scale):
+            calls.append(1)
+            return se_kernel(scores, length_scale)
+
+        monkeypatch.setattr(gp_module, "se_kernel", counted)
+        for sweep in range(1, 4):
+            chain.update_score_columns()
+            assert len(calls) <= sweep
+
+    @pytest.mark.parametrize("length_scale, rtol", [
+        (0.2, 1e-8),
+        # cond(K + jitter*I) is about 2e9 here: the full rebuild is itself off
+        # from exact arithmetic by up to 2.5e-7 relative on such proposals
+        # (mpmath), so agreement is bounded by conditioning, not 1e-8
+        (0.5, 1e-4),
+    ])
+    def test_factor_delta_matches_full_rebuild(self, length_scale, rtol):
+        data, _ = generate_saddle_dataset(40, 100, 0.3, seed=3)
+        chain = GpChain(gp_spec(1, length_scale=length_scale), data, seed=4)
+        for _ in range(40):
+            chain.sweep()
+        st, spec = chain.state, chain.spec
+        rows = gp_rows(st, spec)
+        assert rows.shape[0] > 0
+        kernel = chain.kernel
+        gp_cur = gp_prior_logdens(kernel, st, spec)
+        factor = ColumnFactor(kernel)
+        rng = np.random.default_rng(1)
+        for j in range(data.n_samples):
+            proposal = st.scores[:, j] + chain.rw_step * rng.standard_normal(2)
+            delta, kernel_prop, gp_prop = column_delta_log_joint(
+                st, data, spec, kernel, j, proposal, gp_cur)
+            assert kernel_prop.jitter == kernel.jitter
+            fast, moved, kept = factor.column_delta(st.scores, j, proposal, rows)
+            reference = gp_prop - gp_cur
+            assert abs(fast - reference) <= rtol * max(1.0, abs(reference))
+            accept = np.log(rng.random()) < delta
+            factor.append(moved if accept else kept)
+            if accept:
+                st.scores[:, j] = proposal
+                kernel, gp_cur = kernel_prop, gp_prop
 
 
 class TestChainContracts:

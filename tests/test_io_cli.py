@@ -1,11 +1,18 @@
 """Persistence formats, configuration parsing, and the command-line workflow."""
 
 import json
+import os
+import platform
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
+import factorint
 from factorint import (
     Annotation,
     ConfigError,
@@ -285,6 +292,27 @@ class TestCli:
         header = (out / "surface.csv").read_text().splitlines()[0]
         assert header == "lambda1,lambda2,effect,source"
 
+    @pytest.mark.parametrize("user_setting, recorded", [(None, "1"), ("2", "2")])
+    def test_manifest_records_blas_threads_and_versions(self, tmp_path, user_setting,
+                                                        recorded):
+        src = Path(factorint.__file__).resolve().parents[1]
+        env = {k: v for k, v in os.environ.items() if k not in factorint.BLAS_THREAD_VARS}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        if user_setting is not None:
+            env["OPENBLAS_NUM_THREADS"] = user_setting
+        subprocess.run([sys.executable, "-m", "factorint.cli", "simulate",
+                        "--output-dir", str(tmp_path), "--set", "simulate.features=12",
+                        "--set", "simulate.samples=10"],
+                       env=env, check=True, capture_output=True, timeout=120)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        environment = manifest["environment"]
+        assert environment["threads"] == {"OPENBLAS_NUM_THREADS": recorded,
+                                          "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": None}
+        assert environment["numpy"] == np.__version__
+        assert environment["scipy"] == scipy.__version__
+        assert environment["python"] == platform.python_version()
+        assert fio.verify_manifest(tmp_path)
+
     def test_failure_prints_single_error_line(self, tmp_path, capsys):
         code = run_cli("fit", "--output-dir", str(tmp_path))
         assert code == 1
@@ -299,6 +327,9 @@ class TestCli:
         ("fit", "model.gamma=1,x"),
         ("fit", "model.seed_group.x=1,2"),
         ("fit", "mcmc.chains=0"),
+        ("fit", "mcmc.rw_step=-1"),
+        ("fit", "mcmc.rw_step=nan"),
+        ("fit", "mcmc.rw_step=0"),
         ("simulate", "simulate.features=abc"),
         ("test-overlap", "overlap.counts=3,x"),
         ("detect", "detect.threshold=abc"),
