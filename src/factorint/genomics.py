@@ -194,6 +194,13 @@ def detect_interactions(draws: PosteriorDraws, threshold: float = 0.5) -> dict[i
     return {int(i): float(probs[i]) for i in np.flatnonzero(probs > threshold)}
 
 
+# numpy's hypergeometric sampler takes group sizes below 10**9 only.
+MAX_POPULATION = 10**9
+
+# Null replicates drawn together: working memory is O(block x n_sets).
+_OVERLAP_BLOCK = 8192
+
+
 @dataclass(frozen=True)
 class OverlapTestInput:
     """Configuration of the cross-dataset overlap test."""
@@ -204,8 +211,9 @@ class OverlapTestInput:
     n_replicates: int = 100_000
 
     def __post_init__(self):
-        if self.population_size < 1:
-            raise ConfigError("population_size must be positive")
+        if not 1 <= self.population_size < MAX_POPULATION:
+            raise ConfigError(f"population_size must lie in [1, {MAX_POPULATION}), "
+                              f"got {self.population_size}")
         if len(self.per_dataset_counts) < 2:
             raise ConfigError("need at least two datasets")
         if any(not 0 <= c <= self.population_size for c in self.per_dataset_counts):
@@ -231,21 +239,40 @@ def overlap_permutation_test(inp: OverlapTestInput, seed: int = 0,
 
     The p-value is the fraction of replicates whose overlap reaches the
     observed value.
+
+    The draw is exact without materialising any set. The summed pairwise
+    overlap is the sum over elements of C(k, 2), where k counts the sets that
+    contain the element, so only the number of elements in each group of
+    equal k matters. The first set leaves N - c1 elements at k = 0 and c1 at
+    k = 1. A further set of size s takes x ~ multivariate-hypergeometric(group
+    sizes, s) from the groups, adds sum_k k * x_k to the overlap and moves the
+    x_k elements up one group; x is drawn as a chain of conditional
+    hypergeometric draws, each broadcast over a block of replicates. Memory is
+    O(block x n_sets) whatever the population size, which numpy's sampler
+    bounds below ``MAX_POPULATION``. The replicates depend on the block size.
     """
     rng = stream(seed, 0, "overlap")
-    n_sets = len(inp.per_dataset_counts)
-    pop = inp.population_size
-    overlaps = np.empty(inp.n_replicates, dtype=np.int64)
-    members = np.zeros((n_sets, pop), dtype=bool)
-    for k in range(inp.n_replicates):
-        members[:] = False
-        for d, count in enumerate(inp.per_dataset_counts):
-            members[d, rng.choice(pop, size=count, replace=False)] = True
-        total = 0
-        for a in range(n_sets - 1):
-            for b in range(a + 1, n_sets):
-                total += int(np.count_nonzero(members[a] & members[b]))
-        overlaps[k] = total
+    first, *later = inp.per_dataset_counts
+    weights = np.arange(len(later) + 2)
+    overlaps = np.zeros(inp.n_replicates, dtype=np.int64)
+    for start in range(0, inp.n_replicates, _OVERLAP_BLOCK):
+        block = overlaps[start:start + _OVERLAP_BLOCK]
+        # groups[:, k]: elements that k of the sets placed so far contain
+        groups = np.zeros((block.size, weights.size), dtype=np.int64)
+        groups[:, 0] = inp.population_size - first
+        groups[:, 1] = first
+        for d, count in enumerate(later, start=1):
+            taken = np.zeros_like(groups)
+            left = np.full(block.size, count, dtype=np.int64)
+            above = groups[:, 1:d + 1].sum(axis=1)
+            for k in range(d):
+                taken[:, k] = rng.hypergeometric(groups[:, k], above, left)
+                left -= taken[:, k]
+                above -= groups[:, k + 1]
+            taken[:, d] = left
+            block += taken @ weights
+            groups -= taken
+            groups[:, 1:] += taken[:, :-1]
     at_least = int(np.count_nonzero(overlaps >= inp.observed_overlap))
     p_value = at_least / inp.n_replicates
     return p_value, OverlapReplicates(

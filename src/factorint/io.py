@@ -22,6 +22,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import platform
 import struct
@@ -195,15 +196,41 @@ def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
         header = json.loads(body[start:start + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: unreadable header ({exc})") from None
+    if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
+            and isinstance(header.get("arrays"), list)):
+        raise CorruptFile(f"{path}: header lacks 'meta' or 'arrays'")
     payload = body[start + header_len:]
-    arrays = {}
-    for entry in header["arrays"]:
-        raw = payload[entry["offset"]:entry["offset"] + entry["nbytes"]]
-        if len(raw) != entry["nbytes"]:
-            raise CorruptFile(f"{path}: payload shorter than declared")
-        arrays[entry["name"]] = np.frombuffer(raw, dtype=np.dtype(entry["dtype"])) \
-            .reshape(entry["shape"]).copy()
+    arrays = dict(_bundle_array(entry, payload, path) for entry in header["arrays"])
     return header["meta"], arrays
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _bundle_array(entry, payload: bytes, path) -> tuple[str, np.ndarray]:
+    """One array of a bundle from its header entry; CorruptFile when the entry
+    is malformed or disagrees with the payload."""
+    try:
+        name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
+        offset, nbytes = entry["offset"], entry["nbytes"]
+    except (KeyError, TypeError):
+        raise CorruptFile(f"{path}: malformed array entry {entry!r:.80}") from None
+    if not (isinstance(name, str) and isinstance(dtype, str) and isinstance(shape, list)
+            and all(map(_is_count, (offset, nbytes, *shape)))):
+        raise CorruptFile(f"{path}: malformed array entry {entry!r:.80}")
+    try:
+        dtype = np.dtype(dtype)
+    except (TypeError, ValueError):
+        raise CorruptFile(f"{path}: array {name!r} has unknown dtype {dtype!r:.40}") from None
+    if dtype.hasobject or dtype.shape or not dtype.itemsize \
+            or math.prod(shape) * dtype.itemsize != nbytes:
+        raise CorruptFile(f"{path}: array {name!r}: dtype {dtype.str} and shape {shape} "
+                          f"do not make {nbytes} bytes")
+    raw = payload[offset:offset + nbytes]
+    if len(raw) != nbytes:
+        raise CorruptFile(f"{path}: payload shorter than declared")
+    return name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
 
 
 # ------------------------------------------------------ spec serialization
@@ -307,12 +334,18 @@ def load_draws(path) -> PosteriorDraws:
     meta, arrays = read_bundle(path)
     if meta.get("kind") != "draws":
         raise CorruptFile(f"{path}: bundle does not contain draws")
+    fields = meta.get("state_fields")
+    if not (isinstance(fields, list) and "loadings" in fields
+            and all(name in STATE_FIELDS and name in arrays for name in fields)):
+        raise CorruptFile(f"{path}: draws bundle lacks its state fields or loadings")
+    leading = {arrays[name].shape[:1] for name in fields}
+    if len(leading) != 1 or () in leading:
+        raise CorruptFile(f"{path}: state fields hold different numbers of states")
     spec = spec_from_dict(meta["spec"])
     n_states = arrays["loadings"].shape[0]
     states = []
     for k in range(n_states):
-        fields = {name: arrays[name][k] for name in meta["state_fields"]}
-        states.append(McmcState(**fields))
+        states.append(McmcState(**{name: arrays[name][k] for name in fields}))
     return PosteriorDraws(
         spec=spec,
         states=states,

@@ -1,12 +1,17 @@
 """Applied pipeline: windows, cleaning, selection, detection, the overlap
 permutation test, and posterior summaries."""
 
+import time
+from itertools import combinations
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from factorint import (
     AllRemoved,
     Annotation,
+    ConfigError,
     EmptyWindowWarning,
     InsufficientDraws,
     McmcSettings,
@@ -227,6 +232,96 @@ class TestOverlapPermutationTest:
         p2, r2 = overlap_permutation_test(inp, seed=11)
         assert p1 == p2
         np.testing.assert_array_equal(r1.overlaps, r2.overlaps)
+
+    def test_population_must_stay_below_the_hypergeometric_limit(self):
+        with pytest.raises(ConfigError):
+            OverlapTestInput(population_size=10**9, per_dataset_counts=(10, 10),
+                             observed_overlap=0)
+
+    def test_large_population_needs_no_population_sized_memory(self):
+        # the per-replicate loop needed a 2 GB boolean array for this input
+        inp = OverlapTestInput(population_size=10**9 - 1, per_dataset_counts=(1000, 1000),
+                               observed_overlap=0, n_replicates=2000)
+        t0 = time.perf_counter()
+        p, reps = overlap_permutation_test(inp, seed=5)
+        assert time.perf_counter() - t0 < 1.0
+        assert p == 1.0
+        assert reps.overlaps.shape == (2000,)
+
+
+def loop_overlaps(inp: OverlapTestInput, seed: int) -> np.ndarray:
+    """Reference null: each replicate draws every set with ``rng.choice`` and
+    counts the pairwise intersections (the sampler's former implementation)."""
+    rng = stream(seed, 0, "overlap")
+    n_sets = len(inp.per_dataset_counts)
+    overlaps = np.empty(inp.n_replicates, dtype=np.int64)
+    members = np.zeros((n_sets, inp.population_size), dtype=bool)
+    for k in range(inp.n_replicates):
+        members[:] = False
+        for d, count in enumerate(inp.per_dataset_counts):
+            members[d, rng.choice(inp.population_size, size=count, replace=False)] = True
+        overlaps[k] = sum(int(np.count_nonzero(members[a] & members[b]))
+                          for a in range(n_sets - 1) for b in range(a + 1, n_sets))
+    return overlaps
+
+
+def exact_overlap_pmf(population: int, counts: tuple[int, int, int]) -> np.ndarray:
+    """Exact pmf of the summed pairwise overlap of three uniform random sets,
+    by enumeration; the first set is fixed to its first elements by symmetry."""
+    first = set(range(counts[0]))
+    hist = np.zeros(sum(counts) + 1)
+    for b in combinations(range(population), counts[1]):
+        for c in combinations(range(population), counts[2]):
+            b, c = set(b), set(c)
+            hist[len(first & b) + len(first & c) + len(b & c)] += 1
+    return hist / hist.sum()
+
+
+class TestOverlapNullDistribution:
+    """The sampler and the reference loop against the exact null."""
+
+    TINY = dict(population_size=8, per_dataset_counts=(3, 4, 5), observed_overlap=0)
+
+    @pytest.fixture(scope="class")
+    def tiny_pmf(self):
+        return exact_overlap_pmf(8, (3, 4, 5))
+
+    @staticmethod
+    def chi_square_p(overlaps: np.ndarray, pmf: np.ndarray) -> float:
+        observed = np.bincount(overlaps, minlength=pmf.size)
+        assert observed.size == pmf.size
+        assert observed[pmf == 0].sum() == 0
+        support = pmf > 0
+        return stats.chisquare(observed[support], pmf[support] * overlaps.size).pvalue
+
+    def test_enumeration_covers_every_combination(self, tiny_pmf):
+        # 70 * 56 equally likely pairs of later sets, support 4..10
+        assert np.flatnonzero(tiny_pmf).tolist() == list(range(4, 11))
+        np.testing.assert_allclose(tiny_pmf * 70 * 56, np.rint(tiny_pmf * 70 * 56))
+
+    def test_sampler_matches_exact_pmf(self, tiny_pmf):
+        inp = OverlapTestInput(n_replicates=100_000, **self.TINY)
+        _, reps = overlap_permutation_test(inp, seed=21)
+        assert self.chi_square_p(reps.overlaps, tiny_pmf) > 1e-3
+
+    def test_reference_loop_matches_exact_pmf(self, tiny_pmf):
+        inp = OverlapTestInput(n_replicates=20_000, **self.TINY)
+        assert self.chi_square_p(loop_overlaps(inp, seed=22), tiny_pmf) > 1e-3
+
+    def test_sampler_moments_at_the_paper_numbers(self):
+        n, c = 3704, (314, 170, 244, 255)
+        pairs = [(c[a], c[b]) for a in range(len(c)) for b in range(a + 1, len(c))]
+        mean = sum(x * y for x, y in pairs) / n
+        # pairwise overlaps are uncorrelated, so their hypergeometric variances add
+        var = sum(x * y * (n - x) * (n - y) for x, y in pairs) / (n * n * (n - 1))
+        assert mean == pytest.approx(96.4136, abs=5e-5)
+        assert np.sqrt(var) == pytest.approx(9.14895, abs=5e-6)
+        inp = OverlapTestInput(population_size=n, per_dataset_counts=c,
+                               observed_overlap=0, n_replicates=100_000)
+        _, reps = overlap_permutation_test(inp, seed=23)
+        r = inp.n_replicates
+        assert abs(reps.mean - mean) < 4 * np.sqrt(var / r)
+        assert abs(reps.sd - np.sqrt(var)) < 4 * np.sqrt(var / (2 * (r - 1)))
 
 
 # ------------------------------------------------------------ summaries

@@ -1,5 +1,6 @@
 """Persistence formats, configuration parsing, and the command-line workflow."""
 
+import hashlib
 import json
 import os
 import platform
@@ -11,12 +12,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import factorint
 from factorint import (
     Annotation,
     ConfigError,
     CorruptFile,
+    FactorIntError,
     FormatVersionMismatch,
     gp_spec,
     mult_spec,
@@ -111,6 +115,111 @@ class TestBundleFormat:
         path.write_bytes(b"NOTMINE!" + b"\x00" * 64)
         with pytest.raises(CorruptFile):
             fio.read_bundle(path)
+
+
+def sealed_bundle(header, payload: bytes = b"") -> bytes:
+    """Bundle bytes with a valid checksum around any JSON header."""
+    raw = json.dumps(header).encode("utf-8")
+    body = fio.MAGIC + struct.pack("<I", fio.FORMAT_VERSION) + struct.pack("<Q", len(raw))
+    body += raw + payload
+    return body + hashlib.sha256(body).digest()
+
+
+def ones_entry(**changes) -> dict:
+    """Header entry of a five-element float64 array, with fields replaced."""
+    return {"name": "a", "dtype": "<f8", "shape": [5], "offset": 0, "nbytes": 40, **changes}
+
+
+MALFORMED_HEADERS = {
+    "no_arrays": {"meta": {"kind": "test"}},
+    "list_header": [{"kind": "test"}],
+    "unknown_dtype": {"meta": {}, "arrays": [ones_entry(dtype="zz")]},
+    "shape_against_nbytes": {"meta": {}, "arrays": [ones_entry(shape=[4])]},
+    "negative_offset": {"meta": {}, "arrays": [ones_entry(offset=-40)]},
+    "inferred_shape": {"meta": {}, "arrays": [ones_entry(shape=[-1])]},
+    "object_dtype": {"meta": {}, "arrays": [ones_entry(dtype="|O")]},
+    "entry_not_a_dict": {"meta": {}, "arrays": ["a"]},
+}
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+array_entries = st.fixed_dictionaries({}, optional={
+    "name": st.text(max_size=4) | json_values,
+    "dtype": st.sampled_from(["<f8", "|i1", "|b1", "zz", "|O", "|S0", "(2,)<f8", "<U1",
+                              "f8,i4"]) | st.text(max_size=6) | json_values,
+    "shape": st.lists(st.integers(-2, 12), max_size=3) | json_values,
+    "offset": st.integers(-48, 96) | json_values,
+    "nbytes": st.integers(-8, 96) | json_values,
+})
+
+headers = json_values | st.fixed_dictionaries(
+    {}, optional={"meta": st.dictionaries(st.text(max_size=4), json_values, max_size=3)
+                  | json_values,
+                  "arrays": st.lists(array_entries, max_size=3) | json_values})
+
+
+class TestMalformedBundles:
+    """A bundle that is not what ``write_bundle`` wrote fails with a package
+    error, whether or not its checksum holds."""
+
+    @pytest.mark.parametrize("header", MALFORMED_HEADERS.values(), ids=MALFORMED_HEADERS)
+    def test_malformed_header_rejected(self, tmp_path, header):
+        path = tmp_path / "x.bin"
+        path.write_bytes(sealed_bundle(header, np.ones(5).tobytes()))
+        with pytest.raises(CorruptFile):
+            fio.read_bundle(path)
+
+    @pytest.mark.parametrize("fault", ["no_state_fields", "no_loadings", "short_scores"])
+    def test_draws_bundle_with_bad_state_rejected(self, tmp_path, fault):
+        path = tmp_path / "draws.bin"
+        fio.persist_draws(run_mult_chain(mult_spec(1), small_data(1), n_iters=6,
+                                         burn_in=2, seed=3), path)
+        meta, arrays = fio.read_bundle(path)
+        if fault == "no_state_fields":
+            del meta["state_fields"]
+        elif fault == "no_loadings":
+            del arrays["loadings"]
+        else:
+            arrays["scores"] = arrays["scores"][:2]
+        fio.write_bundle(path, meta, arrays)
+        with pytest.raises(CorruptFile):
+            fio.load_draws(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(header=headers, payload=st.binary(max_size=96))
+    def test_random_sealed_headers_raise_only_package_errors(self, tmp_path, header, payload):
+        path = tmp_path / "x.bin"
+        path.write_bytes(sealed_bundle(header, payload))
+        try:
+            fio.read_bundle(path)
+        except FactorIntError:
+            pass
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flips=st.lists(st.tuples(st.integers(0, 10**6), st.integers(1, 255)),
+                          min_size=1, max_size=4),
+           reseal=st.booleans())
+    def test_byte_flips_raise_only_package_errors(self, tmp_path, flips, reseal):
+        path = tmp_path / "x.bin"
+        fio.write_bundle(path, {"kind": "test"},
+                         {"a": np.arange(6.0).reshape(2, 3), "b": np.array([1, 2], np.int8)})
+        blob = bytearray(path.read_bytes())
+        body_len = len(blob) - 32 if reseal else len(blob)
+        for position, mask in flips:
+            blob[position % body_len] ^= mask
+        if reseal:
+            blob[-32:] = hashlib.sha256(bytes(blob[:-32])).digest()
+        path.write_bytes(bytes(blob))
+        try:
+            fio.read_bundle(path)
+        except FactorIntError:
+            pass
 
 
 class TestSpecSerialization:
@@ -332,6 +441,7 @@ class TestCli:
         ("fit", "mcmc.rw_step=0"),
         ("simulate", "simulate.features=abc"),
         ("test-overlap", "overlap.counts=3,x"),
+        ("test-overlap", "overlap.population=1000000000"),
         ("detect", "detect.threshold=abc"),
         ("export-surface", "surface.feature=999"),
         ("export-surface", "surface.feature=-1"),
@@ -341,7 +451,8 @@ class TestCli:
         valid = {
             "fit": [f"paths.data={fitted / 'data.csv'}", "mcmc.iters=30", "mcmc.burn_in=10"],
             "simulate": [],
-            "test-overlap": ["overlap.population=100", "overlap.observed=8"],
+            "test-overlap": ["overlap.population=100", "overlap.counts=10,10",
+                             "overlap.observed=0"],
             "detect": [f"paths.draws={fitted / 'draws.bin'}"],
             "export-surface": [f"paths.draws={fitted / 'draws.bin'}"],
         }[command]
@@ -352,6 +463,17 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ERROR ConfigError:")
+
+    @pytest.mark.parametrize("case", ["no_arrays", "list_header", "unknown_dtype",
+                                      "shape_against_nbytes"])
+    def test_malformed_bundle_prints_one_corrupt_file_error(self, tmp_path, capsys, case):
+        path = tmp_path / "draws.bin"
+        path.write_bytes(sealed_bundle(MALFORMED_HEADERS[case], np.ones(5).tobytes()))
+        assert run_cli("summarize", "--output-dir", str(tmp_path / "out"),
+                       "--set", f"paths.draws={path}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR CorruptFile:")
 
     def test_config_file_with_set_override(self, tmp_path):
         out = tmp_path / "cfg"
