@@ -17,6 +17,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import io as fio
 from .errors import ConfigError, FactorIntError
 from .genomics import OverlapTestInput, detect_interactions, overlap_permutation_test, posterior_summary
@@ -103,8 +105,8 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> None:
         fio.persist_draws(draws, out / name)
         artifacts.append(name)
 
-    pooled = all_draws[0] if len(all_draws) == 1 else replace(
-        all_draws[0], states=[s for d in all_draws for s in d.states])
+    pooled = all_draws[0] if len(all_draws) == 1 else replace(all_draws[0], values={
+        name: np.concatenate([d.values[name] for d in all_draws]) for name in all_draws[0].values})
     posterior_summary(pooled).write_csv(out / "summary.csv")
     artifacts.append("summary.csv")
 
@@ -138,7 +140,7 @@ def cmd_summarize(cfg: dict[str, str], out: Path) -> None:
 def cmd_detect(cfg: dict[str, str], out: Path) -> None:
     draws = _load_draws_from_cfg(cfg)
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
-    fids = draws.feature_ids or tuple(str(i) for i in range(len(draws.states[0].noise_var)))
+    fids = draws.feature_ids or tuple(str(i) for i in range(draws.stack("noise_var").shape[1]))
     with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_id", "probability"])
@@ -203,7 +205,7 @@ def cmd_export_surface(cfg: dict[str, str], out: Path) -> None:
         raise ConfigError("export-surface requires surface.feature")
     token = cfg["surface.feature"]
     fids = draws.feature_ids or ()
-    m = len(draws.states[0].noise_var)
+    m = draws.stack("noise_var").shape[1]
     if token in fids:
         feature = fids.index(token)
     elif token.isdecimal() and int(token) < m:

@@ -354,22 +354,21 @@ def _mixture_summary(name: str, role: str, trace: np.ndarray,
 
 def posterior_summary(draws: PosteriorDraws, min_states: int = 20) -> PosteriorSummary:
     """Mixture-aware per-parameter summary of the retained states."""
-    if len(draws.states) < min_states:
+    if len(draws) < min_states:
         raise InsufficientDraws(
-            f"need at least {min_states} retained states, have {len(draws.states)}")
-    fids = draws.feature_ids or tuple(str(i) for i in range(draws.states[0].loadings.shape[0]))
-    sids = draws.sample_ids or tuple(str(j) for j in range(draws.states[0].scores.shape[1]))
-    rows: list[ParameterSummary] = []
-
+            f"need at least {min_states} retained states, have {len(draws)}")
     loadings = draws.stack("loadings")
     load_mask = draws.stack("load_mask")
+    scores = draws.stack("scores")
     m, L = loadings.shape[1], loadings.shape[2]
+    fids = draws.feature_ids or tuple(str(i) for i in range(m))
+    sids = draws.sample_ids or tuple(str(j) for j in range(scores.shape[2]))
+    rows: list[ParameterSummary] = []
     for i in range(m):
         for l in range(L):
             rows.append(_mixture_summary(f"loading[{fids[i]},{l + 1}]", "loading",
                                          loadings[:, i, l], load_mask[:, i, l]))
 
-    scores = draws.stack("scores")
     for l in range(scores.shape[1]):
         for j in range(scores.shape[2]):
             rows.append(_plain_summary(f"score[{l + 1},{sids[j]}]", "factor_score",

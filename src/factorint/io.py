@@ -32,7 +32,7 @@ import numpy as np
 import scipy
 
 from . import BLAS_THREAD_VARS
-from .errors import ConfigError, CorruptFile, FormatVersionMismatch
+from .errors import ConfigError, CorruptFile, FactorIntError, FormatVersionMismatch
 from .genomics import Annotation
 from .model import (
     BetaTable,
@@ -42,7 +42,6 @@ from .model import (
     InterProbModel,
     LoadProbModel,
     McmcSettings,
-    McmcState,
     ModelSpec,
     PosteriorDraws,
     STATE_FIELDS,
@@ -305,13 +304,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 def persist_draws(draws: PosteriorDraws, path) -> None:
     """Lossless, versioned, checksummed dump of the retained states."""
-    arrays: dict[str, np.ndarray] = {}
-    present = []
-    for name in STATE_FIELDS:
-        if getattr(draws.states[0], name) is None:
-            continue
-        present.append(name)
-        arrays[name] = draws.stack(name)
+    arrays = dict(draws.values)
     if draws.mh_accept_counts is not None:
         arrays["mh_accept_counts"] = draws.mh_accept_counts
     meta = {
@@ -322,7 +315,7 @@ def persist_draws(draws: PosteriorDraws, path) -> None:
         "n_iters": draws.n_iters,
         "seed": draws.seed,
         "chain": draws.chain,
-        "state_fields": present,
+        "state_fields": list(draws.values),
         "feature_ids": list(draws.feature_ids) if draws.feature_ids else None,
         "sample_ids": list(draws.sample_ids) if draws.sample_ids else None,
         "rw_step_final": draws.rw_step_final,
@@ -330,34 +323,75 @@ def persist_draws(draws: PosteriorDraws, path) -> None:
     write_bundle(path, meta, arrays)
 
 
+_DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
+
+
+def _state_shapes(spec: ModelSpec, m: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Per-state shape of every field a fit of ``spec`` on m x n data retains."""
+    L = spec.n_factors
+    shapes = {"loadings": (m, L), "scores": (L, n), "load_mask": (m, L), "load_prob": (m, L),
+              "noise_var": (m,)}
+    if spec.is_mult:
+        T = spec.n_pairs
+        shapes.update(inter_mask=(m, T), inter_prob=(m, T), inter_loadings=(m, T),
+                      inter_scores=(T, n))
+    else:
+        shapes.update(inter_mask=(m,), inter_prob=(m,), effects=(m, n))
+        if spec.shared_effect:
+            shapes["shared_effect"] = (n,)
+    return shapes
+
+
+def _draws_ids(meta: dict, key: str, count: int, path) -> tuple[str, ...] | None:
+    ids = meta.get(key)
+    if ids is None:
+        return None
+    if not (isinstance(ids, list) and len(ids) == count and all(isinstance(i, str) for i in ids)):
+        raise CorruptFile(f"{path}: {key} is not a list of {count} strings")
+    return tuple(ids)
+
+
 def load_draws(path) -> PosteriorDraws:
     meta, arrays = read_bundle(path)
     if meta.get("kind") != "draws":
         raise CorruptFile(f"{path}: bundle does not contain draws")
     fields = meta.get("state_fields")
-    if not (isinstance(fields, list) and "loadings" in fields
+    if not (isinstance(fields, list) and "loadings" in fields and "scores" in fields
             and all(name in STATE_FIELDS and name in arrays for name in fields)):
-        raise CorruptFile(f"{path}: draws bundle lacks its state fields or loadings")
-    leading = {arrays[name].shape[:1] for name in fields}
-    if len(leading) != 1 or () in leading:
-        raise CorruptFile(f"{path}: state fields hold different numbers of states")
-    spec = spec_from_dict(meta["spec"])
-    n_states = arrays["loadings"].shape[0]
-    states = []
-    for k in range(n_states):
-        states.append(McmcState(**{name: arrays[name][k] for name in fields}))
+        raise CorruptFile(f"{path}: draws bundle lacks its state fields, loadings or scores")
+    values = {name: arrays[name] for name in STATE_FIELDS if name in fields}
+    leading = {arr.shape[:1] for arr in values.values()}
+    if len(leading) != 1 or () in leading or (0,) in leading:
+        raise CorruptFile(f"{path}: state fields hold no or different numbers of states")
+    bad = [key for key in _DRAWS_COUNTS if not isinstance(meta.get(key), int)
+           or isinstance(meta[key], bool)]
+    if bad:
+        raise CorruptFile(f"{path}: draws entries {bad} are not integers")
+    rw_step = meta.get("rw_step_final")
+    if not (rw_step is None or (isinstance(rw_step, (int, float))
+                                and not isinstance(rw_step, bool))):
+        raise CorruptFile(f"{path}: rw_step_final is not a number")
+    try:
+        spec = spec_from_dict(meta["spec"])
+    except (FactorIntError, LookupError, TypeError, ValueError, AttributeError,
+            ArithmeticError) as exc:
+        raise CorruptFile(f"{path}: unreadable model spec ({type(exc).__name__}: {exc})") from None
+    if values["loadings"].ndim != 3 or values["scores"].ndim != 3:
+        raise CorruptFile(f"{path}: loadings or scores are not one matrix per state")
+    m, n = values["loadings"].shape[1], values["scores"].shape[2]
+    shapes = _state_shapes(spec, m, n)
+    if shapes.keys() != values.keys() or any(
+            arr.shape[1:] != shapes[name] for name, arr in values.items()):
+        raise CorruptFile(f"{path}: state fields do not match a {spec.family.value} model "
+                          f"with {spec.n_factors} factors on {m} features x {n} samples")
     return PosteriorDraws(
         spec=spec,
-        states=states,
-        burn_in=int(meta["burn_in"]),
-        thin=int(meta["thin"]),
-        n_iters=int(meta["n_iters"]),
-        seed=int(meta["seed"]),
-        chain=int(meta["chain"]),
-        feature_ids=None if meta["feature_ids"] is None else tuple(meta["feature_ids"]),
-        sample_ids=None if meta["sample_ids"] is None else tuple(meta["sample_ids"]),
+        values=values,
+        **{key: meta[key] for key in _DRAWS_COUNTS},
+        feature_ids=_draws_ids(meta, "feature_ids", m, path),
+        sample_ids=_draws_ids(meta, "sample_ids", n, path),
         mh_accept_counts=arrays.get("mh_accept_counts"),
-        rw_step_final=meta.get("rw_step_final"),
+        rw_step_final=rw_step,
     )
 
 

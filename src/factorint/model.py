@@ -4,6 +4,11 @@ Defines the standardized data matrix, the declarative model specification
 (family, factor count, prior layout, seed-gene constraints), the mutable
 sampler state, the container of retained posterior draws, and the one loop
 (``run_chain``) that drives either family's sampler and fills it.
+
+Retained draws are kept as one read-only array per state field whose leading
+axis runs over the retained states; ``run_chain`` writes each retained sweep
+into its row, the bundle format stores the arrays as they are, and every
+posterior reduction reads them directly.
 """
 
 from __future__ import annotations
@@ -432,10 +437,17 @@ STATE_FIELDS = tuple(f.name for f in fields(McmcState))
 
 @dataclass
 class PosteriorDraws:
-    """Retained post-burn-in states plus the MH acceptance ledger."""
+    """Retained post-burn-in states plus the MH acceptance ledger.
+
+    ``values`` maps each state field the family carries, in STATE_FIELDS
+    order, to an array whose leading axis runs over the S retained states
+    (``values["loadings"]`` is (S, m, L)). The arrays are made read-only when
+    the container is built. ``stack`` returns them without copying, and
+    ``states`` gives per-state ``McmcState`` views into them.
+    """
 
     spec: ModelSpec
-    states: list[McmcState]
+    values: dict[str, np.ndarray]
     burn_in: int
     thin: int
     n_iters: int
@@ -446,14 +458,20 @@ class PosteriorDraws:
     mh_accept_counts: np.ndarray | None = None  # (n, 2) accepted/proposed, post burn-in
     rw_step_final: float | None = None
 
+    def __post_init__(self):
+        for arr in self.values.values():
+            arr.flags.writeable = False
+
     def __len__(self) -> int:
-        return len(self.states)
+        return self.values["loadings"].shape[0]
+
+    @property
+    def states(self) -> list[McmcState]:
+        return [McmcState(**{name: arr[k] for name, arr in self.values.items()})
+                for k in range(len(self))]
 
     def stack(self, attr: str) -> np.ndarray:
-        values = [getattr(s, attr) for s in self.states]
-        if any(v is None for v in values):
-            raise AttributeError(f"states do not carry '{attr}'")
-        return np.stack(values, axis=0)
+        return self.values[attr]
 
 
 @dataclass(frozen=True)
@@ -501,16 +519,18 @@ def run_chain(sampler, settings: McmcSettings) -> PosteriorDraws:
     ledger counts only them.
     """
     burn = settings.resolve_burn_in(sampler.spec.family)
-    states: list[McmcState] = []
+    values = {name: np.empty(((settings.n_iters - burn) // settings.thin, *v.shape), v.dtype)
+              for name in STATE_FIELDS if (v := getattr(sampler.state, name)) is not None}
     for it in range(1, settings.n_iters + 1):
         if it == burn + 1:
             sampler.adapting = False
         sampler.sweep()
         if it > burn and (it - burn) % settings.thin == 0:
-            states.append(sampler.state.copy())
-    data = sampler.data
+            k = (it - burn) // settings.thin - 1
+            for name, arr in values.items():
+                arr[k] = getattr(sampler.state, name)
     return PosteriorDraws(
-        spec=sampler.spec, states=states, burn_in=burn, thin=settings.thin,
+        spec=sampler.spec, values=values, burn_in=burn, thin=settings.thin,
         n_iters=settings.n_iters, seed=sampler.streams.seed, chain=sampler.streams.chain,
-        feature_ids=data.feature_ids, sample_ids=data.sample_ids,
+        feature_ids=sampler.data.feature_ids, sample_ids=sampler.data.sample_ids,
         mh_accept_counts=sampler.accept_counts, rw_step_final=sampler.rw_step)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -171,11 +172,8 @@ def posterior_mean_effects(draws: PosteriorDraws) -> np.ndarray:
     """Posterior mean of the interaction-effect matrix (per-state products for
     the multiplicative families)."""
     if draws.spec.is_mult:
-        total = None
-        for s in draws.states:
-            term = s.inter_loadings @ s.inter_scores
-            total = term if total is None else total + term
-        return total / len(draws.states)
+        products = map(np.matmul, draws.stack("inter_loadings"), draws.stack("inter_scores"))
+        return reduce(np.add, products) / len(draws)
     return draws.stack("effects").mean(axis=0)
 
 

@@ -1,4 +1,5 @@
-"""Domain types: standardization, pair enumeration, spec validation."""
+"""Domain types: standardization, pair enumeration, spec validation, and the
+retain loop that fills the draws container."""
 
 import numpy as np
 import pytest
@@ -7,10 +8,12 @@ from factorint import (
     BetaTable,
     ConstantRow,
     Family,
+    GpChain,
     InvalidFactorCount,
     LoadProbModel,
     McmcSettings,
     ModelSpec,
+    MultChain,
     SpecConflict,
     factor_pairs,
     gp_spec,
@@ -19,7 +22,7 @@ from factorint import (
     standardize_rows,
     validate_spec,
 )
-from factorint.model import GP_VARIANT_TABLE, build_layout
+from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, build_layout, run_chain
 
 
 class TestStandardizeRows:
@@ -174,3 +177,49 @@ class TestSettings:
         from factorint import ConfigError
         with pytest.raises(ConfigError):
             McmcSettings(n_iters=10, burn_in=10).resolve_burn_in(Family.GP)
+
+
+def copied_state_values(sampler, settings: McmcSettings) -> dict[str, np.ndarray]:
+    """Reference retain loop: keep ``state.copy()`` of every retained sweep in a
+    list, then stack each field (``run_chain``'s former implementation)."""
+    burn = settings.resolve_burn_in(sampler.spec.family)
+    states = []
+    for it in range(1, settings.n_iters + 1):
+        if it == burn + 1:
+            sampler.adapting = False
+        sampler.sweep()
+        if it > burn and (it - burn) % settings.thin == 0:
+            states.append(sampler.state.copy())
+    return {name: np.stack([getattr(s, name) for s in states]) for name in STATE_FIELDS
+            if getattr(states[0], name) is not None}
+
+
+SEEDED = {0: frozenset({0, 1}), 1: frozenset({2})}
+
+
+class TestRunChain:
+    @pytest.mark.parametrize("chain_type, spec", [
+        (GpChain, gp_spec(2)),
+        (GpChain, gp_spec(5, seed_groups=SEEDED)),
+        (MultChain, mult_spec(1)),
+        (MultChain, mult_spec(2, seed_groups=SEEDED)),
+    ], ids=["gp_shared_effect", "gp_grouped", "mult_approach1", "mult_approach2"])
+    def test_matches_the_copying_loop(self, chain_type, spec):
+        data = standardize_rows(np.random.default_rng(41).normal(size=(6, 8)))
+        settings = McmcSettings(n_iters=20, burn_in=8, thin=2, seed=9)
+        expected = copied_state_values(chain_type(spec, data, seed=9), settings)
+        draws = run_chain(chain_type(spec, data, seed=9), settings)
+        assert list(draws.values) == list(expected)
+        for name, arr in draws.values.items():
+            assert arr.dtype == expected[name].dtype, name
+            assert arr.shape == expected[name].shape == (6,) + arr.shape[1:], name
+            assert arr.tobytes() == expected[name].tobytes(), name
+
+    def test_retained_arrays_are_read_only(self):
+        data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
+        draws = run_chain(MultChain(mult_spec(2), data, seed=1),
+                          McmcSettings(n_iters=6, burn_in=2))
+        with pytest.raises(ValueError):
+            draws.stack("scores")[0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            draws.states[0].scores[0, 0] = 1.0

@@ -28,6 +28,7 @@ from factorint import (
     standardize_rows,
 )
 from factorint.genomics import two_window_converged
+from factorint.model import STATE_FIELDS
 from factorint.rng import stream
 
 
@@ -142,6 +143,12 @@ class TestSelectCandidateGenes:
 
 # ------------------------------------------------------------- detection
 
+def stacked(states: list[McmcState]) -> dict[str, np.ndarray]:
+    """The per-field arrays of a PosteriorDraws holding these states."""
+    return {name: np.stack([getattr(s, name) for s in states]) for name in STATE_FIELDS
+            if getattr(states[0], name) is not None}
+
+
 def fake_draws(z_draws: np.ndarray, mult: bool = False) -> PosteriorDraws:
     """Minimal retained states carrying the given indicator draws."""
     S = z_draws.shape[0]
@@ -159,7 +166,7 @@ def fake_draws(z_draws: np.ndarray, mult: bool = False) -> PosteriorDraws:
             effects=None if mult else np.zeros((m, 3)),
         ))
     spec = mult_spec(2) if mult else __import__("factorint").gp_spec(1)
-    return PosteriorDraws(spec=spec, states=states, burn_in=0, thin=1,
+    return PosteriorDraws(spec=spec, values=stacked(states), burn_in=0, thin=1,
                           n_iters=S, seed=0)
 
 
@@ -340,7 +347,7 @@ def gaussian_draws(mu: float, sd: float, n_states: int, seed: int) -> PosteriorD
             inter_prob=np.array([0.5]),
             effects=np.zeros((1, 2)),
         ))
-    return PosteriorDraws(spec=__import__("factorint").gp_spec(1), states=states,
+    return PosteriorDraws(spec=__import__("factorint").gp_spec(1), values=stacked(states),
                           burn_in=0, thin=1, n_iters=n_states, seed=seed)
 
 
@@ -378,7 +385,7 @@ class TestPosteriorSummary:
                 inter_prob=np.array([0.5]),
                 effects=np.zeros((1, 2)),
             ))
-        draws = PosteriorDraws(spec=__import__("factorint").gp_spec(1), states=states,
+        draws = PosteriorDraws(spec=__import__("factorint").gp_spec(1), values=stacked(states),
                                burn_in=0, thin=1, n_iters=S, seed=0)
         row = posterior_summary(draws).by_name()["loading[0,1]"]
         assert row.inclusion_prob == pytest.approx(0.8)

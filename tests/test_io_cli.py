@@ -24,6 +24,7 @@ from factorint import (
     FormatVersionMismatch,
     gp_spec,
     mult_spec,
+    posterior_summary,
     run_gp_chain,
     run_mult_chain,
     standardize_rows,
@@ -162,6 +163,32 @@ headers = json_values | st.fixed_dictionaries(
                   "arrays": st.lists(array_entries, max_size=3) | json_values})
 
 
+DRAWS_FAULTS = {
+    "no_state_fields": lambda meta, arrays: meta.pop("state_fields"),
+    "no_loadings": lambda meta, arrays: arrays.pop("loadings"),
+    "short_scores": lambda meta, arrays: arrays.update(scores=arrays["scores"][:2]),
+    "no_states": lambda meta, arrays: arrays.update({k: v[:0] for k, v in arrays.items()}),
+    "no_burn_in": lambda meta, arrays: meta.pop("burn_in"),
+    "unknown_family": lambda meta, arrays: meta["spec"].update(family="nope"),
+    "short_feature_ids": lambda meta, arrays: meta.update(feature_ids=meta["feature_ids"][:2]),
+    "text_thin": lambda meta, arrays: meta.update(thin="x"),
+    "narrow_noise_var": lambda meta, arrays: arrays.update(noise_var=arrays["noise_var"][:, :2]),
+    "spec_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=3),
+}
+
+DRAWS_META_KEYS = ("kind", "burn_in", "thin", "n_iters", "seed", "chain", "state_fields",
+                   "feature_ids", "sample_ids", "rw_step_final", "spec",
+                   *(f"spec.{key}" for key in fio.spec_to_dict(mult_spec(2))))
+
+
+def break_draws(source, target, fault: str) -> None:
+    """Write the draws bundle at ``source`` to ``target`` with one of
+    DRAWS_FAULTS applied and a valid checksum."""
+    meta, arrays = fio.read_bundle(source)
+    DRAWS_FAULTS[fault](meta, arrays)
+    fio.write_bundle(target, meta, arrays)
+
+
 class TestMalformedBundles:
     """A bundle that is not what ``write_bundle`` wrote fails with a package
     error, whether or not its checksum holds."""
@@ -173,21 +200,35 @@ class TestMalformedBundles:
         with pytest.raises(CorruptFile):
             fio.read_bundle(path)
 
-    @pytest.mark.parametrize("fault", ["no_state_fields", "no_loadings", "short_scores"])
+    @pytest.mark.parametrize("fault", DRAWS_FAULTS)
     def test_draws_bundle_with_bad_state_rejected(self, tmp_path, fault):
         path = tmp_path / "draws.bin"
         fio.persist_draws(run_mult_chain(mult_spec(1), small_data(1), n_iters=6,
                                          burn_in=2, seed=3), path)
-        meta, arrays = fio.read_bundle(path)
-        if fault == "no_state_fields":
-            del meta["state_fields"]
-        elif fault == "no_loadings":
-            del arrays["loadings"]
-        else:
-            arrays["scores"] = arrays["scores"][:2]
-        fio.write_bundle(path, meta, arrays)
+        break_draws(path, path, fault)
         with pytest.raises(CorruptFile):
             fio.load_draws(path)
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(DRAWS_META_KEYS), remove=st.booleans(), value=json_values)
+    def test_random_draws_meta_raises_only_package_errors(self, fitted, tmp_path, key,
+                                                          remove, value):
+        meta, arrays = fio.read_bundle(fitted / "draws.bin")
+        *parents, leaf = key.split(".")
+        entries = meta
+        for parent in parents:
+            entries = entries[parent]
+        if remove:
+            del entries[leaf]
+        else:
+            entries[leaf] = value
+        path = tmp_path / "draws.bin"
+        fio.write_bundle(path, meta, arrays)
+        try:
+            posterior_summary(fio.load_draws(path))
+        except FactorIntError:
+            pass
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -469,6 +510,18 @@ class TestCli:
     def test_malformed_bundle_prints_one_corrupt_file_error(self, tmp_path, capsys, case):
         path = tmp_path / "draws.bin"
         path.write_bytes(sealed_bundle(MALFORMED_HEADERS[case], np.ones(5).tobytes()))
+        assert run_cli("summarize", "--output-dir", str(tmp_path / "out"),
+                       "--set", f"paths.draws={path}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR CorruptFile:")
+
+    @pytest.mark.parametrize("fault", ["no_burn_in", "unknown_family", "short_feature_ids",
+                                       "text_thin"])
+    def test_bad_draws_meta_prints_one_corrupt_file_error(self, fitted, tmp_path, capsys,
+                                                          fault):
+        path = tmp_path / "draws.bin"
+        break_draws(fitted / "draws.bin", path, fault)
         assert run_cli("summarize", "--output-dir", str(tmp_path / "out"),
                        "--set", f"paths.draws={path}") == 1
         err = capsys.readouterr().err.strip().splitlines()
