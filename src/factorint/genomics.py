@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import product, repeat
 
 import numpy as np
 
@@ -281,22 +282,23 @@ def overlap_permutation_test(inp: OverlapTestInput, seed: int = 0,
         n_at_least_observed=at_least)
 
 
-def two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> bool:
+def two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> bool | np.ndarray:
     """Mean-comparison diagnostic between the first 10% and last 50% of the
-    retained trace; standardized difference below the limit passes."""
+    retained trace; standardized difference below the limit passes. Traces run
+    along the last axis: one flag for a 1-D trace, one per row of a block."""
     trace = np.asarray(trace, dtype=float)
-    s = trace.shape[0]
-    k1 = max(1, s // 10)
-    first = trace[:k1]
-    last = trace[s - max(1, s // 2):]
-    v1 = first.var(ddof=1) / first.size if first.size > 1 else 0.0
-    v2 = last.var(ddof=1) / last.size if last.size > 1 else 0.0
-    diff = abs(first.mean() - last.mean())
+    s = trace.shape[-1]
+    first = trace[..., :max(1, s // 10)]
+    last = trace[..., s - max(1, s // 2):]
+    v1 = first.var(axis=-1, ddof=1) / first.shape[-1] if first.shape[-1] > 1 else 0.0
+    v2 = last.var(axis=-1, ddof=1) / last.shape[-1] if last.shape[-1] > 1 else 0.0
+    diff = abs(first.mean(axis=-1) - last.mean(axis=-1))
     denom = np.sqrt(v1 + v2)
-    scale = 1e-12 * (1.0 + abs(first.mean()))
-    if denom <= scale:  # numerically constant trace
-        return bool(diff <= scale)
-    return bool(diff / denom < z_limit)
+    scale = 1e-12 * (1.0 + abs(first.mean(axis=-1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # a numerically constant trace passes when its windows agree
+        flags = np.where(denom <= scale, diff <= scale, diff / denom < z_limit)
+    return flags if flags.ndim else bool(flags)
 
 
 @dataclass(frozen=True)
@@ -330,74 +332,66 @@ class PosteriorSummary:
         return {r.name: r for r in self.rows}
 
 
-def _plain_summary(name: str, role: str, trace: np.ndarray) -> ParameterSummary:
-    lo, hi = np.percentile(trace, [2.5, 97.5])
-    return ParameterSummary(name, role, float(trace.mean()), float(lo), float(hi),
-                            None, two_window_converged(trace))
+def _trace_block(values: np.ndarray) -> np.ndarray:
+    """An (S, ...) field as a C-contiguous (P, S) block, one row per parameter
+    in C order. Reducing along the contiguous axis sums in the same order as
+    on the parameter's own 1-D trace, so the results match it bit for bit."""
+    return np.ascontiguousarray(values.reshape(len(values), -1).T)
 
 
-def _mixture_summary(name: str, role: str, trace: np.ndarray,
-                     indicator: np.ndarray) -> ParameterSummary:
-    """Point estimate and interval from the dominant mixture component: the
-    slab states when the inclusion probability exceeds 0.5, the spike at zero
-    otherwise."""
-    incl = float(indicator.mean())
-    if incl > 0.5:
-        sub = trace[indicator.astype(bool)]
-        lo, hi = np.percentile(sub, [2.5, 97.5])
-        est = float(sub.mean())
-    else:
-        est, lo, hi = 0.0, 0.0, 0.0
-    return ParameterSummary(name, role, est, float(lo), float(hi), incl,
-                            two_window_converged(trace))
+def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and central 95% percentile interval of every row."""
+    return block.mean(axis=1), *np.percentile(block, [2.5, 97.5], axis=1)
+
+
+def _field_summary(values: np.ndarray, mask: np.ndarray | None) -> tuple:
+    """Estimate, interval, inclusion probability and convergence flag of every
+    parameter of one (S, ...) state field, as lists. With a spike-and-slab
+    indicator ``mask`` (broadcast to ``values``) the estimate and interval come
+    from the dominant mixture component: the slab states when the inclusion
+    probability exceeds 0.5, zero otherwise. Rows with the same count k of slab
+    states are reduced together as one (rows, k) block, in state order."""
+    block = _trace_block(values)
+    converged = two_window_converged(block).tolist()
+    if mask is None:
+        return *(part.tolist() for part in _interval(block)), repeat(None), converged
+    on = _trace_block(np.broadcast_to(mask, values.shape)).astype(bool)
+    counts = on.sum(axis=1)
+    incl = counts / block.shape[1]
+    est, lo, hi = np.zeros((3, block.shape[0]))
+    dominant = incl > 0.5
+    for k in np.unique(counts[dominant]):
+        rows = np.flatnonzero(dominant & (counts == k))
+        est[rows], lo[rows], hi[rows] = _interval(block[rows][on[rows]].reshape(rows.size, k))
+    return est.tolist(), lo.tolist(), hi.tolist(), incl.tolist(), converged
 
 
 def posterior_summary(draws: PosteriorDraws, min_states: int = 20) -> PosteriorSummary:
-    """Mixture-aware per-parameter summary of the retained states."""
+    """Mixture-aware per-parameter summary of the retained states, one
+    vectorised pass per state field."""
     if len(draws) < min_states:
         raise InsufficientDraws(
             f"need at least {min_states} retained states, have {len(draws)}")
-    loadings = draws.stack("loadings")
-    load_mask = draws.stack("load_mask")
-    scores = draws.stack("scores")
-    m, L = loadings.shape[1], loadings.shape[2]
+    loadings, scores = draws.stack("loadings"), draws.stack("scores")
+    m, L = loadings.shape[1:]
     fids = draws.feature_ids or tuple(str(i) for i in range(m))
     sids = draws.sample_ids or tuple(str(j) for j in range(scores.shape[2]))
-    rows: list[ParameterSummary] = []
-    for i in range(m):
-        for l in range(L):
-            rows.append(_mixture_summary(f"loading[{fids[i]},{l + 1}]", "loading",
-                                         loadings[:, i, l], load_mask[:, i, l]))
-
-    for l in range(scores.shape[1]):
-        for j in range(scores.shape[2]):
-            rows.append(_plain_summary(f"score[{l + 1},{sids[j]}]", "factor_score",
-                                       scores[:, l, j]))
-
+    factors = range(1, L + 1)
+    # (name, role, labels of the trailing axes, values, indicator or None)
+    fields = [("loading", "loading", (fids, factors), loadings, draws.stack("load_mask")),
+              ("score", "factor_score", (factors, sids), scores, None)]
     if draws.spec.is_mult:
-        inter = draws.stack("inter_loadings")
-        imask = draws.stack("inter_mask")
-        for i in range(m):
-            for t in range(inter.shape[2]):
-                rows.append(_mixture_summary(
-                    f"inter_loading[{fids[i]},{t + 1}]", "interaction_loading",
-                    inter[:, i, t], imask[:, i, t]))
-        iscores = draws.stack("inter_scores")
-        for t in range(iscores.shape[1]):
-            for j in range(iscores.shape[2]):
-                rows.append(_plain_summary(f"inter_score[{t + 1},{sids[j]}]",
-                                           "interaction_score", iscores[:, t, j]))
+        inter_scores = draws.stack("inter_scores")
+        pairs = range(1, inter_scores.shape[1] + 1)
+        fields += [("inter_loading", "interaction_loading", (fids, pairs),
+                    draws.stack("inter_loadings"), draws.stack("inter_mask")),
+                   ("inter_score", "interaction_score", (pairs, sids), inter_scores, None)]
     else:
-        effects = draws.stack("effects")
-        imask = draws.stack("inter_mask")
-        for i in range(m):
-            for j in range(effects.shape[2]):
-                rows.append(_mixture_summary(f"effect[{fids[i]},{sids[j]}]",
-                                             "interaction_effect",
-                                             effects[:, i, j], imask[:, i]))
-
-    noise = draws.stack("noise_var")
-    for i in range(m):
-        rows.append(_plain_summary(f"noise_var[{fids[i]}]", "noise_variance",
-                                   noise[:, i]))
+        fields.append(("effect", "interaction_effect", (fids, sids), draws.stack("effects"),
+                       draws.stack("inter_mask")[:, :, None]))
+    fields.append(("noise_var", "noise_variance", (fids,), draws.stack("noise_var"), None))
+    rows: list[ParameterSummary] = []
+    for name, role, labels, values, mask in fields:
+        names = (f"{name}[{','.join(map(str, key))}]" for key in product(*labels))
+        rows += map(ParameterSummary, names, repeat(role), *_field_summary(values, mask))
     return PosteriorSummary(rows=tuple(rows))

@@ -178,7 +178,7 @@ def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
 
 
 def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = Path(path).read_bytes()
+    blob = memoryview(Path(path).read_bytes())
     if len(blob) < len(MAGIC) + 12 or blob[: len(MAGIC)] != MAGIC:
         raise CorruptFile(f"{path}: not a bundle file (bad magic)")
     version = struct.unpack_from("<I", blob, len(MAGIC))[0]
@@ -192,7 +192,7 @@ def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
     header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
     start = len(MAGIC) + 12
     try:
-        header = json.loads(body[start:start + header_len].decode("utf-8"))
+        header = json.loads(bytes(body[start:start + header_len]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: unreadable header ({exc})") from None
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
@@ -207,9 +207,9 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _bundle_array(entry, payload: bytes, path) -> tuple[str, np.ndarray]:
-    """One array of a bundle from its header entry; CorruptFile when the entry
-    is malformed or disagrees with the payload."""
+def _bundle_array(entry, payload: memoryview, path) -> tuple[str, np.ndarray]:
+    """One array of a bundle from its header entry, a read-only view into the
+    payload; CorruptFile when the entry is malformed or disagrees with it."""
     try:
         name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
         offset, nbytes = entry["offset"], entry["nbytes"]
@@ -229,7 +229,7 @@ def _bundle_array(entry, payload: bytes, path) -> tuple[str, np.ndarray]:
     raw = payload[offset:offset + nbytes]
     if len(raw) != nbytes:
         raise CorruptFile(f"{path}: payload shorter than declared")
-    return name, np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return name, np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 # ------------------------------------------------------ spec serialization
@@ -457,7 +457,7 @@ def _config_choice(cfg: dict[str, str], key: str, kind, default: str):
 
 def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> frozenset[int]:
     if all(t.lstrip("-").isdigit() for t in tokens):
-        return frozenset(int(t) for t in tokens)
+        return frozenset(_parse(int, t, key, "feature indices") for t in tokens)
     if data is None:
         raise ConfigError(f"{key}: feature ids given but no data file to resolve them against")
     index = data.feature_index()

@@ -2,6 +2,7 @@
 permutation test, and posterior summaries."""
 
 import time
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -18,8 +19,12 @@ from factorint import (
     McmcState,
     OverlapTestInput,
     PosteriorDraws,
+    PosteriorSummary,
     clean_seed_genes,
     detect_interactions,
+    fit_spec,
+    generate_saddle_dataset,
+    gp_spec,
     mult_spec,
     overlap_permutation_test,
     posterior_summary,
@@ -27,7 +32,7 @@ from factorint import (
     select_candidate_genes,
     standardize_rows,
 )
-from factorint.genomics import two_window_converged
+from factorint.genomics import ParameterSummary, two_window_converged
 from factorint.model import STATE_FIELDS
 from factorint.rng import stream
 
@@ -417,6 +422,154 @@ class TestPosteriorSummary:
         assert header == "parameter,role,estimate,ci_low,ci_high,inclusion_prob,converged"
 
 
+def reference_two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> bool:
+    """Two-window diagnostic of one 1-D trace (the former implementation)."""
+    trace = np.asarray(trace, dtype=float)
+    s = trace.shape[0]
+    k1 = max(1, s // 10)
+    first = trace[:k1]
+    last = trace[s - max(1, s // 2):]
+    v1 = first.var(ddof=1) / first.size if first.size > 1 else 0.0
+    v2 = last.var(ddof=1) / last.size if last.size > 1 else 0.0
+    diff = abs(first.mean() - last.mean())
+    denom = np.sqrt(v1 + v2)
+    scale = 1e-12 * (1.0 + abs(first.mean()))
+    if denom <= scale:
+        return bool(diff <= scale)
+    return bool(diff / denom < z_limit)
+
+
+def reference_summary(draws: PosteriorDraws) -> PosteriorSummary:
+    """Reference summary: one percentile and diagnostic call per parameter,
+    looping over every index of every field (the former implementation)."""
+
+    def plain(name, role, trace):
+        lo, hi = np.percentile(trace, [2.5, 97.5])
+        return ParameterSummary(name, role, float(trace.mean()), float(lo), float(hi),
+                                None, reference_two_window_converged(trace))
+
+    def mixture(name, role, trace, indicator):
+        incl = float(indicator.mean())
+        if incl > 0.5:
+            sub = trace[indicator.astype(bool)]
+            lo, hi = np.percentile(sub, [2.5, 97.5])
+            est = float(sub.mean())
+        else:
+            est, lo, hi = 0.0, 0.0, 0.0
+        return ParameterSummary(name, role, est, float(lo), float(hi), incl,
+                                reference_two_window_converged(trace))
+
+    loadings = draws.stack("loadings")
+    load_mask = draws.stack("load_mask")
+    scores = draws.stack("scores")
+    m, L = loadings.shape[1], loadings.shape[2]
+    fids = draws.feature_ids or tuple(str(i) for i in range(m))
+    sids = draws.sample_ids or tuple(str(j) for j in range(scores.shape[2]))
+    rows = []
+    for i in range(m):
+        for l in range(L):
+            rows.append(mixture(f"loading[{fids[i]},{l + 1}]", "loading",
+                                loadings[:, i, l], load_mask[:, i, l]))
+    for l in range(scores.shape[1]):
+        for j in range(scores.shape[2]):
+            rows.append(plain(f"score[{l + 1},{sids[j]}]", "factor_score", scores[:, l, j]))
+    if draws.spec.is_mult:
+        inter = draws.stack("inter_loadings")
+        imask = draws.stack("inter_mask")
+        for i in range(m):
+            for t in range(inter.shape[2]):
+                rows.append(mixture(f"inter_loading[{fids[i]},{t + 1}]",
+                                    "interaction_loading", inter[:, i, t], imask[:, i, t]))
+        iscores = draws.stack("inter_scores")
+        for t in range(iscores.shape[1]):
+            for j in range(iscores.shape[2]):
+                rows.append(plain(f"inter_score[{t + 1},{sids[j]}]", "interaction_score",
+                                  iscores[:, t, j]))
+    else:
+        effects = draws.stack("effects")
+        imask = draws.stack("inter_mask")
+        for i in range(m):
+            for j in range(effects.shape[2]):
+                rows.append(mixture(f"effect[{fids[i]},{sids[j]}]", "interaction_effect",
+                                    effects[:, i, j], imask[:, i]))
+    noise = draws.stack("noise_var")
+    for i in range(m):
+        rows.append(plain(f"noise_var[{fids[i]}]", "noise_variance", noise[:, i]))
+    return PosteriorSummary(rows=tuple(rows))
+
+
+def assert_same_summary(draws: PosteriorDraws) -> PosteriorSummary:
+    """The summary equals the per-parameter reference row by row, down to the
+    type and bits of every field (``repr`` tells 0.0 from -0.0 and a numpy
+    scalar from a Python one)."""
+    got, expected = posterior_summary(draws), reference_summary(draws)
+    assert len(got.rows) == len(expected.rows)
+    differ = [(a, b) for a, b in zip(got.rows, expected.rows) if repr(a) != repr(b)]
+    assert not differ, f"{len(differ)} rows differ, the first: {differ[0]}"
+    return got
+
+
+def saddle_fit(spec, seed: int, n_chains: int = 1, thin: int = 1) -> PosteriorDraws:
+    """Draws of a short seeded fit of a 20x15 saddle dataset, the chains
+    pooled the way ``fit`` pools them."""
+    data, truth = generate_saddle_dataset(20, 15, frac_affected=0.3, seed=seed)
+    groups = {k: frozenset(int(i) for i in v) for k, v in truth.seed_groups.items()}
+    spec = replace(spec, seed_groups=groups)
+    settings = McmcSettings(n_iters=60, burn_in=20, thin=thin, seed=seed)
+    chains = [fit_spec(spec, data, settings, chain=c) for c in range(n_chains)]
+    return replace(chains[0], values={name: np.concatenate([d.values[name] for d in chains])
+                                      for name in chains[0].values})
+
+
+class TestSummaryMatchesReference:
+    """The one-pass-per-field summary against the per-parameter reference."""
+
+    @pytest.mark.parametrize("spec", [gp_spec(1), gp_spec(2), gp_spec(5), mult_spec(1),
+                                      mult_spec(2)],
+                             ids=["gp1", "gp2", "gp5", "mult1", "mult2"])
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_fitted_draws(self, spec, seed):
+        summary = assert_same_summary(saddle_fit(spec, seed))
+        incl = [r.inclusion_prob for r in summary.rows if r.inclusion_prob is not None]
+        # the slab path runs, for more than one count of slab states
+        assert len({p for p in incl if 0.5 < p}) > 1
+
+    def test_pooled_two_chain_draws(self):
+        draws = saddle_fit(mult_spec(1), 5, n_chains=2, thin=2)
+        assert len(draws) == 40
+        assert_same_summary(draws)
+
+    def test_constructed_indicator_counts_and_constant_traces(self):
+        rng = np.random.default_rng(70)
+        S, m, n = 40, 6, 3
+        # slab states per feature: none, one, half (spike-dominated), just over
+        # half twice (one group of two rows), all but one, all
+        counts = [0, 1, S // 2, S // 2 + 1, S // 2 + 1, S - 1]
+        mask = np.zeros((S, m), np.int8)
+        for i, k in enumerate(counts):
+            mask[rng.permutation(S)[:k], i] = 1
+        mask[:, -1] = 1
+        effects = rng.normal(size=(S, m, n)) * mask[:, :, None]
+        effects[:, 3, 1] = np.where(mask[:, 3], 2.5, 0.0)  # constant slab draws
+        loadings = rng.normal(size=(S, m, 2))
+        loadings[:, 5, 0] = -1.25                           # a constant trace
+        load_mask = np.ones((S, m, 2), np.int8)
+        load_mask[:, 4, 1] = mask[:, 4]
+        scores = rng.normal(size=(S, 2, n))
+        scores[:, 0, 2] = 0.75
+        noise_var = np.full((S, m), 1.5)
+        draws = PosteriorDraws(spec=gp_spec(1), burn_in=0, thin=1, n_iters=S, seed=0, values={
+            "loadings": loadings, "scores": scores, "load_mask": load_mask,
+            "load_prob": np.full((S, m, 2), 0.5), "noise_var": noise_var,
+            "inter_mask": mask, "inter_prob": np.full((S, m), 0.5), "effects": effects})
+        rows = assert_same_summary(draws).by_name()
+        assert [rows[f"effect[{i},0]"].inclusion_prob * S for i in range(m)] \
+            == pytest.approx(counts[:-1] + [S])
+        assert rows["effect[2,0]"].estimate == 0.0
+        assert rows["effect[3,1]"].ci_low == rows["effect[3,1]"].ci_high == 2.5
+        assert rows["loading[5,1]"].converged and rows["noise_var[0]"].converged
+
+
 class TestTwoWindowDiagnostic:
     def test_stationary_trace_converges(self):
         rng = np.random.default_rng(61)
@@ -427,3 +580,11 @@ class TestTwoWindowDiagnostic:
 
     def test_constant_trace_converges(self):
         assert two_window_converged(np.full(100, 3.3))
+
+    def test_block_gives_one_flag_per_row(self):
+        rng = np.random.default_rng(62)
+        block = np.stack([rng.normal(size=400), np.linspace(0.0, 5.0, 400),
+                          np.full(400, 3.3), np.r_[np.zeros(40), np.ones(360)]])
+        flags = two_window_converged(block)
+        assert flags.tolist() == [True, False, True, False]
+        assert flags.tolist() == [reference_two_window_converged(row) for row in block]

@@ -7,12 +7,14 @@ import platform
 import struct
 import subprocess
 import sys
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import factorint
@@ -31,6 +33,7 @@ from factorint import (
 )
 from factorint import io as fio
 from factorint.cli import main as cli_main
+from factorint.model import build_layout
 
 
 def small_data(seed=0, m=8, n=10):
@@ -292,6 +295,31 @@ class TestDrawsPersistence:
             np.testing.assert_array_equal(sa.load_mask, sb.load_mask)
         assert back.states[0].effects is None
 
+    def test_load_draws_holds_one_copy_of_the_file(self, tmp_path):
+        draws = run_gp_chain(gp_spec(1), small_data(5, m=20, n=20), n_iters=4, burn_in=2,
+                             seed=1)
+        path = tmp_path / "draws.bin"
+        fio.persist_draws(replace(draws, values={
+            name: np.repeat(arr, 100, axis=0) for name, arr in draws.values.items()}), path)
+        tracemalloc.start()
+        try:
+            back = fio.load_draws(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(back) == 200
+        assert peak < 1.5 * path.stat().st_size
+
+    def test_bundle_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "draws.bin"
+        fio.persist_draws(run_gp_chain(gp_spec(1), small_data(6), n_iters=4, burn_in=2,
+                                       seed=2), path)
+        _, arrays = fio.read_bundle(path)
+        back = fio.load_draws(path)
+        for arr in [*arrays.values(), *back.values.values(), back.mh_accept_counts]:
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1
+
     def test_gp_round_trip_with_ledger(self, tmp_path):
         data = small_data(2, m=5, n=6)
         draws = run_gp_chain(gp_spec(2), data, n_iters=12, burn_in=6, seed=4)
@@ -305,7 +333,48 @@ class TestDrawsPersistence:
         assert back.states[0].inter_loadings is None
 
 
+def config_key_names() -> list[str]:
+    """Every key of CONFIG_KEYS, with concrete names for its placeholders."""
+    names = []
+    for line in fio.CONFIG_KEYS.strip().splitlines():
+        key = line.split()[0]
+        if key.endswith(".<group>"):
+            names += [key.replace("<group>", g) for g in ("expected", "seed", "nope")]
+        elif key.endswith(".<k>"):
+            names += [key.replace("<k>", k) for k in ("1", "2", "3", "0", "x")]
+        else:
+            names.append(key)
+    return names
+
+
+config_values = (
+    st.sampled_from(["", "-", "--1", "²", "٣", "1e400", "nan", "-inf", "0", "-1", "1, 10",
+                     "0,1,2", "3,4", ",", "2, x", "true", "off", "gp", "mult_approach1",
+                     "mult_approach2", "per_entry", "grouped", "global", "per_feature"])
+    | st.integers(-3, 12).map(str)
+    | st.floats().map(str)
+    | st.lists(st.integers(-2, 12).map(str) | st.sampled_from(["--1", "²", "f0", ""]),
+               max_size=4).map(",".join)
+    | st.text(max_size=6))
+
+
 class TestConfigParsing:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=st.dictionaries(st.sampled_from(config_key_names()), config_values, max_size=6),
+           with_data=st.booleans())
+    @example(cfg={"model.seed_group.1": "--1"}, with_data=True)
+    @example(cfg={"model.seed_group.1": "²"}, with_data=False)
+    def test_random_config_raises_only_package_errors(self, cfg, with_data):
+        data = small_data(3)
+        try:
+            build_layout(fio.spec_from_config(cfg, data if with_data else None), data.n_features)
+        except FactorIntError:
+            pass
+        try:
+            fio.settings_from_config(cfg)
+        except FactorIntError:
+            pass
+
     def test_comments_and_whitespace(self):
         cfg = fio.parse_config_text("""
             # a comment
@@ -476,6 +545,8 @@ class TestCli:
         ("fit", "mcmc.iters=x"),
         ("fit", "model.gamma=1,x"),
         ("fit", "model.seed_group.x=1,2"),
+        ("fit", "model.seed_group.1=--1"),
+        ("fit", "model.seed_group.1=²"),
         ("fit", "mcmc.chains=0"),
         ("fit", "mcmc.rw_step=-1"),
         ("fit", "mcmc.rw_step=nan"),
