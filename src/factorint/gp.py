@@ -16,7 +16,6 @@ chain; the row (or the shared effect) is redrawn afterwards.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SpecConflict
 from .kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows, se_kernel
@@ -70,6 +69,8 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
                        rng: np.random.Generator) -> None:
     """Marginalized indicator update followed by a conditional redraw of every
     active effect row (per-row effect prior)."""
+    from scipy.special import expit
+
     R = data.values - state.loadings @ state.scores
     llr = marginal_ratio_rows(R, kernel, state.noise_var)
     p = expit(_logit(state.inter_prob) + llr)
@@ -113,6 +114,8 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
                          rng: np.random.Generator) -> None:
     """Draw the shared effect given the active rows, then flip each indicator
     by comparing the row likelihood under the shared effect versus zero."""
+    from scipy.special import expit
+
     mean, var_diag, U = shared_effect_posterior(state, data, kernel)
     fstar = mean + U @ (np.sqrt(var_diag) * rng.standard_normal(kernel.n))
     state.shared_effect = fstar
@@ -128,17 +131,23 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
     state.effects = np.where(mask[:, None], fstar[None, :], 0.0)
 
 
-def column_data_delta(state: McmcState, data: DataMatrix, j: int,
-                      proposal: np.ndarray) -> float:
-    """Change in the data likelihood at column j plus the standard-normal
-    score prior for replacing score column j with ``proposal``."""
-    current = state.scores[:, j]
-    x = data.values[:, j] - state.effects[:, j]
+def column_data_deltas(state: McmcState, data: DataMatrix,
+                       proposals: np.ndarray) -> np.ndarray:
+    """Change in the data likelihood at column j plus the standard-normal score
+    prior for replacing score column j alone with ``proposals[:, j]``, for
+    every column j at once (n,).
+
+    Column j's term reads only its own current and proposed values, so the
+    whole sweep's terms come from one (m, n) pass as long as the loadings,
+    effects and noise stay fixed.
+    """
+    x = data.values - state.effects
     w = 1.0 / state.noise_var
-    res_cur = x - state.loadings @ current
-    res_prop = x - state.loadings @ proposal
-    delta = -0.5 * float((res_prop * res_prop - res_cur * res_cur) @ w)
-    return delta - 0.5 * (float(proposal @ proposal) - float(current @ current))
+    res_cur = x - state.loadings @ state.scores
+    res_prop = x - state.loadings @ proposals
+    delta = -0.5 * (w @ (res_prop * res_prop - res_cur * res_cur))
+    prior = np.sum(proposals * proposals, axis=0) - np.sum(state.scores * state.scores, axis=0)
+    return delta - 0.5 * prior
 
 
 def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
@@ -152,9 +161,9 @@ def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
     O(n^3) rebuild is the reference the sampler's factor updates are checked
     against.
     """
-    delta = column_data_delta(state, data, j, proposal)
     scores_prop = state.scores.copy()
     scores_prop[:, j] = proposal
+    delta = float(column_data_deltas(state, data, scores_prop)[j])
     kernel_prop = se_kernel(scores_prop, spec.length_scale)
     gp_prop = gp_prior_logdens(kernel_prop, state, spec)
     delta += gp_prop - gp_logdens_current
@@ -185,32 +194,47 @@ class GpChain:
         """Random-walk Metropolis over every score column; returns the number
         of accepted proposals in this sweep.
 
+        The sweep's proposals and uniforms are drawn first, column by column,
+        and the data and score-prior terms of every column come from one
+        vectorised pass: no earlier move in the sweep changes column j's term.
         The GP term is scored at the sweep's starting jitter, through a
         ``ColumnFactor`` of the current kernel; a proposal whose conditional
         variance is not positive there is rejected. With no row under the GP
-        prior the term is 0 and no kernel work is done. The kernel is rebuilt
-        once, after the sweep, if any column moved.
+        prior the term is 0, every column is decided at once and no kernel
+        work is done. The kernel is rebuilt once, after the sweep, if any
+        column moved.
         """
         rng = self.streams.get("scores_mh")
         state, spec = self.state, self.spec
+        n, n_factors = self.data.n_samples, spec.n_factors
+        steps = np.empty((n_factors, n))
+        uniforms = np.empty(n)
+        for j in range(n):
+            steps[:, j] = rng.standard_normal(n_factors)
+            uniforms[j] = rng.random()
+        proposals = state.scores + self.rw_step * steps
+        log_u = np.log(uniforms)
+        delta = column_data_deltas(state, self.data, proposals)
         rows = gp_rows(state, spec)
-        factor = ColumnFactor(self.kernel) if rows.shape[0] else None
-        accepted = 0
-        for j in range(self.data.n_samples):
-            proposal = state.scores[:, j] + self.rw_step * rng.standard_normal(spec.n_factors)
-            log_u = np.log(rng.random())
-            delta = column_data_delta(state, self.data, j, proposal)
-            if factor is not None:
-                gp_delta, moved, kept = factor.column_delta(state.scores, j, proposal, rows)
-                delta = -np.inf if gp_delta is None else delta + gp_delta
-            accept = bool(log_u < delta)
-            if factor is not None:
-                factor.append(moved if accept else kept)
-            if not self.adapting:
-                self.accept_counts[j] += (accept, 1)
-            if accept:
-                state.scores[:, j] = proposal
-                accepted += 1
+        if rows.shape[0]:
+            accept = np.zeros(n, dtype=bool)
+            factor = ColumnFactor(self.kernel)
+            for j in range(n):
+                gp_delta, moved, kept = factor.column_delta(state.scores, j, proposals[:, j],
+                                                            rows)
+                if gp_delta is not None and log_u[j] < delta[j] + gp_delta:
+                    accept[j] = True
+                    state.scores[:, j] = proposals[:, j]
+                    factor.append(moved)
+                else:
+                    factor.append(kept)
+        else:
+            accept = log_u < delta
+            state.scores[:, accept] = proposals[:, accept]
+        if not self.adapting:
+            self.accept_counts[:, 0] += accept
+            self.accept_counts[:, 1] += 1
+        accepted = int(np.count_nonzero(accept))
         if accepted:
             self.kernel = se_kernel(state.scores, spec.length_scale)
         return accepted

@@ -161,20 +161,25 @@ def write_annotation(path, annotation: Annotation) -> None:
 # ---------------------------------------------------------------- bundles
 
 def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    entries = []
-    payload = bytearray()
+    """Write ``arrays`` with ``meta`` as one versioned, checksummed bundle.
+
+    The header comes from the arrays' shapes and sizes, so each array's buffer
+    goes to the file (and the checksum) as it is, with no copy of the payload.
+    """
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    entries, offset = [], 0
     for name, arr in arrays.items():
-        arr = np.ascontiguousarray(arr)
-        raw = arr.tobytes()
         entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
-                        "offset": len(payload), "nbytes": len(raw)})
-        payload.extend(raw)
+                        "offset": offset, "nbytes": arr.nbytes})
+        offset += arr.nbytes
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
-    body = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header))
-    body += header + bytes(payload)
-    digest = hashlib.sha256(body).digest()
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(body + digest)
+        for chunk in (MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)),
+                      header, *(arr.reshape(-1).view(np.uint8) for arr in arrays.values())):
+            digest.update(chunk)
+            fh.write(chunk)
+        fh.write(digest.digest())
 
 
 def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:

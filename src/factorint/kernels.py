@@ -11,9 +11,6 @@ at O(n^2) cost.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import qr_delete, solve_triangular
-from scipy.linalg.lapack import dtrtrs
-from scipy.spatial.distance import pdist, squareform
 
 from .errors import CholeskyFailure, ShapeMismatch
 
@@ -59,6 +56,8 @@ class KernelMatrix:
             raise ShapeMismatch(f"rows have length {rows.shape[1]}, kernel is {self.n}x{self.n}")
         if rows.shape[0] == 0:
             return 0.0
+        from scipy.linalg import solve_triangular
+
         w = solve_triangular(self.chol, rows.T, lower=True)
         logdet = 2.0 * np.sum(np.log(np.diag(self.chol)))
         k = rows.shape[0]
@@ -91,6 +90,8 @@ def se_kernel(scores: np.ndarray, length_scale: float) -> KernelMatrix:
     if n == 1:
         K = np.ones((1, 1))
     else:
+        from scipy.spatial.distance import pdist, squareform
+
         d2 = squareform(pdist(scores.T, "sqeuclidean"))
         K = np.exp(-0.5 * d2 / length_scale**2)
         np.fill_diagonal(K, 1.0)
@@ -107,18 +108,37 @@ class ColumnFactor:
     in a permuted column order: ``column_delta`` drops j with a stable O(n^2)
     rank-one update (Givens rotations through ``qr_delete`` on the upper
     factor; Seeger 2004, Golub & Van Loan 6.5.4), and ``append`` puts j back
-    as the last column, at its old or its new position. The jitter stays the kernel's throughout; updates of
-    the inverse would lose too much accuracy on these ill-conditioned kernels.
+    as the last column, at its old or its new position. The jitter stays the
+    kernel's throughout; updates of the inverse would lose too much accuracy
+    on these ill-conditioned kernels.
+
+    ``order`` lists the kernel columns in factor order and ``position`` is its
+    inverse (``order[position[j]] == j``), so finding j costs no search. A
+    call does only tens of microseconds of LAPACK work, so the fixed costs
+    around it are cut: the right-hand side of the triangular solve is one
+    Fortran-order buffer, reused across calls and overwritten by the solve,
+    and the LAPACK routines are bound once per factor (``qr_delete`` without
+    scipy's batch wrapper, whose checks cost about as much as the rotations).
+    The columns a call returns are fresh arrays, never views of the buffer.
     """
 
     def __init__(self, kernel: KernelMatrix):
+        from scipy.linalg import qr_delete
+        from scipy.linalg.lapack import dtrtrs
+
         self.length_scale = kernel.length_scale
         self.variance = 1.0 + kernel.jitter     # diagonal of K + jitter*I
         # C[order][:, order] = upper.T @ upper; Fortran order so that qr_delete
         # updates it in place (its rotations of Q go to a scratch buffer)
         self.upper = np.array(kernel.chol.T, order="F")
         self.order = np.arange(kernel.n)
+        self.position = np.arange(kernel.n)
         self._q = np.eye(kernel.n, order="F")
+        self._qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
+        self._dtrtrs = dtrtrs
+        # [kernel row at current, kernel row at proposal, rows...] per column;
+        # the last row stays 0 (a solve passes it through)
+        self._rhs = np.zeros((kernel.n, 2), order="F")
 
     def column_delta(self, scores: np.ndarray, j: int, proposal: np.ndarray,
                      rows: np.ndarray) -> tuple[float | None, np.ndarray | None, np.ndarray]:
@@ -130,32 +150,50 @@ class ColumnFactor:
         delta and moved are None when the proposal's conditional variance is
         not positive.
         """
-        p = int(np.flatnonzero(self.order == j)[0])
+        order, position, n = self.order, self.position, self.order.size
+        p = int(position[j])
         # overwrite_qr: the reduced factor is the first n-1 columns of self.upper
-        qr_delete(self._q, self.upper, p, which="col", overwrite_qr=True, check_finite=False)
-        self.order[p:-1] = self.order[p + 1:]
-        self.order[-1] = j
-        others = self.order[:-1]
+        self._qr_delete(self._q, self.upper, p, which="col", overwrite_qr=True,
+                        check_finite=False)
+        order[p:-1] = order[p + 1:]
+        order[-1] = j
+        position[order[p:-1]] -= 1
+        position[j] = n - 1
+        others = order[:-1]
         # a unit last column passes the padded last row of a solve through
         self.upper[:, -1] = 0.0
         self.upper[-1, -1] = 1.0
 
-        points = np.column_stack([scores[:, j], proposal])
-        d2 = np.sum((scores[:, others, None] - points[:, None, :]) ** 2, axis=0)
-        rhs = np.zeros((self.order.size, 2 + rows.shape[0]))
-        rhs[:-1, :2] = np.exp(-0.5 * d2 / self.length_scale**2)   # kernel rows
-        rhs[:-1, 2:] = rows[:, others].T
-        solved, info = dtrtrs(self.upper, rhs, lower=0, trans=1, overwrite_b=1)
+        k = rows.shape[0]
+        if self._rhs.shape[1] != 2 + k:
+            self._rhs = np.zeros((n, 2 + k), order="F")
+        rhs = self._rhs
+        ends = np.empty((scores.shape[0], 2, 1))
+        ends[:, 0, 0] = scores[:, j]
+        ends[:, 1, 0] = proposal
+        diff = scores.take(others, axis=1)[:, None, :] - ends        # (L, 2, n-1)
+        d2 = (diff * diff).sum(axis=0)
+        np.exp(-0.5 * d2 / self.length_scale**2, out=rhs[:-1, :2].T)   # kernel rows
+        # mode "clip" writes straight into out ("raise" goes through a copy)
+        rows.take(others, axis=1, out=rhs[:-1, 2:].T, mode="clip")
+        solved, info = self._dtrtrs(self.upper, rhs, lower=0, trans=1, overwrite_b=1)
         if info:
             raise CholeskyFailure("column factor became singular")
         w, a = solved[:-1, :2], solved[:-1, 2:]
-        var = self.variance - np.sum(w * w, axis=0)
-        kept = np.append(w[:, 0], np.sqrt(var[0]))
+        var = self.variance - (w * w).sum(axis=0)
+        kept = np.empty(n)
+        kept[:-1] = w[:, 0]
+        kept[-1] = np.sqrt(var[0])
         if not var[1] > 0.0:
             return None, None, kept
+        moved = np.empty(n)
+        moved[:-1] = w[:, 1]
+        moved[-1] = np.sqrt(var[1])
         resid = rows[:, j][None, :] - w.T @ a                      # (2, k)
-        logdens = -0.5 * (rows.shape[0] * np.log(var) + np.sum(resid * resid, axis=1) / var)
-        return float(logdens[1] - logdens[0]), np.append(w[:, 1], np.sqrt(var[1])), kept
+        # two entries: Python floats round exactly as the array ops would
+        cur, prop = (-0.5 * (k * log_v + ss / v) for log_v, ss, v in zip(
+            np.log(var).tolist(), (resid * resid).sum(axis=1).tolist(), var.tolist()))
+        return prop - cur, moved, kept
 
     def append(self, column: np.ndarray) -> None:
         """Complete ``column_delta``: the dropped column comes back as the last
@@ -181,6 +219,8 @@ def gp_marginal_loglik_ratio(residual: np.ndarray, kernel: KernelMatrix, sigma2:
         L = np.linalg.cholesky(C)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - C is SPD by construction
         raise CholeskyFailure("marginal covariance not factorizable") from exc
+    from scipy.linalg import solve_triangular
+
     w = solve_triangular(L, r, lower=True)
     logdet = 2.0 * np.sum(np.log(np.diag(L)))
     return -0.5 * (logdet - n * np.log(sigma2)) - 0.5 * (float(w @ w) - float(r @ r) / sigma2)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import SpecConflict
 from .model import (
@@ -72,6 +71,8 @@ def sample_spike_slab(rng: np.random.Generator, logit_prob: np.ndarray, log_bf: 
     ``fixed`` holds NaN for free entries and 0/1 where the inclusion
     probability is degenerate.
     """
+    from scipy.special import expit
+
     p = expit(logit_prob + log_bf)
     p = np.where(np.isnan(fixed), p, fixed)
     mask = rng.random(p.shape[0]) < p

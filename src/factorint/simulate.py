@@ -13,8 +13,6 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidFraction, ShapeMismatch
 from .genomics import detect_interactions
@@ -153,6 +151,8 @@ def align_factors(scores_est: np.ndarray, scores_true: np.ndarray,
 
     Returns (aligned scores, aligned loadings or None, permutation, signs).
     """
+    from scipy.optimize import linear_sum_assignment
+
     L = scores_true.shape[0]
     corr = np.zeros((L, L))
     for a in range(L):
@@ -238,7 +238,7 @@ def export_surface(effect: np.ndarray, score_pair: np.ndarray, grid_size: int = 
     ys = np.linspace(score_pair[1].min(), score_pair[1].max(), grid_size)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    dist = cdist(nodes, points[:, :2])
+    dist = np.sqrt(((nodes[:, None] - points[None, :, :2]) ** 2).sum(-1))
     k = min(n_neighbors, effect.shape[0])
     idx = np.argsort(dist, axis=1)[:, :k]
     nd = np.take_along_axis(dist, idx, axis=1)

@@ -310,6 +310,22 @@ class TestDrawsPersistence:
         assert len(back) == 200
         assert peak < 1.5 * path.stat().st_size
 
+    def test_persist_draws_holds_no_copy_of_the_bundle(self, tmp_path):
+        draws = run_gp_chain(gp_spec(1), small_data(5, m=20, n=20), n_iters=4, burn_in=2,
+                             seed=1)
+        big = replace(draws, values={
+            name: np.repeat(arr, 100, axis=0) for name, arr in draws.values.items()})
+        path = tmp_path / "draws.bin"
+        tracemalloc.start()
+        try:
+            fio.persist_draws(big, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 500_000
+        assert peak < 1.5 * path.stat().st_size
+        assert len(fio.load_draws(path)) == 200
+
     def test_bundle_arrays_are_read_only(self, tmp_path):
         path = tmp_path / "draws.bin"
         fio.persist_draws(run_gp_chain(gp_spec(1), small_data(6), n_iters=4, burn_in=2,

@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import qr_delete
+from scipy.linalg.lapack import dtrtrs
 from scipy.stats import multivariate_normal
 
-from factorint import ShapeMismatch, gp_marginal_loglik_ratio, se_kernel
+from factorint import CholeskyFailure, ShapeMismatch, gp_marginal_loglik_ratio, se_kernel
 from factorint.kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows
 
 
@@ -207,3 +209,93 @@ class TestColumnFactor:
             fast_err.append(abs(float(fast - exact)))
             full_err.append(abs(float(full - exact)))
         assert max(fast_err) <= 2.0 * max(full_err)
+
+
+class ReferenceColumnFactor(ColumnFactor):
+    """``ColumnFactor.column_delta`` as first written: a search for j's position,
+    scipy's public ``qr_delete`` and fresh arrays for every intermediate. The
+    lean path must reproduce it bit for bit."""
+
+    def column_delta(self, scores, j, proposal, rows):
+        p = int(np.flatnonzero(self.order == j)[0])
+        qr_delete(self._q, self.upper, p, which="col", overwrite_qr=True, check_finite=False)
+        self.order[p:-1] = self.order[p + 1:]
+        self.order[-1] = j
+        others = self.order[:-1]
+        self.upper[:, -1] = 0.0
+        self.upper[-1, -1] = 1.0
+
+        points = np.column_stack([scores[:, j], proposal])
+        d2 = np.sum((scores[:, others, None] - points[:, None, :]) ** 2, axis=0)
+        rhs = np.zeros((self.order.size, 2 + rows.shape[0]))
+        rhs[:-1, :2] = np.exp(-0.5 * d2 / self.length_scale**2)
+        rhs[:-1, 2:] = rows[:, others].T
+        solved, info = dtrtrs(self.upper, rhs, lower=0, trans=1, overwrite_b=1)
+        if info:
+            raise CholeskyFailure("column factor became singular")
+        w, a = solved[:-1, :2], solved[:-1, 2:]
+        var = self.variance - np.sum(w * w, axis=0)
+        kept = np.append(w[:, 0], np.sqrt(var[0]))
+        if not var[1] > 0.0:
+            return None, None, kept
+        resid = rows[:, j][None, :] - w.T @ a
+        logdens = -0.5 * (rows.shape[0] * np.log(var) + np.sum(resid * resid, axis=1) / var)
+        return float(logdens[1] - logdens[0]), np.append(w[:, 1], np.sqrt(var[1])), kept
+
+
+class TestLeanColumnFactor:
+    """The lean per-proposal path against ``ReferenceColumnFactor``."""
+
+    @pytest.mark.parametrize("n_rows", [1, 5])
+    def test_random_moves_match_the_reference_bit_for_bit(self, n_rows):
+        rng = np.random.default_rng(60 + n_rows)
+        scores = rng.normal(size=(2, 25))
+        kernel = se_kernel(scores, 0.5)
+        rows = (kernel.chol @ rng.normal(size=(25, n_rows))).T
+        lean, reference = ColumnFactor(kernel), ReferenceColumnFactor(kernel)
+        accepted = 0
+        for j in rng.integers(0, 25, size=120):
+            proposal = scores[:, j] + 0.3 * rng.normal(size=2)
+            got = lean.column_delta(scores, j, proposal, rows)
+            want = reference.column_delta(scores, j, proposal, rows)
+            assert got[0] == want[0]
+            for a, b in zip(got[1:], want[1:]):
+                np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(lean.order, reference.order)
+            assert lean.order[lean.position[j]] == j
+            np.testing.assert_array_equal(lean.order[lean.position], np.arange(25))
+            accept = rng.random() < 0.4
+            lean.append(got[1] if accept else got[2])
+            reference.append(want[1] if accept else want[2])
+            np.testing.assert_array_equal(lean.upper, reference.upper)
+            if accept:
+                scores[:, j] = proposal
+                accepted += 1
+        assert 20 < accepted < 100
+
+    def test_returned_columns_are_not_reused(self):
+        rng = np.random.default_rng(64)
+        scores = rng.normal(size=(2, 12))
+        kernel = se_kernel(scores, 0.6)
+        rows = rng.normal(size=(3, 12))
+        factor = ColumnFactor(kernel)
+        _, moved, kept = factor.column_delta(scores, 3, scores[:, 3] + 0.1, rows)
+        saved_moved, saved_kept = moved.copy(), kept.copy()
+        factor.append(kept)
+        later = factor.column_delta(scores, 7, scores[:, 7] - 0.2, rows)
+        factor.append(later[1])
+        np.testing.assert_array_equal(moved, saved_moved)
+        np.testing.assert_array_equal(kept, saved_kept)
+        for column in later[1:]:
+            assert not np.shares_memory(column, factor.upper)
+            assert not np.shares_memory(column, factor._rhs)
+
+    def test_nonpositive_variance_matches_the_reference(self):
+        scores = np.array([[0.0, 50.0, 100.0]])
+        kernel = KernelMatrix(np.eye(3), 0.2, 0.0, np.eye(3))
+        rows = np.array([[0.5, -1.0, 2.0]])
+        lean, reference = ColumnFactor(kernel), ReferenceColumnFactor(kernel)
+        got = lean.column_delta(scores, 1, np.array([0.0]), rows)
+        want = reference.column_delta(scores, 1, np.array([0.0]), rows)
+        assert got[:2] == want[:2] == (None, None)
+        np.testing.assert_array_equal(got[2], want[2])

@@ -1,4 +1,5 @@
-"""The benchmark tracer's targets exist in the package.
+"""The benchmark tracer's targets exist in the package, and the CLI imports
+them without scipy's heavy submodules.
 
 ``bench/tracer.py`` wraps the functions and methods it lists by name when a
 traced benchmark run starts, so a rename or a move inside ``factorint`` would
@@ -7,7 +8,17 @@ otherwise show only there. The tracer is imported by path and not installed.
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import numpy as np
+
+import factorint
+from factorint import gp_spec, run_gp_chain, standardize_rows
+from factorint import io as fio
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -32,3 +43,45 @@ def test_every_traced_name_resolves():
                 if not callable(target):
                     missing.append(f"{layer}.{name}")
     assert not missing, f"bench/tracer.py names what factorint lacks: {missing}"
+
+
+# Loaded on first use: the read-side commands never need them.
+LAZY_SCIPY = ("scipy.linalg", "scipy.optimize", "scipy.spatial", "scipy.special")
+
+STARTUP_SCRIPT = """
+import json, sys
+import factorint.cli as cli
+imported = sorted(name for name in sys.modules if name.startswith("factorint."))
+draws, out = sys.argv[1], sys.argv[2]
+codes = [cli.main(["summarize", "--output-dir", out, "--set", "paths.draws=" + draws]),
+         cli.main(["detect", "--output-dir", out, "--set", "paths.draws=" + draws]),
+         cli.main(["export-surface", "--output-dir", out, "--set", "paths.draws=" + draws,
+                   "--set", "surface.feature=0"]),
+         cli.main(["test-overlap", "--output-dir", out, "--set", "overlap.population=60",
+                   "--set", "overlap.counts=10,12", "--set", "overlap.observed=6",
+                   "--set", "overlap.replicates=200"])]
+print(json.dumps({"imported": imported, "codes": codes,
+                  "scipy": sorted(name for name in sys.modules if name.startswith("scipy."))}))
+"""
+
+
+def test_cli_imports_traced_modules_and_no_scipy_submodules(tmp_path):
+    rng = np.random.default_rng(0)
+    data = standardize_rows(rng.normal(size=(6, 8)))
+    draws = tmp_path / "draws.bin"
+    fio.persist_draws(run_gp_chain(gp_spec(1), data, n_iters=30, burn_in=10, seed=1), draws)
+    src = Path(factorint.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", STARTUP_SCRIPT, str(draws), str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["codes"] == [0, 0, 0, 0], done.stderr
+    for name in ("summary.csv", "detected.csv", "surface.csv", "overlap.csv"):
+        assert (tmp_path / name).exists()
+    loaded = [name for name in LAZY_SCIPY if name in report["scipy"]]
+    assert not loaded, f"the read-side commands loaded {loaded}"
+    tracer = load_tracer()
+    traced = {f"factorint.{layer}" for table in (tracer.FUNCTIONS, tracer.METHODS)
+              for layer in table}
+    assert traced <= set(report["imported"])
