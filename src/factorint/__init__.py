@@ -38,7 +38,6 @@ from .errors import (
 )
 from .genomics import (
     Annotation,
-    CandidateRule,
     OverlapTestInput,
     PosteriorSummary,
     clean_seed_genes,

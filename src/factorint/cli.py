@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as fio
-from .errors import ConfigError, FactorIntError
+from .errors import ConfigError
 from .genomics import OverlapTestInput, detect_interactions, overlap_permutation_test, posterior_summary
 from .model import Family, PosteriorDraws, standardize_rows
 from .simulate import (
@@ -236,9 +236,6 @@ def main(argv=None) -> int:
         cfg = _load_config(args)
         out = _output_dir(args)
         _COMMANDS[args.command](cfg, out)
-    except FactorIntError as exc:
-        print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:  # noqa: BLE001 - contract: one parsable line per failure
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -150,17 +150,10 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     return np.asarray(keep1, dtype=int), np.asarray(keep2, dtype=int), report
 
 
-@dataclass(frozen=True)
-class CandidateRule:
-    threshold: float = 0.5
-    require_both: bool = True
-
-
-def select_candidate_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
-                           rule: CandidateRule = CandidateRule()) -> np.ndarray:
+def select_candidate_genes(data: DataMatrix, group1, group2,
+                           settings: McmcSettings) -> np.ndarray:
     """Candidate features for interaction effects: everything outside the seed
-    groups whose loading inclusion probability clears the threshold on both
-    factors (on either factor with ``require_both`` off).
+    groups whose loading inclusion probability exceeds 0.5 on both factors.
 
     The underlying fit is the two-factor no-interaction model with degenerate
     seed priors keeping the factor interpretation anchored.
@@ -170,9 +163,7 @@ def select_candidate_genes(data: DataMatrix, group1, group2, settings: McmcSetti
     draws = _fit_null_model(data, settings, seed_groups={0: g1, 1: g2})
     incl = draws.stack("load_mask").astype(float).mean(axis=0)  # (m, 2)
     seeds = g1 | g2
-    mask = (incl[:, 0] > rule.threshold) & (incl[:, 1] > rule.threshold) \
-        if rule.require_both else \
-        (incl[:, 0] > rule.threshold) | (incl[:, 1] > rule.threshold)
+    mask = (incl > 0.5).all(axis=1)
     mask[list(seeds)] = False
     return np.flatnonzero(mask)
 

@@ -32,7 +32,7 @@ from .model import (
     validate_spec,
 )
 from .mult import (
-    _logit,
+    draw_indicators,
     inclusion_log_density,
     initial_state,
     update_loadings,
@@ -69,13 +69,9 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
                        rng: np.random.Generator) -> None:
     """Marginalized indicator update followed by a conditional redraw of every
     active effect row (per-row effect prior)."""
-    from scipy.special import expit
-
     R = data.values - state.loadings @ state.scores
     llr = marginal_ratio_rows(R, kernel, state.noise_var)
-    p = expit(_logit(state.inter_prob) + llr)
-    p = np.where(np.isnan(layout.fixed_inter), p, layout.fixed_inter)
-    mask = rng.random(p.shape[0]) < p
+    mask = draw_indicators(rng, state.inter_prob, llr, layout.fixed_inter)
 
     d, U = kernel.eigensystem()
     s2 = state.noise_var[:, None]
@@ -114,8 +110,6 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
                          rng: np.random.Generator) -> None:
     """Draw the shared effect given the active rows, then flip each indicator
     by comparing the row likelihood under the shared effect versus zero."""
-    from scipy.special import expit
-
     mean, var_diag, U = shared_effect_posterior(state, data, kernel)
     fstar = mean + U @ (np.sqrt(var_diag) * rng.standard_normal(kernel.n))
     state.shared_effect = fstar
@@ -123,10 +117,8 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
     R = data.values - state.loadings @ state.scores
     quad = R @ fstar
     ss = float(fstar @ fstar)
-    logodds = _logit(state.inter_prob) + (quad - 0.5 * ss) / state.noise_var
-    p = expit(logodds)
-    p = np.where(np.isnan(layout.fixed_inter), p, layout.fixed_inter)
-    mask = rng.random(p.shape[0]) < p
+    mask = draw_indicators(rng, state.inter_prob, (quad - 0.5 * ss) / state.noise_var,
+                           layout.fixed_inter)
     state.inter_mask = mask.astype(np.int8)
     state.effects = np.where(mask[:, None], fstar[None, :], 0.0)
 

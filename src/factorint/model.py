@@ -487,6 +487,8 @@ class McmcSettings:
     adapt_rw: bool = True
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.thin < 1:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if self.n_chains < 1:

@@ -63,21 +63,17 @@ def slab_log_bayes_factor(mean: np.ndarray, var: np.ndarray, slab_var: float) ->
     return 0.5 * (np.log(var) - np.log(slab_var)) + 0.5 * mean * mean / var
 
 
-def sample_spike_slab(rng: np.random.Generator, logit_prob: np.ndarray, log_bf: np.ndarray,
-                      mean: np.ndarray, var: np.ndarray,
-                      fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Draw (indicator, coefficient) for one column of a spike-and-slab block.
-
-    ``fixed`` holds NaN for free entries and 0/1 where the inclusion
-    probability is degenerate.
-    """
+def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarray,
+                    fixed: np.ndarray) -> np.ndarray:
+    """Draw one spike-and-slab indicator per entry: on with probability
+    expit(logit(prob) + log_bf), the prior odds times the slab/spike Bayes
+    factor. ``fixed`` holds NaN for free entries and 0/1 where the inclusion
+    probability is degenerate, which then overrides the posterior."""
     from scipy.special import expit
 
-    p = expit(logit_prob + log_bf)
+    p = expit(_logit(prob) + log_bf)
     p = np.where(np.isnan(fixed), p, fixed)
-    mask = rng.random(p.shape[0]) < p
-    draws = mean + np.sqrt(var) * rng.standard_normal(p.shape[0])
-    return mask.astype(np.int8), np.where(mask, draws, 0.0)
+    return rng.random(p.shape[0]) < p
 
 
 def _entry_groups(groups: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -129,43 +125,42 @@ def sample_inclusion_probs(rng: np.random.Generator, mask: np.ndarray, fixed: np
     return np.where(np.isnan(fixed), prob, fixed)
 
 
-def interaction_term(state: McmcState, spec: ModelSpec) -> np.ndarray:
-    if spec.is_mult:
-        return state.inter_loadings @ state.inter_scores
-    return state.effects
-
-
 def residual_matrix(state: McmcState, data: DataMatrix, spec: ModelSpec) -> np.ndarray:
-    return data.values - state.loadings @ state.scores - interaction_term(state, spec)
+    inter = state.inter_loadings @ state.inter_scores if spec.is_mult else state.effects
+    return data.values - state.loadings @ state.scores - inter
+
+
+def _update_slab_columns(coef: np.ndarray, mask: np.ndarray, prob: np.ndarray,
+                         fixed: np.ndarray, regressors: np.ndarray, slab_var: float,
+                         state: McmcState, data: DataMatrix, spec: ModelSpec,
+                         rng: np.random.Generator) -> None:
+    """Spike-and-slab update of every column of one coefficient block, in
+    place: the indicator integrated over the coefficient, then the
+    coefficient given the indicator. Column l multiplies ``regressors[l]``."""
+    for l in range(regressors.shape[0]):
+        reg = regressors[l]
+        R = residual_matrix(state, data, spec)
+        R += np.outer(coef[:, l], reg)
+        mean, var = slab_posterior(R, reg, state.noise_var, slab_var)
+        log_bf = slab_log_bayes_factor(mean, var, slab_var)
+        on = draw_indicators(rng, prob[:, l], log_bf, fixed[:, l])
+        draws = mean + np.sqrt(var) * rng.standard_normal(on.shape[0])
+        mask[:, l] = on
+        coef[:, l] = np.where(on, draws, 0.0)
 
 
 def update_loadings(state: McmcState, data: DataMatrix, spec: ModelSpec,
                     layout: PriorLayout, rng: np.random.Generator) -> None:
     """Spike-and-slab update of every loading column (shared by both families)."""
-    for l in range(spec.n_factors):
-        reg = state.scores[l]
-        R = residual_matrix(state, data, spec)
-        R += np.outer(state.loadings[:, l], reg)
-        mean, var = slab_posterior(R, reg, state.noise_var, spec.slab_var_loading)
-        log_bf = slab_log_bayes_factor(mean, var, spec.slab_var_loading)
-        mask, coef = sample_spike_slab(rng, _logit(state.load_prob[:, l]), log_bf,
-                                       mean, var, layout.fixed_load[:, l])
-        state.load_mask[:, l] = mask
-        state.loadings[:, l] = coef
+    _update_slab_columns(state.loadings, state.load_mask, state.load_prob, layout.fixed_load,
+                         state.scores, spec.slab_var_loading, state, data, spec, rng)
 
 
 def update_inter_loadings(state: McmcState, data: DataMatrix, spec: ModelSpec,
                           layout: PriorLayout, rng: np.random.Generator) -> None:
-    for t in range(spec.n_pairs):
-        reg = state.inter_scores[t]
-        R = residual_matrix(state, data, spec)
-        R += np.outer(state.inter_loadings[:, t], reg)
-        mean, var = slab_posterior(R, reg, state.noise_var, spec.slab_var_inter)
-        log_bf = slab_log_bayes_factor(mean, var, spec.slab_var_inter)
-        mask, coef = sample_spike_slab(rng, _logit(state.inter_prob[:, t]), log_bf,
-                                       mean, var, layout.fixed_inter[:, t])
-        state.inter_mask[:, t] = mask
-        state.inter_loadings[:, t] = coef
+    _update_slab_columns(state.inter_loadings, state.inter_mask, state.inter_prob,
+                         layout.fixed_inter, state.inter_scores, spec.slab_var_inter,
+                         state, data, spec, rng)
 
 
 def score_conditional(state: McmcState, data: DataMatrix, spec: ModelSpec,

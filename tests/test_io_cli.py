@@ -567,6 +567,9 @@ class TestCli:
         ("fit", "mcmc.rw_step=-1"),
         ("fit", "mcmc.rw_step=nan"),
         ("fit", "mcmc.rw_step=0"),
+        ("fit", "mcmc.seed=-1"),
+        ("simulate", "mcmc.seed=-1"),
+        ("test-overlap", "mcmc.seed=-1"),
         ("simulate", "simulate.features=abc"),
         ("test-overlap", "overlap.counts=3,x"),
         ("test-overlap", "overlap.population=1000000000"),
