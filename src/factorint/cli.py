@@ -62,6 +62,14 @@ def _load_config(args) -> dict[str, str]:
     return cfg
 
 
+def _input_file(cfg: dict[str, str], key: str) -> Path:
+    """The file ``cfg[key]`` names, which must exist."""
+    path = Path(cfg[key])
+    if not path.is_file():
+        raise ConfigError(f"{key}: no such file {str(path)!r}")
+    return path
+
+
 def _output_dir(args) -> Path:
     out = args.output_dir or os.environ.get("FACTORINT_OUTPUT_DIR") or "."
     path = Path(out)
@@ -81,7 +89,7 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> None:
         m=fio.config_int(cfg, "simulate.features", 100),
         n=fio.config_int(cfg, "simulate.samples", 100),
         frac_affected=fio.config_float(cfg, "simulate.frac_affected", 0.1),
-        noise_scale=fio.config_float(cfg, "simulate.noise_scale", 1.0),
+        noise_scale=fio.config_positive(cfg, "simulate.noise_scale", 1.0),
         seed=settings.seed)
     fio.write_data_csv(out / "data.csv", data)
     fio.write_bundle(out / "truth.bin", {"kind": "truth", "seed": settings.seed}, {
@@ -94,7 +102,7 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> None:
 def cmd_fit(cfg: dict[str, str], out: Path) -> None:
     if "paths.data" not in cfg:
         raise ConfigError("fit requires paths.data")
-    data = standardize_rows(fio.read_data_csv(cfg["paths.data"]))
+    data = standardize_rows(fio.read_data_csv(_input_file(cfg, "paths.data")))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
     all_draws = [fit_spec(spec, data, settings, chain=c) for c in range(settings.n_chains)]
@@ -128,7 +136,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> None:
 def _load_draws_from_cfg(cfg: dict[str, str]) -> PosteriorDraws:
     if "paths.draws" not in cfg:
         raise ConfigError("this command requires paths.draws")
-    return fio.load_draws(cfg["paths.draws"])
+    return fio.load_draws(_input_file(cfg, "paths.draws"))
 
 
 def cmd_summarize(cfg: dict[str, str], out: Path) -> None:
@@ -153,8 +161,8 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> None:
     for key in ("paths.data", "paths.truth", "compare.specs"):
         if key not in cfg:
             raise ConfigError(f"compare requires {key}")
-    data = standardize_rows(fio.read_data_csv(cfg["paths.data"]))
-    meta, arrays = fio.read_bundle(cfg["paths.truth"])
+    data = standardize_rows(fio.read_data_csv(_input_file(cfg, "paths.data")))
+    meta, arrays = fio.read_bundle(_input_file(cfg, "paths.truth"))
     if meta.get("kind") != "truth":
         raise ConfigError(f"{cfg['paths.truth']}: not a truth bundle")
     from .simulate import SyntheticTruth

@@ -6,11 +6,12 @@ columns (squared-exponential kernel). The loading block reuses the
 spike-and-slab machinery of the multiplicative sampler. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
-scored by the change in the conditional GP density of entry j, through a
-Cholesky factor kept current by rank-one updates, and the kernel is rebuilt
-once per sweep. Indicator updates
-integrate the effect row out analytically, so the spike never absorbs the
-chain; the row (or the shared effect) is redrawn afterwards.
+scored by the change in the conditional GP density of entry j. A factor built
+once per sweep for the visit order 0..n-1 (``kernels.SweepFactor``) brings
+each column to the end by rotating only the columns already visited, so a
+proposal costs one triangular solve, and the kernel is rebuilt once per sweep.
+Indicator updates integrate the effect row out analytically, so the spike
+never absorbs the chain; the row (or the shared effect) is redrawn afterwards.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SpecConflict
-from .kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows, se_kernel
+from .kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, se_kernel
 from .model import (
     DataMatrix,
     Family,
@@ -70,13 +71,13 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
     """Marginalized indicator update followed by a conditional redraw of every
     active effect row (per-row effect prior)."""
     R = data.values - state.loadings @ state.scores
-    llr = marginal_ratio_rows(R, kernel, state.noise_var)
+    d, U = kernel.eigensystem()
+    proj = R @ U
+    llr = marginal_ratio_rows(R, kernel, state.noise_var, proj=proj)
     mask = draw_indicators(rng, state.inter_prob, llr, layout.fixed_inter)
 
-    d, U = kernel.eigensystem()
     s2 = state.noise_var[:, None]
     gain = d[None, :] / (d[None, :] + s2)
-    proj = R @ U
     mean_proj = gain * proj
     sd_proj = np.sqrt(gain * s2)
     rows = (mean_proj + sd_proj * rng.standard_normal(proj.shape)) @ U.T
@@ -190,11 +191,11 @@ class GpChain:
         and the data and score-prior terms of every column come from one
         vectorised pass: no earlier move in the sweep changes column j's term.
         The GP term is scored at the sweep's starting jitter, through a
-        ``ColumnFactor`` of the current kernel; a proposal whose conditional
-        variance is not positive there is rejected. With no row under the GP
-        prior the term is 0, every column is decided at once and no kernel
-        work is done. The kernel is rebuilt once, after the sweep, if any
-        column moved.
+        ``SweepFactor`` of the current kernel built for this visit order; a
+        proposal whose conditional variance is not positive there is
+        rejected. With no row under the GP prior the term is 0, every column
+        is decided at once and no kernel work is done. The kernel is rebuilt
+        once, after the sweep, if any column moved.
         """
         rng = self.streams.get("scores_mh")
         state, spec = self.state, self.spec
@@ -210,16 +211,13 @@ class GpChain:
         rows = gp_rows(state, spec)
         if rows.shape[0]:
             accept = np.zeros(n, dtype=bool)
-            factor = ColumnFactor(self.kernel)
+            factor = SweepFactor(self.kernel, state.scores, proposals, rows)
             for j in range(n):
-                gp_delta, moved, kept = factor.column_delta(state.scores, j, proposals[:, j],
-                                                            rows)
+                gp_delta = factor.column_delta(j)
                 if gp_delta is not None and log_u[j] < delta[j] + gp_delta:
                     accept[j] = True
                     state.scores[:, j] = proposals[:, j]
-                    factor.append(moved)
-                else:
-                    factor.append(kept)
+                    factor.accept()
         else:
             accept = log_u < delta
             state.scores[:, accept] = proposals[:, accept]

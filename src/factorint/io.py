@@ -451,6 +451,15 @@ def config_float(cfg: dict[str, str], key: str, default: float | None = None) ->
     return _parse(float, cfg[key], key, "a number") if key in cfg else default
 
 
+def config_positive(cfg: dict[str, str], key: str, default: float) -> float:
+    """``cfg[key]`` as a finite real number above 0, or ``default`` when the
+    key is absent."""
+    value = config_float(cfg, key, default)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key}: expected a positive finite number, got {cfg[key]!r}")
+    return value
+
+
 def config_ints(cfg: dict[str, str], key: str) -> tuple[int, ...]:
     """Comma-separated integers under ``key``."""
     return tuple(_parse(int, v, key, "comma-separated integers") for v in cfg[key].split(","))

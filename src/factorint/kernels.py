@@ -4,11 +4,15 @@ The kernel K(scores)[j1, j2] = exp(-||s_j1 - s_j2||^2 / (2 ls^2)) drives the
 Gaussian prior on interaction-effect rows. Construction factors K + jitter*I
 with an escalating jitter, and the module provides the marginal log-likelihood
 ratio used to decide whether a residual row carries a nonlinear effect, and
-the updatable factor (``ColumnFactor``) that scores a move of one score column
-at O(n^2) cost.
+the per-sweep factor (``SweepFactor``) that scores the moves of the score
+columns one after another, each by rotating only the columns already visited
+and one triangular solve. Distances are computed with numpy
+(``sq_distances``), so building a kernel imports no ``scipy.spatial``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -81,124 +85,140 @@ def _chol_with_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
                 ) from None
 
 
+def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the columns of (L, n1) ``a`` and
+    (L, n2) ``b``, as an (n1, n2) array; the sum runs over L in order, so the
+    result is symmetric when ``a`` is ``b``."""
+    diff = a[:, :, None] - b[:, None, :]
+    return (diff * diff).sum(axis=0)
+
+
 def se_kernel(scores: np.ndarray, length_scale: float) -> KernelMatrix:
     """Squared-exponential kernel over the columns of an (L, n) score matrix."""
     if length_scale <= 0:
         raise ValueError(f"length_scale must be positive, got {length_scale}")
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    n = scores.shape[1]
-    if n == 1:
-        K = np.ones((1, 1))
-    else:
-        from scipy.spatial.distance import pdist, squareform
-
-        d2 = squareform(pdist(scores.T, "sqeuclidean"))
-        K = np.exp(-0.5 * d2 / length_scale**2)
-        np.fill_diagonal(K, 1.0)
+    K = np.exp(-0.5 * sq_distances(scores, scores) / length_scale**2)
+    np.fill_diagonal(K, 1.0)
     chol, jitter = _chol_with_jitter(K)
     return KernelMatrix(K, length_scale, jitter, chol)
 
 
-class ColumnFactor:
-    """Cholesky factor of a kernel's K + jitter*I for moving one column at a time.
+class SweepFactor:
+    """Factor of a kernel's K + jitter*I for one Metropolis sweep that moves
+    the score columns one at a time in the order 0, 1, ..., n-1.
 
-    Moving score column j changes only row and column j of the kernel, so the
-    change in a row's N(0, K + jitter*I) log-density is the change in the
-    conditional density of its entry j given the others. The factor is kept
-    in a permuted column order: ``column_delta`` drops j with a stable O(n^2)
-    rank-one update (Givens rotations through ``qr_delete`` on the upper
-    factor; Seeger 2004, Golub & Van Loan 6.5.4), and ``append`` puts j back
-    as the last column, at its old or its new position. The jitter stays the
-    kernel's throughout; updates of the inverse would lose too much accuracy
-    on these ill-conditioned kernels.
+    Moving column t changes only row and column t of the kernel, so the
+    change in the summed N(0, K + jitter*I) log-density of the (k, n) GP rows
+    is the change in the conditional density of their entry t given the
+    other columns. ``upper.T @ upper`` is K + jitter*I in factor order, and
+    ``upper.T @ whitened.T`` is the rows in factor order.
 
-    ``order`` lists the kernel columns in factor order and ``position`` is its
-    inverse (``order[position[j]] == j``), so finding j costs no search. A
-    call does only tens of microseconds of LAPACK work, so the fixed costs
-    around it are cut: the right-hand side of the triangular solve is one
-    Fortran-order buffer, reused across calls and overwritten by the solve,
-    and the LAPACK routines are bound once per factor (``qr_delete`` without
-    scipy's batch wrapper, whose checks cost about as much as the rotations).
-    The columns a call returns are fresh arrays, never views of the buffer.
+    The factor order starts as the visit order reversed, from one QR of the
+    kernel's own Cholesky factor with its columns reversed (no second jitter
+    choice, and it cannot fail). Column t then sits just before the t columns
+    already visited, and ``column_delta(t)`` moves it to the end with Givens
+    rotations of that trailing block alone (``qr_delete`` in place; Seeger
+    2004, Golub & Van Loan 6.5.4). The whitened rows ride in ``qr_delete``'s
+    orthogonal factor, so the same rotations reach them, and the current
+    conditional is read off the rotated factor: variance ``upper[-1, -1]**2``,
+    whitened residual ``whitened[:, -1]``. A proposal costs one triangular
+    solve, for its kernel row; the kernel rows of every proposal against
+    every current and proposed column come from one vectorised pass here.
+    ``accept`` writes the proposal's factor column and whitened residual into
+    the last slot; a rejected move changes nothing. After the sweep the
+    factor order is 0, ..., n-1.
+
+    More rows than columns are replaced by the triangle of their QR, which
+    has the same Gram matrix and so gives the same densities.
     """
 
-    def __init__(self, kernel: KernelMatrix):
+    def __init__(self, kernel: KernelMatrix, scores: np.ndarray, proposals: np.ndarray,
+                 rows: np.ndarray):
         from scipy.linalg import qr_delete
         from scipy.linalg.lapack import dtrtrs
 
-        self.length_scale = kernel.length_scale
-        self.variance = 1.0 + kernel.jitter     # diagonal of K + jitter*I
-        # C[order][:, order] = upper.T @ upper; Fortran order so that qr_delete
-        # updates it in place (its rotations of Q go to a scratch buffer)
-        self.upper = np.array(kernel.chol.T, order="F")
-        self.order = np.arange(kernel.n)
-        self.position = np.arange(kernel.n)
-        self._q = np.eye(kernel.n, order="F")
-        self._qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
-        self._dtrtrs = dtrtrs
-        # [kernel row at current, kernel row at proposal, rows...] per column;
-        # the last row stays 0 (a solve passes it through)
-        self._rhs = np.zeros((kernel.n, 2), order="F")
-
-    def column_delta(self, scores: np.ndarray, j: int, proposal: np.ndarray,
-                     rows: np.ndarray) -> tuple[float | None, np.ndarray | None, np.ndarray]:
-        """Drop column j, then score moving it from ``scores[:, j]`` to ``proposal``.
-
-        Returns (delta, moved, kept): the change in the summed log-density of
-        ``rows`` (k, n), and the last factor column for j at the proposal and
-        at its current position, one of which must go to ``append`` next.
-        delta and moved are None when the proposal's conditional variance is
-        not positive.
-        """
-        order, position, n = self.order, self.position, self.order.size
-        p = int(position[j])
-        # overwrite_qr: the reduced factor is the first n-1 columns of self.upper
-        self._qr_delete(self._q, self.upper, p, which="col", overwrite_qr=True,
-                        check_finite=False)
-        order[p:-1] = order[p + 1:]
-        order[-1] = j
-        position[order[p:-1]] -= 1
-        position[j] = n - 1
-        others = order[:-1]
-        # a unit last column passes the padded last row of a solve through
-        self.upper[:, -1] = 0.0
-        self.upper[-1, -1] = 1.0
-
+        n = kernel.n
+        self._n_rows = rows.shape[0]
+        if rows.shape[0] > n:
+            rows = np.linalg.qr(rows, mode="r")
         k = rows.shape[0]
-        if self._rhs.shape[1] != 2 + k:
-            self._rhs = np.zeros((n, 2 + k), order="F")
-        rhs = self._rhs
-        ends = np.empty((scores.shape[0], 2, 1))
-        ends[:, 0, 0] = scores[:, j]
-        ends[:, 1, 0] = proposal
-        diff = scores.take(others, axis=1)[:, None, :] - ends        # (L, 2, n-1)
-        d2 = (diff * diff).sum(axis=0)
-        np.exp(-0.5 * d2 / self.length_scale**2, out=rhs[:-1, :2].T)   # kernel rows
-        # mode "clip" writes straight into out ("raise" goes through a copy)
-        rows.take(others, axis=1, out=rhs[:-1, 2:].T, mode="clip")
-        solved, info = self._dtrtrs(self.upper, rhs, lower=0, trans=1, overwrite_b=1)
+        self._variance = 1.0 + kernel.jitter     # diagonal of K + jitter*I
+        # one spare column: the visited column is copied there, so that
+        # qr_delete's shift lands it, rotated, in the last slot
+        self._buffer = np.empty((n, n + 1), order="F")
+        self.upper = self._buffer[:, :n]
+        self.upper[...] = np.linalg.qr(kernel.chol.T[:, ::-1], mode="r")
+        # qr_delete's orthogonal factor: the rotations reach these rows as
+        # they reach the factor's; the rows below k stay 0
+        self._q = np.zeros((n, n), order="F")
+        self.whitened = self._q[:k]
+        self._dtrtrs = dtrtrs
+        self.whitened.T[...] = self._solve(rows[:, ::-1].T)
+        # [t, s]: kernel between proposal t and column s, current or proposed,
+        # rounded as in se_kernel
+        ls2 = kernel.length_scale**2
+        self._cross = np.exp(-0.5 * sq_distances(proposals, scores) / ls2)
+        self._moved = np.exp(-0.5 * sq_distances(proposals, proposals) / ls2)
+        self._row_columns = np.ascontiguousarray(rows.T)
+        self._rhs = np.zeros(n)    # the last entry is 0 for every solve
+        # the core routine under scipy's batch wrapper, whose checks cost
+        # about as much as the rotations
+        self._qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
+        self._next = 0
+        self._proposed: tuple[float, np.ndarray] | None = None
+
+    def _solve(self, rhs: np.ndarray, overwrite: int = 0) -> np.ndarray:
+        """upper.T^-1 rhs; with ``overwrite`` a 1-d float rhs is solved in place."""
+        solved, info = self._dtrtrs(self.upper, rhs, lower=0, trans=1, overwrite_b=overwrite)
         if info:
             raise CholeskyFailure("column factor became singular")
-        w, a = solved[:-1, :2], solved[:-1, 2:]
-        var = self.variance - (w * w).sum(axis=0)
-        kept = np.empty(n)
-        kept[:-1] = w[:, 0]
-        kept[-1] = np.sqrt(var[0])
-        if not var[1] > 0.0:
-            return None, None, kept
-        moved = np.empty(n)
-        moved[:-1] = w[:, 1]
-        moved[-1] = np.sqrt(var[1])
-        resid = rows[:, j][None, :] - w.T @ a                      # (2, k)
-        # two entries: Python floats round exactly as the array ops would
-        cur, prop = (-0.5 * (k * log_v + ss / v) for log_v, ss, v in zip(
-            np.log(var).tolist(), (resid * resid).sum(axis=1).tolist(), var.tolist()))
-        return prop - cur, moved, kept
+        return solved
 
-    def append(self, column: np.ndarray) -> None:
-        """Complete ``column_delta``: the dropped column comes back as the last
-        column of the factor, with last factor column ``column``."""
-        self.upper[:, -1] = column
+    def column_delta(self, t: int) -> float | None:
+        """Move column t to the end of the factor, then score moving it to its
+        proposal: the change in the summed log-density of the rows, or None
+        when the proposal's conditional variance is not positive. Columns
+        are visited in the order 0, 1, ..., n-1."""
+        if t != self._next:
+            raise ValueError(f"columns are visited in order: expected {self._next}, got {t}")
+        self._next += 1
+        buffer, n = self._buffer, self.upper.shape[0]
+        p = n - 1 - t
+        buffer[:, n] = buffer[:, p]
+        self._qr_delete(self._q, buffer, p, which="col", overwrite_qr=True,
+                        check_finite=False)
+        # the proposal's kernel row in factor order: the unvisited columns
+        # n-1, ..., t+1, then the visited 0, ..., t-1
+        rhs = self._rhs
+        rhs[:p] = self._cross[t, n - 1:t:-1]
+        rhs[p:-1] = self._cross[t, :t]
+        self._solve(rhs, overwrite=1)
+        rhs[-1] = 0.0
+        var = self._variance - float(rhs @ rhs)
+        self._proposed = None
+        if not var > 0.0:
+            return None
+        resid = self._row_columns[t] - self.whitened @ rhs
+        self._proposed = (var, resid)
+        k = self._n_rows
+        r_last = float(self.upper[-1, -1])
+        current = self.whitened[:, -1]
+        cur = -0.5 * (k * math.log(r_last * r_last) + float(current @ current))
+        prop = -0.5 * (k * math.log(var) + float(resid @ resid) / var)
+        return prop - cur
+
+    def accept(self) -> None:
+        """Move the column last scored to its proposal."""
+        if self._proposed is None:
+            raise ValueError("no scored proposal to accept")
+        var, resid = self._proposed
+        t, sd = self._next - 1, math.sqrt(var)
+        self.upper[:-1, -1] = self._rhs[:-1]
+        self.upper[-1, -1] = sd
+        self.whitened[:, -1] = resid / sd
+        self._cross[t + 1:, t] = self._moved[t + 1:, t]
+        self._proposed = None
 
 
 def gp_marginal_loglik_ratio(residual: np.ndarray, kernel: KernelMatrix, sigma2: float) -> float:
@@ -226,11 +246,17 @@ def gp_marginal_loglik_ratio(residual: np.ndarray, kernel: KernelMatrix, sigma2:
     return -0.5 * (logdet - n * np.log(sigma2)) - 0.5 * (float(w @ w) - float(r @ r) / sigma2)
 
 
-def marginal_ratio_rows(residuals: np.ndarray, kernel: KernelMatrix, sigma2: np.ndarray) -> np.ndarray:
+def marginal_ratio_rows(residuals: np.ndarray, kernel: KernelMatrix, sigma2: np.ndarray,
+                        proj: np.ndarray | None = None) -> np.ndarray:
     """Vectorized gp_marginal_loglik_ratio over the rows of an (m, n) residual
-    matrix with per-row noise variances, via one eigendecomposition."""
+    matrix with per-row noise variances, via one eigendecomposition.
+
+    ``proj`` is ``residuals @ U`` for the kernel's eigenvectors U, when the
+    caller has already formed it.
+    """
     d, U = kernel.eigensystem()
-    proj = residuals @ U                       # (m, n)
+    if proj is None:
+        proj = residuals @ U                   # (m, n)
     s2 = np.asarray(sigma2, dtype=float)[:, None]
     logdet_term = np.sum(np.log1p(d[None, :] / s2), axis=1)
     quad_term = np.sum(proj * proj * (d[None, :] / (s2 * (d[None, :] + s2))), axis=1)

@@ -3,7 +3,9 @@
 A refactor of the samplers must leave every draw unchanged for a fixed seed.
 Each fit below runs in one subprocess with one BLAS thread, and its retained
 arrays and Metropolis acceptance ledger are reduced to one sha256. A change
-that alters draws on purpose updates these pins and says so.
+that alters draws on purpose updates these pins and says so. The gp fits at
+n = 100 are the benchmark's size, where a score-column decision that a
+faster GP term flips would show first.
 """
 
 import json
@@ -14,12 +16,30 @@ from pathlib import Path
 
 import factorint
 
-GOLDEN_SCRIPT = """
+HASH_FITS = """
 import hashlib, json
 import numpy as np
+from factorint.simulate import fit_spec
+
+def hash_fits(specs, data, settings):
+    out = {}
+    for name, spec in specs.items():
+        draws = fit_spec(spec, data, settings)
+        h = hashlib.sha256()
+        arrays = sorted(draws.values.items())
+        if draws.mh_accept_counts is not None:
+            arrays.append(("mh_accept_counts", draws.mh_accept_counts))
+        for key, arr in arrays:
+            arr = np.ascontiguousarray(arr)
+            h.update(f"{key}:{arr.dtype.str}:{arr.shape};".encode())
+            h.update(arr.tobytes())
+        out[name] = h.hexdigest()
+    return out
+"""
+
+GOLDEN_SCRIPT = HASH_FITS + """
 from factorint import (InterProbModel, LoadProbModel, McmcSettings, generate_saddle_dataset,
                        gp_spec, mult_spec, two_factor_null_spec)
-from factorint.simulate import fit_spec
 
 data, truth = generate_saddle_dataset(40, 30, 0.2, seed=6)
 groups = {k: frozenset(int(i) for i in v) for k, v in truth.seed_groups.items()}
@@ -33,20 +53,23 @@ specs = {
     **{f"gp{v}": gp_spec(v, seed_groups=groups) for v in range(1, 6)},
     "gp1_no_seed_groups": gp_spec(1),
 }
-settings = McmcSettings(n_iters=80, burn_in=40, seed=3)
-out = {}
-for name, spec in specs.items():
-    draws = fit_spec(spec, data, settings)
-    h = hashlib.sha256()
-    arrays = sorted(draws.values.items())
-    if draws.mh_accept_counts is not None:
-        arrays.append(("mh_accept_counts", draws.mh_accept_counts))
-    for key, arr in arrays:
-        arr = np.ascontiguousarray(arr)
-        h.update(f"{key}:{arr.dtype.str}:{arr.shape};".encode())
-        h.update(arr.tobytes())
-    out[name] = h.hexdigest()
-print(json.dumps(out))
+print(json.dumps(hash_fits(specs, data, McmcSettings(n_iters=80, burn_in=40, seed=3))))
+"""
+
+# gp_saddle's data and chain seeds and prior, cut to 40 iterations; ls = 0.5
+# couples the columns more, and variant 2 puts one shared row under the prior
+GP100_SCRIPT = HASH_FITS + """
+from factorint import BetaTable, McmcSettings, generate_saddle_dataset, gp_spec
+
+data, truth = generate_saddle_dataset(100, 100, 0.1, seed=7)
+groups = {k: frozenset(int(i) for i in v) for k, v in truth.seed_groups.items()}
+beta = BetaTable(default=(1.0, 10.0))
+specs = {
+    "gp1_ls0.2": gp_spec(1, seed_groups=groups, inter_prob_prior=beta),
+    "gp1_ls0.5": gp_spec(1, length_scale=0.5, seed_groups=groups, inter_prob_prior=beta),
+    "gp2_ls0.2": gp_spec(2, seed_groups=groups, inter_prob_prior=beta),
+}
+print(json.dumps(hash_fits(specs, data, McmcSettings(n_iters=40, burn_in=20, seed=8))))
 """
 
 PINNED = {
@@ -64,14 +87,28 @@ PINNED = {
 }
 
 
-def test_short_fits_reproduce_pinned_draws():
+PINNED_GP100 = {
+    "gp1_ls0.2": "f0d257f21484e0cf0f75ae9c4cae8484c166b860480e1ece660350119ede7ee6",
+    "gp1_ls0.5": "81d5ef6f9199a7304cabb82796ecac7edc4fa6c38accf54a2d4e79c8791d168e",
+    "gp2_ls0.2": "7879617e83cf6a66d1c0882d48425e1640f1bc47742ff97b8004141fdb4afb11",
+}
+
+
+def run_hashes(script: str) -> dict[str, str]:
     src = Path(factorint.__file__).resolve().parents[1]
     env = {k: v for k, v in os.environ.items()
            if k not in ("OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     env["OPENBLAS_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", GOLDEN_SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    hashes = json.loads(done.stdout.strip().splitlines()[-1])
-    assert hashes == PINNED
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_short_fits_reproduce_pinned_draws():
+    assert run_hashes(GOLDEN_SCRIPT) == PINNED
+
+
+def test_gp_fits_at_the_benchmark_size_reproduce_pinned_draws():
+    assert run_hashes(GP100_SCRIPT) == PINNED_GP100

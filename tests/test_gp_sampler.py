@@ -27,7 +27,7 @@ from factorint.gp import (
     shared_effect_posterior,
     update_shared_effect,
 )
-from factorint.kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows
+from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows
 from factorint.model import build_layout
 from factorint.mult import _logit, initial_state
 from factorint.rng import stream
@@ -366,7 +366,7 @@ class TestColumnDataDeltas:
 
 
 class TestColumnFactorSweep:
-    """The O(n^2) factor-update sweep against the full-rebuild reference."""
+    """The sweep through ``SweepFactor`` against the full-rebuild reference."""
 
     @pytest.mark.parametrize("variant, active", [(1, True), (1, False), (2, True)])
     def test_sweep_matches_full_rebuild_loop(self, variant, active):
@@ -429,21 +429,26 @@ class TestColumnFactorSweep:
         assert rows.shape[0] > 0
         kernel = chain.kernel
         gp_cur = gp_prior_logdens(kernel, st, spec)
-        factor = ColumnFactor(kernel)
         rng = np.random.default_rng(1)
+        proposals, uniforms = np.empty_like(st.scores), np.empty(data.n_samples)
         for j in range(data.n_samples):
-            proposal = st.scores[:, j] + chain.rw_step * rng.standard_normal(2)
+            proposals[:, j] = st.scores[:, j] + chain.rw_step * rng.standard_normal(2)
+            uniforms[j] = rng.random()
+        factor = SweepFactor(kernel, st.scores, proposals, rows)
+        accepted = 0
+        for j in range(data.n_samples):
             delta, kernel_prop, gp_prop = column_delta_log_joint(
-                st, data, spec, kernel, j, proposal, gp_cur)
+                st, data, spec, kernel, j, proposals[:, j], gp_cur)
             assert kernel_prop.jitter == kernel.jitter
-            fast, moved, kept = factor.column_delta(st.scores, j, proposal, rows)
+            fast = factor.column_delta(j)
             reference = gp_prop - gp_cur
             assert abs(fast - reference) <= rtol * max(1.0, abs(reference))
-            accept = np.log(rng.random()) < delta
-            factor.append(moved if accept else kept)
-            if accept:
-                st.scores[:, j] = proposal
+            if np.log(uniforms[j]) < delta:
+                factor.accept()
+                st.scores[:, j] = proposals[:, j]
                 kernel, gp_cur = kernel_prop, gp_prop
+                accepted += 1
+        assert 0 < accepted < data.n_samples
 
 
 class TestChainContracts:

@@ -447,6 +447,17 @@ def fitted(tmp_path_factory):
     return out
 
 
+# each names a file that does not exist, relative to the working directory
+MISSING_FILE_CASES = [
+    ("fit", "paths.data=no/such/data.csv"),
+    ("summarize", "paths.draws=no/such/draws.bin"),
+    ("detect", "paths.draws=no/such/draws.bin"),
+    ("export-surface", "paths.draws=no/such/draws.bin"),
+    ("compare", "paths.data=no/such/data.csv"),
+    ("compare", "paths.truth=no/such/truth.bin"),
+]
+
+
 class TestCli:
     def test_simulate_fit_summarize_deterministic(self, tmp_path):
         outs = []
@@ -576,6 +587,10 @@ class TestCli:
         ("detect", "detect.threshold=abc"),
         ("export-surface", "surface.feature=999"),
         ("export-surface", "surface.feature=-1"),
+        ("simulate", "simulate.noise_scale=nan"),
+        ("simulate", "simulate.noise_scale=-1"),
+        ("simulate", "simulate.noise_scale=0"),
+        *MISSING_FILE_CASES,
     ])
     def test_bad_config_value_prints_one_config_error(self, fitted, tmp_path, capsys,
                                                       command, setting):
@@ -586,6 +601,9 @@ class TestCli:
                              "overlap.observed=0"],
             "detect": [f"paths.draws={fitted / 'draws.bin'}"],
             "export-surface": [f"paths.draws={fitted / 'draws.bin'}"],
+            "summarize": [f"paths.draws={fitted / 'draws.bin'}"],
+            "compare": [f"paths.data={fitted / 'data.csv'}", f"paths.truth={fitted / 'draws.bin'}",
+                        "compare.specs=gp1.cfg"],
         }[command]
         args = [command, "--output-dir", str(tmp_path)]
         for item in valid + [setting]:
@@ -594,6 +612,18 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ERROR ConfigError:")
+
+    @pytest.mark.parametrize("command, setting", MISSING_FILE_CASES)
+    def test_missing_input_file_names_the_key(self, fitted, tmp_path, capsys, command, setting):
+        key, path = setting.split("=")
+        args = [command, "--output-dir", str(tmp_path), "--set", setting,
+                "--set", "surface.feature=0", "--set", "compare.specs=gp1.cfg"]
+        for other in ("paths.data", "paths.draws", "paths.truth"):
+            if other != key:
+                args += ["--set", f"{other}={fitted / 'data.csv'}"]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: {key}: no such file {path!r}"]
 
     @pytest.mark.parametrize("case", ["no_arrays", "list_header", "unknown_dtype",
                                       "shape_against_nbytes"])

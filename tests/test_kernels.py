@@ -7,7 +7,7 @@ from scipy.linalg.lapack import dtrtrs
 from scipy.stats import multivariate_normal
 
 from factorint import CholeskyFailure, ShapeMismatch, gp_marginal_loglik_ratio, se_kernel
-from factorint.kernels import ColumnFactor, KernelMatrix, marginal_ratio_rows
+from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, sq_distances
 
 
 class TestSeKernel:
@@ -56,6 +56,16 @@ class TestSeKernel:
             if previous is not None:
                 assert (K - previous >= -1e-15).all()
             previous = K
+
+    def test_distances_match_pdist_bit_for_bit(self):
+        from scipy.spatial.distance import pdist, squareform
+
+        rng = np.random.default_rng(9)
+        for _ in range(300):
+            L, n = int(rng.integers(1, 5)), int(rng.integers(1, 121))
+            scores = rng.normal(scale=rng.uniform(0.1, 3.0), size=(L, n))
+            np.testing.assert_array_equal(sq_distances(scores, scores),
+                                          squareform(pdist(scores.T, "sqeuclidean")))
 
     def test_cholesky_reconstruction(self):
         rng = np.random.default_rng(5)
@@ -122,6 +132,15 @@ class TestMarginalLoglikRatio:
                                       np.array([sigma2, sigma2]))
         np.testing.assert_allclose(batched[0], direct, atol=1e-8)
 
+    def test_precomputed_projection_gives_the_same_bits(self):
+        rng = np.random.default_rng(10)
+        k = se_kernel(rng.normal(size=(2, 9)), 0.5)
+        residuals = rng.normal(size=(6, 9))
+        sigma2 = rng.uniform(0.3, 2.0, size=6)
+        proj = residuals @ k.eigensystem()[1]
+        np.testing.assert_array_equal(marginal_ratio_rows(residuals, k, sigma2, proj=proj),
+                                      marginal_ratio_rows(residuals, k, sigma2))
+
     def test_shape_mismatch_rejected(self):
         k = se_kernel(np.zeros((1, 3)), 0.2)
         with pytest.raises(ShapeMismatch):
@@ -153,70 +172,26 @@ def exact_gp_logdens(scores, length_scale, jitter, rows):
         return total
 
 
-class TestColumnFactor:
-    def test_nonpositive_conditional_variance_gives_no_delta(self):
-        # zero jitter, identity kernel: column 1 moved onto column 0 is singular
-        scores = np.array([[0.0, 50.0, 100.0]])
-        kernel = KernelMatrix(np.eye(3), 0.2, 0.0, np.eye(3))
-        factor = ColumnFactor(kernel)
-        rows = np.array([[0.5, -1.0, 2.0]])
-        delta, moved, kept = factor.column_delta(scores, 1, np.array([0.0]), rows)
-        assert delta is None and moved is None
-        np.testing.assert_array_equal(kept, [0.0, 0.0, 1.0])
-        factor.append(kept)
-        np.testing.assert_array_equal(factor.order, [0, 2, 1])
+class ReferenceColumnFactor:
+    """The score-column factor the sampler used before ``SweepFactor``: it
+    drops column j from the whole factor (``qr_delete`` through every later
+    position, rotating an n x n scratch Q as well), solves for the kernel
+    rows at the current and the proposed column and for every GP row, then
+    appends the kept or the moved column. Columns may come in any order."""
 
-    def test_factor_tracks_the_moved_kernel(self):
-        rng = np.random.default_rng(8)
-        scores = rng.normal(size=(2, 15))
-        kernel = se_kernel(scores, 0.6)
-        factor = ColumnFactor(kernel)
-        rows = rng.normal(size=(2, 15))
-        for j in (4, 0, 14, 4):
-            proposal = scores[:, j] + 0.2 * rng.normal(size=2)
-            _, moved, _ = factor.column_delta(scores, j, proposal, rows)
-            factor.append(moved)
-            scores[:, j] = proposal
-        C = se_kernel(scores, 0.6).K + kernel.jitter * np.eye(15)
-        order = factor.order
-        np.testing.assert_allclose(factor.upper.T @ factor.upper, C[np.ix_(order, order)],
-                                   atol=1e-12)
-
-    def test_delta_accuracy_against_mpmath_oracle(self):
-        # n = 50, ls = 1.0 and cond(K + jitter*I) about 1e10. Both paths then
-        # err by about 1e-8 to 1e-7 of the delta, the floor that rounding the
-        # kernel entries sets; neither is closer on every proposal (here the
-        # factor's worst error is 1.2x the rebuild's), so the factor, through
-        # a run of drops and appends, must stay within 2x of the rebuild
-        rng = np.random.default_rng(5)
-        scores = 1.25 * rng.normal(size=(2, 50))
-        kernel = se_kernel(scores, 1.0)
-        assert 5e9 < np.linalg.cond(kernel.regularized()) < 5e10
-        rows = (kernel.chol @ rng.normal(size=(50, 2))).T
-        current = exact_gp_logdens(scores, 1.0, kernel.jitter, rows)
-        factor = ColumnFactor(kernel)
-        fast_err, full_err = [], []
-        for j in range(8):
-            proposal = scores[:, j] + 0.1 * rng.normal(size=2)
-            fast, _, kept = factor.column_delta(scores, j, proposal, rows)
-            factor.append(kept)
-            moved = scores.copy()
-            moved[:, j] = proposal
-            rebuilt = se_kernel(moved, 1.0)
-            assert rebuilt.jitter == kernel.jitter
-            full = rebuilt.logdens(rows) - kernel.logdens(rows)
-            exact = exact_gp_logdens(moved, 1.0, kernel.jitter, rows) - current
-            fast_err.append(abs(float(fast - exact)))
-            full_err.append(abs(float(full - exact)))
-        assert max(fast_err) <= 2.0 * max(full_err)
-
-
-class ReferenceColumnFactor(ColumnFactor):
-    """``ColumnFactor.column_delta`` as first written: a search for j's position,
-    scipy's public ``qr_delete`` and fresh arrays for every intermediate. The
-    lean path must reproduce it bit for bit."""
+    def __init__(self, kernel):
+        self.length_scale = kernel.length_scale
+        self.variance = 1.0 + kernel.jitter
+        self.upper = np.array(kernel.chol.T, order="F")
+        self.order = np.arange(kernel.n)
+        self._q = np.eye(kernel.n, order="F")
 
     def column_delta(self, scores, j, proposal, rows):
+        """(delta, moved, kept): the change in the summed log-density of
+        ``rows`` for moving column j to ``proposal``, and the last factor
+        column for j at the proposal and at its current position; delta and
+        moved are None when the proposal's conditional variance is not
+        positive. One of the columns must go to ``append`` next."""
         p = int(np.flatnonzero(self.order == j)[0])
         qr_delete(self._q, self.upper, p, which="col", overwrite_qr=True, check_finite=False)
         self.order[p:-1] = self.order[p + 1:]
@@ -242,60 +217,149 @@ class ReferenceColumnFactor(ColumnFactor):
         logdens = -0.5 * (rows.shape[0] * np.log(var) + np.sum(resid * resid, axis=1) / var)
         return float(logdens[1] - logdens[0]), np.append(w[:, 1], np.sqrt(var[1])), kept
 
+    def append(self, column):
+        self.upper[:, -1] = column
+
+
+def identity_kernel_case():
+    """Zero jitter and an identity kernel: proposing column 1 onto column 0
+    makes its conditional variance exactly 0."""
+    scores = np.array([[0.0, 50.0, 100.0]])
+    kernel = KernelMatrix(np.eye(3), 0.2, 0.0, np.eye(3))
+    proposals = np.array([[25.0, 0.0, 75.0]])
+    rows = np.array([[0.5, -1.0, 2.0]])
+    return scores, kernel, proposals, rows
+
+
+class TestColumnFactor:
+    """``SweepFactor``, the factor that scores the score-column moves."""
+
+    def test_nonpositive_conditional_variance_gives_no_delta(self):
+        scores, kernel, proposals, rows = identity_kernel_case()
+        factor = SweepFactor(kernel, scores, proposals, rows)
+        assert factor.column_delta(0) is not None
+        assert factor.column_delta(1) is None
+        with pytest.raises(ValueError):
+            factor.accept()
+        # column 1 came to the end and stays at its current value
+        np.testing.assert_array_equal(np.abs(factor.upper), np.eye(3))
+        np.testing.assert_array_equal(np.abs(factor.whitened[:, -1]), [1.0])
+        assert factor.column_delta(2) is not None
+
+    def test_factor_tracks_the_moved_kernel(self):
+        rng = np.random.default_rng(8)
+        scores = rng.normal(size=(2, 15))
+        kernel = se_kernel(scores, 0.6)
+        rows = rng.normal(size=(2, 15))
+        proposals = scores + 0.2 * rng.normal(size=(2, 15))
+        factor = SweepFactor(kernel, scores, proposals, rows)
+        for j in range(15):
+            assert factor.column_delta(j) is not None
+            if j % 3 == 0:
+                factor.accept()
+                scores[:, j] = proposals[:, j]
+        # after a whole sweep the factor order is the column order again
+        C = se_kernel(scores, 0.6).K + kernel.jitter * np.eye(15)
+        np.testing.assert_allclose(factor.upper.T @ factor.upper, C, atol=1e-12)
+        np.testing.assert_allclose(factor.upper.T @ factor.whitened.T, rows.T, atol=1e-12)
+
+    def test_delta_accuracy_against_mpmath_oracle(self):
+        # n = 50, ls = 1.0 and cond(K + jitter*I) about 1e10. Both paths then
+        # err by about 1e-8 to 1e-7 of the delta, the floor that rounding the
+        # kernel entries sets; neither is closer on every proposal (here the
+        # factor's worst error is 1.2x the rebuild's), so the factor, through
+        # a run of rotations, must stay within 2x of the rebuild
+        rng = np.random.default_rng(5)
+        scores = 1.25 * rng.normal(size=(2, 50))
+        kernel = se_kernel(scores, 1.0)
+        assert 5e9 < np.linalg.cond(kernel.regularized()) < 5e10
+        rows = (kernel.chol @ rng.normal(size=(50, 2))).T
+        current = exact_gp_logdens(scores, 1.0, kernel.jitter, rows)
+        proposals = scores.copy()
+        for j in range(8):
+            proposals[:, j] += 0.1 * rng.normal(size=2)
+        factor = SweepFactor(kernel, scores, proposals, rows)
+        fast_err, full_err = [], []
+        for j in range(8):
+            fast = factor.column_delta(j)
+            moved = scores.copy()
+            moved[:, j] = proposals[:, j]
+            rebuilt = se_kernel(moved, 1.0)
+            assert rebuilt.jitter == kernel.jitter
+            full = rebuilt.logdens(rows) - kernel.logdens(rows)
+            exact = exact_gp_logdens(moved, 1.0, kernel.jitter, rows) - current
+            fast_err.append(abs(float(fast - exact)))
+            full_err.append(abs(float(full - exact)))
+        assert max(fast_err) <= 2.0 * max(full_err)
+
+    def test_single_column(self):
+        # with one column the kernel is [[1]] wherever the score moves
+        kernel = se_kernel(np.array([[0.3]]), 0.2)
+        factor = SweepFactor(kernel, np.array([[0.3]]), np.array([[1.7]]),
+                             np.array([[0.4], [-2.0]]))
+        assert abs(factor.column_delta(0)) < 1e-12
+        factor.accept()
+        np.testing.assert_allclose(factor.upper, [[np.sqrt(1.0 + kernel.jitter)]], rtol=1e-15)
+
+    def test_columns_are_visited_in_order(self):
+        scores, kernel, proposals, rows = identity_kernel_case()
+        factor = SweepFactor(kernel, scores, proposals, rows)
+        with pytest.raises(ValueError):
+            factor.column_delta(1)
+        with pytest.raises(ValueError):
+            factor.accept()
+
+
+def reference_sweep(kernel, scores, proposals, rows, decide):
+    """Deltas of one sweep over columns 0..n-1 through ``ReferenceColumnFactor``;
+    ``decide(j, delta)`` accepts or rejects each move."""
+    scores = scores.copy()
+    factor = ReferenceColumnFactor(kernel)
+    deltas = []
+    for j in range(scores.shape[1]):
+        delta, moved, kept = factor.column_delta(scores, j, proposals[:, j], rows)
+        deltas.append(delta)
+        if delta is not None and decide(j, delta):
+            scores[:, j] = proposals[:, j]
+            factor.append(moved)
+        else:
+            factor.append(kept)
+    return deltas
+
 
 class TestLeanColumnFactor:
-    """The lean per-proposal path against ``ReferenceColumnFactor``."""
+    """The lean per-proposal path, whole sweeps of ``SweepFactor``, against
+    ``ReferenceColumnFactor``."""
 
-    @pytest.mark.parametrize("n_rows", [1, 5])
-    def test_random_moves_match_the_reference_bit_for_bit(self, n_rows):
+    @pytest.mark.parametrize("n_rows", [1, 5, 60])
+    def test_sweeps_match_the_reference(self, n_rows):
+        # 1 row is the shared effect's case, 60 rows exceed the 25 columns
         rng = np.random.default_rng(60 + n_rows)
         scores = rng.normal(size=(2, 25))
-        kernel = se_kernel(scores, 0.5)
-        rows = (kernel.chol @ rng.normal(size=(25, n_rows))).T
-        lean, reference = ColumnFactor(kernel), ReferenceColumnFactor(kernel)
-        accepted = 0
-        for j in rng.integers(0, 25, size=120):
-            proposal = scores[:, j] + 0.3 * rng.normal(size=2)
-            got = lean.column_delta(scores, j, proposal, rows)
-            want = reference.column_delta(scores, j, proposal, rows)
-            assert got[0] == want[0]
-            for a, b in zip(got[1:], want[1:]):
-                np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(lean.order, reference.order)
-            assert lean.order[lean.position[j]] == j
-            np.testing.assert_array_equal(lean.order[lean.position], np.arange(25))
-            accept = rng.random() < 0.4
-            lean.append(got[1] if accept else got[2])
-            reference.append(want[1] if accept else want[2])
-            np.testing.assert_array_equal(lean.upper, reference.upper)
-            if accept:
-                scores[:, j] = proposal
-                accepted += 1
-        assert 20 < accepted < 100
-
-    def test_returned_columns_are_not_reused(self):
-        rng = np.random.default_rng(64)
-        scores = rng.normal(size=(2, 12))
-        kernel = se_kernel(scores, 0.6)
-        rows = rng.normal(size=(3, 12))
-        factor = ColumnFactor(kernel)
-        _, moved, kept = factor.column_delta(scores, 3, scores[:, 3] + 0.1, rows)
-        saved_moved, saved_kept = moved.copy(), kept.copy()
-        factor.append(kept)
-        later = factor.column_delta(scores, 7, scores[:, 7] - 0.2, rows)
-        factor.append(later[1])
-        np.testing.assert_array_equal(moved, saved_moved)
-        np.testing.assert_array_equal(kept, saved_kept)
-        for column in later[1:]:
-            assert not np.shares_memory(column, factor.upper)
-            assert not np.shares_memory(column, factor._rhs)
+        accepted = rejected = 0
+        for _ in range(3):
+            kernel = se_kernel(scores, 0.2)
+            rows = (kernel.chol @ rng.normal(size=(25, n_rows))).T
+            proposals = scores + 0.3 * rng.normal(size=(2, 25))
+            decisions = rng.random(25) < 0.4
+            want = reference_sweep(kernel, scores, proposals, rows,
+                                   lambda j, _: decisions[j])
+            factor = SweepFactor(kernel, scores, proposals, rows)
+            for j in range(25):
+                got = factor.column_delta(j)
+                assert abs(got - want[j]) <= 1e-8 * max(1.0, abs(want[j]))
+                if decisions[j]:
+                    factor.accept()
+                    scores[:, j] = proposals[:, j]
+                    accepted += 1
+                else:
+                    rejected += 1
+        assert accepted > 10 and rejected > 10
 
     def test_nonpositive_variance_matches_the_reference(self):
-        scores = np.array([[0.0, 50.0, 100.0]])
-        kernel = KernelMatrix(np.eye(3), 0.2, 0.0, np.eye(3))
-        rows = np.array([[0.5, -1.0, 2.0]])
-        lean, reference = ColumnFactor(kernel), ReferenceColumnFactor(kernel)
-        got = lean.column_delta(scores, 1, np.array([0.0]), rows)
-        want = reference.column_delta(scores, 1, np.array([0.0]), rows)
-        assert got[:2] == want[:2] == (None, None)
-        np.testing.assert_array_equal(got[2], want[2])
+        scores, kernel, proposals, rows = identity_kernel_case()
+        want = reference_sweep(kernel, scores, proposals, rows, lambda j, _: False)
+        factor = SweepFactor(kernel, scores, proposals, rows)
+        got = [factor.column_delta(j) for j in range(3)]
+        assert got[1] is want[1] is None
+        np.testing.assert_allclose([got[0], got[2]], [want[0], want[2]], rtol=1e-15)

@@ -1,5 +1,6 @@
-"""The benchmark tracer's targets exist in the package, and the CLI imports
-them without scipy's heavy submodules.
+"""The benchmark tracer's targets exist in the package, the CLI imports
+them without scipy's heavy submodules, and a gp fit loads no
+``scipy.spatial``.
 
 ``bench/tracer.py`` wraps the functions and methods it lists by name when a
 traced benchmark run starts, so a rename or a move inside ``factorint`` would
@@ -85,3 +86,31 @@ def test_cli_imports_traced_modules_and_no_scipy_submodules(tmp_path):
     traced = {f"factorint.{layer}" for table in (tracer.FUNCTIONS, tracer.METHODS)
               for layer in table}
     assert traced <= set(report["imported"])
+
+
+GP_FIT_SCRIPT = """
+import json, sys
+import factorint.cli as cli
+data, out = sys.argv[1], sys.argv[2]
+code = cli.main(["fit", "--output-dir", out, "--set", "paths.data=" + data,
+                 "--set", "model.family=gp", "--set", "mcmc.iters=40",
+                 "--set", "mcmc.burn_in=20"])
+print(json.dumps({"code": code,
+                  "scipy": sorted(name for name in sys.modules if name.startswith("scipy."))}))
+"""
+
+
+def test_gp_fit_loads_no_scipy_spatial(tmp_path):
+    rng = np.random.default_rng(1)
+    fio.write_data_csv(tmp_path / "data.csv", standardize_rows(rng.normal(size=(6, 8))))
+    src = Path(factorint.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", GP_FIT_SCRIPT, str(tmp_path / "data.csv"),
+                           str(tmp_path)], env=env, check=True, capture_output=True, text=True,
+                          timeout=120)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report["code"] == 0, done.stderr
+    assert (tmp_path / "draws.bin").exists()
+    assert "scipy.linalg" in report["scipy"]
+    assert not [name for name in report["scipy"] if name.startswith("scipy.spatial")]
