@@ -74,7 +74,7 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
     d, U = kernel.eigensystem()
     proj = R @ U
     llr = marginal_ratio_rows(R, kernel, state.noise_var, proj=proj)
-    mask = draw_indicators(rng, state.inter_prob, llr, layout.fixed_inter)
+    mask = draw_indicators(rng, state.inter_prob, llr, layout.inter.fixed)
 
     s2 = state.noise_var[:, None]
     gain = d[None, :] / (d[None, :] + s2)
@@ -119,7 +119,7 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
     quad = R @ fstar
     ss = float(fstar @ fstar)
     mask = draw_indicators(rng, state.inter_prob, (quad - 0.5 * ss) / state.noise_var,
-                           layout.fixed_inter)
+                           layout.inter.fixed)
     state.inter_mask = mask.astype(np.int8)
     state.effects = np.where(mask[:, None], fstar[None, :], 0.0)
 
@@ -245,7 +245,7 @@ class GpChain:
             update_effect_rows(self.state, self.data, self.spec, self.layout,
                                self.kernel, self.streams.get("effects"))
         update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
-        update_probs(self.state, self.spec, self.layout, self.streams.get("probs"))
+        update_probs(self.state, self.layout, self.streams.get("probs"))
         self.iteration += 1
 
 
@@ -282,4 +282,4 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 
     a, b = spec.noise_prior
     total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
-    return total + inclusion_log_density(state, spec, layout)
+    return total + inclusion_log_density(state, layout)

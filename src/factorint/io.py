@@ -61,12 +61,12 @@ model.slab_var_loading    slab variance of the loadings (default 10)
 model.slab_var_inter      slab variance of the interaction loadings (default 10)
 model.noise_shape         inverse-gamma shape (default 2.1)
 model.noise_scale         inverse-gamma scale (default 1.1)
-model.load_prob_model     per_entry | grouped
-model.inter_prob_model    per_feature | global | grouped
+model.load_prob_model     per_entry | grouped (one probability per entry | per group label)
+model.inter_prob_model    per_feature | global | grouped (global: one for all features)
 model.gamma               default Beta pair for the loading probabilities, "a, b"
-model.gamma.<group>       per-group override (expected | excluded | unknown)
-model.beta                default Beta pair for the interaction probabilities
-model.beta.<group>        per-group override (seed | unknown)
+model.gamma.<group>       pair for one label (expected | excluded | unknown), else the default
+model.beta                default Beta pair for the interaction probabilities; global uses it alone
+model.beta.<group>        pair for one label (seed | unknown), else the default; not for global
 model.seed_group.<k>      features of seed group k (1-based factor), ids or indices
 model.seed_constraints    true | false (default true)
 model.include_interactions true | false (default true)

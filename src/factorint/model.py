@@ -259,6 +259,24 @@ def _check_positive(name: str, value) -> None:
 
 def validate_spec(spec: ModelSpec) -> ModelSpec:
     """Cross-field consistency checks; returns the ModelSpec unchanged on success."""
+    for name, kind in (("family", Family), ("load_prob_model", LoadProbModel),
+                       ("inter_prob_model", InterProbModel)):
+        if not isinstance(getattr(spec, name), kind):
+            raise SpecConflict(f"{name} must be a {kind.__name__} member, "
+                               f"got {getattr(spec, name)!r}")
+    for model, table, key, names in (
+            (spec.load_prob_model, spec.load_prob_prior, "model.gamma", LOAD_GROUPS),
+            (spec.inter_prob_model, spec.inter_prob_prior, "model.beta", INTER_GROUPS)):
+        if model is InterProbModel.GLOBAL and (table.groups or table.entries):
+            raise SpecConflict(
+                f"{key}: the global inclusion probability takes the default Beta pair only, "
+                f"got overrides {sorted(table.groups) + sorted(table.entries)}")
+        if model in (LoadProbModel.GROUPED, InterProbModel.GROUPED) and table.entries:
+            raise SpecConflict(f"{key}: grouped inclusion probabilities take no per-entry "
+                               f"Beta pairs, got {sorted(table.entries)}")
+        unknown = sorted(set(table.groups) - set(names))
+        if unknown:
+            raise SpecConflict(f"{key}: unknown group {unknown}, expected one of {names}")
     if spec.n_factors < 2:
         raise InvalidFactorCount(f"need at least 2 factors, got {spec.n_factors}")
     _check_positive("slab_var_loading", spec.slab_var_loading)
@@ -316,23 +334,69 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
 
 
 @dataclass(frozen=True)
-class PriorLayout:
-    """Per-entry expansion of the prior bookkeeping for a given feature count.
+class InclusionPrior:
+    """Beta prior of one block of inclusion probabilities, resolved per entry.
 
-    ``fixed_*`` hold NaN where the probability is free and 0/1 where it is
-    degenerate. ``*_group`` hold integer labels into LOAD_GROUPS /
-    INTER_GROUPS. Interaction arrays are (m,) for the gp family and
-    (m, n_pairs) for the multiplicative families.
+    ``fixed`` holds NaN where the probability is free and 0/1 where it is
+    degenerate; ``group`` holds each entry's integer label into LOAD_GROUPS or
+    INTER_GROUPS. Entries that take the same probability form a share:
+    ``share`` holds each entry's share index, ``a``/``b`` one Beta pair per
+    share, and ``trials`` how many indicators each share's count runs over,
+    namely the entries marked ``counted``.
     """
 
-    fixed_load: np.ndarray
-    load_group: np.ndarray
-    load_a: np.ndarray
-    load_b: np.ndarray
-    fixed_inter: np.ndarray
-    inter_group: np.ndarray
-    inter_a: np.ndarray
-    inter_b: np.ndarray
+    fixed: np.ndarray
+    group: np.ndarray
+    share: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    trials: np.ndarray
+    counted: np.ndarray
+
+    @classmethod
+    def build(cls, model: LoadProbModel | InterProbModel, table: BetaTable,
+              names: Sequence[str], group: np.ndarray, fixed: np.ndarray) -> "InclusionPrior":
+        """Shares and their pairs under ``model``. Per-entry: every entry is a
+        share, whose pair is its entry override, else its group's, else the
+        default; every indicator counts, degenerate ones included. Global:
+        one share with the default pair. Grouped: one share per label present,
+        in ascending order, with the group's pair. Shared probabilities count
+        the free indicators only."""
+        by_label = np.array([table.lookup(group=name) for name in names], dtype=float)
+        counted = np.isnan(fixed)
+        if model is InterProbModel.GLOBAL:
+            share = np.zeros(fixed.shape, dtype=np.intp)
+            pairs = np.array([table.default], dtype=float)
+        elif model in (LoadProbModel.GROUPED, InterProbModel.GROUPED):
+            present, share = np.unique(group, return_inverse=True)
+            share = share.reshape(fixed.shape)
+            pairs = by_label[present]
+        else:
+            pairs = by_label[group]
+            for key, pair in table.entries.items():
+                if len(key) != fixed.ndim or not all(0 <= k < n for k, n in zip(key, fixed.shape)):
+                    raise SpecConflict(f"Beta prior entry {key} outside the shape {fixed.shape}")
+                pairs[key] = pair
+            share = np.arange(fixed.size).reshape(fixed.shape)
+            pairs = pairs.reshape(-1, 2)
+            counted = np.ones(fixed.shape, dtype=bool)
+        trials = np.bincount(share.ravel(), weights=counted.ravel(), minlength=pairs.shape[0])
+        return cls(fixed, group, share, pairs[:, 0].copy(), pairs[:, 1].copy(), trials, counted)
+
+    def prior_mean(self) -> np.ndarray:
+        """Per-entry prior mean, with degenerate entries at their fixed value."""
+        mean = (self.a / (self.a + self.b))[self.share]
+        return np.where(np.isnan(self.fixed), mean, self.fixed)
+
+
+@dataclass(frozen=True)
+class PriorLayout:
+    """The loading and interaction inclusion priors for a given feature
+    count. Loading blocks are (m, L); interaction blocks are (m,) for the gp
+    family and (m, n_pairs) for the multiplicative families."""
+
+    load: InclusionPrior
+    inter: InclusionPrior
 
 
 def build_layout(spec: ModelSpec, n_features: int) -> PriorLayout:
@@ -342,7 +406,7 @@ def build_layout(spec: ModelSpec, n_features: int) -> PriorLayout:
 
     inter_shape = (m, spec.n_pairs) if spec.is_mult else (m,)
     fixed_inter = np.full(inter_shape, np.nan)
-    inter_group = np.full(m, INTER_GROUPS.index("unknown"), dtype=np.int8)
+    inter_group = np.full(inter_shape, INTER_GROUPS.index("unknown"), dtype=np.int8)
 
     seed_union = spec.seed_union()
     if seed_union and max(seed_union) >= m:
@@ -353,16 +417,13 @@ def build_layout(spec: ModelSpec, n_features: int) -> PriorLayout:
             load_group[idx, :] = LOAD_GROUPS.index("excluded")
             load_group[idx, int(factor)] = LOAD_GROUPS.index("expected")
         seed_idx = np.fromiter(sorted(seed_union), dtype=int)
-        inter_group[seed_idx] = INTER_GROUPS.index("seed")
+        inter_group[seed_idx, ...] = INTER_GROUPS.index("seed")
         if spec.seed_constraints:
             for factor, members in spec.seed_groups.items():
                 idx = np.fromiter((int(i) for i in members), dtype=int)
                 fixed_load[idx, :] = 0.0
                 fixed_load[idx, int(factor)] = 1.0
-            if spec.is_mult:
-                fixed_inter[seed_idx, :] = 0.0
-            else:
-                fixed_inter[seed_idx] = 0.0
+            fixed_inter[seed_idx, ...] = 0.0
 
     if not spec.include_interactions:
         fixed_inter[...] = 0.0
@@ -378,31 +439,11 @@ def build_layout(spec: ModelSpec, n_features: int) -> PriorLayout:
                 raise SpecConflict(f"fixed interaction probability index {i} out of range")
             fixed_inter[i, ...] = v
 
-    load_a = np.empty((m, L))
-    load_b = np.empty((m, L))
-    for l in range(L):
-        for i in range(m):
-            a, b = spec.load_prob_prior.lookup((i, l), LOAD_GROUPS[load_group[i, l]])
-            load_a[i, l] = a
-            load_b[i, l] = b
-
-    inter_a = np.empty(inter_shape)
-    inter_b = np.empty(inter_shape)
-    if spec.is_mult:
-        for i in range(m):
-            group = INTER_GROUPS[inter_group[i]]
-            for t in range(spec.n_pairs):
-                a, b = spec.inter_prob_prior.lookup((i, t), group)
-                inter_a[i, t] = a
-                inter_b[i, t] = b
-    else:
-        for i in range(m):
-            a, b = spec.inter_prob_prior.lookup((i,), INTER_GROUPS[inter_group[i]])
-            inter_a[i] = a
-            inter_b[i] = b
-
-    return PriorLayout(fixed_load, load_group, load_a, load_b,
-                       fixed_inter, inter_group, inter_a, inter_b)
+    return PriorLayout(
+        InclusionPrior.build(spec.load_prob_model, spec.load_prob_prior, LOAD_GROUPS,
+                             load_group, fixed_load),
+        InclusionPrior.build(spec.inter_prob_model, spec.inter_prob_prior, INTER_GROUPS,
+                             inter_group, fixed_inter))
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .errors import SpecConflict
 from .model import (
     DataMatrix,
     Family,
+    InclusionPrior,
     McmcSettings,
     McmcState,
     ModelSpec,
@@ -76,53 +77,21 @@ def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarr
     return rng.random(p.shape[0]) < p
 
 
-def _entry_groups(groups: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Group label of every entry: per-feature labels repeated along the
-    trailing (factor or pair) axes."""
-    return np.broadcast_to(groups.reshape(groups.shape + (1,) * (len(shape) - groups.ndim)), shape)
+def inclusion_posterior_params(prior: InclusionPrior,
+                               mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Beta posterior parameters (a + k, b + trials - k), one pair per share,
+    where k counts the share's counted indicators that are on."""
+    k = np.bincount(prior.share.ravel(), weights=np.where(prior.counted, mask, 0).ravel(),
+                    minlength=prior.a.size)
+    return prior.a + k, prior.b + prior.trials - k
 
 
-def inclusion_posterior_params(mask: np.ndarray, fixed: np.ndarray, groups: np.ndarray,
-                               prior_a: np.ndarray, prior_b: np.ndarray, model: str):
-    """Beta posterior parameters for the inclusion probabilities.
-
-    Degenerate entries never enter the counts. Returns per-entry (a, b) arrays
-    for the per-entry model, a scalar pair for the global model, and a
-    {group_label: (a, b)} dict for the grouped model.
-    """
-    free = np.isnan(fixed)
-    k = mask.astype(float)
-    if model in ("per_entry", "per_feature"):
-        return prior_a + k, prior_b + 1.0 - k
-    if model == "global":
-        return (float(prior_a.flat[0] + k[free].sum()),
-                float(prior_b.flat[0] + free.sum() - k[free].sum()))
-    if model == "grouped":
-        out = {}
-        grp = _entry_groups(groups, mask.shape)
-        for g in np.unique(grp):
-            sel = free & (grp == g)
-            a0 = prior_a[grp == g].flat[0]
-            b0 = prior_b[grp == g].flat[0]
-            out[int(g)] = (float(a0 + k[sel].sum()), float(b0 + sel.sum() - k[sel].sum()))
-        return out
-    raise SpecConflict(f"unknown inclusion probability model {model!r}")
-
-
-def sample_inclusion_probs(rng: np.random.Generator, mask: np.ndarray, fixed: np.ndarray,
-                           groups: np.ndarray, prior_a: np.ndarray, prior_b: np.ndarray,
-                           model: str) -> np.ndarray:
-    """Draw the inclusion probabilities, writing shared values into every entry
-    they govern; degenerate entries keep their fixed value."""
-    params = inclusion_posterior_params(mask, fixed, groups, prior_a, prior_b, model)
-    prob = np.empty(mask.shape, dtype=float)
-    if model == "grouped":
-        grp = _entry_groups(groups, mask.shape)
-        for g, (a, b) in params.items():
-            prob[grp == g] = rng.beta(a, b)
-    else:
-        prob[...] = rng.beta(*params)
-    return np.where(np.isnan(fixed), prob, fixed)
+def sample_inclusion_probs(rng: np.random.Generator, prior: InclusionPrior,
+                           mask: np.ndarray) -> np.ndarray:
+    """Draw one probability per share, in share order, and write it into every
+    entry of the share; degenerate entries keep their fixed value."""
+    prob = rng.beta(*inclusion_posterior_params(prior, mask))[prior.share]
+    return np.where(np.isnan(prior.fixed), prob, prior.fixed)
 
 
 def residual_matrix(state: McmcState, data: DataMatrix, spec: ModelSpec) -> np.ndarray:
@@ -152,14 +121,14 @@ def _update_slab_columns(coef: np.ndarray, mask: np.ndarray, prob: np.ndarray,
 def update_loadings(state: McmcState, data: DataMatrix, spec: ModelSpec,
                     layout: PriorLayout, rng: np.random.Generator) -> None:
     """Spike-and-slab update of every loading column (shared by both families)."""
-    _update_slab_columns(state.loadings, state.load_mask, state.load_prob, layout.fixed_load,
+    _update_slab_columns(state.loadings, state.load_mask, state.load_prob, layout.load.fixed,
                          state.scores, spec.slab_var_loading, state, data, spec, rng)
 
 
 def update_inter_loadings(state: McmcState, data: DataMatrix, spec: ModelSpec,
                           layout: PriorLayout, rng: np.random.Generator) -> None:
     _update_slab_columns(state.inter_loadings, state.inter_mask, state.inter_prob,
-                         layout.fixed_inter, state.inter_scores, spec.slab_var_inter,
+                         layout.inter.fixed, state.inter_scores, spec.slab_var_inter,
                          state, data, spec, rng)
 
 
@@ -250,14 +219,9 @@ def update_noise(state: McmcState, data: DataMatrix, spec: ModelSpec,
     state.noise_var = scale / rng.gamma(shape, 1.0, size=scale.shape)
 
 
-def update_probs(state: McmcState, spec: ModelSpec, layout: PriorLayout,
-                 rng: np.random.Generator) -> None:
-    state.load_prob = sample_inclusion_probs(
-        rng, state.load_mask, layout.fixed_load, layout.load_group,
-        layout.load_a, layout.load_b, spec.load_prob_model.value)
-    state.inter_prob = sample_inclusion_probs(
-        rng, state.inter_mask, layout.fixed_inter, layout.inter_group,
-        layout.inter_a, layout.inter_b, spec.inter_prob_model.value)
+def update_probs(state: McmcState, layout: PriorLayout, rng: np.random.Generator) -> None:
+    state.load_prob = sample_inclusion_probs(rng, layout.load, state.load_mask)
+    state.inter_prob = sample_inclusion_probs(rng, layout.inter, state.inter_mask)
 
 
 def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
@@ -267,10 +231,8 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
     degenerate values) and the indicators are drawn from them."""
     m, n, L = data.n_features, data.n_samples, spec.n_factors
     scores = rng.standard_normal((L, n))
-    load_prob = layout.load_a / (layout.load_a + layout.load_b)
-    load_prob = np.where(np.isnan(layout.fixed_load), load_prob, layout.fixed_load)
-    inter_prob = layout.inter_a / (layout.inter_a + layout.inter_b)
-    inter_prob = np.where(np.isnan(layout.fixed_inter), inter_prob, layout.fixed_inter)
+    load_prob = layout.load.prior_mean()
+    inter_prob = layout.inter.prior_mean()
     load_mask = (rng.random((m, L)) < load_prob).astype(np.int8)
     inter_mask = (rng.random(inter_prob.shape) < inter_prob).astype(np.int8)
 
@@ -322,7 +284,7 @@ class MultChain:
         update_inter_loadings(self.state, self.data, self.spec, self.layout,
                               self.streams.get("inter_loadings"))
         update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
-        update_probs(self.state, self.spec, self.layout, self.streams.get("probs"))
+        update_probs(self.state, self.layout, self.streams.get("probs"))
         self.iteration += 1
 
 
@@ -373,40 +335,25 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
     a, b = spec.noise_prior
     total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
 
-    return total + inclusion_log_density(state, spec, layout)
+    return total + inclusion_log_density(state, layout)
 
 
-def inclusion_log_density(state: McmcState, spec: ModelSpec, layout: PriorLayout) -> float:
+def inclusion_log_density(state: McmcState, layout: PriorLayout) -> float:
     """Log-joint terms of both inclusion-probability blocks (shared by both
     families)."""
-    return (_prob_block(state.load_mask, state.load_prob, layout.fixed_load,
-                        layout.load_group, layout.load_a, layout.load_b,
-                        spec.load_prob_model.value)
-            + _prob_block(state.inter_mask, state.inter_prob, layout.fixed_inter,
-                          layout.inter_group, layout.inter_a, layout.inter_b,
-                          spec.inter_prob_model.value))
+    return (_prob_block(layout.load, state.load_mask, state.load_prob)
+            + _prob_block(layout.inter, state.inter_mask, state.inter_prob))
 
 
-def _prob_block(mask, prob, fixed, groups, prior_a, prior_b, model) -> float:
-    """Bernoulli terms over free entries plus the Beta prior terms, counted
-    once per distinct probability parameter (normalizing constants omitted)."""
-    free = np.isnan(fixed)
-    k = mask.astype(float)[free]
+def _prob_block(prior: InclusionPrior, mask: np.ndarray, prob: np.ndarray) -> float:
+    """Bernoulli terms over free entries plus one Beta prior term per share
+    with a free entry, at the probability of its first free entry
+    (normalizing constants omitted)."""
+    free = np.isnan(prior.fixed)
+    k = mask[free].astype(float)
     p = np.clip(prob[free], _PROB_FLOOR, 1 - 1e-16)
     total = float(np.sum(k * np.log(p) + (1 - k) * np.log1p(-p)))
-    if model in ("per_entry", "per_feature"):
-        total += float(np.sum((prior_a[free] - 1) * np.log(p)
-                              + (prior_b[free] - 1) * np.log1p(-p)))
-    elif model == "global":
-        p_all = np.clip(prob, _PROB_FLOOR, 1 - 1e-16)
-        p0 = float(p_all.flat[0])
-        total += (prior_a.flat[0] - 1) * np.log(p0) + (prior_b.flat[0] - 1) * np.log1p(-p0)
-    else:
-        grp = _entry_groups(groups, mask.shape)
-        p_all = np.clip(prob, _PROB_FLOOR, 1 - 1e-16)
-        for g in np.unique(grp):
-            sel = grp == g
-            p0 = float(p_all[sel].flat[0])
-            total += ((prior_a[sel].flat[0] - 1) * np.log(p0)
-                      + (prior_b[sel].flat[0] - 1) * np.log1p(-p0))
-    return total
+    shares, first = np.unique(prior.share[free], return_index=True)
+    q = p[first]
+    return total + float(np.sum((prior.a[shares] - 1) * np.log(q)
+                                + (prior.b[shares] - 1) * np.log1p(-q)))

@@ -182,26 +182,26 @@ def check_gaussian_conditionals(approach, failures):
     if max(offsets) - min(offsets) > 1e-8:
         failures.append(f"approach {approach} noise conditional drifts")
 
-    pa, pb = inclusion_posterior_params(st.load_mask, lay.fixed_load, lay.load_group,
-                                        lay.load_a, lay.load_b, "per_entry")
+    pa, pb = inclusion_posterior_params(lay.load, st.load_mask)
+    share = lay.load.share[2, 1]
     offsets = []
     for p in np.linspace(0.05, 0.95, 9):
         old = st.load_prob[2, 1]
         st.load_prob[2, 1] = p
         offsets.append(log_joint(st, data, spec, lay)
-                       - beta_dist.logpdf(p, pa[2, 1], pb[2, 1]))
+                       - beta_dist.logpdf(p, pa[share], pb[share]))
         st.load_prob[2, 1] = old
     if max(offsets) - min(offsets) > 1e-8:
         failures.append(f"approach {approach} loading probability conditional drifts")
 
-    ra, rb = inclusion_posterior_params(st.inter_mask, lay.fixed_inter, lay.inter_group,
-                                        lay.inter_a, lay.inter_b, "per_feature")
+    ra, rb = inclusion_posterior_params(lay.inter, st.inter_mask)
+    share = lay.inter.share[0, 0]
     offsets = []
     for p in np.linspace(0.05, 0.95, 9):
         old = st.inter_prob[0, 0]
         st.inter_prob[0, 0] = p
         offsets.append(log_joint(st, data, spec, lay)
-                       - beta_dist.logpdf(p, ra[0, 0], rb[0, 0]))
+                       - beta_dist.logpdf(p, ra[share], rb[share]))
         st.inter_prob[0, 0] = old
     if max(offsets) - min(offsets) > 1e-8:
         failures.append(f"approach {approach} interaction probability conditional drifts")

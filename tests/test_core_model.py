@@ -9,6 +9,7 @@ from factorint import (
     ConstantRow,
     Family,
     GpChain,
+    InterProbModel,
     InvalidFactorCount,
     LoadProbModel,
     McmcSettings,
@@ -96,6 +97,41 @@ class TestValidateSpec:
             validate_spec(ModelSpec(**{**spec.__dict__,
                                        "load_prob_model": LoadProbModel.PER_ENTRY}))
 
+    @pytest.mark.parametrize("field, value", [
+        ("family", "mult_approach2"), ("load_prob_model", "grouped"),
+        ("inter_prob_model", "global"), ("load_prob_model", InterProbModel.GROUPED)])
+    def test_models_must_be_enum_members(self, field, value):
+        spec = ModelSpec(**{**mult_spec(2).__dict__, field: value})
+        with pytest.raises(SpecConflict, match=field):
+            validate_spec(spec)
+        data = standardize_rows(np.random.default_rng(3).normal(size=(4, 5)))
+        with pytest.raises(SpecConflict):
+            MultChain(spec, data)
+
+    @pytest.mark.parametrize("table", [BetaTable(groups={"seed": (5.0, 5.0)}),
+                                       BetaTable(entries={(0,): (5.0, 5.0)})])
+    def test_global_probability_rejects_beta_overrides(self, table):
+        with pytest.raises(SpecConflict, match="model.beta"):
+            validate_spec(gp_spec(3, inter_prob_prior=table))
+        with pytest.raises(SpecConflict, match="model.beta"):
+            validate_spec(mult_spec(2, inter_prob_model=InterProbModel.GLOBAL,
+                                    inter_prob_prior=table))
+
+    def test_grouped_probabilities_reject_entry_overrides(self):
+        with pytest.raises(SpecConflict, match="model.gamma"):
+            validate_spec(gp_spec(5, load_prob_prior=BetaTable(entries={(0, 1): (2.0, 2.0)})))
+        with pytest.raises(SpecConflict, match="model.beta"):
+            validate_spec(gp_spec(5, inter_prob_prior=BetaTable(entries={(0,): (2.0, 2.0)})))
+        validate_spec(gp_spec(5, load_prob_prior=BetaTable(groups={"expected": (9.0, 1.0)}),
+                              inter_prob_prior=BetaTable(groups={"seed": (1.0, 9.0)})))
+
+    @pytest.mark.parametrize("field, table", [
+        ("load_prob_prior", BetaTable(groups={"expectd": (9.0, 1.0)})),
+        ("inter_prob_prior", BetaTable(groups={"expected": (9.0, 1.0)}))])
+    def test_unknown_beta_group_conflicts(self, field, table):
+        with pytest.raises(SpecConflict, match="unknown group"):
+            validate_spec(mult_spec(2, **{field: table}))
+
     def test_overlapping_seed_groups_conflict(self):
         with pytest.raises(SpecConflict):
             validate_spec(mult_spec(2, seed_groups={0: frozenset({0, 1}),
@@ -125,19 +161,44 @@ class TestLayout:
     def test_seed_constraints_become_degenerate_probabilities(self):
         spec = mult_spec(2, seed_groups={0: frozenset({0, 1}), 1: frozenset({2})})
         lay = build_layout(spec, 6)
-        assert lay.fixed_load[0, 0] == 1.0 and lay.fixed_load[0, 1] == 0.0
-        assert lay.fixed_load[2, 1] == 1.0 and lay.fixed_load[2, 0] == 0.0
-        assert np.isnan(lay.fixed_load[4]).all()
-        assert (lay.fixed_inter[:3] == 0.0).all()
-        assert np.isnan(lay.fixed_inter[4]).all()
+        assert lay.load.fixed[0, 0] == 1.0 and lay.load.fixed[0, 1] == 0.0
+        assert lay.load.fixed[2, 1] == 1.0 and lay.load.fixed[2, 0] == 0.0
+        assert np.isnan(lay.load.fixed[4]).all()
+        assert (lay.inter.fixed[:3] == 0.0).all()
+        assert np.isnan(lay.inter.fixed[4]).all()
 
     def test_seed_constraints_can_be_disabled(self):
         spec = mult_spec(2, seed_groups={0: frozenset({0})}, seed_constraints=False)
         lay = build_layout(spec, 4)
-        assert np.isnan(lay.fixed_load).all()
-        assert np.isnan(lay.fixed_inter).all()
+        assert np.isnan(lay.load.fixed).all()
+        assert np.isnan(lay.inter.fixed).all()
         # group labels survive for the grouped strategies
-        assert lay.load_group[0, 0] == 0 and lay.load_group[0, 1] == 1
+        assert lay.load.group[0, 0] == 0 and lay.load.group[0, 1] == 1
+
+    @pytest.mark.parametrize("first_is_seed", [True, False])
+    def test_shared_probabilities_take_their_own_beta_pair(self, first_is_seed):
+        seeds = {0: frozenset({0 if first_is_seed else 2}), 1: frozenset({1})}
+        lay = build_layout(gp_spec(3, seed_groups=seeds,
+                                   inter_prob_prior=BetaTable(default=(1.0, 10.0))), 8)
+        assert (lay.inter.a.tolist(), lay.inter.b.tolist()) == ([1.0], [10.0])
+        assert (lay.inter.share == 0).all()
+        grouped = BetaTable(default=(1.0, 10.0), groups={"seed": (5.0, 5.0)})
+        lay = build_layout(gp_spec(5, seed_groups=seeds, inter_prob_prior=grouped), 8)
+        # one share per label present, ascending: seed, then unknown
+        assert (lay.inter.a.tolist(), lay.inter.b.tolist()) == ([5.0, 1.0], [5.0, 10.0])
+        assert lay.inter.share.tolist() == [int(i not in seeds[0] | seeds[1]) for i in range(8)]
+        assert lay.inter.trials.tolist() == [0.0, 6.0]  # seed genes are fixed at 0
+
+    def test_per_entry_pairs_resolve_entry_then_group_then_default(self):
+        table = BetaTable(default=(1.0, 1.0), groups={"expected": (9.0, 1.0)},
+                          entries={(0, 1): (5.0, 6.0)})
+        lay = build_layout(mult_spec(2, seed_groups={0: frozenset({0})}, load_prob_prior=table,
+                                     seed_constraints=False), 3)
+        assert lay.load.share.tolist() == [[0, 1], [2, 3], [4, 5]]
+        assert lay.load.a.tolist() == [9.0, 5.0, 1.0, 1.0, 1.0, 1.0]
+        assert lay.load.b.tolist() == [1.0, 6.0, 1.0, 1.0, 1.0, 1.0]
+        with pytest.raises(SpecConflict):
+            build_layout(mult_spec(2, load_prob_prior=BetaTable(entries={(3, 0): (2.0, 2.0)})), 3)
 
     def test_out_of_range_seed_index_rejected(self):
         spec = mult_spec(2, seed_groups={0: frozenset({10})})

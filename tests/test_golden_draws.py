@@ -72,6 +72,37 @@ specs = {
 print(json.dumps(hash_fits(specs, data, McmcSettings(n_iters=40, burn_in=20, seed=8))))
 """
 
+# Non-flat Beta priors on the inclusion probabilities: group (and one entry)
+# overrides under the per-entry loading and per-feature interaction models
+# with the seed constraints off, so every entry is free and its pair comes
+# from its own group; and the grouped models with a distinct pair per group
+GROUP_PRIOR_SCRIPT = HASH_FITS + """
+from factorint import (BetaTable, InterProbModel, LoadProbModel, McmcSettings,
+                       generate_saddle_dataset, gp_spec, mult_spec)
+
+data, truth = generate_saddle_dataset(40, 30, 0.2, seed=6)
+groups = {k: frozenset(int(i) for i in v) for k, v in truth.seed_groups.items()}
+gamma = BetaTable(default=(1.0, 1.0),
+                  groups={"expected": (9.0, 1.0), "excluded": (1.0, 9.0), "unknown": (2.0, 5.0)})
+beta = BetaTable(default=(1.0, 10.0), groups={"seed": (1.0, 30.0), "unknown": (2.0, 6.0)})
+free = dict(seed_groups=groups, seed_constraints=False)
+per_entry = dict(free, load_prob_prior=BetaTable(default=gamma.default, groups=gamma.groups,
+                                                 entries={(3, 1): (4.0, 4.0)}),
+                 inter_prob_prior=BetaTable(default=beta.default, groups=beta.groups,
+                                            entries={(5, 0): (3.0, 2.0)}))
+grouped = dict(seed_groups=groups, load_prob_model=LoadProbModel.GROUPED,
+               inter_prob_model=InterProbModel.GROUPED, load_prob_prior=gamma,
+               inter_prob_prior=beta)
+specs = {
+    "mult2_per_feature_groups": mult_spec(2, **per_entry),
+    "gp1_per_feature_groups": gp_spec(1, **free, load_prob_prior=gamma, inter_prob_prior=beta),
+    "mult2_grouped_pairs": mult_spec(2, **grouped),
+    "mult1_grouped_pairs_free": mult_spec(1, **grouped, seed_constraints=False),
+    "gp5_grouped_pairs": gp_spec(5, **grouped),
+}
+print(json.dumps(hash_fits(specs, data, McmcSettings(n_iters=80, burn_in=40, seed=3))))
+"""
+
 PINNED = {
     "mult1": "2312196c457594b7c13972fda79de35815dc6ea78d49db3f537562f2ff65d032",
     "mult2": "b6fae541ba3480fb0eef9328a8d71176c45346a55c2c1486fcd9dd590acc0c5f",
@@ -93,6 +124,14 @@ PINNED_GP100 = {
     "gp2_ls0.2": "7879617e83cf6a66d1c0882d48425e1640f1bc47742ff97b8004141fdb4afb11",
 }
 
+PINNED_GROUP_PRIORS = {
+    "mult2_per_feature_groups": "20d0f3cb9f9766376b886a8f5b7a3ac0f5f47825a7e38249f419fb17f56b7d14",
+    "gp1_per_feature_groups": "ff6d8560e1c33d65a1dd669eb50680712b5eca2786f670fcd70b1e1105d34507",
+    "mult2_grouped_pairs": "8a02c5a88fe8f9040af973717232025508362b2917f730d65e44a58ffce641f7",
+    "mult1_grouped_pairs_free": "9fcd0b5548c6ba0bd8d7531b1f1b4b9676d1b9dfe4ff4940e19b78678cea3f50",
+    "gp5_grouped_pairs": "b595121db4679c82267545e18db161eff4a85b6af8c8cc46ce54a9666d1d78d5",
+}
+
 
 def run_hashes(script: str) -> dict[str, str]:
     src = Path(factorint.__file__).resolve().parents[1]
@@ -112,3 +151,7 @@ def test_short_fits_reproduce_pinned_draws():
 
 def test_gp_fits_at_the_benchmark_size_reproduce_pinned_draws():
     assert run_hashes(GP100_SCRIPT) == PINNED_GP100
+
+
+def test_fits_under_group_priors_reproduce_pinned_draws():
+    assert run_hashes(GROUP_PRIOR_SCRIPT) == PINNED_GROUP_PRIORS

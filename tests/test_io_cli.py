@@ -613,6 +613,21 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("ERROR ConfigError:")
 
+    @pytest.mark.parametrize("settings", [
+        ("model.family=gp", "model.gp_variant=3", "model.beta.seed=5,5"),
+        ("model.inter_prob_model=global", "model.beta.unknown=1,20"),
+        ("model.family=gp", "model.gp_variant=4", "model.beta.nope=1,20"),
+    ])
+    def test_beta_override_the_model_ignores_prints_one_error(self, fitted, tmp_path, capsys,
+                                                              settings):
+        args = ["fit", "--output-dir", str(tmp_path), "--set", f"paths.data={fitted / 'data.csv'}"]
+        for item in settings:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("ERROR SpecConflict: model.beta: the global inclusion")
+
     @pytest.mark.parametrize("command, setting", MISSING_FILE_CASES)
     def test_missing_input_file_names_the_key(self, fitted, tmp_path, capsys, command, setting):
         key, path = setting.split("=")

@@ -9,18 +9,24 @@ claimed density; indicator conditionals are checked against quadrature.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 from scipy.integrate import quad
 from scipy.special import expit
 from scipy.stats import beta as beta_dist
 from scipy.stats import invgamma, kstest
 
 from factorint import (
+    BetaTable,
     DataMatrix,
+    InterProbModel,
+    LoadProbModel,
     MultChain,
     mult_spec,
     run_mult_chain,
     standardize_rows,
 )
+from factorint.model import INTER_GROUPS, LOAD_GROUPS, InclusionPrior
 from factorint.mult import (
     inclusion_posterior_params,
     inter_score_conditional,
@@ -28,6 +34,7 @@ from factorint.mult import (
     noise_conditional,
     refresh_products,
     residual_matrix,
+    sample_inclusion_probs,
     score_conditional,
     slab_log_bayes_factor,
     slab_posterior,
@@ -181,44 +188,155 @@ class TestNonGaussianConditionals:
     def test_inclusion_probability_conditional_is_the_log_joint_slice(self):
         chain = make_chain(2)
         st, data, spec, lay = chain.state, chain.data, chain.spec, chain.layout
-        pa, pb = inclusion_posterior_params(st.load_mask, lay.fixed_load, lay.load_group,
-                                            lay.load_a, lay.load_b, "per_entry")
+        pa, pb = inclusion_posterior_params(lay.load, st.load_mask)
+        share = lay.load.share[2, 1]
         offsets = []
         for p in np.linspace(0.05, 0.95, 9):
             old = st.load_prob[2, 1]
             st.load_prob[2, 1] = p
             value = log_joint(st, data, spec, lay)
             st.load_prob[2, 1] = old
-            offsets.append(value - beta_dist.logpdf(p, pa[2, 1], pb[2, 1]))
+            offsets.append(value - beta_dist.logpdf(p, pa[share], pb[share]))
+        assert max(offsets) - min(offsets) < 1e-8
+
+    @pytest.mark.parametrize("model", ["global", "grouped"])
+    def test_shared_inclusion_probability_conditional_is_the_log_joint_slice(self, model):
+        # feature 0 is a seed gene whose interaction probability is fixed at 0,
+        # so it is the first entry of the share that is sliced below
+        rng = np.random.default_rng(63)
+        data = standardize_rows(rng.normal(size=(6, 5)))
+        seeds = {0: frozenset({0}), 1: frozenset({1})}
+        if model == "global":
+            spec = mult_spec(2, seed_groups=seeds, inter_prob_model=InterProbModel.GLOBAL,
+                             inter_prob_prior=BetaTable(default=(2.0, 3.0)))
+        else:
+            spec = mult_spec(2, seed_groups=seeds, seed_constraints=False,
+                             fixed_inter_prob={0: 0.0},
+                             inter_prob_model=InterProbModel.GROUPED,
+                             inter_prob_prior=BetaTable(default=(1.0, 1.0),
+                                                        groups={"seed": (2.0, 3.0)}))
+        chain = MultChain(spec, data, seed=7)
+        for _ in range(3):
+            chain.sweep()
+        st, lay = chain.state, chain.layout
+        share = lay.inter.share[1, 0]
+        sliced = (lay.inter.share == share) & np.isnan(lay.inter.fixed)
+        assert lay.inter.share[0, 0] == share and not sliced[0, 0]
+        pa, pb = inclusion_posterior_params(lay.inter, st.inter_mask)
+        assert (lay.inter.a[share], lay.inter.b[share]) == (2.0, 3.0)
+        offsets = []
+        for p in np.linspace(0.05, 0.95, 9):
+            st.inter_prob[sliced] = p
+            offsets.append(log_joint(st, data, spec, lay)
+                           - beta_dist.logpdf(p, pa[share], pb[share]))
         assert max(offsets) - min(offsets) < 1e-8
 
     def test_global_inclusion_counts(self):
         mask = np.zeros(3744, dtype=np.int8)
         mask[:275] = 1
-        fixed = np.full(3744, np.nan)
-        groups = np.zeros(3744, dtype=np.int8)
-        a = np.full(3744, 1.0)
-        b = np.full(3744, 1.0)
-        pa, pb = inclusion_posterior_params(mask, fixed, groups, a, b, "global")
-        assert (pa, pb) == (1.0 + 275, 1.0 + 3469)
+        prior = InclusionPrior.build(InterProbModel.GLOBAL, BetaTable(), INTER_GROUPS,
+                                     np.zeros(3744, dtype=np.int8), np.full(3744, np.nan))
+        pa, pb = inclusion_posterior_params(prior, mask)
+        assert (pa.tolist(), pb.tolist()) == ([1.0 + 275], [1.0 + 3469])
 
     def test_per_entry_beta_counts(self):
         # indicator on with a flat prior: Beta(2, 1)
         mask = np.array([[1]], dtype=np.int8)
-        fixed = np.full((1, 1), np.nan)
-        pa, pb = inclusion_posterior_params(mask, fixed, np.zeros(1, dtype=np.int8),
-                                            np.ones((1, 1)), np.ones((1, 1)), "per_entry")
-        assert pa[0, 0] == 2.0 and pb[0, 0] == 1.0
+        prior = InclusionPrior.build(LoadProbModel.PER_ENTRY, BetaTable(), LOAD_GROUPS,
+                                     np.zeros((1, 1), dtype=np.int8), np.full((1, 1), np.nan))
+        pa, pb = inclusion_posterior_params(prior, mask)
+        assert pa.tolist() == [2.0] and pb.tolist() == [1.0]
 
     def test_grouped_empty_group_returns_prior(self):
         mask = np.array([1, 1], dtype=np.int8)
-        fixed = np.array([np.nan, np.nan])
         groups = np.zeros(2, dtype=np.int8)  # group 1 has no members
-        a = np.full(2, 3.0)
-        b = np.full(2, 4.0)
-        params = inclusion_posterior_params(mask, fixed, groups, a, b, "grouped")
-        assert params[0] == (5.0, 4.0)
-        assert 1 not in params  # absent group stays at its prior
+        prior = InclusionPrior.build(InterProbModel.GROUPED, BetaTable(default=(3.0, 4.0)),
+                                     INTER_GROUPS, groups, np.array([np.nan, np.nan]))
+        pa, pb = inclusion_posterior_params(prior, mask)
+        assert (pa.tolist(), pb.tolist()) == ([5.0], [4.0])
+        assert prior.share.tolist() == [0, 0]  # absent group has no share to draw
+
+
+# The three-branch inclusion-probability code these blocks replaced, kept as
+# the reference that the share-indexed draw must reproduce bit for bit.
+
+def reference_entry_groups(groups: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    return np.broadcast_to(groups.reshape(groups.shape + (1,) * (len(shape) - groups.ndim)), shape)
+
+
+def reference_inclusion_posterior_params(mask, fixed, groups, prior_a, prior_b, model: str):
+    """Per-entry (a, b) arrays for the per-entry models, a scalar pair for the
+    global model and a {group_label: (a, b)} dict for the grouped model."""
+    free = np.isnan(fixed)
+    k = mask.astype(float)
+    if model in ("per_entry", "per_feature"):
+        return prior_a + k, prior_b + 1.0 - k
+    if model == "global":
+        return (float(prior_a.flat[0] + k[free].sum()),
+                float(prior_b.flat[0] + free.sum() - k[free].sum()))
+    out = {}
+    grp = reference_entry_groups(groups, mask.shape)
+    for g in np.unique(grp):
+        sel = free & (grp == g)
+        a0 = prior_a[grp == g].flat[0]
+        b0 = prior_b[grp == g].flat[0]
+        out[int(g)] = (float(a0 + k[sel].sum()), float(b0 + sel.sum() - k[sel].sum()))
+    return out
+
+
+def reference_sample_inclusion_probs(rng, mask, fixed, groups, prior_a, prior_b, model: str):
+    params = reference_inclusion_posterior_params(mask, fixed, groups, prior_a, prior_b, model)
+    prob = np.empty(mask.shape, dtype=float)
+    if model == "grouped":
+        grp = reference_entry_groups(groups, mask.shape)
+        for g, (a, b) in params.items():
+            prob[grp == g] = rng.beta(a, b)
+    else:
+        prob[...] = rng.beta(*params)
+    return np.where(np.isnan(fixed), prob, fixed)
+
+
+PROB_MODELS = (LoadProbModel.PER_ENTRY, LoadProbModel.GROUPED, InterProbModel.PER_FEATURE,
+               InterProbModel.GLOBAL, InterProbModel.GROUPED)
+beta_pairs = hst.tuples(hst.floats(0.05, 20.0), hst.floats(0.05, 20.0))
+
+
+class TestSharesMatchTheReference:
+    @settings(max_examples=300, deadline=None)
+    @given(model=hst.sampled_from(PROB_MODELS), m=hst.integers(1, 9),
+           cols=hst.integers(0, 4), default=beta_pairs,
+           group_pairs=hst.lists(hst.one_of(hst.none(), beta_pairs), min_size=3, max_size=3),
+           fixed_share=hst.sampled_from([0.0, 0.3, 0.8, 1.0]), seed=hst.integers(0, 2**32 - 1))
+    def test_posterior_params_and_draws(self, model, m, cols, default, group_pairs,
+                                        fixed_share, seed):
+        names = LOAD_GROUPS if isinstance(model, LoadProbModel) else INTER_GROUPS
+        groups = {} if model is InterProbModel.GLOBAL else \
+            {name: pair for name, pair in zip(names, group_pairs) if pair is not None}
+        table = BetaTable(default=default, groups=groups)
+        rng = np.random.default_rng(seed)
+        shape = (m, cols) if cols else (m,)
+        labels = rng.integers(0, len(names), size=shape).astype(np.int8)
+        fixed = np.where(rng.random(shape) < fixed_share,
+                         rng.integers(0, 2, size=shape).astype(float), np.nan)
+        mask = rng.integers(0, 2, size=shape).astype(np.int8)
+        pairs = np.array([table.lookup(None, names[g]) for g in labels.ravel()])
+        pairs = pairs.reshape(shape + (2,))
+        ref_args = (mask, fixed, labels, pairs[..., 0], pairs[..., 1], model.value)
+
+        prior = InclusionPrior.build(model, table, names, labels, fixed)
+        pa, pb = inclusion_posterior_params(prior, mask)
+        ref = reference_inclusion_posterior_params(*ref_args)
+        if isinstance(ref, dict):
+            assert list(zip(pa.tolist(), pb.tolist())) == list(ref.values())
+        else:
+            np.testing.assert_array_equal(pa, np.ravel(ref[0]))
+            np.testing.assert_array_equal(pb, np.ravel(ref[1]))
+
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = sample_inclusion_probs(ours, prior, mask)
+        expected = reference_sample_inclusion_probs(theirs, *ref_args)
+        assert drawn.shape == expected.shape and drawn.tobytes() == expected.tobytes()
+        assert ours.random() == theirs.random()  # the same number of variates consumed
 
 
 class TestIndicatorConditional:
