@@ -51,11 +51,8 @@ from .genomics import (
 from .gp import GpChain, run_gp_chain
 from .kernels import KernelMatrix, gp_marginal_loglik_ratio, se_kernel
 from .model import (
-    BetaTable,
     DataMatrix,
     Family,
-    InterProbModel,
-    LoadProbModel,
     McmcSettings,
     McmcState,
     ModelSpec,
@@ -68,6 +65,7 @@ from .model import (
     validate_spec,
 )
 from .mult import MultChain, run_mult_chain
+from .prior import BetaTable, InterProbModel, LoadProbModel
 from .simulate import (
     ComparisonReport,
     SurfaceGrid,

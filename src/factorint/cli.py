@@ -50,8 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_config(args) -> dict[str, str]:
     cfg: dict[str, str] = {}
     if args.config:
-        cfg.update(fio.parse_config_text(Path(args.config).read_text(encoding="utf-8"),
-                                         origin=args.config))
+        cfg.update(fio.read_config(_input_file("--config", args.config)))
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
@@ -62,9 +61,9 @@ def _load_config(args) -> dict[str, str]:
     return cfg
 
 
-def _input_file(cfg: dict[str, str], key: str) -> Path:
-    """The file ``cfg[key]`` names, which must exist."""
-    path = Path(cfg[key])
+def _input_file(key: str, name: str) -> Path:
+    """The file ``name``, given as ``key``, which must exist."""
+    path = Path(name)
     if not path.is_file():
         raise ConfigError(f"{key}: no such file {str(path)!r}")
     return path
@@ -102,7 +101,7 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> None:
 def cmd_fit(cfg: dict[str, str], out: Path) -> None:
     if "paths.data" not in cfg:
         raise ConfigError("fit requires paths.data")
-    data = standardize_rows(fio.read_data_csv(_input_file(cfg, "paths.data")))
+    data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
     all_draws = [fit_spec(spec, data, settings, chain=c) for c in range(settings.n_chains)]
@@ -136,7 +135,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> None:
 def _load_draws_from_cfg(cfg: dict[str, str]) -> PosteriorDraws:
     if "paths.draws" not in cfg:
         raise ConfigError("this command requires paths.draws")
-    return fio.load_draws(_input_file(cfg, "paths.draws"))
+    return fio.load_draws(_input_file("paths.draws", cfg["paths.draws"]))
 
 
 def cmd_summarize(cfg: dict[str, str], out: Path) -> None:
@@ -161,8 +160,8 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> None:
     for key in ("paths.data", "paths.truth", "compare.specs"):
         if key not in cfg:
             raise ConfigError(f"compare requires {key}")
-    data = standardize_rows(fio.read_data_csv(_input_file(cfg, "paths.data")))
-    meta, arrays = fio.read_bundle(_input_file(cfg, "paths.truth"))
+    data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
+    meta, arrays = fio.read_bundle(_input_file("paths.truth", cfg["paths.truth"]))
     if meta.get("kind") != "truth":
         raise ConfigError(f"{cfg['paths.truth']}: not a truth bundle")
     from .simulate import SyntheticTruth
@@ -173,7 +172,7 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> None:
     spec_paths = [p.strip() for p in cfg["compare.specs"].split(",") if p.strip()]
     specs, labels = [], []
     for p in spec_paths:
-        sub = fio.parse_config_text(Path(p).read_text(encoding="utf-8"), origin=p)
+        sub = fio.read_config(_input_file("compare.specs", p))
         specs.append(fio.spec_from_config(sub, data))
         labels.append(Path(p).stem)
     settings = fio.settings_from_config(cfg)

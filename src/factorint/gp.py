@@ -2,8 +2,8 @@
 
 The observation model is X = loadings @ scores + effects + noise, where each
 effect row is either zero or a draw from a Gaussian process over the score
-columns (squared-exponential kernel). The loading block reuses the
-spike-and-slab machinery of the multiplicative sampler. Score columns move by
+columns (squared-exponential kernel). Its spike-and-slab prior comes from
+``prior``, its loading and indicator draws from ``mult``. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
 scored by the change in the conditional GP density of entry j. A factor built
@@ -27,19 +27,11 @@ from .model import (
     McmcState,
     ModelSpec,
     PosteriorDraws,
-    PriorLayout,
-    build_layout,
     run_chain,
     validate_spec,
 )
-from .mult import (
-    draw_indicators,
-    inclusion_log_density,
-    initial_state,
-    update_loadings,
-    update_noise,
-    update_probs,
-)
+from .mult import draw_indicators, initial_state, update_loadings, update_noise, update_probs
+from .prior import PriorLayout, build_layout, inclusion_log_density, slab_log_density
 from .rng import RngStreams
 
 # Burn-in step-size adaptation: Robbins-Monro decay with a gain floor, so the
@@ -274,9 +266,7 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
     total -= 0.5 * data.n_samples * float(np.sum(np.log(state.noise_var)))
     total -= 0.5 * float(np.sum(state.scores ** 2))
 
-    on = state.load_mask.astype(bool)
-    total -= 0.5 * float(np.sum(state.loadings[on] ** 2)) / spec.slab_var_loading
-    total -= 0.5 * int(on.sum()) * np.log(spec.slab_var_loading)
+    total += slab_log_density(state.loadings, state.load_mask, spec.slab_var_loading)
 
     total += gp_prior_logdens(kernel, state, spec)
 

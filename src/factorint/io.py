@@ -26,6 +26,7 @@ import math
 import os
 import platform
 import struct
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -35,18 +36,16 @@ from . import BLAS_THREAD_VARS
 from .errors import ConfigError, CorruptFile, FactorIntError, FormatVersionMismatch
 from .genomics import Annotation
 from .model import (
-    BetaTable,
     DataMatrix,
     GP_VARIANT_TABLE,
     Family,
-    InterProbModel,
-    LoadProbModel,
     McmcSettings,
     ModelSpec,
     PosteriorDraws,
     STATE_FIELDS,
     validate_spec,
 )
+from .prior import BetaTable, InterProbModel, LoadProbModel
 
 MAGIC = b"FIBUNDLE"
 FORMAT_VERSION = 1
@@ -105,26 +104,33 @@ def write_data_csv(path, data: DataMatrix) -> None:
             writer.writerow([fid] + [f"{v:.17g}" for v in data.values[i]])
 
 
+def _read_text(path) -> str:
+    """The whole file, which must be UTF-8."""
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def read_data_csv(path) -> DataMatrix:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ConfigError(f"{path}: empty data file") from None
+    sample_ids = header[1:]
+    feature_ids = []
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(sample_ids) + 1:
+            raise ConfigError(f"{path}:{lineno}: expected {len(sample_ids) + 1} cells")
+        feature_ids.append(row[0])
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ConfigError(f"{path}: empty data file") from None
-        sample_ids = header[1:]
-        feature_ids = []
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(sample_ids) + 1:
-                raise ConfigError(f"{path}:{lineno}: expected {len(sample_ids) + 1} cells")
-            feature_ids.append(row[0])
-            try:
-                rows.append([float(c) for c in row[1:]])
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            rows.append([float(c) for c in row[1:]])
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return DataMatrix(np.asarray(rows, dtype=float), tuple(feature_ids), tuple(sample_ids))
 
 
@@ -418,6 +424,11 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     return out
 
 
+def read_config(path) -> dict[str, str]:
+    """The ``key = value`` lines of a UTF-8 configuration file."""
+    return parse_config_text(_read_text(path), origin=str(path))
+
+
 def _parse(kind, value: str, key: str, expected: str):
     try:
         return kind(value)
@@ -471,7 +482,12 @@ def _config_choice(cfg: dict[str, str], key: str, kind, default: str):
 
 def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> frozenset[int]:
     if all(t.lstrip("-").isdigit() for t in tokens):
-        return frozenset(_parse(int, t, key, "feature indices") for t in tokens)
+        indices = frozenset(_parse(int, t, key, "feature indices") for t in tokens)
+        outside = sorted(i for i in indices if data is not None and not 0 <= i < data.n_features)
+        if outside:
+            raise ConfigError(f"{key}: feature indices {outside} outside "
+                              f"0..{data.n_features - 1}")
+        return indices
     if data is None:
         raise ConfigError(f"{key}: feature ids given but no data file to resolve them against")
     index = data.feature_index()
@@ -492,16 +508,20 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
                 groups[key[len(default_key) + 1:]] = _as_pair(value, key)
         return BetaTable(default=default, groups=groups)
 
+    n_factors = config_int(cfg, "model.factors", 2)
     seed_groups: dict[int, frozenset[int]] = {}
     for key, value in cfg.items():
         if key.startswith("model.seed_group."):
-            factor = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number") - 1
+            group = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number")
+            if not 1 <= group <= n_factors:
+                raise ConfigError(f"{key}: seed group {group} outside 1..{n_factors} "
+                                  f"(model.factors = {n_factors})")
             tokens = [t.strip() for t in value.split(",") if t.strip()]
-            seed_groups[factor] = _resolve_features(tokens, data, key)
+            seed_groups[group - 1] = _resolve_features(tokens, data, key)
 
     kwargs = dict(
         family=family,
-        n_factors=config_int(cfg, "model.factors", 2),
+        n_factors=n_factors,
         slab_var_loading=config_float(cfg, "model.slab_var_loading", 10.0),
         slab_var_inter=config_float(cfg, "model.slab_var_inter", 10.0),
         noise_prior=(config_float(cfg, "model.noise_shape", 2.1),

@@ -1,9 +1,9 @@
 """Domain types shared by both sampler families.
 
 Defines the standardized data matrix, the declarative model specification
-(family, factor count, prior layout, seed-gene constraints), the mutable
-sampler state, the container of retained posterior draws, and the one loop
-(``run_chain``) that drives either family's sampler and fills it.
+(family, factor count, inclusion-prior settings from ``prior``, seed-gene
+constraints), the mutable sampler state, the container of retained posterior
+draws, and the one loop (``run_chain``) that drives either sampler and fills it.
 
 Retained draws are kept as one read-only array per state field whose leading
 axis runs over the retained states; ``run_chain`` writes each retained sweep
@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ConstantRow, InvalidFactorCount, SpecConflict
+from .prior import BetaTable, InterProbModel, LoadProbModel, check_positive, validate_prior
 
 
 class Family(str, Enum):
@@ -27,25 +28,6 @@ class Family(str, Enum):
     MULT_APPROACH2 = "mult_approach2"  # score product imposed exactly
     GP = "gp"                          # nonlinear interaction rows under a squared-exponential GP prior
 
-
-class LoadProbModel(str, Enum):
-    """How the loading inclusion probabilities are shared."""
-
-    PER_ENTRY = "per_entry"
-    GROUPED = "grouped"
-
-
-class InterProbModel(str, Enum):
-    """How the interaction inclusion probabilities are shared."""
-
-    PER_FEATURE = "per_feature"
-    GLOBAL = "global"
-    GROUPED = "grouped"
-
-
-# Group labels used by the GROUPED strategies, derived from seed groups.
-LOAD_GROUPS = ("expected", "excluded", "unknown")
-INTER_GROUPS = ("seed", "unknown")
 
 # gp_variant -> (loading-prob model, shared interaction effect, interaction-prob model)
 GP_VARIANT_TABLE: dict[int, tuple[LoadProbModel, bool, InterProbModel]] = {
@@ -147,31 +129,6 @@ def factor_pairs(n_factors: int) -> tuple[tuple[int, int], ...]:
 
 
 @dataclass(frozen=True)
-class BetaTable:
-    """Beta hyperparameters with optional per-group and per-entry overrides.
-
-    ``entries`` keys are (feature, factor) for loadings, (feature, pair) or
-    (feature,) for interactions; ``groups`` keys are group names.
-    """
-
-    default: tuple[float, float] = (1.0, 1.0)
-    groups: Mapping[str, tuple[float, float]] = field(default_factory=dict)
-    entries: Mapping[tuple, tuple[float, float]] = field(default_factory=dict)
-
-    def lookup(self, entry: tuple | None = None, group: str | None = None) -> tuple[float, float]:
-        if entry is not None and entry in self.entries:
-            return self.entries[entry]
-        if group is not None and group in self.groups:
-            return self.groups[group]
-        return self.default
-
-    def all_pairs(self) -> Iterable[tuple[float, float]]:
-        yield self.default
-        yield from self.groups.values()
-        yield from self.entries.values()
-
-
-@dataclass(frozen=True)
 class ModelSpec:
     """Declarative description of one model variant.
 
@@ -252,47 +209,24 @@ def gp_spec(variant: int, n_factors: int = 2, length_scale: float = 0.2, **kwarg
     )
 
 
-def _check_positive(name: str, value) -> None:
-    if value is None or not np.isfinite(value) or value <= 0:
-        raise SpecConflict(f"{name} must be a positive finite number, got {value}")
-
-
 def validate_spec(spec: ModelSpec) -> ModelSpec:
     """Cross-field consistency checks; returns the ModelSpec unchanged on success."""
-    for name, kind in (("family", Family), ("load_prob_model", LoadProbModel),
-                       ("inter_prob_model", InterProbModel)):
-        if not isinstance(getattr(spec, name), kind):
-            raise SpecConflict(f"{name} must be a {kind.__name__} member, "
-                               f"got {getattr(spec, name)!r}")
-    for model, table, key, names in (
-            (spec.load_prob_model, spec.load_prob_prior, "model.gamma", LOAD_GROUPS),
-            (spec.inter_prob_model, spec.inter_prob_prior, "model.beta", INTER_GROUPS)):
-        if model is InterProbModel.GLOBAL and (table.groups or table.entries):
-            raise SpecConflict(
-                f"{key}: the global inclusion probability takes the default Beta pair only, "
-                f"got overrides {sorted(table.groups) + sorted(table.entries)}")
-        if model in (LoadProbModel.GROUPED, InterProbModel.GROUPED) and table.entries:
-            raise SpecConflict(f"{key}: grouped inclusion probabilities take no per-entry "
-                               f"Beta pairs, got {sorted(table.entries)}")
-        unknown = sorted(set(table.groups) - set(names))
-        if unknown:
-            raise SpecConflict(f"{key}: unknown group {unknown}, expected one of {names}")
+    if not isinstance(spec.family, Family):
+        raise SpecConflict(f"family must be a Family member, got {spec.family!r}")
+    validate_prior(spec)
     if spec.n_factors < 2:
         raise InvalidFactorCount(f"need at least 2 factors, got {spec.n_factors}")
-    _check_positive("slab_var_loading", spec.slab_var_loading)
+    check_positive("slab_var_loading", spec.slab_var_loading)
     a, b = spec.noise_prior
-    _check_positive("noise_prior shape", a)
-    _check_positive("noise_prior scale", b)
-    for pair in list(spec.load_prob_prior.all_pairs()) + list(spec.inter_prob_prior.all_pairs()):
-        _check_positive("Beta hyperparameter", pair[0])
-        _check_positive("Beta hyperparameter", pair[1])
+    check_positive("noise_prior shape", a)
+    check_positive("noise_prior scale", b)
 
     if spec.family is Family.GP:
         if spec.product_var is not None:
             raise SpecConflict("product_var applies only to multiplicative approach 1")
         if spec.gp_variant not in GP_VARIANT_TABLE:
             raise SpecConflict(f"gp_variant must be in 1..5, got {spec.gp_variant}")
-        _check_positive("length_scale", spec.length_scale)
+        check_positive("length_scale", spec.length_scale)
         if not spec.include_interactions:
             raise SpecConflict("the nonlinear family has no interaction-free variant")
         load_model, _, inter_model = GP_VARIANT_TABLE[spec.gp_variant]
@@ -304,9 +238,9 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     else:
         if spec.gp_variant is not None or spec.length_scale is not None:
             raise SpecConflict("gp_variant/length_scale apply only to the gp family")
-        _check_positive("slab_var_inter", spec.slab_var_inter)
+        check_positive("slab_var_inter", spec.slab_var_inter)
         if spec.family is Family.MULT_APPROACH1:
-            _check_positive("product_var", spec.product_var)
+            check_positive("product_var", spec.product_var)
         elif spec.product_var is not None:
             raise SpecConflict("product_var applies only to multiplicative approach 1")
 
@@ -322,128 +256,7 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
             if overlap:
                 raise SpecConflict(f"seed groups overlap on features {sorted(overlap)}")
             seen |= members
-    if spec.fixed_load_prob:
-        for (i, l), v in spec.fixed_load_prob.items():
-            if v not in (0.0, 1.0):
-                raise SpecConflict(f"fixed loading probability at ({i},{l}) must be 0 or 1, got {v}")
-    if spec.fixed_inter_prob:
-        for i, v in spec.fixed_inter_prob.items():
-            if v not in (0.0, 1.0):
-                raise SpecConflict(f"fixed interaction probability at {i} must be 0 or 1, got {v}")
     return spec
-
-
-@dataclass(frozen=True)
-class InclusionPrior:
-    """Beta prior of one block of inclusion probabilities, resolved per entry.
-
-    ``fixed`` holds NaN where the probability is free and 0/1 where it is
-    degenerate; ``group`` holds each entry's integer label into LOAD_GROUPS or
-    INTER_GROUPS. Entries that take the same probability form a share:
-    ``share`` holds each entry's share index, ``a``/``b`` one Beta pair per
-    share, and ``trials`` how many indicators each share's count runs over,
-    namely the entries marked ``counted``.
-    """
-
-    fixed: np.ndarray
-    group: np.ndarray
-    share: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    trials: np.ndarray
-    counted: np.ndarray
-
-    @classmethod
-    def build(cls, model: LoadProbModel | InterProbModel, table: BetaTable,
-              names: Sequence[str], group: np.ndarray, fixed: np.ndarray) -> "InclusionPrior":
-        """Shares and their pairs under ``model``. Per-entry: every entry is a
-        share, whose pair is its entry override, else its group's, else the
-        default; every indicator counts, degenerate ones included. Global:
-        one share with the default pair. Grouped: one share per label present,
-        in ascending order, with the group's pair. Shared probabilities count
-        the free indicators only."""
-        by_label = np.array([table.lookup(group=name) for name in names], dtype=float)
-        counted = np.isnan(fixed)
-        if model is InterProbModel.GLOBAL:
-            share = np.zeros(fixed.shape, dtype=np.intp)
-            pairs = np.array([table.default], dtype=float)
-        elif model in (LoadProbModel.GROUPED, InterProbModel.GROUPED):
-            present, share = np.unique(group, return_inverse=True)
-            share = share.reshape(fixed.shape)
-            pairs = by_label[present]
-        else:
-            pairs = by_label[group]
-            for key, pair in table.entries.items():
-                if len(key) != fixed.ndim or not all(0 <= k < n for k, n in zip(key, fixed.shape)):
-                    raise SpecConflict(f"Beta prior entry {key} outside the shape {fixed.shape}")
-                pairs[key] = pair
-            share = np.arange(fixed.size).reshape(fixed.shape)
-            pairs = pairs.reshape(-1, 2)
-            counted = np.ones(fixed.shape, dtype=bool)
-        trials = np.bincount(share.ravel(), weights=counted.ravel(), minlength=pairs.shape[0])
-        return cls(fixed, group, share, pairs[:, 0].copy(), pairs[:, 1].copy(), trials, counted)
-
-    def prior_mean(self) -> np.ndarray:
-        """Per-entry prior mean, with degenerate entries at their fixed value."""
-        mean = (self.a / (self.a + self.b))[self.share]
-        return np.where(np.isnan(self.fixed), mean, self.fixed)
-
-
-@dataclass(frozen=True)
-class PriorLayout:
-    """The loading and interaction inclusion priors for a given feature
-    count. Loading blocks are (m, L); interaction blocks are (m,) for the gp
-    family and (m, n_pairs) for the multiplicative families."""
-
-    load: InclusionPrior
-    inter: InclusionPrior
-
-
-def build_layout(spec: ModelSpec, n_features: int) -> PriorLayout:
-    m, L = n_features, spec.n_factors
-    fixed_load = np.full((m, L), np.nan)
-    load_group = np.full((m, L), LOAD_GROUPS.index("unknown"), dtype=np.int8)
-
-    inter_shape = (m, spec.n_pairs) if spec.is_mult else (m,)
-    fixed_inter = np.full(inter_shape, np.nan)
-    inter_group = np.full(inter_shape, INTER_GROUPS.index("unknown"), dtype=np.int8)
-
-    seed_union = spec.seed_union()
-    if seed_union and max(seed_union) >= m:
-        raise SpecConflict(f"seed feature index {max(seed_union)} outside 0..{m - 1}")
-    if spec.seed_groups:
-        for factor, members in spec.seed_groups.items():
-            idx = np.fromiter((int(i) for i in members), dtype=int)
-            load_group[idx, :] = LOAD_GROUPS.index("excluded")
-            load_group[idx, int(factor)] = LOAD_GROUPS.index("expected")
-        seed_idx = np.fromiter(sorted(seed_union), dtype=int)
-        inter_group[seed_idx, ...] = INTER_GROUPS.index("seed")
-        if spec.seed_constraints:
-            for factor, members in spec.seed_groups.items():
-                idx = np.fromiter((int(i) for i in members), dtype=int)
-                fixed_load[idx, :] = 0.0
-                fixed_load[idx, int(factor)] = 1.0
-            fixed_inter[seed_idx, ...] = 0.0
-
-    if not spec.include_interactions:
-        fixed_inter[...] = 0.0
-
-    if spec.fixed_load_prob:
-        for (i, l), v in spec.fixed_load_prob.items():
-            if not (0 <= i < m and 0 <= l < L):
-                raise SpecConflict(f"fixed loading probability index ({i},{l}) out of range")
-            fixed_load[i, l] = v
-    if spec.fixed_inter_prob:
-        for i, v in spec.fixed_inter_prob.items():
-            if not 0 <= i < m:
-                raise SpecConflict(f"fixed interaction probability index {i} out of range")
-            fixed_inter[i, ...] = v
-
-    return PriorLayout(
-        InclusionPrior.build(spec.load_prob_model, spec.load_prob_prior, LOAD_GROUPS,
-                             load_group, fixed_load),
-        InclusionPrior.build(spec.inter_prob_model, spec.inter_prob_prior, INTER_GROUPS,
-                             inter_group, fixed_inter))
 
 
 @dataclass

@@ -11,12 +11,11 @@ coefficient, then the coefficient given the indicator), score columns by
 single-coordinate Gibbs (the conditional stays Gaussian despite the score
 product), interaction-score columns (approach 1), interaction-loading rows,
 noise variances, inclusion probabilities. Bayes factors are formed in log
-space throughout.
+space throughout. The spike-and-slab closed forms come from ``prior``; every
+draw from them, for both families, is made here.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -24,44 +23,31 @@ from .errors import SpecConflict
 from .model import (
     DataMatrix,
     Family,
-    InclusionPrior,
     McmcSettings,
     McmcState,
     ModelSpec,
     PosteriorDraws,
-    PriorLayout,
-    build_layout,
     factor_pairs,
     run_chain,
     validate_spec,
 )
+from .prior import (
+    InclusionPrior,
+    PriorLayout,
+    build_layout,
+    clip_prob,
+    inclusion_log_density,
+    inclusion_posterior_params,
+    slab_log_bayes_factor,
+    slab_log_density,
+    slab_posterior,
+)
 from .rng import RngStreams
-
-_PROB_FLOOR = 1e-300
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
-    p = np.clip(p, _PROB_FLOOR, 1.0 - 1e-16)
+    p = clip_prob(p)
     return np.log(p) - np.log1p(-p)
-
-
-def slab_posterior(residual: np.ndarray, regressor: np.ndarray,
-                   noise_var: np.ndarray, slab_var: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gaussian slab conditional for one coefficient per row.
-
-    ``residual`` (m, n) excludes the coefficient's own contribution;
-    ``regressor`` (n,) multiplies the coefficient in the row means.
-    Returns (mean, variance) arrays of length m.
-    """
-    ss = float(regressor @ regressor)
-    var = 1.0 / (1.0 / slab_var + ss / noise_var)
-    mean = var * (residual @ regressor) / noise_var
-    return mean, var
-
-
-def slab_log_bayes_factor(mean: np.ndarray, var: np.ndarray, slab_var: float) -> np.ndarray:
-    """log of the slab/spike marginal likelihood ratio given the slab conditional."""
-    return 0.5 * (np.log(var) - np.log(slab_var)) + 0.5 * mean * mean / var
 
 
 def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarray,
@@ -75,15 +61,6 @@ def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarr
     p = expit(_logit(prob) + log_bf)
     p = np.where(np.isnan(fixed), p, fixed)
     return rng.random(p.shape[0]) < p
-
-
-def inclusion_posterior_params(prior: InclusionPrior,
-                               mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Beta posterior parameters (a + k, b + trials - k), one pair per share,
-    where k counts the share's counted indicators that are on."""
-    k = np.bincount(prior.share.ravel(), weights=np.where(prior.counted, mask, 0).ravel(),
-                    minlength=prior.a.size)
-    return prior.a + k, prior.b + prior.trials - k
 
 
 def sample_inclusion_probs(rng: np.random.Generator, prior: InclusionPrior,
@@ -319,12 +296,8 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 
     total -= 0.5 * float(np.sum(state.scores ** 2))
 
-    on = state.load_mask.astype(bool)
-    total -= 0.5 * float(np.sum(state.loadings[on] ** 2)) / spec.slab_var_loading
-    total -= 0.5 * int(on.sum()) * math.log(spec.slab_var_loading)
-    on_t = state.inter_mask.astype(bool)
-    total -= 0.5 * float(np.sum(state.inter_loadings[on_t] ** 2)) / spec.slab_var_inter
-    total -= 0.5 * int(on_t.sum()) * math.log(spec.slab_var_inter)
+    total += slab_log_density(state.loadings, state.load_mask, spec.slab_var_loading)
+    total += slab_log_density(state.inter_loadings, state.inter_mask, spec.slab_var_inter)
 
     if spec.family is Family.MULT_APPROACH1:
         prod = np.stack([state.scores[l1] * state.scores[l2]
@@ -337,23 +310,3 @@ def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 
     return total + inclusion_log_density(state, layout)
 
-
-def inclusion_log_density(state: McmcState, layout: PriorLayout) -> float:
-    """Log-joint terms of both inclusion-probability blocks (shared by both
-    families)."""
-    return (_prob_block(layout.load, state.load_mask, state.load_prob)
-            + _prob_block(layout.inter, state.inter_mask, state.inter_prob))
-
-
-def _prob_block(prior: InclusionPrior, mask: np.ndarray, prob: np.ndarray) -> float:
-    """Bernoulli terms over free entries plus one Beta prior term per share
-    with a free entry, at the probability of its first free entry
-    (normalizing constants omitted)."""
-    free = np.isnan(prior.fixed)
-    k = mask[free].astype(float)
-    p = np.clip(prob[free], _PROB_FLOOR, 1 - 1e-16)
-    total = float(np.sum(k * np.log(p) + (1 - k) * np.log1p(-p)))
-    shares, first = np.unique(prior.share[free], return_index=True)
-    q = p[first]
-    return total + float(np.sum((prior.a[shares] - 1) * np.log(q)
-                                + (prior.b[shares] - 1) * np.log1p(-q)))

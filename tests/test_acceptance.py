@@ -22,17 +22,15 @@ import factorint as fi
 from factorint.kernels import marginal_ratio_rows
 from factorint.model import DataMatrix
 from factorint.mult import (
-    inclusion_posterior_params,
     inter_score_conditional,
     log_joint,
     noise_conditional,
     refresh_products,
     residual_matrix,
     score_conditional,
-    slab_log_bayes_factor,
-    slab_posterior,
     update_scores,
 )
+from factorint.prior import inclusion_posterior_params, slab_log_bayes_factor, slab_posterior
 from factorint.rng import stream
 
 SADDLE_SEED = 7

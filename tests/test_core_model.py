@@ -1,6 +1,8 @@
 """Domain types: standardization, pair enumeration, spec validation, and the
 retain loop that fills the draws container."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,8 @@ from factorint import (
     standardize_rows,
     validate_spec,
 )
-from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, build_layout, run_chain
+from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, run_chain
+from factorint.prior import build_layout
 
 
 class TestStandardizeRows:
@@ -172,8 +175,10 @@ class TestLayout:
         lay = build_layout(spec, 4)
         assert np.isnan(lay.load.fixed).all()
         assert np.isnan(lay.inter.fixed).all()
-        # group labels survive for the grouped strategies
-        assert lay.load.group[0, 0] == 0 and lay.load.group[0, 1] == 1
+        # group labels survive for the grouped strategies: expected, excluded, unknown
+        lay = build_layout(replace(spec, load_prob_model=LoadProbModel.GROUPED), 4)
+        assert np.isnan(lay.load.fixed).all()
+        assert lay.load.share.tolist() == [[0, 1], [2, 2], [2, 2], [2, 2]]
 
     @pytest.mark.parametrize("first_is_seed", [True, False])
     def test_shared_probabilities_take_their_own_beta_pair(self, first_is_seed):
@@ -204,13 +209,6 @@ class TestLayout:
         spec = mult_spec(2, seed_groups={0: frozenset({10})})
         with pytest.raises(SpecConflict):
             build_layout(spec, 4)
-
-    def test_beta_table_lookup_precedence(self):
-        table = BetaTable(default=(1.0, 1.0), groups={"unknown": (2.0, 3.0)},
-                          entries={(0, 1): (5.0, 6.0)})
-        assert table.lookup((0, 1), "unknown") == (5.0, 6.0)
-        assert table.lookup((1, 1), "unknown") == (2.0, 3.0)
-        assert table.lookup((1, 1), "expected") == (1.0, 1.0)
 
 
 class TestSettings:

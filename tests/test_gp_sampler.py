@@ -28,8 +28,8 @@ from factorint.gp import (
     update_shared_effect,
 )
 from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows
-from factorint.model import build_layout
 from factorint.mult import _logit, initial_state
+from factorint.prior import build_layout
 from factorint.rng import stream
 
 

@@ -33,7 +33,7 @@ from factorint import (
 )
 from factorint import io as fio
 from factorint.cli import main as cli_main
-from factorint.model import build_layout
+from factorint.prior import build_layout
 
 
 def small_data(seed=0, m=8, n=10):
@@ -438,13 +438,24 @@ def run_cli(*argv):
 
 @pytest.fixture(scope="module")
 def fitted(tmp_path_factory):
-    """Directory holding a small data file and the draws of a short fit on it."""
+    """Directory holding a small data file and the draws of a short fit on it,
+    and under ``sim/`` a simulated data file, its truth bundle and a spec
+    file for ``compare``."""
     out = tmp_path_factory.mktemp("fitted")
     fio.write_data_csv(out / "data.csv", small_data(8, m=6, n=8))
     assert run_cli("fit", "--output-dir", str(out), "--seed", "1",
                    "--set", f"paths.data={out / 'data.csv'}",
                    "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 0
+    assert run_cli("simulate", "--output-dir", str(out / "sim"), "--seed", "1",
+                   "--set", "simulate.features=20", "--set", "simulate.samples=10") == 0
+    (out / "sim" / "mult2.cfg").write_text("model.family = mult_approach2\n")
     return out
+
+
+def option_args(item: str) -> list[str]:
+    """``--config=PATH`` as the --config option, any other ``key=value`` as --set."""
+    key, _, value = item.partition("=")
+    return [key, value] if key == "--config" else ["--set", item]
 
 
 # each names a file that does not exist, relative to the working directory
@@ -455,6 +466,8 @@ MISSING_FILE_CASES = [
     ("export-surface", "paths.draws=no/such/draws.bin"),
     ("compare", "paths.data=no/such/data.csv"),
     ("compare", "paths.truth=no/such/truth.bin"),
+    ("compare", "compare.specs=no/such/spec.cfg"),
+    ("fit", "--config=no/such/run.cfg"),
 ]
 
 
@@ -590,6 +603,9 @@ class TestCli:
         ("simulate", "simulate.noise_scale=nan"),
         ("simulate", "simulate.noise_scale=-1"),
         ("simulate", "simulate.noise_scale=0"),
+        ("fit", "model.seed_group.3=1"),
+        ("fit", "model.seed_group.0=1"),
+        ("fit", "model.seed_group.1=99"),
         *MISSING_FILE_CASES,
     ])
     def test_bad_config_value_prints_one_config_error(self, fitted, tmp_path, capsys,
@@ -602,12 +618,13 @@ class TestCli:
             "detect": [f"paths.draws={fitted / 'draws.bin'}"],
             "export-surface": [f"paths.draws={fitted / 'draws.bin'}"],
             "summarize": [f"paths.draws={fitted / 'draws.bin'}"],
-            "compare": [f"paths.data={fitted / 'data.csv'}", f"paths.truth={fitted / 'draws.bin'}",
-                        "compare.specs=gp1.cfg"],
+            "compare": [f"paths.data={fitted / 'sim' / 'data.csv'}",
+                        f"paths.truth={fitted / 'sim' / 'truth.bin'}",
+                        f"compare.specs={fitted / 'sim' / 'mult2.cfg'}"],
         }[command]
         args = [command, "--output-dir", str(tmp_path)]
         for item in valid + [setting]:
-            args += ["--set", item]
+            args += option_args(item)
         assert run_cli(*args) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -631,14 +648,29 @@ class TestCli:
     @pytest.mark.parametrize("command, setting", MISSING_FILE_CASES)
     def test_missing_input_file_names_the_key(self, fitted, tmp_path, capsys, command, setting):
         key, path = setting.split("=")
-        args = [command, "--output-dir", str(tmp_path), "--set", setting,
-                "--set", "surface.feature=0", "--set", "compare.specs=gp1.cfg"]
-        for other in ("paths.data", "paths.draws", "paths.truth"):
-            if other != key:
-                args += ["--set", f"{other}={fitted / 'data.csv'}"]
+        args = [command, "--output-dir", str(tmp_path), "--set", "surface.feature=0",
+                "--set", f"compare.specs={fitted / 'sim' / 'mult2.cfg'}"]
+        for other, name in (("paths.data", "data.csv"), ("paths.draws", "draws.bin"),
+                            ("paths.truth", "sim/truth.bin")):
+            args += ["--set", f"{other}={fitted / name}"]
+        args += option_args(setting)
         assert run_cli(*args) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"ERROR ConfigError: {key}: no such file {path!r}"]
+
+    @pytest.mark.parametrize("command, key", [("fit", "--config"), ("fit", "paths.data"),
+                                              ("compare", "compare.specs")])
+    def test_non_utf8_input_names_the_file(self, fitted, tmp_path, capsys, command, key):
+        latin1 = tmp_path / "latin1.txt"
+        latin1.write_bytes("model.family = gp  # caf\u00e9\n".encode("latin-1"))
+        args = [command, "--output-dir", str(tmp_path),
+                "--set", f"paths.data={fitted / 'sim' / 'data.csv'}",
+                "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}",
+                *option_args(f"{key}={latin1}")]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: {latin1}: not UTF-8 text "
+                       "(invalid continuation byte at byte 24)"]
 
     @pytest.mark.parametrize("case", ["no_arrays", "list_header", "unknown_dtype",
                                       "shape_against_nbytes"])

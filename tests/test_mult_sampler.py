@@ -26,9 +26,7 @@ from factorint import (
     run_mult_chain,
     standardize_rows,
 )
-from factorint.model import INTER_GROUPS, LOAD_GROUPS, InclusionPrior
 from factorint.mult import (
-    inclusion_posterior_params,
     inter_score_conditional,
     log_joint,
     noise_conditional,
@@ -36,6 +34,12 @@ from factorint.mult import (
     residual_matrix,
     sample_inclusion_probs,
     score_conditional,
+)
+from factorint.prior import (
+    INTER_GROUPS,
+    LOAD_GROUPS,
+    InclusionPrior,
+    inclusion_posterior_params,
     slab_log_bayes_factor,
     slab_posterior,
 )
@@ -319,7 +323,7 @@ class TestSharesMatchTheReference:
         fixed = np.where(rng.random(shape) < fixed_share,
                          rng.integers(0, 2, size=shape).astype(float), np.nan)
         mask = rng.integers(0, 2, size=shape).astype(np.int8)
-        pairs = np.array([table.lookup(None, names[g]) for g in labels.ravel()])
+        pairs = np.array([table.groups.get(names[g], table.default) for g in labels.ravel()])
         pairs = pairs.reshape(shape + (2,))
         ref_args = (mask, fixed, labels, pairs[..., 0], pairs[..., 1], model.value)
 
