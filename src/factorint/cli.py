@@ -2,7 +2,8 @@
 
 Commands: simulate, fit, summarize, detect, compare, test-overlap,
 export-surface. Every run writes its artifacts plus a ``manifest.json``
-recording the resolved configuration, the seed, and a checksum per artifact.
+recording the resolved configuration, the seed, a checksum per artifact, and
+the run's wall time and peak resident memory.
 Failures exit nonzero with a single line ``ERROR <Code>: <message>`` on
 stderr. The FACTORINT_OUTPUT_DIR environment variable sets the default
 output directory.
@@ -14,10 +15,8 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import replace
+import time
 from pathlib import Path
-
-import numpy as np
 
 from . import io as fio
 from .errors import ConfigError
@@ -76,13 +75,7 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _finish(out: Path, command: str, cfg: dict, seed: int, artifacts: list[str]) -> None:
-    fio.write_manifest(out, command, cfg, seed, artifacts)
-    for name in artifacts:
-        print(f"wrote {out / name}")
-
-
-def cmd_simulate(cfg: dict[str, str], out: Path) -> None:
+def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     settings = fio.settings_from_config(cfg)
     data, truth = generate_saddle_dataset(
         m=fio.config_int(cfg, "simulate.features", 100),
@@ -95,10 +88,10 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> None:
         "loadings": truth.loadings, "scores": truth.scores, "effects": truth.effects,
         "noise_var": truth.noise_var, "affected": truth.affected,
         "seed_group_1": truth.seed_groups[0], "seed_group_2": truth.seed_groups[1]})
-    _finish(out, "simulate", cfg, settings.seed, ["data.csv", "truth.bin"])
+    return settings.seed, ["data.csv", "truth.bin"]
 
 
-def cmd_fit(cfg: dict[str, str], out: Path) -> None:
+def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     if "paths.data" not in cfg:
         raise ConfigError("fit requires paths.data")
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
@@ -112,9 +105,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> None:
         fio.persist_draws(draws, out / name)
         artifacts.append(name)
 
-    pooled = all_draws[0] if len(all_draws) == 1 else replace(all_draws[0], values={
-        name: np.concatenate([d.values[name] for d in all_draws]) for name in all_draws[0].values})
-    posterior_summary(pooled).write_csv(out / "summary.csv")
+    posterior_summary(*all_draws).write_csv(out / "summary.csv")
     artifacts.append("summary.csv")
 
     if spec.family is Family.GP:
@@ -129,7 +120,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> None:
                     writer.writerow([draws.chain, j, acc, prop, f"{rate:.6g}",
                                      f"{draws.rw_step_final:.6g}"])
         artifacts.append("acceptance.csv")
-    _finish(out, "fit", cfg, settings.seed, artifacts)
+    return settings.seed, artifacts
 
 
 def _load_draws_from_cfg(cfg: dict[str, str]) -> PosteriorDraws:
@@ -138,13 +129,13 @@ def _load_draws_from_cfg(cfg: dict[str, str]) -> PosteriorDraws:
     return fio.load_draws(_input_file("paths.draws", cfg["paths.draws"]))
 
 
-def cmd_summarize(cfg: dict[str, str], out: Path) -> None:
+def cmd_summarize(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     draws = _load_draws_from_cfg(cfg)
     posterior_summary(draws).write_csv(out / "summary.csv")
-    _finish(out, "summarize", cfg, draws.seed, ["summary.csv"])
+    return draws.seed, ["summary.csv"]
 
 
-def cmd_detect(cfg: dict[str, str], out: Path) -> None:
+def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     draws = _load_draws_from_cfg(cfg)
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
     fids = draws.feature_ids or tuple(str(i) for i in range(draws.stack("noise_var").shape[1]))
@@ -153,10 +144,10 @@ def cmd_detect(cfg: dict[str, str], out: Path) -> None:
         writer.writerow(["feature_id", "probability"])
         for i, prob in sorted(detected.items()):
             writer.writerow([fids[i], f"{prob:.10g}"])
-    _finish(out, "detect", cfg, draws.seed, ["detected.csv"])
+    return draws.seed, ["detected.csv"]
 
 
-def cmd_compare(cfg: dict[str, str], out: Path) -> None:
+def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     for key in ("paths.data", "paths.truth", "compare.specs"):
         if key not in cfg:
             raise ConfigError(f"compare requires {key}")
@@ -183,10 +174,10 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> None:
         name = f"surface_{row.label}.csv"
         row.surface.write_csv(out / name)
         artifacts.append(name)
-    _finish(out, "compare", cfg, settings.seed, artifacts)
+    return settings.seed, artifacts
 
 
-def cmd_test_overlap(cfg: dict[str, str], out: Path) -> None:
+def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     for key in ("overlap.population", "overlap.counts", "overlap.observed"):
         if key not in cfg:
             raise ConfigError(f"test-overlap requires {key}")
@@ -203,10 +194,10 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> None:
         writer.writerow([f"{p_value:.10g}", inp.observed_overlap, inp.n_replicates,
                          f"{reps.mean:.10g}", f"{reps.sd:.10g}"])
     print(f"p_value={p_value:.10g}")
-    _finish(out, "test-overlap", cfg, settings.seed, ["overlap.csv"])
+    return settings.seed, ["overlap.csv"]
 
 
-def cmd_export_surface(cfg: dict[str, str], out: Path) -> None:
+def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     draws = _load_draws_from_cfg(cfg)
     if "surface.feature" not in cfg:
         raise ConfigError("export-surface requires surface.feature")
@@ -223,7 +214,7 @@ def cmd_export_surface(cfg: dict[str, str], out: Path) -> None:
     effects = posterior_mean_effects(draws)
     scores = draws.stack("scores").mean(axis=0)
     export_surface(effects[feature], scores[:2]).write_csv(out / "surface.csv")
-    _finish(out, "export-surface", cfg, draws.seed, ["surface.csv"])
+    return draws.seed, ["surface.csv"]
 
 
 _COMMANDS = {
@@ -238,11 +229,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     try:
         cfg = _load_config(args)
         out = _output_dir(args)
-        _COMMANDS[args.command](cfg, out)
+        seed, artifacts = _COMMANDS[args.command](cfg, out)
+        fio.write_manifest(out, args.command, cfg, seed, artifacts,
+                           wall_s=time.perf_counter() - started)
+        for name in artifacts:
+            print(f"wrote {out / name}")
     except Exception as exc:  # noqa: BLE001 - contract: one parsable line per failure
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

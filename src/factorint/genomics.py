@@ -323,11 +323,26 @@ class PosteriorSummary:
         return {r.name: r for r in self.rows}
 
 
-def _trace_block(values: np.ndarray) -> np.ndarray:
-    """An (S, ...) field as a C-contiguous (P, S) block, one row per parameter
-    in C order. Reducing along the contiguous axis sums in the same order as
-    on the parameter's own 1-D trace, so the results match it bit for bit."""
-    return np.ascontiguousarray(values.reshape(len(values), -1).T)
+# Bytes of traces that ``posterior_summary`` gathers into one block of
+# parameters. Its working memory is a few such blocks, whatever the size of
+# a field or the number of chains.
+_SUMMARY_BLOCK = 1 << 19
+
+
+def _gather(chains: list[np.ndarray], rows, dtype=None) -> np.ndarray:
+    """The traces of parameters ``rows`` (a slice or an index array over the
+    trailing axes of (S, ...) fields, in C order) as one C-contiguous
+    (rows, S) block, the chains' states one after another. A row holds the
+    bytes it holds in the chains concatenated along the state axis, and
+    reducing along it sums in the same order as on that 1-D trace, so the
+    results match a per-parameter computation bit for bit."""
+    parts = [chain.reshape(len(chain), -1)[:, rows] for chain in chains]
+    block = np.empty((parts[0].shape[1], sum(map(len, parts))), dtype or parts[0].dtype)
+    start = 0
+    for part in parts:
+        block[:, start:start + len(part)] = part.T
+        start += len(part)
+    return block
 
 
 def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -335,54 +350,83 @@ def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return block.mean(axis=1), *np.percentile(block, [2.5, 97.5], axis=1)
 
 
-def _field_summary(values: np.ndarray, mask: np.ndarray | None) -> tuple:
+def _field_summary(values: list[np.ndarray], masks: list[np.ndarray] | None) -> tuple:
     """Estimate, interval, inclusion probability and convergence flag of every
-    parameter of one (S, ...) state field, as lists. With a spike-and-slab
-    indicator ``mask`` (broadcast to ``values``) the estimate and interval come
-    from the dominant mixture component: the slab states when the inclusion
-    probability exceeds 0.5, zero otherwise. Rows with the same count k of slab
-    states are reduced together as one (rows, k) block, in state order."""
-    block = _trace_block(values)
-    converged = two_window_converged(block).tolist()
-    if mask is None:
-        return *(part.tolist() for part in _interval(block)), repeat(None), converged
-    on = _trace_block(np.broadcast_to(mask, values.shape)).astype(bool)
-    counts = on.sum(axis=1)
-    incl = counts / block.shape[1]
-    est, lo, hi = np.zeros((3, block.shape[0]))
-    dominant = incl > 0.5
-    for k in np.unique(counts[dominant]):
-        rows = np.flatnonzero(dominant & (counts == k))
-        est[rows], lo[rows], hi[rows] = _interval(block[rows][on[rows]].reshape(rows.size, k))
-    return est.tolist(), lo.tolist(), hi.tolist(), incl.tolist(), converged
+    parameter of one state field, given as one (S, ...) array per chain, as
+    lists. The field is reduced in blocks of parameters of about
+    ``_SUMMARY_BLOCK`` bytes. With spike-and-slab indicators ``masks`` (one
+    per parameter, or one per run of parameters in C order, as the (S, m)
+    indicators of an (S, m, n) field) the estimate and interval come from the
+    dominant mixture component: the slab states when the inclusion
+    probability exceeds 0.5, zero otherwise. A block's dominant rows with the
+    same count k of slab states are reduced together as one (rows, k) block,
+    in state order."""
+    states = sum(map(len, values))
+    size = values[0][0].size
+    step = max(1, _SUMMARY_BLOCK // (states * values[0].itemsize))
+    est, lo, hi = np.zeros((3, size))
+    converged = np.zeros(size, dtype=bool)
+    if masks is not None:
+        share = size // masks[0][0].size  # parameters per indicator
+        counts = np.repeat(sum(mask.reshape(len(mask), -1).sum(axis=0) for mask in masks), share)
+        incl = counts / states
+    for start in range(0, size, step):
+        rows = slice(start, min(start + step, size))
+        block = _gather(values, rows)
+        converged[rows] = two_window_converged(block)
+        if masks is None:
+            est[rows], lo[rows], hi[rows] = _interval(block)
+            continue
+        dominant = np.flatnonzero(incl[rows] > 0.5)
+        on = _gather(masks, (start + dominant) // share, bool)
+        slabs = counts[start + dominant]
+        for k in np.unique(slabs):
+            same = slabs == k
+            at = start + dominant[same]
+            est[at], lo[at], hi[at] = _interval(block[dominant[same]][on[same]].reshape(-1, k))
+    incl = repeat(None) if masks is None else incl.tolist()
+    return est.tolist(), lo.tolist(), hi.tolist(), incl, converged.tolist()
 
 
-def posterior_summary(draws: PosteriorDraws, min_states: int = 20) -> PosteriorSummary:
-    """Mixture-aware per-parameter summary of the retained states, one
-    vectorised pass per state field."""
-    if len(draws) < min_states:
+def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
+                      min_states: int = 20) -> PosteriorSummary:
+    """Mixture-aware per-parameter summary of the retained states of one or
+    more chains of the same model, pooled in the order given, without a
+    pooled copy of the chains. ``min_states`` counts the pooled states."""
+    chains = (draws, *more)
+    for other in more:
+        if other.spec != draws.spec or any(
+                other.values[name].shape[1:] != arr.shape[1:] for name, arr in draws.values.items()):
+            raise ConfigError("chains summarised together must share the model spec "
+                              "and the shape of every state field")
+    states = sum(map(len, chains))
+    if states < min_states:
         raise InsufficientDraws(
-            f"need at least {min_states} retained states, have {len(draws)}")
-    loadings, scores = draws.stack("loadings"), draws.stack("scores")
-    m, L = loadings.shape[1:]
+            f"need at least {min_states} retained states, have {states}")
+
+    def stack(name: str) -> list[np.ndarray]:
+        return [chain.stack(name) for chain in chains]
+
+    m, L = draws.stack("loadings").shape[1:]
+    n = draws.stack("scores").shape[2]
     fids = draws.feature_ids or tuple(str(i) for i in range(m))
-    sids = draws.sample_ids or tuple(str(j) for j in range(scores.shape[2]))
+    sids = draws.sample_ids or tuple(str(j) for j in range(n))
     factors = range(1, L + 1)
-    # (name, role, labels of the trailing axes, values, indicator or None)
-    fields = [("loading", "loading", (fids, factors), loadings, draws.stack("load_mask")),
-              ("score", "factor_score", (factors, sids), scores, None)]
+    # (name, role, labels of the trailing axes, values, indicators or None)
+    fields = [("loading", "loading", (fids, factors), stack("loadings"), stack("load_mask")),
+              ("score", "factor_score", (factors, sids), stack("scores"), None)]
     if draws.spec.is_mult:
-        inter_scores = draws.stack("inter_scores")
-        pairs = range(1, inter_scores.shape[1] + 1)
+        pairs = range(1, draws.stack("inter_scores").shape[1] + 1)
         fields += [("inter_loading", "interaction_loading", (fids, pairs),
-                    draws.stack("inter_loadings"), draws.stack("inter_mask")),
-                   ("inter_score", "interaction_score", (pairs, sids), inter_scores, None)]
+                    stack("inter_loadings"), stack("inter_mask")),
+                   ("inter_score", "interaction_score", (pairs, sids), stack("inter_scores"), None)]
     else:
-        fields.append(("effect", "interaction_effect", (fids, sids), draws.stack("effects"),
-                       draws.stack("inter_mask")[:, :, None]))
-    fields.append(("noise_var", "noise_variance", (fids,), draws.stack("noise_var"), None))
+        fields.append(("effect", "interaction_effect", (fids, sids), stack("effects"),
+                       stack("inter_mask")))
+    fields.append(("noise_var", "noise_variance", (fids,), stack("noise_var"), None))
     rows: list[ParameterSummary] = []
-    for name, role, labels, values, mask in fields:
-        names = (f"{name}[{','.join(map(str, key))}]" for key in product(*labels))
-        rows += map(ParameterSummary, names, repeat(role), *_field_summary(values, mask))
+    for name, role, labels, values, masks in fields:
+        keys = map(",".join, product(*(tuple(map(str, axis)) for axis in labels)))
+        names = [f"{name}[{key}]" for key in keys]
+        rows += map(ParameterSummary, names, repeat(role), *_field_summary(values, masks))
     return PosteriorSummary(rows=tuple(rows))

@@ -26,6 +26,7 @@ import math
 import os
 import platform
 import struct
+import sys
 from io import StringIO
 from pathlib import Path
 
@@ -135,23 +136,22 @@ def read_data_csv(path) -> DataMatrix:
 
 
 def read_annotation(path) -> Annotation:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header[:3]] != ["probe_id", "chromosome", "position"]:
-            raise ConfigError(f"{path}: expected header probe_id,chromosome,position")
-        probes, chroms, positions = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) < 3:
-                raise ConfigError(f"{path}:{lineno}: expected 3 cells")
-            probes.append(row[0])
-            chroms.append(row[1])
-            try:
-                positions.append(int(row[2]))
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    reader = csv.reader(StringIO(_read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None or [h.strip() for h in header[:3]] != ["probe_id", "chromosome", "position"]:
+        raise ConfigError(f"{path}: expected header probe_id,chromosome,position")
+    probes, chroms, positions = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) < 3:
+            raise ConfigError(f"{path}:{lineno}: expected 3 cells")
+        probes.append(row[0])
+        chroms.append(row[1])
+        try:
+            positions.append(int(row[2]))
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return Annotation(tuple(probes), tuple(chroms), np.asarray(positions, dtype=np.int64))
 
 
@@ -582,17 +582,30 @@ def _run_environment() -> dict:
             "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS}}
 
 
+def _peak_rss_mb() -> float:
+    """The process's peak resident set size so far, in MB (``ru_maxrss`` is
+    in kilobytes on Linux and in bytes on macOS)."""
+    # imported once a command's work is done, so that its pages (about
+    # 0.3 MB) load below the peak rather than into every command's baseline
+    import resource
+
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def write_manifest(output_dir, command: str, config: dict, seed: int,
-                   artifacts: list[str]) -> Path:
-    """Record the resolved configuration, the run environment and a checksum
-    for every artifact."""
+                   artifacts: list[str], wall_s: float) -> Path:
+    """Record the resolved configuration, the run environment, the run's
+    footprint (its wall time ``wall_s`` and the peak RSS so far) and a
+    checksum for every artifact."""
     output_dir = Path(output_dir)
     entries = []
     for name in sorted(artifacts):
         p = output_dir / name
         entries.append({"path": name, "sha256": sha256_file(p), "bytes": p.stat().st_size})
     manifest = {"command": command, "config": config, "seed": seed, "artifacts": entries,
-                "environment": _run_environment()}
+                "environment": _run_environment(),
+                "run": {"wall_s": wall_s, "peak_rss_mb": _peak_rss_mb()}}
     path = output_dir / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     return path

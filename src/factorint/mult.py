@@ -53,12 +53,11 @@ def _logit(p: np.ndarray) -> np.ndarray:
 def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarray,
                     fixed: np.ndarray) -> np.ndarray:
     """Draw one spike-and-slab indicator per entry: on with probability
-    expit(logit(prob) + log_bf), the prior odds times the slab/spike Bayes
+    logistic(logit(prob) + log_bf), the prior odds times the slab/spike Bayes
     factor. ``fixed`` holds NaN for free entries and 0/1 where the inclusion
     probability is degenerate, which then overrides the posterior."""
-    from scipy.special import expit
-
-    p = expit(_logit(prob) + log_bf)
+    with np.errstate(over="ignore"):  # exp overflows to inf, giving p = 0
+        p = 1.0 / (1.0 + np.exp(-(_logit(prob) + log_bf)))
     p = np.where(np.isnan(fixed), p, fixed)
     return rng.random(p.shape[0]) < p
 

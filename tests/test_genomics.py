@@ -2,6 +2,7 @@
 permutation test, and posterior summaries."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations
 
@@ -32,6 +33,7 @@ from factorint import (
     select_candidate_genes,
     standardize_rows,
 )
+from factorint import genomics
 from factorint.genomics import ParameterSummary, two_window_converged
 from factorint.model import STATE_FIELDS
 from factorint.rng import stream
@@ -509,16 +511,25 @@ def assert_same_summary(draws: PosteriorDraws) -> PosteriorSummary:
     return got
 
 
-def saddle_fit(spec, seed: int, n_chains: int = 1, thin: int = 1) -> PosteriorDraws:
-    """Draws of a short seeded fit of a 20x15 saddle dataset, the chains
-    pooled the way ``fit`` pools them."""
+def saddle_chains(spec, seed: int, n_chains: int = 1, thin: int = 1) -> list[PosteriorDraws]:
+    """Draws of short seeded fits of a 20x15 saddle dataset, one per chain."""
     data, truth = generate_saddle_dataset(20, 15, frac_affected=0.3, seed=seed)
     groups = {k: frozenset(int(i) for i in v) for k, v in truth.seed_groups.items()}
     spec = replace(spec, seed_groups=groups)
     settings = McmcSettings(n_iters=60, burn_in=20, thin=thin, seed=seed)
-    chains = [fit_spec(spec, data, settings, chain=c) for c in range(n_chains)]
+    return [fit_spec(spec, data, settings, chain=c) for c in range(n_chains)]
+
+
+def pooled(chains: list[PosteriorDraws]) -> PosteriorDraws:
+    """The chains concatenated along the state axis into one draws object."""
     return replace(chains[0], values={name: np.concatenate([d.values[name] for d in chains])
                                       for name in chains[0].values})
+
+
+def saddle_fit(spec, seed: int, n_chains: int = 1, thin: int = 1) -> PosteriorDraws:
+    """Draws of a short seeded fit of a 20x15 saddle dataset, the chains
+    pooled."""
+    return pooled(saddle_chains(spec, seed, n_chains, thin))
 
 
 class TestSummaryMatchesReference:
@@ -568,6 +579,84 @@ class TestSummaryMatchesReference:
         assert rows["effect[2,0]"].estimate == 0.0
         assert rows["effect[3,1]"].ci_low == rows["effect[3,1]"].ci_high == 2.5
         assert rows["loading[5,1]"].converged and rows["noise_var[0]"].converged
+
+
+def block_of_rows(states: int) -> int:
+    """Parameters per block of the summary, for traces of ``states`` states."""
+    return max(1, genomics._SUMMARY_BLOCK // (8 * states))
+
+
+class TestBlockedSummary:
+    """The summary reduced in blocks of parameters, from one or more chains."""
+
+    @pytest.mark.parametrize("spec, field", [(gp_spec(1), "effects"),
+                                             (mult_spec(2), "inter_loadings")],
+                             ids=["gp1", "mult2"])
+    def test_blocks_that_split_an_equal_count_group(self, spec, field, monkeypatch):
+        draws = saddle_fit(spec, 3)
+        S = len(draws)
+        monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", 7 * 8 * S)
+        assert block_of_rows(S) == 7
+        values = draws.stack(field)
+        mask = draws.stack("inter_mask").reshape(S, values.shape[1], -1)
+        counts = np.broadcast_to(mask, values.shape).reshape(S, -1).sum(axis=0)
+        block = np.arange(counts.size) // block_of_rows(S)
+        dominant = counts > S / 2
+        assert block[-1] > 1
+        # the dominant parameters of some slab count k sit in more than one block
+        assert any(np.unique(block[dominant & (counts == k)]).size > 1
+                   for k in np.unique(counts[dominant]))
+        assert_same_summary(draws)
+
+    @pytest.mark.parametrize("rows_per_block", [None, 5])
+    @pytest.mark.parametrize("spec", [gp_spec(1), mult_spec(1)], ids=["gp1", "mult1"])
+    def test_chains_summarise_as_their_concatenation(self, spec, rows_per_block, tmp_path,
+                                                     monkeypatch):
+        chains = saddle_chains(spec, 5, n_chains=2, thin=2)
+        if rows_per_block is not None:
+            states = sum(map(len, chains))
+            monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", rows_per_block * 8 * states)
+        got = posterior_summary(*chains)
+        expected = assert_same_summary(pooled(chains))
+        assert [repr(r) for r in got.rows] == [repr(r) for r in expected.rows]
+        got.write_csv(tmp_path / "chains.csv")
+        expected.write_csv(tmp_path / "pooled.csv")
+        assert (tmp_path / "chains.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+    def test_min_states_counts_the_pooled_states(self):
+        a, b = gaussian_draws(0.0, 1.0, 12, 1), gaussian_draws(0.0, 1.0, 12, 2)
+        with pytest.raises(InsufficientDraws):
+            posterior_summary(a)
+        assert [repr(r) for r in posterior_summary(a, b).rows] \
+            == [repr(r) for r in posterior_summary(pooled([a, b])).rows]
+
+    def test_chains_of_different_models_rejected(self):
+        a = gaussian_draws(0.0, 1.0, 30, 1)
+        with pytest.raises(ConfigError):
+            posterior_summary(a, replace(a, spec=gp_spec(2)))
+
+    def test_peak_memory_is_bounded_by_the_block_not_the_field(self):
+        rng = np.random.default_rng(71)
+        S, m, n = 2000, 20, 100
+        effects = rng.normal(size=(S, m, n))
+        field_bytes = effects.nbytes
+        assert field_bytes >= 32_000_000
+        # inclusion rates from 0.2 (spike-dominated) to 1 (always on)
+        mask = (rng.random((S, m)) < np.linspace(0.2, 1.0, m)).astype(np.int8)
+        effects *= mask[:, :, None]
+        draws = PosteriorDraws(spec=gp_spec(1), burn_in=0, thin=1, n_iters=S, seed=0, values={
+            "loadings": rng.normal(size=(S, m, 2)), "scores": rng.normal(size=(S, 2, n)),
+            "load_mask": np.ones((S, m, 2), np.int8), "load_prob": np.full((S, m, 2), 0.5),
+            "noise_var": np.ones((S, m)), "inter_mask": mask,
+            "inter_prob": np.full((S, m), 0.5), "effects": effects})
+        tracemalloc.start()
+        try:
+            rows = posterior_summary(draws).rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == m * 2 + 2 * n + m * n + m
+        assert peak < field_bytes / 8, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestTwoWindowDiagnostic:

@@ -4,9 +4,12 @@ import hashlib
 import json
 import os
 import platform
+import re
+import resource
 import struct
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -24,6 +27,7 @@ from factorint import (
     CorruptFile,
     FactorIntError,
     FormatVersionMismatch,
+    generate_saddle_dataset,
     gp_spec,
     mult_spec,
     posterior_summary,
@@ -72,6 +76,12 @@ class TestAnnotationCsv:
         path = tmp_path / "ann.csv"
         path.write_text("probe,chrom,pos\np1,22,100\n")
         with pytest.raises(ConfigError):
+            fio.read_annotation(path)
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_bytes("probe_id,chromosome,position\npé,1,5\n".encode("latin-1"))
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             fio.read_annotation(path)
 
 
@@ -488,6 +498,24 @@ class TestCli:
         assert (a / "draws.bin").read_bytes() == (b / "draws.bin").read_bytes()
         assert (a / "summary.csv").read_bytes() == (b / "summary.csv").read_bytes()
 
+    def test_two_chain_fit_summary_is_pinned(self, tmp_path):
+        # gp_saddle's data and chain seeds, cut to 40 iterations; pinned when
+        # ``fit`` still summarised one pooled copy of the two chains
+        data, truth = generate_saddle_dataset(100, 100, frac_affected=0.1, seed=7)
+        fio.write_data_csv(tmp_path / "data.csv", data)
+        groups = [",".join(str(int(i)) for i in truth.seed_groups[k]) for k in (0, 1)]
+        assert run_cli("fit", "--output-dir", str(tmp_path / "fit"), "--seed", "8",
+                       "--set", f"paths.data={tmp_path / 'data.csv'}",
+                       "--set", "model.family=gp", "--set", "model.gp_variant=1",
+                       "--set", "model.length_scale=0.2", "--set", "model.beta=1,10",
+                       "--set", f"model.seed_group.1={groups[0]}",
+                       "--set", f"model.seed_group.2={groups[1]}",
+                       "--set", "mcmc.iters=40", "--set", "mcmc.burn_in=20",
+                       "--set", "mcmc.chains=2") == 0
+        summary = (tmp_path / "fit" / "summary.csv").read_bytes()
+        assert hashlib.sha256(summary).hexdigest() == (
+            "31cea328a61060268de58f099a5e8ed6f43e5c568585e0c10d726ac5c580f52a")
+
     def test_manifest_checksums_verify(self, tmp_path):
         out = tmp_path / "sim"
         assert run_cli("simulate", "--output-dir", str(out), "--seed", "3",
@@ -495,6 +523,18 @@ class TestCli:
         assert fio.verify_manifest(out)
         manifest = json.loads((out / "manifest.json").read_text())
         assert {e["path"] for e in manifest["artifacts"]} == {"data.csv", "truth.bin"}
+
+    def test_manifest_records_wall_time_and_peak_rss(self, tmp_path):
+        out = tmp_path / "sim"
+        started = time.perf_counter()
+        assert run_cli("simulate", "--output-dir", str(out), "--seed", "3",
+                       "--set", "simulate.features=20", "--set", "simulate.samples=12") == 0
+        elapsed = time.perf_counter() - started
+        peak_after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        run = json.loads((out / "manifest.json").read_text())["run"]
+        assert 0 < run["wall_s"] <= elapsed
+        assert 0 < run["peak_rss_mb"] <= peak_after
+        assert fio.verify_manifest(out)
 
     def test_gp_fit_writes_acceptance_report(self, tmp_path):
         out = tmp_path / "gp"

@@ -114,3 +114,5 @@ def test_gp_fit_loads_no_scipy_spatial(tmp_path):
     assert (tmp_path / "draws.bin").exists()
     assert "scipy.linalg" in report["scipy"]
     assert not [name for name in report["scipy"] if name.startswith("scipy.spatial")]
+    # the spike-and-slab indicator draw takes its logistic from numpy
+    assert not [name for name in report["scipy"] if name.startswith("scipy.special")]
