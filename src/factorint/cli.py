@@ -57,6 +57,7 @@ def _load_config(args) -> dict[str, str]:
         cfg[key.strip()] = value.strip()
     if args.seed is not None:
         cfg["mcmc.seed"] = str(args.seed)
+    fio.check_config_keys(cfg)
     return cfg
 
 
@@ -164,6 +165,7 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     specs, labels = [], []
     for p in spec_paths:
         sub = fio.read_config(_input_file("compare.specs", p))
+        fio.check_config_keys(sub)
         specs.append(fio.spec_from_config(sub, data))
         labels.append(Path(p).stem)
     settings = fio.settings_from_config(cfg)

@@ -27,6 +27,7 @@ import os
 import platform
 import struct
 import sys
+from dataclasses import replace
 from io import StringIO
 from pathlib import Path
 
@@ -44,6 +45,9 @@ from .model import (
     ModelSpec,
     PosteriorDraws,
     STATE_FIELDS,
+    gp_spec,
+    mult_spec,
+    state_shapes,
     validate_spec,
 )
 from .prior import BetaTable, InterProbModel, LoadProbModel
@@ -80,7 +84,6 @@ mcmc.adapt_rw             true | false (default true)
 paths.data                data CSV
 paths.truth               truth bundle (compare)
 paths.draws               draws bundle (summarize / detect / export-surface)
-paths.annotation          annotation CSV
 simulate.features         m (default 100)
 simulate.samples          n (default 100)
 simulate.frac_affected    fraction of candidates with effects (default 0.1)
@@ -337,22 +340,6 @@ def persist_draws(draws: PosteriorDraws, path) -> None:
 _DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
 
 
-def _state_shapes(spec: ModelSpec, m: int, n: int) -> dict[str, tuple[int, ...]]:
-    """Per-state shape of every field a fit of ``spec`` on m x n data retains."""
-    L = spec.n_factors
-    shapes = {"loadings": (m, L), "scores": (L, n), "load_mask": (m, L), "load_prob": (m, L),
-              "noise_var": (m,)}
-    if spec.is_mult:
-        T = spec.n_pairs
-        shapes.update(inter_mask=(m, T), inter_prob=(m, T), inter_loadings=(m, T),
-                      inter_scores=(T, n))
-    else:
-        shapes.update(inter_mask=(m,), inter_prob=(m,), effects=(m, n))
-        if spec.shared_effect:
-            shapes["shared_effect"] = (n,)
-    return shapes
-
-
 def _draws_ids(meta: dict, key: str, count: int, path) -> tuple[str, ...] | None:
     ids = meta.get(key)
     if ids is None:
@@ -390,7 +377,7 @@ def load_draws(path) -> PosteriorDraws:
     if values["loadings"].ndim != 3 or values["scores"].ndim != 3:
         raise CorruptFile(f"{path}: loadings or scores are not one matrix per state")
     m, n = values["loadings"].shape[1], values["scores"].shape[2]
-    shapes = _state_shapes(spec, m, n)
+    shapes = state_shapes(spec, m, n)
     if shapes.keys() != values.keys() or any(
             arr.shape[1:] != shapes[name] for name, arr in values.items()):
         raise CorruptFile(f"{path}: state fields do not match a {spec.family.value} model "
@@ -436,13 +423,13 @@ def _parse(kind, value: str, key: str, expected: str):
         raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
 
 
-def _as_bool(value: str, key: str) -> bool:
-    low = value.lower()
+def _config_bool(cfg: dict[str, str], key: str) -> bool:
+    low = cfg[key].lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {value!r}")
+    raise ConfigError(f"{key}: expected a boolean, got {cfg[key]!r}")
 
 
 def _as_pair(value: str, key: str) -> tuple[float, float]:
@@ -476,8 +463,9 @@ def config_ints(cfg: dict[str, str], key: str) -> tuple[int, ...]:
     return tuple(_parse(int, v, key, "comma-separated integers") for v in cfg[key].split(","))
 
 
-def _config_choice(cfg: dict[str, str], key: str, kind, default: str):
-    return _parse(kind, cfg.get(key, default), key, " | ".join(m.value for m in kind))
+def _config_choice(kind):
+    """A parser of the ``kind`` member whose value a key holds."""
+    return lambda cfg, key: _parse(kind, cfg[key], key, " | ".join(m.value for m in kind))
 
 
 def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> frozenset[int]:
@@ -497,71 +485,81 @@ def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> f
     return frozenset(index[t] for t in tokens)
 
 
+# config key, ModelSpec field, parser; every family reads the first table
+_SPEC_KEYS = (
+    ("model.factors", "n_factors", config_int),
+    ("model.slab_var_loading", "slab_var_loading", config_float),
+    ("model.slab_var_inter", "slab_var_inter", config_float),
+    ("model.load_prob_model", "load_prob_model", _config_choice(LoadProbModel)),
+    ("model.inter_prob_model", "inter_prob_model", _config_choice(InterProbModel)),
+    ("model.seed_constraints", "seed_constraints", _config_bool),
+    ("model.include_interactions", "include_interactions", _config_bool),
+)
+_FAMILY_SPEC_KEYS = {
+    Family.GP: (("model.length_scale", "length_scale", config_float),),
+    Family.MULT_APPROACH1: (("model.product_var", "product_var", config_float),),
+}
+
+
 def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> ModelSpec:
-    family = _config_choice(cfg, "model.family", Family, "mult_approach2")
-
-    def beta_table(default_key: str) -> BetaTable:
-        default = _as_pair(cfg[default_key], default_key) if default_key in cfg else (1.0, 1.0)
-        groups = {}
-        for key, value in cfg.items():
-            if key.startswith(default_key + "."):
-                groups[key[len(default_key) + 1:]] = _as_pair(value, key)
-        return BetaTable(default=default, groups=groups)
-
-    n_factors = config_int(cfg, "model.factors", 2)
-    seed_groups: dict[int, frozenset[int]] = {}
-    for key, value in cfg.items():
-        if key.startswith("model.seed_group."):
-            group = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number")
-            if not 1 <= group <= n_factors:
-                raise ConfigError(f"{key}: seed group {group} outside 1..{n_factors} "
-                                  f"(model.factors = {n_factors})")
-            tokens = [t.strip() for t in value.split(",") if t.strip()]
-            seed_groups[group - 1] = _resolve_features(tokens, data, key)
-
-    kwargs = dict(
-        family=family,
-        n_factors=n_factors,
-        slab_var_loading=config_float(cfg, "model.slab_var_loading", 10.0),
-        slab_var_inter=config_float(cfg, "model.slab_var_inter", 10.0),
-        noise_prior=(config_float(cfg, "model.noise_shape", 2.1),
-                     config_float(cfg, "model.noise_scale", 1.1)),
-        load_prob_prior=beta_table("model.gamma"),
-        inter_prob_prior=beta_table("model.beta"),
-        seed_groups=seed_groups or None,
-        seed_constraints=_as_bool(cfg.get("model.seed_constraints", "true"),
-                                  "model.seed_constraints"),
-        include_interactions=_as_bool(cfg.get("model.include_interactions", "true"),
-                                      "model.include_interactions"),
-    )
+    """The model ``cfg`` describes. Only the keys it sets are read, and
+    ``mult_spec``, ``gp_spec`` and ``ModelSpec`` supply every other value.
+    ``model.product_var`` is read for approach 1 only, and
+    ``model.gp_variant`` and ``model.length_scale`` for the gp family only."""
+    family = (_config_choice(Family)(cfg, "model.family") if "model.family" in cfg
+              else Family.MULT_APPROACH2)
+    kwargs = {name: parse(cfg, key)
+              for key, name, parse in _SPEC_KEYS + _FAMILY_SPEC_KEYS.get(family, ())
+              if key in cfg}
+    for key, name in (("model.gamma", "load_prob_prior"), ("model.beta", "inter_prob_prior")):
+        default = {"default": _as_pair(cfg[key], key)} if key in cfg else {}
+        groups = {k[len(key) + 1:]: _as_pair(v, k) for k, v in cfg.items()
+                  if k.startswith(key + ".")}
+        if default or groups:
+            kwargs[name] = BetaTable(**default, groups=groups)
     if family is Family.GP:
         variant = config_int(cfg, "model.gp_variant", 1)
         if variant not in GP_VARIANT_TABLE:
             raise ConfigError(f"model.gp_variant: must be 1..5, got {variant}")
-        load_model, _, inter_model = GP_VARIANT_TABLE[variant]
-        kwargs.update(gp_variant=variant,
-                      length_scale=config_float(cfg, "model.length_scale", 0.2))
+        spec = gp_spec(variant, **kwargs)
     else:
-        if family is Family.MULT_APPROACH1:
-            kwargs["product_var"] = config_float(cfg, "model.product_var", 1e-5)
-        load_model, inter_model = LoadProbModel.PER_ENTRY, InterProbModel.PER_FEATURE
-    kwargs["load_prob_model"] = _config_choice(cfg, "model.load_prob_model", LoadProbModel,
-                                               load_model.value)
-    kwargs["inter_prob_model"] = _config_choice(cfg, "model.inter_prob_model", InterProbModel,
-                                                inter_model.value)
-    return validate_spec(ModelSpec(**kwargs))
+        spec = mult_spec(1 if family is Family.MULT_APPROACH1 else 2, **kwargs)
+
+    # the seed groups need the factor count, and each noise key sets half a pair
+    seed_groups = {}
+    for key, value in cfg.items():
+        if key.startswith("model.seed_group."):
+            group = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number")
+            if not 1 <= group <= spec.n_factors:
+                raise ConfigError(f"{key}: seed group {group} outside 1..{spec.n_factors} "
+                                  f"(model.factors = {spec.n_factors})")
+            tokens = [t.strip() for t in value.split(",") if t.strip()]
+            seed_groups[group - 1] = _resolve_features(tokens, data, key)
+    noise_prior = (config_float(cfg, "model.noise_shape", spec.noise_prior[0]),
+                   config_float(cfg, "model.noise_scale", spec.noise_prior[1]))
+    return validate_spec(replace(spec, noise_prior=noise_prior, seed_groups=seed_groups or None))
+
+
+_SETTINGS_KEYS = (("mcmc.iters", "n_iters", config_int), ("mcmc.burn_in", "burn_in", config_int),
+                  ("mcmc.thin", "thin", config_int), ("mcmc.seed", "seed", config_int),
+                  ("mcmc.chains", "n_chains", config_int), ("mcmc.rw_step", "rw_step", config_float),
+                  ("mcmc.adapt_rw", "adapt_rw", _config_bool))
 
 
 def settings_from_config(cfg: dict[str, str]) -> McmcSettings:
-    return McmcSettings(
-        n_iters=config_int(cfg, "mcmc.iters", 600),
-        burn_in=config_int(cfg, "mcmc.burn_in"),
-        thin=config_int(cfg, "mcmc.thin", 1),
-        seed=config_int(cfg, "mcmc.seed", 0),
-        n_chains=config_int(cfg, "mcmc.chains", 1),
-        rw_step=config_float(cfg, "mcmc.rw_step", 0.1),
-        adapt_rw=_as_bool(cfg.get("mcmc.adapt_rw", "true"), "mcmc.adapt_rw"),
-    )
+    return McmcSettings(**{name: parse(cfg, key) for key, name, parse in _SETTINGS_KEYS
+                           if key in cfg})
+
+
+def check_config_keys(cfg: dict[str, str]) -> None:
+    """ConfigError naming the first key of ``cfg`` that CONFIG_KEYS does not
+    list; a last segment such as ``<group>`` there stands for any one segment."""
+    keys = {line.split()[0] for line in CONFIG_KEYS.strip().splitlines()}
+    open_heads = {key.rpartition(".")[0] for key in keys if key.endswith(">")}
+    for key in cfg:
+        head, _, last = key.rpartition(".")
+        if key not in keys and not (last and head in open_heads):
+            raise ConfigError(f"{key}: unknown key")
 
 
 # --------------------------------------------------------------- manifest

@@ -116,9 +116,7 @@ def standardize_rows(
 
 def interaction_pair_count(n_factors: int) -> int:
     """Number of unordered factor pairs, L(L-1)/2."""
-    if n_factors < 2:
-        raise InvalidFactorCount(f"need at least 2 factors, got {n_factors}")
-    return n_factors * (n_factors - 1) // 2
+    return len(factor_pairs(n_factors))
 
 
 def factor_pairs(n_factors: int) -> tuple[tuple[int, int], ...]:
@@ -263,10 +261,10 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
 class McmcState:
     """One full set of latent quantities at a sampler iteration.
 
-    ``inter_loadings``/``inter_scores`` exist for the multiplicative families,
-    ``effects``/``shared_effect`` for the gp family. Masks are the binary
-    inclusion indicators; probability arrays mirror the mask shapes with
-    shared values expanded per entry.
+    ``state_shapes`` gives the fields each family carries and their shapes;
+    the others are None. Masks are the binary inclusion indicators;
+    probability arrays mirror the mask shapes with shared values expanded per
+    entry.
     """
 
     loadings: np.ndarray                     # (m, L)
@@ -289,6 +287,23 @@ class McmcState:
 STATE_FIELDS = tuple(f.name for f in fields(McmcState))
 
 
+def state_shapes(spec: ModelSpec, m: int, n: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every state field a ``spec`` model carries on m x n data, in
+    STATE_FIELDS order; the fields it leaves out stay None in ``McmcState``."""
+    L = spec.n_factors
+    shapes = {"loadings": (m, L), "scores": (L, n), "load_mask": (m, L), "load_prob": (m, L),
+              "noise_var": (m,)}
+    if spec.is_mult:
+        T = spec.n_pairs
+        shapes.update(inter_mask=(m, T), inter_prob=(m, T), inter_loadings=(m, T),
+                      inter_scores=(T, n))
+    else:
+        shapes.update(inter_mask=(m,), inter_prob=(m,), effects=(m, n))
+        if spec.shared_effect:
+            shapes["shared_effect"] = (n,)
+    return shapes
+
+
 @dataclass
 class PosteriorDraws:
     """Retained post-burn-in states plus the MH acceptance ledger.
@@ -296,8 +311,7 @@ class PosteriorDraws:
     ``values`` maps each state field the family carries, in STATE_FIELDS
     order, to an array whose leading axis runs over the S retained states
     (``values["loadings"]`` is (S, m, L)). The arrays are made read-only when
-    the container is built. ``stack`` returns them without copying, and
-    ``states`` gives per-state ``McmcState`` views into them.
+    the container is built, and ``stack`` returns them without copying.
     """
 
     spec: ModelSpec
@@ -318,11 +332,6 @@ class PosteriorDraws:
 
     def __len__(self) -> int:
         return self.values["loadings"].shape[0]
-
-    @property
-    def states(self) -> list[McmcState]:
-        return [McmcState(**{name: arr[k] for name, arr in self.values.items()})
-                for k in range(len(self))]
 
     def stack(self, attr: str) -> np.ndarray:
         return self.values[attr]

@@ -29,6 +29,7 @@ from .model import (
     PosteriorDraws,
     factor_pairs,
     run_chain,
+    state_shapes,
     validate_spec,
 )
 from .prior import (
@@ -205,30 +206,16 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
     """Zero loadings, standard-normal scores, unit noise variances; the
     inclusion probabilities start at their prior means (fixed entries at their
     degenerate values) and the indicators are drawn from them."""
-    m, n, L = data.n_features, data.n_samples, spec.n_factors
-    scores = rng.standard_normal((L, n))
-    load_prob = layout.load.prior_mean()
-    inter_prob = layout.inter.prior_mean()
-    load_mask = (rng.random((m, L)) < load_prob).astype(np.int8)
-    inter_mask = (rng.random(inter_prob.shape) < inter_prob).astype(np.int8)
-
-    state = McmcState(
-        loadings=np.zeros((m, L)),
-        scores=scores,
-        load_mask=load_mask,
-        load_prob=load_prob,
-        noise_var=np.ones(m),
-        inter_mask=inter_mask,
-        inter_prob=inter_prob,
-    )
+    shapes = state_shapes(spec, data.n_features, data.n_samples)
+    state = McmcState(**{name: np.zeros(shape) for name, shape in shapes.items()})
+    state.scores = rng.standard_normal(shapes["scores"])
+    state.load_prob = layout.load.prior_mean()
+    state.inter_prob = layout.inter.prior_mean()
+    state.load_mask = (rng.random(shapes["load_mask"]) < state.load_prob).astype(np.int8)
+    state.inter_mask = (rng.random(shapes["inter_mask"]) < state.inter_prob).astype(np.int8)
+    state.noise_var[:] = 1.0
     if spec.is_mult:
-        state.inter_loadings = np.zeros((m, spec.n_pairs))
-        state.inter_scores = np.empty((spec.n_pairs, n))
         refresh_products(state, spec)
-    else:
-        state.effects = np.zeros((m, n))
-        if spec.shared_effect:
-            state.shared_effect = np.zeros(n)
     return state
 
 

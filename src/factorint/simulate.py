@@ -42,11 +42,27 @@ class SyntheticTruth:
     seed_groups: dict[int, np.ndarray]
 
 
-def _seed_blocks(m: int, group_size: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _seed_blocks(m: int, n: int,
+                 group_size: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two seed blocks and the candidate features after them."""
+    if m < 10 or n < 10:
+        raise InvalidFraction(f"need m >= 10 and n >= 10, got {m}x{n}")
     g = group_size if group_size is not None else max(5, m // 10)
     if 2 * g >= m:
         raise InvalidFraction(f"seed groups of size {g} leave no candidate features for m={m}")
-    return np.arange(g), np.arange(g, 2 * g)
+    return np.arange(g), np.arange(g, 2 * g), np.arange(2 * g, m)
+
+
+def _planted_loadings(rng: np.random.Generator, m: int, g1: np.ndarray, g2: np.ndarray,
+                      candidates: np.ndarray) -> np.ndarray:
+    """Two-factor loadings: each seed block loads positively on its own factor
+    only, and every candidate loads on both factors with random signs."""
+    loadings = np.zeros((m, 2))
+    loadings[g1, 0] = rng.uniform(1.0, 2.0, size=len(g1))
+    loadings[g2, 1] = rng.uniform(1.0, 2.0, size=len(g2))
+    signs = rng.choice([-1.0, 1.0], size=(len(candidates), 2))
+    loadings[candidates] = signs * rng.uniform(0.7, 1.3, size=(len(candidates), 2))
+    return loadings
 
 
 def generate_saddle_dataset(m: int, n: int, frac_affected: float, noise_scale: float = 1.0,
@@ -60,20 +76,13 @@ def generate_saddle_dataset(m: int, n: int, frac_affected: float, noise_scale: f
     effect row equal to the score product times a per-feature coefficient.
     Rows are standardized with the truth rescaled consistently.
     """
-    if m < 10 or n < 10:
-        raise InvalidFraction(f"need m >= 10 and n >= 10, got {m}x{n}")
+    g1, g2, candidates = _seed_blocks(m, n, seed_group_size)
     if not 0.0 <= frac_affected < 1.0:
         raise InvalidFraction(f"frac_affected must lie in [0, 1), got {frac_affected}")
     rng = stream(seed, 0, "simulate")
-    g1, g2 = _seed_blocks(m, seed_group_size)
-    candidates = np.arange(2 * len(g1), m)
 
     scores = rng.standard_normal((2, n))
-    loadings = np.zeros((m, 2))
-    loadings[g1, 0] = rng.uniform(1.0, 2.0, size=len(g1))
-    loadings[g2, 1] = rng.uniform(1.0, 2.0, size=len(g2))
-    signs = rng.choice([-1.0, 1.0], size=(len(candidates), 2))
-    loadings[candidates] = signs * rng.uniform(0.7, 1.3, size=(len(candidates), 2))
+    loadings = _planted_loadings(rng, m, g1, g2, candidates)
 
     n_affected = int(round(frac_affected * len(candidates)))
     affected = np.sort(rng.choice(candidates, size=n_affected, replace=False))
@@ -103,19 +112,12 @@ def generate_hidden_factor_dataset(m: int, n: int, seed: int = 0,
     """Two-factor data with no interaction but a strong unmodeled third factor
     over most candidate features. A loosely tied interaction column fitted to
     this data drifts toward the extra factor instead of the score product."""
-    if m < 10 or n < 10:
-        raise InvalidFraction(f"need m >= 10 and n >= 10, got {m}x{n}")
+    g1, g2, candidates = _seed_blocks(m, n, seed_group_size)
     rng = stream(seed, 0, "simulate-hidden")
-    g1, g2 = _seed_blocks(m, seed_group_size)
-    candidates = np.arange(2 * len(g1), m)
 
     scores = rng.standard_normal((2, n))
     hidden = rng.standard_normal(n)
-    loadings = np.zeros((m, 2))
-    loadings[g1, 0] = rng.uniform(1.0, 2.0, size=len(g1))
-    loadings[g2, 1] = rng.uniform(1.0, 2.0, size=len(g2))
-    signs = rng.choice([-1.0, 1.0], size=(len(candidates), 2))
-    loadings[candidates] = signs * rng.uniform(0.7, 1.3, size=(len(candidates), 2))
+    loadings = _planted_loadings(rng, m, g1, g2, candidates)
 
     hidden_load = np.zeros(m)
     carriers = rng.choice(candidates, size=int(round(0.6 * len(candidates))), replace=False)

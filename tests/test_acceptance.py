@@ -32,6 +32,7 @@ from factorint.mult import (
 )
 from factorint.prior import inclusion_posterior_params, slab_log_bayes_factor, slab_posterior
 from factorint.rng import stream
+from tests_support import states
 
 SADDLE_SEED = 7
 CHAIN_SEED = 8
@@ -373,11 +374,11 @@ class TestCriterion1ConditionalOracles:
 class TestCriterion2ProductIdentity:
     def test_product_identity(self, mult_fit):
         worst = 0.0
-        for st in mult_fit.states:
+        for st in states(mult_fit):
             gap = np.abs(st.inter_scores[0] - st.scores[0] * st.scores[1]).max()
             worst = max(worst, gap)
         report(2, worst == 0.0,
-               f"product identity exact at all {len(mult_fit.states)} states "
+               f"product identity exact at all {len(states(mult_fit))} states "
                f"(max gap {worst})")
 
 
@@ -504,7 +505,7 @@ class TestCriterion8MhSanity:
                           fixed_load_prob={(i, l): 0.0 for i in range(3) for l in range(2)},
                           fixed_inter_prob={i: 0.0 for i in range(3)})
         draws = fi.run_gp_chain(spec, data, n_iters=4_000, burn_in=500, seed=21)
-        pooled = np.stack([st.scores for st in draws.states])
+        pooled = np.stack([st.scores for st in states(draws)])
         flat = pooled.reshape(pooled.shape[0], -1)
         n_batches = 50
         usable = flat[: (flat.shape[0] // n_batches) * n_batches]

@@ -27,6 +27,7 @@ from factorint import (
 )
 from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, run_chain
 from factorint.prior import build_layout
+from tests_support import states
 
 
 class TestStandardizeRows:
@@ -281,4 +282,4 @@ class TestRunChain:
         with pytest.raises(ValueError):
             draws.stack("scores")[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
-            draws.states[0].scores[0, 0] = 1.0
+            states(draws)[0].scores[0, 0] = 1.0

@@ -31,6 +31,7 @@ from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows
 from factorint.mult import _logit, initial_state
 from factorint.prior import build_layout
 from factorint.rng import stream
+from tests_support import states
 
 
 def make_chain(variant=1, m=4, n=6, seed=5, sweeps=4, **spec_kw):
@@ -176,7 +177,7 @@ class TestSharedEffect:
         rng = np.random.default_rng(27)
         data = standardize_rows(rng.normal(size=(5, 6)))
         draws = run_gp_chain(gp_spec(2), data, n_iters=40, burn_in=20, seed=6)
-        for st in draws.states:
+        for st in states(draws):
             active = st.inter_mask.astype(bool)
             for i in np.flatnonzero(active):
                 np.testing.assert_array_equal(st.effects[i], st.shared_effect)
@@ -264,7 +265,7 @@ class TestScoreMetropolis:
                        fixed_load_prob={(i, l): 0.0 for i in range(3) for l in range(2)},
                        fixed_inter_prob={i: 0.0 for i in range(3)})
         draws = run_gp_chain(spec, data, n_iters=4_000, burn_in=500, seed=21)
-        pooled = np.stack([st.scores for st in draws.states])  # (S, L, n)
+        pooled = np.stack([st.scores for st in states(draws)])  # (S, L, n)
         flat = pooled.reshape(pooled.shape[0], -1)
         # batch-means standard error over the sweep axis
         n_batches = 50
@@ -462,7 +463,7 @@ class TestChainContracts:
         rng = np.random.default_rng(22)
         data = standardize_rows(rng.normal(size=(5, 7)))
         draws = run_gp_chain(gp_spec(1), data, n_iters=30, burn_in=10, seed=3)
-        for st in draws.states:
+        for st in states(draws):
             off = st.inter_mask == 0
             assert (st.effects[off] == 0).all()
 
@@ -479,7 +480,7 @@ class TestChainContracts:
         data = standardize_rows(rng.normal(size=(4, 6)))
         a = run_gp_chain(gp_spec(1), data, n_iters=24, burn_in=12, seed=9)
         b = run_gp_chain(gp_spec(1), data, n_iters=24, burn_in=12, seed=9)
-        for sa, sb in zip(a.states, b.states):
+        for sa, sb in zip(states(a), states(b)):
             np.testing.assert_array_equal(sa.scores, sb.scores)
             np.testing.assert_array_equal(sa.effects, sb.effects)
         np.testing.assert_array_equal(a.mh_accept_counts, b.mh_accept_counts)
@@ -496,5 +497,5 @@ class TestChainContracts:
         rng = np.random.default_rng(26)
         data = standardize_rows(rng.normal(size=(5, 7)))
         draws = run_gp_chain(gp_spec(3), data, n_iters=30, burn_in=10, seed=5)
-        for st in draws.states:
+        for st in states(draws):
             assert np.unique(st.inter_prob).size == 1

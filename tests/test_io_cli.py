@@ -1,5 +1,6 @@
 """Persistence formats, configuration parsing, and the command-line workflow."""
 
+import ast
 import hashlib
 import json
 import os
@@ -37,7 +38,9 @@ from factorint import (
 )
 from factorint import io as fio
 from factorint.cli import main as cli_main
+from factorint.model import McmcSettings
 from factorint.prior import build_layout
+from tests_support import states
 
 
 def small_data(seed=0, m=8, n=10):
@@ -298,12 +301,12 @@ class TestDrawsPersistence:
         assert back.spec == draws.spec
         assert (back.burn_in, back.thin, back.n_iters, back.seed) == (4, 2, 14, 3)
         assert back.feature_ids == data.feature_ids
-        assert len(back.states) == len(draws.states)
-        for sa, sb in zip(draws.states, back.states):
+        assert len(states(back)) == len(states(draws))
+        for sa, sb in zip(states(draws), states(back)):
             np.testing.assert_array_equal(sa.loadings, sb.loadings)
             np.testing.assert_array_equal(sa.inter_scores, sb.inter_scores)
             np.testing.assert_array_equal(sa.load_mask, sb.load_mask)
-        assert back.states[0].effects is None
+        assert states(back)[0].effects is None
 
     def test_load_draws_holds_one_copy_of_the_file(self, tmp_path):
         draws = run_gp_chain(gp_spec(1), small_data(5, m=20, n=20), n_iters=4, burn_in=2,
@@ -353,10 +356,10 @@ class TestDrawsPersistence:
         fio.persist_draws(draws, path)
         back = fio.load_draws(path)
         np.testing.assert_array_equal(back.mh_accept_counts, draws.mh_accept_counts)
-        for sa, sb in zip(draws.states, back.states):
+        for sa, sb in zip(states(draws), states(back)):
             np.testing.assert_array_equal(sa.effects, sb.effects)
             np.testing.assert_array_equal(sa.shared_effect, sb.shared_effect)
-        assert back.states[0].inter_loadings is None
+        assert states(back)[0].inter_loadings is None
 
 
 def config_key_names() -> list[str]:
@@ -382,6 +385,10 @@ config_values = (
     | st.lists(st.integers(-2, 12).map(str) | st.sampled_from(["--1", "²", "f0", ""]),
                max_size=4).map(",".join)
     | st.text(max_size=6))
+
+
+FAMILY_DEFAULTS = [("mult_approach1", mult_spec(1)), ("mult_approach2", mult_spec(2)),
+                   ("gp", gp_spec(1))]
 
 
 class TestConfigParsing:
@@ -440,6 +447,56 @@ class TestConfigParsing:
         s = fio.settings_from_config({"mcmc.iters": "100", "mcmc.burn_in": "50",
                                       "mcmc.seed": "9", "mcmc.adapt_rw": "false"})
         assert (s.n_iters, s.burn_in, s.seed, s.adapt_rw) == (100, 50, 9, False)
+
+    @pytest.mark.parametrize("family, spec", FAMILY_DEFAULTS)
+    def test_config_defaults_are_the_model_defaults(self, family, spec):
+        assert fio.spec_from_config({"model.family": family}) == spec
+
+    def test_config_defaults_are_the_settings_defaults(self):
+        assert fio.settings_from_config({}) == McmcSettings()
+
+    @pytest.mark.parametrize("family, spec", FAMILY_DEFAULTS)
+    def test_keys_of_other_families_are_not_read(self, family, spec):
+        own = {"mult_approach1": {"model.product_var"},
+               "gp": {"model.length_scale", "model.gp_variant"}}.get(family, set())
+        others = {"model.product_var", "model.length_scale", "model.gp_variant"} - own
+        assert fio.spec_from_config({"model.family": family, **dict.fromkeys(others, "x")}) == spec
+
+    @pytest.mark.parametrize("key", ["model.gamma.expected", "model.beta.seed",
+                                     "model.seed_group.3", "mcmc.iters", "overlap.replicates"])
+    def test_listed_keys_and_placeholders_are_known(self, key):
+        fio.check_config_keys({key: ""})
+
+    @pytest.mark.parametrize("key", ["model.familly", "mcmc.iter", "simulate.featurs",
+                                     "paths.annotation", "model.gamma.", "model.gamma.a.b",
+                                     "model.seed_group", "family", ""])
+    def test_unlisted_key_is_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"^{re.escape(key)}: unknown key$"):
+            fio.check_config_keys({"mcmc.iters": "1", key: ""})
+
+
+ARTIFACT_SUFFIXES = (".csv", ".bin", ".json", ".cfg")
+
+
+def test_every_config_key_literal_in_the_package_is_listed():
+    """A string constant in ``factorint`` shaped like a config key is one the
+    CLI accepts. A literal ending in a dot is the prefix of a placeholder key,
+    and artifact file names such as ``surface.csv`` share the shape."""
+    shape = re.compile(r"(model|mcmc|paths|simulate|detect|surface|compare|overlap)\.[\w.]*")
+    literals = set()
+    for path in sorted(Path(factorint.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and shape.fullmatch(node.value) and not node.value.endswith(ARTIFACT_SUFFIXES):
+                literals.add(node.value + "1" if node.value.endswith(".") else node.value)
+    assert {"model.family", "model.seed_group.1", "mcmc.iters", "overlap.replicates"} <= literals
+    unknown = []
+    for key in sorted(literals):
+        try:
+            fio.check_config_keys({key: ""})
+        except ConfigError:
+            unknown.append(key)
+    assert not unknown, f"key literals that CONFIG_KEYS does not list: {unknown}"
 
 
 def run_cli(*argv):
@@ -735,6 +792,30 @@ class TestCli:
         assert len(err) == 1
         assert err[0].startswith("ERROR CorruptFile:")
 
+    @pytest.mark.parametrize("command, settings, key", [
+        ("simulate", ["simulate.featurs=20"], "simulate.featurs"),
+        ("fit", ["mcmc.iter=30", "model.familly=gp"], "mcmc.iter"),
+        ("fit", ["model.familly=gp"], "model.familly"),
+        ("fit", ["paths.annotation=annotation.csv"], "paths.annotation"),
+        ("fit", ["model.beta.seed.x=1,2"], "model.beta.seed.x"),
+        ("fit", ["--config=run.cfg"], "mcmc.iter"),
+        ("compare", ["compare.specs=typo.cfg"], "model.familly"),
+    ])
+    def test_unknown_key_prints_one_config_error(self, fitted, tmp_path, capsys, command,
+                                                 settings, key):
+        (tmp_path / "run.cfg").write_text("mcmc.iters = 30\nmcmc.iter = 30\n")
+        (tmp_path / "typo.cfg").write_text("model.familly = gp\n")
+        args = [command, "--output-dir", str(tmp_path / "out"),
+                "--set", f"paths.data={fitted / 'sim' / 'data.csv'}",
+                "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}"]
+        for item in settings:
+            name, _, value = item.partition("=")
+            args += option_args(f"{name}={tmp_path / value}" if value.endswith(".cfg") else item)
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: {key}: unknown key"]
+        assert not (tmp_path / "out" / "data.csv").exists()
+
     def test_config_file_with_set_override(self, tmp_path):
         out = tmp_path / "cfg"
         cfg = tmp_path / "run.cfg"
@@ -765,7 +846,7 @@ class TestCli:
         b = fio.load_draws(out / "draws_001.bin")
         assert a.chain == 0 and b.chain == 1
         # distinct chains take distinct paths from the same run seed
-        assert not np.array_equal(a.states[0].scores, b.states[0].scores)
+        assert not np.array_equal(states(a)[0].scores, states(b)[0].scores)
         assert fio.verify_manifest(out)
 
     def test_compare_command(self, tmp_path):

@@ -43,6 +43,7 @@ from factorint.prior import (
     slab_log_bayes_factor,
     slab_posterior,
 )
+from tests_support import states
 
 
 def make_chain(approach: int, seed: int = 5, m: int = 3, n: int = 4, sweeps: int = 3):
@@ -383,7 +384,7 @@ class TestChainContracts:
         draws = run_mult_chain(mult_spec(2, n_factors=3), data,
                                n_iters=40, burn_in=20, seed=4)
         from factorint import factor_pairs
-        for st in draws.states:
+        for st in states(draws):
             for t, (l1, l2) in enumerate(factor_pairs(3)):
                 assert np.max(np.abs(st.inter_scores[t] - st.scores[l1] * st.scores[l2])) == 0.0
 
@@ -391,7 +392,7 @@ class TestChainContracts:
         rng = np.random.default_rng(11)
         data = standardize_rows(rng.normal(size=(6, 10)))
         draws = run_mult_chain(mult_spec(2), data, n_iters=40, burn_in=20, seed=6)
-        for st in draws.states:
+        for st in states(draws):
             assert ((st.loadings != 0) == (st.load_mask == 1)).all()
             assert ((st.inter_loadings != 0) == (st.inter_mask == 1)).all()
 
@@ -400,7 +401,7 @@ class TestChainContracts:
         data = standardize_rows(rng.normal(size=(5, 8)))
         a = run_mult_chain(mult_spec(1), data, n_iters=30, burn_in=10, seed=9)
         b = run_mult_chain(mult_spec(1), data, n_iters=30, burn_in=10, seed=9)
-        for sa, sb in zip(a.states, b.states):
+        for sa, sb in zip(states(a), states(b)):
             np.testing.assert_array_equal(sa.loadings, sb.loadings)
             np.testing.assert_array_equal(sa.scores, sb.scores)
             np.testing.assert_array_equal(sa.noise_var, sb.noise_var)
@@ -416,7 +417,7 @@ class TestChainContracts:
         data = standardize_rows(rng.normal(size=(6, 10)))
         spec = mult_spec(2, seed_groups={0: frozenset({0, 1}), 1: frozenset({2, 3})})
         draws = run_mult_chain(spec, data, n_iters=30, burn_in=10, seed=3)
-        for st in draws.states:
+        for st in states(draws):
             assert (st.load_mask[[0, 1], 0] == 1).all()
             assert (st.loadings[[0, 1], 1] == 0).all()
             assert (st.inter_loadings[[0, 1, 2, 3]] == 0).all()
@@ -430,7 +431,7 @@ class TestChainContracts:
                          fixed_load_prob={(i, l): 0.0 for i in range(m) for l in range(2)},
                          fixed_inter_prob={i: 0.0 for i in range(m)})
         draws = run_mult_chain(spec, data, n_iters=10_200, burn_in=200, seed=8)
-        pooled = np.concatenate([st.scores.ravel() for st in draws.states])
+        pooled = np.concatenate([st.scores.ravel() for st in states(draws)])
         se_mean = pooled.std() / np.sqrt(pooled.size)
         assert abs(pooled.mean()) < 3 * se_mean
         assert abs(pooled.var() - 1.0) < 3 * np.sqrt(2.0 / pooled.size)
@@ -443,6 +444,6 @@ class TestChainContracts:
         spec = mult_spec(1, product_var=1e-5,
                          fixed_inter_prob={i: 0.0 for i in range(4)})
         draws = run_mult_chain(spec, data, n_iters=60, burn_in=20, seed=5)
-        for st in draws.states:
+        for st in states(draws):
             prod = st.scores[0] * st.scores[1]
             assert np.abs(st.inter_scores[0] - prod).max() < 3 * np.sqrt(1e-5) * 4

@@ -23,6 +23,7 @@ from factorint import (
     standardize_rows,
 )
 from factorint.model import STATE_FIELDS
+from tests_support import states
 
 
 class TestGenerateSaddleDataset:
@@ -217,7 +218,7 @@ class TestFitSpec:
 
         assert via_settings.chain == direct.chain == chain
         assert len(via_settings) == len(direct) == (settings.n_iters - 10) // settings.thin
-        for a, b in zip(via_settings.states, direct.states):
+        for a, b in zip(states(via_settings), states(direct)):
             assert all(_same(getattr(a, name), getattr(b, name)) for name in STATE_FIELDS)
         assert _same(via_settings.mh_accept_counts, direct.mh_accept_counts)
         assert via_settings.rw_step_final == direct.rw_step_final

@@ -1,8 +1,16 @@
-"""Planted-truth dataset builders shared by the genomics and acceptance tests."""
+"""Planted-truth dataset builders shared by the genomics and acceptance
+tests, and per-state views of retained draws."""
 
 import numpy as np
 
 from factorint import standardize_rows
+from factorint.model import McmcState
+
+
+def states(draws):
+    """One read-only ``McmcState`` view per retained state of ``draws``."""
+    return [McmcState(**{name: arr[k] for name, arr in draws.values.items()})
+            for k in range(len(draws))]
 
 
 def seed_structured(seed: int, violators: bool = True):
