@@ -20,7 +20,13 @@ from pathlib import Path
 
 from . import io as fio
 from .errors import ConfigError
-from .genomics import OverlapTestInput, detect_interactions, overlap_permutation_test, posterior_summary
+from .genomics import (
+    OverlapTestInput,
+    detect_interactions,
+    overlap_permutation_test,
+    posterior_summary,
+    require_states,
+)
 from .model import Family, PosteriorDraws, standardize_rows
 from .simulate import (
     compare_models,
@@ -98,6 +104,8 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
+    burn = settings.resolve_burn_in(spec.family)
+    require_states(settings.n_chains * (settings.n_iters - burn) // settings.thin)
     all_draws = [fit_spec(spec, data, settings, chain=c) for c in range(settings.n_chains)]
 
     artifacts: list[str] = []
@@ -166,6 +174,9 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     for p in spec_paths:
         sub = fio.read_config(_input_file("compare.specs", p))
         fio.check_config_keys(sub)
+        for key in sub:
+            if key.split(".")[0] != "model":
+                raise ConfigError(f"{p}: {key}: a spec file takes model keys only")
         specs.append(fio.spec_from_config(sub, data))
         labels.append(Path(p).stem)
     settings = fio.settings_from_config(cfg)

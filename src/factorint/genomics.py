@@ -85,12 +85,6 @@ def _mixture_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
 
 
-def _fit_null_model(data: DataMatrix, settings: McmcSettings,
-                    seed_groups: dict[int, frozenset[int]] | None = None) -> PosteriorDraws:
-    spec = two_factor_null_spec(seed_groups=seed_groups)
-    return run_chain(MultChain(spec, data, seed=settings.seed), settings)
-
-
 def _submatrix(data: DataMatrix, rows: np.ndarray) -> DataMatrix:
     return DataMatrix(data.values[rows], tuple(data.feature_ids[i] for i in rows),
                       data.sample_ids)
@@ -112,7 +106,7 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     if np.intersect1d(g1, g2).size:
         raise ConfigError("seed groups overlap")
     rows = np.concatenate([g1, g2])
-    draws = _fit_null_model(_submatrix(data, rows), settings)
+    draws = run_chain(MultChain(two_factor_null_spec(), _submatrix(data, rows), settings))
 
     masks = draws.stack("load_mask").astype(float)     # (S, k, 2)
     loadings = draws.stack("loadings")                 # (S, k, 2)
@@ -160,7 +154,7 @@ def select_candidate_genes(data: DataMatrix, group1, group2,
     """
     g1 = frozenset(int(i) for i in group1)
     g2 = frozenset(int(i) for i in group2)
-    draws = _fit_null_model(data, settings, seed_groups={0: g1, 1: g2})
+    draws = run_chain(MultChain(two_factor_null_spec({0: g1, 1: g2}), data, settings))
     incl = draws.stack("load_mask").astype(float).mean(axis=0)  # (m, 2)
     seeds = g1 | g2
     mask = (incl > 0.5).all(axis=1)
@@ -323,6 +317,10 @@ class PosteriorSummary:
         return {r.name: r for r in self.rows}
 
 
+# Fewest retained states, pooled over the chains, that ``posterior_summary``
+# summarises.
+MIN_STATES = 20
+
 # Bytes of traces that ``posterior_summary`` gathers into one block of
 # parameters. Its working memory is a few such blocks, whatever the size of
 # a field or the number of chains.
@@ -388,8 +386,15 @@ def _field_summary(values: list[np.ndarray], masks: list[np.ndarray] | None) -> 
     return est.tolist(), lo.tolist(), hi.tolist(), incl, converged.tolist()
 
 
+def require_states(states: int, min_states: int = MIN_STATES) -> None:
+    """InsufficientDraws when fewer than ``min_states`` retained states would
+    be summarised."""
+    if states < min_states:
+        raise InsufficientDraws(f"need at least {min_states} retained states, have {states}")
+
+
 def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
-                      min_states: int = 20) -> PosteriorSummary:
+                      min_states: int = MIN_STATES) -> PosteriorSummary:
     """Mixture-aware per-parameter summary of the retained states of one or
     more chains of the same model, pooled in the order given, without a
     pooled copy of the chains. ``min_states`` counts the pooled states."""
@@ -399,10 +404,7 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
                 other.values[name].shape[1:] != arr.shape[1:] for name, arr in draws.values.items()):
             raise ConfigError("chains summarised together must share the model spec "
                               "and the shape of every state field")
-    states = sum(map(len, chains))
-    if states < min_states:
-        raise InsufficientDraws(
-            f"need at least {min_states} retained states, have {states}")
+    require_states(sum(map(len, chains)), min_states)
 
     def stack(name: str) -> list[np.ndarray]:
         return [chain.stack(name) for chain in chains]

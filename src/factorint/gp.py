@@ -158,18 +158,18 @@ def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 class GpChain:
     """One nonlinear-family chain; owns the kernel tied to the current scores."""
 
-    def __init__(self, spec: ModelSpec, data: DataMatrix, seed: int = 0, chain: int = 0,
-                 rw_step: float = 0.1, adapt_rw: bool = True):
+    def __init__(self, spec: ModelSpec, data: DataMatrix,
+                 settings: McmcSettings = McmcSettings(), chain: int = 0):
         if spec.family is not Family.GP:
             raise SpecConflict("GpChain requires a gp family spec")
         self.spec = validate_spec(spec)
         self.data = data
+        self.settings = settings
         self.layout = build_layout(spec, data.n_features)
-        self.streams = RngStreams(seed, chain)
+        self.streams = RngStreams(settings.seed, chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
         self.kernel = se_kernel(self.state.scores, spec.length_scale)
-        self.rw_step = float(rw_step)
-        self.adapt_rw = adapt_rw
+        self.rw_step = float(settings.rw_step)
         self.iteration = 0
         self.adapting = True
         # accepted / proposed per column, tallied only while adaptation is frozen
@@ -225,7 +225,7 @@ class GpChain:
         update_loadings(self.state, self.data, self.spec, self.layout,
                         self.streams.get("loadings"))
         accepted = self.update_score_columns()
-        if self.adapting and self.adapt_rw:
+        if self.adapting and self.settings.adapt_rw:
             rate = accepted / self.data.n_samples
             gain = max((self.iteration + 1) ** -_ADAPT_DECAY, _ADAPT_GAIN_FLOOR)
             step = np.log(self.rw_step) + gain * (rate - _MH_TARGET)
@@ -241,14 +241,12 @@ class GpChain:
         self.iteration += 1
 
 
-def run_gp_chain(spec: ModelSpec, data: DataMatrix, n_iters: int = 600,
-                 burn_in: int | None = None, thin: int = 1, seed: int = 0,
-                 chain: int = 0, rw_step: float = 0.1, adapt_rw: bool = True) -> PosteriorDraws:
-    """Run one chain; the proposal scale adapts during burn-in (Robbins-Monro
-    toward the target acceptance rate) and is frozen afterwards."""
-    settings = McmcSettings(n_iters=n_iters, burn_in=burn_in, thin=thin, seed=seed)
-    return run_chain(GpChain(spec, data, seed=seed, chain=chain, rw_step=rw_step,
-                             adapt_rw=adapt_rw), settings)
+def run_gp_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,
+                 **settings) -> PosteriorDraws:
+    """Run one chain under ``McmcSettings(**settings)``; the proposal scale
+    adapts during burn-in (Robbins-Monro toward the target acceptance rate)
+    and is frozen afterwards."""
+    return run_chain(GpChain(spec, data, McmcSettings(**settings), chain))
 
 
 def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,

@@ -344,8 +344,9 @@ def _draws_ids(meta: dict, key: str, count: int, path) -> tuple[str, ...] | None
     ids = meta.get(key)
     if ids is None:
         return None
-    if not (isinstance(ids, list) and len(ids) == count and all(isinstance(i, str) for i in ids)):
-        raise CorruptFile(f"{path}: {key} is not a list of {count} strings")
+    if not (isinstance(ids, list) and len(ids) == count and all(isinstance(i, str) for i in ids)
+            and len(set(ids)) == count):
+        raise CorruptFile(f"{path}: {key} is not a list of {count} distinct strings")
     return tuple(ids)
 
 

@@ -13,6 +13,7 @@ posterior reduction reads them directly.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Mapping, Sequence
@@ -60,11 +61,15 @@ class DataMatrix:
             raise ConfigError("data matrix contains non-finite entries")
         if len(self.feature_ids) != m or len(self.sample_ids) != n:
             raise ConfigError("identifier lengths do not match the matrix shape")
+        for kind in ("feature", "sample"):
+            ids = tuple(map(str, getattr(self, f"{kind}_ids")))
+            repeated = [i for i, count in Counter(ids).items() if count > 1]
+            if repeated:
+                raise ConfigError(f"duplicate {kind} id {repeated[0]!r}")
+            object.__setattr__(self, f"{kind}_ids", ids)
         values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "feature_ids", tuple(str(f) for f in self.feature_ids))
-        object.__setattr__(self, "sample_ids", tuple(str(s) for s in self.sample_ids))
 
     @property
     def n_features(self) -> int:
@@ -339,7 +344,9 @@ class PosteriorDraws:
 
 @dataclass(frozen=True)
 class McmcSettings:
-    """Chain-length and proposal configuration for one run."""
+    """Chain-length and proposal configuration for one run: the only place
+    these defaults are written. Each sampler keeps its own as ``settings``,
+    and ``run_chain`` reads the run's length and seed from there."""
 
     n_iters: int = 600
     burn_in: int | None = None  # None: 400 for multiplicative families, 300 for gp
@@ -375,14 +382,15 @@ class McmcSettings:
         return burn
 
 
-def run_chain(sampler, settings: McmcSettings) -> PosteriorDraws:
-    """Sweep a ``MultChain`` or ``GpChain`` ``settings.n_iters`` times and keep
-    every ``thin``-th state after burn-in.
+def run_chain(sampler) -> PosteriorDraws:
+    """Sweep a ``MultChain`` or ``GpChain`` ``n_iters`` times under its
+    ``settings`` and keep every ``thin``-th state after burn-in.
 
     Proposal adaptation ends before the first post-burn-in sweep, so the
     retained states come from a fixed Metropolis kernel and the acceptance
     ledger counts only them.
     """
+    settings = sampler.settings
     burn = settings.resolve_burn_in(sampler.spec.family)
     values = {name: np.empty(((settings.n_iters - burn) // settings.thin, *v.shape), v.dtype)
               for name in STATE_FIELDS if (v := getattr(sampler.state, name)) is not None}
@@ -396,6 +404,6 @@ def run_chain(sampler, settings: McmcSettings) -> PosteriorDraws:
                 arr[k] = getattr(sampler.state, name)
     return PosteriorDraws(
         spec=sampler.spec, values=values, burn_in=burn, thin=settings.thin,
-        n_iters=settings.n_iters, seed=sampler.streams.seed, chain=sampler.streams.chain,
+        n_iters=settings.n_iters, seed=settings.seed, chain=sampler.streams.chain,
         feature_ids=sampler.data.feature_ids, sample_ids=sampler.data.sample_ids,
         mh_accept_counts=sampler.accept_counts, rw_step_final=sampler.rw_step)

@@ -227,15 +227,16 @@ class MultChain:
     accept_counts = None
     rw_step = None
 
-    def __init__(self, spec: ModelSpec, data: DataMatrix, seed: int = 0, chain: int = 0):
+    def __init__(self, spec: ModelSpec, data: DataMatrix,
+                 settings: McmcSettings = McmcSettings(), chain: int = 0):
         if not spec.is_mult:
             raise SpecConflict("MultChain requires a multiplicative family spec")
         self.spec = validate_spec(spec)
         self.data = data
+        self.settings = settings
         self.layout = build_layout(spec, data.n_features)
-        self.streams = RngStreams(seed, chain)
+        self.streams = RngStreams(settings.seed, chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
-        self.iteration = 0
 
     def sweep(self) -> None:
         update_loadings(self.state, self.data, self.spec, self.layout,
@@ -248,15 +249,13 @@ class MultChain:
                               self.streams.get("inter_loadings"))
         update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
         update_probs(self.state, self.layout, self.streams.get("probs"))
-        self.iteration += 1
 
 
-def run_mult_chain(spec: ModelSpec, data: DataMatrix, n_iters: int = 600,
-                   burn_in: int | None = None, thin: int = 1, seed: int = 0,
-                   chain: int = 0) -> PosteriorDraws:
-    """Run one chain and return the retained states; deterministic given seed."""
-    settings = McmcSettings(n_iters=n_iters, burn_in=burn_in, thin=thin, seed=seed)
-    return run_chain(MultChain(spec, data, seed=seed, chain=chain), settings)
+def run_mult_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,
+                   **settings) -> PosteriorDraws:
+    """Run one chain under ``McmcSettings(**settings)`` and return the
+    retained states; deterministic given the seed."""
+    return run_chain(MultChain(spec, data, McmcSettings(**settings), chain))
 
 
 def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,

@@ -285,12 +285,8 @@ class ComparisonReport:
 def fit_spec(spec: ModelSpec, data: DataMatrix, settings: McmcSettings,
              chain: int = 0) -> PosteriorDraws:
     """Run one chain of the family's sampler under ``settings``."""
-    if spec.family is Family.GP:
-        sampler = GpChain(spec, data, seed=settings.seed, chain=chain,
-                          rw_step=settings.rw_step, adapt_rw=settings.adapt_rw)
-    else:
-        sampler = MultChain(spec, data, seed=settings.seed, chain=chain)
-    return run_chain(sampler, settings)
+    sampler = GpChain if spec.family is Family.GP else MultChain
+    return run_chain(sampler(spec, data, settings, chain))
 
 
 def compare_models(data: DataMatrix, truth: SyntheticTruth, specs: list[ModelSpec],

@@ -96,7 +96,7 @@ def toy_chain(approach, m=3, n=4, seed=5):
     rng = np.random.default_rng(60 + approach)
     spec = fi.mult_spec(approach, n_factors=2, slab_var_loading=2.0, slab_var_inter=2.0)
     data = fi.standardize_rows(rng.normal(size=(m, n)))
-    chain = fi.MultChain(spec, data, seed=seed)
+    chain = fi.MultChain(spec, data, fi.McmcSettings(seed=seed))
     for _ in range(3):
         chain.sweep()
     st = chain.state
@@ -271,7 +271,7 @@ def indicator_tv_vs_oracle():
     # flat Beta(1, 1) priors integrate to inclusion probability 1/2 per indicator
     oracle = joint / joint.sum()
 
-    chain = fi.MultChain(spec, data, seed=42)
+    chain = fi.MultChain(spec, data, fi.McmcSettings(seed=42))
     index = {c: k for k, c in enumerate(configs)}
     counts = np.zeros((8, 8))
     warmup, sweeps = 200, 50_000
@@ -293,7 +293,7 @@ def score_column_tv_vs_grid():
     rng = np.random.default_rng(77)
     spec = fi.mult_spec(2, n_factors=2)
     data = fi.standardize_rows(rng.normal(size=(3, 2)))
-    chain = fi.MultChain(spec, data, seed=11)
+    chain = fi.MultChain(spec, data, fi.McmcSettings(seed=11))
     st = chain.state
     st.load_mask[:] = 1
     st.inter_mask[:] = 1

@@ -1,6 +1,7 @@
 """Domain types: standardization, pair enumeration, spec validation, and the
 retain loop that fills the draws container."""
 
+import inspect
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,9 @@ import pytest
 
 from factorint import (
     BetaTable,
+    ConfigError,
     ConstantRow,
+    DataMatrix,
     Family,
     GpChain,
     InterProbModel,
@@ -19,9 +22,12 @@ from factorint import (
     MultChain,
     SpecConflict,
     factor_pairs,
+    fit_spec,
     gp_spec,
     interaction_pair_count,
     mult_spec,
+    run_gp_chain,
+    run_mult_chain,
     standardize_rows,
     validate_spec,
 )
@@ -63,6 +69,13 @@ class TestStandardizeRows:
         dm = standardize_rows(np.array([[1.0, 2.0], [4.0, 1.0]]))
         with pytest.raises(ValueError):
             dm.values[0, 0] = 9.9
+
+    @pytest.mark.parametrize("kind", ["feature", "sample"])
+    def test_duplicate_ids_rejected(self, kind):
+        ids = {"feature_ids": ("gA", "g1", "g2"), "sample_ids": ("s0", "s1", "s2")}
+        ids[f"{kind}_ids"] = ("gA", "g1", "gA")
+        with pytest.raises(ConfigError, match=f"duplicate {kind} id 'gA'"):
+            DataMatrix(np.eye(3), **ids)
 
 
 class TestFactorPairs:
@@ -239,9 +252,10 @@ class TestSettings:
             McmcSettings(n_iters=10, burn_in=10).resolve_burn_in(Family.GP)
 
 
-def copied_state_values(sampler, settings: McmcSettings) -> dict[str, np.ndarray]:
+def copied_state_values(sampler) -> dict[str, np.ndarray]:
     """Reference retain loop: keep ``state.copy()`` of every retained sweep in a
     list, then stack each field (``run_chain``'s former implementation)."""
+    settings = sampler.settings
     burn = settings.resolve_burn_in(sampler.spec.family)
     states = []
     for it in range(1, settings.n_iters + 1):
@@ -267,8 +281,8 @@ class TestRunChain:
     def test_matches_the_copying_loop(self, chain_type, spec):
         data = standardize_rows(np.random.default_rng(41).normal(size=(6, 8)))
         settings = McmcSettings(n_iters=20, burn_in=8, thin=2, seed=9)
-        expected = copied_state_values(chain_type(spec, data, seed=9), settings)
-        draws = run_chain(chain_type(spec, data, seed=9), settings)
+        expected = copied_state_values(chain_type(spec, data, settings))
+        draws = run_chain(chain_type(spec, data, settings))
         assert list(draws.values) == list(expected)
         for name, arr in draws.values.items():
             assert arr.dtype == expected[name].dtype, name
@@ -277,9 +291,44 @@ class TestRunChain:
 
     def test_retained_arrays_are_read_only(self):
         data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
-        draws = run_chain(MultChain(mult_spec(2), data, seed=1),
-                          McmcSettings(n_iters=6, burn_in=2))
+        draws = run_chain(MultChain(mult_spec(2), data,
+                                    McmcSettings(n_iters=6, burn_in=2, seed=1)))
         with pytest.raises(ValueError):
             draws.stack("scores")[0, 0, 0] = 1.0
         with pytest.raises(ValueError):
             states(draws)[0].scores[0, 0] = 1.0
+
+
+class TestChainSettings:
+    """Every chain entry point takes its run settings as one ``McmcSettings``."""
+
+    @pytest.mark.parametrize("entry, params", [
+        (MultChain, ["spec", "data", "settings", "chain"]),
+        (GpChain, ["spec", "data", "settings", "chain"]),
+        (fit_spec, ["spec", "data", "settings", "chain"]),
+        (run_chain, ["sampler"]),
+    ], ids=["MultChain", "GpChain", "fit_spec", "run_chain"])
+    def test_entry_point_takes_no_settings_of_its_own(self, entry, params):
+        assert list(inspect.signature(entry).parameters) == params
+
+    @pytest.mark.parametrize("runner", [run_mult_chain, run_gp_chain])
+    def test_runner_forwards_keyword_settings(self, runner):
+        params = inspect.signature(runner).parameters
+        assert list(params) == ["spec", "data", "chain", "settings"]
+        assert params["settings"].kind is inspect.Parameter.VAR_KEYWORD
+
+    def test_draws_record_the_sampler_seed(self):
+        data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
+        sampler = MultChain(mult_spec(2), data, McmcSettings(n_iters=6, burn_in=2, seed=5))
+        assert run_chain(sampler).seed == sampler.streams.seed == 5
+
+    def test_negative_seed_is_a_config_error(self):
+        data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            MultChain(mult_spec(2), data, McmcSettings(seed=-1))
+
+    @pytest.mark.parametrize("rw_step", [-0.5, 0.0])
+    def test_gp_runner_rejects_a_step_adaptation_cannot_use(self, rw_step):
+        data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
+        with pytest.raises(ConfigError, match="rw_step"):
+            run_gp_chain(gp_spec(1), data, n_iters=12, burn_in=6, seed=1, rw_step=rw_step)

@@ -12,6 +12,7 @@ from factorint import (
     CholeskyFailure,
     DataMatrix,
     GpChain,
+    McmcSettings,
     generate_saddle_dataset,
     gp_spec,
     run_gp_chain,
@@ -38,7 +39,7 @@ def make_chain(variant=1, m=4, n=6, seed=5, sweeps=4, **spec_kw):
     rng = np.random.default_rng(70 + variant)
     spec = gp_spec(variant, **spec_kw)
     data = standardize_rows(rng.normal(size=(m, n)))
-    chain = GpChain(spec, data, seed=seed)
+    chain = GpChain(spec, data, McmcSettings(seed=seed))
     for _ in range(sweeps):
         chain.sweep()
     return chain
@@ -206,7 +207,7 @@ class TestScoreMetropolis:
     def test_zero_step_always_accepts_and_stays_put(self):
         rng = np.random.default_rng(19)
         data = standardize_rows(rng.normal(size=(4, 6)))
-        chain = GpChain(gp_spec(1), data, seed=7, rw_step=0.0, adapt_rw=False)
+        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7, rw_step=0.0, adapt_rw=False))
         start = chain.state.scores.copy()
         accepted = chain.update_score_columns()
         assert accepted == data.n_samples
@@ -218,7 +219,7 @@ class TestScoreMetropolis:
         # so its conditional variance is 0 and the move must be rejected.
         rng = np.random.default_rng(19)
         data = standardize_rows(rng.normal(size=(4, 6)))
-        chain = GpChain(gp_spec(1), data, seed=7, rw_step=1.0, adapt_rw=False)
+        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7, rw_step=1.0, adapt_rw=False))
         st = chain.state
         st.scores[:] = 0.0
         st.scores[0] = 10.0 * np.arange(6)
@@ -422,7 +423,7 @@ class TestColumnFactorSweep:
     ])
     def test_factor_delta_matches_full_rebuild(self, length_scale, rtol):
         data, _ = generate_saddle_dataset(40, 100, 0.3, seed=3)
-        chain = GpChain(gp_spec(1, length_scale=length_scale), data, seed=4)
+        chain = GpChain(gp_spec(1, length_scale=length_scale), data, McmcSettings(seed=4))
         for _ in range(40):
             chain.sweep()
         st, spec = chain.state, chain.spec

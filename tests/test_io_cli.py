@@ -38,6 +38,7 @@ from factorint import (
 )
 from factorint import io as fio
 from factorint.cli import main as cli_main
+from factorint.genomics import MIN_STATES
 from factorint.model import McmcSettings
 from factorint.prior import build_layout
 from tests_support import states
@@ -187,6 +188,8 @@ DRAWS_FAULTS = {
     "no_burn_in": lambda meta, arrays: meta.pop("burn_in"),
     "unknown_family": lambda meta, arrays: meta["spec"].update(family="nope"),
     "short_feature_ids": lambda meta, arrays: meta.update(feature_ids=meta["feature_ids"][:2]),
+    "repeated_feature_ids": lambda meta, arrays: meta.update(
+        feature_ids=meta["feature_ids"][:1] * 2 + meta["feature_ids"][2:]),
     "text_thin": lambda meta, arrays: meta.update(thin="x"),
     "narrow_noise_var": lambda meta, arrays: arrays.update(noise_var=arrays["noise_var"][:, :2]),
     "spec_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=3),
@@ -815,6 +818,53 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"ERROR ConfigError: {key}: unknown key"]
         assert not (tmp_path / "out" / "data.csv").exists()
+
+    @pytest.mark.parametrize("line", ["mcmc.iters = 5", "paths.data = data.csv"])
+    def test_spec_file_key_outside_model_prints_one_config_error(self, fitted, tmp_path,
+                                                                 capsys, line):
+        spec = tmp_path / "spec.cfg"
+        spec.write_text(f"model.family = mult_approach2\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli("compare", "--output-dir", str(out),
+                       "--set", f"paths.data={fitted / 'sim' / 'data.csv'}",
+                       "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}",
+                       "--set", f"compare.specs={spec}") == 1
+        key = line.split(" = ")[0]
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: {spec}: {key}: a spec file takes model keys only"]
+        assert list(out.iterdir()) == []
+
+    def test_duplicate_feature_id_prints_one_config_error(self, tmp_path, capsys):
+        # rows 0 and 5 share an id, so model.seed_group.1=gA could name either
+        rng = np.random.default_rng(2)
+        ids = ["gA", "g1", "g2", "g3", "g4", "gA", "g6", "g7"]
+        lines = ["feature_id,s0,s1,s2,s3,s4,s5"]
+        lines += [",".join([fid, *map(str, rng.normal(size=6))]) for fid in ids]
+        (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert run_cli("fit", "--output-dir", str(out),
+                       "--set", f"paths.data={tmp_path / 'data.csv'}",
+                       "--set", "model.seed_group.1=gA,g1",
+                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ERROR ConfigError: duplicate feature id 'gA'"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("settings, retained", [
+        (("mcmc.iters=20", "mcmc.burn_in=10"), 10),
+        (("mcmc.iters=24", "mcmc.burn_in=10", "mcmc.thin=2", "mcmc.chains=2"), 14),
+    ])
+    def test_fit_too_short_to_summarise_fails_before_sampling(self, fitted, tmp_path, capsys,
+                                                              settings, retained):
+        out = tmp_path / "out"
+        args = ["fit", "--output-dir", str(out), "--set", f"paths.data={fitted / 'data.csv'}"]
+        for item in settings:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR InsufficientDraws: need at least {MIN_STATES} retained states, "
+                       f"have {retained}"]
+        assert list(out.iterdir()) == []
 
     def test_config_file_with_set_override(self, tmp_path):
         out = tmp_path / "cfg"

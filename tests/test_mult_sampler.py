@@ -21,6 +21,7 @@ from factorint import (
     DataMatrix,
     InterProbModel,
     LoadProbModel,
+    McmcSettings,
     MultChain,
     mult_spec,
     run_mult_chain,
@@ -50,7 +51,7 @@ def make_chain(approach: int, seed: int = 5, m: int = 3, n: int = 4, sweeps: int
     rng = np.random.default_rng(60 + approach)
     spec = mult_spec(approach, n_factors=2, slab_var_loading=2.0, slab_var_inter=2.0)
     data = standardize_rows(rng.normal(size=(m, n)))
-    chain = MultChain(spec, data, seed=seed)
+    chain = MultChain(spec, data, McmcSettings(seed=seed))
     for _ in range(sweeps):
         chain.sweep()
     st = chain.state
@@ -220,7 +221,7 @@ class TestNonGaussianConditionals:
                              inter_prob_model=InterProbModel.GROUPED,
                              inter_prob_prior=BetaTable(default=(1.0, 1.0),
                                                         groups={"seed": (2.0, 3.0)}))
-        chain = MultChain(spec, data, seed=7)
+        chain = MultChain(spec, data, McmcSettings(seed=7))
         for _ in range(3):
             chain.sweep()
         st, lay = chain.state, chain.layout
