@@ -2,8 +2,8 @@
 
 Commands: simulate, fit, summarize, detect, compare, test-overlap,
 export-surface. Every run writes its artifacts plus a ``manifest.json``
-recording the resolved configuration, the seed, a checksum per artifact, and
-the run's wall time and peak resident memory.
+recording the resolved configuration, the seed, a checksum per artifact and
+per input file read, and the run's wall time and peak resident memory.
 Failures exit nonzero with a single line ``ERROR <Code>: <message>`` on
 stderr. The FACTORINT_OUTPUT_DIR environment variable sets the default
 output directory.
@@ -27,7 +27,7 @@ from .genomics import (
     posterior_summary,
     require_states,
 )
-from .model import Family, PosteriorDraws, standardize_rows
+from .model import Family, standardize_rows
 from .simulate import (
     compare_models,
     export_surface,
@@ -67,11 +67,17 @@ def _load_config(args) -> dict[str, str]:
     return cfg
 
 
+# Files the running command has read, in the order read, for its manifest.
+_inputs: list[Path] = []
+
+
 def _input_file(key: str, name: str) -> Path:
-    """The file ``name``, given as ``key``, which must exist."""
+    """The file ``name``, given as ``key``, which must exist; recorded as
+    one of the command's inputs."""
     path = Path(name)
     if not path.is_file():
         raise ConfigError(f"{key}: no such file {str(path)!r}")
+    _inputs.append(path)
     return path
 
 
@@ -104,15 +110,13 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
-    burn = settings.resolve_burn_in(spec.family)
-    require_states(settings.n_chains * (settings.n_iters - burn) // settings.thin)
-    all_draws = [fit_spec(spec, data, settings, chain=c) for c in range(settings.n_chains)]
-
-    artifacts: list[str] = []
-    for draws in all_draws:
-        name = "draws.bin" if settings.n_chains == 1 else f"draws_{draws.chain:03d}.bin"
-        fio.persist_draws(draws, out / name)
-        artifacts.append(name)
+    require_states(settings.n_chains * settings.retained(spec.family))
+    artifacts = (["draws.bin"] if settings.n_chains == 1 else
+                 [f"draws_{c:03d}.bin" for c in range(settings.n_chains)])
+    for chain, name in enumerate(artifacts):
+        with fio.DrawsWriter(out / name) as writer:
+            fit_spec(spec, data, settings, chain, writer)
+    all_draws = [fio.open_draws(out / name) for name in artifacts]
 
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
     artifacts.append("summary.csv")
@@ -132,20 +136,20 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     return settings.seed, artifacts
 
 
-def _load_draws_from_cfg(cfg: dict[str, str]) -> PosteriorDraws:
+def _draws_path(cfg: dict[str, str]) -> Path:
     if "paths.draws" not in cfg:
         raise ConfigError("this command requires paths.draws")
-    return fio.load_draws(_input_file("paths.draws", cfg["paths.draws"]))
+    return _input_file("paths.draws", cfg["paths.draws"])
 
 
 def cmd_summarize(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = _load_draws_from_cfg(cfg)
+    draws = fio.open_draws(_draws_path(cfg))
     posterior_summary(draws).write_csv(out / "summary.csv")
     return draws.seed, ["summary.csv"]
 
 
 def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = _load_draws_from_cfg(cfg)
+    draws = fio.load_draws(_draws_path(cfg))
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
     fids = draws.feature_ids or tuple(str(i) for i in range(draws.stack("noise_var").shape[1]))
     with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
@@ -211,7 +215,7 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = _load_draws_from_cfg(cfg)
+    draws = fio.load_draws(_draws_path(cfg))
     if "surface.feature" not in cfg:
         raise ConfigError("export-surface requires surface.feature")
     token = cfg["surface.feature"]
@@ -244,12 +248,13 @@ _COMMANDS = {
 def main(argv=None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
+    _inputs.clear()
     try:
         cfg = _load_config(args)
         out = _output_dir(args)
         seed, artifacts = _COMMANDS[args.command](cfg, out)
         fio.write_manifest(out, args.command, cfg, seed, artifacts,
-                           wall_s=time.perf_counter() - started)
+                           wall_s=time.perf_counter() - started, inputs=_inputs)
         for name in artifacts:
             print(f"wrote {out / name}")
     except Exception as exc:  # noqa: BLE001 - contract: one parsable line per failure

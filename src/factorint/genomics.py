@@ -12,8 +12,10 @@ since those are the plausible carriers of interaction effects.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from itertools import product, repeat
 
 import numpy as np
@@ -298,20 +300,64 @@ class ParameterSummary:
 
 
 @dataclass(frozen=True)
+class FieldSummary:
+    """The summary of every parameter of one state field: one array per
+    column, in C order of the field's trailing axes, and ``labels``, one
+    tuple of label strings per trailing axis."""
+
+    name: str
+    role: str
+    labels: tuple[tuple[str, ...], ...]
+    estimate: np.ndarray
+    ci_low: np.ndarray
+    ci_high: np.ndarray
+    inclusion_prob: np.ndarray | None
+    converged: np.ndarray
+
+    def __len__(self) -> int:
+        return self.estimate.size
+
+    def names(self) -> Iterator[str]:
+        return (f"{self.name}[{key}]" for key in map(",".join, product(*self.labels)))
+
+    def rows(self) -> Iterator[ParameterSummary]:
+        incl = repeat(None) if self.inclusion_prob is None else self.inclusion_prob.tolist()
+        return map(ParameterSummary, self.names(), repeat(self.role), self.estimate.tolist(),
+                   self.ci_low.tolist(), self.ci_high.tolist(), incl, self.converged.tolist())
+
+
+# Rows that ``PosteriorSummary.write_csv`` formats at a time.
+_CSV_ROWS = 4096
+
+
+@dataclass(frozen=True)
 class PosteriorSummary:
-    rows: tuple[ParameterSummary, ...] = field(default_factory=tuple)
+    """Per-parameter summary of a fit, held as one ``FieldSummary`` per
+    state field; ``rows`` and ``by_name`` build the parameter rows on demand."""
+
+    fields: tuple[FieldSummary, ...] = ()
+
+    @property
+    def rows(self) -> tuple[ParameterSummary, ...]:
+        return tuple(row for f in self.fields for row in f.rows())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["parameter", "role", "estimate", "ci_low", "ci_high",
                              "inclusion_prob", "converged"])
-            for r in self.rows:
-                writer.writerow([
-                    r.name, r.role, f"{r.estimate:.10g}", f"{r.ci_low:.10g}",
-                    f"{r.ci_high:.10g}",
-                    "" if r.inclusion_prob is None else f"{r.inclusion_prob:.10g}",
-                    "1" if r.converged else "0"])
+            for f in self.fields:
+                names = f.names()
+                for start in range(0, len(f), _CSV_ROWS):
+                    part = slice(start, start + _CSV_ROWS)
+                    est, lo, hi, conv = (column[part].tolist() for column in
+                                         (f.estimate, f.ci_low, f.ci_high, f.converged))
+                    incl = repeat(None) if f.inclusion_prob is None else \
+                        f.inclusion_prob[part].tolist()
+                    # ``names`` last, so that zip stops before taking the next chunk's name
+                    for e, l, h, p, c, name in zip(est, lo, hi, incl, conv, names):
+                        writer.writerow([name, f.role, f"{e:.10g}", f"{l:.10g}", f"{h:.10g}",
+                                         "" if p is None else f"{p:.10g}", "1" if c else "0"])
 
     def by_name(self) -> dict[str, ParameterSummary]:
         return {r.name: r for r in self.rows}
@@ -327,14 +373,18 @@ MIN_STATES = 20
 _SUMMARY_BLOCK = 1 << 19
 
 
-def _gather(chains: list[np.ndarray], rows, dtype=None) -> np.ndarray:
+def _gather(chains: list, rows, dtype=None) -> np.ndarray:
     """The traces of parameters ``rows`` (a slice or an index array over the
     trailing axes of (S, ...) fields, in C order) as one C-contiguous
-    (rows, S) block, the chains' states one after another. A row holds the
-    bytes it holds in the chains concatenated along the state axis, and
-    reducing along it sums in the same order as on that 1-D trace, so the
-    results match a per-parameter computation bit for bit."""
-    parts = [chain.reshape(len(chain), -1)[:, rows] for chain in chains]
+    (rows, S) block, the chains' states one after another. Each chain's
+    field is an array, which is sliced, or an ``io.BundleField``, which
+    reads that range of parameters of every state from its file (``rows``
+    is a slice then). A row holds the bytes it holds in the chains
+    concatenated along the state axis, and reducing along it sums in the
+    same order as on that 1-D trace, so the results match a per-parameter
+    computation bit for bit."""
+    parts = [chain.reshape(len(chain), -1)[:, rows] if isinstance(chain, np.ndarray)
+             else chain.read_rows(rows) for chain in chains]
     block = np.empty((parts[0].shape[1], sum(map(len, parts))), dtype or parts[0].dtype)
     start = 0
     for part in parts:
@@ -348,22 +398,23 @@ def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return block.mean(axis=1), *np.percentile(block, [2.5, 97.5], axis=1)
 
 
-def _field_summary(values: list[np.ndarray], masks: list[np.ndarray] | None) -> tuple:
-    """Estimate, interval, inclusion probability and convergence flag of every
-    parameter of one state field, given as one (S, ...) array per chain, as
-    lists. The field is reduced in blocks of parameters of about
-    ``_SUMMARY_BLOCK`` bytes. With spike-and-slab indicators ``masks`` (one
-    per parameter, or one per run of parameters in C order, as the (S, m)
-    indicators of an (S, m, n) field) the estimate and interval come from the
-    dominant mixture component: the slab states when the inclusion
-    probability exceeds 0.5, zero otherwise. A block's dominant rows with the
-    same count k of slab states are reduced together as one (rows, k) block,
-    in state order."""
+def _field_summary(values: list, masks: list[np.ndarray] | None) -> tuple:
+    """Estimate, interval, inclusion probability (None without ``masks``)
+    and convergence flag of every parameter of one state field, given as one
+    (S, ...) array or ``io.BundleField`` per chain. The field is reduced in
+    blocks of parameters of about ``_SUMMARY_BLOCK`` bytes. With
+    spike-and-slab indicators ``masks`` (one per parameter, or one per run
+    of parameters in C order, as the (S, m) indicators of an (S, m, n)
+    field) the estimate and interval come from the dominant mixture
+    component: the slab states when the inclusion probability exceeds 0.5,
+    zero otherwise. A block's dominant rows with the same count k of slab
+    states are reduced together as one (rows, k) block, in state order."""
     states = sum(map(len, values))
-    size = values[0][0].size
-    step = max(1, _SUMMARY_BLOCK // (states * values[0].itemsize))
+    size = math.prod(values[0].shape[1:])
+    step = max(1, _SUMMARY_BLOCK // (states * values[0].dtype.itemsize))
     est, lo, hi = np.zeros((3, size))
     converged = np.zeros(size, dtype=bool)
+    incl = None
     if masks is not None:
         share = size // masks[0][0].size  # parameters per indicator
         counts = np.repeat(sum(mask.reshape(len(mask), -1).sum(axis=0) for mask in masks), share)
@@ -382,8 +433,7 @@ def _field_summary(values: list[np.ndarray], masks: list[np.ndarray] | None) -> 
             same = slabs == k
             at = start + dominant[same]
             est[at], lo[at], hi[at] = _interval(block[dominant[same]][on[same]].reshape(-1, k))
-    incl = repeat(None) if masks is None else incl.tolist()
-    return est.tolist(), lo.tolist(), hi.tolist(), incl, converged.tolist()
+    return est, lo, hi, incl, converged
 
 
 def require_states(states: int, min_states: int = MIN_STATES) -> None:
@@ -397,7 +447,9 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
                       min_states: int = MIN_STATES) -> PosteriorSummary:
     """Mixture-aware per-parameter summary of the retained states of one or
     more chains of the same model, pooled in the order given, without a
-    pooled copy of the chains. ``min_states`` counts the pooled states."""
+    pooled copy of the chains. Draws from ``io.open_draws`` are read from
+    their files a block of parameters at a time, so only their indicator
+    fields are read whole. ``min_states`` counts the pooled states."""
     chains = (draws, *more)
     for other in more:
         if other.spec != draws.spec or any(
@@ -406,29 +458,29 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
                               "and the shape of every state field")
     require_states(sum(map(len, chains)), min_states)
 
-    def stack(name: str) -> list[np.ndarray]:
+    def stack(name: str) -> list:
         return [chain.stack(name) for chain in chains]
+
+    def indicators(name: str) -> list[np.ndarray]:
+        return [v if isinstance(v, np.ndarray) else v.read() for v in stack(name)]
 
     m, L = draws.stack("loadings").shape[1:]
     n = draws.stack("scores").shape[2]
     fids = draws.feature_ids or tuple(str(i) for i in range(m))
     sids = draws.sample_ids or tuple(str(j) for j in range(n))
-    factors = range(1, L + 1)
+    factors = tuple(str(l) for l in range(1, L + 1))
     # (name, role, labels of the trailing axes, values, indicators or None)
-    fields = [("loading", "loading", (fids, factors), stack("loadings"), stack("load_mask")),
+    fields = [("loading", "loading", (fids, factors), stack("loadings"), indicators("load_mask")),
               ("score", "factor_score", (factors, sids), stack("scores"), None)]
     if draws.spec.is_mult:
-        pairs = range(1, draws.stack("inter_scores").shape[1] + 1)
+        pairs = tuple(str(t) for t in range(1, draws.stack("inter_scores").shape[1] + 1))
         fields += [("inter_loading", "interaction_loading", (fids, pairs),
-                    stack("inter_loadings"), stack("inter_mask")),
+                    stack("inter_loadings"), indicators("inter_mask")),
                    ("inter_score", "interaction_score", (pairs, sids), stack("inter_scores"), None)]
     else:
         fields.append(("effect", "interaction_effect", (fids, sids), stack("effects"),
-                       stack("inter_mask")))
+                       indicators("inter_mask")))
     fields.append(("noise_var", "noise_variance", (fids,), stack("noise_var"), None))
-    rows: list[ParameterSummary] = []
-    for name, role, labels, values, masks in fields:
-        keys = map(",".join, product(*(tuple(map(str, axis)) for axis in labels)))
-        names = [f"{name}[{key}]" for key in keys]
-        rows += map(ParameterSummary, names, repeat(role), *_field_summary(values, masks))
-    return PosteriorSummary(rows=tuple(rows))
+    return PosteriorSummary(fields=tuple(
+        FieldSummary(name, role, labels, *_field_summary(values, masks))
+        for name, role, labels, values, masks in fields))

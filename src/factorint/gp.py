@@ -32,7 +32,6 @@ from .model import (
 )
 from .mult import draw_indicators, initial_state, update_loadings, update_noise, update_probs
 from .prior import PriorLayout, build_layout, inclusion_log_density, slab_log_density
-from .rng import RngStreams
 
 # Burn-in step-size adaptation: Robbins-Monro decay with a gain floor, so the
 # step keeps tracking the stiffening posterior (effect rows activating) until
@@ -166,7 +165,7 @@ class GpChain:
         self.data = data
         self.settings = settings
         self.layout = build_layout(spec, data.n_features)
-        self.streams = RngStreams(settings.seed, chain)
+        self.streams = settings.streams(chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
         self.kernel = se_kernel(self.state.scores, spec.length_scale)
         self.rw_step = float(settings.rw_step)

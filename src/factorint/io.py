@@ -45,6 +45,7 @@ from .model import (
     ModelSpec,
     PosteriorDraws,
     STATE_FIELDS,
+    chain_draws,
     gp_spec,
     mult_spec,
     state_shapes,
@@ -169,61 +170,141 @@ def write_annotation(path, annotation: Annotation) -> None:
 
 # ---------------------------------------------------------------- bundles
 
-def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` with ``meta`` as one versioned, checksummed bundle.
-
-    The header comes from the arrays' shapes and sizes, so each array's buffer
-    goes to the file (and the checksum) as it is, with no copy of the payload.
-    """
-    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+def _bundle_layout(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[bytes, list[dict]]:
+    """The bytes of a bundle before its payload (magic, version, header
+    length and header) and the header entry of each array, whose ``offset``
+    is its place in the payload. Only each array's dtype and shape are read,
+    so a broadcast view can stand for an array that is not yet filled."""
     entries, offset = [], 0
     for name, arr in arrays.items():
         entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
                         "offset": offset, "nbytes": arr.nbytes})
         offset += arr.nbytes
     header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
+    head = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)) + header
+    return head, entries
+
+
+def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write ``arrays`` with ``meta`` as one versioned, checksummed bundle.
+
+    Each array's buffer goes to the file (and the checksum) as it is, with no
+    copy of the payload.
+    """
+    arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
+    head, _ = _bundle_layout(meta, arrays)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        for chunk in (MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)),
-                      header, *(arr.reshape(-1).view(np.uint8) for arr in arrays.values())):
+        for chunk in (head, *(arr.reshape(-1).view(np.uint8) for arr in arrays.values())):
             digest.update(chunk)
             fh.write(chunk)
         fh.write(digest.digest())
 
 
-def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
-    blob = memoryview(Path(path).read_bytes())
-    if len(blob) < len(MAGIC) + 12 or blob[: len(MAGIC)] != MAGIC:
-        raise CorruptFile(f"{path}: not a bundle file (bad magic)")
-    version = struct.unpack_from("<I", blob, len(MAGIC))[0]
-    if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(version, FORMAT_VERSION)
-    if len(blob) < 32:
-        raise CorruptFile(f"{path}: truncated")
-    body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
-        raise CorruptFile(f"{path}: checksum mismatch")
-    header_len = struct.unpack_from("<Q", blob, len(MAGIC) + 4)[0]
-    start = len(MAGIC) + 12
+_HASH_CHUNK = 1 << 20
+
+
+def _sha256(fh, nbytes: int | None = None):
+    """sha256 of the next ``nbytes`` bytes of ``fh`` (the rest of the file
+    when None), read in chunks of ``_HASH_CHUNK`` bytes."""
+    digest = hashlib.sha256()
+    left = math.inf if nbytes is None else nbytes
+    while left > 0 and (chunk := fh.read(min(left, _HASH_CHUNK))):
+        digest.update(chunk)
+        left -= len(chunk)
+    return digest
+
+
+class BundleField:
+    """One array of a bundle file, described by its header entry and read
+    from the file on demand: whole, or a run of its trailing parameters for
+    every index of its leading axis."""
+
+    def __init__(self, path, offset: int, dtype: np.dtype, shape: tuple[int, ...]):
+        self.path, self.offset, self.dtype, self.shape = path, offset, dtype, shape
+        self.ndim = len(shape)
+        # bytes per index of the leading axis
+        self.stride = math.prod(shape[1:]) * dtype.itemsize
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def _pread(self, fd: int, nbytes: int, offset: int) -> bytes:
+        raw = os.pread(fd, nbytes, self.offset + offset)
+        if len(raw) != nbytes:
+            raise CorruptFile(f"{self.path}: payload shorter than declared")
+        return raw
+
+    def read(self) -> np.ndarray:
+        """The whole array, read-only."""
+        with open(self.path, "rb") as fh:
+            raw = self._pread(fh.fileno(), len(self) * self.stride, 0)
+        return np.frombuffer(raw, self.dtype).reshape(self.shape)
+
+    def read_rows(self, rows: slice) -> np.ndarray:
+        """Parameters ``rows`` (a slice with step 1 over the trailing axes
+        in C order) of every index of the leading axis, as a (len, rows)
+        array: one read per index of the leading axis."""
+        start, stop, _ = rows.indices(self.stride // self.dtype.itemsize)
+        out = np.empty((len(self), stop - start), self.dtype)
+        nbytes, skip = out[0].nbytes, start * self.dtype.itemsize
+        with open(self.path, "rb") as fh:
+            for k in range(len(self)):
+                out[k] = np.frombuffer(self._pread(fh.fileno(), nbytes, k * self.stride + skip),
+                                       self.dtype)
+        return out
+
+
+def _open_bundle(path) -> tuple[dict, dict[str, BundleField]]:
+    """The meta and a ``BundleField`` per array of the bundle at ``path``,
+    after checking the file against its digest in one sequential read.
+    CorruptFile or FormatVersionMismatch when it is not a bundle this
+    version wrote."""
+    with open(path, "rb") as fh:
+        prefix = fh.read(len(MAGIC) + 12)
+        if len(prefix) < len(MAGIC) + 12 or prefix[: len(MAGIC)] != MAGIC:
+            raise CorruptFile(f"{path}: not a bundle file (bad magic)")
+        version = struct.unpack_from("<I", prefix, len(MAGIC))[0]
+        if version != FORMAT_VERSION:
+            raise FormatVersionMismatch(version, FORMAT_VERSION)
+        size = os.fstat(fh.fileno()).st_size
+        if size < 32:
+            raise CorruptFile(f"{path}: truncated")
+        fh.seek(0)
+        digest = _sha256(fh, size - 32).digest()
+        if fh.read(32) != digest:
+            raise CorruptFile(f"{path}: checksum mismatch")
+        header_len = struct.unpack_from("<Q", prefix, len(MAGIC) + 4)[0]
+        start = len(prefix)
+        fh.seek(start)
+        raw = fh.read(min(header_len, size - 32 - start))
     try:
-        header = json.loads(bytes(body[start:start + header_len]).decode("utf-8"))
+        header = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFile(f"{path}: unreadable header ({exc})") from None
     if not (isinstance(header, dict) and isinstance(header.get("meta"), dict)
             and isinstance(header.get("arrays"), list)):
         raise CorruptFile(f"{path}: header lacks 'meta' or 'arrays'")
-    payload = body[start + header_len:]
-    arrays = dict(_bundle_array(entry, payload, path) for entry in header["arrays"])
-    return header["meta"], arrays
+    payload = start + header_len
+    fields = dict(_bundle_field(entry, payload, max(0, size - 32 - payload), path)
+                  for entry in header["arrays"])
+    return header["meta"], fields
+
+
+def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and the arrays of the bundle at ``path``, each read-only."""
+    meta, fields = _open_bundle(path)
+    return meta, {name: field.read() for name, field in fields.items()}
 
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _bundle_array(entry, payload: memoryview, path) -> tuple[str, np.ndarray]:
-    """One array of a bundle from its header entry, a read-only view into the
-    payload; CorruptFile when the entry is malformed or disagrees with it."""
+def _bundle_field(entry, payload: int, payload_len: int, path) -> tuple[str, BundleField]:
+    """One array of a bundle whose payload starts at byte ``payload`` and
+    holds ``payload_len`` bytes, from its header entry; CorruptFile when the
+    entry is malformed or disagrees with the payload."""
     try:
         name, dtype, shape = entry["name"], entry["dtype"], entry["shape"]
         offset, nbytes = entry["offset"], entry["nbytes"]
@@ -240,10 +321,9 @@ def _bundle_array(entry, payload: memoryview, path) -> tuple[str, np.ndarray]:
             or math.prod(shape) * dtype.itemsize != nbytes:
         raise CorruptFile(f"{path}: array {name!r}: dtype {dtype.str} and shape {shape} "
                           f"do not make {nbytes} bytes")
-    raw = payload[offset:offset + nbytes]
-    if len(raw) != nbytes:
+    if offset + nbytes > payload_len:
         raise CorruptFile(f"{path}: payload shorter than declared")
-    return name, np.frombuffer(raw, dtype=dtype).reshape(shape)
+    return name, BundleField(path, payload + offset, dtype, tuple(shape))
 
 
 # ------------------------------------------------------ spec serialization
@@ -316,8 +396,8 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 # -------------------------------------------------------- draws persistence
 
-def persist_draws(draws: PosteriorDraws, path) -> None:
-    """Lossless, versioned, checksummed dump of the retained states."""
+def _draws_layout(draws: PosteriorDraws) -> tuple[dict, dict[str, np.ndarray]]:
+    """The meta and the arrays, in payload order, of the bundle of ``draws``."""
     arrays = dict(draws.values)
     if draws.mh_accept_counts is not None:
         arrays["mh_accept_counts"] = draws.mh_accept_counts
@@ -334,7 +414,80 @@ def persist_draws(draws: PosteriorDraws, path) -> None:
         "sample_ids": list(draws.sample_ids) if draws.sample_ids else None,
         "rw_step_final": draws.rw_step_final,
     }
-    write_bundle(path, meta, arrays)
+    return meta, arrays
+
+
+def persist_draws(draws: PosteriorDraws, path) -> None:
+    """Lossless, versioned, checksummed dump of the retained states."""
+    write_bundle(path, *_draws_layout(draws))
+
+
+class DrawsWriter:
+    """A ``run_chain`` sink that writes each retained state straight into its
+    slot of a draws bundle, so the chain's states are never all in memory.
+
+    Use it as a context manager around the chain. The bundle is written
+    under a temporary name in the directory of ``path`` and moved onto
+    ``path`` by ``close`` once complete; when the block is left before that,
+    by an exception or otherwise, the temporary file is removed and ``path``
+    is not touched.
+    The file's bytes are those ``persist_draws`` writes for the same chain.
+    The header, which holds the final MH step, is written at the first
+    retained state, as adaptation has stopped by then; ``close`` checks that
+    the step has not moved since, then writes the acceptance ledger and
+    appends the digest of one sequential read of the file.
+    """
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+
+    def __enter__(self) -> "DrawsWriter":
+        self.fh = open(self.tmp, "w+b", buffering=0)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.fh.close()
+        self.tmp.unlink(missing_ok=True)  # gone already when ``close`` moved it
+
+    def _write(self, data, offset: int) -> None:
+        """Write the bytes of ``data`` (C-contiguous) at ``offset``."""
+        view = memoryview(data).cast("B")
+        while view:
+            done = os.pwrite(self.fh.fileno(), view, offset)
+            view, offset = view[done:], offset + done
+
+    def put(self, k: int, sampler) -> None:
+        if k == 0:
+            n_states = sampler.settings.retained(sampler.spec.family)
+            # views of the right dtype and shape: the layout reads no values
+            shell = chain_draws(sampler, {
+                name: np.broadcast_to(v, (n_states, *v.shape)) for name in STATE_FIELDS
+                if (v := getattr(sampler.state, name)) is not None})
+            self.rw_step = shell.rw_step_final
+            head, entries = _bundle_layout(*_draws_layout(shell))
+            offsets = {e["name"]: len(head) + e["offset"] for e in entries}
+            self.fields = {name: (offsets[name], arr.dtype, arr[0].nbytes)
+                           for name, arr in shell.values.items()}
+            self.ledger = offsets.get("mh_accept_counts")
+            self.size = len(head) + sum(e["nbytes"] for e in entries)
+            self._write(head, 0)
+        for name, (offset, dtype, nbytes) in self.fields.items():
+            self._write(np.ascontiguousarray(getattr(sampler.state, name), dtype),
+                        offset + k * nbytes)
+
+    def close(self, sampler) -> Path:
+        """Complete the bundle and move it onto ``path``, which is returned."""
+        if sampler.rw_step != self.rw_step:
+            raise RuntimeError(f"MH step moved after the first retained state "
+                               f"({self.rw_step} -> {sampler.rw_step})")
+        if self.ledger is not None:
+            self._write(np.ascontiguousarray(sampler.accept_counts), self.ledger)
+        self.fh.seek(0)
+        self._write(_sha256(self.fh, self.size).digest(), self.size)
+        self.fh.close()
+        os.replace(self.tmp, self.path)
+        return self.path
 
 
 _DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
@@ -351,7 +504,23 @@ def _draws_ids(meta: dict, key: str, count: int, path) -> tuple[str, ...] | None
 
 
 def load_draws(path) -> PosteriorDraws:
-    meta, arrays = read_bundle(path)
+    """The draws bundle at ``path``, its state fields read into memory."""
+    return _draws_from(*read_bundle(path), path)
+
+
+def open_draws(path) -> PosteriorDraws:
+    """The draws bundle at ``path`` with each state field left in the file as
+    a ``BundleField``, which ``genomics.posterior_summary`` reads a block of
+    parameters at a time. The file is checked against its digest here."""
+    meta, fields = _open_bundle(path)
+    if "mh_accept_counts" in fields:
+        fields["mh_accept_counts"] = fields["mh_accept_counts"].read()
+    return _draws_from(meta, fields, path)
+
+
+def _draws_from(meta: dict, arrays: dict, path) -> PosteriorDraws:
+    """The draws of a bundle's meta and arrays (arrays or ``BundleField``s);
+    CorruptFile when they do not describe the draws of a model."""
     if meta.get("kind") != "draws":
         raise CorruptFile(f"{path}: bundle does not contain draws")
     fields = meta.get("state_fields")
@@ -566,11 +735,8 @@ def check_config_keys(cfg: dict[str, str]) -> None:
 # --------------------------------------------------------------- manifest
 
 def sha256_file(path) -> str:
-    h = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        return _sha256(fh).hexdigest()
 
 
 def _run_environment() -> dict:
@@ -592,17 +758,21 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
+def _file_entry(path, name: str) -> dict:
+    path = Path(path)
+    return {"path": name, "sha256": sha256_file(path), "bytes": path.stat().st_size}
+
+
 def write_manifest(output_dir, command: str, config: dict, seed: int,
-                   artifacts: list[str], wall_s: float) -> Path:
+                   artifacts: list[str], wall_s: float, inputs=()) -> Path:
     """Record the resolved configuration, the run environment, the run's
-    footprint (its wall time ``wall_s`` and the peak RSS so far) and a
-    checksum for every artifact."""
+    footprint (its wall time ``wall_s`` and the peak RSS so far), a checksum
+    for every artifact and one for every file in ``inputs`` the run read,
+    each listed once under the path it was given by."""
     output_dir = Path(output_dir)
-    entries = []
-    for name in sorted(artifacts):
-        p = output_dir / name
-        entries.append({"path": name, "sha256": sha256_file(p), "bytes": p.stat().st_size})
+    entries = [_file_entry(output_dir / name, name) for name in sorted(artifacts)]
     manifest = {"command": command, "config": config, "seed": seed, "artifacts": entries,
+                "inputs": [_file_entry(name, name) for name in dict.fromkeys(map(str, inputs))],
                 "environment": _run_environment(),
                 "run": {"wall_s": wall_s, "peak_rss_mb": _peak_rss_mb()}}
     path = output_dir / "manifest.json"

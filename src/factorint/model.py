@@ -3,12 +3,13 @@
 Defines the standardized data matrix, the declarative model specification
 (family, factor count, inclusion-prior settings from ``prior``, seed-gene
 constraints), the mutable sampler state, the container of retained posterior
-draws, and the one loop (``run_chain``) that drives either sampler and fills it.
+draws, and the one loop (``run_chain``) that drives either sampler.
 
 Retained draws are kept as one read-only array per state field whose leading
-axis runs over the retained states; ``run_chain`` writes each retained sweep
-into its row, the bundle format stores the arrays as they are, and every
-posterior reduction reads them directly.
+axis runs over the retained states. ``run_chain`` hands each retained sweep
+to a sink: by default ``StateArrays``, which writes it into its row of those
+arrays, or a draws writer of ``io``, which writes it into its slot of a
+bundle file laid out the same way.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ConstantRow, InvalidFactorCount, SpecConflict
 from .prior import BetaTable, InterProbModel, LoadProbModel, check_positive, validate_prior
+from .rng import RngStreams
 
 
 class Family(str, Enum):
@@ -317,6 +319,8 @@ class PosteriorDraws:
     order, to an array whose leading axis runs over the S retained states
     (``values["loadings"]`` is (S, m, L)). The arrays are made read-only when
     the container is built, and ``stack`` returns them without copying.
+    Draws opened with ``io.open_draws`` hold each field as an ``io.BundleField``
+    of the same shape instead, which reads the field from its file on demand.
     """
 
     spec: ModelSpec
@@ -333,7 +337,8 @@ class PosteriorDraws:
 
     def __post_init__(self):
         for arr in self.values.values():
-            arr.flags.writeable = False
+            if isinstance(arr, np.ndarray):
+                arr.flags.writeable = False
 
     def __len__(self) -> int:
         return self.values["loadings"].shape[0]
@@ -368,6 +373,16 @@ class McmcSettings:
         if self.rw_step == 0 and self.adapt_rw:
             raise ConfigError("rw_step must be positive when adapt_rw is on")
 
+    def streams(self, chain: int) -> RngStreams:
+        """The random streams of chain ``chain`` of this run."""
+        if chain < 0:
+            raise ConfigError(f"chain must be >= 0, got {chain}")
+        return RngStreams(self.seed, chain)
+
+    def retained(self, family: Family) -> int:
+        """Number of states a chain of ``family`` keeps under these settings."""
+        return (self.n_iters - self.resolve_burn_in(family)) // self.thin
+
     def resolve_burn_in(self, family: Family) -> int:
         if self.burn_in is not None:
             burn = self.burn_in
@@ -382,9 +397,45 @@ class McmcSettings:
         return burn
 
 
-def run_chain(sampler) -> PosteriorDraws:
+def chain_draws(sampler, values: dict[str, np.ndarray]) -> PosteriorDraws:
+    """The draws of ``sampler``'s chain with state fields ``values``, and its
+    run settings, identifiers, acceptance ledger and MH step as they stand."""
+    settings = sampler.settings
+    return PosteriorDraws(
+        spec=sampler.spec, values=values, burn_in=settings.resolve_burn_in(sampler.spec.family),
+        thin=settings.thin, n_iters=settings.n_iters, seed=settings.seed,
+        chain=sampler.streams.chain, feature_ids=sampler.data.feature_ids,
+        sample_ids=sampler.data.sample_ids, mh_accept_counts=sampler.accept_counts,
+        rw_step_final=sampler.rw_step)
+
+
+class StateArrays:
+    """The default sink of ``run_chain``: one (S, ...) array per state field
+    the sampler carries, allocated at the first retained state, each retained
+    state copied into its row, and the filled arrays returned as the chain's
+    ``PosteriorDraws`` at close."""
+
+    def put(self, k: int, sampler) -> None:
+        state = sampler.state
+        if k == 0:
+            n_states = sampler.settings.retained(sampler.spec.family)
+            self.values = {name: np.empty((n_states, *v.shape), v.dtype)
+                           for name in STATE_FIELDS if (v := getattr(state, name)) is not None}
+        for name, arr in self.values.items():
+            arr[k] = getattr(state, name)
+
+    def close(self, sampler) -> PosteriorDraws:
+        return chain_draws(sampler, self.values)
+
+
+def run_chain(sampler, sink=None):
     """Sweep a ``MultChain`` or ``GpChain`` ``n_iters`` times under its
-    ``settings`` and keep every ``thin``-th state after burn-in.
+    ``settings`` and hand every ``thin``-th state after burn-in to ``sink``.
+
+    The sink gets ``put(k, sampler)`` for retained state k = 0, 1, ... as the
+    chain reaches it, and ``close(sampler)`` after the last sweep; this
+    returns what ``close`` returns. The default sink, ``StateArrays``, keeps
+    the states in memory and returns the chain's ``PosteriorDraws``.
 
     Proposal adaptation ends before the first post-burn-in sweep, so the
     retained states come from a fixed Metropolis kernel and the acceptance
@@ -392,18 +443,11 @@ def run_chain(sampler) -> PosteriorDraws:
     """
     settings = sampler.settings
     burn = settings.resolve_burn_in(sampler.spec.family)
-    values = {name: np.empty(((settings.n_iters - burn) // settings.thin, *v.shape), v.dtype)
-              for name in STATE_FIELDS if (v := getattr(sampler.state, name)) is not None}
+    sink = StateArrays() if sink is None else sink
     for it in range(1, settings.n_iters + 1):
         if it == burn + 1:
             sampler.adapting = False
         sampler.sweep()
         if it > burn and (it - burn) % settings.thin == 0:
-            k = (it - burn) // settings.thin - 1
-            for name, arr in values.items():
-                arr[k] = getattr(sampler.state, name)
-    return PosteriorDraws(
-        spec=sampler.spec, values=values, burn_in=burn, thin=settings.thin,
-        n_iters=settings.n_iters, seed=settings.seed, chain=sampler.streams.chain,
-        feature_ids=sampler.data.feature_ids, sample_ids=sampler.data.sample_ids,
-        mh_accept_counts=sampler.accept_counts, rw_step_final=sampler.rw_step)
+            sink.put((it - burn) // settings.thin - 1, sampler)
+    return sink.close(sampler)

@@ -43,7 +43,6 @@ from .prior import (
     slab_log_density,
     slab_posterior,
 )
-from .rng import RngStreams
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -235,7 +234,7 @@ class MultChain:
         self.data = data
         self.settings = settings
         self.layout = build_layout(spec, data.n_features)
-        self.streams = RngStreams(settings.seed, chain)
+        self.streams = settings.streams(chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
 
     def sweep(self) -> None:

@@ -283,10 +283,11 @@ class ComparisonReport:
 
 
 def fit_spec(spec: ModelSpec, data: DataMatrix, settings: McmcSettings,
-             chain: int = 0) -> PosteriorDraws:
-    """Run one chain of the family's sampler under ``settings``."""
+             chain: int = 0, sink=None) -> PosteriorDraws:
+    """Run one chain of the family's sampler under ``settings``, its retained
+    states going to ``sink`` as in ``run_chain`` (kept in memory by default)."""
     sampler = GpChain if spec.family is Family.GP else MultChain
-    return run_chain(sampler(spec, data, settings, chain))
+    return run_chain(sampler(spec, data, settings, chain), sink)
 
 
 def compare_models(data: DataMatrix, truth: SyntheticTruth, specs: list[ModelSpec],

@@ -305,8 +305,8 @@ class TestChainSettings:
     @pytest.mark.parametrize("entry, params", [
         (MultChain, ["spec", "data", "settings", "chain"]),
         (GpChain, ["spec", "data", "settings", "chain"]),
-        (fit_spec, ["spec", "data", "settings", "chain"]),
-        (run_chain, ["sampler"]),
+        (fit_spec, ["spec", "data", "settings", "chain", "sink"]),
+        (run_chain, ["sampler", "sink"]),
     ], ids=["MultChain", "GpChain", "fit_spec", "run_chain"])
     def test_entry_point_takes_no_settings_of_its_own(self, entry, params):
         assert list(inspect.signature(entry).parameters) == params

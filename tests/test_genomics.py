@@ -34,6 +34,7 @@ from factorint import (
     standardize_rows,
 )
 from factorint import genomics
+from factorint import io as fio
 from factorint.genomics import ParameterSummary, two_window_converged
 from factorint.model import STATE_FIELDS
 from factorint.rng import stream
@@ -441,7 +442,7 @@ def reference_two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> b
     return bool(diff / denom < z_limit)
 
 
-def reference_summary(draws: PosteriorDraws) -> PosteriorSummary:
+def reference_summary(draws: PosteriorDraws) -> tuple[ParameterSummary, ...]:
     """Reference summary: one percentile and diagnostic call per parameter,
     looping over every index of every field (the former implementation)."""
 
@@ -497,7 +498,7 @@ def reference_summary(draws: PosteriorDraws) -> PosteriorSummary:
     noise = draws.stack("noise_var")
     for i in range(m):
         rows.append(plain(f"noise_var[{fids[i]}]", "noise_variance", noise[:, i]))
-    return PosteriorSummary(rows=tuple(rows))
+    return tuple(rows)
 
 
 def assert_same_summary(draws: PosteriorDraws) -> PosteriorSummary:
@@ -505,8 +506,8 @@ def assert_same_summary(draws: PosteriorDraws) -> PosteriorSummary:
     type and bits of every field (``repr`` tells 0.0 from -0.0 and a numpy
     scalar from a Python one)."""
     got, expected = posterior_summary(draws), reference_summary(draws)
-    assert len(got.rows) == len(expected.rows)
-    differ = [(a, b) for a, b in zip(got.rows, expected.rows) if repr(a) != repr(b)]
+    assert len(got.rows) == len(expected)
+    differ = [(a, b) for a, b in zip(got.rows, expected) if repr(a) != repr(b)]
     assert not differ, f"{len(differ)} rows differ, the first: {differ[0]}"
     return got
 
@@ -622,6 +623,26 @@ class TestBlockedSummary:
         got.write_csv(tmp_path / "chains.csv")
         expected.write_csv(tmp_path / "pooled.csv")
         assert (tmp_path / "chains.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
+
+    @pytest.mark.parametrize("rows_per_block", [None, 3])
+    @pytest.mark.parametrize("spec", [gp_spec(1), gp_spec(2), mult_spec(1)],
+                             ids=["gp1", "gp2", "mult1"])
+    def test_chains_read_from_their_files_summarise_as_held(self, spec, rows_per_block,
+                                                            tmp_path, monkeypatch):
+        chains = saddle_chains(spec, 5, n_chains=2, thin=2)
+        for draws in chains:
+            fio.persist_draws(draws, tmp_path / f"draws_{draws.chain}.bin")
+        opened = [fio.open_draws(tmp_path / f"draws_{c}.bin") for c in range(2)]
+        assert all(isinstance(v, fio.BundleField) for v in opened[0].values.values())
+        if rows_per_block is not None:
+            states = sum(map(len, chains))
+            monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", rows_per_block * 8 * states)
+        got, expected = posterior_summary(*opened), posterior_summary(*chains)
+        assert len(got.rows) == len(expected.rows) > 0
+        assert [repr(r) for r in got.rows] == [repr(r) for r in expected.rows]
+        got.write_csv(tmp_path / "opened.csv")
+        expected.write_csv(tmp_path / "held.csv")
+        assert (tmp_path / "opened.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
 
     def test_min_states_counts_the_pooled_states(self):
         a, b = gaussian_draws(0.0, 1.0, 12, 1), gaussian_draws(0.0, 1.0, 12, 2)

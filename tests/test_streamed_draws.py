@@ -1,0 +1,215 @@
+"""Draws streamed into their bundle as the chain runs, and summaries read
+back from the file.
+
+``fit`` hands each retained state to an ``io.DrawsWriter``, which writes it
+into its slot of ``draws.bin``, and summarises from the files a block of
+parameters at a time. The file must be the one ``persist_draws`` writes for
+the same chain held in memory, a failed chain must leave nothing behind, and
+the fit's memory must not grow with its retained draws.
+"""
+
+import csv
+import hashlib
+import json
+import tracemalloc
+from dataclasses import replace
+
+import pytest
+
+from factorint import (
+    ConfigError,
+    CorruptFile,
+    GpChain,
+    McmcSettings,
+    MultChain,
+    fit_spec,
+    generate_saddle_dataset,
+    gp_spec,
+    mult_spec,
+    posterior_summary,
+)
+from factorint import io as fio
+from factorint.cli import main as cli_main
+from factorint.model import run_chain
+
+
+def saddle_data(seed: int, m: int = 20, n: int = 15):
+    data, truth = generate_saddle_dataset(m, n, frac_affected=0.3, seed=seed)
+    groups = {k: frozenset(int(i) for i in v) for k, v in truth.seed_groups.items()}
+    return data, groups
+
+
+FITS = {
+    "mult1": (mult_spec(1), 1, 0),
+    "mult2": (mult_spec(2), 1, 0),
+    "gp1": (gp_spec(1), 1, 0),
+    "gp2_shared_effect": (gp_spec(2), 1, 0),
+    "gp1_thin2": (gp_spec(1), 2, 0),
+    "mult1_chain1": (mult_spec(1), 1, 1),
+    "gp1_chain1": (gp_spec(1), 1, 1),
+}
+
+
+@pytest.mark.parametrize("spec, thin, chain", FITS.values(), ids=FITS)
+def test_streamed_bundle_is_the_persisted_bundle(tmp_path, spec, thin, chain):
+    data, groups = saddle_data(3)
+    spec = replace(spec, seed_groups=groups)
+    settings = McmcSettings(n_iters=40, burn_in=20, thin=thin, seed=3, n_chains=2)
+    fio.persist_draws(fit_spec(spec, data, settings, chain), tmp_path / "held.bin")
+    with fio.DrawsWriter(tmp_path / "streamed.bin") as writer:
+        assert fit_spec(spec, data, settings, chain, writer) == tmp_path / "streamed.bin"
+    assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "held.bin").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["held.bin", "streamed.bin"]
+
+
+def test_a_moved_step_fails_the_writer_and_leaves_no_file(tmp_path):
+    data, _ = saddle_data(4)
+    sampler = GpChain(gp_spec(1), data, McmcSettings(n_iters=30, burn_in=10, seed=4))
+    path = tmp_path / "draws.bin"
+
+    class MovingStep(fio.DrawsWriter):
+        def put(self, k, sampler):
+            super().put(k, sampler)
+            sampler.rw_step *= 2
+
+    with pytest.raises(RuntimeError, match="MH step moved"):
+        with MovingStep(path) as writer:
+            run_chain(sampler, writer)
+    assert list(tmp_path.iterdir()) == []
+
+
+GP_FIT_ARGS = ("--set", "model.family=gp", "--set", "model.gp_variant=1",
+               "--set", "mcmc.iters=40", "--set", "mcmc.burn_in=10")
+
+
+def test_failed_fit_leaves_the_earlier_draws(tmp_path, capsys, monkeypatch):
+    data, _ = saddle_data(5, m=12, n=10)
+    fio.write_data_csv(tmp_path / "data.csv", data)
+    out = tmp_path / "out"
+    args = ("fit", "--output-dir", str(out), "--seed", "2",
+            "--set", f"paths.data={tmp_path / 'data.csv'}", *GP_FIT_ARGS)
+    assert cli_main(list(args)) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+
+    sweep, calls = GpChain.sweep, []
+
+    def failing_sweep(self):
+        calls.append(1)
+        if len(calls) == 25:  # the 15th retained sweep of 30
+            raise FloatingPointError("injected")
+        sweep(self)
+
+    monkeypatch.setattr(GpChain, "sweep", failing_sweep)
+    assert cli_main([*args[:4], "3", *args[5:]]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "ERROR FloatingPointError: injected"]
+    assert len(calls) == 25
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+@pytest.mark.parametrize("read", [fio.load_draws, fio.open_draws],
+                         ids=["load_draws", "open_draws"])
+@pytest.mark.parametrize("cut", [32, 1, 100])
+def test_bundle_cut_before_its_digest_is_corrupt(tmp_path, read, cut):
+    data, _ = saddle_data(6)
+    path = tmp_path / "draws.bin"
+    with fio.DrawsWriter(path) as writer:
+        fit_spec(mult_spec(2), data, McmcSettings(n_iters=30, burn_in=10, seed=6), 0, writer)
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CorruptFile):
+        read(path)
+
+
+def test_summary_rows_are_views_in_file_order(tmp_path):
+    data, groups = saddle_data(7)
+    draws = fit_spec(gp_spec(1, seed_groups=groups), data,
+                     McmcSettings(n_iters=40, burn_in=10, seed=7))
+    summary = posterior_summary(draws)
+    rows = summary.rows
+    summary.write_csv(tmp_path / "summary.csv")
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+        names = [row[0] for row in csv.reader(fh)][1:]
+    assert [r.name for r in rows] == names
+    assert rows[-1] == rows[len(rows) - 1] == summary.by_name()[names[-1]]
+    assert rows[3:5] == (rows[3], rows[4])
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+
+
+def test_fit_memory_does_not_grow_with_its_draws(tmp_path):
+    data, _ = saddle_data(8, m=400, n=40)
+    fio.write_data_csv(tmp_path / "data.csv", data)
+    out = tmp_path / "out"
+    args = ["fit", "--output-dir", str(out), "--seed", "1",
+            "--set", f"paths.data={tmp_path / 'data.csv'}", "--set", "model.family=gp",
+            "--set", "mcmc.burn_in=10", "--set", "mcmc.adapt_rw=false"]
+    # a short fit first, so that the modules a gp fit imports on first use
+    # are not counted
+    assert cli_main([*args, "--set", "mcmc.iters=30"]) == 0
+    tracemalloc.start()
+    try:
+        code = cli_main([*args, "--set", "mcmc.iters=140"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    draws = fio.load_draws(out / "draws.bin")
+    held = sum(arr.nbytes for arr in draws.values.values())
+    assert held >= 16_000_000
+    assert peak < held / 4, f"peak {peak / 1e6:.1f} MB for {held / 1e6:.1f} MB of draws"
+
+
+@pytest.mark.parametrize("sampler, spec", [(MultChain, mult_spec(2)), (GpChain, gp_spec(1))],
+                         ids=["MultChain", "GpChain"])
+def test_negative_chain_index_is_a_config_error(sampler, spec):
+    data, _ = saddle_data(9)
+    with pytest.raises(ConfigError, match=r"^chain must be >= 0, got -1$"):
+        sampler(spec, data, McmcSettings(), chain=-1)
+
+
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_manifest_records_every_input_file(tmp_path):
+    data, _ = saddle_data(10, m=12, n=10)
+    fio.write_data_csv(tmp_path / "data.csv", data)
+    (tmp_path / "run.cfg").write_text("mcmc.iters = 30\nmcmc.burn_in = 10\n")
+    out = tmp_path / "fit"
+    assert cli_main(["fit", "--output-dir", str(out), "--config", str(tmp_path / "run.cfg"),
+                     "--set", f"paths.data={tmp_path / 'data.csv'}"]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs == [{"path": str(tmp_path / name), "sha256": sha256_of(tmp_path / name),
+                       "bytes": (tmp_path / name).stat().st_size}
+                      for name in ("run.cfg", "data.csv")]
+    assert fio.verify_manifest(out)
+
+    # an edit to the data after the fit shows against the recorded hash
+    recorded = inputs[1]["sha256"]
+    with open(tmp_path / "data.csv", "a", encoding="utf-8") as fh:
+        fh.write("\n")
+    assert fio.sha256_file(tmp_path / "data.csv") != recorded
+
+    assert cli_main(["summarize", "--output-dir", str(tmp_path / "sum"),
+                     "--set", f"paths.draws={out / 'draws.bin'}"]) == 0
+    inputs = json.loads((tmp_path / "sum" / "manifest.json").read_text())["inputs"]
+    assert inputs == [{"path": str(out / "draws.bin"), "sha256": sha256_of(out / "draws.bin"),
+                       "bytes": (out / "draws.bin").stat().st_size}]
+
+
+def test_compare_manifest_records_its_spec_files(tmp_path):
+    sim = tmp_path / "sim"
+    assert cli_main(["simulate", "--output-dir", str(sim), "--seed", "2",
+                     "--set", "simulate.features=20", "--set", "simulate.samples=10"]) == 0
+    spec = tmp_path / "mult2.cfg"
+    spec.write_text("model.family = mult_approach2\n")
+    out = tmp_path / "cmp"
+    assert cli_main(["compare", "--output-dir", str(out), "--seed", "2",
+                     "--set", f"paths.data={sim / 'data.csv'}",
+                     "--set", f"paths.truth={sim / 'truth.bin'}",
+                     "--set", f"compare.specs={spec},{spec}",
+                     "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10"]) == 0
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert [(e["path"], e["sha256"]) for e in inputs] == [
+        (str(p), sha256_of(p)) for p in (sim / "data.csv", sim / "truth.bin", spec)]
