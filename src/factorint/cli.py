@@ -1,9 +1,12 @@
 """Command-line entry point.
 
 Commands: simulate, fit, summarize, detect, compare, test-overlap,
-export-surface. Every run writes its artifacts plus a ``manifest.json``
-recording the resolved configuration, the seed, a checksum per artifact and
-per input file read, and the run's wall time and peak resident memory.
+export-surface. ``fit`` summarises the draws its ``io.DrawsWriter``s return;
+the other commands read draws through ``io.open_draws``, which reads a field
+only when asked (detect reads only the indicators). Every run writes its
+artifacts plus a ``manifest.json`` recording the resolved configuration, the
+seed, a checksum per artifact and per input file read, and the run's wall
+time and peak resident memory.
 Failures exit nonzero with a single line ``ERROR <Code>: <message>`` on
 stderr. The FACTORINT_OUTPUT_DIR environment variable sets the default
 output directory.
@@ -19,7 +22,7 @@ import time
 from pathlib import Path
 
 from . import io as fio
-from .errors import ConfigError
+from .errors import ConfigError, CorruptFile
 from .genomics import (
     OverlapTestInput,
     detect_interactions,
@@ -29,6 +32,7 @@ from .genomics import (
 )
 from .model import Family, standardize_rows
 from .simulate import (
+    SyntheticTruth,
     compare_models,
     export_surface,
     fit_spec,
@@ -113,10 +117,10 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     require_states(settings.n_chains * settings.retained(spec.family))
     artifacts = (["draws.bin"] if settings.n_chains == 1 else
                  [f"draws_{c:03d}.bin" for c in range(settings.n_chains)])
+    all_draws = []
     for chain, name in enumerate(artifacts):
         with fio.DrawsWriter(out / name) as writer:
-            fit_spec(spec, data, settings, chain, writer)
-    all_draws = [fio.open_draws(out / name) for name in artifacts]
+            all_draws.append(fit_spec(spec, data, settings, chain, writer))
 
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
     artifacts.append("summary.csv")
@@ -149,9 +153,9 @@ def cmd_summarize(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = fio.load_draws(_draws_path(cfg))
+    draws = fio.open_draws(_draws_path(cfg))
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
-    fids = draws.feature_ids or tuple(str(i) for i in range(draws.stack("noise_var").shape[1]))
+    fids = draws.feature_ids or tuple(str(i) for i in range(draws.values["noise_var"].shape[1]))
     with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_id", "probability"])
@@ -160,19 +164,34 @@ def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     return draws.seed, ["detected.csv"]
 
 
+def _read_truth(path: Path, m: int, n: int) -> SyntheticTruth:
+    """The planted truth in the bundle at ``path``, checked against m x n data."""
+    meta, arrays = fio.read_bundle(path)
+    if meta.get("kind") != "truth":
+        raise ConfigError(f"paths.truth: {path}: not a truth bundle")
+    # the shape of each array; None for a list of feature indices
+    shapes = {"loadings": (m, 2), "scores": (2, n), "effects": (m, n), "noise_var": (m,),
+              "affected": None, "seed_group_1": None, "seed_group_2": None}
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise CorruptFile(f"paths.truth: {path}: truth bundle lacks {name!r}")
+        arr = arrays[name]
+        if not (arr.shape == shape if shape else (
+                arr.ndim == 1 and arr.dtype.kind in "iu" and ((0 <= arr) & (arr < m)).all())):
+            raise ConfigError(f"paths.truth: {path}: {name} {arr.dtype}{list(arr.shape)} does "
+                              f"not fit the {m}x{n} data")
+    return SyntheticTruth(
+        loadings=arrays["loadings"], scores=arrays["scores"], effects=arrays["effects"],
+        noise_var=arrays["noise_var"], affected=arrays["affected"],
+        seed_groups={0: arrays["seed_group_1"], 1: arrays["seed_group_2"]})
+
+
 def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     for key in ("paths.data", "paths.truth", "compare.specs"):
         if key not in cfg:
             raise ConfigError(f"compare requires {key}")
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
-    meta, arrays = fio.read_bundle(_input_file("paths.truth", cfg["paths.truth"]))
-    if meta.get("kind") != "truth":
-        raise ConfigError(f"{cfg['paths.truth']}: not a truth bundle")
-    from .simulate import SyntheticTruth
-    truth = SyntheticTruth(
-        loadings=arrays["loadings"], scores=arrays["scores"], effects=arrays["effects"],
-        noise_var=arrays["noise_var"], affected=arrays["affected"],
-        seed_groups={0: arrays["seed_group_1"], 1: arrays["seed_group_2"]})
+    truth_path = _input_file("paths.truth", cfg["paths.truth"])
     spec_paths = [p.strip() for p in cfg["compare.specs"].split(",") if p.strip()]
     specs, labels = [], []
     for p in spec_paths:
@@ -184,6 +203,7 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         specs.append(fio.spec_from_config(sub, data))
         labels.append(Path(p).stem)
     settings = fio.settings_from_config(cfg)
+    truth = _read_truth(truth_path, *data.values.shape)
     report = compare_models(data, truth, specs, settings, labels=labels)
     report.write_csv(out / "comparison.csv")
     artifacts = ["comparison.csv"]
@@ -215,12 +235,12 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = fio.load_draws(_draws_path(cfg))
     if "surface.feature" not in cfg:
         raise ConfigError("export-surface requires surface.feature")
+    draws = fio.open_draws(_draws_path(cfg))
     token = cfg["surface.feature"]
     fids = draws.feature_ids or ()
-    m = draws.stack("noise_var").shape[1]
+    m = draws.values["noise_var"].shape[1]
     if token in fids:
         feature = fids.index(token)
     elif token.isdecimal() and int(token) < m:

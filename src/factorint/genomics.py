@@ -373,18 +373,12 @@ MIN_STATES = 20
 _SUMMARY_BLOCK = 1 << 19
 
 
-def _gather(chains: list, rows, dtype=None) -> np.ndarray:
-    """The traces of parameters ``rows`` (a slice or an index array over the
-    trailing axes of (S, ...) fields, in C order) as one C-contiguous
-    (rows, S) block, the chains' states one after another. Each chain's
-    field is an array, which is sliced, or an ``io.BundleField``, which
-    reads that range of parameters of every state from its file (``rows``
-    is a slice then). A row holds the bytes it holds in the chains
-    concatenated along the state axis, and reducing along it sums in the
-    same order as on that 1-D trace, so the results match a per-parameter
-    computation bit for bit."""
-    parts = [chain.reshape(len(chain), -1)[:, rows] if isinstance(chain, np.ndarray)
-             else chain.read_rows(rows) for chain in chains]
+def _gather(parts: list[np.ndarray], dtype=None) -> np.ndarray:
+    """The (S, rows) traces ``parts`` of the chains as one C-contiguous
+    (rows, S) block, the chains' states one after another. A row holds the
+    bytes it holds in the chains concatenated along the state axis, and
+    reducing along it sums in the same order as on that 1-D trace, so the
+    results match a per-parameter computation bit for bit."""
     block = np.empty((parts[0].shape[1], sum(map(len, parts))), dtype or parts[0].dtype)
     start = 0
     for part in parts:
@@ -398,36 +392,39 @@ def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return block.mean(axis=1), *np.percentile(block, [2.5, 97.5], axis=1)
 
 
-def _field_summary(values: list, masks: list[np.ndarray] | None) -> tuple:
+def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
+                   masks: list[np.ndarray] | None) -> tuple:
     """Estimate, interval, inclusion probability (None without ``masks``)
-    and convergence flag of every parameter of one state field, given as one
-    (S, ...) array or ``io.BundleField`` per chain. The field is reduced in
-    blocks of parameters of about ``_SUMMARY_BLOCK`` bytes. With
-    spike-and-slab indicators ``masks`` (one per parameter, or one per run
-    of parameters in C order, as the (S, m) indicators of an (S, m, n)
-    field) the estimate and interval come from the dominant mixture
-    component: the slab states when the inclusion probability exceeds 0.5,
-    zero otherwise. A block's dominant rows with the same count k of slab
-    states are reduced together as one (rows, k) block, in state order."""
-    states = sum(map(len, values))
-    size = math.prod(values[0].shape[1:])
-    step = max(1, _SUMMARY_BLOCK // (states * values[0].dtype.itemsize))
+    and convergence flag of every parameter of state field ``name`` of the
+    ``chains``. The field is reduced in blocks of parameters of about
+    ``_SUMMARY_BLOCK`` bytes of traces. With spike-and-slab indicators
+    ``masks`` (one (S, k) array per chain: one indicator per parameter, or
+    one per run of parameters in C order, as the (S, m) indicators of an
+    (S, m, n) field) the estimate and interval come from the dominant
+    mixture component: the slab states when the inclusion probability
+    exceeds 0.5, zero otherwise. A block's dominant rows with the same count
+    k of slab states are reduced together as one (rows, k) block, in state
+    order."""
+    field = chains[0].values[name]
+    states = sum(map(len, chains))
+    size = math.prod(field.shape[1:])
+    step = max(1, _SUMMARY_BLOCK // (states * field.dtype.itemsize))
     est, lo, hi = np.zeros((3, size))
     converged = np.zeros(size, dtype=bool)
     incl = None
     if masks is not None:
-        share = size // masks[0][0].size  # parameters per indicator
-        counts = np.repeat(sum(mask.reshape(len(mask), -1).sum(axis=0) for mask in masks), share)
+        share = size // masks[0].shape[1]  # parameters per indicator
+        counts = np.repeat(sum(mask.sum(axis=0) for mask in masks), share)
         incl = counts / states
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
-        block = _gather(values, rows)
+        block = _gather([chain.traces(name, rows) for chain in chains])
         converged[rows] = two_window_converged(block)
         if masks is None:
             est[rows], lo[rows], hi[rows] = _interval(block)
             continue
         dominant = np.flatnonzero(incl[rows] > 0.5)
-        on = _gather(masks, (start + dominant) // share, bool)
+        on = _gather([mask[:, (start + dominant) // share] for mask in masks], bool)
         slabs = counts[start + dominant]
         for k in np.unique(slabs):
             same = slabs == k
@@ -447,9 +444,10 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
                       min_states: int = MIN_STATES) -> PosteriorSummary:
     """Mixture-aware per-parameter summary of the retained states of one or
     more chains of the same model, pooled in the order given, without a
-    pooled copy of the chains. Draws from ``io.open_draws`` are read from
-    their files a block of parameters at a time, so only their indicator
-    fields are read whole. ``min_states`` counts the pooled states."""
+    pooled copy of the chains. Each field is read a block of parameters at a
+    time through ``PosteriorDraws.traces``, so only the indicator fields of
+    draws left in their files are read whole. ``min_states`` counts the
+    pooled states."""
     chains = (draws, *more)
     for other in more:
         if other.spec != draws.spec or any(
@@ -458,29 +456,26 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
                               "and the shape of every state field")
     require_states(sum(map(len, chains)), min_states)
 
-    def stack(name: str) -> list:
-        return [chain.stack(name) for chain in chains]
-
     def indicators(name: str) -> list[np.ndarray]:
-        return [v if isinstance(v, np.ndarray) else v.read() for v in stack(name)]
+        return [chain.stack(name).reshape(len(chain), -1) for chain in chains]
 
-    m, L = draws.stack("loadings").shape[1:]
-    n = draws.stack("scores").shape[2]
+    m, L = draws.values["loadings"].shape[1:]
+    n = draws.values["scores"].shape[2]
     fids = draws.feature_ids or tuple(str(i) for i in range(m))
     sids = draws.sample_ids or tuple(str(j) for j in range(n))
     factors = tuple(str(l) for l in range(1, L + 1))
-    # (name, role, labels of the trailing axes, values, indicators or None)
-    fields = [("loading", "loading", (fids, factors), stack("loadings"), indicators("load_mask")),
-              ("score", "factor_score", (factors, sids), stack("scores"), None)]
+    # (name, role, labels of the trailing axes, state field, indicators or None)
+    fields = [("loading", "loading", (fids, factors), "loadings", indicators("load_mask")),
+              ("score", "factor_score", (factors, sids), "scores", None)]
     if draws.spec.is_mult:
-        pairs = tuple(str(t) for t in range(1, draws.stack("inter_scores").shape[1] + 1))
-        fields += [("inter_loading", "interaction_loading", (fids, pairs),
-                    stack("inter_loadings"), indicators("inter_mask")),
-                   ("inter_score", "interaction_score", (pairs, sids), stack("inter_scores"), None)]
+        pairs = tuple(str(t) for t in range(1, draws.values["inter_scores"].shape[1] + 1))
+        fields += [("inter_loading", "interaction_loading", (fids, pairs), "inter_loadings",
+                    indicators("inter_mask")),
+                   ("inter_score", "interaction_score", (pairs, sids), "inter_scores", None)]
     else:
-        fields.append(("effect", "interaction_effect", (fids, sids), stack("effects"),
+        fields.append(("effect", "interaction_effect", (fids, sids), "effects",
                        indicators("inter_mask")))
-    fields.append(("noise_var", "noise_variance", (fids,), stack("noise_var"), None))
+    fields.append(("noise_var", "noise_variance", (fids,), "noise_var", None))
     return PosteriorSummary(fields=tuple(
-        FieldSummary(name, role, labels, *_field_summary(values, masks))
-        for name, role, labels, values, masks in fields))
+        FieldSummary(name, role, labels, *_field_summary(chains, field, masks))
+        for name, role, labels, field, masks in fields))

@@ -226,9 +226,6 @@ class BundleField:
         # bytes per index of the leading axis
         self.stride = math.prod(shape[1:]) * dtype.itemsize
 
-    def __len__(self) -> int:
-        return self.shape[0]
-
     def _pread(self, fd: int, nbytes: int, offset: int) -> bytes:
         raw = os.pread(fd, nbytes, self.offset + offset)
         if len(raw) != nbytes:
@@ -238,18 +235,18 @@ class BundleField:
     def read(self) -> np.ndarray:
         """The whole array, read-only."""
         with open(self.path, "rb") as fh:
-            raw = self._pread(fh.fileno(), len(self) * self.stride, 0)
+            raw = self._pread(fh.fileno(), self.shape[0] * self.stride, 0)
         return np.frombuffer(raw, self.dtype).reshape(self.shape)
 
     def read_rows(self, rows: slice) -> np.ndarray:
         """Parameters ``rows`` (a slice with step 1 over the trailing axes
-        in C order) of every index of the leading axis, as a (len, rows)
+        in C order) of every index of the leading axis, as an (S, rows)
         array: one read per index of the leading axis."""
         start, stop, _ = rows.indices(self.stride // self.dtype.itemsize)
-        out = np.empty((len(self), stop - start), self.dtype)
+        out = np.empty((self.shape[0], stop - start), self.dtype)
         nbytes, skip = out[0].nbytes, start * self.dtype.itemsize
         with open(self.path, "rb") as fh:
-            for k in range(len(self)):
+            for k in range(self.shape[0]):
                 out[k] = np.frombuffer(self._pread(fh.fileno(), nbytes, k * self.stride + skip),
                                        self.dtype)
         return out
@@ -425,6 +422,8 @@ def persist_draws(draws: PosteriorDraws, path) -> None:
 class DrawsWriter:
     """A ``run_chain`` sink that writes each retained state straight into its
     slot of a draws bundle, so the chain's states are never all in memory.
+    ``close`` returns the chain's ``PosteriorDraws`` with every state field
+    left in that file, as ``open_draws`` gives them, without reading it back.
 
     Use it as a context manager around the chain. The bundle is written
     under a temporary name in the directory of ``path`` and moved onto
@@ -467,17 +466,17 @@ class DrawsWriter:
             self.rw_step = shell.rw_step_final
             head, entries = _bundle_layout(*_draws_layout(shell))
             offsets = {e["name"]: len(head) + e["offset"] for e in entries}
-            self.fields = {name: (offsets[name], arr.dtype, arr[0].nbytes)
+            self.fields = {name: BundleField(self.path, offsets[name], arr.dtype, arr.shape)
                            for name, arr in shell.values.items()}
             self.ledger = offsets.get("mh_accept_counts")
             self.size = len(head) + sum(e["nbytes"] for e in entries)
             self._write(head, 0)
-        for name, (offset, dtype, nbytes) in self.fields.items():
-            self._write(np.ascontiguousarray(getattr(sampler.state, name), dtype),
-                        offset + k * nbytes)
+        for name, field in self.fields.items():
+            self._write(np.ascontiguousarray(getattr(sampler.state, name), field.dtype),
+                        field.offset + k * field.stride)
 
-    def close(self, sampler) -> Path:
-        """Complete the bundle and move it onto ``path``, which is returned."""
+    def close(self, sampler) -> PosteriorDraws:
+        """Complete the bundle, move it onto ``path`` and return its draws."""
         if sampler.rw_step != self.rw_step:
             raise RuntimeError(f"MH step moved after the first retained state "
                                f"({self.rw_step} -> {sampler.rw_step})")
@@ -487,7 +486,7 @@ class DrawsWriter:
         self._write(_sha256(self.fh, self.size).digest(), self.size)
         self.fh.close()
         os.replace(self.tmp, self.path)
-        return self.path
+        return chain_draws(sampler, self.fields)
 
 
 _DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
@@ -510,8 +509,8 @@ def load_draws(path) -> PosteriorDraws:
 
 def open_draws(path) -> PosteriorDraws:
     """The draws bundle at ``path`` with each state field left in the file as
-    a ``BundleField``, which ``genomics.posterior_summary`` reads a block of
-    parameters at a time. The file is checked against its digest here."""
+    a ``BundleField``, read only when a reader asks ``PosteriorDraws`` for it.
+    The file is checked against its digest here."""
     meta, fields = _open_bundle(path)
     if "mh_accept_counts" in fields:
         fields["mh_accept_counts"] = fields["mh_accept_counts"].read()

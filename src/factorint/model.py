@@ -5,11 +5,11 @@ Defines the standardized data matrix, the declarative model specification
 constraints), the mutable sampler state, the container of retained posterior
 draws, and the one loop (``run_chain``) that drives either sampler.
 
-Retained draws are kept as one read-only array per state field whose leading
+Retained draws are kept as one (S, ...) field per state field whose leading
 axis runs over the retained states. ``run_chain`` hands each retained sweep
-to a sink: by default ``StateArrays``, which writes it into its row of those
-arrays, or a draws writer of ``io``, which writes it into its slot of a
-bundle file laid out the same way.
+to a sink: ``StateArrays``, which writes it into its row of in-memory arrays,
+or ``io.DrawsWriter``, which writes it into its slot of a bundle file laid
+out the same way. Both return the chain's ``PosteriorDraws``.
 """
 
 from __future__ import annotations
@@ -316,11 +316,12 @@ class PosteriorDraws:
     """Retained post-burn-in states plus the MH acceptance ledger.
 
     ``values`` maps each state field the family carries, in STATE_FIELDS
-    order, to an array whose leading axis runs over the S retained states
-    (``values["loadings"]`` is (S, m, L)). The arrays are made read-only when
-    the container is built, and ``stack`` returns them without copying.
-    Draws opened with ``io.open_draws`` hold each field as an ``io.BundleField``
-    of the same shape instead, which reads the field from its file on demand.
+    order, to an (S, ...) field whose leading axis runs over the S retained
+    states (``values["loadings"]`` is (S, m, L)): a read-only array, or for
+    draws of a bundle file an ``io.BundleField`` of that shape, which reads
+    from the file on demand. Only this class and ``io`` know which: readers
+    take shapes from ``values[name].shape`` and values from ``stack`` (the
+    whole field as an array) or ``traces`` (a run of its parameters).
     """
 
     spec: ModelSpec
@@ -344,7 +345,17 @@ class PosteriorDraws:
         return self.values["loadings"].shape[0]
 
     def stack(self, attr: str) -> np.ndarray:
-        return self.values[attr]
+        """Field ``attr`` as an (S, ...) array, read whole if it is in a file."""
+        arr = self.values[attr]
+        return arr if isinstance(arr, np.ndarray) else arr.read()
+
+    def traces(self, attr: str, rows: slice) -> np.ndarray:
+        """(S, k) traces of parameters ``rows``, a step-1 slice over the
+        trailing axes of field ``attr`` in C order."""
+        arr = self.values[attr]
+        if isinstance(arr, np.ndarray):
+            return arr.reshape(len(arr), -1)[:, rows]
+        return arr.read_rows(rows)
 
 
 @dataclass(frozen=True)
@@ -433,9 +444,10 @@ def run_chain(sampler, sink=None):
     ``settings`` and hand every ``thin``-th state after burn-in to ``sink``.
 
     The sink gets ``put(k, sampler)`` for retained state k = 0, 1, ... as the
-    chain reaches it, and ``close(sampler)`` after the last sweep; this
-    returns what ``close`` returns. The default sink, ``StateArrays``, keeps
-    the states in memory and returns the chain's ``PosteriorDraws``.
+    chain reaches it, and ``close(sampler)`` after the last sweep, which
+    returns the chain's ``PosteriorDraws``, as this does. The default sink,
+    ``StateArrays``, keeps the states in memory; ``io.DrawsWriter`` leaves
+    them in the file it wrote.
 
     Proposal adaptation ends before the first post-burn-in sweep, so the
     retained states come from a fixed Metropolis kernel and the acceptance

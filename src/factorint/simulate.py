@@ -15,7 +15,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import InvalidFraction, ShapeMismatch
-from .genomics import detect_interactions
+from .genomics import _SUMMARY_BLOCK, detect_interactions
 from .gp import GpChain
 from .model import (
     DataMatrix,
@@ -172,11 +172,17 @@ def align_factors(scores_est: np.ndarray, scores_true: np.ndarray,
 
 def posterior_mean_effects(draws: PosteriorDraws) -> np.ndarray:
     """Posterior mean of the interaction-effect matrix (per-state products for
-    the multiplicative families)."""
+    the multiplicative families). The gp effects are averaged a block of
+    whole feature rows at a time: a block of n >= 2 columns is summed along
+    its state axis in state order, as the whole field's mean is (a single
+    column would be summed pairwise, with other rounding)."""
     if draws.spec.is_mult:
         products = map(np.matmul, draws.stack("inter_loadings"), draws.stack("inter_scores"))
         return reduce(np.add, products) / len(draws)
-    return draws.stack("effects").mean(axis=0)
+    S, m, n = draws.values["effects"].shape
+    step = n * max(1, _SUMMARY_BLOCK // (S * n * 8))
+    return np.concatenate([draws.traces("effects", slice(start, start + step)).mean(axis=0)
+                           for start in range(0, m * n, step)]).reshape(m, n)
 
 
 def saddle_quadrant_recovery(effects_est: np.ndarray, truth: SyntheticTruth,

@@ -917,3 +917,67 @@ class TestCli:
         assert (out / "surface_mult2.csv").exists()
         assert (out / "surface_mult1.csv").exists()
         assert fio.verify_manifest(out)
+
+
+class TestCompareTruth:
+    """``compare`` checks its truth bundle against the data before it fits."""
+
+    @pytest.fixture
+    def compare_args(self, tmp_path, monkeypatch):
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(factorint.simulate, "fit_spec", no_chain)
+        sim = tmp_path / "sim"
+        assert run_cli("simulate", "--output-dir", str(sim), "--seed", "3",
+                       "--set", "simulate.features=20", "--set", "simulate.samples=12") == 0
+        (tmp_path / "mult2.cfg").write_text("model.family = mult_approach2\n")
+        return ["compare", "--output-dir", str(tmp_path / "cmp"),
+                "--set", f"paths.data={sim / 'data.csv'}",
+                "--set", f"compare.specs={tmp_path / 'mult2.cfg'}",
+                "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10"]
+
+    def test_truth_missing_an_array_is_corrupt(self, compare_args, tmp_path, capsys):
+        meta, arrays = fio.read_bundle(tmp_path / "sim" / "truth.bin")
+        del arrays["affected"]
+        fio.write_bundle(tmp_path / "truth.bin", meta, arrays)
+        assert run_cli(*compare_args, "--set", f"paths.truth={tmp_path / 'truth.bin'}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR CorruptFile: paths.truth: {tmp_path / 'truth.bin'}: "
+                       "truth bundle lacks 'affected'"]
+
+    def test_truth_of_other_data_is_a_config_error(self, compare_args, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert run_cli("simulate", "--output-dir", str(other), "--seed", "3",
+                       "--set", "simulate.features=30", "--set", "simulate.samples=15") == 0
+        assert run_cli(*compare_args, "--set", f"paths.truth={other / 'truth.bin'}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: paths.truth: {other / 'truth.bin'}: loadings "
+                       "float64[30, 2] does not fit the 20x12 data"]
+
+    def test_truth_index_outside_the_data_is_a_config_error(self, compare_args, tmp_path,
+                                                             capsys):
+        meta, arrays = fio.read_bundle(tmp_path / "sim" / "truth.bin")
+        fio.write_bundle(tmp_path / "truth.bin", meta, {**arrays, "affected": np.array([20])})
+        assert run_cli(*compare_args, "--set", f"paths.truth={tmp_path / 'truth.bin'}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("ERROR ConfigError: paths.truth: ")
+        assert "affected int64[1] does not fit the 20x12 data" in err[0]
+
+    def test_bundle_of_another_kind_is_a_config_error(self, compare_args, fitted, capsys):
+        assert run_cli(*compare_args, "--set", f"paths.truth={fitted / 'draws.bin'}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: paths.truth: {fitted / 'draws.bin'}: "
+                       "not a truth bundle"]
+
+
+def test_export_surface_checks_its_feature_before_reading_draws(fitted, tmp_path, capsys,
+                                                                monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"{path} opened")
+
+    monkeypatch.setattr(fio, "_open_bundle", refuse)
+    assert run_cli("export-surface", "--output-dir", str(tmp_path),
+                   "--set", f"paths.draws={fitted / 'draws.bin'}") == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "ERROR ConfigError: export-surface requires surface.feature"]

@@ -5,7 +5,9 @@ back from the file.
 into its slot of ``draws.bin``, and summarises from the files a block of
 parameters at a time. The file must be the one ``persist_draws`` writes for
 the same chain held in memory, a failed chain must leave nothing behind, and
-the fit's memory must not grow with its retained draws.
+the fit's memory must not grow with its retained draws. The writer returns
+the draws it wrote, and every reader gives the same bits from draws held in
+memory, returned by the writer, opened or loaded from the file.
 """
 
 import csv
@@ -14,6 +16,7 @@ import json
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from factorint import (
@@ -22,14 +25,18 @@ from factorint import (
     GpChain,
     McmcSettings,
     MultChain,
+    detect_interactions,
     fit_spec,
     generate_saddle_dataset,
     gp_spec,
     mult_spec,
+    posterior_mean_effects,
     posterior_summary,
 )
+from factorint import genomics, simulate
 from factorint import io as fio
 from factorint.cli import main as cli_main
+from factorint.genomics import interaction_probabilities
 from factorint.model import run_chain
 
 
@@ -57,9 +64,101 @@ def test_streamed_bundle_is_the_persisted_bundle(tmp_path, spec, thin, chain):
     settings = McmcSettings(n_iters=40, burn_in=20, thin=thin, seed=3, n_chains=2)
     fio.persist_draws(fit_spec(spec, data, settings, chain), tmp_path / "held.bin")
     with fio.DrawsWriter(tmp_path / "streamed.bin") as writer:
-        assert fit_spec(spec, data, settings, chain, writer) == tmp_path / "streamed.bin"
+        written = fit_spec(spec, data, settings, chain, writer)
     assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "held.bin").read_bytes()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["held.bin", "streamed.bin"]
+    assert_same_draws(written, fio.open_draws(tmp_path / "streamed.bin"))
+
+
+DRAWS_META = ("spec", "burn_in", "thin", "n_iters", "seed", "chain", "feature_ids",
+              "sample_ids", "rw_step_final")
+
+
+def assert_same_draws(got, expected):
+    """Same fields, dtypes and values, the same meta and acceptance ledger."""
+    assert list(got.values) == list(expected.values)
+    for name in got.values:
+        a, b = got.stack(name), expected.stack(name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert [getattr(got, key) for key in DRAWS_META] \
+        == [getattr(expected, key) for key in DRAWS_META]
+    assert np.array_equal(got.mh_accept_counts, expected.mh_accept_counts)
+
+
+READER_SPECS = {"mult1": mult_spec(1), "mult2": mult_spec(2), "gp1": gp_spec(1),
+                "gp2": gp_spec(2)}
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+@pytest.mark.parametrize("spec", READER_SPECS.values(), ids=READER_SPECS)
+def test_every_reader_gives_the_same_answer(tmp_path, monkeypatch, spec, rows_per_block):
+    data, groups = saddle_data(11)
+    spec = replace(spec, seed_groups=groups)
+    settings = McmcSettings(n_iters=50, burn_in=20, seed=11)
+    path = tmp_path / "draws.bin"
+    with fio.DrawsWriter(path) as writer:
+        written = fit_spec(spec, data, settings, 0, writer)
+    held = fit_spec(spec, data, settings)
+    if rows_per_block is not None:
+        # blocks of 3 parameters in the summary and of 3 feature rows in the mean effects
+        block = rows_per_block * 8 * len(held)
+        monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", block)
+        monkeypatch.setattr(simulate, "_SUMMARY_BLOCK", block * data.n_samples)
+
+    def answers(draws):
+        return (detect_interactions(draws, 0.3), interaction_probabilities(draws).tobytes(),
+                posterior_mean_effects(draws).tobytes(),
+                [repr(row) for row in posterior_summary(draws).rows])
+
+    expected = answers(held)
+    for name, draws in (("written", written), ("opened", fio.open_draws(path)),
+                        ("loaded", fio.load_draws(path))):
+        assert answers(draws) == expected, name
+
+
+@pytest.mark.parametrize("chains", [1, 2])
+def test_fit_never_reopens_its_own_files(tmp_path, monkeypatch, chains):
+    data, _ = saddle_data(12, m=12, n=10)
+    fio.write_data_csv(tmp_path / "data.csv", data)
+    out = tmp_path / "fit"
+
+    def refuse(path):
+        raise AssertionError(f"{path} reopened")
+
+    monkeypatch.setattr(fio, "_open_bundle", refuse)
+    assert cli_main(["fit", "--output-dir", str(out), "--seed", "3",
+                     "--set", f"paths.data={tmp_path / 'data.csv'}", *GP_FIT_ARGS,
+                     "--set", f"mcmc.chains={chains}"]) == 0
+    monkeypatch.undo()
+    assert fio.verify_manifest(out)
+    if chains == 1:
+        assert cli_main(["summarize", "--output-dir", str(tmp_path / "sum"),
+                         "--set", f"paths.draws={out / 'draws.bin'}"]) == 0
+        assert (tmp_path / "sum" / "summary.csv").read_bytes() \
+            == (out / "summary.csv").read_bytes()
+
+
+def test_detect_reads_only_the_interaction_indicators(tmp_path, monkeypatch):
+    data, _ = saddle_data(13)
+    path = tmp_path / "draws.bin"
+    with fio.DrawsWriter(path) as writer:
+        fit_spec(gp_spec(1), data, McmcSettings(n_iters=40, burn_in=10, seed=13), 0, writer)
+    names = {field.offset: name for name, field in fio.open_draws(path).values.items()}
+    read, whole, rows = [], fio.BundleField.read, fio.BundleField.read_rows
+
+    def read_whole(self):
+        read.append(names.get(self.offset, "mh_accept_counts"))
+        return whole(self)
+
+    def read_rows(self, part):
+        read.append(names[self.offset])
+        return rows(self, part)
+
+    monkeypatch.setattr(fio.BundleField, "read", read_whole)
+    monkeypatch.setattr(fio.BundleField, "read_rows", read_rows)
+    assert cli_main(["detect", "--output-dir", str(tmp_path / "detect"),
+                     "--set", f"paths.draws={path}"]) == 0
+    assert read == ["mh_accept_counts", "inter_mask"]
 
 
 def test_a_moved_step_fails_the_writer_and_leaves_no_file(tmp_path):
