@@ -37,12 +37,12 @@ from .errors import (
     SpecConflict,
 )
 from .genomics import (
-    Annotation,
     OverlapTestInput,
     PosteriorSummary,
     clean_seed_genes,
     detect_interactions,
     overlap_permutation_test,
+    posterior_mean_effects,
     posterior_summary,
     seed_gene_window,
     select_candidate_genes,
@@ -51,12 +51,14 @@ from .genomics import (
 from .gp import GpChain, run_gp_chain
 from .kernels import KernelMatrix, gp_marginal_loglik_ratio, se_kernel
 from .model import (
+    Annotation,
     DataMatrix,
     Family,
     McmcSettings,
     McmcState,
     ModelSpec,
     PosteriorDraws,
+    SyntheticTruth,
     factor_pairs,
     gp_spec,
     interaction_pair_count,
@@ -69,7 +71,6 @@ from .prior import BetaTable, InterProbModel, LoadProbModel
 from .simulate import (
     ComparisonReport,
     SurfaceGrid,
-    SyntheticTruth,
     aad,
     align_factors,
     compare_models,
@@ -77,7 +78,6 @@ from .simulate import (
     fit_spec,
     generate_hidden_factor_dataset,
     generate_saddle_dataset,
-    posterior_mean_effects,
     saddle_quadrant_recovery,
 )
 

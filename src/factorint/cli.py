@@ -19,20 +19,22 @@ import csv
 import os
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 
 from . import io as fio
-from .errors import ConfigError, CorruptFile
+from .errors import ConfigError
 from .genomics import (
     OverlapTestInput,
     detect_interactions,
+    feature_labels,
     overlap_permutation_test,
+    posterior_mean_scores,
     posterior_summary,
     require_states,
 )
 from .model import Family, standardize_rows
 from .simulate import (
-    SyntheticTruth,
     compare_models,
     export_surface,
     fit_spec,
@@ -101,10 +103,7 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         noise_scale=fio.config_positive(cfg, "simulate.noise_scale", 1.0),
         seed=settings.seed)
     fio.write_data_csv(out / "data.csv", data)
-    fio.write_bundle(out / "truth.bin", {"kind": "truth", "seed": settings.seed}, {
-        "loadings": truth.loadings, "scores": truth.scores, "effects": truth.effects,
-        "noise_var": truth.noise_var, "affected": truth.affected,
-        "seed_group_1": truth.seed_groups[0], "seed_group_2": truth.seed_groups[1]})
+    fio.write_truth(out / "truth.bin", truth, settings.seed)
     return settings.seed, ["data.csv", "truth.bin"]
 
 
@@ -117,10 +116,11 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     require_states(settings.n_chains * settings.retained(spec.family))
     artifacts = (["draws.bin"] if settings.n_chains == 1 else
                  [f"draws_{c:03d}.bin" for c in range(settings.n_chains)])
-    all_draws = []
-    for chain, name in enumerate(artifacts):
-        with fio.DrawsWriter(out / name) as writer:
-            all_draws.append(fit_spec(spec, data, settings, chain, writer))
+    # every chain's file is moved into place only once the last chain is done
+    with ExitStack() as files:
+        writers = [files.enter_context(fio.DrawsWriter(out / name)) for name in artifacts]
+        all_draws = [fit_spec(spec, data, settings, chain, writer)
+                     for chain, writer in enumerate(writers)]
 
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
     artifacts.append("summary.csv")
@@ -155,35 +155,13 @@ def cmd_summarize(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     draws = fio.open_draws(_draws_path(cfg))
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
-    fids = draws.feature_ids or tuple(str(i) for i in range(draws.values["noise_var"].shape[1]))
+    fids = feature_labels(draws)
     with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["feature_id", "probability"])
         for i, prob in sorted(detected.items()):
             writer.writerow([fids[i], f"{prob:.10g}"])
     return draws.seed, ["detected.csv"]
-
-
-def _read_truth(path: Path, m: int, n: int) -> SyntheticTruth:
-    """The planted truth in the bundle at ``path``, checked against m x n data."""
-    meta, arrays = fio.read_bundle(path)
-    if meta.get("kind") != "truth":
-        raise ConfigError(f"paths.truth: {path}: not a truth bundle")
-    # the shape of each array; None for a list of feature indices
-    shapes = {"loadings": (m, 2), "scores": (2, n), "effects": (m, n), "noise_var": (m,),
-              "affected": None, "seed_group_1": None, "seed_group_2": None}
-    for name, shape in shapes.items():
-        if name not in arrays:
-            raise CorruptFile(f"paths.truth: {path}: truth bundle lacks {name!r}")
-        arr = arrays[name]
-        if not (arr.shape == shape if shape else (
-                arr.ndim == 1 and arr.dtype.kind in "iu" and ((0 <= arr) & (arr < m)).all())):
-            raise ConfigError(f"paths.truth: {path}: {name} {arr.dtype}{list(arr.shape)} does "
-                              f"not fit the {m}x{n} data")
-    return SyntheticTruth(
-        loadings=arrays["loadings"], scores=arrays["scores"], effects=arrays["effects"],
-        noise_var=arrays["noise_var"], affected=arrays["affected"],
-        seed_groups={0: arrays["seed_group_1"], 1: arrays["seed_group_2"]})
 
 
 def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
@@ -203,7 +181,7 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         specs.append(fio.spec_from_config(sub, data))
         labels.append(Path(p).stem)
     settings = fio.settings_from_config(cfg)
-    truth = _read_truth(truth_path, *data.values.shape)
+    truth = fio.read_truth(truth_path, *data.values.shape)
     report = compare_models(data, truth, specs, settings, labels=labels)
     report.write_csv(out / "comparison.csv")
     artifacts = ["comparison.csv"]
@@ -239,18 +217,16 @@ def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         raise ConfigError("export-surface requires surface.feature")
     draws = fio.open_draws(_draws_path(cfg))
     token = cfg["surface.feature"]
-    fids = draws.feature_ids or ()
-    m = draws.values["noise_var"].shape[1]
+    fids = feature_labels(draws)
     if token in fids:
         feature = fids.index(token)
-    elif token.isdecimal() and int(token) < m:
+    elif token.isdecimal() and int(token) < len(fids):
         feature = int(token)
     else:
         raise ConfigError(f"surface.feature: {token!r} is neither a feature id "
-                          f"nor an index in 0..{m - 1}")
-    effects = posterior_mean_effects(draws)
-    scores = draws.stack("scores").mean(axis=0)
-    export_surface(effects[feature], scores[:2]).write_csv(out / "surface.csv")
+                          f"nor an index in 0..{len(fids) - 1}")
+    effect = posterior_mean_effects(draws, slice(feature, feature + 1))[0]
+    export_surface(effect, posterior_mean_scores(draws)[:2]).write_csv(out / "surface.csv")
     return draws.seed, ["surface.csv"]
 
 

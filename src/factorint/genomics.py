@@ -1,6 +1,7 @@
 """Applied pipeline: seed-gene windows, cleaning, candidate selection,
-interaction detection, the cross-dataset overlap permutation test, and
-posterior summaries.
+interaction detection, the cross-dataset overlap permutation test, and every
+reduction of retained draws (posterior summaries, interaction probabilities,
+posterior mean scores and effects).
 
 Seed genes anchor the factor interpretation: each group is assumed to load on
 exactly one factor with a common sign and to carry no interaction. Cleaning
@@ -16,39 +17,16 @@ import math
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product, repeat
 
 import numpy as np
 
 from .errors import AllRemoved, ConfigError, EmptyWindowWarning, InsufficientDraws
-from .model import DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, mult_spec, run_chain
+from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, mult_spec,
+                    run_chain)
 from .mult import MultChain
 from .rng import stream
-
-
-@dataclass(frozen=True)
-class Annotation:
-    """Probe positions on the genome."""
-
-    probe_ids: tuple[str, ...]
-    chromosomes: tuple[str, ...]
-    positions: np.ndarray
-
-    def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.int64)
-        if len(self.probe_ids) != len(self.chromosomes) or len(self.probe_ids) != positions.shape[0]:
-            raise ConfigError("annotation columns have mismatched lengths")
-        if len(set(self.probe_ids)) != len(self.probe_ids):
-            raise ConfigError("annotation probe ids are not unique")
-        if (positions < 0).any():
-            raise ConfigError("annotation positions must be nonnegative")
-        positions.flags.writeable = False
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "probe_ids", tuple(str(p) for p in self.probe_ids))
-        object.__setattr__(self, "chromosomes", tuple(str(c) for c in self.chromosomes))
-
-    def __len__(self) -> int:
-        return len(self.probe_ids)
 
 
 def seed_gene_window(annotation: Annotation, chromosome: str, center: int,
@@ -269,9 +247,9 @@ def overlap_permutation_test(inp: OverlapTestInput, seed: int = 0,
         n_at_least_observed=at_least)
 
 
-def two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> bool | np.ndarray:
+def two_window_converged(trace: np.ndarray) -> bool | np.ndarray:
     """Mean-comparison diagnostic between the first 10% and last 50% of the
-    retained trace; standardized difference below the limit passes. Traces run
+    retained trace; a standardized difference below 3 passes. Traces run
     along the last axis: one flag for a 1-D trace, one per row of a block."""
     trace = np.asarray(trace, dtype=float)
     s = trace.shape[-1]
@@ -284,7 +262,7 @@ def two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> bool | np.n
     scale = 1e-12 * (1.0 + abs(first.mean(axis=-1)))
     with np.errstate(divide="ignore", invalid="ignore"):
         # a numerically constant trace passes when its windows agree
-        flags = np.where(denom <= scale, diff <= scale, diff / denom < z_limit)
+        flags = np.where(denom <= scale, diff <= scale, diff / denom < 3.0)
     return flags if flags.ndim else bool(flags)
 
 
@@ -433,20 +411,19 @@ def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
     return est, lo, hi, incl, converged
 
 
-def require_states(states: int, min_states: int = MIN_STATES) -> None:
-    """InsufficientDraws when fewer than ``min_states`` retained states would
+def require_states(states: int) -> None:
+    """InsufficientDraws when fewer than ``MIN_STATES`` retained states would
     be summarised."""
-    if states < min_states:
-        raise InsufficientDraws(f"need at least {min_states} retained states, have {states}")
+    if states < MIN_STATES:
+        raise InsufficientDraws(f"need at least {MIN_STATES} retained states, have {states}")
 
 
-def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
-                      min_states: int = MIN_STATES) -> PosteriorSummary:
+def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws) -> PosteriorSummary:
     """Mixture-aware per-parameter summary of the retained states of one or
     more chains of the same model, pooled in the order given, without a
     pooled copy of the chains. Each field is read a block of parameters at a
     time through ``PosteriorDraws.traces``, so only the indicator fields of
-    draws left in their files are read whole. ``min_states`` counts the
+    draws left in their files are read whole. ``MIN_STATES`` counts the
     pooled states."""
     chains = (draws, *more)
     for other in more:
@@ -454,14 +431,13 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
                 other.values[name].shape[1:] != arr.shape[1:] for name, arr in draws.values.items()):
             raise ConfigError("chains summarised together must share the model spec "
                               "and the shape of every state field")
-    require_states(sum(map(len, chains)), min_states)
+    require_states(sum(map(len, chains)))
 
     def indicators(name: str) -> list[np.ndarray]:
         return [chain.stack(name).reshape(len(chain), -1) for chain in chains]
 
-    m, L = draws.values["loadings"].shape[1:]
-    n = draws.values["scores"].shape[2]
-    fids = draws.feature_ids or tuple(str(i) for i in range(m))
+    L, n = draws.values["scores"].shape[1:]
+    fids = feature_labels(draws)
     sids = draws.sample_ids or tuple(str(j) for j in range(n))
     factors = tuple(str(l) for l in range(1, L + 1))
     # (name, role, labels of the trailing axes, state field, indicators or None)
@@ -479,3 +455,30 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws,
     return PosteriorSummary(fields=tuple(
         FieldSummary(name, role, labels, *_field_summary(chains, field, masks))
         for name, role, labels, field, masks in fields))
+
+
+def feature_labels(draws: PosteriorDraws) -> tuple[str, ...]:
+    """The feature ids of ``draws``, or the feature indices as strings when
+    the draws carry no ids."""
+    return draws.feature_ids or tuple(map(str, range(draws.values["noise_var"].shape[1])))
+
+
+def posterior_mean_scores(draws: PosteriorDraws) -> np.ndarray:
+    """Posterior mean of the (L, n) factor scores."""
+    return draws.stack("scores").mean(axis=0)
+
+
+def posterior_mean_effects(draws: PosteriorDraws, features: slice = slice(None)) -> np.ndarray:
+    """Posterior mean of rows ``features`` (a step-1 slice) of the effect
+    matrix (of all the per-state products for the multiplicative families).
+    Only those gp rows are read, a block of whole rows at a time: n >= 2
+    columns sum along the state axis in state order, as the whole mean does."""
+    if draws.spec.is_mult:
+        products = map(np.matmul, draws.stack("inter_loadings"), draws.stack("inter_scores"))
+        return (reduce(np.add, products) / len(draws))[features]
+    S, m, n = draws.values["effects"].shape
+    first, stop, _ = features.indices(m)
+    step = n * max(1, _SUMMARY_BLOCK // (S * n * 8))
+    return np.concatenate([draws.traces("effects", slice(start, min(start + step, stop * n)))
+                           .mean(axis=0) for start in range(first * n, stop * n, step)]
+                          ).reshape(-1, n)

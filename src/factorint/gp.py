@@ -18,20 +18,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SpecConflict
 from .kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, se_kernel
-from .model import (
-    DataMatrix,
-    Family,
-    McmcSettings,
-    McmcState,
-    ModelSpec,
-    PosteriorDraws,
-    run_chain,
-    validate_spec,
-)
-from .mult import draw_indicators, initial_state, update_loadings, update_noise, update_probs
-from .prior import PriorLayout, build_layout, inclusion_log_density, slab_log_density
+from .model import DataMatrix, McmcSettings, McmcState, ModelSpec, PosteriorDraws, run_chain
+from .mult import (Chain, draw_indicators, shared_log_joint, update_loadings, update_noise,
+                   update_probs)
+from .prior import PriorLayout
 
 # Burn-in step-size adaptation: Robbins-Monro decay with a gain floor, so the
 # step keeps tracking the stiffening posterior (effect rows activating) until
@@ -154,19 +145,14 @@ def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
     return delta, kernel_prop, gp_prop
 
 
-class GpChain:
+class GpChain(Chain):
     """One nonlinear-family chain; owns the kernel tied to the current scores."""
+
+    is_mult = False
 
     def __init__(self, spec: ModelSpec, data: DataMatrix,
                  settings: McmcSettings = McmcSettings(), chain: int = 0):
-        if spec.family is not Family.GP:
-            raise SpecConflict("GpChain requires a gp family spec")
-        self.spec = validate_spec(spec)
-        self.data = data
-        self.settings = settings
-        self.layout = build_layout(spec, data.n_features)
-        self.streams = settings.streams(chain)
-        self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
+        super().__init__(spec, data, settings, chain)
         self.kernel = se_kernel(self.state.scores, spec.length_scale)
         self.rw_step = float(settings.rw_step)
         self.iteration = 0
@@ -251,22 +237,10 @@ def run_gp_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,
 def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
               kernel: KernelMatrix | None = None,
               layout: PriorLayout | None = None) -> float:
-    """Unnormalized log joint of the nonlinear model at a state (diagnostics
-    and conditional-correctness checks)."""
-    if layout is None:
-        layout = build_layout(spec, data.n_features)
+    """Unnormalized log joint of the nonlinear model at a state: the shared
+    terms and the GP density of the effect structure (diagnostics and
+    conditional-correctness checks)."""
     if kernel is None:
         kernel = se_kernel(state.scores, spec.length_scale)
-    R = data.values - state.loadings @ state.scores - state.effects
-    w = 1.0 / state.noise_var
-    total = -0.5 * float(np.sum(R * R * w[:, None]))
-    total -= 0.5 * data.n_samples * float(np.sum(np.log(state.noise_var)))
-    total -= 0.5 * float(np.sum(state.scores ** 2))
-
-    total += slab_log_density(state.loadings, state.load_mask, spec.slab_var_loading)
-
-    total += gp_prior_logdens(kernel, state, spec)
-
-    a, b = spec.noise_prior
-    total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
-    return total + inclusion_log_density(state, layout)
+    return (shared_log_joint(state, data, spec, state.effects, layout)
+            + gp_prior_logdens(kernel, state, spec))

@@ -13,6 +13,11 @@ length, UTF-8 JSON header describing metadata and every array (name, dtype,
 shape, byte offset and length relative to the payload), the raw C-order array
 payload, and a trailing SHA-256 digest of everything before it.
 
+Truth bundle: meta ``{"kind": "truth", "seed": <simulate seed>}`` and the
+arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
+(m, 2), ``scores`` (2, n), ``effects`` (m, n), ``noise_var`` (m,), and the
+feature indices ``affected``, ``seed_group_1`` and ``seed_group_2``.
+
 Configuration: ``key = value`` lines with dotted section prefixes; ``#``
 starts a comment. Recognized keys are listed in CONFIG_KEYS.
 """
@@ -36,8 +41,8 @@ import scipy
 
 from . import BLAS_THREAD_VARS
 from .errors import ConfigError, CorruptFile, FactorIntError, FormatVersionMismatch
-from .genomics import Annotation
 from .model import (
+    Annotation,
     DataMatrix,
     GP_VARIANT_TABLE,
     Family,
@@ -45,6 +50,7 @@ from .model import (
     ModelSpec,
     PosteriorDraws,
     STATE_FIELDS,
+    SyntheticTruth,
     chain_draws,
     gp_spec,
     mult_spec,
@@ -312,7 +318,7 @@ def _bundle_field(entry, payload: int, payload_len: int, path) -> tuple[str, Bun
         raise CorruptFile(f"{path}: malformed array entry {entry!r:.80}")
     try:
         dtype = np.dtype(dtype)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, SyntaxError):  # numpy parses "a,b" strings as Python
         raise CorruptFile(f"{path}: array {name!r} has unknown dtype {dtype!r:.40}") from None
     if dtype.hasobject or dtype.shape or not dtype.itemsize \
             or math.prod(shape) * dtype.itemsize != nbytes:
@@ -321,6 +327,38 @@ def _bundle_field(entry, payload: int, payload_len: int, path) -> tuple[str, Bun
     if offset + nbytes > payload_len:
         raise CorruptFile(f"{path}: payload shorter than declared")
     return name, BundleField(path, payload + offset, dtype, tuple(shape))
+
+
+# ------------------------------------------------------------ truth bundle
+
+def write_truth(path, truth: SyntheticTruth, seed: int) -> None:
+    """The truth bundle of ``truth``, simulated with ``seed``."""
+    write_bundle(path, {"kind": "truth", "seed": seed}, {
+        "loadings": truth.loadings, "scores": truth.scores, "effects": truth.effects,
+        "noise_var": truth.noise_var, "affected": truth.affected,
+        "seed_group_1": truth.seed_groups[0], "seed_group_2": truth.seed_groups[1]})
+
+
+def read_truth(path, m: int, n: int) -> SyntheticTruth:
+    """The planted truth in the bundle at ``path``, checked against m x n data."""
+    meta, arrays = read_bundle(path)
+    if meta.get("kind") != "truth":
+        raise ConfigError(f"paths.truth: {path}: not a truth bundle")
+    # the shape of each array; None for a list of feature indices
+    shapes = {"loadings": (m, 2), "scores": (2, n), "effects": (m, n), "noise_var": (m,),
+              "affected": None, "seed_group_1": None, "seed_group_2": None}
+    for name, shape in shapes.items():
+        if name not in arrays:
+            raise CorruptFile(f"paths.truth: {path}: truth bundle lacks {name!r}")
+        arr = arrays[name]
+        if not (arr.shape == shape if shape else (
+                arr.ndim == 1 and arr.dtype.kind in "iu" and ((0 <= arr) & (arr < m)).all())):
+            raise ConfigError(f"paths.truth: {path}: {name} {arr.dtype}{list(arr.shape)} does "
+                              f"not fit the {m}x{n} data")
+    return SyntheticTruth(
+        loadings=arrays["loadings"], scores=arrays["scores"], effects=arrays["effects"],
+        noise_var=arrays["noise_var"], affected=arrays["affected"],
+        seed_groups={0: arrays["seed_group_1"], 1: arrays["seed_group_2"]})
 
 
 # ------------------------------------------------------ spec serialization
@@ -425,11 +463,11 @@ class DrawsWriter:
     ``close`` returns the chain's ``PosteriorDraws`` with every state field
     left in that file, as ``open_draws`` gives them, without reading it back.
 
-    Use it as a context manager around the chain. The bundle is written
-    under a temporary name in the directory of ``path`` and moved onto
-    ``path`` by ``close`` once complete; when the block is left before that,
-    by an exception or otherwise, the temporary file is removed and ``path``
-    is not touched.
+    Use it as a context manager around the chain (around all of a run's
+    chains, so that no file moves before the last is done). The bundle is
+    written under a temporary name in the directory of ``path``, completed
+    by ``close`` and moved onto ``path`` when the block is left without an
+    exception; otherwise it is removed and ``path`` is not touched.
     The file's bytes are those ``persist_draws`` writes for the same chain.
     The header, which holds the final MH step, is written at the first
     retained state, as adaptation has stopped by then; ``close`` checks that
@@ -443,11 +481,15 @@ class DrawsWriter:
 
     def __enter__(self) -> "DrawsWriter":
         self.fh = open(self.tmp, "w+b", buffering=0)
+        self.complete = False
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.fh.close()
-        self.tmp.unlink(missing_ok=True)  # gone already when ``close`` moved it
+        if exc_type is None and self.complete:
+            os.replace(self.tmp, self.path)
+        else:
+            self.tmp.unlink(missing_ok=True)
 
     def _write(self, data, offset: int) -> None:
         """Write the bytes of ``data`` (C-contiguous) at ``offset``."""
@@ -476,7 +518,7 @@ class DrawsWriter:
                         field.offset + k * field.stride)
 
     def close(self, sampler) -> PosteriorDraws:
-        """Complete the bundle, move it onto ``path`` and return its draws."""
+        """Complete the bundle and return its draws (at ``path`` from the block's end)."""
         if sampler.rw_step != self.rw_step:
             raise RuntimeError(f"MH step moved after the first retained state "
                                f"({self.rw_step} -> {sampler.rw_step})")
@@ -484,8 +526,7 @@ class DrawsWriter:
             self._write(np.ascontiguousarray(sampler.accept_counts), self.ledger)
         self.fh.seek(0)
         self._write(_sha256(self.fh, self.size).digest(), self.size)
-        self.fh.close()
-        os.replace(self.tmp, self.path)
+        self.complete = True
         return chain_draws(sampler, self.fields)
 
 

@@ -1,6 +1,8 @@
 """Domain types shared by both sampler families.
 
-Defines the standardized data matrix, the declarative model specification
+Defines the standardized data matrix and the records read and written beside
+it (the probe ``Annotation`` and the planted ``SyntheticTruth`` of a
+simulated dataset), the declarative model specification
 (family, factor count, inclusion-prior settings from ``prior``, seed-gene
 constraints), the mutable sampler state, the container of retained posterior
 draws, and the one loop (``run_chain``) that drives either sampler.
@@ -83,6 +85,43 @@ class DataMatrix:
 
     def feature_index(self) -> dict[str, int]:
         return {fid: i for i, fid in enumerate(self.feature_ids)}
+
+
+@dataclass(frozen=True)
+class Annotation:
+    """Probe positions on the genome."""
+
+    probe_ids: tuple[str, ...]
+    chromosomes: tuple[str, ...]
+    positions: np.ndarray
+
+    def __post_init__(self):
+        positions = np.asarray(self.positions, dtype=np.int64)
+        if len(self.probe_ids) != len(self.chromosomes) or len(self.probe_ids) != positions.shape[0]:
+            raise ConfigError("annotation columns have mismatched lengths")
+        if len(set(self.probe_ids)) != len(self.probe_ids):
+            raise ConfigError("annotation probe ids are not unique")
+        if (positions < 0).any():
+            raise ConfigError("annotation positions must be nonnegative")
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "probe_ids", tuple(str(p) for p in self.probe_ids))
+        object.__setattr__(self, "chromosomes", tuple(str(c) for c in self.chromosomes))
+
+    def __len__(self) -> int:
+        return len(self.probe_ids)
+
+
+@dataclass(frozen=True)
+class SyntheticTruth:
+    """Planted quantities behind one synthetic dataset (post-standardization scale)."""
+
+    loadings: np.ndarray          # (m, L)
+    scores: np.ndarray            # (L, n)
+    effects: np.ndarray           # (m, n)
+    noise_var: np.ndarray         # (m,)
+    affected: np.ndarray          # sorted feature indices with nonzero effect rows
+    seed_groups: dict[int, np.ndarray]
 
 
 def default_ids(prefix: str, count: int) -> tuple[str, ...]:
@@ -177,12 +216,7 @@ class ModelSpec:
         return self.family is Family.GP and self.gp_variant in (2, 4)
 
     def seed_union(self) -> frozenset[int]:
-        if not self.seed_groups:
-            return frozenset()
-        out: set[int] = set()
-        for members in self.seed_groups.values():
-            out |= set(members)
-        return frozenset(out)
+        return frozenset().union(*(self.seed_groups or {}).values())
 
 
 def mult_spec(approach: int, n_factors: int = 2, **kwargs) -> ModelSpec:

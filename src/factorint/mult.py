@@ -144,10 +144,14 @@ def score_conditional(state: McmcState, data: DataMatrix, spec: ModelSpec,
     return num * var, var
 
 
+def score_products(scores: np.ndarray, spec: ModelSpec) -> np.ndarray:
+    """(T, n) score-row products of the factor pairs, the approach-2 interaction scores."""
+    return np.stack([scores[l1] * scores[l2] for l1, l2 in factor_pairs(spec.n_factors)])
+
+
 def refresh_products(state: McmcState, spec: ModelSpec) -> None:
     """Recompute the interaction scores as exact score products (approach 2)."""
-    for t, (l1, l2) in enumerate(factor_pairs(spec.n_factors)):
-        state.inter_scores[t] = state.scores[l1] * state.scores[l2]
+    state.inter_scores[...] = score_products(state.scores, spec)
 
 
 def update_scores(state: McmcState, data: DataMatrix, spec: ModelSpec,
@@ -218,24 +222,32 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
     return state
 
 
-class MultChain:
-    """One multiplicative-family chain over immutable data."""
-
-    # plain Gibbs: no proposal to adapt and no Metropolis acceptance ledger
-    adapting = False
-    accept_counts = None
-    rw_step = None
+class Chain:
+    """Set-up of either sampler: family check against the subclass's
+    ``is_mult``, spec, prior layout, streams and the initial state, drawn
+    from the ``init`` stream."""
 
     def __init__(self, spec: ModelSpec, data: DataMatrix,
                  settings: McmcSettings = McmcSettings(), chain: int = 0):
-        if not spec.is_mult:
-            raise SpecConflict("MultChain requires a multiplicative family spec")
+        if spec.is_mult is not self.is_mult:
+            raise SpecConflict(f"{type(self).__name__} requires a "
+                               f"{'multiplicative' if self.is_mult else 'gp'} family spec")
         self.spec = validate_spec(spec)
         self.data = data
         self.settings = settings
         self.layout = build_layout(spec, data.n_features)
         self.streams = settings.streams(chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
+
+
+class MultChain(Chain):
+    """One multiplicative-family chain over immutable data."""
+
+    is_mult = True
+    # plain Gibbs: no proposal to adapt and no Metropolis acceptance ledger
+    adapting = False
+    accept_counts = None
+    rw_step = None
 
     def sweep(self) -> None:
         update_loadings(self.state, self.data, self.spec, self.layout,
@@ -257,40 +269,41 @@ def run_mult_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,
     return run_chain(MultChain(spec, data, McmcSettings(**settings), chain))
 
 
+def shared_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
+                     inter: np.ndarray, layout: PriorLayout | None) -> float:
+    """Unnormalized log-joint terms of both families at a state with (m, n)
+    interaction term ``inter``: Gaussian likelihood, N(0, 1) scores, loading
+    slab, inverse-gamma noise and the inclusion blocks of ``layout`` (or of
+    the spec's layout when None)."""
+    if layout is None:
+        layout = build_layout(spec, data.n_features)
+    R = data.values - state.loadings @ state.scores - inter
+    w = 1.0 / state.noise_var
+    total = -0.5 * float(np.sum(R * R * w[:, None]))
+    total -= 0.5 * data.n_samples * float(np.sum(np.log(state.noise_var)))
+    total -= 0.5 * float(np.sum(state.scores ** 2))
+    total += slab_log_density(state.loadings, state.load_mask, spec.slab_var_loading)
+    a, b = spec.noise_prior
+    total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
+    return total + inclusion_log_density(state, layout)
+
+
 def log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
               layout: PriorLayout | None = None) -> float:
-    """Unnormalized log joint density of the multiplicative model at a state.
+    """Unnormalized log joint density of the multiplicative model at a state:
+    the shared terms, the interaction-loading slab and, under approach 1, the
+    Gaussian tie of the interaction scores to the score products.
 
     Used by conditional-correctness checks; under approach 2 the interaction
     scores are recomputed from the current scores so the product constraint is
     honored when a score coordinate is perturbed.
     """
-    if layout is None:
-        layout = build_layout(spec, data.n_features)
-    if spec.family is Family.MULT_APPROACH2:
-        inter_scores = np.stack([state.scores[l1] * state.scores[l2]
-                                 for l1, l2 in factor_pairs(spec.n_factors)])
-    else:
-        inter_scores = state.inter_scores
-    mean = state.loadings @ state.scores + state.inter_loadings @ inter_scores
-    R = data.values - mean
-    w = 1.0 / state.noise_var
-    total = -0.5 * float(np.sum(R * R * w[:, None]))
-    total -= 0.5 * data.n_samples * float(np.sum(np.log(state.noise_var)))
-
-    total -= 0.5 * float(np.sum(state.scores ** 2))
-
-    total += slab_log_density(state.loadings, state.load_mask, spec.slab_var_loading)
+    products = score_products(state.scores, spec)
+    approach1 = spec.family is Family.MULT_APPROACH1
+    inter_scores = state.inter_scores if approach1 else products
+    total = shared_log_joint(state, data, spec, state.inter_loadings @ inter_scores, layout)
     total += slab_log_density(state.inter_loadings, state.inter_mask, spec.slab_var_inter)
-
-    if spec.family is Family.MULT_APPROACH1:
-        prod = np.stack([state.scores[l1] * state.scores[l2]
-                         for l1, l2 in factor_pairs(spec.n_factors)])
-        dev = state.inter_scores - prod
+    if approach1:
+        dev = state.inter_scores - products
         total -= 0.5 * float(np.sum(dev * dev)) / spec.product_var
-
-    a, b = spec.noise_prior
-    total += float(np.sum(-(a + 1.0) * np.log(state.noise_var) - b / state.noise_var))
-
-    return total + inclusion_log_density(state, layout)
-
+    return total

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
 from .errors import InvalidFraction, ShapeMismatch
-from .genomics import _SUMMARY_BLOCK, detect_interactions
+from .genomics import detect_interactions, posterior_mean_effects, posterior_mean_scores
 from .gp import GpChain
 from .model import (
     DataMatrix,
@@ -23,6 +22,7 @@ from .model import (
     McmcSettings,
     ModelSpec,
     PosteriorDraws,
+    SyntheticTruth,
     run_chain,
     standardize_rows,
 )
@@ -30,26 +30,12 @@ from .mult import MultChain
 from .rng import stream
 
 
-@dataclass(frozen=True)
-class SyntheticTruth:
-    """Planted quantities behind one synthetic dataset (post-standardization scale)."""
-
-    loadings: np.ndarray          # (m, L)
-    scores: np.ndarray            # (L, n)
-    effects: np.ndarray           # (m, n)
-    noise_var: np.ndarray         # (m,)
-    affected: np.ndarray          # sorted feature indices with nonzero effect rows
-    seed_groups: dict[int, np.ndarray]
-
-
-def _seed_blocks(m: int, n: int,
-                 group_size: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two seed blocks and the candidate features after them."""
-    if m < 10 or n < 10:
-        raise InvalidFraction(f"need m >= 10 and n >= 10, got {m}x{n}")
-    g = group_size if group_size is not None else max(5, m // 10)
-    if 2 * g >= m:
-        raise InvalidFraction(f"seed groups of size {g} leave no candidate features for m={m}")
+def _seed_blocks(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two seed blocks, of max(5, m // 10) features each, and the
+    candidate features after them, of which m > 10 leaves at least one."""
+    if m <= 10 or n < 10:
+        raise InvalidFraction(f"need m > 10 and n >= 10, got {m}x{n}")
+    g = max(5, m // 10)
     return np.arange(g), np.arange(g, 2 * g), np.arange(2 * g, m)
 
 
@@ -65,9 +51,19 @@ def _planted_loadings(rng: np.random.Generator, m: int, g1: np.ndarray, g2: np.n
     return loadings
 
 
+def _standardized(raw: np.ndarray, loadings: np.ndarray, scores: np.ndarray,
+                  effects: np.ndarray, noise_scale: float, affected: np.ndarray,
+                  seed_groups: dict[int, np.ndarray]) -> tuple[DataMatrix, SyntheticTruth]:
+    """The standardized rows of ``raw`` and the planted truth rescaled with
+    them: each row's loadings, effects and noise scale over the row's sd."""
+    sd = (raw - raw.mean(axis=1, keepdims=True)).std(axis=1, ddof=1)
+    return standardize_rows(raw), SyntheticTruth(
+        loadings=loadings / sd[:, None], scores=scores, effects=effects / sd[:, None],
+        noise_var=(noise_scale / sd) ** 2, affected=affected, seed_groups=seed_groups)
+
+
 def generate_saddle_dataset(m: int, n: int, frac_affected: float, noise_scale: float = 1.0,
-                            seed: int = 0, seed_group_size: int | None = None,
-                            ) -> tuple[DataMatrix, SyntheticTruth]:
+                            seed: int = 0) -> tuple[DataMatrix, SyntheticTruth]:
     """Two-factor data where a fraction of the candidate features carries the
     saddle-shaped product interaction.
 
@@ -76,7 +72,7 @@ def generate_saddle_dataset(m: int, n: int, frac_affected: float, noise_scale: f
     effect row equal to the score product times a per-feature coefficient.
     Rows are standardized with the truth rescaled consistently.
     """
-    g1, g2, candidates = _seed_blocks(m, n, seed_group_size)
+    g1, g2, candidates = _seed_blocks(m, n)
     if not 0.0 <= frac_affected < 1.0:
         raise InvalidFraction(f"frac_affected must lie in [0, 1), got {frac_affected}")
     rng = stream(seed, 0, "simulate")
@@ -93,26 +89,15 @@ def generate_saddle_dataset(m: int, n: int, frac_affected: float, noise_scale: f
         effects[affected] = coeff[:, None] * (scores[0] * scores[1])[None, :]
 
     raw = loadings @ scores + effects + noise_scale * rng.standard_normal((m, n))
-    sd = (raw - raw.mean(axis=1, keepdims=True)).std(axis=1, ddof=1)
-    data = standardize_rows(raw)
-    truth = SyntheticTruth(
-        loadings=loadings / sd[:, None],
-        scores=scores,
-        effects=effects / sd[:, None],
-        noise_var=(noise_scale / sd) ** 2,
-        affected=affected,
-        seed_groups={0: g1, 1: g2},
-    )
-    return data, truth
+    return _standardized(raw, loadings, scores, effects, noise_scale, affected, {0: g1, 1: g2})
 
 
 def generate_hidden_factor_dataset(m: int, n: int, seed: int = 0,
-                                   seed_group_size: int | None = None,
                                    ) -> tuple[DataMatrix, SyntheticTruth]:
     """Two-factor data with no interaction but a strong unmodeled third factor
     over most candidate features. A loosely tied interaction column fitted to
     this data drifts toward the extra factor instead of the score product."""
-    g1, g2, candidates = _seed_blocks(m, n, seed_group_size)
+    g1, g2, candidates = _seed_blocks(m, n)
     rng = stream(seed, 0, "simulate-hidden")
 
     scores = rng.standard_normal((2, n))
@@ -124,17 +109,8 @@ def generate_hidden_factor_dataset(m: int, n: int, seed: int = 0,
     hidden_load[carriers] = rng.choice([-1.0, 1.0], size=len(carriers)) * rng.uniform(1.0, 2.0, size=len(carriers))
 
     raw = loadings @ scores + np.outer(hidden_load, hidden) + rng.standard_normal((m, n))
-    sd = (raw - raw.mean(axis=1, keepdims=True)).std(axis=1, ddof=1)
-    data = standardize_rows(raw)
-    truth = SyntheticTruth(
-        loadings=loadings / sd[:, None],
-        scores=scores,
-        effects=np.zeros((m, n)),
-        noise_var=1.0 / sd ** 2,
-        affected=np.array([], dtype=int),
-        seed_groups={0: g1, 1: g2},
-    )
-    return data, truth
+    return _standardized(raw, loadings, scores, np.zeros((m, n)), 1.0,
+                         np.array([], dtype=int), {0: g1, 1: g2})
 
 
 def aad(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -170,32 +146,16 @@ def align_factors(scores_est: np.ndarray, scores_true: np.ndarray,
     return aligned_scores, aligned_loadings, perm, signs
 
 
-def posterior_mean_effects(draws: PosteriorDraws) -> np.ndarray:
-    """Posterior mean of the interaction-effect matrix (per-state products for
-    the multiplicative families). The gp effects are averaged a block of
-    whole feature rows at a time: a block of n >= 2 columns is summed along
-    its state axis in state order, as the whole field's mean is (a single
-    column would be summed pairwise, with other rounding)."""
-    if draws.spec.is_mult:
-        products = map(np.matmul, draws.stack("inter_loadings"), draws.stack("inter_scores"))
-        return reduce(np.add, products) / len(draws)
-    S, m, n = draws.values["effects"].shape
-    step = n * max(1, _SUMMARY_BLOCK // (S * n * 8))
-    return np.concatenate([draws.traces("effects", slice(start, start + step)).mean(axis=0)
-                           for start in range(0, m * n, step)]).reshape(m, n)
-
-
-def saddle_quadrant_recovery(effects_est: np.ndarray, truth: SyntheticTruth,
-                             min_abs: float = 0.3) -> float:
+def saddle_quadrant_recovery(effects_est: np.ndarray, truth: SyntheticTruth) -> float:
     """Fraction of truly affected features whose estimated effect matches the
     true effect's sign in all four quadrants of the true score plane.
 
-    Samples too close to either axis are excluded from the quadrant means.
+    Samples within 0.3 of either axis are excluded from the quadrant means.
     """
     if len(truth.affected) == 0:
         return 1.0
     s1, s2 = truth.scores[0], truth.scores[1]
-    clear = (np.abs(s1) > min_abs) & (np.abs(s2) > min_abs)
+    clear = (np.abs(s1) > 0.3) & (np.abs(s2) > 0.3)
     quads = [clear & (s1 > 0) & (s2 > 0), clear & (s1 < 0) & (s2 > 0),
              clear & (s1 > 0) & (s2 < 0), clear & (s1 < 0) & (s2 < 0)]
     hits = 0
@@ -228,13 +188,12 @@ class SurfaceGrid:
                 writer.writerow([f"{v:.10g}" for v in row] + ["grid"])
 
 
-def export_surface(effect: np.ndarray, score_pair: np.ndarray, grid_size: int = 25,
-                   n_neighbors: int = 8) -> SurfaceGrid:
+def export_surface(effect: np.ndarray, score_pair: np.ndarray) -> SurfaceGrid:
     """Surface of one feature's interaction effect over the score plane.
 
     ``effect`` holds the per-sample effect values and ``score_pair`` the (2, n)
-    estimated scores. The regular grid is filled by inverse-distance weighting
-    over the nearest samples.
+    estimated scores. The regular 25 x 25 grid is filled by inverse-distance
+    weighting over the 8 nearest samples.
     """
     effect = np.asarray(effect, dtype=float).ravel()
     score_pair = np.atleast_2d(np.asarray(score_pair, dtype=float))
@@ -242,12 +201,12 @@ def export_surface(effect: np.ndarray, score_pair: np.ndarray, grid_size: int = 
         raise ShapeMismatch(f"scores {score_pair.shape} do not match {effect.shape[0]} samples")
     points = np.column_stack([score_pair[0], score_pair[1], effect])
 
-    xs = np.linspace(score_pair[0].min(), score_pair[0].max(), grid_size)
-    ys = np.linspace(score_pair[1].min(), score_pair[1].max(), grid_size)
+    xs = np.linspace(score_pair[0].min(), score_pair[0].max(), 25)
+    ys = np.linspace(score_pair[1].min(), score_pair[1].max(), 25)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
     dist = np.sqrt(((nodes[:, None] - points[None, :, :2]) ** 2).sum(-1))
-    k = min(n_neighbors, effect.shape[0])
+    k = min(8, effect.shape[0])
     idx = np.argsort(dist, axis=1)[:, :k]
     nd = np.take_along_axis(dist, idx, axis=1)
     weights = 1.0 / np.maximum(nd, 1e-12) ** 2
@@ -297,11 +256,10 @@ def fit_spec(spec: ModelSpec, data: DataMatrix, settings: McmcSettings,
 
 
 def compare_models(data: DataMatrix, truth: SyntheticTruth, specs: list[ModelSpec],
-                   settings: McmcSettings, labels: list[str] | None = None,
-                   threshold: float = 0.5) -> ComparisonReport:
+                   settings: McmcSettings, labels: list[str] | None = None) -> ComparisonReport:
     """Fit every spec on the same data and report deviation from the planted
-    truth, affected-set classification at the threshold, and a surface for the
-    strongest estimated effect."""
+    truth, affected-set classification at ``detect_interactions``' default
+    threshold, and a surface for the strongest estimated effect."""
     labels = labels or [f"model_{k}" for k in range(len(specs))]
     m = data.n_features
     truly = np.zeros(m, dtype=bool)
@@ -310,14 +268,13 @@ def compare_models(data: DataMatrix, truth: SyntheticTruth, specs: list[ModelSpe
     for label, spec in zip(labels, specs):
         draws = fit_spec(spec, data, settings)
         eff = posterior_mean_effects(draws)
-        scores_mean = draws.stack("scores").mean(axis=0)
+        scores_mean = posterior_mean_scores(draws)
         loadings_mean = draws.stack("loadings").mean(axis=0)
         aligned_scores, aligned_loadings, _, _ = align_factors(
             scores_mean, truth.scores, loadings_mean)
 
-        detected = detect_interactions(draws, threshold)
         flag = np.zeros(m, dtype=bool)
-        flag[list(detected)] = True
+        flag[list(detect_interactions(draws))] = True
         tp = int(np.sum(flag & truly))
         fp = int(np.sum(flag & ~truly))
         tn = int(np.sum(~flag & ~truly))

@@ -152,6 +152,8 @@ MALFORMED_HEADERS = {
     "no_arrays": {"meta": {"kind": "test"}},
     "list_header": [{"kind": "test"}],
     "unknown_dtype": {"meta": {}, "arrays": [ones_entry(dtype="zz")]},
+    # numpy reads a comma in a dtype string as Python source: SyntaxError
+    "unparsable_dtype": {"meta": {}, "arrays": [ones_entry(dtype=",")]},
     "shape_against_nbytes": {"meta": {}, "arrays": [ones_entry(shape=[4])]},
     "negative_offset": {"meta": {}, "arrays": [ones_entry(offset=-40)]},
     "inferred_shape": {"meta": {}, "arrays": [ones_entry(shape=[-1])]},

@@ -1,0 +1,67 @@
+"""Each decision has one owner module: ``io`` owns every file layout and
+imports no analysis module, no module reaches into another's private names,
+and the CLI leaves the truth bundle's layout to ``io``. Checked on the source
+with ``ast``, in the style of ``test_draws_layering``."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import factorint
+from factorint import io as fio
+from factorint.model import SyntheticTruth
+
+SRC = Path(factorint.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py"))
+
+
+def parse(module: str) -> ast.Module:
+    return ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+def package_imports(module: str) -> list[ast.ImportFrom]:
+    """The ``from ... import`` statements of ``module`` that read the package."""
+    return [node for node in ast.walk(parse(module)) if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").split(".")[0] == "factorint")]
+
+
+def test_io_imports_only_the_layers_below_it():
+    found = set()
+    for node in package_imports("io"):
+        module = (node.module or "").removeprefix("factorint").lstrip(".")
+        found |= {module} if module else {alias.name for alias in node.names}
+    assert found == {"errors", "model", "prior", "BLAS_THREAD_VARS"}
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_a_private_name(module):
+    private = [alias.name for node in package_imports(module) for alias in node.names
+               if alias.name.startswith("_")]
+    assert not private
+
+
+def truth_array_names(tmp_path) -> set[str]:
+    """The array names of the truth bundle ``io.write_truth`` writes."""
+    m, n = 4, 3
+    truth = SyntheticTruth(loadings=np.zeros((m, 2)), scores=np.zeros((2, n)),
+                           effects=np.zeros((m, n)), noise_var=np.ones(m),
+                           affected=np.array([2]), seed_groups={0: np.array([0]),
+                                                                1: np.array([1])})
+    fio.write_truth(tmp_path / "truth.bin", truth, seed=0)
+    _, arrays = fio.read_bundle(tmp_path / "truth.bin")
+    return set(arrays)
+
+
+def test_cli_leaves_the_truth_layout_to_io(tmp_path):
+    tree = parse("cli")
+    literals = {node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    names |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    arrays = truth_array_names(tmp_path)
+    assert len(arrays) == 7
+    assert not literals & arrays
+    assert not names & {"read_bundle", "write_bundle"}
+    assert {"read_truth", "write_truth"} <= names

@@ -142,14 +142,14 @@ class TestSurfaces:
     def test_csv_round_shape(self, tmp_path):
         rng = np.random.default_rng(34)
         scores = rng.normal(size=(2, 10))
-        grid = export_surface(rng.normal(size=10), scores, grid_size=5)
+        grid = export_surface(rng.normal(size=10), scores)
         path = tmp_path / "surface.csv"
         grid.write_csv(path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "lambda1,lambda2,effect,source"
-        assert len(lines) == 1 + 10 + 25
+        assert len(lines) == 1 + 10 + 625
         assert sum(1 for l in lines[1:] if l.endswith("sample")) == 10
-        assert sum(1 for l in lines[1:] if l.endswith("grid")) == 25
+        assert sum(1 for l in lines[1:] if l.endswith("grid")) == 625
 
 
 class TestQuadrantRecovery:

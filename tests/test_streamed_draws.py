@@ -33,7 +33,7 @@ from factorint import (
     posterior_mean_effects,
     posterior_summary,
 )
-from factorint import genomics, simulate
+from factorint import genomics
 from factorint import io as fio
 from factorint.cli import main as cli_main
 from factorint.genomics import interaction_probabilities
@@ -99,16 +99,19 @@ def test_every_reader_gives_the_same_answer(tmp_path, monkeypatch, spec, rows_pe
     with fio.DrawsWriter(path) as writer:
         written = fit_spec(spec, data, settings, 0, writer)
     held = fit_spec(spec, data, settings)
-    if rows_per_block is not None:
-        # blocks of 3 parameters in the summary and of 3 feature rows in the mean effects
-        block = rows_per_block * 8 * len(held)
-        monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", block)
-        monkeypatch.setattr(simulate, "_SUMMARY_BLOCK", block * data.n_samples)
+
+    def blocks(params: int) -> None:
+        """Blocks of ``rows_per_block`` runs of ``params`` parameters."""
+        if rows_per_block is not None:
+            monkeypatch.setattr(genomics, "_SUMMARY_BLOCK",
+                                rows_per_block * params * 8 * len(held))
 
     def answers(draws):
+        blocks(1)  # 3 parameters in the summary
+        rows = [repr(row) for row in posterior_summary(draws).rows]
+        blocks(data.n_samples)  # 3 feature rows in the mean effects
         return (detect_interactions(draws, 0.3), interaction_probabilities(draws).tobytes(),
-                posterior_mean_effects(draws).tobytes(),
-                [repr(row) for row in posterior_summary(draws).rows])
+                posterior_mean_effects(draws).tobytes(), rows)
 
     expected = answers(held)
     for name, draws in (("written", written), ("opened", fio.open_draws(path)),
@@ -205,6 +208,57 @@ def test_failed_fit_leaves_the_earlier_draws(tmp_path, capsys, monkeypatch):
         "ERROR FloatingPointError: injected"]
     assert len(calls) == 25
     assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+
+def test_failed_chain_leaves_every_earlier_draws_file(tmp_path, capsys, monkeypatch):
+    data, _ = saddle_data(5, m=12, n=10)
+    fio.write_data_csv(tmp_path / "data.csv", data)
+    out = tmp_path / "out"
+    args = ["fit", "--output-dir", str(out), "--seed", "2", "--set", "mcmc.chains=2",
+            "--set", f"paths.data={tmp_path / 'data.csv'}", *GP_FIT_ARGS]
+    assert cli_main(args) == 0
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert {"draws_000.bin", "draws_001.bin"} <= set(earlier)
+    capsys.readouterr()
+
+    sweep = GpChain.sweep
+
+    def failing_sweep(self):
+        if self.streams.chain == 1 and self.iteration == 20:
+            raise FloatingPointError("injected")
+        sweep(self)
+
+    monkeypatch.setattr(GpChain, "sweep", failing_sweep)
+    args[4] = "3"  # another seed, so that chain 0 writes other bytes
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "ERROR FloatingPointError: injected"]
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+    assert fio.verify_manifest(out)
+
+
+@pytest.mark.parametrize("spec", READER_SPECS.values(), ids=READER_SPECS)
+def test_mean_effect_rows_are_rows_of_the_whole_mean(tmp_path, monkeypatch, spec):
+    data, groups = saddle_data(14)
+    settings = McmcSettings(n_iters=40, burn_in=20, seed=14)
+    spec = replace(spec, seed_groups=groups)
+    path = tmp_path / "draws.bin"
+    with fio.DrawsWriter(path) as writer:
+        fit_spec(spec, data, settings, 0, writer)
+    held = fit_spec(spec, data, settings)
+    whole = posterior_mean_effects(held)
+    m = data.n_features
+    for rows_per_block in (None, 3):
+        if rows_per_block is not None:
+            monkeypatch.setattr(genomics, "_SUMMARY_BLOCK",
+                                rows_per_block * data.n_samples * 8 * len(held))
+        for name, draws in (("held", held), ("opened", fio.open_draws(path))):
+            for f in range(m):
+                row = posterior_mean_effects(draws, slice(f, f + 1))
+                assert row.shape == (1, data.n_samples)
+                assert row[0].tobytes() == whole[f].tobytes(), (name, f)
+            part = posterior_mean_effects(draws, slice(2, m - 1))
+            assert part.tobytes() == whole[2:m - 1].tobytes(), name
 
 
 @pytest.mark.parametrize("read", [fio.load_draws, fio.open_draws],
