@@ -6,7 +6,9 @@ the other commands read draws through ``io.open_draws``, which reads a field
 only when asked (detect reads only the indicators). Every run writes its
 artifacts plus a ``manifest.json`` recording the resolved configuration, the
 seed, a checksum per artifact and per input file read, and the run's wall
-time and peak resident memory.
+time and peak resident memory. A draws file's checksum is the one its writer
+or ``open_draws`` took while checking its digest, so no command reads a
+draws file twice to hash it.
 Failures exit nonzero with a single line ``ERROR <Code>: <message>`` on
 stderr. The FACTORINT_OUTPUT_DIR environment variable sets the default
 output directory.
@@ -33,7 +35,7 @@ from .genomics import (
     posterior_summary,
     require_states,
 )
-from .model import Family, standardize_rows
+from .model import Family, PosteriorDraws, standardize_rows
 from .simulate import (
     compare_models,
     export_surface,
@@ -73,8 +75,10 @@ def _load_config(args) -> dict[str, str]:
     return cfg
 
 
-# Files the running command has read, in the order read, for its manifest.
+# Files the running command has read, in the order read, for its manifest,
+# and the sha256 it already took of whole files it read or wrote.
 _inputs: list[Path] = []
+_digests: dict[str, str] = {}
 
 
 def _input_file(key: str, name: str) -> Path:
@@ -122,6 +126,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         all_draws = [fit_spec(spec, data, settings, chain, writer)
                      for chain, writer in enumerate(writers)]
 
+    _digests.update((str(out / name), draws.sha256) for name, draws in zip(artifacts, all_draws))
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
     artifacts.append("summary.csv")
 
@@ -140,20 +145,24 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     return settings.seed, artifacts
 
 
-def _draws_path(cfg: dict[str, str]) -> Path:
+def _open_draws(cfg: dict[str, str]) -> PosteriorDraws:
+    """The draws at ``paths.draws``, whose checked digest the manifest reuses."""
     if "paths.draws" not in cfg:
         raise ConfigError("this command requires paths.draws")
-    return _input_file("paths.draws", cfg["paths.draws"])
+    path = _input_file("paths.draws", cfg["paths.draws"])
+    draws = fio.open_draws(path)
+    _digests[str(path)] = draws.sha256
+    return draws
 
 
 def cmd_summarize(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = fio.open_draws(_draws_path(cfg))
+    draws = _open_draws(cfg)
     posterior_summary(draws).write_csv(out / "summary.csv")
     return draws.seed, ["summary.csv"]
 
 
 def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    draws = fio.open_draws(_draws_path(cfg))
+    draws = _open_draws(cfg)
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
     fids = feature_labels(draws)
     with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
@@ -215,7 +224,7 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     if "surface.feature" not in cfg:
         raise ConfigError("export-surface requires surface.feature")
-    draws = fio.open_draws(_draws_path(cfg))
+    draws = _open_draws(cfg)
     token = cfg["surface.feature"]
     fids = feature_labels(draws)
     if token in fids:
@@ -245,12 +254,14 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     _inputs.clear()
+    _digests.clear()
     try:
         cfg = _load_config(args)
         out = _output_dir(args)
         seed, artifacts = _COMMANDS[args.command](cfg, out)
         fio.write_manifest(out, args.command, cfg, seed, artifacts,
-                           wall_s=time.perf_counter() - started, inputs=_inputs)
+                           wall_s=time.perf_counter() - started, inputs=_inputs,
+                           digests=_digests)
         for name in artifacts:
             print(f"wrote {out / name}")
     except Exception as exc:  # noqa: BLE001 - contract: one parsable line per failure

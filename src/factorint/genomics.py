@@ -365,9 +365,27 @@ def _gather(parts: list[np.ndarray], dtype=None) -> np.ndarray:
     return block
 
 
+_TAILS = np.array([0.025, 0.975])    # the percentiles 2.5 and 97.5, over 100
+
+
 def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and central 95% percentile interval of every row."""
-    return block.mean(axis=1), *np.percentile(block, [2.5, 97.5], axis=1)
+    """Mean and central 95% percentile interval of every row, as
+    ``np.percentile(block, [2.5, 97.5], axis=1)`` gives them bit for bit
+    (its default, linear interpolation between order statistics, and NaN
+    for a row holding one). Written out because np.percentile calls
+    np.unique, whose first call imports numpy.ma."""
+    last = block.shape[1] - 1
+    at = last * _TAILS
+    below = np.floor(at)
+    gamma = at - below
+    below = below.astype(np.intp)
+    above = np.minimum(below + 1, last)
+    part = np.partition(block, np.concatenate(([0], below, above, [last])), axis=1)
+    a, b = part[:, below], part[:, above]
+    diff = b - a
+    bounds = np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)
+    bounds[np.isnan(part[:, last])] = np.nan
+    return block.mean(axis=1), bounds[:, 0], bounds[:, 1]
 
 
 def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
@@ -404,7 +422,8 @@ def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
         dominant = np.flatnonzero(incl[rows] > 0.5)
         on = _gather([mask[:, (start + dominant) // share] for mask in masks], bool)
         slabs = counts[start + dominant]
-        for k in np.unique(slabs):
+        # the slab counts present, ascending (np.unique would load numpy.ma)
+        for k in np.flatnonzero(np.bincount(slabs)):
             same = slabs == k
             at = start + dominant[same]
             est[at], lo[at], hi[at] = _interval(block[dominant[same]][on[same]].reshape(-1, k))

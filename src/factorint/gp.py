@@ -6,10 +6,11 @@ columns (squared-exponential kernel). Its spike-and-slab prior comes from
 ``prior``, its loading and indicator draws from ``mult``. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
-scored by the change in the conditional GP density of entry j. A factor built
-once per sweep for the visit order 0..n-1 (``kernels.SweepFactor``) brings
-each column to the end by rotating only the columns already visited, so a
-proposal costs one triangular solve, and the kernel is rebuilt once per sweep.
+scored by the change in the conditional GP density of entry j. A factor for
+the visit order 0..n-1 (``kernels.SweepFactor``), copied at the start of each
+sweep from the kernel's own Cholesky factor, brings each column to the end by
+rotating only the columns already visited, so a proposal costs one triangular
+solve; the kernel is rebuilt, and factored, once per sweep.
 Indicator updates integrate the effect row out analytically, so the spike
 never absorbs the chain; the row (or the shared effect) is redrawn afterwards.
 """
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, se_kernel
+from .kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, posterior_gain, se_kernel
 from .model import DataMatrix, McmcSettings, McmcState, ModelSpec, PosteriorDraws, run_chain
 from .mult import (Chain, draw_indicators, shared_log_joint, update_loadings, update_noise,
                    update_probs)
@@ -58,11 +59,15 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
     llr = marginal_ratio_rows(R, kernel, state.noise_var, proj=proj)
     mask = draw_indicators(rng, state.inter_prob, llr, layout.inter.fixed)
 
-    s2 = state.noise_var[:, None]
-    gain = d[None, :] / (d[None, :] + s2)
-    mean_proj = gain * proj
-    sd_proj = np.sqrt(gain * s2)
-    rows = (mean_proj + sd_proj * rng.standard_normal(proj.shape)) @ U.T
+    # every row's normals are drawn, active or not, so the stream does not
+    # depend on the mask; the product keeps its (m, n) shape, whose blocking
+    # sets the bits of each row
+    z = rng.standard_normal(proj.shape)
+    s2 = state.noise_var[mask, None]
+    gain = posterior_gain(d, s2)
+    coef = np.zeros_like(proj)
+    coef[mask] = gain * proj[mask] + np.sqrt(gain * s2) * z[mask]
+    rows = coef @ U.T
     state.inter_mask = mask.astype(np.int8)
     state.effects = np.where(mask[:, None], rows, 0.0)
 
@@ -177,27 +182,26 @@ class GpChain(Chain):
         rng = self.streams.get("scores_mh")
         state, spec = self.state, self.spec
         n, n_factors = self.data.n_samples, spec.n_factors
-        steps = np.empty((n_factors, n))
+        steps = np.empty((n, n_factors))    # row j: column j's step
         uniforms = np.empty(n)
         for j in range(n):
-            steps[:, j] = rng.standard_normal(n_factors)
+            rng.standard_normal(out=steps[j])
             uniforms[j] = rng.random()
-        proposals = state.scores + self.rw_step * steps
+        proposals = state.scores + self.rw_step * steps.T
         log_u = np.log(uniforms)
         delta = column_data_deltas(state, self.data, proposals)
         rows = gp_rows(state, spec)
         if rows.shape[0]:
             accept = np.zeros(n, dtype=bool)
             factor = SweepFactor(self.kernel, state.scores, proposals, rows)
-            for j in range(n):
+            for j, (u, d) in enumerate(zip(log_u.tolist(), delta.tolist())):
                 gp_delta = factor.column_delta(j)
-                if gp_delta is not None and log_u[j] < delta[j] + gp_delta:
+                if gp_delta is not None and u < d + gp_delta:
                     accept[j] = True
-                    state.scores[:, j] = proposals[:, j]
                     factor.accept()
         else:
             accept = log_u < delta
-            state.scores[:, accept] = proposals[:, accept]
+        state.scores[:, accept] = proposals[:, accept]
         if not self.adapting:
             self.accept_counts[:, 0] += accept
             self.accept_counts[:, 1] += 1

@@ -258,11 +258,11 @@ class BundleField:
         return out
 
 
-def _open_bundle(path) -> tuple[dict, dict[str, BundleField]]:
-    """The meta and a ``BundleField`` per array of the bundle at ``path``,
-    after checking the file against its digest in one sequential read.
-    CorruptFile or FormatVersionMismatch when it is not a bundle this
-    version wrote."""
+def _open_bundle(path) -> tuple[dict, dict[str, BundleField], str]:
+    """The meta, a ``BundleField`` per array of the bundle at ``path`` and
+    the sha256 of the whole file, after checking the file against its digest
+    in one sequential read. CorruptFile or FormatVersionMismatch when it is
+    not a bundle this version wrote."""
     with open(path, "rb") as fh:
         prefix = fh.read(len(MAGIC) + 12)
         if len(prefix) < len(MAGIC) + 12 or prefix[: len(MAGIC)] != MAGIC:
@@ -274,9 +274,11 @@ def _open_bundle(path) -> tuple[dict, dict[str, BundleField]]:
         if size < 32:
             raise CorruptFile(f"{path}: truncated")
         fh.seek(0)
-        digest = _sha256(fh, size - 32).digest()
-        if fh.read(32) != digest:
+        digest = _sha256(fh, size - 32)
+        trailer = fh.read(32)
+        if trailer != digest.digest():
             raise CorruptFile(f"{path}: checksum mismatch")
+        digest.update(trailer)     # now the whole file's
         header_len = struct.unpack_from("<Q", prefix, len(MAGIC) + 4)[0]
         start = len(prefix)
         fh.seek(start)
@@ -291,12 +293,12 @@ def _open_bundle(path) -> tuple[dict, dict[str, BundleField]]:
     payload = start + header_len
     fields = dict(_bundle_field(entry, payload, max(0, size - 32 - payload), path)
                   for entry in header["arrays"])
-    return header["meta"], fields
+    return header["meta"], fields, digest.hexdigest()
 
 
 def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta and the arrays of the bundle at ``path``, each read-only."""
-    meta, fields = _open_bundle(path)
+    meta, fields, _ = _open_bundle(path)
     return meta, {name: field.read() for name, field in fields.items()}
 
 
@@ -525,9 +527,14 @@ class DrawsWriter:
         if self.ledger is not None:
             self._write(np.ascontiguousarray(sampler.accept_counts), self.ledger)
         self.fh.seek(0)
-        self._write(_sha256(self.fh, self.size).digest(), self.size)
+        digest = _sha256(self.fh, self.size)
+        trailer = digest.digest()
+        self._write(trailer, self.size)
+        digest.update(trailer)     # now the whole file's
         self.complete = True
-        return chain_draws(sampler, self.fields)
+        draws = chain_draws(sampler, self.fields)
+        draws.sha256 = digest.hexdigest()
+        return draws
 
 
 _DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
@@ -551,11 +558,14 @@ def load_draws(path) -> PosteriorDraws:
 def open_draws(path) -> PosteriorDraws:
     """The draws bundle at ``path`` with each state field left in the file as
     a ``BundleField``, read only when a reader asks ``PosteriorDraws`` for it.
-    The file is checked against its digest here."""
-    meta, fields = _open_bundle(path)
+    The file is checked against its digest here, and its sha256 is kept
+    as the draws' ``sha256``."""
+    meta, fields, sha256 = _open_bundle(path)
     if "mh_accept_counts" in fields:
         fields["mh_accept_counts"] = fields["mh_accept_counts"].read()
-    return _draws_from(meta, fields, path)
+    draws = _draws_from(meta, fields, path)
+    draws.sha256 = sha256
+    return draws
 
 
 def _draws_from(meta: dict, arrays: dict, path) -> PosteriorDraws:
@@ -798,21 +808,26 @@ def _peak_rss_mb() -> float:
     return peak / (2**20 if sys.platform == "darwin" else 2**10)
 
 
-def _file_entry(path, name: str) -> dict:
+def _file_entry(path, name: str, sha256: str | None) -> dict:
     path = Path(path)
-    return {"path": name, "sha256": sha256_file(path), "bytes": path.stat().st_size}
+    return {"path": name, "sha256": sha256 or sha256_file(path), "bytes": path.stat().st_size}
 
 
 def write_manifest(output_dir, command: str, config: dict, seed: int,
-                   artifacts: list[str], wall_s: float, inputs=()) -> Path:
+                   artifacts: list[str], wall_s: float, inputs=(), digests=None) -> Path:
     """Record the resolved configuration, the run environment, the run's
     footprint (its wall time ``wall_s`` and the peak RSS so far), a checksum
     for every artifact and one for every file in ``inputs`` the run read,
-    each listed once under the path it was given by."""
+    each listed once under the path it was given by. ``digests`` maps paths
+    (as ``str``) to a sha256 the run already took of the whole file, as a
+    ``DrawsWriter`` or ``open_draws`` does; those files are not read again."""
     output_dir = Path(output_dir)
-    entries = [_file_entry(output_dir / name, name) for name in sorted(artifacts)]
+    digests = digests or {}
+    entries = [_file_entry(output_dir / name, name, digests.get(str(output_dir / name)))
+               for name in sorted(artifacts)]
     manifest = {"command": command, "config": config, "seed": seed, "artifacts": entries,
-                "inputs": [_file_entry(name, name) for name in dict.fromkeys(map(str, inputs))],
+                "inputs": [_file_entry(name, name, digests.get(name))
+                           for name in dict.fromkeys(map(str, inputs))],
                 "environment": _run_environment(),
                 "run": {"wall_s": wall_s, "peak_rss_mb": _peak_rss_mb()}}
     path = output_dir / "manifest.json"

@@ -213,7 +213,8 @@ class ModelSpec:
 
     @property
     def shared_effect(self) -> bool:
-        return self.family is Family.GP and self.gp_variant in (2, 4)
+        return (self.family is Family.GP and self.gp_variant in GP_VARIANT_TABLE
+                and GP_VARIANT_TABLE[self.gp_variant][1])
 
     def seed_union(self) -> frozenset[int]:
         return frozenset().union(*(self.seed_groups or {}).values())
@@ -369,6 +370,7 @@ class PosteriorDraws:
     sample_ids: tuple[str, ...] | None = None
     mh_accept_counts: np.ndarray | None = None  # (n, 2) accepted/proposed, post burn-in
     rw_step_final: float | None = None
+    sha256: str | None = None  # of the whole draws file the fields live in, if any
 
     def __post_init__(self):
         for arr in self.values.values():

@@ -468,7 +468,7 @@ class TestCriterion7KernelSuite:
                 failures.append("positive semidefiniteness")
             if not (np.diag(k.K) == 1.0).all():
                 failures.append("unit diagonal")
-            recon = np.linalg.norm(k.chol @ k.chol.T - k.regularized())
+            recon = np.linalg.norm(k.upper.T @ k.upper - k.regularized()[::-1, ::-1])
             if recon > 1e-10:
                 failures.append(f"cholesky reconstruction {recon:.2e}")
         lam = rng.normal(size=(2, 12))

@@ -31,7 +31,8 @@ from factorint import (
     standardize_rows,
     validate_spec,
 )
-from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, run_chain
+from factorint import model
+from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, run_chain, state_shapes
 from factorint.prior import build_layout
 from tests_support import states
 
@@ -162,6 +163,19 @@ class TestValidateSpec:
             assert triple == GP_VARIANT_TABLE[variant][0:1] + GP_VARIANT_TABLE[variant][1:]
             triples.add(triple)
         assert len(triples) == 5
+
+    @pytest.mark.parametrize("variant", range(1, 6))
+    def test_shared_effect_follows_the_variant_table(self, variant, monkeypatch):
+        shared = GP_VARIANT_TABLE[variant][1]
+        spec = validate_spec(gp_spec(variant))
+        assert spec.shared_effect is shared
+        assert ("shared_effect" in state_shapes(spec, 4, 3)) is shared
+        # the flag is read from the table, not restated
+        flipped = dict(GP_VARIANT_TABLE)
+        flipped[variant] = (flipped[variant][0], not shared, flipped[variant][2])
+        monkeypatch.setattr(model, "GP_VARIANT_TABLE", flipped)
+        assert spec.shared_effect is not shared
+        assert ("shared_effect" in state_shapes(spec, 4, 3)) is not shared
 
     def test_approach1_requires_product_var(self):
         with pytest.raises(SpecConflict):

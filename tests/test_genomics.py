@@ -372,6 +372,20 @@ class TestPosteriorSummary:
         assert row.estimate == 0.0 and row.ci_low == 0.0 and row.ci_high == 0.0
         assert row.inclusion_prob == 0.0
 
+    def test_interval_is_numpys_percentile_bit_for_bit(self):
+        # rows of ties, a NaN, and down to one state, which fits do not give
+        rng = np.random.default_rng(71)
+        for trial in range(300):
+            block = rng.normal(scale=rng.uniform(0.01, 100),
+                               size=(int(rng.integers(1, 20)), int(rng.integers(1, 300))))
+            if trial % 3 == 0:
+                block = np.round(block, 1)
+            if trial % 7 == 0:
+                block[rng.integers(block.shape[0]), rng.integers(block.shape[1])] = np.nan
+            _, lo, hi = genomics._interval(block)
+            np.testing.assert_array_equal(np.stack([lo, hi]),
+                                          np.percentile(block, [2.5, 97.5], axis=1))
+
     def test_interval_uses_dominant_component_only(self):
         # indicator on in 80% of states; the retained interval comes from the
         # slab states alone

@@ -238,11 +238,14 @@ class TestScoreMetropolis:
             def __init__(self, scores):
                 self.scores, self.j = scores.copy(), 0
 
-            def standard_normal(self, size):
+            def standard_normal(self, size=None, out=None):
                 n = self.scores.shape[1]
                 step = self.scores[:, (self.j + 1) % n] - self.scores[:, self.j]
                 self.j += 1
-                return step
+                if out is None:
+                    return step
+                out[...] = step
+                return out
 
             def random(self):
                 return 0.5
@@ -380,7 +383,7 @@ class TestColumnFactorSweep:
             st.effects[:] = 0.0
             if active:
                 st.inter_mask[[0, 3]] = 1
-                st.effects[[0, 3]] = (chain.kernel.chol
+                st.effects[[0, 3]] = (np.linalg.cholesky(chain.kernel.regularized())
                                       @ np.random.default_rng(31).normal(size=(12, 2))).T
         chain.adapting = False
         twin = copy.deepcopy(chain)
@@ -413,6 +416,29 @@ class TestColumnFactorSweep:
         for sweep in range(1, 4):
             chain.update_score_columns()
             assert len(calls) <= sweep
+
+    def test_a_sweep_with_active_rows_factors_its_kernel_once(self, monkeypatch):
+        # the score step starts from the kernel's own factor, so the sweep's
+        # factorisations are the rebuilt kernel's Cholesky and the effect
+        # rows' eigendecomposition; QR is only for more rows than columns
+        chain = make_chain(m=6, n=12, sweeps=4)
+        calls = dict.fromkeys(("cholesky", "eigh", "qr"), 0)
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        for _ in range(3):
+            st = chain.state
+            st.inter_mask[:] = 0
+            st.inter_mask[[1, 2]] = 1
+            st.effects[:] = 0.0
+            st.effects[[1, 2]] = np.sin(np.arange(24.0)).reshape(2, 12)
+            calls.update(dict.fromkeys(calls, 0))
+            kernel = chain.kernel
+            chain.sweep()
+            assert chain.kernel is not kernel    # a column moved
+            assert calls == {"cholesky": 1, "eigh": 1, "qr": 0}
 
     @pytest.mark.parametrize("length_scale, rtol", [
         (0.2, 1e-8),

@@ -70,15 +70,15 @@ class TestSeKernel:
     def test_cholesky_reconstruction(self):
         rng = np.random.default_rng(5)
         k = se_kernel(rng.normal(size=(2, 30)), 0.3)
-        recon = k.chol @ k.chol.T
-        target = k.K + k.jitter * np.eye(30)
+        recon = k.upper.T @ k.upper
+        target = (k.K + k.jitter * np.eye(30))[::-1, ::-1]
         assert np.linalg.norm(recon - target) < 1e-10
 
     def test_duplicate_columns_still_factorizable(self):
         lam = np.zeros((2, 8))  # all columns identical: K is all ones
         k = se_kernel(lam, 0.2)
-        recon = k.chol @ k.chol.T
-        assert np.linalg.norm(recon - k.regularized()) < 1e-8
+        recon = k.upper.T @ k.upper
+        assert np.linalg.norm(recon - k.regularized()[::-1, ::-1]) < 1e-8
 
     def test_jitter_escalation_ladder(self):
         from factorint import CholeskyFailure
@@ -182,7 +182,7 @@ class ReferenceColumnFactor:
     def __init__(self, kernel):
         self.length_scale = kernel.length_scale
         self.variance = 1.0 + kernel.jitter
-        self.upper = np.array(kernel.chol.T, order="F")
+        self.upper = np.array(np.linalg.cholesky(kernel.regularized()).T, order="F")
         self.order = np.arange(kernel.n)
         self._q = np.eye(kernel.n, order="F")
 
@@ -273,7 +273,7 @@ class TestColumnFactor:
         scores = 1.25 * rng.normal(size=(2, 50))
         kernel = se_kernel(scores, 1.0)
         assert 5e9 < np.linalg.cond(kernel.regularized()) < 5e10
-        rows = (kernel.chol @ rng.normal(size=(50, 2))).T
+        rows = (np.linalg.cholesky(kernel.regularized()) @ rng.normal(size=(50, 2))).T
         current = exact_gp_logdens(scores, 1.0, kernel.jitter, rows)
         proposals = scores.copy()
         for j in range(8):
@@ -327,19 +327,24 @@ def reference_sweep(kernel, scores, proposals, rows, decide):
     return deltas
 
 
+SWEEP_CASES = [(n_rows, ls) for ls in (0.2, 0.5, 0.8) for n_rows in (1, 5, 60)]
+
+
 class TestLeanColumnFactor:
     """The lean per-proposal path, whole sweeps of ``SweepFactor``, against
     ``ReferenceColumnFactor``."""
 
-    @pytest.mark.parametrize("n_rows", [1, 5, 60])
-    def test_sweeps_match_the_reference(self, n_rows):
-        # 1 row is the shared effect's case, 60 rows exceed the 25 columns
+    @pytest.mark.parametrize("n_rows, length_scale", SWEEP_CASES,
+                             ids=[f"{n}" if ls == 0.2 else f"{n}-ls{ls}" for n, ls in SWEEP_CASES])
+    def test_sweeps_match_the_reference(self, n_rows, length_scale):
+        # 1 row is the shared effect's case, 60 rows exceed the 25 columns;
+        # the longer length scales couple the columns more
         rng = np.random.default_rng(60 + n_rows)
         scores = rng.normal(size=(2, 25))
         accepted = rejected = 0
         for _ in range(3):
-            kernel = se_kernel(scores, 0.2)
-            rows = (kernel.chol @ rng.normal(size=(25, n_rows))).T
+            kernel = se_kernel(scores, length_scale)
+            rows = (np.linalg.cholesky(kernel.regularized()) @ rng.normal(size=(25, n_rows))).T
             proposals = scores + 0.3 * rng.normal(size=(2, 25))
             decisions = rng.random(25) < 0.4
             want = reference_sweep(kernel, scores, proposals, rows,

@@ -15,6 +15,7 @@ import hashlib
 import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -139,6 +140,43 @@ def test_fit_never_reopens_its_own_files(tmp_path, monkeypatch, chains):
                          "--set", f"paths.draws={out / 'draws.bin'}"]) == 0
         assert (tmp_path / "sum" / "summary.csv").read_bytes() \
             == (out / "summary.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chains", [1, 2])
+def test_each_draws_file_is_hashed_once_per_command(tmp_path, monkeypatch, chains):
+    # the digest a writer appends, or open_draws checks, gives the whole
+    # file's sha256 for the manifest
+    data, _ = saddle_data(12, m=12, n=10)
+    fio.write_data_csv(tmp_path / "data.csv", data)
+    out = tmp_path / "fit"
+    passes: dict[str, int] = {}
+    hash_pass = fio._sha256
+
+    def counted(fh, nbytes=None):
+        name = Path(fh.name).name
+        passes[name] = passes.get(name, 0) + 1
+        return hash_pass(fh, nbytes)
+
+    monkeypatch.setattr(fio, "_sha256", counted)
+    assert cli_main(["fit", "--output-dir", str(out), "--seed", "3",
+                     "--set", f"paths.data={tmp_path / 'data.csv'}", *GP_FIT_ARGS,
+                     "--set", f"mcmc.chains={chains}"]) == 0
+    names = ["draws.bin"] if chains == 1 else ["draws_000.bin", "draws_001.bin"]
+    # the writer hashes its file under a temporary name
+    assert {name: sum(n for key, n in passes.items() if key.startswith(f".{name}."))
+            + passes.get(name, 0) for name in names} == dict.fromkeys(names, 1)
+    for name in names:
+        passes.clear()
+        assert cli_main(["detect", "--output-dir", str(tmp_path / f"detect_{name}"),
+                         "--set", f"paths.draws={out / name}"]) == 0
+        assert passes == {name: 1, "detected.csv": 1}
+    monkeypatch.undo()
+    assert fio.verify_manifest(out)
+    for name in names:
+        assert fio.verify_manifest(tmp_path / f"detect_{name}")
+        manifest = json.loads((tmp_path / f"detect_{name}" / "manifest.json").read_text())
+        assert manifest["inputs"][0]["sha256"] == hashlib.sha256(
+            (out / name).read_bytes()).hexdigest()
 
 
 def test_detect_reads_only_the_interaction_indicators(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ traced benchmark run starts, so a rename or a move inside ``factorint`` would
 otherwise show only there. The tracer is imported by path and not installed.
 """
 
+import csv
 import importlib
 import importlib.util
 import json
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 import factorint
-from factorint import gp_spec, run_gp_chain, standardize_rows
+from factorint import generate_saddle_dataset, gp_spec, run_gp_chain, standardize_rows
 from factorint import io as fio
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -86,6 +87,38 @@ def test_cli_imports_traced_modules_and_no_scipy_submodules(tmp_path):
     traced = {f"factorint.{layer}" for table in (tracer.FUNCTIONS, tracer.METHODS)
               for layer in table}
     assert traced <= set(report["imported"])
+
+
+READ_SCRIPT = """
+import json, sys
+import factorint.cli as cli
+draws, out = sys.argv[1], sys.argv[2]
+report = {}
+for command, *extra in (["summarize"], ["detect"], ["export-surface", "--set", "surface.feature=0"]):
+    code = cli.main([command, "--output-dir", out, "--set", "paths.draws=" + draws, *extra])
+    report[command] = [code, "numpy.ma" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def test_read_commands_leave_numpy_ma_unloaded(tmp_path):
+    # seeded features have inclusion 1, so the summary takes its intervals
+    # of the included states as well as of whole traces
+    data, truth = generate_saddle_dataset(20, 15, 0.2, seed=3)
+    spec = gp_spec(1, seed_groups={k: frozenset(int(i) for i in v)
+                                   for k, v in truth.seed_groups.items()})
+    draws = tmp_path / "draws.bin"
+    fio.persist_draws(run_gp_chain(spec, data, n_iters=30, burn_in=10, seed=1), draws)
+    src = Path(factorint.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", READ_SCRIPT, str(draws), str(tmp_path)],
+                          env=env, check=True, capture_output=True, text=True, timeout=120)
+    report = json.loads(done.stdout.strip().splitlines()[-1])
+    assert report == {"summarize": [0, False], "detect": [0, False],
+                      "export-surface": [0, False]}, done.stderr
+    with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+        assert any(float(row["inclusion_prob"] or 0) > 0.5 for row in csv.DictReader(fh))
 
 
 GP_FIT_SCRIPT = """
