@@ -6,9 +6,9 @@ the other commands read draws through ``io.open_draws``, which reads a field
 only when asked (detect reads only the indicators). Every run writes its
 artifacts plus a ``manifest.json`` recording the resolved configuration, the
 seed, a checksum per artifact and per input file read, and the run's wall
-time and peak resident memory. A draws file's checksum is the one its writer
-or ``open_draws`` took while checking its digest, so no command reads a
-draws file twice to hash it.
+time and peak resident memory. A bundle's checksum (draws or truth) is the
+one its writer or reader took with its digest, so no command reads a bundle
+twice to hash it. Every CSV goes through ``io.write_table``.
 Failures exit nonzero with a single line ``ERROR <Code>: <message>`` on
 stderr. The FACTORINT_OUTPUT_DIR environment variable sets the default
 output directory.
@@ -17,7 +17,6 @@ output directory.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 import time
@@ -49,9 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorint",
         description="Sparse latent factor models with interaction effects.")
-    parser.add_argument("command", choices=[
-        "simulate", "fit", "summarize", "detect", "compare", "test-overlap",
-        "export-surface"])
+    parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="configuration file (key = value lines)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override a configuration key (repeatable)")
@@ -107,7 +104,7 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         noise_scale=fio.config_positive(cfg, "simulate.noise_scale", 1.0),
         seed=settings.seed)
     fio.write_data_csv(out / "data.csv", data)
-    fio.write_truth(out / "truth.bin", truth, settings.seed)
+    _digests[str(out / "truth.bin")] = fio.write_truth(out / "truth.bin", truth, settings.seed)
     return settings.seed, ["data.csv", "truth.bin"]
 
 
@@ -131,16 +128,12 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     artifacts.append("summary.csv")
 
     if spec.family is Family.GP:
-        with open(out / "acceptance.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["chain", "column", "accepted", "proposed", "rate", "rw_step_final"])
-            for draws in all_draws:
-                counts = draws.mh_accept_counts
-                for j in range(counts.shape[0]):
-                    acc, prop = int(counts[j, 0]), int(counts[j, 1])
-                    rate = acc / prop if prop else 0.0
-                    writer.writerow([draws.chain, j, acc, prop, f"{rate:.6g}",
-                                     f"{draws.rw_step_final:.6g}"])
+        fio.write_table(out / "acceptance.csv",
+                        ["chain", "column", "accepted", "proposed", "rate", "rw_step_final"],
+                        ([draws.chain, j, acc, prop, f"{acc / prop if prop else 0.0:.6g}",
+                          f"{draws.rw_step_final:.6g}"]
+                         for draws in all_draws
+                         for j, (acc, prop) in enumerate(draws.mh_accept_counts.tolist())))
         artifacts.append("acceptance.csv")
     return settings.seed, artifacts
 
@@ -165,11 +158,8 @@ def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     draws = _open_draws(cfg)
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
     fids = feature_labels(draws)
-    with open(out / "detected.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["feature_id", "probability"])
-        for i, prob in sorted(detected.items()):
-            writer.writerow([fids[i], f"{prob:.10g}"])
+    fio.write_table(out / "detected.csv", ["feature_id", "probability"],
+                    ([fids[i], f"{prob:.10g}"] for i, prob in sorted(detected.items())))
     return draws.seed, ["detected.csv"]
 
 
@@ -179,19 +169,22 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
             raise ConfigError(f"compare requires {key}")
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     truth_path = _input_file("paths.truth", cfg["paths.truth"])
-    spec_paths = [p.strip() for p in cfg["compare.specs"].split(",") if p.strip()]
-    specs, labels = [], []
-    for p in spec_paths:
+    specs, labels = [], {}  # labels: the file stem of each spec path, which names its rows
+    for p in (p.strip() for p in cfg["compare.specs"].split(",") if p.strip()):
+        label = Path(p).stem
+        if label in labels:
+            raise ConfigError(f"compare.specs: {labels[label]!r} and {p!r} share the file stem "
+                              f"{label!r}, which labels a model's row and surface file")
+        labels[label] = p
         sub = fio.read_config(_input_file("compare.specs", p))
         fio.check_config_keys(sub)
         for key in sub:
             if key.split(".")[0] != "model":
                 raise ConfigError(f"{p}: {key}: a spec file takes model keys only")
         specs.append(fio.spec_from_config(sub, data))
-        labels.append(Path(p).stem)
     settings = fio.settings_from_config(cfg)
-    truth = fio.read_truth(truth_path, *data.values.shape)
-    report = compare_models(data, truth, specs, settings, labels=labels)
+    truth, _digests[str(truth_path)] = fio.read_truth(truth_path, *data.values.shape)
+    report = compare_models(data, truth, specs, settings, labels=list(labels))
     report.write_csv(out / "comparison.csv")
     artifacts = ["comparison.csv"]
     for row in report.rows:
@@ -212,11 +205,10 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         observed_overlap=fio.config_int(cfg, "overlap.observed"),
         n_replicates=fio.config_int(cfg, "overlap.replicates", 100_000))
     p_value, reps = overlap_permutation_test(inp, seed=settings.seed)
-    with open(out / "overlap.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p_value", "observed", "replicates", "mean_overlap", "sd_overlap"])
-        writer.writerow([f"{p_value:.10g}", inp.observed_overlap, inp.n_replicates,
-                         f"{reps.mean:.10g}", f"{reps.sd:.10g}"])
+    fio.write_table(out / "overlap.csv",
+                    ["p_value", "observed", "replicates", "mean_overlap", "sd_overlap"],
+                    [[f"{p_value:.10g}", inp.observed_overlap, inp.n_replicates,
+                      f"{reps.mean:.10g}", f"{reps.sd:.10g}"]])
     print(f"p_value={p_value:.10g}")
     return settings.seed, ["overlap.csv"]
 
@@ -225,15 +217,7 @@ def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     if "surface.feature" not in cfg:
         raise ConfigError("export-surface requires surface.feature")
     draws = _open_draws(cfg)
-    token = cfg["surface.feature"]
-    fids = feature_labels(draws)
-    if token in fids:
-        feature = fids.index(token)
-    elif token.isdecimal() and int(token) < len(fids):
-        feature = int(token)
-    else:
-        raise ConfigError(f"surface.feature: {token!r} is neither a feature id "
-                          f"nor an index in 0..{len(fids) - 1}")
+    feature = fio.feature_index(cfg["surface.feature"], feature_labels(draws), "surface.feature")
     effect = posterior_mean_effects(draws, slice(feature, feature + 1))[0]
     export_surface(effect, posterior_mean_scores(draws)[:2]).write_csv(out / "surface.csv")
     return draws.seed, ["surface.csv"]

@@ -12,7 +12,6 @@ since those are the plausible carriers of interaction effects.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from collections.abc import Iterator
@@ -23,6 +22,7 @@ from itertools import product, repeat
 import numpy as np
 
 from .errors import AllRemoved, ConfigError, EmptyWindowWarning, InsufficientDraws
+from .io import write_table
 from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, mult_spec,
                     run_chain)
 from .mult import MultChain
@@ -320,22 +320,22 @@ class PosteriorSummary:
         return tuple(row for f in self.fields for row in f.rows())
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["parameter", "role", "estimate", "ci_low", "ci_high",
-                             "inclusion_prob", "converged"])
-            for f in self.fields:
-                names = f.names()
-                for start in range(0, len(f), _CSV_ROWS):
-                    part = slice(start, start + _CSV_ROWS)
-                    est, lo, hi, conv = (column[part].tolist() for column in
-                                         (f.estimate, f.ci_low, f.ci_high, f.converged))
-                    incl = repeat(None) if f.inclusion_prob is None else \
-                        f.inclusion_prob[part].tolist()
-                    # ``names`` last, so that zip stops before taking the next chunk's name
-                    for e, l, h, p, c, name in zip(est, lo, hi, incl, conv, names):
-                        writer.writerow([name, f.role, f"{e:.10g}", f"{l:.10g}", f"{h:.10g}",
-                                         "" if p is None else f"{p:.10g}", "1" if c else "0"])
+        write_table(path, ["parameter", "role", "estimate", "ci_low", "ci_high",
+                           "inclusion_prob", "converged"], self._csv_rows())
+
+    def _csv_rows(self) -> Iterator[list[str]]:
+        for f in self.fields:
+            names = f.names()
+            for start in range(0, len(f), _CSV_ROWS):
+                part = slice(start, start + _CSV_ROWS)
+                est, lo, hi, conv = (column[part].tolist() for column in
+                                     (f.estimate, f.ci_low, f.ci_high, f.converged))
+                incl = repeat(None) if f.inclusion_prob is None else \
+                    f.inclusion_prob[part].tolist()
+                # ``names`` last, so that zip stops before taking the next chunk's name
+                for e, l, h, p, c, name in zip(est, lo, hi, incl, conv, names):
+                    yield [name, f.role, f"{e:.10g}", f"{l:.10g}", f"{h:.10g}",
+                           "" if p is None else f"{p:.10g}", "1" if c else "0"]
 
     def by_name(self) -> dict[str, ParameterSummary]:
         return {r.name: r for r in self.rows}

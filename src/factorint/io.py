@@ -2,8 +2,11 @@
 
 File formats
 ------------
+CSV tables: ``write_table`` writes every one, in the package's one dialect:
+UTF-8, comma-delimited, ``\r\n`` line ends, quotes only where a cell needs them.
+
 Data CSV: first row sample ids (the top-left cell is a label), first column
-feature ids, remaining cells real numbers, comma-delimited UTF-8.
+feature ids, remaining cells real numbers.
 
 Annotation CSV: header ``probe_id,chromosome,position``.
 
@@ -19,7 +22,8 @@ arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
 feature indices ``affected``, ``seed_group_1`` and ``seed_group_2``.
 
 Configuration: ``key = value`` lines with dotted section prefixes; ``#``
-starts a comment. Recognized keys are listed in CONFIG_KEYS.
+starts a comment. Recognized keys are listed in CONFIG_KEYS. ``feature_index``
+reads each feature a value names: by its id, else by its 0-based index.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import sys
 from dataclasses import replace
 from io import StringIO
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 import scipy
@@ -44,7 +49,6 @@ from .errors import ConfigError, CorruptFile, FactorIntError, FormatVersionMisma
 from .model import (
     Annotation,
     DataMatrix,
-    GP_VARIANT_TABLE,
     Family,
     McmcSettings,
     ModelSpec,
@@ -55,7 +59,6 @@ from .model import (
     gp_spec,
     mult_spec,
     state_shapes,
-    validate_spec,
 )
 from .prior import BetaTable, InterProbModel, LoadProbModel
 
@@ -78,7 +81,7 @@ model.gamma               default Beta pair for the loading probabilities, "a, b
 model.gamma.<group>       pair for one label (expected | excluded | unknown), else the default
 model.beta                default Beta pair for the interaction probabilities; global uses it alone
 model.beta.<group>        pair for one label (seed | unknown), else the default; not for global
-model.seed_group.<k>      features of seed group k (1-based factor), ids or indices
+model.seed_group.<k>      features of seed group k (1-based factor): each an id, else an index
 model.seed_constraints    true | false (default true)
 model.include_interactions true | false (default true)
 mcmc.iters                total iterations (default 600)
@@ -96,7 +99,7 @@ simulate.samples          n (default 100)
 simulate.frac_affected    fraction of candidates with effects (default 0.1)
 simulate.noise_scale      noise standard deviation (default 1.0)
 detect.threshold          posterior probability threshold (default 0.5)
-surface.feature           feature id or 0-based index
+surface.feature           feature id, else 0-based index
 compare.specs             comma-separated model config paths
 overlap.population        population size
 overlap.counts            per-dataset counts, comma-separated
@@ -107,12 +110,19 @@ overlap.replicates        replicates (default 100000)
 
 # ---------------------------------------------------------------- CSV data
 
-def write_data_csv(path, data: DataMatrix) -> None:
+def write_table(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write the CSV table ``header`` + ``rows`` to ``path`` in the package's
+    one dialect; ``rows`` may be a generator, consumed as it is written."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["feature_id", *data.sample_ids])
-        for i, fid in enumerate(data.feature_ids):
-            writer.writerow([fid] + [f"{v:.17g}" for v in data.values[i]])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_data_csv(path, data: DataMatrix) -> None:
+    write_table(path, ["feature_id", *data.sample_ids],
+                ([fid, *(f"{v:.17g}" for v in row)]
+                 for fid, row in zip(data.feature_ids, data.values)))
 
 
 def _read_text(path) -> str:
@@ -166,12 +176,8 @@ def read_annotation(path) -> Annotation:
 
 
 def write_annotation(path, annotation: Annotation) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["probe_id", "chromosome", "position"])
-        for pid, chrom, pos in zip(annotation.probe_ids, annotation.chromosomes,
-                                   annotation.positions):
-            writer.writerow([pid, chrom, int(pos)])
+    write_table(path, ["probe_id", "chromosome", "position"],
+                zip(annotation.probe_ids, annotation.chromosomes, annotation.positions.tolist()))
 
 
 # ---------------------------------------------------------------- bundles
@@ -191,8 +197,9 @@ def _bundle_layout(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[bytes, li
     return head, entries
 
 
-def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
-    """Write ``arrays`` with ``meta`` as one versioned, checksummed bundle.
+def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> str:
+    """Write ``arrays`` with ``meta`` as one versioned, checksummed bundle;
+    returns the whole file's sha256, its digest extended by the trailer.
 
     Each array's buffer goes to the file (and the checksum) as it is, with no
     copy of the payload.
@@ -204,7 +211,10 @@ def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> None:
         for chunk in (head, *(arr.reshape(-1).view(np.uint8) for arr in arrays.values())):
             digest.update(chunk)
             fh.write(chunk)
-        fh.write(digest.digest())
+        trailer = digest.digest()
+        fh.write(trailer)
+    digest.update(trailer)     # now the whole file's
+    return digest.hexdigest()
 
 
 _HASH_CHUNK = 1 << 20
@@ -333,19 +343,21 @@ def _bundle_field(entry, payload: int, payload_len: int, path) -> tuple[str, Bun
 
 # ------------------------------------------------------------ truth bundle
 
-def write_truth(path, truth: SyntheticTruth, seed: int) -> None:
-    """The truth bundle of ``truth``, simulated with ``seed``."""
-    write_bundle(path, {"kind": "truth", "seed": seed}, {
+def write_truth(path, truth: SyntheticTruth, seed: int) -> str:
+    """Write the truth bundle of ``truth``, simulated with ``seed``; returns its sha256."""
+    return write_bundle(path, {"kind": "truth", "seed": seed}, {
         "loadings": truth.loadings, "scores": truth.scores, "effects": truth.effects,
         "noise_var": truth.noise_var, "affected": truth.affected,
         "seed_group_1": truth.seed_groups[0], "seed_group_2": truth.seed_groups[1]})
 
 
-def read_truth(path, m: int, n: int) -> SyntheticTruth:
-    """The planted truth in the bundle at ``path``, checked against m x n data."""
-    meta, arrays = read_bundle(path)
+def read_truth(path, m: int, n: int) -> tuple[SyntheticTruth, str]:
+    """The planted truth in the bundle at ``path``, checked against m x n
+    data, and the file's sha256, taken as its digest is checked."""
+    meta, fields, sha256 = _open_bundle(path)
     if meta.get("kind") != "truth":
         raise ConfigError(f"paths.truth: {path}: not a truth bundle")
+    arrays = {name: field.read() for name, field in fields.items()}
     # the shape of each array; None for a list of feature indices
     shapes = {"loadings": (m, 2), "scores": (2, n), "effects": (m, n), "noise_var": (m,),
               "affected": None, "seed_group_1": None, "seed_group_2": None}
@@ -360,7 +372,7 @@ def read_truth(path, m: int, n: int) -> SyntheticTruth:
     return SyntheticTruth(
         loadings=arrays["loadings"], scores=arrays["scores"], effects=arrays["effects"],
         noise_var=arrays["noise_var"], affected=arrays["affected"],
-        seed_groups={0: arrays["seed_group_1"], 1: arrays["seed_group_2"]})
+        seed_groups={0: arrays["seed_group_1"], 1: arrays["seed_group_2"]}), sha256
 
 
 # ------------------------------------------------------ spec serialization
@@ -406,7 +418,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
                      for k, v in sub.get("entries", {}).items()},
         )
 
-    return validate_spec(ModelSpec(
+    return ModelSpec(
         family=Family(d["family"]),
         n_factors=int(d["n_factors"]),
         slab_var_loading=float(d["slab_var_loading"]),
@@ -428,7 +440,7 @@ def spec_from_dict(d: dict) -> ModelSpec:
             {int(k): float(v) for k, v in d["fixed_inter_prob"].items()},
         seed_constraints=bool(d.get("seed_constraints", True)),
         include_interactions=bool(d.get("include_interactions", True)),
-    ))
+    )
 
 
 # -------------------------------------------------------- draws persistence
@@ -688,21 +700,21 @@ def _config_choice(kind):
     return lambda cfg, key: _parse(kind, cfg[key], key, " | ".join(m.value for m in kind))
 
 
-def _resolve_features(tokens: list[str], data: DataMatrix | None, key: str) -> frozenset[int]:
-    if all(t.lstrip("-").isdigit() for t in tokens):
-        indices = frozenset(_parse(int, t, key, "feature indices") for t in tokens)
-        outside = sorted(i for i in indices if data is not None and not 0 <= i < data.n_features)
-        if outside:
-            raise ConfigError(f"{key}: feature indices {outside} outside "
-                              f"0..{data.n_features - 1}")
-        return indices
-    if data is None:
-        raise ConfigError(f"{key}: feature ids given but no data file to resolve them against")
-    index = data.feature_index()
-    missing = [t for t in tokens if t not in index]
-    if missing:
-        raise ConfigError(f"{key}: unknown feature ids {missing}")
-    return frozenset(index[t] for t in tokens)
+def feature_index(token: str, labels: Sequence[str] | None, key: str) -> int:
+    """The feature that ``token``, from the value of config key ``key``,
+    names among features with ids ``labels``: the one whose id it is, else
+    the 0-based index it spells, which must lie inside ``labels``. With no
+    ``labels`` (no data to look ids up in) the token must be an index."""
+    if labels is not None and token in labels:
+        return labels.index(token)
+    index = _parse(int, token, key, "a feature index") if token.isdecimal() else None
+    if index is not None and (labels is None or index < len(labels)):
+        return index
+    if labels is None:
+        raise ConfigError(f"{key}: {token!r} is not a 0-based feature index, and no data file "
+                          "gives feature ids to look it up in")
+    raise ConfigError(f"{key}: {token!r} is neither a feature id nor an index in "
+                      f"0..{len(labels) - 1}")
 
 
 # config key, ModelSpec field, parser; every family reads the first table
@@ -738,26 +750,24 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
         if default or groups:
             kwargs[name] = BetaTable(**default, groups=groups)
     if family is Family.GP:
-        variant = config_int(cfg, "model.gp_variant", 1)
-        if variant not in GP_VARIANT_TABLE:
-            raise ConfigError(f"model.gp_variant: must be 1..5, got {variant}")
-        spec = gp_spec(variant, **kwargs)
+        spec = gp_spec(config_int(cfg, "model.gp_variant", 1), **kwargs)
     else:
         spec = mult_spec(1 if family is Family.MULT_APPROACH1 else 2, **kwargs)
 
     # the seed groups need the factor count, and each noise key sets half a pair
     seed_groups = {}
+    labels = None if data is None else data.feature_ids
     for key, value in cfg.items():
         if key.startswith("model.seed_group."):
             group = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number")
             if not 1 <= group <= spec.n_factors:
                 raise ConfigError(f"{key}: seed group {group} outside 1..{spec.n_factors} "
                                   f"(model.factors = {spec.n_factors})")
-            tokens = [t.strip() for t in value.split(",") if t.strip()]
-            seed_groups[group - 1] = _resolve_features(tokens, data, key)
+            seed_groups[group - 1] = frozenset(feature_index(t.strip(), labels, key)
+                                               for t in value.split(",") if t.strip())
     noise_prior = (config_float(cfg, "model.noise_shape", spec.noise_prior[0]),
                    config_float(cfg, "model.noise_scale", spec.noise_prior[1]))
-    return validate_spec(replace(spec, noise_prior=noise_prior, seed_groups=seed_groups or None))
+    return replace(spec, noise_prior=noise_prior, seed_groups=seed_groups or None)
 
 
 _SETTINGS_KEYS = (("mcmc.iters", "n_iters", config_int), ("mcmc.burn_in", "burn_in", config_int),

@@ -83,9 +83,6 @@ class DataMatrix:
     def n_samples(self) -> int:
         return self.values.shape[1]
 
-    def feature_index(self) -> dict[str, int]:
-        return {fid: i for i, fid in enumerate(self.feature_ids)}
-
 
 @dataclass(frozen=True)
 class Annotation:
@@ -182,7 +179,8 @@ class ModelSpec:
     interaction scores to the score product (multiplicative approach 1 only).
     Seed groups map a factor to the features assumed to load on it alone;
     with ``seed_constraints`` these become degenerate inclusion probabilities
-    (own factor 1, other factors 0, interactions 0).
+    (own factor 1, other factors 0, interactions 0). A spec that breaks a
+    rule of ``validate_spec`` raises when built, also by ``dataclasses.replace``.
     """
 
     family: Family
@@ -203,6 +201,9 @@ class ModelSpec:
     seed_constraints: bool = True
     include_interactions: bool = True
 
+    def __post_init__(self):
+        validate_spec(self)
+
     @property
     def n_pairs(self) -> int:
         return interaction_pair_count(self.n_factors)
@@ -213,8 +214,7 @@ class ModelSpec:
 
     @property
     def shared_effect(self) -> bool:
-        return (self.family is Family.GP and self.gp_variant in GP_VARIANT_TABLE
-                and GP_VARIANT_TABLE[self.gp_variant][1])
+        return self.family is Family.GP and GP_VARIANT_TABLE[self.gp_variant][1]
 
     def seed_union(self) -> frozenset[int]:
         return frozenset().union(*(self.seed_groups or {}).values())
@@ -235,11 +235,10 @@ def gp_spec(variant: int, n_factors: int = 2, length_scale: float = 0.2, **kwarg
     """Nonlinear-interaction model; ``variant`` selects one of the five prior
     configurations (loading-probability model, shared effect, interaction-
     probability model)."""
-    if variant not in GP_VARIANT_TABLE:
-        raise SpecConflict(f"gp_variant must be in 1..5, got {variant}")
-    load_model, _, inter_model = GP_VARIANT_TABLE[variant]
-    kwargs.setdefault("load_prob_model", load_model)
-    kwargs.setdefault("inter_prob_model", inter_model)
+    if variant in GP_VARIANT_TABLE:  # ModelSpec rejects any other
+        load_model, _, inter_model = GP_VARIANT_TABLE[variant]
+        kwargs.setdefault("load_prob_model", load_model)
+        kwargs.setdefault("inter_prob_model", inter_model)
     return ModelSpec(
         family=Family.GP,
         n_factors=n_factors,
@@ -250,7 +249,7 @@ def gp_spec(variant: int, n_factors: int = 2, length_scale: float = 0.2, **kwarg
 
 
 def validate_spec(spec: ModelSpec) -> ModelSpec:
-    """Cross-field consistency checks; returns the ModelSpec unchanged on success."""
+    """The rules of a ``ModelSpec``, run when one is built; returns ``spec``."""
     if not isinstance(spec.family, Family):
         raise SpecConflict(f"family must be a Family member, got {spec.family!r}")
     validate_prior(spec)
@@ -260,10 +259,12 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     a, b = spec.noise_prior
     check_positive("noise_prior shape", a)
     check_positive("noise_prior scale", b)
+    if spec.family is Family.MULT_APPROACH1:
+        check_positive("product_var", spec.product_var)
+    elif spec.product_var is not None:
+        raise SpecConflict("product_var applies only to multiplicative approach 1")
 
     if spec.family is Family.GP:
-        if spec.product_var is not None:
-            raise SpecConflict("product_var applies only to multiplicative approach 1")
         if spec.gp_variant not in GP_VARIANT_TABLE:
             raise SpecConflict(f"gp_variant must be in 1..5, got {spec.gp_variant}")
         check_positive("length_scale", spec.length_scale)
@@ -279,10 +280,6 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
         if spec.gp_variant is not None or spec.length_scale is not None:
             raise SpecConflict("gp_variant/length_scale apply only to the gp family")
         check_positive("slab_var_inter", spec.slab_var_inter)
-        if spec.family is Family.MULT_APPROACH1:
-            check_positive("product_var", spec.product_var)
-        elif spec.product_var is not None:
-            raise SpecConflict("product_var applies only to multiplicative approach 1")
 
     if spec.seed_groups:
         seen: set[int] = set()

@@ -30,7 +30,6 @@ from .model import (
     factor_pairs,
     run_chain,
     state_shapes,
-    validate_spec,
 )
 from .prior import (
     InclusionPrior,
@@ -232,7 +231,7 @@ class Chain:
         if spec.is_mult is not self.is_mult:
             raise SpecConflict(f"{type(self).__name__} requires a "
                                f"{'multiplicative' if self.is_mult else 'gp'} family spec")
-        self.spec = validate_spec(spec)
+        self.spec = spec
         self.data = data
         self.settings = settings
         self.layout = build_layout(spec, data.n_features)

@@ -8,7 +8,6 @@ interaction surfaces, and fits competing specifications side by side.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import InvalidFraction, ShapeMismatch
 from .genomics import detect_interactions, posterior_mean_effects, posterior_mean_scores
 from .gp import GpChain
+from .io import write_table
 from .model import (
     DataMatrix,
     Family,
@@ -179,13 +179,10 @@ class SurfaceGrid:
     grid: np.ndarray    # (g*g, 3)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["lambda1", "lambda2", "effect", "source"])
-            for row in self.points:
-                writer.writerow([f"{v:.10g}" for v in row] + ["sample"])
-            for row in self.grid:
-                writer.writerow([f"{v:.10g}" for v in row] + ["grid"])
+        write_table(path, ["lambda1", "lambda2", "effect", "source"],
+                    ([*(f"{v:.10g}" for v in row), source]
+                     for rows, source in ((self.points, "sample"), (self.grid, "grid"))
+                     for row in rows))
 
 
 def export_surface(effect: np.ndarray, score_pair: np.ndarray) -> SurfaceGrid:
@@ -237,14 +234,11 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...] = field(default_factory=tuple)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["label", "aad_loadings", "aad_scores", "aad_effects",
-                             "tp", "fp", "tn", "fn", "accuracy", "quadrant_recovery"])
-            for r in self.rows:
-                writer.writerow([r.label, f"{r.aad_loadings:.10g}", f"{r.aad_scores:.10g}",
-                                 f"{r.aad_effects:.10g}", r.tp, r.fp, r.tn, r.fn,
-                                 f"{r.accuracy:.10g}", f"{r.quadrant_recovery:.10g}"])
+        write_table(path, ["label", "aad_loadings", "aad_scores", "aad_effects",
+                           "tp", "fp", "tn", "fn", "accuracy", "quadrant_recovery"],
+                    ([r.label, f"{r.aad_loadings:.10g}", f"{r.aad_scores:.10g}",
+                      f"{r.aad_effects:.10g}", r.tp, r.fp, r.tn, r.fn,
+                      f"{r.accuracy:.10g}", f"{r.quadrant_recovery:.10g}"] for r in self.rows))
 
 
 def fit_spec(spec: ModelSpec, data: DataMatrix, settings: McmcSettings,

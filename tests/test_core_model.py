@@ -99,7 +99,67 @@ class TestFactorPairs:
         assert factor_pairs(4) == ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
+# (valid spec, fields changed, error, message pattern): each change breaks one
+# rule of ``validate_spec`` or of the inclusion-prior rules it runs; the enum
+# rules are test_models_must_be_enum_members
+BROKEN_SPECS = {
+    "global_beta_group": (gp_spec(3),
+                          {"inter_prob_prior": BetaTable(groups={"seed": (5.0, 5.0)})},
+                          SpecConflict, "model.beta: the global"),
+    "grouped_gamma_entry": (gp_spec(5),
+                            {"load_prob_prior": BetaTable(entries={(0, 1): (2.0, 2.0)})},
+                            SpecConflict, "model.gamma: grouped"),
+    "unknown_gamma_group": (mult_spec(2),
+                            {"load_prob_prior": BetaTable(groups={"expectd": (9.0, 1.0)})},
+                            SpecConflict, "unknown group"),
+    "zero_beta_pair": (mult_spec(2), {"inter_prob_prior": BetaTable(default=(0.0, 1.0))},
+                       SpecConflict, "Beta hyperparameter"),
+    "fixed_load_prob_not_0_or_1": (mult_spec(2), {"fixed_load_prob": {(0, 1): 0.5}}, SpecConflict,
+                                   r"fixed loading probability at \(0,1\)"),
+    "fixed_inter_prob_not_0_or_1": (gp_spec(1), {"fixed_inter_prob": {3: 0.2}}, SpecConflict,
+                                    "fixed interaction probability at 3"),
+    "one_factor": (mult_spec(2), {"n_factors": 1}, InvalidFactorCount, "at least 2 factors"),
+    "zero_slab_var": (mult_spec(2), {"slab_var_loading": 0.0}, SpecConflict, "slab_var_loading"),
+    "negative_noise_shape": (gp_spec(1), {"noise_prior": (-1.0, 1.1)}, SpecConflict,
+                             "noise_prior shape"),
+    "nan_noise_scale": (mult_spec(1), {"noise_prior": (2.1, float("nan"))}, SpecConflict,
+                        "noise_prior scale"),
+    "approach1_without_product_var": (mult_spec(1), {"product_var": None}, SpecConflict,
+                                      "product_var must be"),
+    "approach2_with_product_var": (mult_spec(2), {"product_var": 1e-5}, SpecConflict,
+                                   "product_var applies only"),
+    "gp_with_product_var": (gp_spec(1), {"product_var": 1e-5}, SpecConflict,
+                            "product_var applies only"),
+    "gp_variant_7": (gp_spec(1), {"gp_variant": 7}, SpecConflict, "gp_variant must be in 1..5"),
+    "gp_without_variant": (gp_spec(1), {"gp_variant": None}, SpecConflict, "gp_variant must be"),
+    "zero_length_scale": (gp_spec(2), {"length_scale": 0.0}, SpecConflict, "length_scale"),
+    "gp_without_interactions": (gp_spec(1), {"include_interactions": False}, SpecConflict,
+                                "no interaction-free variant"),
+    "variant5_per_entry": (gp_spec(5), {"load_prob_model": LoadProbModel.PER_ENTRY}, SpecConflict,
+                           "gp_variant 5 requires"),
+    "mult_with_length_scale": (mult_spec(2), {"length_scale": 0.2}, SpecConflict,
+                               "apply only to the gp family"),
+    "negative_slab_var_inter": (mult_spec(2), {"slab_var_inter": -1.0}, SpecConflict,
+                                "slab_var_inter"),
+    "seed_group_factor_outside": (mult_spec(2), {"seed_groups": {2: frozenset({0})}},
+                                  SpecConflict, r"seed group factor 2 outside 0\.\.1"),
+    "negative_seed_feature": (gp_spec(1), {"seed_groups": {0: frozenset({-1})}}, SpecConflict,
+                              "negative feature index"),
+    "overlapping_seed_groups": (mult_spec(2), {"seed_groups": {0: frozenset({0, 1}),
+                                                               1: frozenset({1, 2})}},
+                                SpecConflict, r"overlap on features \[1\]"),
+}
+
+
 class TestValidateSpec:
+    @pytest.mark.parametrize("base, changes, error, match", BROKEN_SPECS.values(),
+                             ids=BROKEN_SPECS)
+    def test_a_spec_that_breaks_a_rule_raises_when_built(self, base, changes, error, match):
+        with pytest.raises(error, match=match):
+            ModelSpec(**{**base.__dict__, **changes})
+        with pytest.raises(error, match=match):
+            replace(base, **changes)
+
     def test_gp_spec_with_product_var_conflicts(self):
         spec = gp_spec(1)
         with pytest.raises(SpecConflict):
@@ -119,12 +179,11 @@ class TestValidateSpec:
         ("family", "mult_approach2"), ("load_prob_model", "grouped"),
         ("inter_prob_model", "global"), ("load_prob_model", InterProbModel.GROUPED)])
     def test_models_must_be_enum_members(self, field, value):
-        spec = ModelSpec(**{**mult_spec(2).__dict__, field: value})
+        # a spec checks itself when built, so no sampler sees a bad one
         with pytest.raises(SpecConflict, match=field):
-            validate_spec(spec)
-        data = standardize_rows(np.random.default_rng(3).normal(size=(4, 5)))
-        with pytest.raises(SpecConflict):
-            MultChain(spec, data)
+            ModelSpec(**{**mult_spec(2).__dict__, field: value})
+        with pytest.raises(SpecConflict, match=field):
+            replace(mult_spec(2), **{field: value})
 
     @pytest.mark.parametrize("table", [BetaTable(groups={"seed": (5.0, 5.0)}),
                                        BetaTable(entries={(0,): (5.0, 5.0)})])

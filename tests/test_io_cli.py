@@ -26,11 +26,14 @@ from factorint import (
     Annotation,
     ConfigError,
     CorruptFile,
+    DataMatrix,
     FactorIntError,
     FormatVersionMismatch,
+    export_surface,
     generate_saddle_dataset,
     gp_spec,
     mult_spec,
+    posterior_mean_effects,
     posterior_summary,
     run_gp_chain,
     run_mult_chain,
@@ -38,7 +41,7 @@ from factorint import (
 )
 from factorint import io as fio
 from factorint.cli import main as cli_main
-from factorint.genomics import MIN_STATES
+from factorint.genomics import MIN_STATES, posterior_mean_scores
 from factorint.model import McmcSettings
 from factorint.prior import build_layout
 from tests_support import states
@@ -159,6 +162,7 @@ MALFORMED_HEADERS = {
     "inferred_shape": {"meta": {}, "arrays": [ones_entry(shape=[-1])]},
     "object_dtype": {"meta": {}, "arrays": [ones_entry(dtype="|O")]},
     "entry_not_a_dict": {"meta": {}, "arrays": ["a"]},
+    "offset_past_payload": {"meta": {}, "arrays": [ones_entry(offset=8)]},
 }
 
 json_values = st.recursive(
@@ -195,6 +199,8 @@ DRAWS_FAULTS = {
     "text_thin": lambda meta, arrays: meta.update(thin="x"),
     "narrow_noise_var": lambda meta, arrays: arrays.update(noise_var=arrays["noise_var"][:, :2]),
     "spec_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=3),
+    "flat_loadings": lambda meta, arrays: arrays.update(
+        loadings=arrays["loadings"].reshape(len(arrays["loadings"]), -1)),
 }
 
 DRAWS_META_KEYS = ("kind", "burn_in", "thin", "n_iters", "seed", "chain", "state_fields",
@@ -440,6 +446,18 @@ class TestConfigParsing:
         spec = fio.spec_from_config(cfg, data)
         assert spec.seed_groups[0] == frozenset({0, 1})
         assert spec.seed_groups[1] == frozenset({2, 3})
+
+    def test_a_seed_group_token_is_an_id_before_an_index(self):
+        data = small_data()
+        data = DataMatrix(data.values, tuple(str(i + 1) for i in range(8)), data.sample_ids)
+        spec = fio.spec_from_config({"model.seed_group.1": "1, 2", "model.seed_group.2": "8"}, data)
+        assert spec.seed_groups == {0: frozenset({0, 1}), 1: frozenset({7})}
+        # without data a token can only be an index
+        assert fio.spec_from_config({"model.seed_group.1": "1, 2"}).seed_groups == {
+            0: frozenset({1, 2})}
+        with pytest.raises(ConfigError, match="^model.seed_group.1: 'f0001' is not a 0-based "
+                                              "feature index, and no data file gives feature ids"):
+            fio.spec_from_config({"model.seed_group.1": "f0001"})
 
     def test_beta_pair_and_group_overrides(self):
         cfg = {"model.family": "mult_approach1", "model.product_var": "1e-5",
@@ -708,6 +726,14 @@ class TestCli:
         ("fit", "model.seed_group.3=1"),
         ("fit", "model.seed_group.0=1"),
         ("fit", "model.seed_group.1=99"),
+        ("fit", "model.seed_group.2=nope"),
+        ("fit", "model.factors"),
+        ("fit", "mcmc.thin=0"),
+        ("test-overlap", "overlap.counts=10"),
+        ("test-overlap", "overlap.counts=10,200"),
+        ("test-overlap", "overlap.replicates=0"),
+        ("test-overlap", "overlap.observed=-1"),
+        ("export-surface", "surface.feature=nope"),
         *MISSING_FILE_CASES,
     ])
     def test_bad_config_value_prints_one_config_error(self, fitted, tmp_path, capsys,
@@ -775,7 +801,7 @@ class TestCli:
                        "(invalid continuation byte at byte 24)"]
 
     @pytest.mark.parametrize("case", ["no_arrays", "list_header", "unknown_dtype",
-                                      "shape_against_nbytes"])
+                                      "shape_against_nbytes", "offset_past_payload"])
     def test_malformed_bundle_prints_one_corrupt_file_error(self, tmp_path, capsys, case):
         path = tmp_path / "draws.bin"
         path.write_bytes(sealed_bundle(MALFORMED_HEADERS[case], np.ones(5).tobytes()))
@@ -786,7 +812,7 @@ class TestCli:
         assert err[0].startswith("ERROR CorruptFile:")
 
     @pytest.mark.parametrize("fault", ["no_burn_in", "unknown_family", "short_feature_ids",
-                                       "text_thin"])
+                                       "text_thin", "flat_loadings"])
     def test_bad_draws_meta_prints_one_corrupt_file_error(self, fitted, tmp_path, capsys,
                                                           fault):
         path = tmp_path / "draws.bin"
@@ -919,6 +945,141 @@ class TestCli:
         assert (out / "surface_mult2.csv").exists()
         assert (out / "surface_mult1.csv").exists()
         assert fio.verify_manifest(out)
+
+    @pytest.mark.parametrize("command, key", [
+        ("summarize", "paths.draws"), ("detect", "paths.draws"), ("export-surface", "paths.draws"),
+        ("compare", "paths.data"), ("compare", "paths.truth"), ("compare", "compare.specs"),
+        ("test-overlap", "overlap.population"), ("test-overlap", "overlap.counts"),
+        ("test-overlap", "overlap.observed"),
+    ])
+    def test_missing_required_key_prints_one_config_error(self, fitted, tmp_path, capsys,
+                                                          command, key):
+        given = {"paths.data": fitted / "sim" / "data.csv",
+                 "paths.truth": fitted / "sim" / "truth.bin",
+                 "compare.specs": fitted / "sim" / "mult2.cfg", "surface.feature": "0",
+                 "overlap.population": "100", "overlap.counts": "10,10", "overlap.observed": "0"}
+        args = [command, "--output-dir", str(tmp_path)]
+        for other, value in given.items():
+            if other != key:
+                args += ["--set", f"{other}={value}"]
+        assert run_cli(*args) == 1
+        needed = "this command" if key == "paths.draws" else command
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: {needed} requires {key}"]
+
+    @pytest.mark.parametrize("key, text, message", [
+        ("paths.data", "", "{path}: empty data file"),
+        ("paths.data", "feature_id,s0,s1\nf0,1,x\nf1,2,3\n",
+         "{path}:2: could not convert string to float: 'x'"),
+        ("paths.data", "feature_id,s0,s1\nf0,1,nan\nf1,2,3\n",
+         "data matrix contains non-finite entries"),
+        ("paths.data", "feature_id,s0,s1\nf0,1,2\n",
+         "data matrix needs at least 2 features and 2 samples, got 1x2"),
+        ("paths.data", "feature_id,s0,s1\n", "data matrix must be two-dimensional"),
+        ("--config", "mcmc.iters = 30\n = 5\n", "{path}:2: empty key"),
+    ])
+    def test_malformed_input_file_prints_one_config_error(self, tmp_path, capsys, key, text,
+                                                          message):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        assert run_cli("fit", "--output-dir", str(tmp_path / "out"),
+                       *option_args(f"{key}={path}")) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: {message.format(path=path)}"]
+
+    def test_bundle_shorter_than_its_digest_prints_one_corrupt_file_error(self, tmp_path,
+                                                                          capsys):
+        path = tmp_path / "draws.bin"
+        path.write_bytes(fio.MAGIC + fio.FORMAT_VERSION.to_bytes(4, "little") + bytes(12))
+        assert run_cli("summarize", "--output-dir", str(tmp_path / "out"),
+                       "--set", f"paths.draws={path}") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR CorruptFile: {path}: truncated"]
+
+    @pytest.mark.parametrize("setting, message", [
+        ("model.gp_variant=7", "gp_variant must be in 1..5, got 7"),
+        ("model.include_interactions=false",
+         "the nonlinear family has no interaction-free variant"),
+    ])
+    def test_gp_spec_rule_prints_one_spec_conflict(self, fitted, tmp_path, capsys, setting,
+                                                    message):
+        out = tmp_path / "out"
+        assert run_cli("fit", "--output-dir", str(out),
+                       "--set", f"paths.data={fitted / 'data.csv'}",
+                       "--set", "model.family=gp", "--set", setting,
+                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"ERROR SpecConflict: {message}"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("second", ["b/x.cfg", "a/x.cfg"])
+    def test_compare_specs_sharing_a_file_stem_print_one_config_error(self, fitted, tmp_path,
+                                                                      capsys, monkeypatch,
+                                                                      second):
+        # the stem labels a model's row and its surface file, so two files of
+        # one stem (or one file given twice) would overwrite one another
+        def no_chain(*args):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(factorint.simulate, "fit_spec", no_chain)
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            (tmp_path / name / "x.cfg").write_text("model.family = mult_approach2\n")
+        first, second = tmp_path / "a" / "x.cfg", tmp_path / second
+        out = tmp_path / "out"
+        assert run_cli("compare", "--output-dir", str(out),
+                       "--set", f"paths.data={fitted / 'sim' / 'data.csv'}",
+                       "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}",
+                       "--set", f"compare.specs={first}, {second}",
+                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: compare.specs: {str(first)!r} and {str(second)!r} share the "
+            "file stem 'x', which labels a model's row and surface file"]
+        assert list(out.iterdir()) == []
+
+    def test_numeric_feature_ids_name_the_same_feature_in_both_keys(self, tmp_path,
+                                                                     monkeypatch):
+        # ids "1".."8": a token is the feature whose id it is, so "1" is row 0
+        # for the seed groups as for the surface, and one function decides both
+        data = small_data(9)
+        data = DataMatrix(data.values, tuple(str(i + 1) for i in range(8)), data.sample_ids)
+        fio.write_data_csv(tmp_path / "data.csv", data)
+        keys = []
+        resolve = fio.feature_index
+
+        def recorded(token, labels, key):
+            keys.append(key)
+            return resolve(token, labels, key)
+
+        monkeypatch.setattr(fio, "feature_index", recorded)
+        out = tmp_path / "fit"
+        assert run_cli("fit", "--output-dir", str(out), "--seed", "1",
+                       "--set", f"paths.data={tmp_path / 'data.csv'}",
+                       "--set", "model.seed_group.1=1, 2", "--set", "model.seed_group.2=8",
+                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 0
+        assert run_cli("export-surface", "--output-dir", str(tmp_path / "surface"),
+                       "--set", f"paths.draws={out / 'draws.bin'}",
+                       "--set", "surface.feature=1") == 0
+        assert sorted(set(keys)) == ["model.seed_group.1", "model.seed_group.2",
+                                     "surface.feature"]
+        draws = fio.open_draws(out / "draws.bin")
+        assert draws.spec.seed_groups == {0: frozenset({0, 1}), 1: frozenset({7})}
+        effect = posterior_mean_effects(draws, slice(0, 1))[0]
+        export_surface(effect, posterior_mean_scores(draws)[:2]).write_csv(tmp_path / "row0.csv")
+        assert (tmp_path / "surface" / "surface.csv").read_bytes() \
+            == (tmp_path / "row0.csv").read_bytes()
+
+    @pytest.mark.parametrize("command, key", [("fit", "model.seed_group.2"),
+                                              ("export-surface", "surface.feature")])
+    def test_a_feature_token_that_names_nothing_prints_one_config_error(self, fitted, tmp_path,
+                                                                        capsys, command, key):
+        assert run_cli(command, "--output-dir", str(tmp_path),
+                       "--set", f"paths.data={fitted / 'data.csv'}",
+                       "--set", f"paths.draws={fitted / 'draws.bin'}",
+                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10",
+                       "--set", f"{key}=f0001, g9") == 1
+        token = "g9" if command == "fit" else "f0001, g9"
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: {key}: {token!r} is neither a feature id nor an index in 0..5"]
 
 
 class TestCompareTruth:

@@ -1,7 +1,8 @@
 """Each decision has one owner module: ``io`` owns every file layout and
 imports no analysis module, no module reaches into another's private names,
-and the CLI leaves the truth bundle's layout to ``io``. Checked on the source
-with ``ast``, in the style of ``test_draws_layering``."""
+only ``io`` writes CSV, only ``model`` runs the spec rules, and the CLI leaves the truth bundle's layout to
+``io``. Checked on the source with ``ast``, in the style of
+``test_draws_layering``."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,27 @@ def test_no_module_imports_a_private_name(module):
     private = [alias.name for node in package_imports(module) for alias in node.names
                if alias.name.startswith("_")]
     assert not private
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_io_imports_csv(module):
+    # ``io.write_table`` states the CSV dialect of every artifact
+    imported = set()
+    for node in ast.walk(parse(module)):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.add(node.module.split(".")[0])
+    assert ("csv" in imported) is (module == "io")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_only_model_calls_validate_spec(module):
+    # a ModelSpec runs its rules when built, so no caller needs to
+    called = [node for node in ast.walk(parse(module)) if isinstance(node, ast.Call)
+              and "validate_spec" in (getattr(node.func, "id", None),
+                                      getattr(node.func, "attr", None))]
+    assert bool(called) is (module == "model")
 
 
 def truth_array_names(tmp_path) -> set[str]:

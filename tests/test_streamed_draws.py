@@ -179,6 +179,41 @@ def test_each_draws_file_is_hashed_once_per_command(tmp_path, monkeypatch, chain
             (out / name).read_bytes()).hexdigest()
 
 
+def test_a_truth_bundle_is_hashed_once_per_command(tmp_path, monkeypatch):
+    # simulate takes the sha256 from the digest it writes, compare from the
+    # digest it checks on reading
+    passes: dict[str, int] = {}
+    hash_pass = fio._sha256
+
+    def counted(fh, nbytes=None):
+        name = Path(fh.name).name
+        passes[name] = passes.get(name, 0) + 1
+        return hash_pass(fh, nbytes)
+
+    monkeypatch.setattr(fio, "_sha256", counted)
+    sim, out = tmp_path / "sim", tmp_path / "cmp"
+    assert cli_main(["simulate", "--output-dir", str(sim), "--seed", "2",
+                     "--set", "simulate.features=20", "--set", "simulate.samples=10"]) == 0
+    assert passes.get("truth.bin", 0) == 0
+    spec = tmp_path / "mult2.cfg"
+    spec.write_text("model.family = mult_approach2\n")
+    assert cli_main(["compare", "--output-dir", str(out), "--seed", "2",
+                     "--set", f"paths.data={sim / 'data.csv'}",
+                     "--set", f"paths.truth={sim / 'truth.bin'}",
+                     "--set", f"compare.specs={spec}",
+                     "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10"]) == 0
+    assert passes["truth.bin"] == 1
+    monkeypatch.undo()
+    for run in (sim, out):
+        assert fio.verify_manifest(run)
+        manifest = json.loads((run / "manifest.json").read_text())
+        for entry in manifest["artifacts"]:
+            assert entry["sha256"] == sha256_of(run / entry["path"])
+        for entry in manifest["inputs"]:
+            assert entry["sha256"] == sha256_of(Path(entry["path"]))
+    assert str(sim / "truth.bin") in [e["path"] for e in manifest["inputs"]]
+
+
 def test_detect_reads_only_the_interaction_indicators(tmp_path, monkeypatch):
     data, _ = saddle_data(13)
     path = tmp_path / "draws.bin"
@@ -395,12 +430,14 @@ def test_compare_manifest_records_its_spec_files(tmp_path):
                      "--set", "simulate.features=20", "--set", "simulate.samples=10"]) == 0
     spec = tmp_path / "mult2.cfg"
     spec.write_text("model.family = mult_approach2\n")
+    other = tmp_path / "mult1.cfg"
+    other.write_text("model.family = mult_approach1\n")
     out = tmp_path / "cmp"
     assert cli_main(["compare", "--output-dir", str(out), "--seed", "2",
                      "--set", f"paths.data={sim / 'data.csv'}",
                      "--set", f"paths.truth={sim / 'truth.bin'}",
-                     "--set", f"compare.specs={spec},{spec}",
+                     "--set", f"compare.specs={spec},{other}",
                      "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10"]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert [(e["path"], e["sha256"]) for e in inputs] == [
-        (str(p), sha256_of(p)) for p in (sim / "data.csv", sim / "truth.bin", spec)]
+        (str(p), sha256_of(p)) for p in (sim / "data.csv", sim / "truth.bin", spec, other)]
