@@ -1,11 +1,13 @@
 """Command-line entry point.
 
 Commands: simulate, fit, summarize, detect, compare, test-overlap,
-export-surface. ``fit`` summarises the draws its ``io.DrawsWriter``s return;
-the other commands read draws through ``io.open_draws``, which reads a field
-only when asked (detect reads only the indicators). Every run writes its
-artifacts plus a ``manifest.json`` recording the resolved configuration, the
-seed, a checksum per artifact and per input file read, and the run's wall
+export-surface. ``_COMMANDS`` states the keys each command requires and
+reads; ``main`` rejects any other key before it reads an input file or makes
+the output directory. ``fit`` summarises the draws its ``io.DrawsWriter``s
+return; the other commands read draws through ``io.open_draws``, which reads
+a field only when asked (detect reads only the indicators). Every run writes
+its artifacts plus a ``manifest.json`` recording the configuration it read,
+the seed, a checksum per artifact and per input file read, and the run's wall
 time and peak resident memory. A bundle's checksum (draws or truth) is the
 one its writer or reader took with its digest, so no command reads a bundle
 twice to hash it. Every CSV goes through ``io.write_table``.
@@ -68,7 +70,6 @@ def _load_config(args) -> dict[str, str]:
         cfg[key.strip()] = value.strip()
     if args.seed is not None:
         cfg["mcmc.seed"] = str(args.seed)
-    fio.check_config_keys(cfg)
     return cfg
 
 
@@ -109,8 +110,6 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    if "paths.data" not in cfg:
-        raise ConfigError("fit requires paths.data")
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
@@ -140,8 +139,6 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 def _open_draws(cfg: dict[str, str]) -> PosteriorDraws:
     """The draws at ``paths.draws``, whose checked digest the manifest reuses."""
-    if "paths.draws" not in cfg:
-        raise ConfigError("this command requires paths.draws")
     path = _input_file("paths.draws", cfg["paths.draws"])
     draws = fio.open_draws(path)
     _digests[str(path)] = draws.sha256
@@ -164,9 +161,6 @@ def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    for key in ("paths.data", "paths.truth", "compare.specs"):
-        if key not in cfg:
-            raise ConfigError(f"compare requires {key}")
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     truth_path = _input_file("paths.truth", cfg["paths.truth"])
     specs, labels = [], {}  # labels: the file stem of each spec path, which names its rows
@@ -177,10 +171,7 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
                               f"{label!r}, which labels a model's row and surface file")
         labels[label] = p
         sub = fio.read_config(_input_file("compare.specs", p))
-        fio.check_config_keys(sub)
-        for key in sub:
-            if key.split(".")[0] != "model":
-                raise ConfigError(f"{p}: {key}: a spec file takes model keys only")
+        fio.check_config_keys(sub, p, (), ("model",))
         specs.append(fio.spec_from_config(sub, data))
     settings = fio.settings_from_config(cfg)
     truth, _digests[str(truth_path)] = fio.read_truth(truth_path, *data.values.shape)
@@ -195,9 +186,6 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    for key in ("overlap.population", "overlap.counts", "overlap.observed"):
-        if key not in cfg:
-            raise ConfigError(f"test-overlap requires {key}")
     settings = fio.settings_from_config(cfg)
     inp = OverlapTestInput(
         population_size=fio.config_int(cfg, "overlap.population"),
@@ -214,8 +202,6 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    if "surface.feature" not in cfg:
-        raise ConfigError("export-surface requires surface.feature")
     draws = _open_draws(cfg)
     feature = fio.feature_index(cfg["surface.feature"], feature_labels(draws), "surface.feature")
     effect = posterior_mean_effects(draws, slice(feature, feature + 1))[0]
@@ -223,14 +209,19 @@ def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     return draws.seed, ["surface.csv"]
 
 
+# command: (function, keys it requires, other keys it reads), each entry a key or
+# a section with no dot (such as "model"); compare fits one chain per spec
 _COMMANDS = {
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "summarize": cmd_summarize,
-    "detect": cmd_detect,
-    "compare": cmd_compare,
-    "test-overlap": cmd_test_overlap,
-    "export-surface": cmd_export_surface,
+    "simulate": (cmd_simulate, (), ("simulate", "mcmc.seed")),
+    "fit": (cmd_fit, ("paths.data",), ("model", "mcmc")),
+    "summarize": (cmd_summarize, ("paths.draws",), ()),
+    "detect": (cmd_detect, ("paths.draws",), ("detect.threshold",)),
+    "compare": (cmd_compare, ("paths.data", "paths.truth", "compare.specs"),
+                ("mcmc.iters", "mcmc.burn_in", "mcmc.thin", "mcmc.seed", "mcmc.rw_step",
+                 "mcmc.adapt_rw")),
+    "test-overlap": (cmd_test_overlap, ("overlap.population", "overlap.counts",
+                                        "overlap.observed"), ("overlap.replicates", "mcmc.seed")),
+    "export-surface": (cmd_export_surface, ("surface.feature", "paths.draws"), ()),
 }
 
 
@@ -241,8 +232,10 @@ def main(argv=None) -> int:
     _digests.clear()
     try:
         cfg = _load_config(args)
+        command, required, reads = _COMMANDS[args.command]
+        fio.check_config_keys(cfg, args.command, required, reads)
         out = _output_dir(args)
-        seed, artifacts = _COMMANDS[args.command](cfg, out)
+        seed, artifacts = command(cfg, out)
         fio.write_manifest(out, args.command, cfg, seed, artifacts,
                            wall_s=time.perf_counter() - started, inputs=_inputs,
                            digests=_digests)

@@ -72,14 +72,14 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
     state.effects = np.where(mask[:, None], rows, 0.0)
 
 
-def shared_effect_posterior(state: McmcState, data: DataMatrix,
+def shared_effect_posterior(state: McmcState, R: np.ndarray,
                             kernel: KernelMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gaussian conditional of the shared effect given the active rows.
+    """Gaussian conditional of the shared effect given the active rows of
+    the (m, n) residual ``R`` = X - LS.
 
     Returns (mean, per-eigendirection variances, eigenvector basis); with no
     active rows this is the prior.
     """
-    R = data.values - state.loadings @ state.scores
     active = state.inter_mask.astype(bool)
     d, U = kernel.eigensystem()
     w = 1.0 / state.noise_var[active]
@@ -98,11 +98,11 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
                          rng: np.random.Generator) -> None:
     """Draw the shared effect given the active rows, then flip each indicator
     by comparing the row likelihood under the shared effect versus zero."""
-    mean, var_diag, U = shared_effect_posterior(state, data, kernel)
+    R = data.values - state.loadings @ state.scores
+    mean, var_diag, U = shared_effect_posterior(state, R, kernel)
     fstar = mean + U @ (np.sqrt(var_diag) * rng.standard_normal(kernel.n))
     state.shared_effect = fstar
 
-    R = data.values - state.loadings @ state.scores
     quad = R @ fstar
     ss = float(fstar @ fstar)
     mask = draw_indicators(rng, state.inter_prob, (quad - 0.5 * ss) / state.noise_var,

@@ -22,13 +22,15 @@ arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
 feature indices ``affected``, ``seed_group_1`` and ``seed_group_2``.
 
 Configuration: ``key = value`` lines with dotted section prefixes; ``#``
-starts a comment. Recognized keys are listed in CONFIG_KEYS. ``feature_index``
-reads each feature a value names: by its id, else by its 0-based index.
+starts a comment. Recognized keys are listed in CONFIG_KEYS; what each reader
+reads is checked by ``check_config_keys``. ``feature_index`` reads each
+feature a value names: by its id, else by its 0-based index.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -36,10 +38,10 @@ import os
 import platform
 import struct
 import sys
-from dataclasses import replace
+from enum import Enum
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy
@@ -65,6 +67,7 @@ from .prior import BetaTable, InterProbModel, LoadProbModel
 MAGIC = b"FIBUNDLE"
 FORMAT_VERSION = 1
 
+# Every key a configuration may set; ``cli._COMMANDS`` says which command reads it.
 CONFIG_KEYS = """
 model.family              mult_approach1 | mult_approach2 | gp
 model.factors             integer factor count (default 2)
@@ -377,36 +380,22 @@ def read_truth(path, m: int, n: int) -> tuple[SyntheticTruth, str]:
 
 # ------------------------------------------------------ spec serialization
 
-def spec_to_dict(spec: ModelSpec) -> dict:
-    def beta_table(table: BetaTable) -> dict:
-        return {
-            "default": list(table.default),
-            "groups": {k: list(v) for k, v in sorted(table.groups.items())},
-            "entries": {",".join(map(str, k)): list(v) for k, v in sorted(table.entries.items())},
-        }
-
-    return {
-        "family": spec.family.value,
-        "n_factors": spec.n_factors,
-        "slab_var_loading": spec.slab_var_loading,
-        "slab_var_inter": spec.slab_var_inter,
-        "noise_prior": list(spec.noise_prior),
-        "product_var": spec.product_var,
-        "gp_variant": spec.gp_variant,
-        "length_scale": spec.length_scale,
-        "load_prob_model": spec.load_prob_model.value,
-        "inter_prob_model": spec.inter_prob_model.value,
-        "load_prob_prior": beta_table(spec.load_prob_prior),
-        "inter_prob_prior": beta_table(spec.inter_prob_prior),
-        "seed_groups": None if spec.seed_groups is None else
-            {str(k): sorted(int(i) for i in v) for k, v in sorted(spec.seed_groups.items())},
-        "fixed_load_prob": None if spec.fixed_load_prob is None else
-            {f"{i},{l}": v for (i, l), v in sorted(spec.fixed_load_prob.items())},
-        "fixed_inter_prob": None if spec.fixed_inter_prob is None else
-            {str(i): v for i, v in sorted(spec.fixed_inter_prob.items())},
-        "seed_constraints": spec.seed_constraints,
-        "include_interactions": spec.include_interactions,
-    }
+def spec_to_dict(value):
+    """The JSON data of a spec, or of any of its fields: a dataclass as a dict
+    of its fields, an enum by its value, a tuple as a list, a frozenset as its
+    sorted ints, and a mapping with string keys, a tuple key comma-joined."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: spec_to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return [spec_to_dict(v) for v in value]
+    if isinstance(value, frozenset):
+        return sorted(int(i) for i in value)
+    if isinstance(value, Mapping):
+        return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): spec_to_dict(v)
+                for k, v in sorted(value.items())}
+    return value
 
 
 def spec_from_dict(d: dict) -> ModelSpec:
@@ -755,7 +744,7 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
         spec = mult_spec(1 if family is Family.MULT_APPROACH1 else 2, **kwargs)
 
     # the seed groups need the factor count, and each noise key sets half a pair
-    seed_groups = {}
+    seed_groups, group_keys = {}, {}  # group_keys: the key that names each group
     labels = None if data is None else data.feature_ids
     for key, value in cfg.items():
         if key.startswith("model.seed_group."):
@@ -763,11 +752,14 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
             if not 1 <= group <= spec.n_factors:
                 raise ConfigError(f"{key}: seed group {group} outside 1..{spec.n_factors} "
                                   f"(model.factors = {spec.n_factors})")
+            if group in group_keys:
+                raise ConfigError(f"{group_keys[group]} and {key} both name seed group {group}")
+            group_keys[group] = key
             seed_groups[group - 1] = frozenset(feature_index(t.strip(), labels, key)
                                                for t in value.split(",") if t.strip())
     noise_prior = (config_float(cfg, "model.noise_shape", spec.noise_prior[0]),
                    config_float(cfg, "model.noise_scale", spec.noise_prior[1]))
-    return replace(spec, noise_prior=noise_prior, seed_groups=seed_groups or None)
+    return dataclasses.replace(spec, noise_prior=noise_prior, seed_groups=seed_groups or None)
 
 
 _SETTINGS_KEYS = (("mcmc.iters", "n_iters", config_int), ("mcmc.burn_in", "burn_in", config_int),
@@ -781,15 +773,26 @@ def settings_from_config(cfg: dict[str, str]) -> McmcSettings:
                            if key in cfg})
 
 
-def check_config_keys(cfg: dict[str, str]) -> None:
-    """ConfigError naming the first key of ``cfg`` that CONFIG_KEYS does not
-    list; a last segment such as ``<group>`` there stands for any one segment."""
+def check_config_keys(cfg: dict[str, str], reader: str, required: Sequence[str],
+                      reads: Sequence[str]) -> None:
+    """ConfigError for the first fault of ``cfg`` given to ``reader`` (a
+    command, or a spec file's path), which needs ``required`` and reads those
+    and ``reads``, each a key or a section with no dot such as ``model``: a
+    key CONFIG_KEYS does not list (where ``<group>`` stands for any one
+    segment), then a key ``reader`` does not read, then a missing required key."""
     keys = {line.split()[0] for line in CONFIG_KEYS.strip().splitlines()}
     open_heads = {key.rpartition(".")[0] for key in keys if key.endswith(">")}
     for key in cfg:
         head, _, last = key.rpartition(".")
         if key not in keys and not (last and head in open_heads):
             raise ConfigError(f"{key}: unknown key")
+    entries = (*required, *reads)
+    for key in cfg:
+        if key not in entries and key.partition(".")[0] not in entries:
+            raise ConfigError(f"{key}: {reader} does not read this key")
+    for key in required:
+        if key not in cfg:
+            raise ConfigError(f"{reader} requires {key}")
 
 
 # --------------------------------------------------------------- manifest

@@ -256,6 +256,7 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     if spec.n_factors < 2:
         raise InvalidFactorCount(f"need at least 2 factors, got {spec.n_factors}")
     check_positive("slab_var_loading", spec.slab_var_loading)
+    check_positive("slab_var_inter", spec.slab_var_inter)
     a, b = spec.noise_prior
     check_positive("noise_prior shape", a)
     check_positive("noise_prior scale", b)
@@ -279,7 +280,6 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     else:
         if spec.gp_variant is not None or spec.length_scale is not None:
             raise SpecConflict("gp_variant/length_scale apply only to the gp family")
-        check_positive("slab_var_inter", spec.slab_var_inter)
 
     if spec.seed_groups:
         seen: set[int] = set()

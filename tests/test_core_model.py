@@ -120,6 +120,8 @@ BROKEN_SPECS = {
                                     "fixed interaction probability at 3"),
     "one_factor": (mult_spec(2), {"n_factors": 1}, InvalidFactorCount, "at least 2 factors"),
     "zero_slab_var": (mult_spec(2), {"slab_var_loading": 0.0}, SpecConflict, "slab_var_loading"),
+    "gp_negative_slab_var_inter": (gp_spec(1), {"slab_var_inter": -1.0}, SpecConflict,
+                                   "slab_var_inter"),
     "negative_noise_shape": (gp_spec(1), {"noise_prior": (-1.0, 1.1)}, SpecConflict,
                              "noise_prior shape"),
     "nan_noise_scale": (mult_spec(1), {"noise_prior": (2.1, float("nan"))}, SpecConflict,

@@ -104,7 +104,8 @@ class TestSharedEffect:
         chain = make_chain(variant=2)
         st = chain.state
         st.inter_mask[:] = 0
-        mean, var_diag, U = shared_effect_posterior(st, chain.data, chain.kernel)
+        R = chain.data.values - st.loadings @ st.scores
+        mean, var_diag, U = shared_effect_posterior(st, R, chain.kernel)
         d, _ = chain.kernel.eigensystem()
         np.testing.assert_array_equal(mean, np.zeros(chain.kernel.n))
         np.testing.assert_allclose(var_diag, d, atol=1e-12)
@@ -119,7 +120,7 @@ class TestSharedEffect:
         st.loadings[:] = 0.0
         st.noise_var[:] = 1.0
         st.inter_mask = np.array([1, 0], dtype=np.int8)
-        mean, var_diag, U = shared_effect_posterior(st, data, k)
+        mean, var_diag, U = shared_effect_posterior(st, data.values, k)
         np.testing.assert_allclose(mean, data.values[0] / 2.0, atol=1e-8)
         np.testing.assert_allclose(var_diag, 0.5, atol=1e-8)
 

@@ -40,10 +40,11 @@ from factorint import (
     standardize_rows,
 )
 from factorint import io as fio
+from factorint import cli
 from factorint.cli import main as cli_main
 from factorint.genomics import MIN_STATES, posterior_mean_scores
 from factorint.model import McmcSettings
-from factorint.prior import build_layout
+from factorint.prior import BetaTable, InterProbModel, build_layout
 from tests_support import states
 
 
@@ -297,6 +298,18 @@ class TestSpecSerialization:
         gp_spec(1),
         gp_spec(5),
         gp_spec(4, fixed_inter_prob={3: 0.0}),
+        # every field but the family-bound ones and load_prob_model away from its
+        # default, which per-entry Beta pairs need
+        mult_spec(1, n_factors=3, slab_var_loading=3.0, slab_var_inter=4.0,
+                  noise_prior=(3.0, 2.0), product_var=1e-4,
+                  inter_prob_model=InterProbModel.GROUPED,
+                  load_prob_prior=BetaTable((2.0, 3.0), {"expected": (9.0, 1.0)},
+                                            {(0, 1): (2.0, 2.0), (11, 2): (1.0, 5.0)}),
+                  inter_prob_prior=BetaTable((1.0, 10.0), {"seed": (1.0, 4.0)}),
+                  seed_groups={0: frozenset({0, 1, 10}), 2: frozenset({5})},
+                  fixed_load_prob={(3, 0): 1.0, (3, 1): 0.0}, fixed_inter_prob={7: 0.0, 12: 1.0},
+                  seed_constraints=False, include_interactions=False),
+        gp_spec(5, length_scale=0.7, load_prob_prior=BetaTable(groups={"excluded": (1.0, 9.0)})),
     ])
     def test_round_trip(self, spec):
         assert fio.spec_from_dict(fio.spec_to_dict(spec)) == spec
@@ -386,6 +399,9 @@ def config_key_names() -> list[str]:
             names.append(key)
     return names
 
+
+# the first segment of every listed key; reading all of them reads every key
+SECTIONS = tuple(sorted({key.split(".")[0] for key in config_key_names()}))
 
 config_values = (
     st.sampled_from(["", "-", "--1", "²", "٣", "1e400", "nan", "-inf", "0", "-1", "1, 10",
@@ -488,14 +504,14 @@ class TestConfigParsing:
     @pytest.mark.parametrize("key", ["model.gamma.expected", "model.beta.seed",
                                      "model.seed_group.3", "mcmc.iters", "overlap.replicates"])
     def test_listed_keys_and_placeholders_are_known(self, key):
-        fio.check_config_keys({key: ""})
+        fio.check_config_keys({key: ""}, "test", (), SECTIONS)
 
     @pytest.mark.parametrize("key", ["model.familly", "mcmc.iter", "simulate.featurs",
                                      "paths.annotation", "model.gamma.", "model.gamma.a.b",
                                      "model.seed_group", "family", ""])
     def test_unlisted_key_is_rejected(self, key):
         with pytest.raises(ConfigError, match=f"^{re.escape(key)}: unknown key$"):
-            fio.check_config_keys({"mcmc.iters": "1", key: ""})
+            fio.check_config_keys({"mcmc.iters": "1", key: ""}, "test", (), SECTIONS)
 
 
 ARTIFACT_SUFFIXES = (".csv", ".bin", ".json", ".cfg")
@@ -516,10 +532,34 @@ def test_every_config_key_literal_in_the_package_is_listed():
     unknown = []
     for key in sorted(literals):
         try:
-            fio.check_config_keys({key: ""})
+            fio.check_config_keys({key: ""}, "test", (), SECTIONS)
         except ConfigError:
             unknown.append(key)
     assert not unknown, f"key literals that CONFIG_KEYS does not list: {unknown}"
+
+
+def reads_key(entries, key: str) -> bool:
+    """Whether a reader of the table entries ``entries`` reads ``key``."""
+    try:
+        fio.check_config_keys({key: ""}, "reader", (), entries)
+    except ConfigError:
+        return False
+    return True
+
+
+def test_every_listed_key_is_read_and_every_read_entry_is_listed():
+    """The command table and CONFIG_KEYS agree: a documented key that nothing
+    reads, or a table entry that names no key or section, shows here."""
+    listed = [line.split()[0] for line in fio.CONFIG_KEYS.strip().splitlines()]
+    # each command's entries, and a compare.specs file's
+    readers = [(*required, *reads) for _, required, reads in cli._COMMANDS.values()]
+    readers.append(("model",))
+    unread = [key for key in listed if not any(reads_key(entries, key) for entries in readers)]
+    assert not unread, f"listed keys that no command reads: {unread}"
+    sections = {key.split(".")[0] for key in listed}
+    unlisted = [entry for entries in readers for entry in entries
+                if entry not in listed and entry not in sections]
+    assert not unlisted, f"table entries that are neither a listed key nor a section: {unlisted}"
 
 
 def run_cli(*argv):
@@ -542,6 +582,23 @@ def fitted(tmp_path_factory):
     return out
 
 
+def command_settings(root: Path, command: str) -> list[str]:
+    """``key=value`` settings under which ``command`` runs on the files of the
+    ``fitted`` directory ``root``; each is a key the command reads."""
+    draws = f"paths.draws={root / 'draws.bin'}"
+    return {
+        "fit": [f"paths.data={root / 'data.csv'}", "mcmc.iters=30", "mcmc.burn_in=10"],
+        "simulate": [],
+        "test-overlap": ["overlap.population=100", "overlap.counts=10,10", "overlap.observed=0"],
+        "detect": [draws],
+        "export-surface": [draws, "surface.feature=0"],
+        "summarize": [draws],
+        "compare": [f"paths.data={root / 'sim' / 'data.csv'}",
+                    f"paths.truth={root / 'sim' / 'truth.bin'}",
+                    f"compare.specs={root / 'sim' / 'mult2.cfg'}"],
+    }[command]
+
+
 def option_args(item: str) -> list[str]:
     """``--config=PATH`` as the --config option, any other ``key=value`` as --set."""
     key, _, value = item.partition("=")
@@ -559,6 +616,18 @@ MISSING_FILE_CASES = [
     ("compare", "compare.specs=no/such/spec.cfg"),
     ("fit", "--config=no/such/run.cfg"),
 ]
+
+
+# per command, one listed key that it does not read
+UNREAD_KEY_CASES = {
+    "simulate": "model.family=gp",
+    "fit": "detect.threshold=0.3",
+    "summarize": "mcmc.seed=99",
+    "detect": "model.length_scale=-3",
+    "compare": "mcmc.chains=3",
+    "test-overlap": "paths.data=/nonexistent",
+    "export-surface": "paths.truth=truth.bin",
+}
 
 
 class TestCli:
@@ -738,20 +807,8 @@ class TestCli:
     ])
     def test_bad_config_value_prints_one_config_error(self, fitted, tmp_path, capsys,
                                                       command, setting):
-        valid = {
-            "fit": [f"paths.data={fitted / 'data.csv'}", "mcmc.iters=30", "mcmc.burn_in=10"],
-            "simulate": [],
-            "test-overlap": ["overlap.population=100", "overlap.counts=10,10",
-                             "overlap.observed=0"],
-            "detect": [f"paths.draws={fitted / 'draws.bin'}"],
-            "export-surface": [f"paths.draws={fitted / 'draws.bin'}"],
-            "summarize": [f"paths.draws={fitted / 'draws.bin'}"],
-            "compare": [f"paths.data={fitted / 'sim' / 'data.csv'}",
-                        f"paths.truth={fitted / 'sim' / 'truth.bin'}",
-                        f"compare.specs={fitted / 'sim' / 'mult2.cfg'}"],
-        }[command]
         args = [command, "--output-dir", str(tmp_path)]
-        for item in valid + [setting]:
+        for item in command_settings(fitted, command) + [setting]:
             args += option_args(item)
         assert run_cli(*args) == 1
         err = capsys.readouterr().err.strip().splitlines()
@@ -776,12 +833,9 @@ class TestCli:
     @pytest.mark.parametrize("command, setting", MISSING_FILE_CASES)
     def test_missing_input_file_names_the_key(self, fitted, tmp_path, capsys, command, setting):
         key, path = setting.split("=")
-        args = [command, "--output-dir", str(tmp_path), "--set", "surface.feature=0",
-                "--set", f"compare.specs={fitted / 'sim' / 'mult2.cfg'}"]
-        for other, name in (("paths.data", "data.csv"), ("paths.draws", "draws.bin"),
-                            ("paths.truth", "sim/truth.bin")):
-            args += ["--set", f"{other}={fitted / name}"]
-        args += option_args(setting)
+        args = [command, "--output-dir", str(tmp_path)]
+        for item in command_settings(fitted, command) + [setting]:
+            args += option_args(item)
         assert run_cli(*args) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"ERROR ConfigError: {key}: no such file {path!r}"]
@@ -791,10 +845,9 @@ class TestCli:
     def test_non_utf8_input_names_the_file(self, fitted, tmp_path, capsys, command, key):
         latin1 = tmp_path / "latin1.txt"
         latin1.write_bytes("model.family = gp  # caf\u00e9\n".encode("latin-1"))
-        args = [command, "--output-dir", str(tmp_path),
-                "--set", f"paths.data={fitted / 'sim' / 'data.csv'}",
-                "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}",
-                *option_args(f"{key}={latin1}")]
+        args = [command, "--output-dir", str(tmp_path)]
+        for item in command_settings(fitted, command) + [f"{key}={latin1}"]:
+            args += option_args(item)
         assert run_cli(*args) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"ERROR ConfigError: {latin1}: not UTF-8 text "
@@ -836,9 +889,9 @@ class TestCli:
                                                  settings, key):
         (tmp_path / "run.cfg").write_text("mcmc.iters = 30\nmcmc.iter = 30\n")
         (tmp_path / "typo.cfg").write_text("model.familly = gp\n")
-        args = [command, "--output-dir", str(tmp_path / "out"),
-                "--set", f"paths.data={fitted / 'sim' / 'data.csv'}",
-                "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}"]
+        args = [command, "--output-dir", str(tmp_path / "out")]
+        for item in command_settings(fitted, command):
+            args += ["--set", item]
         for item in settings:
             name, _, value = item.partition("=")
             args += option_args(f"{name}={tmp_path / value}" if value.endswith(".cfg") else item)
@@ -859,7 +912,7 @@ class TestCli:
                        "--set", f"compare.specs={spec}") == 1
         key = line.split(" = ")[0]
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"ERROR ConfigError: {spec}: {key}: a spec file takes model keys only"]
+        assert err == [f"ERROR ConfigError: {key}: {spec} does not read this key"]
         assert list(out.iterdir()) == []
 
     def test_duplicate_feature_id_prints_one_config_error(self, tmp_path, capsys):
@@ -954,18 +1007,13 @@ class TestCli:
     ])
     def test_missing_required_key_prints_one_config_error(self, fitted, tmp_path, capsys,
                                                           command, key):
-        given = {"paths.data": fitted / "sim" / "data.csv",
-                 "paths.truth": fitted / "sim" / "truth.bin",
-                 "compare.specs": fitted / "sim" / "mult2.cfg", "surface.feature": "0",
-                 "overlap.population": "100", "overlap.counts": "10,10", "overlap.observed": "0"}
         args = [command, "--output-dir", str(tmp_path)]
-        for other, value in given.items():
-            if other != key:
-                args += ["--set", f"{other}={value}"]
+        for item in command_settings(fitted, command):
+            if not item.startswith(f"{key}="):
+                args += ["--set", item]
         assert run_cli(*args) == 1
-        needed = "this command" if key == "paths.draws" else command
         assert capsys.readouterr().err.strip().splitlines() == [
-            f"ERROR ConfigError: {needed} requires {key}"]
+            f"ERROR ConfigError: {command} requires {key}"]
 
     @pytest.mark.parametrize("key, text, message", [
         ("paths.data", "", "{path}: empty data file"),
@@ -1072,14 +1120,56 @@ class TestCli:
                                               ("export-surface", "surface.feature")])
     def test_a_feature_token_that_names_nothing_prints_one_config_error(self, fitted, tmp_path,
                                                                         capsys, command, key):
-        assert run_cli(command, "--output-dir", str(tmp_path),
-                       "--set", f"paths.data={fitted / 'data.csv'}",
-                       "--set", f"paths.draws={fitted / 'draws.bin'}",
-                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10",
-                       "--set", f"{key}=f0001, g9") == 1
+        args = [command, "--output-dir", str(tmp_path)]
+        for item in command_settings(fitted, command) + [f"{key}=f0001, g9"]:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
         token = "g9" if command == "fit" else "f0001, g9"
         assert capsys.readouterr().err.strip().splitlines() == [
             f"ERROR ConfigError: {key}: {token!r} is neither a feature id nor an index in 0..5"]
+
+    @pytest.mark.parametrize("via", ["--set", "--config"])
+    @pytest.mark.parametrize("command", UNREAD_KEY_CASES)
+    def test_a_key_the_command_does_not_read_prints_one_config_error(self, tmp_path, capsys,
+                                                                     command, via):
+        # every input file the command needs is missing, so a command that
+        # read one before checking its keys would fail on the file instead
+        setting = UNREAD_KEY_CASES[command]
+        (tmp_path / "run.cfg").write_text(setting.replace("=", " = ", 1) + "\n")
+        out = tmp_path / "out"
+        args = [command, "--output-dir", str(out)]
+        for item in command_settings(tmp_path / "absent", command):
+            args += ["--set", item]
+        args += ["--config", str(tmp_path / "run.cfg")] if via == "--config" else ["--set", setting]
+        assert run_cli(*args) == 1
+        key = setting.split("=")[0]
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: {key}: {command} does not read this key"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["summarize", "detect", "export-surface"])
+    def test_seed_option_of_a_command_without_a_seed_prints_one_config_error(
+            self, fitted, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        args = [command, "--output-dir", str(out), "--seed", "99"]
+        for item in command_settings(fitted, command):
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: mcmc.seed: {command} does not read this key"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("other", ["model.seed_group.01", "model.seed_group.+1"])
+    def test_two_keys_of_one_seed_group_print_one_config_error(self, fitted, tmp_path, capsys,
+                                                               other):
+        out = tmp_path / "out"
+        args = ["fit", "--output-dir", str(out)]
+        for item in command_settings(fitted, "fit") + ["model.seed_group.1=0,1", f"{other}=5"]:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: model.seed_group.1 and {other} both name seed group 1"]
+        assert list(out.iterdir()) == []
 
 
 class TestCompareTruth:
