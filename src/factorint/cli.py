@@ -161,19 +161,20 @@ def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
 
 
 def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
-    data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
-    truth_path = _input_file("paths.truth", cfg["paths.truth"])
-    specs, labels = [], {}  # labels: the file stem of each spec path, which names its rows
+    settings = fio.settings_from_config(cfg)
+    # every spec file is read and key-checked before the data is read
+    subs, labels = [], {}  # labels: the file stem of each spec path, which names its rows
     for p in (p.strip() for p in cfg["compare.specs"].split(",") if p.strip()):
         label = Path(p).stem
         if label in labels:
             raise ConfigError(f"compare.specs: {labels[label]!r} and {p!r} share the file stem "
                               f"{label!r}, which labels a model's row and surface file")
         labels[label] = p
-        sub = fio.read_config(_input_file("compare.specs", p))
-        fio.check_config_keys(sub, p, (), ("model",))
-        specs.append(fio.spec_from_config(sub, data))
-    settings = fio.settings_from_config(cfg)
+        subs.append(fio.read_config(_input_file("compare.specs", p)))
+        fio.check_config_keys(subs[-1], p, (), ("model",))
+    truth_path = _input_file("paths.truth", cfg["paths.truth"])
+    data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
+    specs = [fio.spec_from_config(sub, data) for sub in subs]
     truth, _digests[str(truth_path)] = fio.read_truth(truth_path, *data.values.shape)
     report = compare_models(data, truth, specs, settings, labels=list(labels))
     report.write_csv(out / "comparison.csv")

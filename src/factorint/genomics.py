@@ -163,7 +163,8 @@ def detect_interactions(draws: PosteriorDraws, threshold: float = 0.5) -> dict[i
 # numpy's hypergeometric sampler takes group sizes below 10**9 only.
 MAX_POPULATION = 10**9
 
-# Null replicates drawn together: working memory is O(block x n_sets).
+# Null replicates drawn together: working memory is O(block x n_sets), plus the
+# histogram of overlaps, which spans their range whatever the replicate count.
 _OVERLAP_BLOCK = 8192
 
 
@@ -192,7 +193,13 @@ class OverlapTestInput:
 
 @dataclass(frozen=True)
 class OverlapReplicates:
-    overlaps: np.ndarray
+    """The null as a histogram: ``counts[i]`` replicates drew the overlap
+    ``values[i]``; ``values`` runs from the smallest overlap drawn to the
+    largest, one apart. ``np.repeat(values, counts)`` lists the replicates
+    in sorted order."""
+
+    values: np.ndarray
+    counts: np.ndarray
     mean: float
     sd: float
     n_at_least_observed: int
@@ -213,23 +220,26 @@ def overlap_permutation_test(inp: OverlapTestInput, seed: int = 0,
     k = 1. A further set of size s takes x ~ multivariate-hypergeometric(group
     sizes, s) from the groups, adds sum_k k * x_k to the overlap and moves the
     x_k elements up one group; x is drawn as a chain of conditional
-    hypergeometric draws, each broadcast over a block of replicates. Memory is
-    O(block x n_sets) whatever the population size, which numpy's sampler
-    bounds below ``MAX_POPULATION``. The replicates depend on the block size.
+    hypergeometric draws, each broadcast over a block of replicates. Each
+    block's overlaps are tallied into one histogram and dropped, so memory is
+    O(block x n_sets + range of overlaps), whatever the population size
+    (which numpy's sampler bounds below ``MAX_POPULATION``) and the replicate
+    count. The replicates depend on the block size.
     """
     rng = stream(seed, 0, "overlap")
     first, *later = inp.per_dataset_counts
     weights = np.arange(len(later) + 2)
-    overlaps = np.zeros(inp.n_replicates, dtype=np.int64)
+    lowest, counts = None, np.zeros(0, dtype=np.int64)
     for start in range(0, inp.n_replicates, _OVERLAP_BLOCK):
-        block = overlaps[start:start + _OVERLAP_BLOCK]
+        size = min(_OVERLAP_BLOCK, inp.n_replicates - start)
+        block = np.zeros(size, dtype=np.int64)
         # groups[:, k]: elements that k of the sets placed so far contain
-        groups = np.zeros((block.size, weights.size), dtype=np.int64)
+        groups = np.zeros((size, weights.size), dtype=np.int64)
         groups[:, 0] = inp.population_size - first
         groups[:, 1] = first
         for d, count in enumerate(later, start=1):
             taken = np.zeros_like(groups)
-            left = np.full(block.size, count, dtype=np.int64)
+            left = np.full(size, count, dtype=np.int64)
             above = groups[:, 1:d + 1].sum(axis=1)
             for k in range(d):
                 taken[:, k] = rng.hypergeometric(groups[:, k], above, left)
@@ -239,12 +249,31 @@ def overlap_permutation_test(inp: OverlapTestInput, seed: int = 0,
             block += taken @ weights
             groups -= taken
             groups[:, 1:] += taken[:, :-1]
-    at_least = int(np.count_nonzero(overlaps >= inp.observed_overlap))
-    p_value = at_least / inp.n_replicates
-    return p_value, OverlapReplicates(
-        overlaps=overlaps, mean=float(overlaps.mean()),
-        sd=float(overlaps.std(ddof=1)) if inp.n_replicates > 1 else 0.0,
-        n_at_least_observed=at_least)
+        lowest, counts = _tally(block, lowest, counts)
+    offsets = np.arange(counts.size, dtype=np.int64)
+    values = lowest + offsets
+    n = inp.n_replicates
+    # the exact integer sum over n, so np.repeat(values, counts).mean() bit for
+    # bit; summed from ``lowest`` so that no int64 sum can overflow
+    mean = (lowest * n + int(counts @ offsets)) / n
+    sd = math.sqrt(float(counts @ (values - mean) ** 2) / (n - 1)) if n > 1 else 0.0
+    at_least = int(counts[max(inp.observed_overlap - lowest, 0):].sum())
+    return at_least / n, OverlapReplicates(values=values, counts=counts, mean=mean, sd=sd,
+                                           n_at_least_observed=at_least)
+
+
+def _tally(block: np.ndarray, lowest: int | None,
+           counts: np.ndarray) -> tuple[int, np.ndarray]:
+    """The histogram ``counts`` of values from ``lowest`` on, with ``block``
+    added; it widens only as far as the block reaches past it."""
+    lo, hi = int(block.min()), int(block.max())
+    if lowest is None:
+        lowest = lo
+    before, after = max(lowest - lo, 0), max(hi + 1 - lowest - counts.size, 0)
+    if before or after:
+        counts, lowest = np.pad(counts, (before, after)), lowest - before
+    counts[lo - lowest:hi + 1 - lowest] += np.bincount(block - lo)
+    return lowest, counts
 
 
 def two_window_converged(trace: np.ndarray) -> bool | np.ndarray:

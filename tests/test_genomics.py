@@ -210,7 +210,8 @@ class TestOverlapPermutationTest:
                                observed_overlap=60, n_replicates=50)
         p, reps = overlap_permutation_test(inp, seed=0)
         assert p == 1.0
-        assert (reps.overlaps == 60).all()
+        assert reps.values.tolist() == [60]
+        assert reps.counts.tolist() == [50]
 
     def test_two_dataset_mean_matches_hypergeometric_expectation(self):
         inp = OverlapTestInput(population_size=200, per_dataset_counts=(40, 30),
@@ -246,7 +247,8 @@ class TestOverlapPermutationTest:
         p1, r1 = overlap_permutation_test(inp, seed=11)
         p2, r2 = overlap_permutation_test(inp, seed=11)
         assert p1 == p2
-        np.testing.assert_array_equal(r1.overlaps, r2.overlaps)
+        np.testing.assert_array_equal(r1.values, r2.values)
+        np.testing.assert_array_equal(r1.counts, r2.counts)
 
     def test_population_must_stay_below_the_hypergeometric_limit(self):
         with pytest.raises(ConfigError):
@@ -261,7 +263,68 @@ class TestOverlapPermutationTest:
         p, reps = overlap_permutation_test(inp, seed=5)
         assert time.perf_counter() - t0 < 1.0
         assert p == 1.0
-        assert reps.overlaps.shape == (2000,)
+        assert reps.counts.sum() == 2000
+
+    PAPER = dict(population_size=3704, per_dataset_counts=(314, 170, 244, 255),
+                 observed_overlap=136)
+
+    def test_memory_does_not_grow_with_the_replicate_count(self):
+        # storing every replicate (and a float copy for the sd) added 8 bytes
+        # or more per replicate: over 7 MB between these two counts
+        peaks = []
+        for n in (50_000, 500_000):
+            tracemalloc.start()
+            try:
+                overlap_permutation_test(OverlapTestInput(n_replicates=n, **self.PAPER), seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 1e6, f"peaks {peaks[0] / 1e6:.2f}, {peaks[1] / 1e6:.2f} MB"
+
+    def test_statistics_are_those_of_the_replicates_the_histogram_lists(self):
+        inp = OverlapTestInput(n_replicates=30_000, **self.PAPER)
+        p, reps = overlap_permutation_test(replace(inp, observed_overlap=110), seed=9)
+        replicates = np.repeat(reps.values, reps.counts)
+        assert replicates.size == inp.n_replicates
+        assert reps.mean == replicates.mean()
+        assert reps.sd == pytest.approx(replicates.std(ddof=1), rel=1e-13)
+        assert reps.n_at_least_observed == np.count_nonzero(replicates >= 110)
+        assert p == reps.n_at_least_observed / inp.n_replicates
+
+    @pytest.mark.parametrize("observed, expected", [(0, 1.0), (10**6, 0.0)])
+    def test_observed_outside_the_histogram(self, observed, expected):
+        inp = replace(OverlapTestInput(n_replicates=20_000, **self.PAPER),
+                      observed_overlap=observed)
+        p, reps = overlap_permutation_test(inp, seed=6)
+        assert not reps.values[0] <= observed <= reps.values[-1]
+        assert p == expected
+        assert reps.n_at_least_observed == expected * inp.n_replicates
+
+    def test_single_replicate(self):
+        p, reps = overlap_permutation_test(OverlapTestInput(n_replicates=1, **self.PAPER),
+                                           seed=2)
+        assert reps.counts.tolist() == [1]
+        assert reps.mean == float(reps.values[0])
+        assert reps.sd == 0.0
+        assert p == float(reps.values[0] >= 136)
+
+    def test_histogram_spans_only_the_overlaps_drawn(self):
+        # twelve sets of 300 in 1000: overlaps near C(12, 2) * 90 = 5940
+        inp = OverlapTestInput(population_size=1000, per_dataset_counts=(300,) * 12,
+                               observed_overlap=0, n_replicates=20_000)
+        _, reps = overlap_permutation_test(inp, seed=8)
+        assert reps.counts[0] > 0 and reps.counts[-1] > 0
+        assert reps.counts.size == reps.values[-1] - reps.values[0] + 1
+        np.testing.assert_array_equal(np.diff(reps.values), 1)
+        assert reps.values[0] > 5000
+        assert reps.counts.sum() == inp.n_replicates
+
+    def test_tally_widens_the_histogram_both_ways(self):
+        lowest, counts = None, np.zeros(0, dtype=np.int64)
+        for block in ([5, 6], [3], [9], [4, 4], [6]):
+            lowest, counts = genomics._tally(np.array(block), lowest, counts)
+        assert lowest == 3
+        assert counts.tolist() == [1, 2, 1, 2, 0, 0, 1]
 
 
 def loop_overlaps(inp: OverlapTestInput, seed: int) -> np.ndarray:
@@ -302,12 +365,15 @@ class TestOverlapNullDistribution:
         return exact_overlap_pmf(8, (3, 4, 5))
 
     @staticmethod
-    def chi_square_p(overlaps: np.ndarray, pmf: np.ndarray) -> float:
-        observed = np.bincount(overlaps, minlength=pmf.size)
-        assert observed.size == pmf.size
+    def chi_square_p(values: np.ndarray, counts: np.ndarray, pmf: np.ndarray) -> float:
+        """Chi-square p-value of the histogram (``counts`` of each of
+        ``values``) against ``pmf``, which must cover every value drawn."""
+        assert values.max() < pmf.size
+        observed = np.zeros(pmf.size, dtype=np.int64)
+        observed[values] = counts
         assert observed[pmf == 0].sum() == 0
         support = pmf > 0
-        return stats.chisquare(observed[support], pmf[support] * overlaps.size).pvalue
+        return stats.chisquare(observed[support], pmf[support] * counts.sum()).pvalue
 
     def test_enumeration_covers_every_combination(self, tiny_pmf):
         # 70 * 56 equally likely pairs of later sets, support 4..10
@@ -317,11 +383,12 @@ class TestOverlapNullDistribution:
     def test_sampler_matches_exact_pmf(self, tiny_pmf):
         inp = OverlapTestInput(n_replicates=100_000, **self.TINY)
         _, reps = overlap_permutation_test(inp, seed=21)
-        assert self.chi_square_p(reps.overlaps, tiny_pmf) > 1e-3
+        assert self.chi_square_p(reps.values, reps.counts, tiny_pmf) > 1e-3
 
     def test_reference_loop_matches_exact_pmf(self, tiny_pmf):
         inp = OverlapTestInput(n_replicates=20_000, **self.TINY)
-        assert self.chi_square_p(loop_overlaps(inp, seed=22), tiny_pmf) > 1e-3
+        values, counts = np.unique(loop_overlaps(inp, seed=22), return_counts=True)
+        assert self.chi_square_p(values, counts, tiny_pmf) > 1e-3
 
     def test_sampler_moments_at_the_paper_numbers(self):
         n, c = 3704, (314, 170, 244, 255)

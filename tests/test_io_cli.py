@@ -900,6 +900,21 @@ class TestCli:
         assert err == [f"ERROR ConfigError: {key}: unknown key"]
         assert not (tmp_path / "out" / "data.csv").exists()
 
+    def test_compare_checks_its_spec_files_before_it_reads_the_data(self, fitted, tmp_path,
+                                                                    capsys):
+        spec = tmp_path / "typo.cfg"
+        spec.write_text("model.familly = gp\n")
+        data = tmp_path / "data.csv"
+        data.write_text("not,a\ndata file\n")
+        out = tmp_path / "out"
+        assert run_cli("compare", "--output-dir", str(out),
+                       "--set", f"paths.data={data}",
+                       "--set", f"paths.truth={fitted / 'sim' / 'truth.bin'}",
+                       "--set", f"compare.specs={spec}") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "ERROR ConfigError: model.familly: unknown key"]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("line", ["mcmc.iters = 5", "paths.data = data.csv"])
     def test_spec_file_key_outside_model_prints_one_config_error(self, fitted, tmp_path,
                                                                  capsys, line):

@@ -440,4 +440,4 @@ def test_compare_manifest_records_its_spec_files(tmp_path):
                      "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10"]) == 0
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert [(e["path"], e["sha256"]) for e in inputs] == [
-        (str(p), sha256_of(p)) for p in (sim / "data.csv", sim / "truth.bin", spec, other)]
+        (str(p), sha256_of(p)) for p in (spec, other, sim / "truth.bin", sim / "data.csv")]
