@@ -2,8 +2,8 @@
 
 The observation model is X = loadings @ scores + effects + noise, where each
 effect row is either zero or a draw from a Gaussian process over the score
-columns (squared-exponential kernel). Its spike-and-slab prior comes from
-``prior``, its loading and indicator draws from ``mult``. Score columns move by
+columns (squared-exponential kernel). Its spike-and-slab prior and indicator
+draw come from ``prior``, its loading draws from ``mult``. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
 scored by the change in the conditional GP density of entry j. A factor for
@@ -21,9 +21,8 @@ import numpy as np
 
 from .kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, posterior_gain, se_kernel
 from .model import DataMatrix, McmcSettings, McmcState, ModelSpec, PosteriorDraws, run_chain
-from .mult import (Chain, draw_indicators, shared_log_joint, update_loadings, update_noise,
-                   update_probs)
-from .prior import PriorLayout
+from .mult import Chain, shared_log_joint, update_loadings, update_noise, update_probs
+from .prior import PriorLayout, draw_indicators
 
 # Burn-in step-size adaptation: Robbins-Monro decay with a gain floor, so the
 # step keeps tracking the stiffening posterior (effect rows activating) until

@@ -225,12 +225,14 @@ _HASH_CHUNK = 1 << 20
 
 def _sha256(fh, nbytes: int | None = None):
     """sha256 of the next ``nbytes`` bytes of ``fh`` (the rest of the file
-    when None), read in chunks of ``_HASH_CHUNK`` bytes."""
+    when None), read in chunks of ``_HASH_CHUNK`` bytes into one buffer,
+    left uninitialised so that a small file touches only its own pages."""
     digest = hashlib.sha256()
+    buffer = memoryview(np.empty(_HASH_CHUNK, dtype=np.uint8))
     left = math.inf if nbytes is None else nbytes
-    while left > 0 and (chunk := fh.read(min(left, _HASH_CHUNK))):
-        digest.update(chunk)
-        left -= len(chunk)
+    while left > 0 and (got := fh.readinto(buffer[:min(left, _HASH_CHUNK)])):
+        digest.update(buffer[:got])
+        left -= got
     return digest
 
 

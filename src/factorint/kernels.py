@@ -103,12 +103,19 @@ def sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=0)
 
 
+def _se_entries(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarray:
+    """Squared-exponential kernel entries between the columns of ``a`` and
+    ``b``. ``se_kernel`` and ``SweepFactor`` both take their entries from
+    here, so a proposal's kernel row rounds as the rebuilt kernel's does."""
+    return np.exp(-0.5 * sq_distances(a, b) / length_scale**2)
+
+
 def se_kernel(scores: np.ndarray, length_scale: float) -> KernelMatrix:
     """Squared-exponential kernel over the columns of an (L, n) score matrix."""
     if length_scale <= 0:
         raise ValueError(f"length_scale must be positive, got {length_scale}")
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
-    K = np.exp(-0.5 * sq_distances(scores, scores) / length_scale**2)
+    K = _se_entries(scores, scores, length_scale)
     np.fill_diagonal(K, 1.0)
     upper, jitter = _chol_with_jitter(K)
     return KernelMatrix(K, length_scale, jitter, upper)
@@ -189,11 +196,9 @@ class SweepFactor:
         self.whitened.T[...] = whitened
         self._row_columns = np.ascontiguousarray(rows.T)
         self._resid = np.empty(k)
-        # [t, s]: kernel between proposal t and column s, current or proposed,
-        # rounded as in se_kernel
-        ls2 = kernel.length_scale**2
-        cross = np.exp(-0.5 * sq_distances(proposals, scores) / ls2)
-        self._moved = np.exp(-0.5 * sq_distances(proposals, proposals) / ls2)
+        # [t, s]: kernel between proposal t and column s, current or proposed
+        cross = _se_entries(proposals, scores, kernel.length_scale)
+        self._moved = _se_entries(proposals, proposals, kernel.length_scale)
         # row t: proposal t against the columns in the factor order of its
         # visit, and a last 0 for itself; each row is solved in place at its
         # visit

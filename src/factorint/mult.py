@@ -10,9 +10,9 @@ Update scheme per sweep: loading rows (indicator integrated over the
 coefficient, then the coefficient given the indicator), score columns by
 single-coordinate Gibbs (the conditional stays Gaussian despite the score
 product), interaction-score columns (approach 1), interaction-loading rows,
-noise variances, inclusion probabilities. Bayes factors are formed in log
-space throughout. The spike-and-slab closed forms come from ``prior``; every
-draw from them, for both families, is made here.
+noise variances, inclusion probabilities. Every spike-and-slab draw (its
+Bayes factor formed in log space) is made by ``prior``; this module owns the
+residual each slab column is drawn from, and the blocks both families share.
 """
 
 from __future__ import annotations
@@ -32,41 +32,14 @@ from .model import (
     state_shapes,
 )
 from .prior import (
-    InclusionPrior,
     PriorLayout,
     build_layout,
-    clip_prob,
+    draw_prior_indicators,
+    draw_slab_column,
     inclusion_log_density,
-    inclusion_posterior_params,
-    slab_log_bayes_factor,
+    sample_inclusion_probs,
     slab_log_density,
-    slab_posterior,
 )
-
-
-def _logit(p: np.ndarray) -> np.ndarray:
-    p = clip_prob(p)
-    return np.log(p) - np.log1p(-p)
-
-
-def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarray,
-                    fixed: np.ndarray) -> np.ndarray:
-    """Draw one spike-and-slab indicator per entry: on with probability
-    logistic(logit(prob) + log_bf), the prior odds times the slab/spike Bayes
-    factor. ``fixed`` holds NaN for free entries and 0/1 where the inclusion
-    probability is degenerate, which then overrides the posterior."""
-    with np.errstate(over="ignore"):  # exp overflows to inf, giving p = 0
-        p = 1.0 / (1.0 + np.exp(-(_logit(prob) + log_bf)))
-    p = np.where(np.isnan(fixed), p, fixed)
-    return rng.random(p.shape[0]) < p
-
-
-def sample_inclusion_probs(rng: np.random.Generator, prior: InclusionPrior,
-                           mask: np.ndarray) -> np.ndarray:
-    """Draw one probability per share, in share order, and write it into every
-    entry of the share; degenerate entries keep their fixed value."""
-    prob = rng.beta(*inclusion_posterior_params(prior, mask))[prior.share]
-    return np.where(np.isnan(prior.fixed), prob, prior.fixed)
 
 
 def residual_matrix(state: McmcState, data: DataMatrix, spec: ModelSpec) -> np.ndarray:
@@ -79,18 +52,14 @@ def _update_slab_columns(coef: np.ndarray, mask: np.ndarray, prob: np.ndarray,
                          state: McmcState, data: DataMatrix, spec: ModelSpec,
                          rng: np.random.Generator) -> None:
     """Spike-and-slab update of every column of one coefficient block, in
-    place: the indicator integrated over the coefficient, then the
-    coefficient given the indicator. Column l multiplies ``regressors[l]``."""
+    place, each drawn by ``draw_slab_column`` from the residual without its
+    own contribution. Column l multiplies ``regressors[l]``."""
     for l in range(regressors.shape[0]):
         reg = regressors[l]
         R = residual_matrix(state, data, spec)
         R += np.outer(coef[:, l], reg)
-        mean, var = slab_posterior(R, reg, state.noise_var, slab_var)
-        log_bf = slab_log_bayes_factor(mean, var, slab_var)
-        on = draw_indicators(rng, prob[:, l], log_bf, fixed[:, l])
-        draws = mean + np.sqrt(var) * rng.standard_normal(on.shape[0])
-        mask[:, l] = on
-        coef[:, l] = np.where(on, draws, 0.0)
+        mask[:, l], coef[:, l] = draw_slab_column(rng, R, reg, state.noise_var, slab_var,
+                                                  prob[:, l], fixed[:, l])
 
 
 def update_loadings(state: McmcState, data: DataMatrix, spec: ModelSpec,
@@ -211,10 +180,8 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
     shapes = state_shapes(spec, data.n_features, data.n_samples)
     state = McmcState(**{name: np.zeros(shape) for name, shape in shapes.items()})
     state.scores = rng.standard_normal(shapes["scores"])
-    state.load_prob = layout.load.prior_mean()
-    state.inter_prob = layout.inter.prior_mean()
-    state.load_mask = (rng.random(shapes["load_mask"]) < state.load_prob).astype(np.int8)
-    state.inter_mask = (rng.random(shapes["inter_mask"]) < state.inter_prob).astype(np.int8)
+    state.load_prob, state.load_mask = draw_prior_indicators(rng, layout.load)
+    state.inter_prob, state.inter_mask = draw_prior_indicators(rng, layout.inter)
     state.noise_var[:] = 1.0
     if spec.is_mult:
         refresh_products(state, spec)

@@ -7,8 +7,10 @@ probabilities are shared (per entry, global, or per group label derived from
 the seed groups), the rules a spec's prior settings must satisfy, the layout
 ``build_layout`` resolves for a feature count, and the closed forms the
 samplers and the log joints read: the slab conditional and its Bayes factor,
-the conjugate Beta update and the log densities. It draws nothing; every
-random draw stays in the samplers.
+the conjugate Beta update and the log densities. It also makes every draw from
+this prior for both sampler families (starting indicators, indicators given a
+Bayes factor, slab columns, probabilities); the samplers pass in the
+residuals and the streams.
 """
 
 from __future__ import annotations
@@ -145,11 +147,6 @@ class InclusionPrior:
         trials = np.bincount(share.ravel(), weights=counted.ravel(), minlength=pairs.shape[0])
         return cls(fixed, share, pairs[:, 0].copy(), pairs[:, 1].copy(), trials, counted)
 
-    def prior_mean(self) -> np.ndarray:
-        """Per-entry prior mean, with degenerate entries at their fixed value."""
-        mean = (self.a / (self.a + self.b))[self.share]
-        return np.where(np.isnan(self.fixed), mean, self.fixed)
-
 
 @dataclass(frozen=True)
 class PriorLayout:
@@ -213,6 +210,17 @@ def clip_prob(p: np.ndarray) -> np.ndarray:
     return np.clip(p, 1e-300, 1.0 - 1e-16)
 
 
+def _logit(p: np.ndarray) -> np.ndarray:
+    p = clip_prob(p)
+    return np.log(p) - np.log1p(-p)
+
+
+def _pin_fixed(values: np.ndarray, fixed: np.ndarray) -> np.ndarray:
+    """``values`` where ``fixed`` is NaN (a free probability), the fixed 0/1
+    value where it is degenerate: that value overrides the posterior."""
+    return np.where(np.isnan(fixed), values, fixed)
+
+
 def slab_posterior(residual: np.ndarray, regressor: np.ndarray,
                    noise_var: np.ndarray, slab_var: float) -> tuple[np.ndarray, np.ndarray]:
     """Gaussian slab conditional for one coefficient per row.
@@ -268,3 +276,47 @@ def _prob_block(prior: InclusionPrior, mask: np.ndarray, prob: np.ndarray) -> fl
     q = p[first]
     return total + float(np.sum((prior.a[shares] - 1) * np.log(q)
                                 + (prior.b[shares] - 1) * np.log1p(-q)))
+
+
+def draw_prior_indicators(rng: np.random.Generator,
+                          prior: InclusionPrior) -> tuple[np.ndarray, np.ndarray]:
+    """A chain's starting (probabilities, 0/1 indicators) of one block: each
+    entry's prior mean, degenerate entries at their fixed value, and one
+    indicator per entry drawn from it."""
+    prob = _pin_fixed((prior.a / (prior.a + prior.b))[prior.share], prior.fixed)
+    return prob, (rng.random(prob.shape) < prob).astype(np.int8)
+
+
+def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarray,
+                    fixed: np.ndarray) -> np.ndarray:
+    """Draw one spike-and-slab indicator per entry: on with probability
+    logistic(logit(prob) + log_bf), the prior odds times the slab/spike Bayes
+    factor, unless ``fixed`` pins the entry (``_pin_fixed``)."""
+    with np.errstate(over="ignore"):  # exp overflows to inf, giving p = 0
+        p = 1.0 / (1.0 + np.exp(-(_logit(prob) + log_bf)))
+    return rng.random(p.shape[0]) < _pin_fixed(p, fixed)
+
+
+def draw_slab_column(rng: np.random.Generator, residual: np.ndarray, regressor: np.ndarray,
+                     noise_var: np.ndarray, slab_var: float, prob: np.ndarray,
+                     fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Spike-and-slab draw of one coefficient per row, given the (m, n)
+    ``residual`` without the column: returns the indicators, drawn with the
+    coefficient integrated out, and the coefficients given them, 0 where off.
+    A normal is drawn for every row."""
+    mean, var = slab_posterior(residual, regressor, noise_var, slab_var)
+    on = draw_indicators(rng, prob, slab_log_bayes_factor(mean, var, slab_var), fixed)
+    draws = mean + np.sqrt(var) * rng.standard_normal(on.shape[0])
+    return on, np.where(on, draws, 0.0)
+
+
+def sample_inclusion_probs(rng: np.random.Generator, prior: InclusionPrior,
+                           mask: np.ndarray) -> np.ndarray:
+    """Draw one probability per share, in share order, and write it into every
+    entry of the share; degenerate entries keep their fixed value.
+
+    One Beta variate is drawn for every share, including the degenerate
+    per-entry shares whose value is then overwritten, so the stream stays as
+    it is: dropping those draws would move every later variate."""
+    prob = rng.beta(*inclusion_posterior_params(prior, mask))[prior.share]
+    return _pin_fixed(prob, prior.fixed)

@@ -29,8 +29,8 @@ from factorint.gp import (
     update_shared_effect,
 )
 from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows
-from factorint.mult import _logit, initial_state
-from factorint.prior import build_layout
+from factorint.mult import initial_state
+from factorint.prior import _logit, build_layout
 from factorint.rng import stream
 from tests_support import states
 

@@ -214,6 +214,27 @@ def test_a_truth_bundle_is_hashed_once_per_command(tmp_path, monkeypatch):
     assert str(sim / "truth.bin") in [e["path"] for e in manifest["inputs"]]
 
 
+@pytest.mark.parametrize("buffering", [-1, 0], ids=["buffered", "unbuffered"])
+def test_hashing_holds_one_chunk(tmp_path, buffering):
+    # sha256_file and open_draws hash a buffered file, DrawsWriter its
+    # unbuffered FileIO; either way one chunk is held at a time
+    path = tmp_path / "blob.bin"
+    path.write_bytes(np.random.default_rng(0).bytes(4 * fio._HASH_CHUNK + 12345))
+    expected = hashlib.sha256(path.read_bytes())
+    partial = hashlib.sha256(path.read_bytes()[:3 * fio._HASH_CHUNK + 7])
+    with open(path, "rb", buffering=buffering) as fh:
+        tracemalloc.start()
+        try:
+            whole = fio._sha256(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fh.seek(0)
+        assert fio._sha256(fh, 3 * fio._HASH_CHUNK + 7).digest() == partial.digest()
+    assert whole.digest() == expected.digest()
+    assert peak < 1.25 * fio._HASH_CHUNK, peak
+
+
 def test_detect_reads_only_the_interaction_indicators(tmp_path, monkeypatch):
     data, _ = saddle_data(13)
     path = tmp_path / "draws.bin"
