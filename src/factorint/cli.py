@@ -104,8 +104,10 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         frac_affected=fio.config_float(cfg, "simulate.frac_affected", 0.1),
         noise_scale=fio.config_positive(cfg, "simulate.noise_scale", 1.0),
         seed=settings.seed)
-    fio.write_data_csv(out / "data.csv", data)
+    # truth.bin is moved into place whole, so it goes first: a failure leaves
+    # the earlier pair, or a data.csv that does not read or match truth.bin
     _digests[str(out / "truth.bin")] = fio.write_truth(out / "truth.bin", truth, settings.seed)
+    fio.write_data_csv(out / "data.csv", data)
     return settings.seed, ["data.csv", "truth.bin"]
 
 
@@ -172,6 +174,8 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         labels[label] = p
         subs.append(fio.read_config(_input_file("compare.specs", p)))
         fio.check_config_keys(subs[-1], p, (), ("model",))
+    if not subs:
+        raise ConfigError("compare.specs: names no spec file")
     truth_path = _input_file("paths.truth", cfg["paths.truth"])
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     specs = [fio.spec_from_config(sub, data) for sub in subs]

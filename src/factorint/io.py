@@ -14,7 +14,11 @@ Bundle: the binary container used for draws and synthetic truth. Layout:
 8-byte magic ``FIBUNDLE``, little-endian uint32 format version, uint64 header
 length, UTF-8 JSON header describing metadata and every array (name, dtype,
 shape, byte offset and length relative to the payload), the raw C-order array
-payload, and a trailing SHA-256 digest of everything before it.
+payload, and a trailing SHA-256 digest of everything before it. Every bundle,
+whether ``write_bundle`` or a ``DrawsWriter`` writes it, goes through the one
+writer ``_BundleFile``: it writes under ``.<name>.<pid>.tmp`` beside the
+target and moves the file onto the target only once the digest is appended,
+so a failed write leaves the earlier file as it was.
 
 Truth bundle: meta ``{"kind": "truth", "seed": <simulate seed>}`` and the
 arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
@@ -185,39 +189,77 @@ def write_annotation(path, annotation: Annotation) -> None:
 
 # ---------------------------------------------------------------- bundles
 
-def _bundle_layout(meta: dict, arrays: dict[str, np.ndarray]) -> tuple[bytes, list[dict]]:
-    """The bytes of a bundle before its payload (magic, version, header
-    length and header) and the header entry of each array, whose ``offset``
-    is its place in the payload. Only each array's dtype and shape are read,
-    so a broadcast view can stand for an array that is not yet filled."""
-    entries, offset = [], 0
-    for name, arr in arrays.items():
-        entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
-                        "offset": offset, "nbytes": arr.nbytes})
-        offset += arr.nbytes
-    header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
-    head = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)) + header
-    return head, entries
+class _BundleFile:
+    """The one writer of bundle files, used as a context manager. The bundle
+    is written under the name ``.<name>.<pid>.tmp`` beside its ``path``:
+    ``_start`` writes the header and gives each array's offset, ``_write``
+    puts bytes at an offset, and ``_seal`` appends the digest of one
+    read-back of the file. The file is moved onto ``path`` when the block is
+    left without an exception after ``_seal``; otherwise it is removed and
+    ``path`` is left as it was."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self.tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
+
+    def __enter__(self):
+        self.fh = open(self.tmp, "w+b", buffering=0)
+        self.sha256 = None     # set by _seal
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.fh.close()
+        if exc_type is None and self.sha256:
+            os.replace(self.tmp, self.path)
+        else:
+            self.tmp.unlink(missing_ok=True)
+
+    def _start(self, meta: dict, arrays: dict[str, np.ndarray]) -> dict[str, int]:
+        """Write the bytes before the payload (magic, version, header length
+        and the header of ``meta`` and ``arrays``, in payload order); returns
+        each array's offset in the file. Only each array's dtype and shape are
+        read, so a broadcast view can stand for an array that is not yet filled."""
+        entries, offset = [], 0
+        for name, arr in arrays.items():
+            entries.append({"name": name, "dtype": arr.dtype.str, "shape": list(arr.shape),
+                            "offset": offset, "nbytes": arr.nbytes})
+            offset += arr.nbytes
+        header = json.dumps({"meta": meta, "arrays": entries}, sort_keys=True).encode("utf-8")
+        head = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<Q", len(header)) + header
+        self._write(head, 0)
+        self.size = len(head) + offset
+        return {e["name"]: len(head) + e["offset"] for e in entries}
+
+    def _write(self, data, offset: int) -> None:
+        """Write ``data`` (bytes, or an array in C order) at ``offset``; a
+        zero-size array writes nothing."""
+        view = memoryview(np.ascontiguousarray(data).reshape(-1).view(np.uint8))
+        while view:
+            done = os.pwrite(self.fh.fileno(), view, offset)
+            view, offset = view[done:], offset + done
+
+    def _seal(self) -> str:
+        """Append the digest of the file, read back once; returns the whole
+        file's sha256."""
+        self.fh.seek(0)
+        digest = _sha256(self.fh, self.size)
+        trailer = digest.digest()
+        self._write(trailer, self.size)
+        digest.update(trailer)     # now the whole file's
+        self.sha256 = digest.hexdigest()
+        return self.sha256
 
 
 def write_bundle(path, meta: dict, arrays: dict[str, np.ndarray]) -> str:
     """Write ``arrays`` with ``meta`` as one versioned, checksummed bundle;
-    returns the whole file's sha256, its digest extended by the trailer.
-
-    Each array's buffer goes to the file (and the checksum) as it is, with no
-    copy of the payload.
-    """
+    returns the whole file's sha256. Each array's buffer goes to the file as
+    it is, with no copy of the payload."""
     arrays = {name: np.ascontiguousarray(arr) for name, arr in arrays.items()}
-    head, _ = _bundle_layout(meta, arrays)
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        for chunk in (head, *(arr.reshape(-1).view(np.uint8) for arr in arrays.values())):
-            digest.update(chunk)
-            fh.write(chunk)
-        trailer = digest.digest()
-        fh.write(trailer)
-    digest.update(trailer)     # now the whole file's
-    return digest.hexdigest()
+    with _BundleFile(path) as out:
+        offsets = out._start(meta, arrays)
+        for name, arr in arrays.items():
+            out._write(arr, offsets[name])
+        return out._seal()
 
 
 _HASH_CHUNK = 1 << 20
@@ -462,46 +504,20 @@ def persist_draws(draws: PosteriorDraws, path) -> None:
     write_bundle(path, *_draws_layout(draws))
 
 
-class DrawsWriter:
+class DrawsWriter(_BundleFile):
     """A ``run_chain`` sink that writes each retained state straight into its
     slot of a draws bundle, so the chain's states are never all in memory.
     ``close`` returns the chain's ``PosteriorDraws`` with every state field
     left in that file, as ``open_draws`` gives them, without reading it back.
 
     Use it as a context manager around the chain (around all of a run's
-    chains, so that no file moves before the last is done). The bundle is
-    written under a temporary name in the directory of ``path``, completed
-    by ``close`` and moved onto ``path`` when the block is left without an
-    exception; otherwise it is removed and ``path`` is not touched.
-    The file's bytes are those ``persist_draws`` writes for the same chain.
-    The header, which holds the final MH step, is written at the first
-    retained state, as adaptation has stopped by then; ``close`` checks that
-    the step has not moved since, then writes the acceptance ledger and
-    appends the digest of one sequential read of the file.
+    chains, so that no file moves before the last is done); the file is
+    written and moved as every bundle is (``_BundleFile``), and its bytes are
+    those ``persist_draws`` writes for the same chain. The header, which
+    holds the final MH step, is written at the first retained state, as
+    adaptation has stopped by then; ``close`` checks that the step has not
+    moved since, then writes the acceptance ledger and seals the file.
     """
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self.tmp = self.path.with_name(f".{self.path.name}.{os.getpid()}.tmp")
-
-    def __enter__(self) -> "DrawsWriter":
-        self.fh = open(self.tmp, "w+b", buffering=0)
-        self.complete = False
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.fh.close()
-        if exc_type is None and self.complete:
-            os.replace(self.tmp, self.path)
-        else:
-            self.tmp.unlink(missing_ok=True)
-
-    def _write(self, data, offset: int) -> None:
-        """Write the bytes of ``data`` (C-contiguous) at ``offset``."""
-        view = memoryview(data).cast("B")
-        while view:
-            done = os.pwrite(self.fh.fileno(), view, offset)
-            view, offset = view[done:], offset + done
 
     def put(self, k: int, sampler) -> None:
         if k == 0:
@@ -511,13 +527,10 @@ class DrawsWriter:
                 name: np.broadcast_to(v, (n_states, *v.shape)) for name in STATE_FIELDS
                 if (v := getattr(sampler.state, name)) is not None})
             self.rw_step = shell.rw_step_final
-            head, entries = _bundle_layout(*_draws_layout(shell))
-            offsets = {e["name"]: len(head) + e["offset"] for e in entries}
+            offsets = self._start(*_draws_layout(shell))
             self.fields = {name: BundleField(self.path, offsets[name], arr.dtype, arr.shape)
                            for name, arr in shell.values.items()}
             self.ledger = offsets.get("mh_accept_counts")
-            self.size = len(head) + sum(e["nbytes"] for e in entries)
-            self._write(head, 0)
         for name, field in self.fields.items():
             self._write(np.ascontiguousarray(getattr(sampler.state, name), field.dtype),
                         field.offset + k * field.stride)
@@ -528,15 +541,9 @@ class DrawsWriter:
             raise RuntimeError(f"MH step moved after the first retained state "
                                f"({self.rw_step} -> {sampler.rw_step})")
         if self.ledger is not None:
-            self._write(np.ascontiguousarray(sampler.accept_counts), self.ledger)
-        self.fh.seek(0)
-        digest = _sha256(self.fh, self.size)
-        trailer = digest.digest()
-        self._write(trailer, self.size)
-        digest.update(trailer)     # now the whole file's
-        self.complete = True
+            self._write(sampler.accept_counts, self.ledger)
         draws = chain_draws(sampler, self.fields)
-        draws.sha256 = digest.hexdigest()
+        draws.sha256 = self._seal()
         return draws
 
 

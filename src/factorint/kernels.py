@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 from .errors import CholeskyFailure, ShapeMismatch
+from .prior import check_positive
 
 # Jitter escalation, as fractions of trace(K)/n (= 1 for a unit-diagonal kernel).
 JITTER_START = 1e-10
@@ -112,8 +113,7 @@ def _se_entries(a: np.ndarray, b: np.ndarray, length_scale: float) -> np.ndarray
 
 def se_kernel(scores: np.ndarray, length_scale: float) -> KernelMatrix:
     """Squared-exponential kernel over the columns of an (L, n) score matrix."""
-    if length_scale <= 0:
-        raise ValueError(f"length_scale must be positive, got {length_scale}")
+    check_positive("length_scale", length_scale)
     scores = np.atleast_2d(np.asarray(scores, dtype=float))
     K = _se_entries(scores, scores, length_scale)
     np.fill_diagonal(K, 1.0)
@@ -271,8 +271,7 @@ def gp_marginal_loglik_ratio(residual: np.ndarray, kernel: KernelMatrix, sigma2:
     n = kernel.n
     if r.shape[0] != n:
         raise ShapeMismatch(f"residual has length {r.shape[0]}, kernel is {n}x{n}")
-    if sigma2 <= 0:
-        raise ValueError(f"sigma2 must be positive, got {sigma2}")
+    check_positive("sigma2", sigma2)
     C = kernel.regularized() + sigma2 * np.eye(n)
     try:
         L = np.linalg.cholesky(C)

@@ -20,6 +20,7 @@ from factorint import (
     ShapeMismatch,
     SpecConflict,
     clean_seed_genes,
+    gp_marginal_loglik_ratio,
     gp_spec,
     mult_spec,
     se_kernel,
@@ -80,6 +81,15 @@ INPUT_CHECKS = {
     "kernel_rows_of_another_length": (
         lambda d: se_kernel(np.random.default_rng(1).normal(size=(2, 5)), 0.5).logdens(
             np.zeros((2, 4))), ShapeMismatch, "rows have length 4, kernel is 5x5"),
+    **{f"kernel_length_scale_{name}": (
+        lambda d, value=value: se_kernel(np.random.default_rng(1).normal(size=(2, 5)), value),
+        SpecConflict, f"^length_scale must be a positive finite number, got {value}$")
+       for name, value in (("nan", np.nan), ("inf", np.inf), ("zero", 0.0), ("negative", -0.5))},
+    **{f"marginal_ratio_sigma2_{name}": (
+        lambda d, value=value: gp_marginal_loglik_ratio(
+            np.zeros(5), se_kernel(np.random.default_rng(1).normal(size=(2, 5)), 0.5), value),
+        SpecConflict, f"^sigma2 must be a positive finite number, got {value}$")
+       for name, value in (("nan", np.nan), ("inf", np.inf), ("zero", 0.0), ("negative", -1.0))},
 }
 
 

@@ -1,6 +1,7 @@
 """Persistence formats, configuration parsing, and the command-line workflow."""
 
 import ast
+import errno
 import hashlib
 import json
 import os
@@ -131,6 +132,33 @@ class TestBundleFormat:
             fio.read_bundle(path)
         assert err.value.found == 99
         assert err.value.expected == fio.FORMAT_VERSION
+
+    @pytest.mark.parametrize("fault", ["object_dtype", "disk_full"])
+    def test_failed_write_leaves_the_earlier_file(self, tmp_path, monkeypatch, fault):
+        # the bundle is written under a temporary name and moved into place
+        # only when complete, so a write that fails after its header leaves
+        # the earlier file and no temporary file
+        path = tmp_path / "x.bin"
+        fio.write_bundle(path, {"kind": "test"}, {"a": np.ones(5)})
+        earlier = path.read_bytes()
+        arrays = {"a": np.arange(4.0), "b": np.array([1, "x"], dtype=object)}
+        offsets = []
+        if fault == "disk_full":
+            arrays, pwrite = {"a": np.arange(4.0)}, os.pwrite
+
+            def full(fd, data, offset):
+                offsets.append(offset)
+                if offset:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return pwrite(fd, data, offset)
+
+            monkeypatch.setattr(os, "pwrite", full)
+        with pytest.raises(TypeError if fault == "object_dtype" else OSError):
+            fio.write_bundle(path, {"kind": "later"}, arrays)
+        if fault == "disk_full":
+            assert offsets[0] == 0 and len(offsets) == 2  # the header went in
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -1098,6 +1126,36 @@ class TestCli:
             f"ERROR ConfigError: compare.specs: {str(first)!r} and {str(second)!r} share the "
             "file stem 'x', which labels a model's row and surface file"]
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("specs", ["", " , ", ","])
+    def test_compare_specs_naming_no_file_prints_one_config_error(self, fitted, tmp_path,
+                                                                  capsys, specs):
+        out = tmp_path / "out"
+        args = ["compare", "--output-dir", str(out)]
+        for item in command_settings(fitted, "compare") + [f"compare.specs={specs}"]:
+            args += option_args(item)
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "ERROR ConfigError: compare.specs: names no spec file"]
+        assert list(out.iterdir()) == []
+
+    def test_failed_truth_write_leaves_the_earlier_simulation(self, tmp_path, capsys,
+                                                               monkeypatch):
+        out = tmp_path / "sim"
+        args = ["simulate", "--output-dir", str(out), "--set", "simulate.features=20",
+                "--set", "simulate.samples=10"]
+        assert run_cli(*args, "--seed", "1") == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        def full(fd, data, offset):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwrite", full)
+        assert run_cli(*args, "--seed", "2") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
     def test_numeric_feature_ids_name_the_same_feature_in_both_keys(self, tmp_path,
                                                                      monkeypatch):

@@ -1,8 +1,8 @@
 """Each decision has one owner module: ``io`` owns every file layout and
 imports no analysis module, no module reaches into another's private names,
-only ``io`` writes CSV, only ``model`` runs the spec rules, and the CLI leaves the truth bundle's layout to
-``io``. Checked on the source with ``ast``, in the style of
-``test_draws_layering``."""
+only ``io`` writes CSV, only ``model`` runs the spec rules, the CLI leaves
+the truth bundle's layout to ``io``, and one writer writes every bundle.
+Checked on the source with ``ast``, in the style of ``test_draws_layering``."""
 
 import ast
 from pathlib import Path
@@ -87,3 +87,40 @@ def test_cli_leaves_the_truth_layout_to_io(tmp_path):
     assert not literals & arrays
     assert not names & {"read_bundle", "write_bundle"}
     assert {"read_truth", "write_truth"} <= names
+
+
+def owners(picks) -> set[str]:
+    """``module.name`` of each top-level function or class in the package
+    holding a node that ``picks`` selects (``module.<module>`` for a
+    top-level statement)."""
+    return {f"{module}.{getattr(top, 'name', '<module>')}" for module in MODULES
+            for top in parse(module).body if any(map(picks, ast.walk(top)))}
+
+
+def uses(module: str, name: str):
+    """A test of whether a node is ``module.name``, or imports ``name`` from
+    ``module``."""
+    return lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == name
+        and getattr(node.value, "id", None) == module
+        or isinstance(node, ast.ImportFrom) and node.module == module
+        and any(alias.name == name for alias in node.names))
+
+
+def opens_for_binary_writing(node) -> bool:
+    """Whether a node calls ``open`` with a binary mode that writes."""
+    if not (isinstance(node, ast.Call)
+            and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))):
+        return False
+    modes = [arg.value for arg in (*node.args, *(kw.value for kw in node.keywords))
+             if isinstance(arg, ast.Constant) and isinstance(arg.value, str)]
+    return any(set(mode) <= set("rwxabt+") and "b" in mode and set(mode) & set("wax+")
+               for mode in modes)
+
+
+def test_one_writer_writes_every_bundle_and_one_function_hashes():
+    # io._BundleFile places every bundle (truth, persisted and streamed
+    # draws) and io._sha256 takes every digest
+    assert owners(uses("os", "pwrite")) == {"io._BundleFile"}
+    assert owners(opens_for_binary_writing) == {"io._BundleFile"}
+    assert owners(uses("hashlib", "sha256")) == {"io._sha256"}
