@@ -5,15 +5,20 @@ export-surface. ``_COMMANDS`` states the keys each command requires and
 reads; ``main`` rejects any other key before it reads an input file or makes
 the output directory. ``fit`` summarises the draws its ``io.DrawsWriter``s
 return; the other commands read draws through ``io.open_draws``, which reads
-a field only when asked (detect reads only the indicators). Every run writes
-its artifacts plus a ``manifest.json`` recording the configuration it read,
-the seed, a checksum per artifact and per input file read, and the run's wall
-time and peak resident memory. A bundle's checksum (draws or truth) is the
-one its writer or reader took with its digest, so no command reads a bundle
-twice to hash it. Every CSV goes through ``io.write_table``.
-Failures exit nonzero with a single line ``ERROR <Code>: <message>`` on
-stderr. The FACTORINT_OUTPUT_DIR environment variable sets the default
-output directory.
+a field only when asked (detect reads only the indicators). ``main`` runs
+each command inside ``io.landing``: the command writes its artifacts, and
+``io.write_manifest`` a ``manifest.json`` of every one of them, into a
+staging directory, and they are moved into the output directory together,
+the manifest last, only once the command has succeeded. A failed command
+leaves the output directory as it was; a killed one can leave its staging
+directory ``.factorint.<pid>.tmp`` behind. The manifest records the
+configuration the command read, the seed, a checksum per artifact and per
+input file read, and the run's wall time and peak resident memory. A
+bundle's checksum (draws or truth) is the one its writer or reader took with
+its digest, so no command reads a bundle twice to hash it. Every CSV goes
+through ``io.write_table``. Failures exit nonzero with a single line
+``ERROR <Code>: <message>`` on stderr. The FACTORINT_OUTPUT_DIR environment
+variable sets the default output directory.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import argparse
 import os
 import sys
 import time
-from contextlib import ExitStack
 from pathlib import Path
 
 from . import io as fio
@@ -92,11 +96,14 @@ def _input_file(key: str, name: str) -> Path:
 def _output_dir(args) -> Path:
     out = args.output_dir or os.environ.get("FACTORINT_OUTPUT_DIR") or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--output-dir: {out!r} is not a directory") from None
     return path
 
 
-def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_simulate(cfg: dict[str, str], out: Path) -> int:
     settings = fio.settings_from_config(cfg)
     data, truth = generate_saddle_dataset(
         m=fio.config_int(cfg, "simulate.features", 100),
@@ -104,29 +111,23 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
         frac_affected=fio.config_float(cfg, "simulate.frac_affected", 0.1),
         noise_scale=fio.config_positive(cfg, "simulate.noise_scale", 1.0),
         seed=settings.seed)
-    # truth.bin is moved into place whole, so it goes first: a failure leaves
-    # the earlier pair, or a data.csv that does not read or match truth.bin
     _digests[str(out / "truth.bin")] = fio.write_truth(out / "truth.bin", truth, settings.seed)
     fio.write_data_csv(out / "data.csv", data)
-    return settings.seed, ["data.csv", "truth.bin"]
+    return settings.seed
 
 
-def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_fit(cfg: dict[str, str], out: Path) -> int:
     data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
     require_states(settings.n_chains * settings.retained(spec.family))
-    artifacts = (["draws.bin"] if settings.n_chains == 1 else
-                 [f"draws_{c:03d}.bin" for c in range(settings.n_chains)])
-    # every chain's file is moved into place only once the last chain is done
-    with ExitStack() as files:
-        writers = [files.enter_context(fio.DrawsWriter(out / name)) for name in artifacts]
-        all_draws = [fit_spec(spec, data, settings, chain, writer)
-                     for chain, writer in enumerate(writers)]
-
-    _digests.update((str(out / name), draws.sha256) for name, draws in zip(artifacts, all_draws))
+    all_draws = []
+    for chain in range(settings.n_chains):
+        name = "draws.bin" if settings.n_chains == 1 else f"draws_{chain:03d}.bin"
+        with fio.DrawsWriter(out / name) as writer:
+            all_draws.append(fit_spec(spec, data, settings, chain, writer))
+        _digests[str(writer.path)] = all_draws[-1].sha256
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
-    artifacts.append("summary.csv")
 
     if spec.family is Family.GP:
         fio.write_table(out / "acceptance.csv",
@@ -135,8 +136,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
                           f"{draws.rw_step_final:.6g}"]
                          for draws in all_draws
                          for j, (acc, prop) in enumerate(draws.mh_accept_counts.tolist())))
-        artifacts.append("acceptance.csv")
-    return settings.seed, artifacts
+    return settings.seed
 
 
 def _open_draws(cfg: dict[str, str]) -> PosteriorDraws:
@@ -147,22 +147,22 @@ def _open_draws(cfg: dict[str, str]) -> PosteriorDraws:
     return draws
 
 
-def cmd_summarize(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_summarize(cfg: dict[str, str], out: Path) -> int:
     draws = _open_draws(cfg)
     posterior_summary(draws).write_csv(out / "summary.csv")
-    return draws.seed, ["summary.csv"]
+    return draws.seed
 
 
-def cmd_detect(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_detect(cfg: dict[str, str], out: Path) -> int:
     draws = _open_draws(cfg)
     detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
     fids = feature_labels(draws)
     fio.write_table(out / "detected.csv", ["feature_id", "probability"],
                     ([fids[i], f"{prob:.10g}"] for i, prob in sorted(detected.items())))
-    return draws.seed, ["detected.csv"]
+    return draws.seed
 
 
-def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_compare(cfg: dict[str, str], out: Path) -> int:
     settings = fio.settings_from_config(cfg)
     # every spec file is read and key-checked before the data is read
     subs, labels = [], {}  # labels: the file stem of each spec path, which names its rows
@@ -182,15 +182,12 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
     truth, _digests[str(truth_path)] = fio.read_truth(truth_path, *data.values.shape)
     report = compare_models(data, truth, specs, settings, labels=list(labels))
     report.write_csv(out / "comparison.csv")
-    artifacts = ["comparison.csv"]
     for row in report.rows:
-        name = f"surface_{row.label}.csv"
-        row.surface.write_csv(out / name)
-        artifacts.append(name)
-    return settings.seed, artifacts
+        row.surface.write_csv(out / f"surface_{row.label}.csv")
+    return settings.seed
 
 
-def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_test_overlap(cfg: dict[str, str], out: Path) -> int:
     settings = fio.settings_from_config(cfg)
     inp = OverlapTestInput(
         population_size=fio.config_int(cfg, "overlap.population"),
@@ -203,15 +200,15 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
                     [[f"{p_value:.10g}", inp.observed_overlap, inp.n_replicates,
                       f"{reps.mean:.10g}", f"{reps.sd:.10g}"]])
     print(f"p_value={p_value:.10g}")
-    return settings.seed, ["overlap.csv"]
+    return settings.seed
 
 
-def cmd_export_surface(cfg: dict[str, str], out: Path) -> tuple[int, list[str]]:
+def cmd_export_surface(cfg: dict[str, str], out: Path) -> int:
     draws = _open_draws(cfg)
     feature = fio.feature_index(cfg["surface.feature"], feature_labels(draws), "surface.feature")
     effect = posterior_mean_effects(draws, slice(feature, feature + 1))[0]
     export_surface(effect, posterior_mean_scores(draws)[:2]).write_csv(out / "surface.csv")
-    return draws.seed, ["surface.csv"]
+    return draws.seed
 
 
 # command: (function, keys it requires, other keys it reads), each entry a key or
@@ -240,12 +237,13 @@ def main(argv=None) -> int:
         command, required, reads = _COMMANDS[args.command]
         fio.check_config_keys(cfg, args.command, required, reads)
         out = _output_dir(args)
-        seed, artifacts = command(cfg, out)
-        fio.write_manifest(out, args.command, cfg, seed, artifacts,
-                           wall_s=time.perf_counter() - started, inputs=_inputs,
-                           digests=_digests)
-        for name in artifacts:
-            print(f"wrote {out / name}")
+        with fio.landing(out) as stage:
+            seed = command(cfg, stage)
+            manifest = fio.write_manifest(stage, args.command, cfg, seed,
+                                          wall_s=time.perf_counter() - started,
+                                          inputs=_inputs, digests=_digests)
+        for entry in manifest["artifacts"]:
+            print(f"wrote {out / entry['path']}")
     except Exception as exc:  # noqa: BLE001 - contract: one parsable line per failure
         print(f"ERROR {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

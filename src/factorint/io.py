@@ -25,6 +25,15 @@ arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
 (m, 2), ``scores`` (2, n), ``effects`` (m, n), ``noise_var`` (m,), and the
 feature indices ``affected``, ``seed_group_1`` and ``seed_group_2``.
 
+Run directory: ``landing`` is the one way a command's files reach its output
+directory. They are written into a staging directory ``.factorint.<pid>.tmp``
+inside it and moved into place, ``manifest.json`` last, only once the command
+has succeeded. A failed command leaves the output directory as it was; a
+killed one can leave its staging directory behind.
+
+Manifest: ``manifest.json``, written by ``write_manifest``, records a
+checksum for every other file of the run, and ``verify_manifest`` checks them.
+
 Configuration: ``key = value`` lines with dotted section prefixes; ``#``
 starts a comment. Recognized keys are listed in CONFIG_KEYS; what each reader
 reads is checked by ``check_config_keys``. ``feature_index`` reads each
@@ -40,8 +49,10 @@ import json
 import math
 import os
 import platform
+import shutil
 import struct
 import sys
+from contextlib import contextmanager
 from enum import Enum
 from io import StringIO
 from pathlib import Path
@@ -70,6 +81,7 @@ from .prior import BetaTable, InterProbModel, LoadProbModel
 
 MAGIC = b"FIBUNDLE"
 FORMAT_VERSION = 1
+MANIFEST = "manifest.json"
 
 # Every key a configuration may set; ``cli._COMMANDS`` says which command reads it.
 CONFIG_KEYS = """
@@ -141,6 +153,8 @@ def _read_text(path) -> str:
 
 
 def read_data_csv(path) -> DataMatrix:
+    """The data CSV at ``path``; ConfigError, naming the file, when it is
+    not one with at least one data row."""
     reader = csv.reader(StringIO(_read_text(path), newline=""))
     try:
         header = next(reader)
@@ -159,6 +173,8 @@ def read_data_csv(path) -> DataMatrix:
             rows.append([float(c) for c in row[1:]])
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
     return DataMatrix(np.asarray(rows, dtype=float), tuple(feature_ids), tuple(sample_ids))
 
 
@@ -510,10 +526,9 @@ class DrawsWriter(_BundleFile):
     ``close`` returns the chain's ``PosteriorDraws`` with every state field
     left in that file, as ``open_draws`` gives them, without reading it back.
 
-    Use it as a context manager around the chain (around all of a run's
-    chains, so that no file moves before the last is done); the file is
-    written and moved as every bundle is (``_BundleFile``), and its bytes are
-    those ``persist_draws`` writes for the same chain. The header, which
+    Use it as a context manager around the chain; the file is written and
+    moved as every bundle is (``_BundleFile``), and its bytes are those
+    ``persist_draws`` writes for the same chain. The header, which
     holds the final MH step, is written at the first retained state, as
     adaptation has stopped by then; ``close`` checks that the step has not
     moved since, then writes the acceptance ledger and seals the file.
@@ -835,32 +850,55 @@ def _file_entry(path, name: str, sha256: str | None) -> dict:
     return {"path": name, "sha256": sha256 or sha256_file(path), "bytes": path.stat().st_size}
 
 
-def write_manifest(output_dir, command: str, config: dict, seed: int,
-                   artifacts: list[str], wall_s: float, inputs=(), digests=None) -> Path:
-    """Record the resolved configuration, the run environment, the run's
-    footprint (its wall time ``wall_s`` and the peak RSS so far), a checksum
-    for every artifact and one for every file in ``inputs`` the run read,
-    each listed once under the path it was given by. ``digests`` maps paths
-    (as ``str``) to a sha256 the run already took of the whole file, as a
-    ``DrawsWriter`` or ``open_draws`` does; those files are not read again."""
+def write_manifest(output_dir, command: str, config: dict, seed: int, wall_s: float,
+                   inputs=(), digests=None) -> dict:
+    """Write ``manifest.json`` into ``output_dir`` and return what it holds:
+    the resolved configuration, the run environment, the run's footprint
+    (its wall time ``wall_s`` and the peak RSS so far), a checksum for every
+    other file in ``output_dir`` (the run's artifacts, in name order) and one
+    for every file in ``inputs`` the run read, each listed once under the
+    path it was given by. ``digests`` maps paths (as ``str``) to a sha256 the
+    run already took of the whole file, as a ``DrawsWriter`` or
+    ``open_draws`` does; those files are not read again."""
     output_dir = Path(output_dir)
     digests = digests or {}
     entries = [_file_entry(output_dir / name, name, digests.get(str(output_dir / name)))
-               for name in sorted(artifacts)]
+               for name in sorted(p.name for p in output_dir.iterdir()) if name != MANIFEST]
     manifest = {"command": command, "config": config, "seed": seed, "artifacts": entries,
                 "inputs": [_file_entry(name, name, digests.get(name))
                            for name in dict.fromkeys(map(str, inputs))],
                 "environment": _run_environment(),
                 "run": {"wall_s": wall_s, "peak_rss_mb": _peak_rss_mb()}}
-    path = output_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    return path
+    (output_dir / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
+                                       encoding="utf-8")
+    return manifest
 
 
 def verify_manifest(output_dir) -> bool:
+    """Whether every artifact the manifest in ``output_dir`` lists is there
+    with the checksum it records."""
     output_dir = Path(output_dir)
-    manifest = json.loads((output_dir / "manifest.json").read_text(encoding="utf-8"))
-    for entry in manifest["artifacts"]:
-        if sha256_file(output_dir / entry["path"]) != entry["sha256"]:
-            return False
-    return True
+    manifest = json.loads((output_dir / MANIFEST).read_text(encoding="utf-8"))
+    return all((output_dir / entry["path"]).is_file()
+               and sha256_file(output_dir / entry["path"]) == entry["sha256"]
+               for entry in manifest["artifacts"])
+
+
+@contextmanager
+def landing(output_dir):
+    """The one way a run's files reach ``output_dir``: the block writes them
+    into the staging directory it is given, ``.factorint.<pid>.tmp`` inside
+    ``output_dir``. When the block ends without an exception, each file is
+    moved into ``output_dir`` with ``os.replace``, in name order and
+    ``manifest.json`` last; either way the staging directory is then
+    removed, so a failed run leaves ``output_dir`` as it was."""
+    output_dir = Path(output_dir)
+    stage = output_dir / f".factorint.{os.getpid()}.tmp"
+    shutil.rmtree(stage, ignore_errors=True)  # left by a killed process of this pid
+    stage.mkdir()
+    try:
+        yield stage
+        for path in sorted(stage.iterdir(), key=lambda p: (p.name == MANIFEST, p.name)):
+            os.replace(path, output_dir / path.name)
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)

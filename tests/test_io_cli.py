@@ -14,6 +14,7 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
+from fnmatch import fnmatch
 from pathlib import Path
 
 import numpy as np
@@ -627,6 +628,31 @@ def command_settings(root: Path, command: str) -> list[str]:
     }[command]
 
 
+def fill_disk(monkeypatch, pattern: str, nth: int = 1) -> list[str]:
+    """Make the ``nth`` file whose name matches ``pattern`` that ``io`` opens
+    for text writing fail with ENOSPC once half its first line is written;
+    returns the names of the matching files opened, in order."""
+    opened = []
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        if "w" in mode and "b" not in mode and fnmatch(Path(file).name, pattern):
+            opened.append(Path(file).name)
+            if len(opened) == nth:
+                write = fh.write
+
+                def partial(text):
+                    write(text[:len(text) // 2])
+                    fh.flush()
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                fh.write = partial
+        return fh
+
+    monkeypatch.setattr(fio, "open", open_, raising=False)
+    return opened
+
+
 def option_args(item: str) -> list[str]:
     """``--config=PATH`` as the --config option, any other ``key=value`` as --set."""
     key, _, value = item.partition("=")
@@ -1066,7 +1092,7 @@ class TestCli:
          "data matrix contains non-finite entries"),
         ("paths.data", "feature_id,s0,s1\nf0,1,2\n",
          "data matrix needs at least 2 features and 2 samples, got 1x2"),
-        ("paths.data", "feature_id,s0,s1\n", "data matrix must be two-dimensional"),
+        ("paths.data", "feature_id,s0,s1\n", "{path}: no data rows"),
         ("--config", "mcmc.iters = 30\n = 5\n", "{path}:2: empty key"),
     ])
     def test_malformed_input_file_prints_one_config_error(self, tmp_path, capsys, key, text,
@@ -1156,6 +1182,84 @@ class TestCli:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"ERROR OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
         assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    def test_failed_summary_write_leaves_the_earlier_fit(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "out"
+        fio.write_data_csv(tmp_path / "data.csv", small_data(5, m=12, n=10))
+        args = ["fit", "--output-dir", str(out), "--set", f"paths.data={tmp_path / 'data.csv'}",
+                "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10"]
+        assert run_cli(*args, "--seed", "1") == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+
+        opened = fill_disk(monkeypatch, "summary.csv")
+        assert run_cli(*args, "--seed", "2") == 1
+        assert opened == ["summary.csv"]
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+        assert fio.verify_manifest(out)
+
+    def test_failed_surface_write_leaves_the_earlier_comparison(self, fitted, tmp_path, capsys,
+                                                                 monkeypatch):
+        out = tmp_path / "cmp"
+        (tmp_path / "gp.cfg").write_text("model.family = gp\n")
+        args = ["compare", "--output-dir", str(out)]
+        for item in command_settings(fitted, "compare")[:2] + [
+                f"compare.specs={fitted / 'sim' / 'mult2.cfg'}, {tmp_path / 'gp.cfg'}",
+                "mcmc.iters=30", "mcmc.burn_in=10"]:
+            args += option_args(item)
+        assert run_cli(*args, "--seed", "1") == 0
+        earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"surface_mult2.csv", "surface_gp.csv"} <= set(earlier)
+        capsys.readouterr()
+
+        opened = fill_disk(monkeypatch, "surface_*.csv", nth=2)
+        assert run_cli(*args, "--seed", "2") == 1
+        assert opened == ["surface_mult2.csv", "surface_gp.csv"]
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR OSError: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
+
+    @pytest.mark.parametrize("command", cli._COMMANDS)
+    def test_a_run_leaves_its_artifacts_and_manifest_only(self, fitted, tmp_path, command):
+        # no staging directory or temporary file is left beside them
+        out = tmp_path / "out"
+        args = [command, "--output-dir", str(out)]
+        for item in command_settings(fitted, command):
+            args += option_args(item)
+        assert run_cli(*args) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["artifacts"]
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            [entry["path"] for entry in manifest["artifacts"]] + ["manifest.json"])
+        assert fio.verify_manifest(out)
+
+    def test_missing_artifact_fails_the_manifest_check(self, fitted, tmp_path):
+        out = tmp_path / "overlap"
+        args = ["test-overlap", "--output-dir", str(out)]
+        for item in command_settings(fitted, "test-overlap"):
+            args += option_args(item)
+        assert run_cli(*args) == 0
+        assert fio.verify_manifest(out)
+        (out / "overlap.csv").unlink()
+        assert fio.verify_manifest(out) is False
+
+    @pytest.mark.parametrize("via", ["option", "environment"])
+    def test_output_dir_that_is_a_file_prints_one_config_error(self, tmp_path, capsys,
+                                                                monkeypatch, via):
+        monkeypatch.chdir(tmp_path)
+        Path("afile").write_text("kept\n")
+        args = ["simulate", "--set", "simulate.features=20", "--set", "simulate.samples=10"]
+        if via == "option":
+            args += ["--output-dir", "afile"]
+        else:
+            monkeypatch.setenv("FACTORINT_OUTPUT_DIR", "afile")
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "ERROR ConfigError: --output-dir: 'afile' is not a directory"]
+        assert sorted(os.listdir()) == ["afile"]
+        assert Path("afile").read_text() == "kept\n"
 
     def test_numeric_feature_ids_name_the_same_feature_in_both_keys(self, tmp_path,
                                                                      monkeypatch):

@@ -1,7 +1,8 @@
 """Each decision has one owner module: ``io`` owns every file layout and
 imports no analysis module, no module reaches into another's private names,
 only ``io`` writes CSV, only ``model`` runs the spec rules, the CLI leaves
-the truth bundle's layout to ``io``, and one writer writes every bundle.
+the truth bundle's layout to ``io``, one writer writes every bundle, and
+only ``io`` moves a file into place.
 Checked on the source with ``ast``, in the style of ``test_draws_layering``."""
 
 import ast
@@ -124,3 +125,10 @@ def test_one_writer_writes_every_bundle_and_one_function_hashes():
     assert owners(uses("os", "pwrite")) == {"io._BundleFile"}
     assert owners(opens_for_binary_writing) == {"io._BundleFile"}
     assert owners(uses("hashlib", "sha256")) == {"io._sha256"}
+
+
+def test_only_io_moves_files_into_place():
+    # io.landing moves a run's files into its output directory and
+    # io._BundleFile a bundle onto its target; no other code renames a file
+    assert owners(uses("os", "replace")) == {"io._BundleFile", "io.landing"}
+    assert not owners(uses("os", "rename")) | owners(uses("shutil", "move"))
