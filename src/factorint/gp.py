@@ -8,9 +8,10 @@ random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
 scored by the change in the conditional GP density of entry j. A factor for
 the visit order 0..n-1 (``kernels.SweepFactor``), copied at the start of each
-sweep from the kernel's own Cholesky factor, brings each column to the end by
-rotating only the columns already visited, so a proposal costs one triangular
-solve; the kernel is rebuilt, and factored, once per sweep.
+sweep from the kernel's own Cholesky factor, runs the column loop in one
+``sweep`` call: it brings each column to the end by rotating only the columns
+already visited, so a proposal costs one triangular solve, and decides it
+before the next; the kernel is rebuilt, and factored, once per sweep.
 Indicator updates integrate the effect row out analytically, so the spike
 never absorbs the chain; the row (or the shared effect) is redrawn afterwards.
 """
@@ -171,12 +172,13 @@ class GpChain(Chain):
         The sweep's proposals and uniforms are drawn first, column by column,
         and the data and score-prior terms of every column come from one
         vectorised pass: no earlier move in the sweep changes column j's term.
-        The GP term is scored at the sweep's starting jitter, through a
-        ``SweepFactor`` of the current kernel built for this visit order; a
-        proposal whose conditional variance is not positive there is
-        rejected. With no row under the GP prior the term is 0, every column
-        is decided at once and no kernel work is done. The kernel is rebuilt
-        once, after the sweep, if any column moved.
+        The GP term is scored at the sweep's starting jitter, and every
+        column decided, by one ``sweep`` of a ``SweepFactor`` of the current
+        kernel built for this visit order; a proposal whose conditional
+        variance is not positive there is rejected. With no row under the
+        GP prior the term is 0, every column is decided at once and no
+        kernel work is done. The kernel is rebuilt once, after the sweep, if
+        any column moved.
         """
         rng = self.streams.get("scores_mh")
         state, spec = self.state, self.spec
@@ -191,13 +193,7 @@ class GpChain(Chain):
         delta = column_data_deltas(state, self.data, proposals)
         rows = gp_rows(state, spec)
         if rows.shape[0]:
-            accept = np.zeros(n, dtype=bool)
-            factor = SweepFactor(self.kernel, state.scores, proposals, rows)
-            for j, (u, d) in enumerate(zip(log_u.tolist(), delta.tolist())):
-                gp_delta = factor.column_delta(j)
-                if gp_delta is not None and u < d + gp_delta:
-                    accept[j] = True
-                    factor.accept()
+            accept, _ = SweepFactor(self.kernel, state.scores, proposals, rows).sweep(log_u, delta)
         else:
             accept = log_u < delta
         state.scores[:, accept] = proposals[:, accept]

@@ -6,7 +6,7 @@ CSV tables: ``write_table`` writes every one, in the package's one dialect:
 UTF-8, comma-delimited, ``\r\n`` line ends, quotes only where a cell needs them.
 
 Data CSV: first row sample ids (the top-left cell is a label), first column
-feature ids, remaining cells real numbers.
+feature ids, remaining cells finite real numbers; read a row at a time.
 
 Annotation CSV: header ``probe_id,chromosome,position``.
 
@@ -54,7 +54,6 @@ import struct
 import sys
 from contextlib import contextmanager
 from enum import Enum
-from io import StringIO
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -85,9 +84,9 @@ MANIFEST = "manifest.json"
 
 # Every key a configuration may set; ``cli._COMMANDS`` says which command reads it.
 CONFIG_KEYS = """
-model.family              mult_approach1 | mult_approach2 | gp
+model.family              mult_approach1 | mult_approach2 | gp (default mult_approach2)
 model.factors             integer factor count (default 2)
-model.gp_variant          1..5 (gp family)
+model.gp_variant          1..5 (gp family, default 1)
 model.length_scale        positive real (gp family, default 0.2)
 model.product_var         positive real (mult approach 1, default 1e-5)
 model.slab_var_loading    slab variance of the loadings (default 10)
@@ -152,49 +151,68 @@ def _read_text(path) -> str:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
+@contextmanager
+def _csv_reader(path):
+    """A ``csv.reader`` over the file at ``path``, decoded as UTF-8 a block
+    at a time; ConfigError, naming the first byte that is not UTF-8, when
+    the file is not."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield csv.reader(fh)
+        except UnicodeDecodeError:
+            _read_text(path)     # raises the ConfigError with the file's byte offset
+            raise
+
+
 def read_data_csv(path) -> DataMatrix:
     """The data CSV at ``path``; ConfigError, naming the file, when it is
-    not one with at least one data row."""
-    reader = csv.reader(StringIO(_read_text(path), newline=""))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ConfigError(f"{path}: empty data file") from None
-    sample_ids = header[1:]
-    feature_ids = []
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(sample_ids) + 1:
-            raise ConfigError(f"{path}:{lineno}: expected {len(sample_ids) + 1} cells")
-        feature_ids.append(row[0])
+    not one with at least one data row of finite numbers. The cells are
+    parsed a row at a time into float64, so the read holds little more than
+    the matrix."""
+    with _csv_reader(path) as reader:
         try:
-            rows.append([float(c) for c in row[1:]])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            header = next(reader)
+        except StopIteration:
+            raise ConfigError(f"{path}: empty data file") from None
+        sample_ids = header[1:]
+        feature_ids = []
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(sample_ids) + 1:
+                raise ConfigError(f"{path}:{lineno}: expected {len(sample_ids) + 1} cells")
+            feature_ids.append(row[0])
+            try:
+                rows.append(np.fromiter(map(float, row[1:]), dtype=float, count=len(sample_ids)))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+            if not np.isfinite(rows[-1]).all():
+                cell = int(np.argmin(np.isfinite(rows[-1])))
+                raise ConfigError(f"{path}:{lineno}: non-finite value {row[cell + 1]!r} "
+                                  f"for sample {sample_ids[cell]!r}")
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows, dtype=float), tuple(feature_ids), tuple(sample_ids))
+    return DataMatrix(np.stack(rows), tuple(feature_ids), tuple(sample_ids))
 
 
 def read_annotation(path) -> Annotation:
-    reader = csv.reader(StringIO(_read_text(path), newline=""))
-    header = next(reader, None)
-    if header is None or [h.strip() for h in header[:3]] != ["probe_id", "chromosome", "position"]:
-        raise ConfigError(f"{path}: expected header probe_id,chromosome,position")
-    probes, chroms, positions = [], [], []
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) < 3:
-            raise ConfigError(f"{path}:{lineno}: expected 3 cells")
-        probes.append(row[0])
-        chroms.append(row[1])
-        try:
-            positions.append(int(row[2]))
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
+    with _csv_reader(path) as reader:
+        header = [h.strip() for h in next(reader, [])[:3]]
+        if header != ["probe_id", "chromosome", "position"]:
+            raise ConfigError(f"{path}: expected header probe_id,chromosome,position")
+        probes, chroms, positions = [], [], []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) < 3:
+                raise ConfigError(f"{path}:{lineno}: expected 3 cells")
+            probes.append(row[0])
+            chroms.append(row[1])
+            try:
+                positions.append(int(row[2]))
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return Annotation(tuple(probes), tuple(chroms), np.asarray(positions, dtype=np.int64))
 
 

@@ -5,9 +5,10 @@ Gaussian prior on interaction-effect rows. Construction factors K + jitter*I
 once, with an escalating jitter and the columns in reverse order, and the
 module provides the marginal log-likelihood ratio used to decide whether a
 residual row carries a nonlinear effect, and the per-sweep factor
-(``SweepFactor``) that scores the moves of the score columns one after
-another: it starts from a copy of that factor, and scores each move by
-rotating only the columns already visited and one triangular solve.
+(``SweepFactor``) whose one ``sweep`` call scores, decides and makes the
+moves of every score column in turn: it starts from a copy of that factor,
+and scores each move by rotating only the columns already visited and one
+triangular solve.
 Distances are computed with numpy (``sq_distances``), so building a kernel
 imports no ``scipy.spatial``.
 """
@@ -146,20 +147,17 @@ class SweepFactor:
     The factor order starts as the visit order reversed, which is the order
     the kernel's own factor ``kernel.upper`` is in, so the sweep starts from
     a copy of it (no second factorisation, and no second jitter choice).
-    Column t then sits just before the t columns already visited, and
-    ``column_delta(t)`` moves it to the end with Givens rotations of that
-    trailing block alone (``qr_delete`` in place; Seeger 2004, Golub & Van
-    Loan 6.5.4). The whitened rows ride in ``qr_delete``'s orthogonal
-    factor, so the same rotations reach them, and the current conditional is
-    read off the rotated factor: variance ``upper[-1, -1]**2``, whitened
-    residual ``whitened[:, -1]``. A proposal costs one triangular solve, in
-    place, of its kernel row, which is laid out here in the factor order of
-    its visit; the kernel rows of every proposal against every current and
-    proposed column come from one vectorised pass. ``accept`` writes the
-    proposal's factor column and whitened residual into the last slot and
-    its kernel entries into the rows of the proposals still to come; a
-    rejected move changes nothing. After the sweep the factor order is
-    0, ..., n-1.
+    Column t then sits just before the t columns already visited, and the
+    sweep moves it to the end with Givens rotations of that trailing block
+    alone (``qr_delete`` in place; Seeger 2004, Golub & Van Loan 6.5.4). The
+    whitened rows ride in ``qr_delete``'s orthogonal factor, so the same
+    rotations reach them, and the current conditional is read off the
+    rotated factor: variance ``upper[-1, -1]**2``, whitened residual
+    ``whitened[:, -1]``. A proposal costs one triangular solve, in place, of
+    its kernel row, which is laid out here in the factor order of its visit;
+    the kernel rows of every proposal against every current and proposed
+    column come from one vectorised pass. After the sweep the factor order
+    is 0, ..., n-1.
 
     More rows than columns are replaced by the triangle of their QR, which
     has the same Gram matrix and so gives the same densities.
@@ -167,35 +165,27 @@ class SweepFactor:
 
     def __init__(self, kernel: KernelMatrix, scores: np.ndarray, proposals: np.ndarray,
                  rows: np.ndarray):
-        from scipy.linalg import qr_delete
         from scipy.linalg.lapack import dtrtrs
 
         n = kernel.n
         self._n_rows = rows.shape[0]
         if rows.shape[0] > n:
             rows = np.linalg.qr(rows, mode="r")
-        k = rows.shape[0]
         self._variance = 1.0 + kernel.jitter     # diagonal of K + jitter*I
         # one spare column: the visited column is copied there, so that
         # qr_delete's shift lands it, rotated, in the last slot
         self._buffer = np.empty((n, n + 1), order="F")
         self.upper = self._buffer[:, :n]
         self.upper[...] = kernel.upper
-        self._columns = list(self._buffer.T)      # column views, the spare last
-        self._spare = self._columns[n]
-        self._last_slot = n - 1
-        self._last = self._columns[n - 1]
         # qr_delete's orthogonal factor: the rotations reach these rows as
         # they reach the factor's; the rows below k stay 0
         self._q = np.zeros((n, n), order="F")
-        self.whitened = self._q[:k]
-        self._current = self.whitened[:, -1]
+        self.whitened = self._q[:rows.shape[0]]
         whitened, info = dtrtrs(self.upper, rows[:, ::-1].T, lower=0, trans=1)
         if info:
             raise CholeskyFailure("column factor became singular")
         self.whitened.T[...] = whitened
         self._row_columns = np.ascontiguousarray(rows.T)
-        self._resid = np.empty(k)
         # [t, s]: kernel between proposal t and column s, current or proposed
         cross = _se_entries(proposals, scores, kernel.length_scale)
         self._moved = _se_entries(proposals, proposals, kernel.length_scale)
@@ -204,60 +194,65 @@ class SweepFactor:
         # visit
         self._rhs = np.take(cross, _visit_layout(n))
         self._rhs[:, -1] = 0.0
-        self._rhs_flat = self._rhs.reshape(-1)
-        self._dtrtrs = dtrtrs
+
+    def sweep(self, log_u: np.ndarray, data_delta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Visit columns 0, 1, ..., n-1 once each: score moving column t to
+        its proposal, as the change ``gp_delta[t]`` in the summed log-density
+        of the rows, and move it when ``log_u[t] < data_delta[t] +
+        gp_delta[t]``. A proposal whose conditional variance is not positive
+        scores NaN and is rejected. Returns (accepted, gp_delta), both (n,)."""
+        from scipy.linalg import qr_delete
+        from scipy.linalg.lapack import dtrtrs
+
         # the core routine under scipy's batch wrapper, whose checks cost
         # about as much as the rotations
-        self._qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
-        self._next = 0
-        self._var: float | None = None
-
-    def column_delta(self, t: int) -> float | None:
-        """Move column t to the end of the factor, then score moving it to its
-        proposal: the change in the summed log-density of the rows, or None
-        when the proposal's conditional variance is not positive. Columns
-        are visited in the order 0, 1, ..., n-1."""
-        if t != self._next:
-            raise ValueError(f"columns are visited in order: expected {self._next}, got {t}")
-        self._next = t + 1
-        n, p = self._last_slot + 1, self._last_slot - t
-        self._spare[...] = self._columns[p]
-        # positional arguments, which both wrappers parse faster: p=1,
-        # which="col", overwrite_qr, no check_finite; then lower=0, trans=1,
-        # unitdiag=0, lda=n, overwrite_b=1 (the row is solved in place)
-        self._qr_delete(self._q, self._buffer, p, 1, "col", True, False)
-        rhs = self._rhs[t]
-        _, info = self._dtrtrs(self.upper, rhs, 0, 1, 0, n, 1)
-        if info:
-            raise CholeskyFailure("column factor became singular")
-        rhs[-1] = 0.0
-        var = self._variance - rhs.dot(rhs)
-        if not var > 0.0:
-            self._var = None
-            return None
-        self._var = var = float(var)
-        resid = np.subtract(self._row_columns[t], self.whitened @ rhs, out=self._resid)
-        current, r_last = self._current, self._last.item(-1)
-        return 0.5 * (self._n_rows * math.log(r_last * r_last / var)
-                      + float(current.dot(current)) - float(resid.dot(resid)) / var)
-
-    def accept(self) -> None:
-        """Move the column last scored to its proposal."""
-        var = self._var
-        if var is None:
-            raise ValueError("no scored proposal to accept")
-        self._var = None
-        t, sd = self._next - 1, math.sqrt(var)
-        last = self._last
-        last[...] = self._rhs[t]
-        last[-1] = sd
-        np.divide(self._resid, sd, out=self._current)
-        # each later proposal u holds column t at position (n-1-u) + t of
-        # its row, flat index (u+1)(n-1) + t: entries n-1 apart from u = t+1
-        step = self._last_slot
-        if t < step:
-            start = (t + 2) * step + t
-            self._rhs_flat[start:start + (step - t) * step:step] = self._moved[t, t + 1:]
+        qr_delete = getattr(qr_delete, "__wrapped__", qr_delete)
+        q, buffer, upper, whitened = self._q, self._buffer, self.upper, self.whitened
+        n = upper.shape[0]
+        last_slot = n - 1
+        columns = list(buffer.T)      # column views, the spare last
+        spare, last = columns[n], columns[last_slot]
+        current, resid = whitened[:, -1], np.empty(whitened.shape[0])
+        rhs_flat = self._rhs.reshape(-1)
+        accepted = np.zeros(n, dtype=bool)
+        gp_delta = np.full(n, np.nan)
+        for t, (u, d) in enumerate(zip(log_u.tolist(), data_delta.tolist())):
+            p = last_slot - t
+            spare[...] = columns[p]
+            # positional arguments, which both wrappers parse faster: p=1,
+            # which="col", overwrite_qr, no check_finite; then lower=0,
+            # trans=1, unitdiag=0, lda=n, overwrite_b=1 (the row is solved
+            # in place)
+            qr_delete(q, buffer, p, 1, "col", True, False)
+            rhs = self._rhs[t]
+            _, info = dtrtrs(upper, rhs, 0, 1, 0, n, 1)
+            if info:
+                raise CholeskyFailure("column factor became singular")
+            rhs[-1] = 0.0
+            var = self._variance - float(rhs.dot(rhs))
+            if not var > 0.0:
+                continue
+            np.subtract(self._row_columns[t], whitened @ rhs, out=resid)
+            r_last = last.item(-1)
+            delta = 0.5 * (self._n_rows * math.log(r_last * r_last / var)
+                           + float(current.dot(current)) - float(resid.dot(resid)) / var)
+            gp_delta[t] = delta
+            if not u < d + delta:
+                continue
+            # the proposal's factor column and whitened residual go to the
+            # last slot, its kernel entries to the rows of the proposals
+            # still to come: each later proposal v holds column t at position
+            # (n-1-v) + t of its row, flat index (v+1)(n-1) + t, entries n-1
+            # apart from v = t+1
+            accepted[t] = True
+            sd = math.sqrt(var)
+            last[...] = rhs
+            last[-1] = sd
+            np.divide(resid, sd, out=current)
+            if t < last_slot:
+                start = (t + 2) * last_slot + t
+                rhs_flat[start::last_slot][:last_slot - t] = self._moved[t, t + 1:]
+        return accepted, gp_delta
 
 
 def gp_marginal_loglik_ratio(residual: np.ndarray, kernel: KernelMatrix, sigma2: float) -> float:

@@ -418,6 +418,27 @@ class TestColumnFactorSweep:
             chain.update_score_columns()
             assert len(calls) <= sweep
 
+    @pytest.mark.parametrize("active", [True, False])
+    def test_one_factor_sweep_when_rows_are_under_the_prior(self, monkeypatch, active):
+        # the whole column loop is one call; with no GP row there is no
+        # kernel work at all
+        chain = make_chain(m=6, n=12, sweeps=4)
+        chain.state.inter_mask[:] = 0
+        chain.state.effects[:] = 0.0
+        if active:
+            chain.state.inter_mask[2] = 1
+            chain.state.effects[2] = np.sin(np.arange(12.0))
+        calls = []
+        sweep = SweepFactor.sweep
+
+        def counted(factor, log_u, data_delta):
+            calls.append(log_u.shape)
+            return sweep(factor, log_u, data_delta)
+
+        monkeypatch.setattr(SweepFactor, "sweep", counted)
+        chain.update_score_columns()
+        assert calls == ([(12,)] if active else [])
+
     def test_a_sweep_with_active_rows_factors_its_kernel_once(self, monkeypatch):
         # the score step starts from the kernel's own factor, so the sweep's
         # factorisations are the rebuilt kernel's Cholesky and the effect
@@ -464,19 +485,23 @@ class TestColumnFactorSweep:
             proposals[:, j] = st.scores[:, j] + chain.rw_step * rng.standard_normal(2)
             uniforms[j] = rng.random()
         factor = SweepFactor(kernel, st.scores, proposals, rows)
-        accepted = 0
+        reference, decisions = [], np.zeros(data.n_samples, dtype=bool)
         for j in range(data.n_samples):
             delta, kernel_prop, gp_prop = column_delta_log_joint(
                 st, data, spec, kernel, j, proposals[:, j], gp_cur)
             assert kernel_prop.jitter == kernel.jitter
-            fast = factor.column_delta(j)
-            reference = gp_prop - gp_cur
-            assert abs(fast - reference) <= rtol * max(1.0, abs(reference))
+            reference.append(gp_prop - gp_cur)
             if np.log(uniforms[j]) < delta:
-                factor.accept()
+                decisions[j] = True
                 st.scores[:, j] = proposals[:, j]
                 kernel, gp_cur = kernel_prop, gp_prop
-                accepted += 1
+        # the reference's decisions, forced: log u of -inf accepts, +inf rejects
+        log_u = np.where(decisions, -np.inf, np.inf)
+        got, gp_delta = factor.sweep(log_u, np.zeros(data.n_samples))
+        np.testing.assert_array_equal(got, decisions)
+        for fast, ref in zip(gp_delta, reference):
+            assert abs(fast - ref) <= rtol * max(1.0, abs(ref))
+        accepted = int(decisions.sum())
         assert 0 < accepted < data.n_samples
 
 

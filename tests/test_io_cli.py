@@ -45,7 +45,7 @@ from factorint import io as fio
 from factorint import cli
 from factorint.cli import main as cli_main
 from factorint.genomics import MIN_STATES, posterior_mean_scores
-from factorint.model import McmcSettings
+from factorint.model import Family, McmcSettings
 from factorint.prior import BetaTable, InterProbModel, build_layout
 from tests_support import states
 
@@ -70,6 +70,24 @@ class TestDataCsv:
         path.write_text("feature_id,s1,s2\nf1,1.0\n")
         with pytest.raises(ConfigError):
             fio.read_data_csv(path)
+
+    def test_read_holds_about_the_matrix(self, tmp_path):
+        # the cells are parsed a row at a time: the read's peak is the row
+        # arrays, their stack and the DataMatrix copy, not the file's text
+        # and a Python float per cell (about 16x the matrix)
+        m, n = 400, 250
+        data = DataMatrix(np.random.default_rng(3).normal(size=(m, n)),
+                          tuple(f"f{i}" for i in range(m)), tuple(f"s{j}" for j in range(n)))
+        path = tmp_path / "data.csv"
+        fio.write_data_csv(path, data)
+        tracemalloc.start()
+        try:
+            back = fio.read_data_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(back.values, data.values)
+        assert peak < 4 * data.values.nbytes
 
 
 class TestAnnotationCsv:
@@ -591,6 +609,93 @@ def test_every_listed_key_is_read_and_every_read_entry_is_listed():
     assert not unlisted, f"table entries that are neither a listed key nor a section: {unlisted}"
 
 
+def stated_defaults() -> dict[str, str]:
+    """The "(default ...)" of each CONFIG_KEYS line that states one."""
+    stated = {}
+    for line in fio.CONFIG_KEYS.strip().splitlines():
+        match = re.search(r"\((?:[^()]*, )?default ([^()]*)\)", line)
+        if match:
+            stated[line.split()[0]] = match.group(1)
+    return stated
+
+
+class CommandCalled(Exception):
+    """Stops a command at the call whose arguments a test reads."""
+
+
+def command_defaults(monkeypatch, tmp_path) -> dict[str, object]:
+    """The value the commands use for each simulate.*, detect.threshold and
+    overlap.replicates key when the configuration leaves it out."""
+    calls = []
+
+    def stop(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise CommandCalled
+
+    for name in ("generate_saddle_dataset", "detect_interactions", "overlap_permutation_test"):
+        monkeypatch.setattr(cli, name, stop)
+    monkeypatch.setattr(cli, "_open_draws", lambda cfg: None)
+    for command, cfg in (("simulate", {}), ("detect", {}),
+                         ("test-overlap", {"overlap.population": "100",
+                                           "overlap.counts": "10,10", "overlap.observed": "0"})):
+        with pytest.raises(CommandCalled):
+            cli._COMMANDS[command][0](cfg, tmp_path)
+    (_, simulate), ((_, threshold), _), ((overlap,), _) = calls
+    return {"simulate.features": simulate["m"], "simulate.samples": simulate["n"],
+            "simulate.frac_affected": simulate["frac_affected"],
+            "simulate.noise_scale": simulate["noise_scale"],
+            "detect.threshold": threshold, "overlap.replicates": overlap.n_replicates}
+
+
+# config key: the value it sets, read off a ModelSpec
+SPEC_FIELDS = {
+    "model.factors": lambda spec: spec.n_factors,
+    "model.length_scale": lambda spec: spec.length_scale,
+    "model.product_var": lambda spec: spec.product_var,
+    "model.slab_var_loading": lambda spec: spec.slab_var_loading,
+    "model.slab_var_inter": lambda spec: spec.slab_var_inter,
+    "model.noise_shape": lambda spec: spec.noise_prior[0],
+    "model.noise_scale": lambda spec: spec.noise_prior[1],
+    "model.seed_constraints": lambda spec: spec.seed_constraints,
+    "model.include_interactions": lambda spec: spec.include_interactions,
+}
+# keys read by one family only
+FAMILY_ONLY = {"model.length_scale": "gp", "model.product_var": "mult_approach1"}
+
+
+def test_every_stated_default_is_the_value_used(monkeypatch, tmp_path):
+    """Each "(default ...)" in CONFIG_KEYS is what the code uses when the key
+    is left out: the model specs, ``McmcSettings`` and the command defaults."""
+    used = command_defaults(monkeypatch, tmp_path)
+    used["model.family"] = fio.spec_from_config({}).family.value
+    used["model.gp_variant"] = fio.spec_from_config({"model.family": "gp"}).gp_variant
+    for family in ("mult_approach1", "mult_approach2", "gp"):
+        spec = fio.spec_from_config({"model.family": family})
+        for key, field in SPEC_FIELDS.items():
+            if FAMILY_ONLY.get(key, family) == family:
+                value = field(spec)
+                assert used.setdefault(key, value) == value, (key, family)
+    settings = fio.settings_from_config({})
+    used.update({"mcmc.iters": settings.n_iters, "mcmc.thin": settings.thin,
+                 "mcmc.seed": settings.seed, "mcmc.chains": settings.n_chains,
+                 "mcmc.rw_step": settings.rw_step, "mcmc.adapt_rw": settings.adapt_rw})
+    burn_in = {family: settings.resolve_burn_in(family) for family in Family}
+    assert burn_in[Family.MULT_APPROACH1] == burn_in[Family.MULT_APPROACH2]
+    used["mcmc.burn_in"] = f"{burn_in[Family.MULT_APPROACH2]} mult / {burn_in[Family.GP]} gp"
+
+    stated = stated_defaults()
+    assert stated.keys() == used.keys()
+    for key, text in stated.items():
+        value = used[key]
+        if isinstance(value, bool):
+            assert text == str(value).lower(), key
+        elif isinstance(value, str):
+            assert text == value, key
+        else:
+            assert float(text) == value, key
+    assert stated["mcmc.burn_in"] == "400 mult / 300 gp"
+
+
 def run_cli(*argv):
     return cli_main(list(argv))
 
@@ -1089,7 +1194,9 @@ class TestCli:
         ("paths.data", "feature_id,s0,s1\nf0,1,x\nf1,2,3\n",
          "{path}:2: could not convert string to float: 'x'"),
         ("paths.data", "feature_id,s0,s1\nf0,1,nan\nf1,2,3\n",
-         "data matrix contains non-finite entries"),
+         "{path}:2: non-finite value 'nan' for sample 's1'"),
+        ("paths.data", "feature_id,s0,s1\nf0,1,2\nf1,-inf,3\n",
+         "{path}:3: non-finite value '-inf' for sample 's0'"),
         ("paths.data", "feature_id,s0,s1\nf0,1,2\n",
          "data matrix needs at least 2 features and 2 samples, got 1x2"),
         ("paths.data", "feature_id,s0,s1\n", "{path}: no data rows"),

@@ -223,12 +223,34 @@ class ReferenceColumnFactor:
 
 def identity_kernel_case():
     """Zero jitter and an identity kernel: proposing column 1 onto column 0
-    makes its conditional variance exactly 0."""
+    makes its conditional variance exactly 0 while column 0 stays put."""
     scores = np.array([[0.0, 50.0, 100.0]])
     kernel = KernelMatrix(np.eye(3), 0.2, 0.0, np.eye(3))
     proposals = np.array([[25.0, 0.0, 75.0]])
     rows = np.array([[0.5, -1.0, 2.0]])
     return scores, kernel, proposals, rows
+
+
+def forced(decisions):
+    """``sweep`` arguments that accept exactly the columns marked True (those
+    whose proposal has a positive conditional variance): log u of -inf or
+    +inf, and a data term of 0."""
+    decisions = np.asarray(decisions, dtype=bool)
+    return np.where(decisions, -np.inf, np.inf), np.zeros(decisions.size)
+
+
+def assert_factor_invariants(factor, scores, length_scale, jitter, rows):
+    """After a sweep the factor is K + jitter*I at ``scores`` in column order,
+    and the whitened rows map back to ``rows``, up to their Gram matrix when
+    more rows than columns were replaced by the triangle of their QR."""
+    n = scores.shape[1]
+    C = se_kernel(scores, length_scale).K + jitter * np.eye(n)
+    np.testing.assert_allclose(factor.upper.T @ factor.upper, C, atol=1e-12)
+    back = factor.upper.T @ factor.whitened.T
+    if rows.shape[0] > n:
+        np.testing.assert_allclose(back @ back.T, rows.T @ rows, atol=1e-10)
+    else:
+        np.testing.assert_allclose(back, rows.T, atol=1e-12)
 
 
 class TestColumnFactor:
@@ -237,14 +259,12 @@ class TestColumnFactor:
     def test_nonpositive_conditional_variance_gives_no_delta(self):
         scores, kernel, proposals, rows = identity_kernel_case()
         factor = SweepFactor(kernel, scores, proposals, rows)
-        assert factor.column_delta(0) is not None
-        assert factor.column_delta(1) is None
-        with pytest.raises(ValueError):
-            factor.accept()
-        # column 1 came to the end and stays at its current value
+        # column 1 is asked to move, but its variance is 0 and it scores NaN
+        accepted, gp_delta = factor.sweep(*forced([False, True, True]))
+        np.testing.assert_array_equal(accepted, [False, False, True])
+        np.testing.assert_array_equal(np.isnan(gp_delta), [False, True, False])
         np.testing.assert_array_equal(np.abs(factor.upper), np.eye(3))
-        np.testing.assert_array_equal(np.abs(factor.whitened[:, -1]), [1.0])
-        assert factor.column_delta(2) is not None
+        np.testing.assert_array_equal(factor.upper.T @ factor.whitened.T, rows.T)
 
     def test_factor_tracks_the_moved_kernel(self):
         rng = np.random.default_rng(8)
@@ -252,16 +272,32 @@ class TestColumnFactor:
         kernel = se_kernel(scores, 0.6)
         rows = rng.normal(size=(2, 15))
         proposals = scores + 0.2 * rng.normal(size=(2, 15))
+        decisions = np.arange(15) % 3 == 0
         factor = SweepFactor(kernel, scores, proposals, rows)
-        for j in range(15):
-            assert factor.column_delta(j) is not None
-            if j % 3 == 0:
-                factor.accept()
-                scores[:, j] = proposals[:, j]
+        accepted, gp_delta = factor.sweep(*forced(decisions))
+        assert np.isfinite(gp_delta).all()
+        np.testing.assert_array_equal(accepted, decisions)
+        scores[:, decisions] = proposals[:, decisions]
         # after a whole sweep the factor order is the column order again
-        C = se_kernel(scores, 0.6).K + kernel.jitter * np.eye(15)
-        np.testing.assert_allclose(factor.upper.T @ factor.upper, C, atol=1e-12)
-        np.testing.assert_allclose(factor.upper.T @ factor.whitened.T, rows.T, atol=1e-12)
+        assert_factor_invariants(factor, scores, 0.6, kernel.jitter, rows)
+
+    def test_more_rows_than_columns(self):
+        # 9 rows over 6 columns go through the QR triangle of the rows
+        rng = np.random.default_rng(11)
+        scores = rng.normal(size=(2, 6))
+        kernel = se_kernel(scores, 0.5)
+        rows = (np.linalg.cholesky(kernel.regularized()) @ rng.normal(size=(6, 9))).T
+        proposals = scores + 0.3 * rng.normal(size=(2, 6))
+        decisions = np.array([True, False, True, True, False, False])
+        want = reference_sweep(kernel, scores, proposals, rows, lambda j, _: decisions[j])
+        factor = SweepFactor(kernel, scores, proposals, rows)
+        accepted, gp_delta = factor.sweep(*forced(decisions))
+        np.testing.assert_array_equal(accepted, decisions)
+        for got, ref in zip(gp_delta, want):
+            assert abs(got - ref) <= 1e-10 * max(1.0, abs(ref))
+        moved = scores.copy()
+        moved[:, decisions] = proposals[:, decisions]
+        assert_factor_invariants(factor, moved, 0.5, kernel.jitter, rows)
 
     def test_delta_accuracy_against_mpmath_oracle(self):
         # n = 50, ls = 1.0 and cond(K + jitter*I) about 1e10. Both paths then
@@ -279,16 +315,16 @@ class TestColumnFactor:
         for j in range(8):
             proposals[:, j] += 0.1 * rng.normal(size=2)
         factor = SweepFactor(kernel, scores, proposals, rows)
+        _, gp_delta = factor.sweep(*forced(np.zeros(50, dtype=bool)))
         fast_err, full_err = [], []
         for j in range(8):
-            fast = factor.column_delta(j)
             moved = scores.copy()
             moved[:, j] = proposals[:, j]
             rebuilt = se_kernel(moved, 1.0)
             assert rebuilt.jitter == kernel.jitter
             full = rebuilt.logdens(rows) - kernel.logdens(rows)
             exact = exact_gp_logdens(moved, 1.0, kernel.jitter, rows) - current
-            fast_err.append(abs(float(fast - exact)))
+            fast_err.append(abs(float(gp_delta[j] - exact)))
             full_err.append(abs(float(full - exact)))
         assert max(fast_err) <= 2.0 * max(full_err)
 
@@ -297,17 +333,9 @@ class TestColumnFactor:
         kernel = se_kernel(np.array([[0.3]]), 0.2)
         factor = SweepFactor(kernel, np.array([[0.3]]), np.array([[1.7]]),
                              np.array([[0.4], [-2.0]]))
-        assert abs(factor.column_delta(0)) < 1e-12
-        factor.accept()
+        accepted, gp_delta = factor.sweep(*forced([True]))
+        assert accepted[0] and abs(gp_delta[0]) < 1e-12
         np.testing.assert_allclose(factor.upper, [[np.sqrt(1.0 + kernel.jitter)]], rtol=1e-15)
-
-    def test_columns_are_visited_in_order(self):
-        scores, kernel, proposals, rows = identity_kernel_case()
-        factor = SweepFactor(kernel, scores, proposals, rows)
-        with pytest.raises(ValueError):
-            factor.column_delta(1)
-        with pytest.raises(ValueError):
-            factor.accept()
 
 
 def reference_sweep(kernel, scores, proposals, rows, decide):
@@ -331,8 +359,7 @@ SWEEP_CASES = [(n_rows, ls) for ls in (0.2, 0.5, 0.8) for n_rows in (1, 5, 60)]
 
 
 class TestLeanColumnFactor:
-    """The lean per-proposal path, whole sweeps of ``SweepFactor``, against
-    ``ReferenceColumnFactor``."""
+    """Whole sweeps of ``SweepFactor`` against ``ReferenceColumnFactor``."""
 
     @pytest.mark.parametrize("n_rows, length_scale", SWEEP_CASES,
                              ids=[f"{n}" if ls == 0.2 else f"{n}-ls{ls}" for n, ls in SWEEP_CASES])
@@ -350,21 +377,20 @@ class TestLeanColumnFactor:
             want = reference_sweep(kernel, scores, proposals, rows,
                                    lambda j, _: decisions[j])
             factor = SweepFactor(kernel, scores, proposals, rows)
+            got, gp_delta = factor.sweep(*forced(decisions))
+            np.testing.assert_array_equal(got, decisions)
             for j in range(25):
-                got = factor.column_delta(j)
-                assert abs(got - want[j]) <= 1e-8 * max(1.0, abs(want[j]))
-                if decisions[j]:
-                    factor.accept()
-                    scores[:, j] = proposals[:, j]
-                    accepted += 1
-                else:
-                    rejected += 1
+                assert abs(gp_delta[j] - want[j]) <= 1e-8 * max(1.0, abs(want[j]))
+            scores[:, decisions] = proposals[:, decisions]
+            accepted += int(decisions.sum())
+            rejected += int((~decisions).sum())
         assert accepted > 10 and rejected > 10
 
     def test_nonpositive_variance_matches_the_reference(self):
         scores, kernel, proposals, rows = identity_kernel_case()
         want = reference_sweep(kernel, scores, proposals, rows, lambda j, _: False)
         factor = SweepFactor(kernel, scores, proposals, rows)
-        got = [factor.column_delta(j) for j in range(3)]
-        assert got[1] is want[1] is None
+        accepted, got = factor.sweep(*forced(np.zeros(3, dtype=bool)))
+        assert not accepted.any()
+        assert np.isnan(got[1]) and want[1] is None
         np.testing.assert_allclose([got[0], got[2]], [want[0], want[2]], rtol=1e-15)
