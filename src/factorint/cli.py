@@ -3,7 +3,9 @@
 Commands: simulate, fit, summarize, detect, compare, test-overlap,
 export-surface. ``_COMMANDS`` states the keys each command requires and
 reads; ``main`` rejects any other key before it reads an input file or makes
-the output directory. ``fit`` summarises the draws its ``io.DrawsWriter``s
+the output directory. A command reads each key's value through
+``io.value``, which parses it, or gives its default, by the key's row of
+``io.KEYS``; ``--help`` ends with every key (``io.CONFIG_KEYS``). ``fit`` summarises the draws its ``io.DrawsWriter``s
 return; the other commands read draws through ``io.open_draws``, which reads
 a field only when asked (detect reads only the indicators). ``main`` runs
 each command inside ``io.landing``: the command writes its artifacts, and
@@ -53,7 +55,9 @@ from .simulate import (
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factorint",
-        description="Sparse latent factor models with interaction effects.")
+        description="Sparse latent factor models with interaction effects.",
+        epilog="configuration keys:" + fio.CONFIG_KEYS,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("--config", help="configuration file (key = value lines)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -64,9 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    if args.config:
-        cfg.update(fio.read_config(_input_file("--config", args.config)))
+    cfg = fio.read_config(_input_file("--config", args.config)) if args.config else {}
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set {item!r}: expected KEY=VALUE")
@@ -106,10 +108,10 @@ def _output_dir(args) -> Path:
 def cmd_simulate(cfg: dict[str, str], out: Path) -> int:
     settings = fio.settings_from_config(cfg)
     data, truth = generate_saddle_dataset(
-        m=fio.config_int(cfg, "simulate.features", 100),
-        n=fio.config_int(cfg, "simulate.samples", 100),
-        frac_affected=fio.config_float(cfg, "simulate.frac_affected", 0.1),
-        noise_scale=fio.config_positive(cfg, "simulate.noise_scale", 1.0),
+        m=fio.value(cfg, "simulate.features"),
+        n=fio.value(cfg, "simulate.samples"),
+        frac_affected=fio.value(cfg, "simulate.frac_affected"),
+        noise_scale=fio.value(cfg, "simulate.noise_scale"),
         seed=settings.seed)
     _digests[str(out / "truth.bin")] = fio.write_truth(out / "truth.bin", truth, settings.seed)
     fio.write_data_csv(out / "data.csv", data)
@@ -117,7 +119,8 @@ def cmd_simulate(cfg: dict[str, str], out: Path) -> int:
 
 
 def cmd_fit(cfg: dict[str, str], out: Path) -> int:
-    data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
+    path = _input_file("paths.data", fio.value(cfg, "paths.data"))
+    data = standardize_rows(fio.read_data_csv(path))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
     require_states(settings.n_chains * settings.retained(spec.family))
@@ -141,7 +144,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> int:
 
 def _open_draws(cfg: dict[str, str]) -> PosteriorDraws:
     """The draws at ``paths.draws``, whose checked digest the manifest reuses."""
-    path = _input_file("paths.draws", cfg["paths.draws"])
+    path = _input_file("paths.draws", fio.value(cfg, "paths.draws"))
     draws = fio.open_draws(path)
     _digests[str(path)] = draws.sha256
     return draws
@@ -155,7 +158,7 @@ def cmd_summarize(cfg: dict[str, str], out: Path) -> int:
 
 def cmd_detect(cfg: dict[str, str], out: Path) -> int:
     draws = _open_draws(cfg)
-    detected = detect_interactions(draws, fio.config_float(cfg, "detect.threshold", 0.5))
+    detected = detect_interactions(draws, fio.value(cfg, "detect.threshold"))
     fids = feature_labels(draws)
     fio.write_table(out / "detected.csv", ["feature_id", "probability"],
                     ([fids[i], f"{prob:.10g}"] for i, prob in sorted(detected.items())))
@@ -166,7 +169,7 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> int:
     settings = fio.settings_from_config(cfg)
     # every spec file is read and key-checked before the data is read
     subs, labels = [], {}  # labels: the file stem of each spec path, which names its rows
-    for p in (p.strip() for p in cfg["compare.specs"].split(",") if p.strip()):
+    for p in fio.value(cfg, "compare.specs"):
         label = Path(p).stem
         if label in labels:
             raise ConfigError(f"compare.specs: {labels[label]!r} and {p!r} share the file stem "
@@ -176,8 +179,9 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> int:
         fio.check_config_keys(subs[-1], p, (), ("model",))
     if not subs:
         raise ConfigError("compare.specs: names no spec file")
-    truth_path = _input_file("paths.truth", cfg["paths.truth"])
-    data = standardize_rows(fio.read_data_csv(_input_file("paths.data", cfg["paths.data"])))
+    truth_path = _input_file("paths.truth", fio.value(cfg, "paths.truth"))
+    path = _input_file("paths.data", fio.value(cfg, "paths.data"))
+    data = standardize_rows(fio.read_data_csv(path))
     specs = [fio.spec_from_config(sub, data) for sub in subs]
     truth, _digests[str(truth_path)] = fio.read_truth(truth_path, *data.values.shape)
     report = compare_models(data, truth, specs, settings, labels=list(labels))
@@ -190,10 +194,10 @@ def cmd_compare(cfg: dict[str, str], out: Path) -> int:
 def cmd_test_overlap(cfg: dict[str, str], out: Path) -> int:
     settings = fio.settings_from_config(cfg)
     inp = OverlapTestInput(
-        population_size=fio.config_int(cfg, "overlap.population"),
-        per_dataset_counts=fio.config_ints(cfg, "overlap.counts"),
-        observed_overlap=fio.config_int(cfg, "overlap.observed"),
-        n_replicates=fio.config_int(cfg, "overlap.replicates", 100_000))
+        population_size=fio.value(cfg, "overlap.population"),
+        per_dataset_counts=fio.value(cfg, "overlap.counts"),
+        observed_overlap=fio.value(cfg, "overlap.observed"),
+        n_replicates=fio.value(cfg, "overlap.replicates"))
     p_value, reps = overlap_permutation_test(inp, seed=settings.seed)
     fio.write_table(out / "overlap.csv",
                     ["p_value", "observed", "replicates", "mean_overlap", "sd_overlap"],
@@ -205,7 +209,8 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> int:
 
 def cmd_export_surface(cfg: dict[str, str], out: Path) -> int:
     draws = _open_draws(cfg)
-    feature = fio.feature_index(cfg["surface.feature"], feature_labels(draws), "surface.feature")
+    feature = fio.feature_index(fio.value(cfg, "surface.feature"), feature_labels(draws),
+                                "surface.feature")
     effect = posterior_mean_effects(draws, slice(feature, feature + 1))[0]
     export_surface(effect, posterior_mean_scores(draws)[:2]).write_csv(out / "surface.csv")
     return draws.seed

@@ -35,9 +35,16 @@ Manifest: ``manifest.json``, written by ``write_manifest``, records a
 checksum for every other file of the run, and ``verify_manifest`` checks them.
 
 Configuration: ``key = value`` lines with dotted section prefixes; ``#``
-starts a comment. Recognized keys are listed in CONFIG_KEYS; what each reader
-reads is checked by ``check_config_keys``. ``feature_index`` reads each
-feature a value names: by its id, else by its 0-based index.
+starts a comment, and a key set twice in one file is an error. ``KEYS`` has
+one row per key: the parser of its value, its help line, the ``ModelSpec`` or
+``McmcSettings`` field it sets, and, for the eight keys whose defaults the
+CLI owns, that default. ``CONFIG_KEYS``, the help text that ``factorint
+--help`` ends with, is rendered from it. ``value(cfg, key)`` is the one
+reader of a key, also for ``spec_from_config`` and ``settings_from_config``;
+a model or run key that is not set takes the default of ``ModelSpec``,
+``mult_spec``/``gp_spec`` or ``McmcSettings``. What each reader reads is
+checked by ``check_config_keys``. ``feature_index`` reads each feature a
+value names: by its id, else by its 0-based index.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ import sys
 from contextlib import contextmanager
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import scipy
@@ -81,50 +88,6 @@ from .prior import BetaTable, InterProbModel, LoadProbModel
 MAGIC = b"FIBUNDLE"
 FORMAT_VERSION = 1
 MANIFEST = "manifest.json"
-
-# Every key a configuration may set; ``cli._COMMANDS`` says which command reads it.
-CONFIG_KEYS = """
-model.family              mult_approach1 | mult_approach2 | gp (default mult_approach2)
-model.factors             integer factor count (default 2)
-model.gp_variant          1..5 (gp family, default 1)
-model.length_scale        positive real (gp family, default 0.2)
-model.product_var         positive real (mult approach 1, default 1e-5)
-model.slab_var_loading    slab variance of the loadings (default 10)
-model.slab_var_inter      slab variance of the interaction loadings (default 10)
-model.noise_shape         inverse-gamma shape (default 2.1)
-model.noise_scale         inverse-gamma scale (default 1.1)
-model.load_prob_model     per_entry | grouped (one probability per entry | per group label)
-model.inter_prob_model    per_feature | global | grouped (global: one for all features)
-model.gamma               default Beta pair for the loading probabilities, "a, b"
-model.gamma.<group>       pair for one label (expected | excluded | unknown), else the default
-model.beta                default Beta pair for the interaction probabilities; global uses it alone
-model.beta.<group>        pair for one label (seed | unknown), else the default; not for global
-model.seed_group.<k>      features of seed group k (1-based factor): each an id, else an index
-model.seed_constraints    true | false (default true)
-model.include_interactions true | false (default true)
-mcmc.iters                total iterations (default 600)
-mcmc.burn_in              burn-in (default 400 mult / 300 gp)
-mcmc.thin                 retention stride (default 1)
-mcmc.seed                 integer seed (default 0)
-mcmc.chains               number of chains (default 1)
-mcmc.rw_step              initial MH step (gp, default 0.1)
-mcmc.adapt_rw             true | false (default true)
-paths.data                data CSV
-paths.truth               truth bundle (compare)
-paths.draws               draws bundle (summarize / detect / export-surface)
-simulate.features         m (default 100)
-simulate.samples          n (default 100)
-simulate.frac_affected    fraction of candidates with effects (default 0.1)
-simulate.noise_scale      noise standard deviation (default 1.0)
-detect.threshold          posterior probability threshold (default 0.5)
-surface.feature           feature id, else 0-based index
-compare.specs             comma-separated model config paths
-overlap.population        population size
-overlap.counts            per-dataset counts, comma-separated
-overlap.observed          observed summed pairwise overlap
-overlap.replicates        replicates (default 100000)
-"""
-
 
 # ---------------------------------------------------------------- CSV data
 
@@ -512,6 +475,10 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 # -------------------------------------------------------- draws persistence
 
+# the integer entries of a draws bundle's meta, each a field of PosteriorDraws
+_DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
+
+
 def _draws_layout(draws: PosteriorDraws) -> tuple[dict, dict[str, np.ndarray]]:
     """The meta and the arrays, in payload order, of the bundle of ``draws``."""
     arrays = dict(draws.values)
@@ -520,11 +487,7 @@ def _draws_layout(draws: PosteriorDraws) -> tuple[dict, dict[str, np.ndarray]]:
     meta = {
         "kind": "draws",
         "spec": spec_to_dict(draws.spec),
-        "burn_in": draws.burn_in,
-        "thin": draws.thin,
-        "n_iters": draws.n_iters,
-        "seed": draws.seed,
-        "chain": draws.chain,
+        **{key: getattr(draws, key) for key in _DRAWS_COUNTS},
         "state_fields": list(draws.values),
         "feature_ids": list(draws.feature_ids) if draws.feature_ids else None,
         "sample_ids": list(draws.sample_ids) if draws.sample_ids else None,
@@ -578,9 +541,6 @@ class DrawsWriter(_BundleFile):
         draws = chain_draws(sampler, self.fields)
         draws.sha256 = self._seal()
         return draws
-
-
-_DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
 
 
 def _draws_ids(meta: dict, key: str, count: int, path) -> tuple[str, ...] | None:
@@ -659,7 +619,10 @@ def _draws_from(meta: dict, arrays: dict, path) -> PosteriorDraws:
 # ------------------------------------------------------------ configuration
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
+    """The ``key = value`` lines of ``text``; ConfigError, naming ``origin``
+    and the line, for a line that is not one or a key set twice."""
     out: dict[str, str] = {}
+    first: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -670,6 +633,9 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ConfigError(f"{origin}:{lineno}: empty key")
+        if key in first:
+            raise ConfigError(f"{origin}:{lineno}: {key} is set again (first at line {first[key]})")
+        first[key] = lineno
         out[key] = value.strip()
     return out
 
@@ -686,49 +652,146 @@ def _parse(kind, value: str, key: str, expected: str):
         raise ConfigError(f"{key}: expected {expected}, got {value!r}") from None
 
 
-def _config_bool(cfg: dict[str, str], key: str) -> bool:
-    low = cfg[key].lower()
+# The parsers of the rows of KEYS: each reads the text of one value of ``key``.
+
+def _kind(kind, expected: str):
+    """The parser of a ``kind`` value, which its error calls ``expected``."""
+    return lambda text, key: _parse(kind, text, key, expected)
+
+
+def _choice(kind):
+    """The parser of the ``kind`` member whose value a key holds."""
+    return _kind(kind, " | ".join(m.value for m in kind))
+
+
+# ``_text`` keeps the text as it is
+_int, _float, _text = _kind(int, "an integer"), _kind(float, "a number"), _kind(str, "text")
+
+
+def _items(text: str, key: str) -> tuple[str, ...]:
+    """The comma-separated entries of ``text``, stripped, empty ones left out."""
+    return tuple(item.strip() for item in text.split(",") if item.strip())
+
+
+def _ints(text: str, key: str) -> tuple[int, ...]:
+    return tuple(_parse(int, v, key, "comma-separated integers") for v in text.split(","))
+
+
+def _positive(text: str, key: str) -> float:
+    value = _float(text, key)
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{key}: expected a positive finite number, got {text!r}")
+    return value
+
+
+def _bool(text: str, key: str) -> bool:
+    low = text.lower()
     if low in ("true", "1", "yes", "on"):
         return True
     if low in ("false", "0", "no", "off"):
         return False
-    raise ConfigError(f"{key}: expected a boolean, got {cfg[key]!r}")
+    raise ConfigError(f"{key}: expected a boolean, got {text!r}")
 
 
-def _as_pair(value: str, key: str) -> tuple[float, float]:
-    parts = value.split(",")
+def _pair(text: str, key: str) -> tuple[float, float]:
+    parts = text.split(",")
     if len(parts) != 2:
-        raise ConfigError(f"{key}: expected 'a, b', got {value!r}")
+        raise ConfigError(f"{key}: expected 'a, b', got {text!r}")
     return tuple(_parse(float, part, key, "'a, b'") for part in parts)
 
 
-def config_int(cfg: dict[str, str], key: str, default: int | None = None) -> int | None:
-    """``cfg[key]`` as an integer, or ``default`` when the key is absent."""
-    return _parse(int, cfg[key], key, "an integer") if key in cfg else default
+class Key(NamedTuple):
+    """One row of KEYS: ``parse`` reads a value's text, ``(text, key) ->
+    value``, and raises ConfigError when it cannot; ``help`` describes the
+    key, with ``{}`` where it states ``default``. ``field`` is the
+    ``ModelSpec`` or ``McmcSettings`` field the key sets, when it sets one
+    by itself. ``default`` is the value, written as in a configuration, that
+    the CLI uses when the key is not set; the model and run keys have none,
+    as ``ModelSpec``, ``mult_spec``/``gp_spec`` and ``McmcSettings`` own theirs."""
+
+    parse: Callable[[str, str], object]
+    help: str
+    field: str | None = None
+    default: str | None = None
 
 
-def config_float(cfg: dict[str, str], key: str, default: float | None = None) -> float | None:
-    """``cfg[key]`` as a real number, or ``default`` when the key is absent."""
-    return _parse(float, cfg[key], key, "a number") if key in cfg else default
+# Every key a configuration may set, in the order ``--help`` lists them; a
+# last segment ``<group>`` or ``<k>`` stands for any one segment.
+# ``cli._COMMANDS`` says which command reads each key.
+KEYS = {
+    "model.family": Key(_choice(Family), "mult_approach1 | mult_approach2 | gp (default {})",
+                        default="mult_approach2"),
+    "model.factors": Key(_int, "integer factor count (default 2)", "n_factors"),
+    "model.gp_variant": Key(_int, "1..5 (gp family, default {})", default="1"),
+    "model.length_scale": Key(_float, "positive real (gp family, default 0.2)", "length_scale"),
+    "model.product_var": Key(_float, "positive real (mult approach 1, default 1e-5)",
+                             "product_var"),
+    "model.slab_var_loading": Key(_float, "slab variance of the loadings (default 10)",
+                                  "slab_var_loading"),
+    "model.slab_var_inter": Key(_float, "slab variance of the interaction loadings (default 10)",
+                                "slab_var_inter"),
+    "model.noise_shape": Key(_float, "inverse-gamma shape (default 2.1)"),
+    "model.noise_scale": Key(_float, "inverse-gamma scale (default 1.1)"),
+    "model.load_prob_model": Key(_choice(LoadProbModel), "per_entry | grouped (one probability "
+                                 "per entry | per group label)", "load_prob_model"),
+    "model.inter_prob_model": Key(_choice(InterProbModel), "per_feature | global | grouped "
+                                  "(global: one for all features)", "inter_prob_model"),
+    "model.gamma": Key(_pair, 'default Beta pair for the loading probabilities, "a, b"'),
+    "model.gamma.<group>": Key(_pair, "pair for one label (expected | excluded | unknown), else "
+                               "the default"),
+    "model.beta": Key(_pair, "default Beta pair for the interaction probabilities; global uses "
+                      "it alone"),
+    "model.beta.<group>": Key(_pair, "pair for one label (seed | unknown), else the default; not "
+                              "for global"),
+    "model.seed_group.<k>": Key(_items, "features of seed group k (1-based factor): each an id, "
+                                "else an index"),
+    "model.seed_constraints": Key(_bool, "true | false (default true)", "seed_constraints"),
+    "model.include_interactions": Key(_bool, "true | false (default true)", "include_interactions"),
+    "mcmc.iters": Key(_int, "total iterations (default 600)", "n_iters"),
+    "mcmc.burn_in": Key(_int, "burn-in (default 400 mult / 300 gp)", "burn_in"),
+    "mcmc.thin": Key(_int, "retention stride (default 1)", "thin"),
+    "mcmc.seed": Key(_int, "integer seed (default 0)", "seed"),
+    "mcmc.chains": Key(_int, "number of chains (default 1)", "n_chains"),
+    "mcmc.rw_step": Key(_float, "initial MH step (gp, default 0.1)", "rw_step"),
+    "mcmc.adapt_rw": Key(_bool, "true | false (default true)", "adapt_rw"),
+    "paths.data": Key(_text, "data CSV"),
+    "paths.truth": Key(_text, "truth bundle (compare)"),
+    "paths.draws": Key(_text, "draws bundle (summarize / detect / export-surface)"),
+    "simulate.features": Key(_int, "m (default {})", default="100"),
+    "simulate.samples": Key(_int, "n (default {})", default="100"),
+    "simulate.frac_affected": Key(_float, "fraction of candidates with effects (default {})",
+                                  default="0.1"),
+    "simulate.noise_scale": Key(_positive, "noise standard deviation (default {})", default="1.0"),
+    "detect.threshold": Key(_float, "posterior probability threshold (default {})", default="0.5"),
+    "surface.feature": Key(_text, "feature id, else 0-based index"),
+    "compare.specs": Key(_items, "comma-separated model config paths"),
+    "overlap.population": Key(_int, "population size"),
+    "overlap.counts": Key(_ints, "per-dataset counts, comma-separated"),
+    "overlap.observed": Key(_int, "observed summed pairwise overlap"),
+    "overlap.replicates": Key(_int, "replicates (default {})", default="100000"),
+}
+# the help text of every key, one line each
+CONFIG_KEYS = "".join(f"\n{key:<25} {row.help.format(row.default)}"
+                      for key, row in KEYS.items()) + "\n"
+# the placeholder row of each head a placeholder segment follows
+_OPEN = {key.rpartition(".")[0]: row for key, row in KEYS.items() if key.endswith(">")}
+# keys read by one family only
+_FAMILY_ONLY = {"model.length_scale": Family.GP, "model.product_var": Family.MULT_APPROACH1}
 
 
-def config_positive(cfg: dict[str, str], key: str, default: float) -> float:
-    """``cfg[key]`` as a finite real number above 0, or ``default`` when the
-    key is absent."""
-    value = config_float(cfg, key, default)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{key}: expected a positive finite number, got {cfg[key]!r}")
-    return value
+def _row(key: str) -> Key | None:
+    """The row of ``key``: its own, else the placeholder row of its head;
+    None for a key KEYS does not list."""
+    head, _, last = key.rpartition(".")
+    return KEYS.get(key) or (_OPEN.get(head) if last else None)
 
 
-def config_ints(cfg: dict[str, str], key: str) -> tuple[int, ...]:
-    """Comma-separated integers under ``key``."""
-    return tuple(_parse(int, v, key, "comma-separated integers") for v in cfg[key].split(","))
-
-
-def _config_choice(kind):
-    """A parser of the ``kind`` member whose value a key holds."""
-    return lambda cfg, key: _parse(kind, cfg[key], key, " | ".join(m.value for m in kind))
+def value(cfg: Mapping[str, str], key: str):
+    """The value of ``key`` in ``cfg``, parsed by its row of KEYS, else the
+    row's default (None where it has none): the one reader of a key."""
+    row = _row(key)
+    text = cfg.get(key, row.default)
+    return None if text is None else row.parse(text, key)
 
 
 def feature_index(token: str, labels: Sequence[str] | None, key: str) -> int:
@@ -748,71 +811,46 @@ def feature_index(token: str, labels: Sequence[str] | None, key: str) -> int:
                       f"0..{len(labels) - 1}")
 
 
-# config key, ModelSpec field, parser; every family reads the first table
-_SPEC_KEYS = (
-    ("model.factors", "n_factors", config_int),
-    ("model.slab_var_loading", "slab_var_loading", config_float),
-    ("model.slab_var_inter", "slab_var_inter", config_float),
-    ("model.load_prob_model", "load_prob_model", _config_choice(LoadProbModel)),
-    ("model.inter_prob_model", "inter_prob_model", _config_choice(InterProbModel)),
-    ("model.seed_constraints", "seed_constraints", _config_bool),
-    ("model.include_interactions", "include_interactions", _config_bool),
-)
-_FAMILY_SPEC_KEYS = {
-    Family.GP: (("model.length_scale", "length_scale", config_float),),
-    Family.MULT_APPROACH1: (("model.product_var", "product_var", config_float),),
-}
-
-
 def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> ModelSpec:
-    """The model ``cfg`` describes. Only the keys it sets are read, and
-    ``mult_spec``, ``gp_spec`` and ``ModelSpec`` supply every other value.
-    ``model.product_var`` is read for approach 1 only, and
+    """The model ``cfg`` describes, built once. Only the keys it sets are
+    read, and ``mult_spec``, ``gp_spec`` and ``ModelSpec`` supply every other
+    value. ``model.product_var`` is read for approach 1 only, and
     ``model.gp_variant`` and ``model.length_scale`` for the gp family only."""
-    family = (_config_choice(Family)(cfg, "model.family") if "model.family" in cfg
-              else Family.MULT_APPROACH2)
-    kwargs = {name: parse(cfg, key)
-              for key, name, parse in _SPEC_KEYS + _FAMILY_SPEC_KEYS.get(family, ())
-              if key in cfg}
+    family = value(cfg, "model.family")
+    kwargs = {row.field: value(cfg, key) for key, row in KEYS.items()
+              if row.field and key in cfg and key.partition(".")[0] == "model"
+              and _FAMILY_ONLY.get(key, family) is family}
     for key, name in (("model.gamma", "load_prob_prior"), ("model.beta", "inter_prob_prior")):
-        default = {"default": _as_pair(cfg[key], key)} if key in cfg else {}
-        groups = {k[len(key) + 1:]: _as_pair(v, k) for k, v in cfg.items()
-                  if k.startswith(key + ".")}
+        default = {"default": value(cfg, key)} if key in cfg else {}
+        groups = {k[len(key) + 1:]: value(cfg, k) for k in cfg if k.startswith(key + ".")}
         if default or groups:
             kwargs[name] = BetaTable(**default, groups=groups)
-    if family is Family.GP:
-        spec = gp_spec(config_int(cfg, "model.gp_variant", 1), **kwargs)
-    else:
-        spec = mult_spec(1 if family is Family.MULT_APPROACH1 else 2, **kwargs)
-
-    # the seed groups need the factor count, and each noise key sets half a pair
+    # each noise key sets half of the pair
+    noise = zip(("model.noise_shape", "model.noise_scale"), ModelSpec.noise_prior)
+    kwargs["noise_prior"] = tuple(value(cfg, key) if key in cfg else half for key, half in noise)
+    n_factors = kwargs.get("n_factors", ModelSpec.n_factors)
     seed_groups, group_keys = {}, {}  # group_keys: the key that names each group
     labels = None if data is None else data.feature_ids
-    for key, value in cfg.items():
+    for key in cfg:
         if key.startswith("model.seed_group."):
             group = _parse(int, key.rsplit(".", 1)[1], key, "a 1-based factor number")
-            if not 1 <= group <= spec.n_factors:
-                raise ConfigError(f"{key}: seed group {group} outside 1..{spec.n_factors} "
-                                  f"(model.factors = {spec.n_factors})")
+            if not 1 <= group <= n_factors:
+                raise ConfigError(f"{key}: seed group {group} outside 1..{n_factors} "
+                                  f"(model.factors = {n_factors})")
             if group in group_keys:
                 raise ConfigError(f"{group_keys[group]} and {key} both name seed group {group}")
             group_keys[group] = key
-            seed_groups[group - 1] = frozenset(feature_index(t.strip(), labels, key)
-                                               for t in value.split(",") if t.strip())
-    noise_prior = (config_float(cfg, "model.noise_shape", spec.noise_prior[0]),
-                   config_float(cfg, "model.noise_scale", spec.noise_prior[1]))
-    return dataclasses.replace(spec, noise_prior=noise_prior, seed_groups=seed_groups or None)
-
-
-_SETTINGS_KEYS = (("mcmc.iters", "n_iters", config_int), ("mcmc.burn_in", "burn_in", config_int),
-                  ("mcmc.thin", "thin", config_int), ("mcmc.seed", "seed", config_int),
-                  ("mcmc.chains", "n_chains", config_int), ("mcmc.rw_step", "rw_step", config_float),
-                  ("mcmc.adapt_rw", "adapt_rw", _config_bool))
+            seed_groups[group - 1] = frozenset(feature_index(token, labels, key)
+                                               for token in value(cfg, key))
+    kwargs["seed_groups"] = seed_groups or None
+    if family is Family.GP:
+        return gp_spec(value(cfg, "model.gp_variant"), **kwargs)
+    return mult_spec(1 if family is Family.MULT_APPROACH1 else 2, **kwargs)
 
 
 def settings_from_config(cfg: dict[str, str]) -> McmcSettings:
-    return McmcSettings(**{name: parse(cfg, key) for key, name, parse in _SETTINGS_KEYS
-                           if key in cfg})
+    return McmcSettings(**{row.field: value(cfg, key) for key, row in KEYS.items()
+                           if key in cfg and key.partition(".")[0] == "mcmc"})
 
 
 def check_config_keys(cfg: dict[str, str], reader: str, required: Sequence[str],
@@ -820,13 +858,10 @@ def check_config_keys(cfg: dict[str, str], reader: str, required: Sequence[str],
     """ConfigError for the first fault of ``cfg`` given to ``reader`` (a
     command, or a spec file's path), which needs ``required`` and reads those
     and ``reads``, each a key or a section with no dot such as ``model``: a
-    key CONFIG_KEYS does not list (where ``<group>`` stands for any one
-    segment), then a key ``reader`` does not read, then a missing required key."""
-    keys = {line.split()[0] for line in CONFIG_KEYS.strip().splitlines()}
-    open_heads = {key.rpartition(".")[0] for key in keys if key.endswith(">")}
+    key KEYS does not list (where ``<group>`` stands for any one segment),
+    then a key ``reader`` does not read, then a missing required key."""
     for key in cfg:
-        head, _, last = key.rpartition(".")
-        if key not in keys and not (last and head in open_heads):
+        if _row(key) is None:
             raise ConfigError(f"{key}: unknown key")
     entries = (*required, *reads)
     for key in cfg:

@@ -147,14 +147,16 @@ def standardize_rows(
     feature_ids = tuple(feature_ids) if feature_ids is not None else default_ids("f", m)
     sample_ids = tuple(sample_ids) if sample_ids is not None else default_ids("s", n)
 
+    # ``values`` is this call's own copy, so it is centred and scaled in place
     means = values.mean(axis=1)
-    centered = values - means[:, None]
-    sd = centered.std(axis=1, ddof=1)
+    values -= means[:, None]
+    sd = values.std(axis=1, ddof=1)
     tol = _CONSTANT_ROW_TOL * (1.0 + np.abs(means))
     for i in range(m):
         if sd[i] <= tol[i]:
             raise ConstantRow(i, feature_ids[i] if i < len(feature_ids) else None)
-    return DataMatrix(centered / sd[:, None], feature_ids, sample_ids)
+    values /= sd[:, None]
+    return DataMatrix(values, feature_ids, sample_ids)
 
 
 def interaction_pair_count(n_factors: int) -> int:

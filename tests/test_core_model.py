@@ -2,6 +2,7 @@
 retain loop that fills the draws container."""
 
 import inspect
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -65,6 +66,17 @@ class TestStandardizeRows:
                               feature_ids=("a", "b"), sample_ids=("s1", "s2"))
         assert dm.feature_ids == ("a", "b")
         assert dm.sample_ids == ("s1", "s2")
+
+    def test_holds_one_working_copy(self):
+        # the copy it centres and scales in place, and the one DataMatrix keeps
+        raw = np.random.default_rng(3).normal(loc=5.0, scale=2.0, size=(400, 250))
+        tracemalloc.start()
+        try:
+            standardize_rows(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * raw.nbytes
 
     def test_values_read_only(self):
         dm = standardize_rows(np.array([[1.0, 2.0], [4.0, 1.0]]))

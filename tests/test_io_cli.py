@@ -494,6 +494,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             fio.parse_config_text("model.family gp")
 
+    def test_a_key_set_twice_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^run.cfg:4: model.family is set again "
+                                              r"\(first at line 2\)$"):
+            fio.parse_config_text("# run\nmodel.family = gp\nmcmc.iters = 5\n"
+                                  "model.family=mult_approach1  # again\n", origin="run.cfg")
+
+    def test_value_reads_a_key_by_its_row(self):
+        assert fio.value({}, "overlap.replicates") == 100_000
+        assert fio.value({"overlap.replicates": "7"}, "overlap.replicates") == 7
+        assert fio.value({}, "overlap.population") is None
+        assert fio.value({"model.gamma.seed": "1, 2"}, "model.gamma.seed") == (1.0, 2.0)
+        assert fio.value({}, "model.family") is Family.MULT_APPROACH2
+        assert fio.value({"compare.specs": " a.cfg, ,b.cfg"}, "compare.specs") == ("a.cfg",
+                                                                                  "b.cfg")
+        with pytest.raises(ConfigError, match="^simulate.noise_scale: expected a positive "
+                                              "finite number, got '0'$"):
+            fio.value({"simulate.noise_scale": "0"}, "simulate.noise_scale")
+
     def test_spec_from_config_gp_variant_defaults(self):
         cfg = {"model.family": "gp", "model.gp_variant": "5"}
         spec = fio.spec_from_config(cfg)
@@ -609,6 +627,18 @@ def test_every_listed_key_is_read_and_every_read_entry_is_listed():
     assert not unlisted, f"table entries that are neither a listed key nor a section: {unlisted}"
 
 
+def test_help_lists_every_key(capsys):
+    """``factorint --help`` ends with CONFIG_KEYS, one line per row of KEYS."""
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["--help"])
+    assert exited.value.code == 0
+    help_text = capsys.readouterr().out
+    assert help_text.endswith("configuration keys:" + fio.CONFIG_KEYS)
+    listed = help_text.split("configuration keys:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in listed] == list(fio.KEYS)
+    assert len(listed) == 39
+
+
 def stated_defaults() -> dict[str, str]:
     """The "(default ...)" of each CONFIG_KEYS line that states one."""
     stated = {}
@@ -617,34 +647,6 @@ def stated_defaults() -> dict[str, str]:
         if match:
             stated[line.split()[0]] = match.group(1)
     return stated
-
-
-class CommandCalled(Exception):
-    """Stops a command at the call whose arguments a test reads."""
-
-
-def command_defaults(monkeypatch, tmp_path) -> dict[str, object]:
-    """The value the commands use for each simulate.*, detect.threshold and
-    overlap.replicates key when the configuration leaves it out."""
-    calls = []
-
-    def stop(*args, **kwargs):
-        calls.append((args, kwargs))
-        raise CommandCalled
-
-    for name in ("generate_saddle_dataset", "detect_interactions", "overlap_permutation_test"):
-        monkeypatch.setattr(cli, name, stop)
-    monkeypatch.setattr(cli, "_open_draws", lambda cfg: None)
-    for command, cfg in (("simulate", {}), ("detect", {}),
-                         ("test-overlap", {"overlap.population": "100",
-                                           "overlap.counts": "10,10", "overlap.observed": "0"})):
-        with pytest.raises(CommandCalled):
-            cli._COMMANDS[command][0](cfg, tmp_path)
-    (_, simulate), ((_, threshold), _), ((overlap,), _) = calls
-    return {"simulate.features": simulate["m"], "simulate.samples": simulate["n"],
-            "simulate.frac_affected": simulate["frac_affected"],
-            "simulate.noise_scale": simulate["noise_scale"],
-            "detect.threshold": threshold, "overlap.replicates": overlap.n_replicates}
 
 
 # config key: the value it sets, read off a ModelSpec
@@ -663,10 +665,12 @@ SPEC_FIELDS = {
 FAMILY_ONLY = {"model.length_scale": "gp", "model.product_var": "mult_approach1"}
 
 
-def test_every_stated_default_is_the_value_used(monkeypatch, tmp_path):
+def test_every_stated_default_is_the_value_used():
     """Each "(default ...)" in CONFIG_KEYS is what the code uses when the key
-    is left out: the model specs, ``McmcSettings`` and the command defaults."""
-    used = command_defaults(monkeypatch, tmp_path)
+    is left out: the model specs and ``McmcSettings``, which own the model and
+    run defaults, and the CLI's own defaults, each stated once in its row of
+    ``io.KEYS`` and read through ``io.value``."""
+    used = {key: fio.value({}, key) for key, row in fio.KEYS.items() if row.default}
     used["model.family"] = fio.spec_from_config({}).family.value
     used["model.gp_variant"] = fio.spec_from_config({"model.family": "gp"}).gp_variant
     for family in ("mult_approach1", "mult_approach2", "gp"):
@@ -1201,6 +1205,10 @@ class TestCli:
          "data matrix needs at least 2 features and 2 samples, got 1x2"),
         ("paths.data", "feature_id,s0,s1\n", "{path}: no data rows"),
         ("--config", "mcmc.iters = 30\n = 5\n", "{path}:2: empty key"),
+        ("--config", "model.family = gp\nmcmc.iters = 30\nmodel.family = mult_approach1\n",
+         "{path}:3: model.family is set again (first at line 1)"),
+        ("--config", "mcmc.iters = 30  # short\n\n# longer\nmcmc.iters=40\n",
+         "{path}:4: mcmc.iters is set again (first at line 1)"),
     ])
     def test_malformed_input_file_prints_one_config_error(self, tmp_path, capsys, key, text,
                                                           message):
@@ -1270,6 +1278,19 @@ class TestCli:
         assert run_cli(*args) == 1
         assert capsys.readouterr().err.strip().splitlines() == [
             "ERROR ConfigError: compare.specs: names no spec file"]
+        assert list(out.iterdir()) == []
+
+    def test_a_key_set_twice_in_a_spec_file_prints_one_config_error(self, fitted, tmp_path,
+                                                                     capsys):
+        spec = tmp_path / "twice.cfg"
+        spec.write_text("model.family = gp\nmodel.family = mult_approach1\n")
+        out = tmp_path / "out"
+        args = ["compare", "--output-dir", str(out)]
+        for item in command_settings(fitted, "compare") + [f"compare.specs={spec}"]:
+            args += option_args(item)
+        assert run_cli(*args) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR ConfigError: {spec}:2: model.family is set again (first at line 1)"]
         assert list(out.iterdir()) == []
 
     def test_failed_truth_write_leaves_the_earlier_simulation(self, tmp_path, capsys,

@@ -1,8 +1,9 @@
 """Each decision has one owner module: ``io`` owns every file layout and
 imports no analysis module, no module reaches into another's private names,
 only ``io`` writes CSV, only ``model`` runs the spec rules, the CLI leaves
-the truth bundle's layout to ``io``, one writer writes every bundle, and
-only ``io`` moves a file into place.
+the truth bundle's layout to ``io``, one writer writes every bundle, only
+``io`` moves a file into place, and only ``io`` parses a configuration key
+or states a default the CLI uses.
 Checked on the source with ``ast``, in the style of ``test_draws_layering``."""
 
 import ast
@@ -132,3 +133,28 @@ def test_only_io_moves_files_into_place():
     # io._BundleFile a bundle onto its target; no other code renames a file
     assert owners(uses("os", "replace")) == {"io._BundleFile", "io.landing"}
     assert not owners(uses("os", "rename")) | owners(uses("shutil", "move"))
+
+
+def test_cli_passes_no_default_and_only_io_names_a_parser():
+    # io.KEYS states each key's parser and the CLI's defaults once: io has one
+    # reader of a key, which takes the configuration and the key alone; cli
+    # calls it with just those and takes no value out of a configuration
+    # itself; and no module but io names the parser of a row
+    readers = {node.name: [arg.arg for arg in (*node.args.args, *node.args.kwonlyargs)]
+               for node in parse("io").body if isinstance(node, ast.FunctionDef)
+               and [arg.arg for arg in node.args.args[:2]] == ["cfg", "key"]}
+    assert readers == {"value": ["cfg", "key"]}
+    cli = parse("cli")
+    calls = [node for node in ast.walk(cli) if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", None) in readers]
+    assert len(calls) >= 8
+    assert all(len(call.args) == 2 and not call.keywords for call in calls)
+    assert not [node for node in ast.walk(cli) if isinstance(node, ast.Subscript)
+                and isinstance(node.ctx, ast.Load) and getattr(node.value, "id", None) == "cfg"]
+    parsers = {row.parse for row in fio.KEYS.values()}
+    names = {name for name, obj in vars(fio).items() if callable(obj) and obj in parsers}
+    assert len(names) >= 6
+    for module in MODULES:
+        named = {node.attr for node in ast.walk(parse(module)) if isinstance(node, ast.Attribute)}
+        named |= {node.id for node in ast.walk(parse(module)) if isinstance(node, ast.Name)}
+        assert not named & names or module == "io", module
