@@ -18,9 +18,9 @@ configuration the command read, the seed, a checksum per artifact and per
 input file read, and the run's wall time and peak resident memory. A
 bundle's checksum (draws or truth) is the one its writer or reader took with
 its digest, so no command reads a bundle twice to hash it. Every CSV goes
-through ``io.write_table``. Failures exit nonzero with a single line
-``ERROR <Code>: <message>`` on stderr. The FACTORINT_OUTPUT_DIR environment
-variable sets the default output directory.
+through ``io.write_table``. Failures, argument errors among them, exit 1
+with a single line ``ERROR <Code>: <message>`` on stderr. The
+FACTORINT_OUTPUT_DIR environment variable sets the default output directory.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="override a configuration key (repeatable)")
     parser.add_argument("--output-dir", default=None)
     parser.add_argument("--seed", type=int, default=None, help="override mcmc.seed")
+
+    # in place of argparse's usage text and exit 2, so that an argument error
+    # is one ERROR line from main, as every other failure is
+    def error(message: str):
+        raise ConfigError(message)
+
+    parser.error = error
     return parser
 
 
@@ -234,10 +241,10 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     started = time.perf_counter()
-    args = _build_parser().parse_args(argv)
     _inputs.clear()
     _digests.clear()
     try:
+        args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
         command, required, reads = _COMMANDS[args.command]
         fio.check_config_keys(cfg, args.command, required, reads)

@@ -25,6 +25,12 @@ arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
 (m, 2), ``scores`` (2, n), ``effects`` (m, n), ``noise_var`` (m,), and the
 feature indices ``affected``, ``seed_group_1`` and ``seed_group_2``.
 
+Draws bundle: meta ``kind`` ``draws``, the chain's counts and ids, and under
+``spec`` the model spec as ``spec_to_dict`` writes it. ``spec_from_dict``
+reads it back through ``_SPEC_FIELDS``, one reader per ``ModelSpec`` field,
+so a spec that lacks a field or holds a key that is not one is CorruptFile
+rather than a field reset to its default or a key ignored.
+
 Run directory: ``landing`` is the one way a command's files reach its output
 directory. They are written into a staging directory ``.factorint.<pid>.tmp``
 inside it and moved into place, ``manifest.json`` last, only once the command
@@ -129,9 +135,9 @@ def _csv_reader(path):
 
 def read_data_csv(path) -> DataMatrix:
     """The data CSV at ``path``; ConfigError, naming the file, when it is
-    not one with at least one data row of finite numbers. The cells are
-    parsed a row at a time into float64, so the read holds little more than
-    the matrix."""
+    not one, or its matrix is not a ``DataMatrix`` (a repeated id, fewer
+    than 2 features or samples). The cells are parsed a row at a time into
+    float64, so the read holds little more than the matrix."""
     with _csv_reader(path) as reader:
         try:
             header = next(reader)
@@ -156,7 +162,10 @@ def read_data_csv(path) -> DataMatrix:
                                   f"for sample {sample_ids[cell]!r}")
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return DataMatrix(np.stack(rows), tuple(feature_ids), tuple(sample_ids))
+    try:
+        return DataMatrix(np.stack(rows), tuple(feature_ids), tuple(sample_ids))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def read_annotation(path) -> Annotation:
@@ -439,38 +448,38 @@ def spec_to_dict(value):
     return value
 
 
-def spec_from_dict(d: dict) -> ModelSpec:
-    def beta_table(sub: dict) -> BetaTable:
-        return BetaTable(
-            default=tuple(sub["default"]),
-            groups={k: tuple(v) for k, v in sub.get("groups", {}).items()},
-            entries={tuple(int(x) for x in k.split(",")): tuple(v)
-                     for k, v in sub.get("entries", {}).items()},
-        )
+def _index(key: str) -> tuple[int, ...]:
+    """A comma-joined mapping key of ``spec_to_dict`` as its tuple of ints."""
+    return tuple(map(int, key.split(",")))
 
-    return ModelSpec(
-        family=Family(d["family"]),
-        n_factors=int(d["n_factors"]),
-        slab_var_loading=float(d["slab_var_loading"]),
-        slab_var_inter=float(d["slab_var_inter"]),
-        noise_prior=tuple(d["noise_prior"]),
-        product_var=None if d.get("product_var") is None else float(d["product_var"]),
-        gp_variant=None if d.get("gp_variant") is None else int(d["gp_variant"]),
-        length_scale=None if d.get("length_scale") is None else float(d["length_scale"]),
-        load_prob_model=LoadProbModel(d["load_prob_model"]),
-        inter_prob_model=InterProbModel(d["inter_prob_model"]),
-        load_prob_prior=beta_table(d["load_prob_prior"]),
-        inter_prob_prior=beta_table(d["inter_prob_prior"]),
-        seed_groups=None if d.get("seed_groups") is None else
-            {int(k): frozenset(int(i) for i in v) for k, v in d["seed_groups"].items()},
-        fixed_load_prob=None if d.get("fixed_load_prob") is None else
-            {tuple(int(x) for x in k.split(",")): float(v)
-             for k, v in d["fixed_load_prob"].items()},
-        fixed_inter_prob=None if d.get("fixed_inter_prob") is None else
-            {int(k): float(v) for k, v in d["fixed_inter_prob"].items()},
-        seed_constraints=bool(d.get("seed_constraints", True)),
-        include_interactions=bool(d.get("include_interactions", True)),
-    )
+
+def _beta_table(d: dict) -> BetaTable:
+    return BetaTable(default=tuple(d["default"]),
+                     groups={k: tuple(v) for k, v in d["groups"].items()},
+                     entries={_index(k): tuple(v) for k, v in d["entries"].items()})
+
+
+# The reader of each ModelSpec field, in field order: it turns the field's
+# non-null ``spec_to_dict`` value back into the field's value.
+_SPEC_FIELDS = {
+    "family": Family, "n_factors": int, "slab_var_loading": float, "slab_var_inter": float,
+    "noise_prior": tuple, "product_var": float, "gp_variant": int, "length_scale": float,
+    "load_prob_model": LoadProbModel, "inter_prob_model": InterProbModel,
+    "load_prob_prior": _beta_table, "inter_prob_prior": _beta_table,
+    "seed_groups": lambda d: {int(k): frozenset(map(int, v)) for k, v in d.items()},
+    "fixed_load_prob": lambda d: {_index(k): float(v) for k, v in d.items()},
+    "fixed_inter_prob": lambda d: {int(k): float(v) for k, v in d.items()},
+    "seed_constraints": bool, "include_interactions": bool,
+}
+
+
+def spec_from_dict(d: dict) -> ModelSpec:
+    """The spec ``spec_to_dict`` made ``d`` of, each field read by its row
+    of ``_SPEC_FIELDS``; KeyError when ``d`` lacks a field or has another key."""
+    if d.keys() != _SPEC_FIELDS.keys():
+        raise KeyError(f"spec fields missing or unknown: {sorted(d.keys() ^ _SPEC_FIELDS.keys())}")
+    return ModelSpec(**{name: None if d[name] is None else read(d[name])
+                        for name, read in _SPEC_FIELDS.items()})
 
 
 # -------------------------------------------------------- draws persistence

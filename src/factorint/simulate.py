@@ -150,25 +150,20 @@ def saddle_quadrant_recovery(effects_est: np.ndarray, truth: SyntheticTruth) -> 
     """Fraction of truly affected features whose estimated effect matches the
     true effect's sign in all four quadrants of the true score plane.
 
-    Samples within 0.3 of either axis are excluded from the quadrant means.
+    Samples within 0.3 of either axis are excluded from the quadrant means,
+    and a quadrant with no sample left is not compared; 1.0 when no feature
+    is affected or no sample is left.
     """
-    if len(truth.affected) == 0:
-        return 1.0
     s1, s2 = truth.scores[0], truth.scores[1]
     clear = (np.abs(s1) > 0.3) & (np.abs(s2) > 0.3)
-    quads = [clear & (s1 > 0) & (s2 > 0), clear & (s1 < 0) & (s2 > 0),
-             clear & (s1 > 0) & (s2 < 0), clear & (s1 < 0) & (s2 < 0)]
-    hits = 0
-    for i in truth.affected:
-        ok = True
-        for q in quads:
-            if not q.any():
-                continue
-            if np.sign(effects_est[i, q].mean()) != np.sign(truth.effects[i, q].mean()):
-                ok = False
-                break
-        hits += ok
-    return hits / len(truth.affected)
+    if len(truth.affected) == 0 or not clear.any():
+        return 1.0
+    quadrant = (s1 < 0) + 2 * (s2 < 0)
+    quads = [q for k in range(4) if (q := clear & (quadrant == k)).any()]
+    # the sign of each affected feature's mean effect in each quadrant that holds a sample
+    est, true = (np.sign([effects[np.ix_(truth.affected, q)].mean(axis=1) for q in quads])
+                 for effects in (effects_est, truth.effects))
+    return float(np.mean((est == true).all(axis=0)))
 
 
 @dataclass(frozen=True)

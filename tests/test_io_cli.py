@@ -13,7 +13,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from fnmatch import fnmatch
 from pathlib import Path
 
@@ -45,7 +45,7 @@ from factorint import io as fio
 from factorint import cli
 from factorint.cli import main as cli_main
 from factorint.genomics import MIN_STATES, posterior_mean_scores
-from factorint.model import Family, McmcSettings
+from factorint.model import Family, McmcSettings, ModelSpec
 from factorint.prior import BetaTable, InterProbModel, build_layout
 from tests_support import states
 
@@ -249,6 +249,9 @@ DRAWS_FAULTS = {
     "spec_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=3),
     "flat_loadings": lambda meta, arrays: arrays.update(
         loadings=arrays["loadings"].reshape(len(arrays["loadings"]), -1)),
+    # a spec without one of its fields, and a spec with a key that is no field
+    "spec_without_seed_constraints": lambda meta, arrays: meta["spec"].pop("seed_constraints"),
+    "spec_unknown_key": lambda meta, arrays: meta["spec"].update(gp_lengthscale=0.2),
 }
 
 DRAWS_META_KEYS = ("kind", "burn_in", "thin", "n_iters", "seed", "chain", "state_fields",
@@ -360,6 +363,18 @@ class TestSpecSerialization:
     ])
     def test_round_trip(self, spec):
         assert fio.spec_from_dict(fio.spec_to_dict(spec)) == spec
+
+    def test_every_field_has_a_reader_in_field_order(self):
+        assert list(fio._SPEC_FIELDS) == [f.name for f in fields(ModelSpec)]
+
+    @pytest.mark.parametrize("fault", ["spec_without_seed_constraints", "spec_unknown_key"])
+    @pytest.mark.parametrize("read", [fio.open_draws, fio.load_draws])
+    def test_spec_with_a_missing_or_unknown_field_is_corrupt(self, fitted, tmp_path, fault,
+                                                             read):
+        path = tmp_path / "draws.bin"
+        break_draws(fitted / "draws.bin", path, fault)
+        with pytest.raises(CorruptFile, match="unreadable model spec"):
+            read(path)
 
 
 class TestDrawsPersistence:
@@ -1093,6 +1108,23 @@ class TestCli:
         assert err == [f"ERROR ConfigError: {key}: {spec} does not read this key"]
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("argv, names", [
+        (["fit", "--seed", "abc"], "argument --seed: invalid int value: 'abc'"),
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        (["fit", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+        ([], "the following arguments are required: command"),
+    ], ids=["bad_seed", "unknown_command", "unknown_option", "no_command"])
+    def test_argument_error_prints_one_config_error(self, tmp_path, capsys, monkeypatch, argv,
+                                                    names):
+        out = tmp_path / "out"
+        monkeypatch.setenv("FACTORINT_OUTPUT_DIR", str(out))
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"ERROR ConfigError: {names}")
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_duplicate_feature_id_prints_one_config_error(self, tmp_path, capsys):
         # rows 0 and 5 share an id, so model.seed_group.1=gA could name either
         rng = np.random.default_rng(2)
@@ -1106,7 +1138,7 @@ class TestCli:
                        "--set", "model.seed_group.1=gA,g1",
                        "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["ERROR ConfigError: duplicate feature id 'gA'"]
+        assert err == [f"ERROR ConfigError: {tmp_path / 'data.csv'}: duplicate feature id 'gA'"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("settings, retained", [
@@ -1202,7 +1234,10 @@ class TestCli:
         ("paths.data", "feature_id,s0,s1\nf0,1,2\nf1,-inf,3\n",
          "{path}:3: non-finite value '-inf' for sample 's0'"),
         ("paths.data", "feature_id,s0,s1\nf0,1,2\n",
-         "data matrix needs at least 2 features and 2 samples, got 1x2"),
+         "{path}: data matrix needs at least 2 features and 2 samples, got 1x2"),
+        ("paths.data", "feature_id,s0\nf0,1\nf1,2\n",
+         "{path}: data matrix needs at least 2 features and 2 samples, got 2x1"),
+        ("paths.data", "feature_id,s0,s0\nf0,1,2\nf1,2,3\n", "{path}: duplicate sample id 's0'"),
         ("paths.data", "feature_id,s0,s1\n", "{path}: no data rows"),
         ("--config", "mcmc.iters = 30\n = 5\n", "{path}:2: empty key"),
         ("--config", "model.family = gp\nmcmc.iters = 30\nmodel.family = mult_approach1\n",

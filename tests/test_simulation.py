@@ -1,5 +1,7 @@
 """Synthetic data generation, deviation statistics, surfaces, comparison."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -152,7 +154,40 @@ class TestSurfaces:
         assert sum(1 for l in lines[1:] if l.endswith("grid")) == 625
 
 
+def quadrant_recovery_loop(effects_est, truth) -> float:
+    """``saddle_quadrant_recovery`` one feature and one quadrant at a time,
+    as the reference for its array form."""
+    if len(truth.affected) == 0:
+        return 1.0
+    s1, s2 = truth.scores[0], truth.scores[1]
+    clear = (np.abs(s1) > 0.3) & (np.abs(s2) > 0.3)
+    quads = [clear & (s1 > 0) & (s2 > 0), clear & (s1 < 0) & (s2 > 0),
+             clear & (s1 > 0) & (s2 < 0), clear & (s1 < 0) & (s2 < 0)]
+    hits = 0
+    for i in truth.affected:
+        ok = True
+        for q in quads:
+            if not q.any():
+                continue
+            if np.sign(effects_est[i, q].mean()) != np.sign(truth.effects[i, q].mean()):
+                ok = False
+                break
+        hits += ok
+    return hits / len(truth.affected)
+
+
 class TestQuadrantRecovery:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_the_per_feature_loop(self, seed):
+        # noisy estimates, so that some features miss some quadrants; the
+        # scores are also folded into one quadrant, and squeezed onto the axes
+        rng = np.random.default_rng(seed)
+        _, truth = generate_saddle_dataset(60, int(rng.integers(20, 50)), 0.3, seed=seed)
+        noisy = truth.effects + rng.normal(scale=rng.uniform(0.1, 3.0), size=truth.effects.shape)
+        for scores in (truth.scores, np.abs(truth.scores), 0.01 * truth.scores):
+            case = replace(truth, scores=scores)
+            assert saddle_quadrant_recovery(noisy, case) == quadrant_recovery_loop(noisy, case)
+
     def test_truth_recovers_itself(self):
         _, truth = generate_saddle_dataset(50, 40, 0.2, seed=8)
         assert saddle_quadrant_recovery(truth.effects, truth) == 1.0
