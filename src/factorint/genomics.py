@@ -7,7 +7,10 @@ Seed genes anchor the factor interpretation: each group is assumed to load on
 exactly one factor with a common sign and to carry no interaction. Cleaning
 removes group members whose fitted pattern violates that assumption;
 candidate selection then keeps the remaining genes loading on both factors,
-since those are the plausible carriers of interaction effects.
+since those are the plausible carriers of interaction effects. Both decide
+on each loading's estimate and inclusion probability as the ``loading`` rows
+of ``posterior_summary`` (and so ``summary.csv``) report them: one
+reduction, ``_field_summary``, serves the summary, cleaning and selection.
 """
 
 from __future__ import annotations
@@ -58,13 +61,6 @@ class RemovalRecord:
     reason: str  # low_own_inclusion | sign_mismatch | cross_loading
 
 
-def _mixture_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Mean over the states where the indicator is on (0 where never on)."""
-    count = mask.sum(axis=0)
-    total = (values * mask).sum(axis=0)
-    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
-
-
 def _submatrix(data: DataMatrix, rows: np.ndarray) -> DataMatrix:
     return DataMatrix(data.values[rows], tuple(data.feature_ids[i] for i in rows),
                       data.sample_ids)
@@ -75,9 +71,12 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     """Drop seed genes whose fitted pattern contradicts the group assumption.
 
     Fits an unconstrained two-factor no-interaction model to the stacked seed
-    submatrix, matches factors to groups by mean inclusion, and removes a gene
-    when its own-factor inclusion probability is at most 0.5, its loading sign
-    disagrees with the group majority, or it loads on the other group's factor.
+    submatrix and matches factors to groups by mean inclusion. Each loading's
+    estimate and inclusion probability are those of the ``loading`` rows of
+    ``posterior_summary``. A gene is removed for the first rule it breaks, in
+    this order: its own-factor inclusion probability is at most 0.5, its
+    loading sign disagrees with the majority of its group's loaded members,
+    or it loads on the other group's factor.
     """
     g1 = np.asarray(sorted(set(int(i) for i in group1)), dtype=int)
     g2 = np.asarray(sorted(set(int(i) for i in group2)), dtype=int)
@@ -86,12 +85,8 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     if np.intersect1d(g1, g2).size:
         raise ConfigError("seed groups overlap")
     rows = np.concatenate([g1, g2])
-    draws = run_chain(MultChain(two_factor_null_spec(), _submatrix(data, rows), settings))
-
-    masks = draws.stack("load_mask").astype(float)     # (S, k, 2)
-    loadings = draws.stack("loadings")                 # (S, k, 2)
-    incl = masks.mean(axis=0)                          # (k, 2)
-    est = _mixture_mean(loadings, masks)               # (k, 2)
+    est, incl = _loading_estimates(
+        run_chain(MultChain(two_factor_null_spec(), _submatrix(data, rows), settings)))
 
     in1 = np.arange(g1.size)
     in2 = np.arange(g1.size, rows.size)
@@ -101,44 +96,35 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     f1, f2 = (0, 1) if direct >= swapped else (1, 0)
 
     report: list[RemovalRecord] = []
-    keep1, keep2 = [], []
-    for name, members, local, own, other, keep in (
-        ("G1", g1, in1, f1, f2, keep1),
-        ("G2", g2, in2, f2, f1, keep2),
-    ):
+    kept = []
+    for name, members, local, own, other in (("G1", g1, in1, f1, f2), ("G2", g2, in2, f2, f1)):
         loaded = incl[local, own] > 0.5
         signs = np.sign(est[local, own])
-        voting = signs[loaded]
-        majority = 1.0 if voting.sum() >= 0 else -1.0
-        for k, feature in zip(local, members):
-            if incl[k, own] <= 0.5:
-                report.append(RemovalRecord(int(feature), name, "low_own_inclusion"))
-            elif np.sign(est[k, own]) != majority:
-                report.append(RemovalRecord(int(feature), name, "sign_mismatch"))
-            elif incl[k, other] > 0.5:
-                report.append(RemovalRecord(int(feature), name, "cross_loading"))
-            else:
-                keep.append(int(feature))
-        if not keep:
+        majority = 1.0 if signs[loaded].sum() >= 0 else -1.0
+        reasons = np.select([~loaded, signs != majority, incl[local, other] > 0.5],
+                            ["low_own_inclusion", "sign_mismatch", "cross_loading"], "")
+        report += [RemovalRecord(int(f), name, str(r)) for f, r in zip(members, reasons) if r]
+        kept.append(members[reasons == ""])
+        if not kept[-1].size:
             raise AllRemoved(name)
-    return np.asarray(keep1, dtype=int), np.asarray(keep2, dtype=int), report
+    return kept[0], kept[1], report
 
 
 def select_candidate_genes(data: DataMatrix, group1, group2,
                            settings: McmcSettings) -> np.ndarray:
     """Candidate features for interaction effects: everything outside the seed
-    groups whose loading inclusion probability exceeds 0.5 on both factors.
+    groups whose loading inclusion probability, as ``posterior_summary``
+    reports it, exceeds 0.5 on both factors.
 
     The underlying fit is the two-factor no-interaction model with degenerate
     seed priors keeping the factor interpretation anchored.
     """
     g1 = frozenset(int(i) for i in group1)
     g2 = frozenset(int(i) for i in group2)
-    draws = run_chain(MultChain(two_factor_null_spec({0: g1, 1: g2}), data, settings))
-    incl = draws.stack("load_mask").astype(float).mean(axis=0)  # (m, 2)
-    seeds = g1 | g2
+    _, incl = _loading_estimates(
+        run_chain(MultChain(two_factor_null_spec({0: g1, 1: g2}), data, settings)))
     mask = (incl > 0.5).all(axis=1)
-    mask[list(seeds)] = False
+    mask[list(g1 | g2)] = False
     return np.flatnonzero(mask)
 
 
@@ -457,6 +443,16 @@ def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
             at = start + dominant[same]
             est[at], lo[at], hi[at] = _interval(block[dominant[same]][on[same]].reshape(-1, k))
     return est, lo, hi, incl, converged
+
+
+def _loading_estimates(draws: PosteriorDraws) -> tuple[np.ndarray, np.ndarray]:
+    """The estimate and inclusion probability of every loading of one chain,
+    each (m, L): the reduction the ``loading`` rows of ``posterior_summary``
+    come from."""
+    est, _, _, incl, _ = _field_summary(
+        (draws,), "loadings", [draws.stack("load_mask").reshape(len(draws), -1)])
+    shape = draws.values["loadings"].shape[1:]
+    return est.reshape(shape), incl.reshape(shape)
 
 
 def require_states(states: int) -> None:

@@ -454,6 +454,11 @@ def _index(key: str) -> tuple[int, ...]:
 
 
 def _beta_table(d: dict) -> BetaTable:
+    """The ``BetaTable`` ``spec_to_dict`` made ``d`` of; KeyError when ``d``
+    lacks a field or has another key."""
+    names = {f.name for f in dataclasses.fields(BetaTable)}
+    if d.keys() != names:
+        raise KeyError(f"Beta table fields missing or unknown: {sorted(d.keys() ^ names)}")
     return BetaTable(default=tuple(d["default"]),
                      groups={k: tuple(v) for k, v in d["groups"].items()},
                      entries={_index(k): tuple(v) for k, v in d["entries"].items()})
@@ -851,6 +856,8 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
             group_keys[group] = key
             seed_groups[group - 1] = frozenset(feature_index(token, labels, key)
                                                for token in value(cfg, key))
+            if not seed_groups[group - 1]:
+                raise ConfigError(f"{key}: names no feature")
     kwargs["seed_groups"] = seed_groups or None
     if family is Family.GP:
         return gp_spec(value(cfg, "model.gp_variant"), **kwargs)

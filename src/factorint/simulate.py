@@ -16,6 +16,7 @@ from .errors import InvalidFraction, ShapeMismatch
 from .genomics import detect_interactions, posterior_mean_effects, posterior_mean_scores
 from .gp import GpChain
 from .io import write_table
+from .kernels import sq_distances
 from .model import (
     DataMatrix,
     Family,
@@ -126,19 +127,18 @@ def align_factors(scores_est: np.ndarray, scores_true: np.ndarray,
                   loadings_est: np.ndarray | None = None):
     """Match estimated factors to the truth by maximal absolute correlation and
     flip signs to agree; the loadings receive the same permutation and signs.
+    Every estimated factor is a candidate, also when the fit has more factors
+    than the truth; those left unmatched are dropped.
 
     Returns (aligned scores, aligned loadings or None, permutation, signs).
     """
     from scipy.optimize import linear_sum_assignment
 
     L = scores_true.shape[0]
-    corr = np.zeros((L, L))
-    for a in range(L):
-        for b in range(L):
-            corr[a, b] = np.corrcoef(scores_true[a], scores_est[b])[0, 1]
-    corr = np.nan_to_num(corr)
-    _, perm = linear_sum_assignment(-np.abs(corr))
-    signs = np.array([1.0 if corr[a, perm[a]] >= 0 else -1.0 for a in range(L)])
+    # true factors by rows, every estimated factor by columns
+    corr = np.nan_to_num(np.corrcoef(scores_true, scores_est)[:L, L:])
+    rows, perm = linear_sum_assignment(-np.abs(corr))
+    signs = np.where(corr[rows, perm] >= 0, 1.0, -1.0)
     aligned_scores = scores_est[perm] * signs[:, None]
     aligned_loadings = None
     if loadings_est is not None:
@@ -197,7 +197,7 @@ def export_surface(effect: np.ndarray, score_pair: np.ndarray) -> SurfaceGrid:
     ys = np.linspace(score_pair[1].min(), score_pair[1].max(), 25)
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     nodes = np.column_stack([gx.ravel(), gy.ravel()])
-    dist = np.sqrt(((nodes[:, None] - points[None, :, :2]) ** 2).sum(-1))
+    dist = np.sqrt(sq_distances(nodes.T, score_pair))
     k = min(8, effect.shape[0])
     idx = np.argsort(dist, axis=1)[:, :k]
     nd = np.take_along_axis(dist, idx, axis=1)

@@ -14,6 +14,7 @@ from factorint import (
     AllRemoved,
     Annotation,
     ConfigError,
+    DataMatrix,
     EmptyWindowWarning,
     InsufficientDraws,
     McmcSettings,
@@ -130,6 +131,136 @@ class TestCleanSeedGenes:
         data = standardize_rows(rng.normal(size=(8, 60)))
         with pytest.raises(AllRemoved):
             clean_seed_genes(data, np.arange(4), np.arange(4, 8), self.settings)
+
+
+def reference_mixture_mean(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """Mean over the states where the indicator is on (0 where never on)."""
+    count = mask.sum(axis=0)
+    total = (values * mask).sum(axis=0)
+    return np.divide(total, count, out=np.zeros_like(total), where=count > 0)
+
+
+def reference_cleaning(draws: PosteriorDraws, g1: np.ndarray, g2: np.ndarray):
+    """Seed-gene cleaning of the draws of its fit by hand: the inclusion
+    probabilities and slab means of the loadings taken directly from the
+    states, and one decision per member. Returns (kept 1, kept 2, report),
+    or the AllRemoved it raises."""
+    masks = draws.stack("load_mask").astype(float)
+    incl = masks.mean(axis=0)
+    est = reference_mixture_mean(draws.stack("loadings"), masks)
+    in1 = np.arange(g1.size)
+    in2 = np.arange(g1.size, g1.size + g2.size)
+    direct = incl[in1, 0].mean() + incl[in2, 1].mean()
+    swapped = incl[in1, 1].mean() + incl[in2, 0].mean()
+    f1, f2 = (0, 1) if direct >= swapped else (1, 0)
+    report, keep1, keep2 = [], [], []
+    for name, members, local, own, other, keep in (
+        ("G1", g1, in1, f1, f2, keep1),
+        ("G2", g2, in2, f2, f1, keep2),
+    ):
+        voting = np.sign(est[local, own])[incl[local, own] > 0.5]
+        majority = 1.0 if voting.sum() >= 0 else -1.0
+        for k, feature in zip(local, members):
+            if incl[k, own] <= 0.5:
+                report.append(genomics.RemovalRecord(int(feature), name, "low_own_inclusion"))
+            elif np.sign(est[k, own]) != majority:
+                report.append(genomics.RemovalRecord(int(feature), name, "sign_mismatch"))
+            elif incl[k, other] > 0.5:
+                report.append(genomics.RemovalRecord(int(feature), name, "cross_loading"))
+            else:
+                keep.append(int(feature))
+        if not keep:
+            return AllRemoved(name)
+    return np.asarray(keep1, dtype=int), np.asarray(keep2, dtype=int), report
+
+
+def reference_selection(draws: PosteriorDraws, g1, g2) -> np.ndarray:
+    incl = draws.stack("load_mask").astype(float).mean(axis=0)
+    mask = (incl > 0.5).all(axis=1)
+    mask[list(set(g1) | set(g2))] = False
+    return np.flatnonzero(mask)
+
+
+def broken_seed_groups(seed: int):
+    """A 60x30 saddle dataset whose first group-1 member has its row's sign
+    flipped and whose group 1 also holds an affected candidate, with the
+    settings its pipeline runs under."""
+    data, truth = generate_saddle_dataset(60, 30, 0.2, seed=seed)
+    g1, g2 = truth.seed_groups[0], truth.seed_groups[1]
+    values = np.array(data.values)
+    values[g1[0]] *= -1
+    data = DataMatrix(values, data.feature_ids, data.sample_ids)
+    settings = McmcSettings(n_iters=60 + 10 * (seed % 3), burn_in=30, seed=seed)
+    return data, np.append(g1, truth.affected[0]), g2, settings
+
+
+@pytest.fixture
+def chains_run(monkeypatch):
+    """The draws of every chain the pipeline runs, in order."""
+    runs, run = [], genomics.run_chain
+
+    def recorded(sampler, sink=None):
+        runs.append(run(sampler, sink))
+        return runs[-1]
+
+    monkeypatch.setattr(genomics, "run_chain", recorded)
+    return runs
+
+
+class TestPipelineDecisions:
+    """Cleaning and selection decide as the hand-written reductions of their
+    draws do: the same kept genes, removal records and candidates."""
+
+    def test_cleaning_and_selection_match_the_per_member_reference(self, chains_run):
+        reasons = set()
+        for seed in range(1, 13):
+            data, g1, g2, settings = broken_seed_groups(seed)
+            try:
+                got = clean_seed_genes(data, g1, g2, settings)
+            except AllRemoved as exc:
+                got = exc
+            expected = reference_cleaning(chains_run[-1], np.sort(g1), np.sort(g2))
+            if isinstance(expected, AllRemoved):
+                assert isinstance(got, AllRemoved) and str(got) == str(expected)
+            else:
+                np.testing.assert_array_equal(got[0], expected[0])
+                np.testing.assert_array_equal(got[1], expected[1])
+                assert got[0].dtype == expected[0].dtype and got[1].dtype == expected[1].dtype
+                assert got[2] == expected[2]
+                assert all(type(r.reason) is str for r in got[2])
+                reasons.update(r.reason for r in got[2])
+            picked = select_candidate_genes(data, g1, g2, settings)
+            np.testing.assert_array_equal(picked, reference_selection(chains_run[-1], g1, g2))
+        assert reasons == {"low_own_inclusion", "sign_mismatch", "cross_loading"}
+
+    def test_cleaning_reads_the_loading_rows_of_the_summary(self, chains_run, monkeypatch):
+        used, estimates = [], genomics._loading_estimates
+
+        def recorded(draws):
+            used.append(estimates(draws))
+            return used[-1]
+
+        monkeypatch.setattr(genomics, "_loading_estimates", recorded)
+        data, g1, g2, settings = broken_seed_groups(1)
+        clean_seed_genes(data, g1, g2, settings)
+        select_candidate_genes(data, g1, g2, settings)
+        assert len(used) == len(chains_run) == 2
+        for (est, incl), draws in zip(used, chains_run):
+            loading = posterior_summary(draws).fields[0]
+            assert loading.name == "loading"
+            assert est.tobytes() == loading.estimate.tobytes()
+            assert incl.tobytes() == loading.inclusion_prob.tobytes()
+            assert est.shape == incl.shape == draws.values["loadings"].shape[1:]
+            # where the slab dominates, the hand-written slab mean up to the
+            # rounding of a sum over the states taken in another order; the
+            # inclusion probability bit for bit
+            masks = draws.stack("load_mask").astype(float)
+            assert incl.tobytes() == masks.mean(axis=0).tobytes()
+            slab = incl > 0.5
+            assert slab.any() and (est[~slab] == 0).all()
+            np.testing.assert_allclose(
+                est[slab], reference_mixture_mean(draws.stack("loadings"), masks)[slab],
+                rtol=len(draws) * np.finfo(float).eps, atol=0)
 
 
 class TestSelectCandidateGenes:

@@ -252,6 +252,11 @@ DRAWS_FAULTS = {
     # a spec without one of its fields, and a spec with a key that is no field
     "spec_without_seed_constraints": lambda meta, arrays: meta["spec"].pop("seed_constraints"),
     "spec_unknown_key": lambda meta, arrays: meta["spec"].update(gp_lengthscale=0.2),
+    # a Beta table without one of its fields, and one with a key that is no field
+    "beta_table_without_groups": lambda meta, arrays: meta["spec"]["load_prob_prior"].pop(
+        "groups"),
+    "beta_table_unknown_key": lambda meta, arrays: meta["spec"]["load_prob_prior"].update(
+        entrys={}),
 }
 
 DRAWS_META_KEYS = ("kind", "burn_in", "thin", "n_iters", "seed", "chain", "state_fields",
@@ -367,7 +372,8 @@ class TestSpecSerialization:
     def test_every_field_has_a_reader_in_field_order(self):
         assert list(fio._SPEC_FIELDS) == [f.name for f in fields(ModelSpec)]
 
-    @pytest.mark.parametrize("fault", ["spec_without_seed_constraints", "spec_unknown_key"])
+    @pytest.mark.parametrize("fault", ["spec_without_seed_constraints", "spec_unknown_key",
+                                       "beta_table_without_groups", "beta_table_unknown_key"])
     @pytest.mark.parametrize("read", [fio.open_draws, fio.load_draws])
     def test_spec_with_a_missing_or_unknown_field_is_corrupt(self, fitted, tmp_path, fault,
                                                              read):
@@ -1276,6 +1282,17 @@ class TestCli:
                        "--set", "model.family=gp", "--set", setting,
                        "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 1
         assert capsys.readouterr().err.strip().splitlines() == [f"ERROR SpecConflict: {message}"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("group", ["", " , "])
+    def test_empty_seed_group_prints_one_config_error(self, fitted, tmp_path, capsys, group):
+        out = tmp_path / "out"
+        assert run_cli("fit", "--output-dir", str(out),
+                       "--set", f"paths.data={fitted / 'data.csv'}",
+                       "--set", f"model.seed_group.1={group}",
+                       "--set", "mcmc.iters=30", "--set", "mcmc.burn_in=10") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "ERROR ConfigError: model.seed_group.1: names no feature"]
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("second", ["b/x.cfg", "a/x.cfg"])

@@ -110,6 +110,18 @@ class TestAlignFactors:
         # loadings move with the same permutation/signs: the product is preserved
         np.testing.assert_allclose(aligned_load @ aligned, loadings @ jumbled, atol=1e-12)
 
+    def test_matches_among_every_estimated_factor(self):
+        # a fit with a third factor: the truth's second factor is the third one
+        rng = np.random.default_rng(33)
+        truth = rng.normal(size=(2, 40))
+        estimated = np.array([-truth[0], rng.normal(size=40), 2 * truth[1]])
+        loadings = rng.normal(size=(7, 3))
+        aligned, aligned_load, perm, signs = align_factors(estimated, truth, loadings)
+        np.testing.assert_array_equal(perm, [0, 2])
+        np.testing.assert_array_equal(signs, [-1.0, 1.0])
+        np.testing.assert_array_equal(aligned, [truth[0], 2 * truth[1]])
+        np.testing.assert_array_equal(aligned_load, loadings[:, [0, 2]] * [-1.0, 1.0])
+
 
 class TestSurfaces:
     def test_flat_zero_effect_gives_flat_grid(self):

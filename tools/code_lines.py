@@ -1,6 +1,6 @@
 """Count the code lines of Python files.
 
-    python tools/code_lines.py PATH...
+    python tools/code_lines.py [--base REV] PATH...
 
 A code line holds a token other than a comment and is not part of a
 string-expression statement (a docstring, or any other bare string), so
@@ -8,10 +8,16 @@ blank lines, comment lines and docstrings do not count, while each line of
 a wrapped statement does. Each PATH is a file or a directory, whose ``*.py``
 files are counted at any depth. Prints the count of every file, then the
 total, each file counted once.
+
+With ``--base REV`` every line also gives the count at the git revision REV
+(``git show REV:path``), as ``before -> after``; a directory then also lists
+the files it held at REV, and a file absent on one side counts as ``-``.
 """
 
+import argparse
 import ast
 import io
+import subprocess
 import sys
 import tokenize
 from pathlib import Path
@@ -35,19 +41,51 @@ def code_lines(source: str) -> int:
     return len(lines - strings)
 
 
+def _git(where: Path, *args: str) -> subprocess.CompletedProcess:
+    """``git args`` run in the directory ``where``, its output as text."""
+    return subprocess.run(["git", "-C", str(where), *args], capture_output=True,
+                          encoding="utf-8")
+
+
+def _files(arg: Path, base: str | None) -> list[Path]:
+    """The files PATH ``arg`` names: itself, or the ``*.py`` files under the
+    directory, now and, with ``base``, at that revision."""
+    if not arg.is_dir():
+        return [arg]
+    files = set(arg.rglob("*.py"))
+    if base is not None:
+        listed = _git(arg, "ls-tree", "-r", "--name-only", base, "--", ".").stdout
+        files.update(arg / name for name in listed.splitlines() if name.endswith(".py"))
+    return sorted(files)
+
+
+def _count_at(base: str, path: Path) -> int | None:
+    """The code lines of ``path`` at revision ``base``, None where it is absent."""
+    shown = _git(path.parent, "show", f"{base}:./{path.name}")
+    return code_lines(shown.stdout) if shown.returncode == 0 else None
+
+
 def main(argv: list[str]) -> int:
-    if not argv:
-        print(__doc__.strip(), file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("--base", metavar="REV", help="also count each file at git revision REV")
+    parser.add_argument("paths", nargs="+", type=Path, metavar="PATH")
+    args = parser.parse_args(argv)
+    where = args.paths[0] if args.paths[0].is_dir() else args.paths[0].parent
+    if args.base is not None and _git(where, "rev-parse", "--verify", "--quiet",
+                                      f"{args.base}^{{commit}}").returncode:
+        parser.error(f"--base: {args.base!r} names no commit")
     # each file once, also when two paths name it
-    files = dict.fromkeys(f for arg in map(Path, argv)
-                          for f in (sorted(arg.rglob("*.py")) if arg.is_dir() else [arg]))
-    total = 0
-    for path in files:
-        count = code_lines(path.read_text(encoding="utf-8"))
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    files = dict.fromkeys(f for arg in args.paths for f in _files(arg, args.base))
+    counts = {path: code_lines(path.read_text(encoding="utf-8"))
+              if args.base is None or path.exists() else None for path in files}
+    counts["total"] = sum(filter(None, counts.values()))
+    if args.base is not None:
+        before = {path: _count_at(args.base, path) for path in files}
+        before["total"] = sum(filter(None, before.values()))
+    for path, count in counts.items():
+        cells = [count] if args.base is None else [before[path], count]
+        print(" -> ".join(f"{'-' if c is None else c:>6}" for c in cells), "", path)
     return 0
 
 
