@@ -231,8 +231,7 @@ _COMMANDS = {
     "summarize": (cmd_summarize, ("paths.draws",), ()),
     "detect": (cmd_detect, ("paths.draws",), ("detect.threshold",)),
     "compare": (cmd_compare, ("paths.data", "paths.truth", "compare.specs"),
-                ("mcmc.iters", "mcmc.burn_in", "mcmc.thin", "mcmc.seed", "mcmc.rw_step",
-                 "mcmc.adapt_rw")),
+                ("mcmc.iters", "mcmc.burn_in", "mcmc.thin", "mcmc.seed", "mcmc.rw_step")),
     "test-overlap": (cmd_test_overlap, ("overlap.population", "overlap.counts",
                                         "overlap.observed"), ("overlap.replicates", "mcmc.seed")),
     "export-surface": (cmd_export_surface, ("surface.feature", "paths.draws"), ()),

@@ -448,7 +448,8 @@ def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
 def _loading_estimates(draws: PosteriorDraws) -> tuple[np.ndarray, np.ndarray]:
     """The estimate and inclusion probability of every loading of one chain,
     each (m, L): the reduction the ``loading`` rows of ``posterior_summary``
-    come from."""
+    come from, refused on as few states as the summary refuses."""
+    require_states(len(draws))
     est, _, _, incl, _ = _field_summary(
         (draws,), "loadings", [draws.stack("load_mask").reshape(len(draws), -1)])
     shape = draws.values["loadings"].shape[1:]

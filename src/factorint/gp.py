@@ -3,7 +3,8 @@
 The observation model is X = loadings @ scores + effects + noise, where each
 effect row is either zero or a draw from a Gaussian process over the score
 columns (squared-exponential kernel). Its spike-and-slab prior and indicator
-draw come from ``prior``, its loading draws from ``mult``. Score columns move by
+draw come from ``prior``; ``mult``'s ``Chain.sweep`` runs the scan, with the
+loading, noise and probability draws both families share. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
 scored by the change in the conditional GP density of entry j. A factor for
@@ -22,7 +23,7 @@ import numpy as np
 
 from .kernels import KernelMatrix, SweepFactor, marginal_ratio_rows, posterior_gain, se_kernel
 from .model import DataMatrix, McmcSettings, McmcState, ModelSpec, PosteriorDraws, run_chain
-from .mult import Chain, shared_log_joint, update_loadings, update_noise, update_probs
+from .mult import Chain, shared_log_joint
 from .prior import PriorLayout, draw_indicators
 
 # Burn-in step-size adaptation: Robbins-Monro decay with a gain floor, so the
@@ -205,23 +206,18 @@ class GpChain(Chain):
             self.kernel = se_kernel(state.scores, spec.length_scale)
         return accepted
 
-    def sweep(self) -> None:
-        update_loadings(self.state, self.data, self.spec, self.layout,
-                        self.streams.get("loadings"))
+    def update_interactions(self) -> None:
+        """Score columns, the step's burn-in update, then the effect rows
+        (or the shared effect) and their indicators."""
         accepted = self.update_score_columns()
-        if self.adapting and self.settings.adapt_rw:
+        if self.adapting:
             rate = accepted / self.data.n_samples
             gain = max((self.iteration + 1) ** -_ADAPT_DECAY, _ADAPT_GAIN_FLOOR)
             step = np.log(self.rw_step) + gain * (rate - _MH_TARGET)
             self.rw_step = float(np.clip(np.exp(step), *_RW_STEP_BOUNDS))
-        if self.spec.shared_effect:
-            update_shared_effect(self.state, self.data, self.spec, self.layout,
-                                 self.kernel, self.streams.get("effects"))
-        else:
-            update_effect_rows(self.state, self.data, self.spec, self.layout,
-                               self.kernel, self.streams.get("effects"))
-        update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
-        update_probs(self.state, self.layout, self.streams.get("probs"))
+        update = update_shared_effect if self.spec.shared_effect else update_effect_rows
+        update(self.state, self.data, self.spec, self.layout, self.kernel,
+               self.streams.get("effects"))
         self.iteration += 1
 
 

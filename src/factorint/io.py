@@ -767,7 +767,6 @@ KEYS = {
     "mcmc.seed": Key(_int, "integer seed (default 0)", "seed"),
     "mcmc.chains": Key(_int, "number of chains (default 1)", "n_chains"),
     "mcmc.rw_step": Key(_float, "initial MH step (gp, default 0.1)", "rw_step"),
-    "mcmc.adapt_rw": Key(_bool, "true | false (default true)", "adapt_rw"),
     "paths.data": Key(_text, "data CSV"),
     "paths.truth": Key(_text, "truth bundle (compare)"),
     "paths.draws": Key(_text, "draws bundle (summarize / detect / export-surface)"),

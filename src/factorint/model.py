@@ -404,8 +404,7 @@ class McmcSettings:
     thin: int = 1
     seed: int = 0
     n_chains: int = 1
-    rw_step: float = 0.1
-    adapt_rw: bool = True
+    rw_step: float = 0.1  # the gp step, adapted during burn-in; burn_in=0 keeps it fixed
 
     def __post_init__(self):
         if self.seed < 0:
@@ -414,10 +413,8 @@ class McmcSettings:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if self.n_chains < 1:
             raise ConfigError(f"n_chains must be >= 1, got {self.n_chains}")
-        if not (np.isfinite(self.rw_step) and self.rw_step >= 0):
-            raise ConfigError(f"rw_step must be finite and >= 0, got {self.rw_step}")
-        if self.rw_step == 0 and self.adapt_rw:
-            raise ConfigError("rw_step must be positive when adapt_rw is on")
+        if not (np.isfinite(self.rw_step) and self.rw_step > 0):
+            raise ConfigError(f"rw_step must be finite and positive, got {self.rw_step}")
 
     def streams(self, chain: int) -> RngStreams:
         """The random streams of chain ``chain`` of this run."""
@@ -484,9 +481,9 @@ def run_chain(sampler, sink=None):
     ``StateArrays``, keeps the states in memory; ``io.DrawsWriter`` leaves
     them in the file it wrote.
 
-    Proposal adaptation ends before the first post-burn-in sweep, so the
-    retained states come from a fixed Metropolis kernel and the acceptance
-    ledger counts only them.
+    Proposal adaptation ends before the first post-burn-in sweep (before
+    sweep 1 when ``burn_in`` is 0), so the retained states come from a
+    fixed Metropolis kernel and the acceptance ledger counts only them.
     """
     settings = sampler.settings
     burn = settings.resolve_burn_in(sampler.spec.family)

@@ -12,7 +12,9 @@ single-coordinate Gibbs (the conditional stays Gaussian despite the score
 product), interaction-score columns (approach 1), interaction-loading rows,
 noise variances, inclusion probabilities. Every spike-and-slab draw (its
 Bayes factor formed in log space) is made by ``prior``; this module owns the
-residual each slab column is drawn from, and the blocks both families share.
+residual each slab column is drawn from, and ``Chain.sweep``, the one scan
+both families run: the loadings, the family's own blocks, then the noise and
+the inclusion probabilities.
 """
 
 from __future__ import annotations
@@ -189,9 +191,9 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
 
 
 class Chain:
-    """Set-up of either sampler: family check against the subclass's
-    ``is_mult``, spec, prior layout, streams and the initial state, drawn
-    from the ``init`` stream."""
+    """Set-up and Gibbs scan of either sampler: family check against the
+    subclass's ``is_mult``, spec, prior layout, streams and the initial
+    state, drawn from the ``init`` stream."""
 
     def __init__(self, spec: ModelSpec, data: DataMatrix,
                  settings: McmcSettings = McmcSettings(), chain: int = 0):
@@ -205,6 +207,16 @@ class Chain:
         self.streams = settings.streams(chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
 
+    def sweep(self) -> None:
+        """One Gibbs scan of either family: the loadings, the family's
+        ``update_interactions``, the noise variances, the inclusion
+        probabilities."""
+        update_loadings(self.state, self.data, self.spec, self.layout,
+                        self.streams.get("loadings"))
+        self.update_interactions()
+        update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
+        update_probs(self.state, self.layout, self.streams.get("probs"))
+
 
 class MultChain(Chain):
     """One multiplicative-family chain over immutable data."""
@@ -215,17 +227,14 @@ class MultChain(Chain):
     accept_counts = None
     rw_step = None
 
-    def sweep(self) -> None:
-        update_loadings(self.state, self.data, self.spec, self.layout,
-                        self.streams.get("loadings"))
+    def update_interactions(self) -> None:
+        """Scores, interaction scores (approach 1), interaction loadings."""
         update_scores(self.state, self.data, self.spec, self.streams.get("scores"))
         if self.spec.family is Family.MULT_APPROACH1:
             update_inter_scores(self.state, self.data, self.spec,
                                 self.streams.get("inter_scores"))
         update_inter_loadings(self.state, self.data, self.spec, self.layout,
                               self.streams.get("inter_loadings"))
-        update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
-        update_probs(self.state, self.layout, self.streams.get("probs"))
 
 
 def run_mult_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,

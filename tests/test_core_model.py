@@ -323,15 +323,12 @@ class TestSettings:
         with pytest.raises(ConfigError):
             McmcSettings(n_iters=10, burn_in=3, thin=2).resolve_burn_in(Family.GP)
 
-    @pytest.mark.parametrize("rw_step, adapt_rw", [
-        (-1.0, False), (float("nan"), False), (float("inf"), False), (0.0, True)])
-    def test_bad_rw_step_rejected(self, rw_step, adapt_rw):
+    @pytest.mark.parametrize("rw_step", [-1.0, float("nan"), float("inf"), 0.0])
+    def test_bad_rw_step_rejected(self, rw_step):
+        # a fixed step is burn_in = 0, so no step below the positive reals is kept
         from factorint import ConfigError
-        with pytest.raises(ConfigError):
-            McmcSettings(rw_step=rw_step, adapt_rw=adapt_rw)
-
-    def test_fixed_zero_step_allowed(self):
-        assert McmcSettings(rw_step=0.0, adapt_rw=False).rw_step == 0.0
+        with pytest.raises(ConfigError, match="rw_step must be finite and positive"):
+            McmcSettings(rw_step=rw_step)
 
     def test_burn_in_must_precede_end(self):
         from factorint import ConfigError

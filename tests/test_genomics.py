@@ -280,6 +280,21 @@ class TestSelectCandidateGenes:
         assert np.intersect1d(picked, single).size == 0
 
 
+class TestPipelineStateCount:
+    """Cleaning and selection refuse the draws ``posterior_summary`` refuses:
+    too few retained states is ``InsufficientDraws``, not a decision."""
+
+    @pytest.mark.parametrize("retained", [1, genomics.MIN_STATES - 1])
+    def test_too_few_states_are_insufficient_draws(self, retained):
+        data, g1, g2, _ = seed_structured(40)
+        settings = McmcSettings(n_iters=2 + retained, burn_in=2, seed=1)
+        message = f"^need at least {genomics.MIN_STATES} retained states, have {retained}$"
+        with pytest.raises(InsufficientDraws, match=message):
+            clean_seed_genes(data, g1, g2, settings)
+        with pytest.raises(InsufficientDraws, match=message):
+            select_candidate_genes(data, g1, g2, settings)
+
+
 # ------------------------------------------------------------- detection
 
 def stacked(states: list[McmcState]) -> dict[str, np.ndarray]:

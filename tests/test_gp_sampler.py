@@ -208,7 +208,8 @@ class TestScoreMetropolis:
     def test_zero_step_always_accepts_and_stays_put(self):
         rng = np.random.default_rng(19)
         data = standardize_rows(rng.normal(size=(4, 6)))
-        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7, rw_step=0.0, adapt_rw=False))
+        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7))
+        chain.rw_step = 0.0  # no setting allows it; the chain's own step does
         start = chain.state.scores.copy()
         accepted = chain.update_score_columns()
         assert accepted == data.n_samples
@@ -220,7 +221,8 @@ class TestScoreMetropolis:
         # so its conditional variance is 0 and the move must be rejected.
         rng = np.random.default_rng(19)
         data = standardize_rows(rng.normal(size=(4, 6)))
-        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7, rw_step=1.0, adapt_rw=False))
+        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7))
+        chain.rw_step = 1.0
         st = chain.state
         st.scores[:] = 0.0
         st.scores[0] = 10.0 * np.arange(6)

@@ -1,6 +1,7 @@
 """Persistence formats, configuration parsing, and the command-line workflow."""
 
 import ast
+import csv
 import errno
 import hashlib
 import json
@@ -570,8 +571,8 @@ class TestConfigParsing:
 
     def test_settings_from_config(self):
         s = fio.settings_from_config({"mcmc.iters": "100", "mcmc.burn_in": "50",
-                                      "mcmc.seed": "9", "mcmc.adapt_rw": "false"})
-        assert (s.n_iters, s.burn_in, s.seed, s.adapt_rw) == (100, 50, 9, False)
+                                      "mcmc.seed": "9", "mcmc.rw_step": "0.25"})
+        assert (s.n_iters, s.burn_in, s.seed, s.rw_step) == (100, 50, 9, 0.25)
 
     @pytest.mark.parametrize("family, spec", FAMILY_DEFAULTS)
     def test_config_defaults_are_the_model_defaults(self, family, spec):
@@ -657,7 +658,7 @@ def test_help_lists_every_key(capsys):
     assert help_text.endswith("configuration keys:" + fio.CONFIG_KEYS)
     listed = help_text.split("configuration keys:\n", 1)[1].splitlines()
     assert [line.split()[0] for line in listed] == list(fio.KEYS)
-    assert len(listed) == 39
+    assert len(listed) == 38
 
 
 def stated_defaults() -> dict[str, str]:
@@ -703,7 +704,7 @@ def test_every_stated_default_is_the_value_used():
     settings = fio.settings_from_config({})
     used.update({"mcmc.iters": settings.n_iters, "mcmc.thin": settings.thin,
                  "mcmc.seed": settings.seed, "mcmc.chains": settings.n_chains,
-                 "mcmc.rw_step": settings.rw_step, "mcmc.adapt_rw": settings.adapt_rw})
+                 "mcmc.rw_step": settings.rw_step})
     burn_in = {family: settings.resolve_burn_in(family) for family in Family}
     assert burn_in[Family.MULT_APPROACH1] == burn_in[Family.MULT_APPROACH2]
     used["mcmc.burn_in"] = f"{burn_in[Family.MULT_APPROACH2]} mult / {burn_in[Family.GP]} gp"
@@ -880,6 +881,25 @@ class TestCli:
         lines = (out / "acceptance.csv").read_text().strip().splitlines()
         assert lines[0] == "chain,column,accepted,proposed,rate,rw_step_final"
         assert len(lines) == 1 + 8
+
+    def test_gp_fit_without_burn_in_keeps_its_step(self, tmp_path):
+        # mcmc.burn_in = 0 is the fixed-step chain: the step never adapts,
+        # and every sweep's proposal of every column is counted
+        out = tmp_path / "gp"
+        out.mkdir()
+        fio.write_data_csv(out / "data.csv", small_data(4, m=6, n=8))
+        assert run_cli("fit", "--output-dir", str(out), "--seed", "2",
+                       "--set", f"paths.data={out / 'data.csv'}", "--set", "model.family=gp",
+                       "--set", "mcmc.iters=25", "--set", "mcmc.burn_in=0",
+                       "--set", "mcmc.rw_step=0.37") == 0
+        with open(out / "acceptance.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        assert {row["rw_step_final"] for row in rows} == {"0.37"}
+        assert {row["proposed"] for row in rows} == {"25"}
+        draws = fio.open_draws(out / "draws.bin")
+        assert draws.rw_step_final == 0.37
+        np.testing.assert_array_equal(draws.mh_accept_counts[:, 1], 25)
 
     def test_detect_command(self, tmp_path):
         out = tmp_path / "d"
@@ -1064,6 +1084,7 @@ class TestCli:
         ("simulate", ["simulate.featurs=20"], "simulate.featurs"),
         ("fit", ["mcmc.iter=30", "model.familly=gp"], "mcmc.iter"),
         ("fit", ["model.familly=gp"], "model.familly"),
+        ("fit", ["mcmc.adapt_rw=false"], "mcmc.adapt_rw"),  # a fixed step is mcmc.burn_in=0
         ("fit", ["paths.annotation=annotation.csv"], "paths.annotation"),
         ("fit", ["model.beta.seed.x=1,2"], "model.beta.seed.x"),
         ("fit", ["--config=run.cfg"], "mcmc.iter"),

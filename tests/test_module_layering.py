@@ -158,3 +158,18 @@ def test_cli_passes_no_default_and_only_io_names_a_parser():
         named = {node.attr for node in ast.walk(parse(module)) if isinstance(node, ast.Attribute)}
         named |= {node.id for node in ast.walk(parse(module)) if isinstance(node, ast.Name)}
         assert not named & names or module == "io", module
+
+
+def test_one_gibbs_scan_for_both_samplers():
+    # ``MultChain`` and ``GpChain`` inherit ``Chain.sweep`` and add only their
+    # own blocks; ``SweepFactor.sweep`` is the score-column loop of a gp scan
+    owners, defined = set(), 0
+    for module in MODULES:
+        tree = parse(module)
+        defined += sum(isinstance(node, ast.FunctionDef) and node.name == "sweep"
+                       for node in ast.walk(tree))
+        owners |= {(module, node.name) for node in ast.walk(tree)
+                   if isinstance(node, ast.ClassDef) for item in node.body
+                   if isinstance(item, ast.FunctionDef) and item.name == "sweep"}
+    assert owners == {("mult", "Chain"), ("kernels", "SweepFactor")}
+    assert defined == len(owners)

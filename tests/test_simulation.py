@@ -249,8 +249,8 @@ class TestFitSpec:
         (mult_spec(1), McmcSettings(n_iters=24, burn_in=10, thin=2, seed=3), 1),
         (mult_spec(2), McmcSettings(n_iters=20, burn_in=10, seed=5), 0),
         (gp_spec(1), McmcSettings(n_iters=24, burn_in=10, thin=2, seed=3), 1),
-        (gp_spec(2), McmcSettings(n_iters=20, burn_in=10, seed=6, rw_step=0.4,
-                                  adapt_rw=False), 0),
+        # burn_in = 0: the step stays at rw_step throughout
+        (gp_spec(2), McmcSettings(n_iters=20, burn_in=0, seed=6, rw_step=0.4), 0),
     ])
     def test_matches_the_family_runner(self, spec, settings, chain):
         data = standardize_rows(np.random.default_rng(31).normal(size=(6, 8)))
@@ -258,13 +258,13 @@ class TestFitSpec:
         kwargs = dict(n_iters=settings.n_iters, burn_in=settings.burn_in, thin=settings.thin,
                       seed=settings.seed, chain=chain)
         if spec.family is Family.GP:
-            direct = run_gp_chain(spec, data, rw_step=settings.rw_step,
-                                  adapt_rw=settings.adapt_rw, **kwargs)
+            direct = run_gp_chain(spec, data, rw_step=settings.rw_step, **kwargs)
         else:
             direct = run_mult_chain(spec, data, **kwargs)
 
         assert via_settings.chain == direct.chain == chain
-        assert len(via_settings) == len(direct) == (settings.n_iters - 10) // settings.thin
+        assert (len(via_settings) == len(direct)
+                == (settings.n_iters - settings.burn_in) // settings.thin)
         for a, b in zip(states(via_settings), states(direct)):
             assert all(_same(getattr(a, name), getattr(b, name)) for name in STATE_FIELDS)
         assert _same(via_settings.mh_accept_counts, direct.mh_accept_counts)

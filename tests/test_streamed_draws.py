@@ -390,7 +390,7 @@ def test_fit_memory_does_not_grow_with_its_draws(tmp_path):
     out = tmp_path / "out"
     args = ["fit", "--output-dir", str(out), "--seed", "1",
             "--set", f"paths.data={tmp_path / 'data.csv'}", "--set", "model.family=gp",
-            "--set", "mcmc.burn_in=10", "--set", "mcmc.adapt_rw=false"]
+            "--set", "mcmc.burn_in=0"]
     # a short fit first, so that the modules a gp fit imports on first use
     # are not counted
     assert cli_main([*args, "--set", "mcmc.iters=30"]) == 0
