@@ -69,7 +69,7 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
     coef = np.zeros_like(proj)
     coef[mask] = gain * proj[mask] + np.sqrt(gain * s2) * z[mask]
     rows = coef @ U.T
-    state.inter_mask = mask.astype(np.int8)
+    state.inter_mask[...] = mask
     state.effects = np.where(mask[:, None], rows, 0.0)
 
 
@@ -108,7 +108,7 @@ def update_shared_effect(state: McmcState, data: DataMatrix, spec: ModelSpec,
     ss = float(fstar @ fstar)
     mask = draw_indicators(rng, state.inter_prob, (quad - 0.5 * ss) / state.noise_var,
                            layout.inter.fixed)
-    state.inter_mask = mask.astype(np.int8)
+    state.inter_mask[...] = mask
     state.effects = np.where(mask[:, None], fstar[None, :], 0.0)
 
 

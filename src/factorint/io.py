@@ -25,11 +25,23 @@ arrays of a ``SyntheticTruth`` on m x n data, in this order: ``loadings``
 (m, 2), ``scores`` (2, n), ``effects`` (m, n), ``noise_var`` (m,), and the
 feature indices ``affected``, ``seed_group_1`` and ``seed_group_2``.
 
-Draws bundle: meta ``kind`` ``draws``, the chain's counts and ids, and under
-``spec`` the model spec as ``spec_to_dict`` writes it. ``spec_from_dict``
-reads it back through ``_SPEC_FIELDS``, one reader per ``ModelSpec`` field,
-so a spec that lacks a field or holds a key that is not one is CorruptFile
-rather than a field reset to its default or a key ignored.
+Draws bundle: meta ``kind`` ``draws``, the chain's counts and ids, its final
+MH step, and under ``spec`` the model spec as ``spec_to_dict`` writes it;
+the arrays are the state fields, then the acceptance ledger if the chain
+kept one. Each part is read back by the rule that wrote it, and a file that
+breaks one is CorruptFile:
+- the meta's entries are exactly ``_DRAWS_KEYS``, the keys ``_draws_layout``
+  writes;
+- ``spec_from_dict`` reads the spec through ``_SPEC_FIELDS``, one reader per
+  ``ModelSpec`` field, so a spec that lacks a field or holds a key that is not
+  one fails rather than resets a field to its default or ignores the key;
+- the counts are ints that make an ``McmcSettings`` whose ``streams(chain)``
+  and ``retained(family)`` hold, with the final step as its ``rw_step`` for
+  gp draws; the step is None exactly for the multiplicative families;
+- each state field is (S, *shape) of ``model.state_shapes`` with its
+  ``model.STATE_DTYPES`` dtype, for one S > 0 across the fields, on the
+  m >= 2 features and n >= 2 samples a ``DataMatrix`` holds;
+- the ledger, if any, is an (n, 2) integer array.
 
 Run directory: ``landing`` is the one way a command's files reach its output
 directory. They are written into a staging directory ``.factorint.<pid>.tmp``
@@ -82,6 +94,7 @@ from .model import (
     McmcSettings,
     ModelSpec,
     PosteriorDraws,
+    STATE_DTYPES,
     STATE_FIELDS,
     SyntheticTruth,
     chain_draws,
@@ -291,7 +304,6 @@ class BundleField:
 
     def __init__(self, path, offset: int, dtype: np.dtype, shape: tuple[int, ...]):
         self.path, self.offset, self.dtype, self.shape = path, offset, dtype, shape
-        self.ndim = len(shape)
         # bytes per index of the leading axis
         self.stride = math.prod(shape[1:]) * dtype.itemsize
 
@@ -365,10 +377,6 @@ def read_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
     return meta, {name: field.read() for name, field in fields.items()}
 
 
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 def _bundle_field(entry, payload: int, payload_len: int, path) -> tuple[str, BundleField]:
     """One array of a bundle whose payload starts at byte ``payload`` and
     holds ``payload_len`` bytes, from its header entry; CorruptFile when the
@@ -379,7 +387,7 @@ def _bundle_field(entry, payload: int, payload_len: int, path) -> tuple[str, Bun
     except (KeyError, TypeError):
         raise CorruptFile(f"{path}: malformed array entry {entry!r:.80}") from None
     if not (isinstance(name, str) and isinstance(dtype, str) and isinstance(shape, list)
-            and all(map(_is_count, (offset, nbytes, *shape)))):
+            and all(type(v) is int and v >= 0 for v in (offset, nbytes, *shape))):
         raise CorruptFile(f"{path}: malformed array entry {entry!r:.80}")
     try:
         dtype = np.dtype(dtype)
@@ -491,6 +499,9 @@ def spec_from_dict(d: dict) -> ModelSpec:
 
 # the integer entries of a draws bundle's meta, each a field of PosteriorDraws
 _DRAWS_COUNTS = ("burn_in", "thin", "n_iters", "seed", "chain")
+# every entry of a draws bundle's meta: the keys ``_draws_layout`` writes
+_DRAWS_KEYS = {"kind", "spec", *_DRAWS_COUNTS, "state_fields", "feature_ids", "sample_ids",
+               "rw_step_final"}
 
 
 def _draws_layout(draws: PosteriorDraws) -> tuple[dict, dict[str, np.ndarray]]:
@@ -558,13 +569,11 @@ class DrawsWriter(_BundleFile):
 
 
 def _draws_ids(meta: dict, key: str, count: int, path) -> tuple[str, ...] | None:
-    ids = meta.get(key)
-    if ids is None:
-        return None
-    if not (isinstance(ids, list) and len(ids) == count and all(isinstance(i, str) for i in ids)
-            and len(set(ids)) == count):
+    ids = meta[key]
+    if not (ids is None or isinstance(ids, list) and len(ids) == count
+            and all(isinstance(i, str) for i in ids) and len(set(ids)) == count):
         raise CorruptFile(f"{path}: {key} is not a list of {count} distinct strings")
-    return tuple(ids)
+    return None if ids is None else tuple(ids)
 
 
 def load_draws(path) -> PosteriorDraws:
@@ -587,47 +596,51 @@ def open_draws(path) -> PosteriorDraws:
 
 def _draws_from(meta: dict, arrays: dict, path) -> PosteriorDraws:
     """The draws of a bundle's meta and arrays (arrays or ``BundleField``s);
-    CorruptFile when they do not describe the draws of a model."""
-    if meta.get("kind") != "draws":
-        raise CorruptFile(f"{path}: bundle does not contain draws")
-    fields = meta.get("state_fields")
-    if not (isinstance(fields, list) and "loadings" in fields and "scores" in fields
-            and all(name in STATE_FIELDS and name in arrays for name in fields)):
-        raise CorruptFile(f"{path}: draws bundle lacks its state fields, loadings or scores")
-    values = {name: arrays[name] for name in STATE_FIELDS if name in fields}
-    leading = {arr.shape[:1] for arr in values.values()}
-    if len(leading) != 1 or () in leading or (0,) in leading:
-        raise CorruptFile(f"{path}: state fields hold no or different numbers of states")
-    bad = [key for key in _DRAWS_COUNTS if not isinstance(meta.get(key), int)
-           or isinstance(meta[key], bool)]
+    CorruptFile when they are not what ``_draws_layout`` writes for the draws
+    of a model: the header entries ``_DRAWS_KEYS``, run settings that make an
+    ``McmcSettings`` of the spec's family, each state field of ``state_shapes``
+    with its ``STATE_DTYPES`` dtype, and an (n, 2) integer ledger if any."""
+    if meta.get("kind") != "draws" or meta.keys() != _DRAWS_KEYS:
+        raise CorruptFile(f"{path}: not a draws bundle: entries "
+                          f"{sorted(meta.keys() ^ _DRAWS_KEYS)} missing or unknown")
+    bad = [key for key in _DRAWS_COUNTS if type(meta[key]) is not int]
     if bad:
         raise CorruptFile(f"{path}: draws entries {bad} are not integers")
-    rw_step = meta.get("rw_step_final")
-    if not (rw_step is None or (isinstance(rw_step, (int, float))
-                                and not isinstance(rw_step, bool))):
-        raise CorruptFile(f"{path}: rw_step_final is not a number")
+    rw_step = meta["rw_step_final"]
     try:
         spec = spec_from_dict(meta["spec"])
+        # the chain's final MH step: a float for gp draws, None for multiplicative ones
+        if not isinstance(rw_step, type(None) if spec.is_mult else float):
+            raise ConfigError(f"rw_step_final {rw_step!r:.40} is not the MH step of a "
+                              f"{spec.family.value} chain")
+        settings = McmcSettings(*(meta[key] for key in ("n_iters", "burn_in", "thin", "seed")),
+                                **({} if rw_step is None else {"rw_step": rw_step}))
+        settings.streams(meta["chain"])
+        settings.retained(spec.family)
     except (FactorIntError, LookupError, TypeError, ValueError, AttributeError,
             ArithmeticError) as exc:
-        raise CorruptFile(f"{path}: unreadable model spec ({type(exc).__name__}: {exc})") from None
-    if values["loadings"].ndim != 3 or values["scores"].ndim != 3:
-        raise CorruptFile(f"{path}: loadings or scores are not one matrix per state")
-    m, n = values["loadings"].shape[1], values["scores"].shape[2]
+        raise CorruptFile(f"{path}: unreadable model spec or run settings "
+                          f"({type(exc).__name__}: {exc})") from None
+    try:
+        (n_states, m, _), (_, _, n) = arrays["loadings"].shape, arrays["scores"].shape
+    except (KeyError, ValueError):
+        raise CorruptFile(f"{path}: loadings or scores are not one matrix per state") from None
     shapes = state_shapes(spec, m, n)
-    if shapes.keys() != values.keys() or any(
-            arr.shape[1:] != shapes[name] for name, arr in values.items()):
-        raise CorruptFile(f"{path}: state fields do not match a {spec.family.value} model "
-                          f"with {spec.n_factors} factors on {m} features x {n} samples")
-    return PosteriorDraws(
-        spec=spec,
-        values=values,
-        **{key: meta[key] for key in _DRAWS_COUNTS},
-        feature_ids=_draws_ids(meta, "feature_ids", m, path),
-        sample_ids=_draws_ids(meta, "sample_ids", n, path),
-        mh_accept_counts=arrays.get("mh_accept_counts"),
-        rw_step_final=rw_step,
-    )
+    values = {name: arrays.get(name) for name in shapes}
+    wrong = [name for name, arr in values.items() if arr is None
+             or (arr.shape, arr.dtype) != ((n_states, *shapes[name]), STATE_DTYPES[name])]
+    if wrong or not n_states or min(m, n) < 2 or meta["state_fields"] != list(shapes):
+        raise CorruptFile(f"{path}: state fields {wrong or meta['state_fields']!r:.80} do not "
+                          f"have the shapes and dtypes of {n_states} states of a "
+                          f"{spec.family.value} model with {spec.n_factors} factors on "
+                          f"{m} features x {n} samples")
+    ledger = arrays.get("mh_accept_counts")
+    if ledger is not None and (ledger.shape != (n, 2) or ledger.dtype.kind not in "iu"):
+        raise CorruptFile(f"{path}: mh_accept_counts is not an ({n}, 2) integer array")
+    return PosteriorDraws(spec, values, **{key: meta[key] for key in _DRAWS_COUNTS},
+                          feature_ids=_draws_ids(meta, "feature_ids", m, path),
+                          sample_ids=_draws_ids(meta, "sample_ids", n, path),
+                          mh_accept_counts=ledger, rw_step_final=rw_step)
 
 
 # ------------------------------------------------------------ configuration

@@ -302,10 +302,10 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
 class McmcState:
     """One full set of latent quantities at a sampler iteration.
 
-    ``state_shapes`` gives the fields each family carries and their shapes;
-    the others are None. Masks are the binary inclusion indicators;
-    probability arrays mirror the mask shapes with shared values expanded per
-    entry.
+    ``state_shapes`` gives the fields each family carries and their shapes,
+    and ``STATE_DTYPES`` the dtype of each; the others are None. Masks are
+    the int8 0/1 inclusion indicators; probability arrays mirror the mask
+    shapes with shared values expanded per entry.
     """
 
     loadings: np.ndarray                     # (m, L)
@@ -326,6 +326,8 @@ class McmcState:
 
 
 STATE_FIELDS = tuple(f.name for f in fields(McmcState))
+# the dtype of every state field: int8 for the two masks, float64 for the rest
+STATE_DTYPES = {name: np.dtype(np.int8 if "mask" in name else np.float64) for name in STATE_FIELDS}
 
 
 def state_shapes(spec: ModelSpec, m: int, n: int) -> dict[str, tuple[int, ...]]:

@@ -29,6 +29,7 @@ from .model import (
     McmcState,
     ModelSpec,
     PosteriorDraws,
+    STATE_DTYPES,
     factor_pairs,
     run_chain,
     state_shapes,
@@ -178,12 +179,13 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
                   rng: np.random.Generator) -> McmcState:
     """Zero loadings, standard-normal scores, unit noise variances; the
     inclusion probabilities start at their prior means (fixed entries at their
-    degenerate values) and the indicators are drawn from them."""
+    degenerate values) and the indicators are drawn from them. Every field is
+    allocated with its ``STATE_DTYPES`` dtype, and the samplers write into it."""
     shapes = state_shapes(spec, data.n_features, data.n_samples)
-    state = McmcState(**{name: np.zeros(shape) for name, shape in shapes.items()})
+    state = McmcState(**{k: np.zeros(shape, STATE_DTYPES[k]) for k, shape in shapes.items()})
     state.scores = rng.standard_normal(shapes["scores"])
-    state.load_prob, state.load_mask = draw_prior_indicators(rng, layout.load)
-    state.inter_prob, state.inter_mask = draw_prior_indicators(rng, layout.inter)
+    state.load_prob, state.load_mask[...] = draw_prior_indicators(rng, layout.load)
+    state.inter_prob, state.inter_mask[...] = draw_prior_indicators(rng, layout.inter)
     state.noise_var[:] = 1.0
     if spec.is_mult:
         refresh_products(state, spec)

@@ -280,11 +280,12 @@ def _prob_block(prior: InclusionPrior, mask: np.ndarray, prob: np.ndarray) -> fl
 
 def draw_prior_indicators(rng: np.random.Generator,
                           prior: InclusionPrior) -> tuple[np.ndarray, np.ndarray]:
-    """A chain's starting (probabilities, 0/1 indicators) of one block: each
+    """A chain's starting (probabilities, bool indicators) of one block: each
     entry's prior mean, degenerate entries at their fixed value, and one
-    indicator per entry drawn from it."""
+    indicator per entry drawn from it. The caller writes the indicators into
+    the state's mask, whose dtype ``model.STATE_DTYPES`` states."""
     prob = _pin_fixed((prior.a / (prior.a + prior.b))[prior.share], prior.fixed)
-    return prob, (rng.random(prob.shape) < prob).astype(np.int8)
+    return prob, rng.random(prob.shape) < prob
 
 
 def draw_indicators(rng: np.random.Generator, prob: np.ndarray, log_bf: np.ndarray,

@@ -373,6 +373,28 @@ class TestRunChain:
             assert arr.shape == expected[name].shape == (6,) + arr.shape[1:], name
             assert arr.tobytes() == expected[name].tobytes(), name
 
+    @pytest.mark.parametrize("seed_groups", [None, SEEDED], ids=["unseeded", "seeded"])
+    @pytest.mark.parametrize("make", [
+        lambda **kw: mult_spec(1, **kw), lambda **kw: mult_spec(2, **kw),
+        *(lambda variant=v, **kw: gp_spec(variant, **kw) for v in GP_VARIANT_TABLE)],
+        ids=["mult1", "mult2", *(f"gp{v}" for v in GP_VARIANT_TABLE)])
+    def test_swept_state_has_the_stated_shapes_and_dtypes(self, make, seed_groups):
+        # the samplers write into the arrays ``initial_state`` allocated, so
+        # every field keeps the shape of ``state_shapes`` and the dtype of
+        # ``STATE_DTYPES``; the fields the family leaves out stay None
+        spec = make(seed_groups=seed_groups)
+        data = standardize_rows(np.random.default_rng(43).normal(size=(6, 8)))
+        sampler = (MultChain if spec.is_mult else GpChain)(spec, data, McmcSettings(seed=2))
+        for _ in range(3):
+            sampler.sweep()
+        shapes = state_shapes(spec, 6, 8)
+        for name in STATE_FIELDS:
+            value = getattr(sampler.state, name)
+            if name in shapes:
+                assert (value.shape, value.dtype) == (shapes[name], model.STATE_DTYPES[name]), name
+            else:
+                assert value is None, name
+
     def test_retained_arrays_are_read_only(self):
         data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
         draws = run_chain(MultChain(mult_spec(2), data,

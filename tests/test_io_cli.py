@@ -32,6 +32,7 @@ from factorint import (
     DataMatrix,
     FactorIntError,
     FormatVersionMismatch,
+    detect_interactions,
     export_surface,
     generate_saddle_dataset,
     gp_spec,
@@ -46,7 +47,7 @@ from factorint import io as fio
 from factorint import cli
 from factorint.cli import main as cli_main
 from factorint.genomics import MIN_STATES, posterior_mean_scores
-from factorint.model import Family, McmcSettings, ModelSpec
+from factorint.model import Family, McmcSettings, ModelSpec, state_shapes
 from factorint.prior import BetaTable, InterProbModel, build_layout
 from tests_support import states
 
@@ -235,6 +236,16 @@ headers = json_values | st.fixed_dictionaries(
                   "arrays": st.lists(array_entries, max_size=3) | json_values})
 
 
+def drop_features(meta, arrays) -> None:
+    """Leave no feature in a draws bundle: no feature ids, and no row in the
+    feature axis of each state field that has one."""
+    meta["feature_ids"] = []
+    for name in ("loadings", "load_mask", "load_prob", "noise_var", "inter_mask", "inter_prob",
+                 "inter_loadings", "effects"):
+        if name in arrays:
+            arrays[name] = arrays[name][:, :0]
+
+
 DRAWS_FAULTS = {
     "no_state_fields": lambda meta, arrays: meta.pop("state_fields"),
     "no_loadings": lambda meta, arrays: arrays.pop("loadings"),
@@ -258,11 +269,46 @@ DRAWS_FAULTS = {
         "groups"),
     "beta_table_unknown_key": lambda meta, arrays: meta["spec"]["load_prob_prior"].update(
         entrys={}),
+    # a state field that is not of its STATE_DTYPES dtype
+    "float_load_mask": lambda meta, arrays: arrays.update(
+        load_mask=arrays["load_mask"].astype(np.float64)),
+    "float_inter_mask": lambda meta, arrays: arrays.update(
+        inter_mask=arrays["inter_mask"].astype(np.float64)),
+    "float32_loadings": lambda meta, arrays: arrays.update(
+        loadings=arrays["loadings"].astype(np.float32)),
+    "int_scores": lambda meta, arrays: arrays.update(scores=arrays["scores"].astype(np.int64)),
+    # fewer features than a DataMatrix holds
+    "no_features": drop_features,
+    # run settings no chain runs under, and header entries the writer does not write
+    "negative_seed": lambda meta, arrays: meta.update(seed=-1),
+    "negative_thin": lambda meta, arrays: meta.update(thin=-3),
+    "nan_rw_step": lambda meta, arrays: meta.update(rw_step_final=float("nan")),
+    "no_rw_step": lambda meta, arrays: meta.pop("rw_step_final"),
+    "unknown_entry": lambda meta, arrays: meta.update(n_chains=1),
+    # an acceptance ledger that is not one (accepted, proposed) pair per sample
+    "flat_ledger": lambda meta, arrays: arrays.update(mh_accept_counts=np.zeros(3, np.int64)),
+    "float_ledger": lambda meta, arrays: arrays.update(
+        mh_accept_counts=np.zeros((len(meta["sample_ids"]), 2))),
 }
+# the faults of a file with a valid checksum that loaded before the reader
+# checked state dtypes, run settings, header entries and the ledger
+READER_FAULTS = ("float_load_mask", "float_inter_mask", "float32_loadings", "int_scores",
+                 "negative_seed", "negative_thin", "nan_rw_step", "no_rw_step", "unknown_entry",
+                 "flat_ledger", "float_ledger", "no_features")
 
 DRAWS_META_KEYS = ("kind", "burn_in", "thin", "n_iters", "seed", "chain", "state_fields",
                    "feature_ids", "sample_ids", "rw_step_final", "spec",
                    *(f"spec.{key}" for key in fio.spec_to_dict(mult_spec(2))))
+
+
+@pytest.fixture(scope="module")
+def gp_draws(tmp_path_factory):
+    """The draws file of a gp chain, with its MH step, its ledger and the 20
+    states a summary needs."""
+    path = tmp_path_factory.mktemp("gp") / "draws.bin"
+    fio.persist_draws(run_gp_chain(gp_spec(1), small_data(2), n_iters=24, burn_in=4, seed=3),
+                      path)
+    return path
 
 
 def break_draws(source, target, fault: str) -> None:
@@ -292,6 +338,44 @@ class TestMalformedBundles:
         break_draws(path, path, fault)
         with pytest.raises(CorruptFile):
             fio.load_draws(path)
+
+    @pytest.mark.parametrize("fault", READER_FAULTS)
+    def test_gp_draws_fault_fails_each_reader_and_command(self, gp_draws, tmp_path, capsys,
+                                                          fault):
+        # a gp file carries the float MH step and the ledger that a
+        # multiplicative one leaves out
+        path = tmp_path / "draws.bin"
+        break_draws(gp_draws, path, fault)
+        for read in (fio.open_draws, fio.load_draws):
+            with pytest.raises(CorruptFile):
+                read(path)
+        for command in ("summarize", "detect"):
+            assert run_cli(command, "--output-dir", str(tmp_path / command),
+                           "--set", f"paths.draws={path}") == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert len(err) == 1 and err[0].startswith(f"ERROR CorruptFile: {path}: "), err
+
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(name=st.sampled_from([*state_shapes(gp_spec(1), 8, 10), "mh_accept_counts"]),
+           dtype=st.sampled_from([np.float32, np.float64, np.int8, np.int64, np.bool_,
+                                  np.complex128]))
+    def test_random_draws_dtype_raises_only_package_errors(self, gp_draws, tmp_path, name,
+                                                           dtype):
+        meta, arrays = fio.read_bundle(gp_draws)
+        with np.errstate(all="ignore"):
+            arrays[name] = arrays[name].astype(dtype)
+        path = tmp_path / "draws.bin"
+        fio.write_bundle(path, meta, arrays)
+        try:
+            draws = fio.load_draws(path)
+        except FactorIntError:
+            return
+        for reduce in (posterior_summary, detect_interactions):
+            try:
+                reduce(draws)
+            except FactorIntError:
+                pass
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

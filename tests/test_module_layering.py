@@ -173,3 +173,12 @@ def test_one_gibbs_scan_for_both_samplers():
                    if isinstance(item, ast.FunctionDef) and item.name == "sweep"}
     assert owners == {("mult", "Chain"), ("kernels", "SweepFactor")}
     assert defined == len(owners)
+
+
+def test_no_module_casts_to_the_mask_dtype():
+    # ``model.STATE_DTYPES`` states the int8 of the masks once: the state's
+    # own arrays are allocated with it and the samplers write into them
+    casts = owners(lambda node: isinstance(node, ast.Call)
+                   and getattr(node.func, "attr", None) == "astype"
+                   and any(map(uses("np", "int8"), node.args)))
+    assert not casts
