@@ -15,7 +15,8 @@ the manifest last, only once the command has succeeded. A failed command
 leaves the output directory as it was; a killed one can leave its staging
 directory ``.factorint.<pid>.tmp`` behind. The manifest records the
 configuration the command read, the seed, a checksum per artifact and per
-input file read, and the run's wall time and peak resident memory. A
+input file read, and the run's wall time and peak resident memory; ``fit``
+adds each chain's sweeps, time per sweep block and counts. A
 bundle's checksum (draws or truth) is the one its writer or reader took with
 its digest, so no command reads a bundle twice to hash it. Every CSV goes
 through ``io.write_table``. Failures, argument errors among them, exit 1
@@ -87,9 +88,11 @@ def _load_config(args) -> dict[str, str]:
 
 
 # Files the running command has read, in the order read, for its manifest,
-# and the sha256 it already took of whole files it read or wrote.
+# the sha256 it already took of whole files it read or wrote, and the
+# profile of each chain it ran.
 _inputs: list[Path] = []
 _digests: dict[str, str] = {}
+_chains: list[dict] = []
 
 
 def _input_file(key: str, name: str) -> Path:
@@ -137,6 +140,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> int:
         with fio.DrawsWriter(out / name) as writer:
             all_draws.append(fit_spec(spec, data, settings, chain, writer))
         _digests[str(writer.path)] = all_draws[-1].sha256
+        _chains.append(all_draws[-1].profile)
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
 
     if spec.family is Family.GP:
@@ -242,6 +246,7 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     _inputs.clear()
     _digests.clear()
+    _chains.clear()
     try:
         args = _build_parser().parse_args(argv)
         cfg = _load_config(args)
@@ -252,7 +257,8 @@ def main(argv=None) -> int:
             seed = command(cfg, stage)
             manifest = fio.write_manifest(stage, args.command, cfg, seed,
                                           wall_s=time.perf_counter() - started,
-                                          inputs=_inputs, digests=_digests)
+                                          inputs=_inputs, digests=_digests,
+                                          chains=_chains or None)
         for entry in manifest["artifacts"]:
             print(f"wrote {out / entry['path']}")
     except Exception as exc:  # noqa: BLE001 - contract: one parsable line per failure

@@ -4,7 +4,12 @@ The observation model is X = loadings @ scores + effects + noise, where each
 effect row is either zero or a draw from a Gaussian process over the score
 columns (squared-exponential kernel). Its spike-and-slab prior and indicator
 draw come from ``prior``; ``mult``'s ``Chain.sweep`` runs the scan, with the
-loading, noise and probability draws both families share. Score columns move by
+loading, noise and probability blocks both families share. ``GpChain`` adds
+three blocks: ``score_columns``, ``step`` (the burn-in step update) and
+``effect_rows`` (the effect rows, or under variants 2 and 4 the shared
+effect, with their indicators), and counts the kernels it builds, their
+jitter escalations, the column moves proposed and accepted, and the active
+rows, over every sweep. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
 scored by the change in the conditional GP density of entry j. A factor for
@@ -18,6 +23,8 @@ never absorbs the chain; the row (or the shared effect) is redrawn afterwards.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -152,23 +159,43 @@ def column_delta_log_joint(state: McmcState, data: DataMatrix, spec: ModelSpec,
 
 
 class GpChain(Chain):
-    """One nonlinear-family chain; owns the kernel tied to the current scores."""
+    """One nonlinear-family chain; owns the kernel tied to the current scores.
+
+    ``counts`` tallies, over every sweep, burn-in included: the kernels built
+    (the initial one too) and those whose factor needed a jitter above the
+    ladder's first, the score-column moves proposed and accepted, and the
+    active effect rows after each sweep's effect block."""
 
     is_mult = False
 
     def __init__(self, spec: ModelSpec, data: DataMatrix,
                  settings: McmcSettings = McmcSettings(), chain: int = 0):
         super().__init__(spec, data, settings, chain)
-        self.kernel = se_kernel(self.state.scores, spec.length_scale)
+        self.counts = dict.fromkeys(("kernel_builds", "jitter_escalations", "proposed_moves",
+                                     "accepted_moves", "active_rows"), 0)
+        self.build_kernel()
         self.rw_step = float(settings.rw_step)
-        self.iteration = 0
         self.adapting = True
+        self.accepted = 0  # score columns the sweep's score-column block moved
         # accepted / proposed per column, tallied only while adaptation is frozen
         self.accept_counts = np.zeros((data.n_samples, 2), dtype=np.int64)
 
+    def family_blocks(self) -> dict[str, Callable[[], object]]:
+        """Score columns, the step's burn-in update, then the effect rows (or
+        the shared effect) and their indicators."""
+        return {"score_columns": self.update_score_columns, "step": self.update_step,
+                "effect_rows": self.update_effects}
+
+    def build_kernel(self) -> None:
+        """Rebuild the kernel from the current scores, and count it."""
+        self.kernel = se_kernel(self.state.scores, self.spec.length_scale)
+        self.counts["kernel_builds"] += 1
+        self.counts["jitter_escalations"] += self.kernel.jitter_escalated
+
     def update_score_columns(self) -> int:
         """Random-walk Metropolis over every score column; returns the number
-        of accepted proposals in this sweep.
+        of accepted proposals in this sweep, which it also keeps as
+        ``accepted``.
 
         The sweep's proposals and uniforms are drawn first, column by column,
         and the data and score-prior terms of every column come from one
@@ -201,24 +228,28 @@ class GpChain(Chain):
         if not self.adapting:
             self.accept_counts[:, 0] += accept
             self.accept_counts[:, 1] += 1
-        accepted = int(np.count_nonzero(accept))
-        if accepted:
-            self.kernel = se_kernel(state.scores, spec.length_scale)
-        return accepted
+        self.accepted = int(np.count_nonzero(accept))
+        self.counts["proposed_moves"] += n
+        self.counts["accepted_moves"] += self.accepted
+        if self.accepted:
+            self.build_kernel()
+        return self.accepted
 
-    def update_interactions(self) -> None:
-        """Score columns, the step's burn-in update, then the effect rows
-        (or the shared effect) and their indicators."""
-        accepted = self.update_score_columns()
+    def update_step(self) -> None:
+        """During burn-in, move the log step toward the target acceptance by
+        this sweep's rate (Robbins-Monro); afterwards the step stays fixed."""
         if self.adapting:
-            rate = accepted / self.data.n_samples
+            rate = self.accepted / self.data.n_samples
             gain = max((self.iteration + 1) ** -_ADAPT_DECAY, _ADAPT_GAIN_FLOOR)
             step = np.log(self.rw_step) + gain * (rate - _MH_TARGET)
             self.rw_step = float(np.clip(np.exp(step), *_RW_STEP_BOUNDS))
+
+    def update_effects(self) -> None:
+        """The effect rows (or the shared effect) and their indicators."""
         update = update_shared_effect if self.spec.shared_effect else update_effect_rows
         update(self.state, self.data, self.spec, self.layout, self.kernel,
                self.streams.get("effects"))
-        self.iteration += 1
+        self.counts["active_rows"] += int(np.count_nonzero(self.state.inter_mask))
 
 
 def run_gp_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,

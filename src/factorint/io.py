@@ -932,10 +932,11 @@ def _file_entry(path, name: str, sha256: str | None) -> dict:
 
 
 def write_manifest(output_dir, command: str, config: dict, seed: int, wall_s: float,
-                   inputs=(), digests=None) -> dict:
+                   inputs=(), digests=None, chains=None) -> dict:
     """Write ``manifest.json`` into ``output_dir`` and return what it holds:
     the resolved configuration, the run environment, the run's footprint
-    (its wall time ``wall_s`` and the peak RSS so far), a checksum for every
+    (its wall time ``wall_s``, the peak RSS so far and, when ``chains`` is
+    given, the ``Chain.profile`` of each chain it ran), a checksum for every
     other file in ``output_dir`` (the run's artifacts, in name order) and one
     for every file in ``inputs`` the run read, each listed once under the
     path it was given by. ``digests`` maps paths (as ``str``) to a sha256 the
@@ -950,6 +951,8 @@ def write_manifest(output_dir, command: str, config: dict, seed: int, wall_s: fl
                            for name in dict.fromkeys(map(str, inputs))],
                 "environment": _run_environment(),
                 "run": {"wall_s": wall_s, "peak_rss_mb": _peak_rss_mb()}}
+    if chains is not None:
+        manifest["run"]["chains"] = chains
     (output_dir / MANIFEST).write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n",
                                        encoding="utf-8")
     return manifest

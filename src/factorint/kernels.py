@@ -50,6 +50,11 @@ class KernelMatrix:
     def n(self) -> int:
         return self.K.shape[0]
 
+    @property
+    def jitter_escalated(self) -> bool:
+        """Whether the factor needed a jitter above the ladder's first."""
+        return bool(self.jitter > JITTER_START * (np.trace(self.K) / self.n))
+
     def regularized(self) -> np.ndarray:
         """K + jitter*I, the covariance actually used for GP draws and densities."""
         return self.K + self.jitter * np.eye(self.n)

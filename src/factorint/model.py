@@ -11,14 +11,18 @@ Retained draws are kept as one (S, ...) field per state field whose leading
 axis runs over the retained states. ``run_chain`` hands each retained sweep
 to a sink: ``StateArrays``, which writes it into its row of in-memory arrays,
 or ``io.DrawsWriter``, which writes it into its slot of a bundle file laid
-out the same way. Both return the chain's ``PosteriorDraws``.
+out the same way. Both return the chain's ``PosteriorDraws``, which also
+carry the chain's profile (its time per sweep block and its counts); the
+bundle does not keep it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -372,6 +376,7 @@ class PosteriorDraws:
     mh_accept_counts: np.ndarray | None = None  # (n, 2) accepted/proposed, post burn-in
     rw_step_final: float | None = None
     sha256: str | None = None  # of the whole draws file the fields live in, if any
+    profile: dict | None = None  # the run's ``Chain.profile``; a bundle does not keep it
 
     def __post_init__(self):
         for arr in self.values.values():
@@ -395,6 +400,20 @@ class PosteriorDraws:
         return arr.read_rows(rows)
 
 
+def _is_number(value, kind: type) -> bool:
+    """Whether ``value`` is a number of ABC ``kind`` (numpy's included),
+    ``bool`` excepted."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _as_float(value: Real) -> float:
+    """``float(value)``, or inf for an int beyond the float range."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class McmcSettings:
     """Chain-length and proposal configuration for one run: the only place
@@ -409,14 +428,18 @@ class McmcSettings:
     rw_step: float = 0.1  # the gp step, adapted during burn-in; burn_in=0 keeps it fixed
 
     def __post_init__(self):
+        for name in ("n_iters", "burn_in", "thin", "seed", "n_chains"):
+            value = getattr(self, name)
+            if not (_is_number(value, Integral) or name == "burn_in" and value is None):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.thin < 1:
             raise ConfigError(f"thin must be >= 1, got {self.thin}")
         if self.n_chains < 1:
             raise ConfigError(f"n_chains must be >= 1, got {self.n_chains}")
-        if not (np.isfinite(self.rw_step) and self.rw_step > 0):
-            raise ConfigError(f"rw_step must be finite and positive, got {self.rw_step}")
+        if not (_is_number(self.rw_step, Real) and 0 < _as_float(self.rw_step) < math.inf):
+            raise ConfigError(f"rw_step must be finite and positive, got {self.rw_step!r}")
 
     def streams(self, chain: int) -> RngStreams:
         """The random streams of chain ``chain`` of this run."""
@@ -444,14 +467,15 @@ class McmcSettings:
 
 def chain_draws(sampler, values: dict[str, np.ndarray]) -> PosteriorDraws:
     """The draws of ``sampler``'s chain with state fields ``values``, and its
-    run settings, identifiers, acceptance ledger and MH step as they stand."""
+    run settings, identifiers, acceptance ledger, MH step and profile as they
+    stand."""
     settings = sampler.settings
     return PosteriorDraws(
         spec=sampler.spec, values=values, burn_in=settings.resolve_burn_in(sampler.spec.family),
         thin=settings.thin, n_iters=settings.n_iters, seed=settings.seed,
         chain=sampler.streams.chain, feature_ids=sampler.data.feature_ids,
         sample_ids=sampler.data.sample_ids, mh_accept_counts=sampler.accept_counts,
-        rw_step_final=sampler.rw_step)
+        rw_step_final=sampler.rw_step, profile=sampler.profile())
 
 
 class StateArrays:
@@ -482,6 +506,10 @@ def run_chain(sampler, sink=None):
     returns the chain's ``PosteriorDraws``, as this does. The default sink,
     ``StateArrays``, keeps the states in memory; ``io.DrawsWriter`` leaves
     them in the file it wrote.
+
+    Each ``sampler.sweep()`` runs the blocks of ``sampler.blocks()`` and
+    times each one, so the draws' ``profile`` holds the chain's time per
+    block and its counts over every sweep, burn-in included.
 
     Proposal adaptation ends before the first post-burn-in sweep (before
     sweep 1 when ``burn_in`` is 0), so the retained states come from a

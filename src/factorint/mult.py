@@ -6,18 +6,24 @@ priors on the scores, and inverse-gamma noise variances. Each interaction
 score row follows the product of its two factor-score rows, either through a
 tight Gaussian tie (approach 1) or exactly (approach 2).
 
-Update scheme per sweep: loading rows (indicator integrated over the
-coefficient, then the coefficient given the indicator), score columns by
+Update scheme per sweep, one named block each (``MultChain.blocks``):
+``loadings``, the loading rows (indicator integrated over the coefficient,
+then the coefficient given the indicator); ``scores``, the score columns by
 single-coordinate Gibbs (the conditional stays Gaussian despite the score
-product), interaction-score columns (approach 1), interaction-loading rows,
-noise variances, inclusion probabilities. Every spike-and-slab draw (its
-Bayes factor formed in log space) is made by ``prior``; this module owns the
-residual each slab column is drawn from, and ``Chain.sweep``, the one scan
-both families run: the loadings, the family's own blocks, then the noise and
-the inclusion probabilities.
+product); ``inter_scores``, the interaction-score columns (approach 1 only);
+``inter_loadings``, the interaction-loading rows; ``noise``, the noise
+variances; ``probs``, the inclusion probabilities. Every spike-and-slab draw
+(its Bayes factor formed in log space) is made by ``prior``; this module owns
+the residual each slab column is drawn from, and ``Chain``, whose ``sweep``
+is the one scan both families run: it runs the table ``Chain.blocks``
+returns (the loadings, the family's own blocks, then the noise and the
+inclusion probabilities) and adds each block's time to the chain's tally.
 """
 
 from __future__ import annotations
+
+import time
+from typing import Callable
 
 import numpy as np
 
@@ -195,7 +201,11 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
 class Chain:
     """Set-up and Gibbs scan of either sampler: family check against the
     subclass's ``is_mult``, spec, prior layout, streams and the initial
-    state, drawn from the ``init`` stream."""
+    state, drawn from the ``init`` stream.
+
+    ``iteration`` counts the sweeps run, and ``block_seconds`` holds the
+    ``time.perf_counter`` time each block of ``blocks`` has taken over them,
+    burn-in included; ``counts`` holds the family's own tallies."""
 
     def __init__(self, spec: ModelSpec, data: DataMatrix,
                  settings: McmcSettings = McmcSettings(), chain: int = 0):
@@ -208,35 +218,58 @@ class Chain:
         self.layout = build_layout(spec, data.n_features)
         self.streams = settings.streams(chain)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
+        self.iteration = 0
+        self.block_seconds = dict.fromkeys(self.blocks(), 0.0)
+
+    def blocks(self) -> dict[str, Callable[[], object]]:
+        """The sweep as an ordered table of named blocks: the loadings, the
+        family's own blocks, the noise variances, the inclusion
+        probabilities. Each block calls its update by name when it runs."""
+        return {"loadings": lambda: update_loadings(self.state, self.data, self.spec, self.layout,
+                                                    self.streams.get("loadings")),
+                **self.family_blocks(),
+                "noise": lambda: update_noise(self.state, self.data, self.spec,
+                                              self.streams.get("noise")),
+                "probs": lambda: update_probs(self.state, self.layout, self.streams.get("probs"))}
 
     def sweep(self) -> None:
-        """One Gibbs scan of either family: the loadings, the family's
-        ``update_interactions``, the noise variances, the inclusion
-        probabilities."""
-        update_loadings(self.state, self.data, self.spec, self.layout,
-                        self.streams.get("loadings"))
-        self.update_interactions()
-        update_noise(self.state, self.data, self.spec, self.streams.get("noise"))
-        update_probs(self.state, self.layout, self.streams.get("probs"))
+        """One Gibbs scan of either family: every block of ``blocks`` in
+        order, each one's time added to ``block_seconds``."""
+        seconds = self.block_seconds
+        for name, block in self.blocks().items():
+            started = time.perf_counter()
+            block()
+            seconds[name] += time.perf_counter() - started
+        self.iteration += 1
+
+    def profile(self) -> dict:
+        """The chain's sweeps, its time per block in sweep order and its
+        counts, as ``fit`` writes them into the manifest."""
+        return {"chain": self.streams.chain, "sweeps": self.iteration,
+                "block_s": list(self.block_seconds.items()), "counts": dict(self.counts)}
 
 
 class MultChain(Chain):
     """One multiplicative-family chain over immutable data."""
 
     is_mult = True
-    # plain Gibbs: no proposal to adapt and no Metropolis acceptance ledger
+    # plain Gibbs: no proposal to adapt, no Metropolis acceptance ledger and
+    # no kernel or moves to count
     adapting = False
     accept_counts = None
     rw_step = None
+    counts: dict[str, int] = {}
 
-    def update_interactions(self) -> None:
+    def family_blocks(self) -> dict[str, Callable[[], object]]:
         """Scores, interaction scores (approach 1), interaction loadings."""
-        update_scores(self.state, self.data, self.spec, self.streams.get("scores"))
+        blocks = {"scores": lambda: update_scores(self.state, self.data, self.spec,
+                                                  self.streams.get("scores"))}
         if self.spec.family is Family.MULT_APPROACH1:
-            update_inter_scores(self.state, self.data, self.spec,
-                                self.streams.get("inter_scores"))
-        update_inter_loadings(self.state, self.data, self.spec, self.layout,
-                              self.streams.get("inter_loadings"))
+            blocks["inter_scores"] = lambda: update_inter_scores(
+                self.state, self.data, self.spec, self.streams.get("inter_scores"))
+        blocks["inter_loadings"] = lambda: update_inter_loadings(
+            self.state, self.data, self.spec, self.layout, self.streams.get("inter_loadings"))
+        return blocks
 
 
 def run_mult_chain(spec: ModelSpec, data: DataMatrix, chain: int = 0,

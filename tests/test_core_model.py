@@ -323,7 +323,8 @@ class TestSettings:
         with pytest.raises(ConfigError):
             McmcSettings(n_iters=10, burn_in=3, thin=2).resolve_burn_in(Family.GP)
 
-    @pytest.mark.parametrize("rw_step", [-1.0, float("nan"), float("inf"), 0.0])
+    @pytest.mark.parametrize("rw_step", [-1.0, float("nan"), float("inf"), 0.0, 10**400, "0.1",
+                                         True])
     def test_bad_rw_step_rejected(self, rw_step):
         # a fixed step is burn_in = 0, so no step below the positive reals is kept
         from factorint import ConfigError
@@ -334,6 +335,22 @@ class TestSettings:
         from factorint import ConfigError
         with pytest.raises(ConfigError):
             McmcSettings(n_iters=10, burn_in=10).resolve_burn_in(Family.GP)
+
+    @pytest.mark.parametrize("field, value", [
+        ("thin", 1.5), ("n_iters", 40.0), ("seed", 1.5), ("n_chains", 1.5), ("burn_in", 10.0),
+        *((field, True) for field in ("n_iters", "thin", "seed", "n_chains"))])
+    def test_non_integer_count_rejected(self, field, value):
+        # a fractional seed would be truncated by the streams, a float thin
+        # or count would fail later with a bare TypeError or AttributeError
+        with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+            McmcSettings(**{field: value})
+
+    def test_numpy_numbers_accepted(self):
+        settings = McmcSettings(n_iters=np.int64(40), burn_in=np.int32(20), thin=np.uint8(2),
+                                seed=np.int64(3), n_chains=np.int16(2), rw_step=np.float32(0.2))
+        assert settings.retained(Family.GP) == 10
+        data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
+        assert len(fit_spec(gp_spec(1), data, settings)) == 10
 
 
 def copied_state_values(sampler) -> dict[str, np.ndarray]:
