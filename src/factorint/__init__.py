@@ -62,6 +62,7 @@ from .model import (
     factor_pairs,
     gp_spec,
     interaction_pair_count,
+    join_draws,
     mult_spec,
     standardize_rows,
     validate_spec,

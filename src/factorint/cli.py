@@ -5,9 +5,12 @@ export-surface. ``_COMMANDS`` states the keys each command requires and
 reads; ``main`` rejects any other key before it reads an input file or makes
 the output directory. A command reads each key's value through
 ``io.value``, which parses it, or gives its default, by the key's row of
-``io.KEYS``; ``--help`` ends with every key (``io.CONFIG_KEYS``). ``fit`` summarises the draws its ``io.DrawsWriter``s
-return; the other commands read draws through ``io.open_draws``, which reads
-a field only when asked (detect reads only the indicators). ``main`` runs
+``io.KEYS``; ``--help`` ends with every key (``io.CONFIG_KEYS``). ``fit``
+summarises the chains its ``io.DrawsWriter``s return, pooled by
+``model.join_draws``. ``summarize``, ``detect`` and ``export-surface`` read
+the draws files ``paths.draws`` names, one or more chains of one fit,
+through ``io.open_draws``, which reads a field only when asked (detect reads
+only the indicators), and pool them by the same join. ``main`` runs
 each command inside ``io.landing``: the command writes its artifacts, and
 ``io.write_manifest`` a ``manifest.json`` of every one of them, into a
 staging directory, and they are moved into the output directory together,
@@ -43,7 +46,7 @@ from .genomics import (
     posterior_summary,
     require_states,
 )
-from .model import Family, PosteriorDraws, standardize_rows
+from .model import Family, PosteriorDraws, join_draws, standardize_rows
 from .simulate import (
     compare_models,
     export_surface,
@@ -153,22 +156,27 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> int:
     return settings.seed
 
 
-def _open_draws(cfg: dict[str, str]) -> PosteriorDraws:
-    """The draws at ``paths.draws``, whose checked digest the manifest reuses."""
-    path = _input_file("paths.draws", fio.value(cfg, "paths.draws"))
-    draws = fio.open_draws(path)
-    _digests[str(path)] = draws.sha256
-    return draws
+def _read_draws(cfg: dict[str, str]) -> PosteriorDraws:
+    """The chains at ``paths.draws``, joined in the order named; the manifest
+    reuses each file's checked digest."""
+    chains = []
+    for name in fio.value(cfg, "paths.draws"):
+        path = _input_file("paths.draws", name)
+        chains.append(fio.open_draws(path))
+        _digests[str(path)] = chains[-1].sha256
+    if not chains:
+        raise ConfigError("paths.draws: names no draws file")
+    return join_draws(*chains)
 
 
 def cmd_summarize(cfg: dict[str, str], out: Path) -> int:
-    draws = _open_draws(cfg)
+    draws = _read_draws(cfg)
     posterior_summary(draws).write_csv(out / "summary.csv")
     return draws.seed
 
 
 def cmd_detect(cfg: dict[str, str], out: Path) -> int:
-    draws = _open_draws(cfg)
+    draws = _read_draws(cfg)
     detected = detect_interactions(draws, fio.value(cfg, "detect.threshold"))
     fids = feature_labels(draws)
     fio.write_table(out / "detected.csv", ["feature_id", "probability"],
@@ -219,7 +227,7 @@ def cmd_test_overlap(cfg: dict[str, str], out: Path) -> int:
 
 
 def cmd_export_surface(cfg: dict[str, str], out: Path) -> int:
-    draws = _open_draws(cfg)
+    draws = _read_draws(cfg)
     feature = fio.feature_index(fio.value(cfg, "surface.feature"), feature_labels(draws),
                                 "surface.feature")
     effect = posterior_mean_effects(draws, slice(feature, feature + 1))[0]

@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import AllRemoved, ConfigError, EmptyWindowWarning, InsufficientDraws
 from .io import write_table
-from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, mult_spec,
-                    run_chain)
+from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, join_draws,
+                    mult_spec, run_chain)
 from .mult import MultChain
 from .rng import stream
 
@@ -366,18 +366,11 @@ MIN_STATES = 20
 _SUMMARY_BLOCK = 1 << 19
 
 
-def _gather(parts: list[np.ndarray], dtype=None) -> np.ndarray:
-    """The (S, rows) traces ``parts`` of the chains as one C-contiguous
-    (rows, S) block, the chains' states one after another. A row holds the
-    bytes it holds in the chains concatenated along the state axis, and
-    reducing along it sums in the same order as on that 1-D trace, so the
-    results match a per-parameter computation bit for bit."""
-    block = np.empty((parts[0].shape[1], sum(map(len, parts))), dtype or parts[0].dtype)
-    start = 0
-    for part in parts:
-        block[:, start:start + len(part)] = part.T
-        start += len(part)
-    return block
+def _gather(traces: np.ndarray, dtype=None) -> np.ndarray:
+    """The (S, rows) ``traces`` as one C-contiguous (rows, S) block. Reducing
+    a row along it sums in the same order as on that parameter's 1-D trace,
+    so the results match a per-parameter computation bit for bit."""
+    return np.ascontiguousarray(traces.T, dtype)
 
 
 _TAILS = np.array([0.025, 0.975])    # the percentiles 2.5 and 97.5, over 100
@@ -403,39 +396,37 @@ def _interval(block: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return block.mean(axis=1), bounds[:, 0], bounds[:, 1]
 
 
-def _field_summary(chains: tuple[PosteriorDraws, ...], name: str,
-                   masks: list[np.ndarray] | None) -> tuple:
-    """Estimate, interval, inclusion probability (None without ``masks``)
-    and convergence flag of every parameter of state field ``name`` of the
-    ``chains``. The field is reduced in blocks of parameters of about
+def _field_summary(draws: PosteriorDraws, name: str, mask: np.ndarray | None) -> tuple:
+    """Estimate, interval, inclusion probability (None without ``mask``)
+    and convergence flag of every parameter of state field ``name`` of
+    ``draws``. The field is reduced in blocks of parameters of about
     ``_SUMMARY_BLOCK`` bytes of traces. With spike-and-slab indicators
-    ``masks`` (one (S, k) array per chain: one indicator per parameter, or
-    one per run of parameters in C order, as the (S, m) indicators of an
-    (S, m, n) field) the estimate and interval come from the dominant
-    mixture component: the slab states when the inclusion probability
-    exceeds 0.5, zero otherwise. A block's dominant rows with the same count
-    k of slab states are reduced together as one (rows, k) block, in state
-    order."""
-    field = chains[0].values[name]
-    states = sum(map(len, chains))
+    ``mask`` (an (S, k) array: one indicator per parameter, or one per run
+    of parameters in C order, as the (S, m) indicators of an (S, m, n)
+    field) the estimate and interval come from the dominant mixture
+    component: the slab states when the inclusion probability exceeds 0.5,
+    zero otherwise. A block's dominant rows with the same count k of slab
+    states are reduced together as one (rows, k) block, in state order."""
+    field = draws.values[name]
+    states = len(draws)
     size = math.prod(field.shape[1:])
     step = max(1, _SUMMARY_BLOCK // (states * field.dtype.itemsize))
     est, lo, hi = np.zeros((3, size))
     converged = np.zeros(size, dtype=bool)
     incl = None
-    if masks is not None:
-        share = size // masks[0].shape[1]  # parameters per indicator
-        counts = np.repeat(sum(mask.sum(axis=0) for mask in masks), share)
+    if mask is not None:
+        share = size // mask.shape[1]  # parameters per indicator
+        counts = np.repeat(mask.sum(axis=0), share)
         incl = counts / states
     for start in range(0, size, step):
         rows = slice(start, min(start + step, size))
-        block = _gather([chain.traces(name, rows) for chain in chains])
+        block = _gather(draws.traces(name, rows))
         converged[rows] = two_window_converged(block)
-        if masks is None:
+        if mask is None:
             est[rows], lo[rows], hi[rows] = _interval(block)
             continue
         dominant = np.flatnonzero(incl[rows] > 0.5)
-        on = _gather([mask[:, (start + dominant) // share] for mask in masks], bool)
+        on = _gather(mask[:, (start + dominant) // share], bool)
         slabs = counts[start + dominant]
         # the slab counts present, ascending (np.unique would load numpy.ma)
         for k in np.flatnonzero(np.bincount(slabs)):
@@ -451,7 +442,7 @@ def _loading_estimates(draws: PosteriorDraws) -> tuple[np.ndarray, np.ndarray]:
     come from, refused on as few states as the summary refuses."""
     require_states(len(draws))
     est, _, _, incl, _ = _field_summary(
-        (draws,), "loadings", [draws.stack("load_mask").reshape(len(draws), -1)])
+        draws, "loadings", draws.stack("load_mask").reshape(len(draws), -1))
     shape = draws.values["loadings"].shape[1:]
     return est.reshape(shape), incl.reshape(shape)
 
@@ -465,21 +456,16 @@ def require_states(states: int) -> None:
 
 def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws) -> PosteriorSummary:
     """Mixture-aware per-parameter summary of the retained states of one or
-    more chains of the same model, pooled in the order given, without a
-    pooled copy of the chains. Each field is read a block of parameters at a
-    time through ``PosteriorDraws.traces``, so only the indicator fields of
-    draws left in their files are read whole. ``MIN_STATES`` counts the
-    pooled states."""
-    chains = (draws, *more)
-    for other in more:
-        if other.spec != draws.spec or any(
-                other.values[name].shape[1:] != arr.shape[1:] for name, arr in draws.values.items()):
-            raise ConfigError("chains summarised together must share the model spec "
-                              "and the shape of every state field")
-    require_states(sum(map(len, chains)))
+    more chains of one fit, pooled in the order given by ``join_draws``,
+    which holds no pooled copy and refuses chains of another fit. Each field
+    is read a block of parameters at a time through
+    ``PosteriorDraws.traces``, so only the indicator fields of draws left in
+    their files are read whole. ``MIN_STATES`` counts the pooled states."""
+    draws = join_draws(draws, *more)
+    require_states(len(draws))
 
-    def indicators(name: str) -> list[np.ndarray]:
-        return [chain.stack(name).reshape(len(chain), -1) for chain in chains]
+    def indicators(name: str) -> np.ndarray:
+        return draws.stack(name).reshape(len(draws), -1)
 
     L, n = draws.values["scores"].shape[1:]
     fids = feature_labels(draws)
@@ -498,8 +484,8 @@ def posterior_summary(draws: PosteriorDraws, *more: PosteriorDraws) -> Posterior
                        indicators("inter_mask")))
     fields.append(("noise_var", "noise_variance", (fids,), "noise_var", None))
     return PosteriorSummary(fields=tuple(
-        FieldSummary(name, role, labels, *_field_summary(chains, field, masks))
-        for name, role, labels, field, masks in fields))
+        FieldSummary(name, role, labels, *_field_summary(draws, field, mask))
+        for name, role, labels, field, mask in fields))
 
 
 def feature_labels(draws: PosteriorDraws) -> tuple[str, ...]:

@@ -782,7 +782,8 @@ KEYS = {
     "mcmc.rw_step": Key(_float, "initial MH step (gp, default 0.1)", "rw_step"),
     "paths.data": Key(_text, "data CSV"),
     "paths.truth": Key(_text, "truth bundle (compare)"),
-    "paths.draws": Key(_text, "draws bundle (summarize / detect / export-surface)"),
+    "paths.draws": Key(_items, "comma-separated draws bundles of one fit (summarize / detect / "
+                       "export-surface)"),
     "simulate.features": Key(_int, "m (default {})", default="100"),
     "simulate.samples": Key(_int, "n (default {})", default="100"),
     "simulate.frac_affected": Key(_float, "fraction of candidates with effects (default {})",

@@ -13,7 +13,9 @@ to a sink: ``StateArrays``, which writes it into its row of in-memory arrays,
 or ``io.DrawsWriter``, which writes it into its slot of a bundle file laid
 out the same way. Both return the chain's ``PosteriorDraws``, which also
 carry the chain's profile (its time per sweep block and its counts); the
-bundle does not keep it.
+bundle does not keep it. ``join_draws`` pools the chains of one fit into one
+``PosteriorDraws`` whose fields read theirs end to end, so every reduction
+of draws serves one chain and several alike.
 """
 
 from __future__ import annotations
@@ -357,11 +359,13 @@ class PosteriorDraws:
 
     ``values`` maps each state field the family carries, in STATE_FIELDS
     order, to an (S, ...) field whose leading axis runs over the S retained
-    states (``values["loadings"]`` is (S, m, L)): a read-only array, or for
+    states (``values["loadings"]`` is (S, m, L)): a read-only array, for
     draws of a bundle file an ``io.BundleField`` of that shape, which reads
-    from the file on demand. Only this class and ``io`` know which: readers
-    take shapes from ``values[name].shape`` and values from ``stack`` (the
-    whole field as an array) or ``traces`` (a run of its parameters).
+    from the file on demand, or for a join of chains (``join_draws``) a
+    ``JoinedField``, which reads the chains' fields one after another. Only
+    this module and ``io`` know which: readers take shapes from
+    ``values[name].shape`` and values from ``stack`` (the whole field as an
+    array) or ``traces`` (a run of its parameters).
     """
 
     spec: ModelSpec
@@ -398,6 +402,58 @@ class PosteriorDraws:
         if isinstance(arr, np.ndarray):
             return arr.reshape(len(arr), -1)[:, rows]
         return arr.read_rows(rows)
+
+
+class JoinedField:
+    """State field ``name`` of the ``chains``, their states end to end along
+    the leading axis, read through each chain's ``stack`` or ``traces`` only
+    when asked, so no pooled copy of the field is held."""
+
+    def __init__(self, chains: Sequence[PosteriorDraws], name: str):
+        self.chains, self.name = chains, name
+        first = chains[0].values[name]
+        self.shape = (sum(map(len, chains)), *first.shape[1:])
+        self.dtype = first.dtype
+
+    def read(self) -> np.ndarray:
+        return np.concatenate([chain.stack(self.name) for chain in self.chains])
+
+    def read_rows(self, rows: slice) -> np.ndarray:
+        return np.concatenate([chain.traces(self.name, rows) for chain in self.chains])
+
+
+# what the chains of one fit share, so that their states pool as one sample
+_JOINED = ("spec", "feature_ids", "sample_ids", "burn_in", "thin", "n_iters")
+
+
+def join_draws(draws: PosteriorDraws, *more: PosteriorDraws) -> PosteriorDraws:
+    """The chains ``draws, *more`` of one fit as one ``PosteriorDraws``: each
+    field a ``JoinedField`` of theirs, the states in the order given, with
+    the run counts, ids and seed and chain number of ``draws``. ``draws``
+    itself when it is the only chain. The per-chain entries (acceptance
+    ledger, final MH step, digest, profile) stay with the chains.
+    ConfigError for chains that differ in spec, feature or sample ids,
+    the trailing shape of a field or the run counts, or that repeat a
+    (seed, chain) pair, as a file named twice does."""
+    if not more:
+        return draws
+    chains = (draws, *more)
+    seen = set()
+    for other in chains:
+        differ = [what for what in _JOINED if getattr(other, what) != getattr(draws, what)]
+        if other.values.keys() != draws.values.keys() or any(
+                other.values[name].shape[1:] != arr.shape[1:] for name, arr in draws.values.items()):
+            differ.append("field shapes")
+        if differ:
+            raise ConfigError(f"chain {other.chain} of seed {other.seed} differs from chain "
+                              f"{draws.chain} of seed {draws.seed} in {', '.join(differ)}: "
+                              "only chains of one fit pool")
+        if (other.seed, other.chain) in seen:
+            raise ConfigError(f"chain {other.chain} of seed {other.seed} is given twice")
+        seen.add((other.seed, other.chain))
+    return PosteriorDraws(draws.spec, {name: JoinedField(chains, name) for name in draws.values},
+                          draws.burn_in, draws.thin, draws.n_iters, draws.seed, draws.chain,
+                          draws.feature_ids, draws.sample_ids)
 
 
 def _is_number(value, kind: type) -> bool:

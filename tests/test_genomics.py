@@ -27,8 +27,10 @@ from factorint import (
     fit_spec,
     generate_saddle_dataset,
     gp_spec,
+    join_draws,
     mult_spec,
     overlap_permutation_test,
+    posterior_mean_effects,
     posterior_summary,
     seed_gene_window,
     select_candidate_genes,
@@ -36,7 +38,8 @@ from factorint import (
 )
 from factorint import genomics
 from factorint import io as fio
-from factorint.genomics import ParameterSummary, two_window_converged
+from factorint.genomics import (ParameterSummary, interaction_probabilities,
+                                posterior_mean_scores, two_window_converged)
 from factorint.model import STATE_FIELDS
 from factorint.rng import stream
 
@@ -878,33 +881,102 @@ class TestBlockedSummary:
         assert [repr(r) for r in posterior_summary(a, b).rows] \
             == [repr(r) for r in posterior_summary(pooled([a, b])).rows]
 
-    def test_chains_of_different_models_rejected(self):
+    @pytest.mark.parametrize("change", [
+        {"spec": gp_spec(2)}, {"feature_ids": ("a",)}, {"sample_ids": ("x", "y")},
+        {"burn_in": 1}, {"thin": 2}, {"n_iters": 31}, {"noise_var": np.ones((30, 2))},
+        {"chain": 0}], ids=["spec", "feature_ids", "sample_ids", "burn_in", "thin", "n_iters",
+                             "field_shapes", "repeated_chain"])
+    def test_chains_of_different_models_rejected(self, change):
         a = gaussian_draws(0.0, 1.0, 30, 1)
-        with pytest.raises(ConfigError):
-            posterior_summary(a, replace(a, spec=gp_spec(2)))
+        changed = {"chain": 1, **change}
+        if "noise_var" in changed:
+            changed["values"] = {**a.values, "noise_var": changed.pop("noise_var")}
+        b = replace(a, **changed)
+        for pool in (join_draws, posterior_summary):
+            with pytest.raises(ConfigError):
+                pool(a, b)
+
+    def test_chains_of_other_feature_ids_rejected(self):
+        # the same values under other ids are another dataset: pooled, every
+        # row would carry the first chain's ids
+        values = np.random.default_rng(72).normal(size=(8, 6))
+        settings = McmcSettings(n_iters=30, burn_in=10)
+        a = fit_spec(gp_spec(1), standardize_rows(values), settings, chain=0)
+        b = fit_spec(gp_spec(1), standardize_rows(values, [f"other{i}" for i in range(8)]),
+                     settings, chain=1)
+        assert a.feature_ids[0] == "f0000" and b.feature_ids[0] == "other0"
+        with pytest.raises(ConfigError, match="feature_ids"):
+            posterior_summary(a, b)
 
     def test_peak_memory_is_bounded_by_the_block_not_the_field(self):
-        rng = np.random.default_rng(71)
-        S, m, n = 2000, 20, 100
-        effects = rng.normal(size=(S, m, n))
-        field_bytes = effects.nbytes
+        draws = wide_gp_draws(2000, seed=71)
+        field_bytes = draws.values["effects"].nbytes
         assert field_bytes >= 32_000_000
-        # inclusion rates from 0.2 (spike-dominated) to 1 (always on)
-        mask = (rng.random((S, m)) < np.linspace(0.2, 1.0, m)).astype(np.int8)
-        effects *= mask[:, :, None]
-        draws = PosteriorDraws(spec=gp_spec(1), burn_in=0, thin=1, n_iters=S, seed=0, values={
-            "loadings": rng.normal(size=(S, m, 2)), "scores": rng.normal(size=(S, 2, n)),
-            "load_mask": np.ones((S, m, 2), np.int8), "load_prob": np.full((S, m, 2), 0.5),
-            "noise_var": np.ones((S, m)), "inter_mask": mask,
-            "inter_prob": np.full((S, m), 0.5), "effects": effects})
-        tracemalloc.start()
-        try:
-            rows = posterior_summary(draws).rows
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert len(rows) == m * 2 + 2 * n + m * n + m
+        rows, peak = traced_summary(draws)
+        assert len(rows) == 20 * 2 + 2 * 100 + 20 * 100 + 20
         assert peak < field_bytes / 8, f"peak {peak / 1e6:.1f} MB"
+
+
+def wide_gp_draws(S: int, seed: int, chain: int = 0) -> PosteriorDraws:
+    """Draws of S states of a gp model on 20 features x 100 samples, whose
+    interaction inclusion rates run from 0.2 (spike-dominated) to 1."""
+    rng = np.random.default_rng(seed)
+    m, n = 20, 100
+    effects = rng.normal(size=(S, m, n))
+    mask = (rng.random((S, m)) < np.linspace(0.2, 1.0, m)).astype(np.int8)
+    effects *= mask[:, :, None]
+    return PosteriorDraws(spec=gp_spec(1), burn_in=0, thin=1, n_iters=S, seed=0, chain=chain,
+                          rw_step_final=0.1, values={
+        "loadings": rng.normal(size=(S, m, 2)), "scores": rng.normal(size=(S, 2, n)),
+        "load_mask": np.ones((S, m, 2), np.int8), "load_prob": np.full((S, m, 2), 0.5),
+        "noise_var": np.ones((S, m)), "inter_mask": mask,
+        "inter_prob": np.full((S, m), 0.5), "effects": effects})
+
+
+def traced_summary(draws: PosteriorDraws) -> tuple[tuple, int]:
+    """The summary rows of ``draws`` and the ``tracemalloc`` peak of making them."""
+    tracemalloc.start()
+    try:
+        rows = posterior_summary(draws).rows
+        return rows, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestJoinedChains:
+    """``join_draws``: the chains of one fit read as one draws object."""
+
+    @pytest.mark.parametrize("spec", [gp_spec(1), gp_spec(2), mult_spec(1)],
+                             ids=["gp1", "gp2", "mult1"])
+    def test_reductions_of_the_join_are_those_of_the_concatenation(self, spec):
+        chains = saddle_chains(spec, 5, n_chains=2, thin=2)
+        joined, held = join_draws(*chains), pooled(chains)
+        assert len(joined) == len(held) == 40
+        assert [repr(r) for r in posterior_summary(joined).rows] \
+            == [repr(r) for r in posterior_summary(held).rows]
+        assert detect_interactions(joined, 0.3) == detect_interactions(held, 0.3)
+        for reduce in (interaction_probabilities, posterior_mean_scores, posterior_mean_effects,
+                       lambda draws: posterior_mean_effects(draws, slice(6, 7))):
+            assert same_bits(reduce(joined), reduce(held))
+
+    def test_the_join_of_one_chain_is_that_chain(self):
+        draws = gaussian_draws(0.0, 1.0, 30, 1)
+        assert join_draws(draws) is draws
+
+    def test_the_join_of_file_backed_chains_holds_no_pooled_copy(self, tmp_path):
+        for chain in range(2):
+            fio.persist_draws(wide_gp_draws(400, seed=73 + chain, chain=chain),
+                              tmp_path / f"draws_{chain}.bin")
+        chains = [fio.open_draws(tmp_path / f"draws_{chain}.bin") for chain in range(2)]
+        field_bytes = 400 * 20 * 100 * 8
+        assert field_bytes >= 6_000_000
+        rows, peak = traced_summary(join_draws(*chains))
+        assert len(rows) == 20 * 2 + 2 * 100 + 20 * 100 + 20
+        assert peak < field_bytes, f"peak {peak / 1e6:.1f} MB"
 
 
 class TestTwoWindowDiagnostic:

@@ -47,7 +47,7 @@ from factorint import io as fio
 from factorint import cli
 from factorint.cli import main as cli_main
 from factorint.genomics import MIN_STATES, posterior_mean_scores
-from factorint.model import Family, McmcSettings, ModelSpec, state_shapes
+from factorint.model import Family, McmcSettings, ModelSpec, PosteriorDraws, state_shapes
 from factorint.prior import BetaTable, InterProbModel, build_layout
 from tests_support import states
 
@@ -1632,6 +1632,130 @@ class TestCli:
         assert capsys.readouterr().err.strip().splitlines() == [
             f"ERROR ConfigError: model.seed_group.1 and {other} both name seed group 1"]
         assert list(out.iterdir()) == []
+
+
+@pytest.fixture(scope="module")
+def pooled_fits(tmp_path_factory):
+    """Directory holding 2-chain fits of seed 4 on ``data.csv``: ``gp``
+    (variant 1) and ``mult2`` (``mcmc.thin=2``, so 10 states a chain); and
+    one-chain gp fits of seed 5 that pool with neither: ``scale`` (another
+    length scale), ``ids`` (the same values under other feature ids, in
+    ``other.csv``) and ``long`` (other run counts)."""
+    out = tmp_path_factory.mktemp("pooled")
+    data = small_data(9, m=6, n=8)
+    fio.write_data_csv(out / "data.csv", data)
+    fio.write_data_csv(out / "other.csv", DataMatrix(
+        data.values, tuple(f"other{i}" for i in range(6)), data.sample_ids))
+    short = ("mcmc.iters=40", "mcmc.burn_in=20")
+    fits = {
+        "gp": ("4", "data.csv", "model.family=gp", "mcmc.chains=2", *short),
+        "mult2": ("4", "data.csv", "model.family=mult_approach2", "mcmc.thin=2",
+                  "mcmc.chains=2", *short),
+        "scale": ("5", "data.csv", "model.family=gp", "model.length_scale=0.5", *short),
+        "ids": ("5", "other.csv", "model.family=gp", *short),
+        "long": ("5", "data.csv", "model.family=gp", "mcmc.iters=50", "mcmc.burn_in=30"),
+    }
+    for name, (seed, data_file, *settings) in fits.items():
+        args = ["fit", "--output-dir", str(out / name), "--seed", seed,
+                "--set", f"paths.data={out / data_file}"]
+        for item in settings:
+            args += ["--set", item]
+        assert run_cli(*args) == 0
+    return out
+
+
+CHAIN_FILES = ("draws_000.bin", "draws_001.bin")
+
+
+def pooled_chains(fit: Path) -> PosteriorDraws:
+    """The chains of ``fit``, read whole and concatenated along the state axis."""
+    chains = [fio.load_draws(fit / name) for name in CHAIN_FILES]
+    return replace(chains[0], values={name: np.concatenate([c.values[name] for c in chains])
+                                      for name in chains[0].values})
+
+
+def both_chains(fit: Path) -> str:
+    return "paths.draws=" + ",".join(str(fit / name) for name in CHAIN_FILES)
+
+
+class TestPooledReads:
+    """The read commands over the draws files of a fit's chains pool them
+    as ``fit`` does."""
+
+    @pytest.mark.parametrize("fit", ["gp", "mult2"])
+    def test_summarize_over_the_chain_files_writes_the_fits_summary(self, pooled_fits,
+                                                                    tmp_path, fit):
+        out = tmp_path / "read"
+        assert run_cli("summarize", "--output-dir", str(out),
+                       "--set", both_chains(pooled_fits / fit)) == 0
+        assert (out / "summary.csv").read_bytes() \
+            == (pooled_fits / fit / "summary.csv").read_bytes()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["seed"] == 4
+        assert [entry["path"] for entry in manifest["inputs"]] \
+            == [str(pooled_fits / fit / name) for name in CHAIN_FILES]
+        assert fio.verify_manifest(out)
+
+    @pytest.mark.parametrize("fit", ["gp", "mult2"])
+    def test_detect_over_the_chain_files_thresholds_the_pooled_indicators(self, pooled_fits,
+                                                                          tmp_path, fit):
+        out = tmp_path / "read"
+        assert run_cli("detect", "--output-dir", str(out), "--set", both_chains(pooled_fits / fit),
+                       "--set", "detect.threshold=0.3") == 0
+        draws = pooled_chains(pooled_fits / fit)
+        z = draws.values["inter_mask"]
+        probs = (z.any(axis=2) if z.ndim == 3 else z.astype(bool)).mean(axis=0)
+        detected = np.flatnonzero(probs > 0.3)
+        assert 0 < detected.size < probs.size
+        with open(out / "detected.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["feature_id"] for row in rows] == [draws.feature_ids[i] for i in detected]
+        assert [float(row["probability"]) for row in rows] == pytest.approx(probs[detected])
+
+    @pytest.mark.parametrize("fit", ["gp", "mult2"])
+    def test_export_surface_over_the_chain_files_takes_the_pooled_means(self, pooled_fits,
+                                                                        tmp_path, fit):
+        out = tmp_path / "read"
+        assert run_cli("export-surface", "--output-dir", str(out),
+                       "--set", both_chains(pooled_fits / fit), "--set", "surface.feature=f0002") == 0
+        draws = pooled_chains(pooled_fits / fit)
+        export_surface(posterior_mean_effects(draws, slice(2, 3))[0],
+                       posterior_mean_scores(draws)[:2]).write_csv(tmp_path / "expected.csv")
+        assert (out / "surface.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_chains_too_short_alone_summarise_together(self, pooled_fits, tmp_path, capsys):
+        # 10 states a chain: fit with mcmc.chains=2 accepts them, and so does
+        # summarize over both files, but not over one
+        fit = pooled_fits / "mult2"
+        assert len(fio.open_draws(fit / CHAIN_FILES[0])) == 10
+        assert run_cli("summarize", "--output-dir", str(tmp_path / "one"),
+                       "--set", f"paths.draws={fit / CHAIN_FILES[0]}") == 1
+        assert capsys.readouterr().err.strip().splitlines() == [
+            "ERROR InsufficientDraws: need at least 20 retained states, have 10"]
+        assert run_cli("summarize", "--output-dir", str(tmp_path / "both"),
+                       "--set", both_chains(fit)) == 0
+
+    @pytest.mark.parametrize("draws, message", [
+        ("{0}/gp/draws_001.bin,{0}/gp/draws_001.bin", "chain 1 of seed 4 is given twice"),
+        ("{0}/gp/draws_000.bin,{0}/scale/draws.bin", "chain 0 of seed 5 differs from chain 0 "
+         "of seed 4 in spec: only chains of one fit pool"),
+        ("{0}/gp/draws_001.bin,{0}/ids/draws.bin", "chain 0 of seed 5 differs from chain 1 "
+         "of seed 4 in feature_ids: only chains of one fit pool"),
+        ("{0}/gp/draws_000.bin,{0}/long/draws.bin", "chain 0 of seed 5 differs from chain 0 "
+         "of seed 4 in burn_in, n_iters: only chains of one fit pool"),
+        (",", "paths.draws: names no draws file"),
+    ], ids=["named_twice", "spec", "feature_ids", "run_counts", "no_file"])
+    @pytest.mark.parametrize("command", ["summarize", "detect", "export-surface"])
+    def test_chains_that_do_not_pool_print_one_config_error(self, pooled_fits, tmp_path, capsys,
+                                                            command, draws, message):
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "earlier.csv").write_text("kept\n")
+        extra = ["--set", "surface.feature=0"] if command == "export-surface" else []
+        assert run_cli(command, "--output-dir", str(out),
+                       "--set", f"paths.draws={draws.format(pooled_fits)}", *extra) == 1
+        assert capsys.readouterr().err.strip().splitlines() == [f"ERROR ConfigError: {message}"]
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == {"earlier.csv": b"kept\n"}
 
 
 class TestCompareTruth:

@@ -165,18 +165,20 @@ def test_each_draws_file_is_hashed_once_per_command(tmp_path, monkeypatch, chain
     # the writer hashes its file under a temporary name
     assert {name: sum(n for key, n in passes.items() if key.startswith(f".{name}."))
             + passes.get(name, 0) for name in names} == dict.fromkeys(names, 1)
-    for name in names:
+    # each file read alone, then the chains' files pooled in one read
+    readings = [[name] for name in names] + ([names] if chains > 1 else [])
+    for k, reading in enumerate(readings):
         passes.clear()
-        assert cli_main(["detect", "--output-dir", str(tmp_path / f"detect_{name}"),
-                         "--set", f"paths.draws={out / name}"]) == 0
-        assert passes == {name: 1, "detected.csv": 1}
+        assert cli_main(["detect", "--output-dir", str(tmp_path / f"detect_{k}"), "--set",
+                         "paths.draws=" + ",".join(str(out / name) for name in reading)]) == 0
+        assert passes == {**dict.fromkeys(reading, 1), "detected.csv": 1}
     monkeypatch.undo()
     assert fio.verify_manifest(out)
-    for name in names:
-        assert fio.verify_manifest(tmp_path / f"detect_{name}")
-        manifest = json.loads((tmp_path / f"detect_{name}" / "manifest.json").read_text())
-        assert manifest["inputs"][0]["sha256"] == hashlib.sha256(
-            (out / name).read_bytes()).hexdigest()
+    for k, reading in enumerate(readings):
+        assert fio.verify_manifest(tmp_path / f"detect_{k}")
+        manifest = json.loads((tmp_path / f"detect_{k}" / "manifest.json").read_text())
+        assert [entry["sha256"] for entry in manifest["inputs"]] == [
+            hashlib.sha256((out / name).read_bytes()).hexdigest() for name in reading]
 
 
 def test_a_truth_bundle_is_hashed_once_per_command(tmp_path, monkeypatch):
