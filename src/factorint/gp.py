@@ -60,24 +60,20 @@ def update_effect_rows(state: McmcState, data: DataMatrix, spec: ModelSpec,
                        layout: PriorLayout, kernel: KernelMatrix,
                        rng: np.random.Generator) -> None:
     """Marginalized indicator update followed by a conditional redraw of every
-    active effect row (per-row effect prior)."""
+    active effect row (per-row effect prior): the stream gives one uniform
+    per row, then one (k, n) block of normals for the k active rows; every
+    other row is 0."""
     R = data.values - state.loadings @ state.scores
     d, U = kernel.eigensystem()
     proj = R @ U
     llr = marginal_ratio_rows(R, kernel, state.noise_var, proj=proj)
     mask = draw_indicators(rng, state.inter_prob, llr, layout.inter.fixed)
-
-    # every row's normals are drawn, active or not, so the stream does not
-    # depend on the mask; the product keeps its (m, n) shape, whose blocking
-    # sets the bits of each row
-    z = rng.standard_normal(proj.shape)
     s2 = state.noise_var[mask, None]
     gain = posterior_gain(d, s2)
-    coef = np.zeros_like(proj)
-    coef[mask] = gain * proj[mask] + np.sqrt(gain * s2) * z[mask]
-    rows = coef @ U.T
+    z = rng.standard_normal((s2.shape[0], proj.shape[1]))
     state.inter_mask[...] = mask
-    state.effects = np.where(mask[:, None], rows, 0.0)
+    state.effects = np.zeros_like(proj)
+    state.effects[mask] = (gain * proj[mask] + np.sqrt(gain * s2) * z) @ U.T
 
 
 def shared_effect_posterior(state: McmcState, R: np.ndarray,
@@ -197,9 +193,10 @@ class GpChain(Chain):
         of accepted proposals in this sweep, which it also keeps as
         ``accepted``.
 
-        The sweep's proposals and uniforms are drawn first, column by column,
-        and the data and score-prior terms of every column come from one
-        vectorised pass: no earlier move in the sweep changes column j's term.
+        The sweep's steps are drawn first, as one (L, n) block of normals,
+        then its n uniforms, and the data and score-prior terms of every
+        column come from one vectorised pass: no earlier move in the sweep
+        changes column j's term.
         The GP term is scored at the sweep's starting jitter, and every
         column decided, by one ``sweep`` of a ``SweepFactor`` of the current
         kernel built for this visit order; a proposal whose conditional
@@ -210,14 +207,9 @@ class GpChain(Chain):
         """
         rng = self.streams.get("scores_mh")
         state, spec = self.state, self.spec
-        n, n_factors = self.data.n_samples, spec.n_factors
-        steps = np.empty((n, n_factors))    # row j: column j's step
-        uniforms = np.empty(n)
-        for j in range(n):
-            rng.standard_normal(out=steps[j])
-            uniforms[j] = rng.random()
-        proposals = state.scores + self.rw_step * steps.T
-        log_u = np.log(uniforms)
+        n = self.data.n_samples
+        proposals = state.scores + self.rw_step * rng.standard_normal((spec.n_factors, n))
+        log_u = np.log(rng.random(n))
         delta = column_data_deltas(state, self.data, proposals)
         rows = gp_rows(state, spec)
         if rows.shape[0]:

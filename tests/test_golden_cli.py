@@ -68,26 +68,26 @@ print(json.dumps({path.relative_to(root).as_posix(): hashlib.sha256(path.read_by
 """
 
 PINNED = {
-    "cmp/comparison.csv": "d4ba04cd316bcbfd111c8c54d052f229a198a0e7cf8cf69b57b17f2e55e7d1b1",
-    "cmp/surface_gp1.csv": "b2cd271c04122af178ed2ef28c6a54f537f4b345c63c52ce198745a94ecbd5b0",
+    "cmp/comparison.csv": "34e44fee63c281ef4f0fa371e121b2562be37d37debe95bf6b20679bdca27a57",
+    "cmp/surface_gp1.csv": "b3fb4fc0f6e0d6eb4d8a0f0e79a52fcfbf74de138285ef72dc60a87a73c1e67d",
     "cmp/surface_mult2.csv": "c606c3682d1123c4782b1019d95789a880e62fab8d6da4c7b4232a9ab26060bd",
-    "gp1/acceptance.csv": "e42a42981723666ec75fa6964b5388cdc136a8e9eb4fa12d31071e4eefe73834",
-    "gp1/draws.bin": "21bc1f8658b336036d552d374eb64d336e27892aee4a6ef99e151a29421373de",
-    "gp1/read/detected.csv": "fbc31293aa523f013605856acf20db2d03a4932357e89e493d9bfe32ee7c0394",
-    "gp1/read/summary.csv": "8f1ff1d7dffc63a97a94110b3e85b4b0ac15cab0143b2ce84e27fe048bcf655e",
-    "gp1/read/surface.csv": "6cda6d20350bf24d494fdecfc70d04e5c2b7b0ee9f9400a0ccc89583599a27f3",
-    "gp1/summary.csv": "8f1ff1d7dffc63a97a94110b3e85b4b0ac15cab0143b2ce84e27fe048bcf655e",
-    "gp1_chains/acceptance.csv": "66e5e117b03df4d32bfc6617c6a7f52f5c3b471acaf4bb56515261e77acfd87b",
-    "gp1_chains/draws_000.bin": "d26489461f0f803ad8601aebbca400a17a4100e512a16be7bdca8534754019de",
-    "gp1_chains/draws_001.bin": "4e07de4b4667bcdd1cc9001afd822452b0ec0630b25d090cea9316ee530a51af",
-    "gp1_chains/read/surface.csv": "0f09360f71e8a46b9975ef2b19ed9bbbd110d8ddcf33bebef2e0b1abdeeec2d9",
-    "gp1_chains/summary.csv": "ca05a895785f1f1838aba8906f12d911d0ba0d59d23238abe3ea45e90325fd06",
-    "gp2/acceptance.csv": "7e4ea70a8412f256a52227241dd14f1f813df0965c19217ba5d11588f6924dd8",
-    "gp2/draws.bin": "0bcb53e3ba1dbeda08bb6c73e2590199ab1c26583041f4e005ea8c4ae3088d7b",
-    "gp2/read/detected.csv": "28cc33fe4bd2503087352b27c5a5f963c7d2e74d5a5ed8eda8ccc6f6abf3edab",
-    "gp2/read/summary.csv": "0649052a79333add979d657ff702aaecf034e273d8588c254618f00ae2e42d60",
-    "gp2/read/surface.csv": "fe38f151418fc8f010b29e9bc48794ec657a5f535730e1724ada829b7676ed63",
-    "gp2/summary.csv": "0649052a79333add979d657ff702aaecf034e273d8588c254618f00ae2e42d60",
+    "gp1/acceptance.csv": "3bcd22ccfd70da72e06f00738706606abd0e22b99241972d409c497b8bcc2702",
+    "gp1/draws.bin": "969a366cee1cc4fd94659641be0cd878126b80d0f31e2d622c2b01777b2d5088",
+    "gp1/read/detected.csv": "5d0fa91a2e40d29cdad76659a1442330c1886ef11e7e63e675db153998348c46",
+    "gp1/read/summary.csv": "a2199d9f918b021b3d608fff16b3f5d0930d4fcabebf41d7b857821b6a7e1873",
+    "gp1/read/surface.csv": "f7984ba45669abaed97bc3513dec86ee57ae8fac38ea4a263c206eca1007fc4b",
+    "gp1/summary.csv": "a2199d9f918b021b3d608fff16b3f5d0930d4fcabebf41d7b857821b6a7e1873",
+    "gp1_chains/acceptance.csv": "d38f716a169826fe301b91363e8fe64bd9ef05c4c6499de5b83e6bc9b6ae4b8a",
+    "gp1_chains/draws_000.bin": "0130198e4fbfbb9cd251191339aa21c93e37d98eb05dc37501c5794682ad03e6",
+    "gp1_chains/draws_001.bin": "59e6efe421ef34d5fde72c6b46d93068587560a7ea769005f1753ec0bb809f94",
+    "gp1_chains/read/surface.csv": "c8702b35398ca8034a2b2084d45a7471b53d3d9589a84b0617ed3dc25154c586",
+    "gp1_chains/summary.csv": "7bb913d2c4406c6414335ba9623990df5a895ca66167f6cc06a1c056fc3c272b",
+    "gp2/acceptance.csv": "eaa23335a5c19458352274cfcf5436a6c123200db33601795c1617ca77cfa4fb",
+    "gp2/draws.bin": "cd3d62d21fd089f10e3c266d7d71a600adc26cf8ccd37f59ff2ccf2eac5f9ee2",
+    "gp2/read/detected.csv": "d4fe53fe016fe3ca5a66ed8c72fc275dc271348cc75b2f3319f6c4e7766f5e6e",
+    "gp2/read/summary.csv": "470fa12a832225aae163810b52e438384235bd8317dee9f06ba83be6e65b5b99",
+    "gp2/read/surface.csv": "557d5b02bafc57c40872083ccbc723ac2ff983c7bcc0a2c59dd31e40480b6095",
+    "gp2/summary.csv": "470fa12a832225aae163810b52e438384235bd8317dee9f06ba83be6e65b5b99",
     "mult1/draws.bin": "81d88ae2edde0b59530061dcdcdf935885086bb212c36a2a983a6bf177c12da8",
     "mult1/read/detected.csv": "d5c6e2748c971039d8608d8530478982d868e3212b6f3f76e6dc09e1b146565e",
     "mult1/read/summary.csv": "2d2a2934756fa6207b590ccb6691300a0d2b3bb45dd2970547b4af0ba4dcdfbc",

@@ -109,27 +109,27 @@ PINNED = {
     "mult2_global": "41c818d4d4662c2136852bccd2a014654f8048952db91297be8c342e8a53ebee",
     "mult1_grouped": "6d8088cc9c986505586f66e0917d885a44ee9afe5746a47ff1f9a928003eb700",
     "two_factor_null": "3421633b51de61903fb68cabfbe67130047fbe5127d280f66bcf3d61c471a57a",
-    "gp1": "c6cca7f354341094d5541e68d397d88972cbf3738e9002f4ffea0650ca5cbaef",
-    "gp2": "b3c6abeed745ad51e71b846d9198f8fcd797d297c5c397fd05f2b4a2609352b3",
-    "gp3": "7251faab21e33dd6426a0773808649c01719cdde1a7d2d97ce5b07dfe7eaf135",
-    "gp4": "cf5bfed5a572b7e8becbaf40fd78ecb70d810b0c4a92fbc471557a06dd20e5bd",
-    "gp5": "2faeeb237d48a785edc251779a653927435d956f458b99c9d2cd10fdf8a14577",
-    "gp1_no_seed_groups": "99cd9c7abae091b0aa8087eaff21e52df2f33c741afc701c3d48e04e28eeb9d7",
+    "gp1": "feba7504dc0bf5c36f1f81369b8f9059591b9a52e9cd3be6f43f6f0f9c3e9ed8",
+    "gp2": "19b82eb1d1b897d3f78609c6dca796452e54910fdf80cec0a969865bd967b8b2",
+    "gp3": "b9d19ce4d4e8b34a39bea95051f245e936b892f690b6c1f609e390d23cbf17e3",
+    "gp4": "efaa6e2e9dfbfdfd526a2d4cb0b495c7890c94b81ee1cbd6631f5710d4ae0fcc",
+    "gp5": "afa7c78d353305abec7936bfcb86da6dcb069b0951ceede0163a4b3c677a8efb",
+    "gp1_no_seed_groups": "fdd69c404f04718dee096340ac5f310ec923055b284231ea67adf5412a4951b7",
 }
 
 
 PINNED_GP100 = {
-    "gp1_ls0.2": "f0d257f21484e0cf0f75ae9c4cae8484c166b860480e1ece660350119ede7ee6",
-    "gp1_ls0.5": "81d5ef6f9199a7304cabb82796ecac7edc4fa6c38accf54a2d4e79c8791d168e",
-    "gp2_ls0.2": "7879617e83cf6a66d1c0882d48425e1640f1bc47742ff97b8004141fdb4afb11",
+    "gp1_ls0.2": "554bf4565c6899fbe4b9b02a6ac254b0ddb64a82b479f0c1afe0fe45e426d2cf",
+    "gp1_ls0.5": "89bccb3be7cfeca74c8f105168720f4e8bf6a8f4fd0aa11746cf434237d295ea",
+    "gp2_ls0.2": "32869dab966424b57a308de134dbbee8ab1945c5488a98056e9ab106a3c75198",
 }
 
 PINNED_GROUP_PRIORS = {
     "mult2_per_feature_groups": "20d0f3cb9f9766376b886a8f5b7a3ac0f5f47825a7e38249f419fb17f56b7d14",
-    "gp1_per_feature_groups": "ff6d8560e1c33d65a1dd669eb50680712b5eca2786f670fcd70b1e1105d34507",
+    "gp1_per_feature_groups": "47a40caf7d13a6a6e3365987bfe1ef867deb420f11fcf060ac3f4bca10f63cc3",
     "mult2_grouped_pairs": "8a02c5a88fe8f9040af973717232025508362b2917f730d65e44a58ffce641f7",
     "mult1_grouped_pairs_free": "9fcd0b5548c6ba0bd8d7531b1f1b4b9676d1b9dfe4ff4940e19b78678cea3f50",
-    "gp5_grouped_pairs": "b595121db4679c82267545e18db161eff4a85b6af8c8cc46ce54a9666d1d78d5",
+    "gp5_grouped_pairs": "59ed8183b1c26306ff1d383adbedb71bbb8554832ab0981dd3f1eb3f863cded6",
 }
 
 

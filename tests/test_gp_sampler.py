@@ -26,6 +26,7 @@ from factorint.gp import (
     gp_rows,
     log_joint,
     shared_effect_posterior,
+    update_effect_rows,
     update_shared_effect,
 )
 from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows
@@ -62,6 +63,33 @@ class TestEffectRowConditional:
         cov_eig = U @ np.diag(gain * s2) @ U.T
         np.testing.assert_allclose(mean_eig, mean_direct, atol=1e-10)
         np.testing.assert_allclose(cov_eig, cov_direct, atol=1e-10)
+
+    def test_sampler_draws_match_the_conditional(self):
+        # row 2 held on and the others off; update_effect_rows reads nothing
+        # it writes, so repeated calls on the frozen state are independent
+        # draws of row 2's conditional
+        i, n_draws = 2, 20_000
+        chain = make_chain(fixed_inter_prob={0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0})
+        st, k = chain.state, chain.kernel
+        r = (chain.data.values - st.loadings @ st.scores)[i]
+        s2 = st.noise_var[i]
+        Kreg = k.regularized()
+        gain = Kreg @ np.linalg.inv(Kreg + s2 * np.eye(k.n))
+        mean, cov = gain @ r, Kreg - gain @ Kreg
+        rng = np.random.default_rng(41)
+        effects = np.empty((n_draws, *st.effects.shape))
+        for t in range(n_draws):
+            update_effect_rows(st, chain.data, chain.spec, chain.layout, k, rng)
+            effects[t] = st.effects
+        rows = effects[:, i]
+        # five Monte Carlo standard errors per entry: var(mean_j) = C_jj / N and,
+        # for Gaussian draws, var(cov_jl) = (C_jj C_ll + C_jl^2) / N
+        var = np.diag(cov)
+        assert (np.abs(rows.mean(axis=0) - mean) <= 5 * np.sqrt(var / n_draws)).all()
+        cov_se = np.sqrt((np.outer(var, var) + cov**2) / n_draws)
+        assert (np.abs(np.cov(rows, rowvar=False) - cov) <= 5 * cov_se).all()
+        off = np.delete(effects, i, axis=1)
+        assert (off == 0).all() and not np.signbit(off).any()
 
     def test_two_sample_case_by_hand(self):
         k = se_kernel(np.array([[0.0, 0.1]]), 0.2)
@@ -239,19 +267,14 @@ class TestScoreMetropolis:
             """Proposal noise moving column j exactly onto column j + 1."""
 
             def __init__(self, scores):
-                self.scores, self.j = scores.copy(), 0
+                self.scores = scores.copy()
 
-            def standard_normal(self, size=None, out=None):
-                n = self.scores.shape[1]
-                step = self.scores[:, (self.j + 1) % n] - self.scores[:, self.j]
-                self.j += 1
-                if out is None:
-                    return step
-                out[...] = step
-                return out
+            def standard_normal(self, size):
+                assert size == self.scores.shape
+                return np.roll(self.scores, -1, axis=1) - self.scores
 
-            def random(self):
-                return 0.5
+            def random(self, size):
+                return np.full(size, 0.5)
 
         proposals = OntoNextColumn(st.scores)
         monkeypatch.setattr(chain.streams, "get", lambda purpose: proposals)
@@ -289,12 +312,14 @@ class TestScoreMetropolis:
 def reference_update_score_columns(chain):
     """The score-column sweep with a full kernel rebuild per proposal."""
     rng = chain.streams.get("scores_mh")
-    state, spec = chain.state, chain.spec
+    state, spec, n = chain.state, chain.spec, chain.data.n_samples
+    steps = rng.standard_normal((spec.n_factors, n))
+    uniforms = rng.random(n)
     gp_cur = gp_prior_logdens(chain.kernel, state, spec)
     accepted = 0
-    for j in range(chain.data.n_samples):
-        proposal = state.scores[:, j] + chain.rw_step * rng.standard_normal(spec.n_factors)
-        log_u = np.log(rng.random())
+    for j in range(n):
+        proposal = state.scores[:, j] + chain.rw_step * steps[:, j]
+        log_u = np.log(uniforms[j])
         try:
             delta, kernel_prop, gp_prop = column_delta_log_joint(
                 state, chain.data, spec, chain.kernel, j, proposal, gp_cur)
@@ -325,6 +350,52 @@ def reference_column_data_delta(state, data, j, proposal):
     res_prop = x - state.loadings @ proposal
     delta = -0.5 * float((res_prop * res_prop - res_cur * res_cur) @ w)
     return delta - 0.5 * (float(proposal @ proposal) - float(current @ current))
+
+
+class Recorded:
+    """A generator that records the shape of every draw made from it."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, []
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            out = getattr(self.gen, name)(*args, **kwargs)
+            self.calls.append((name, np.shape(out)))
+            return out
+        return draw
+
+
+class TestStreamContract:
+    """What one block takes from its stream: a later variate of the stream
+    is the one a fresh generator of the same seed gives after the same calls."""
+
+    def test_score_columns_take_one_step_block_then_the_uniforms(self, monkeypatch):
+        chain = make_chain(m=6, n=12, sweeps=0)
+        L, n = chain.spec.n_factors, chain.data.n_samples
+        recorded = Recorded(chain.streams.get("scores_mh"))
+        monkeypatch.setattr(chain.streams, "get", lambda purpose: recorded)
+        chain.update_score_columns()
+        assert recorded.calls == [("standard_normal", (L, n)), ("random", (n,))]
+        fresh = stream(chain.settings.seed, 0, "scores_mh")
+        fresh.standard_normal((L, n))
+        fresh.random(n)
+        assert recorded.gen.random() == fresh.random()
+
+    def test_effect_rows_take_the_uniforms_then_normals_for_active_rows(self):
+        chain = make_chain(m=6, n=12, sweeps=0,
+                           fixed_inter_prob={0: 1.0, 1: 0.0, 2: 1.0, 3: 0.0, 4: 1.0, 5: 0.0})
+        m, n = chain.data.values.shape
+        recorded = Recorded(chain.streams.get("effects"))
+        update_effect_rows(chain.state, chain.data, chain.spec, chain.layout, chain.kernel,
+                           recorded)
+        k = int(np.count_nonzero(chain.state.inter_mask))
+        assert k == 3
+        assert recorded.calls == [("random", (m,)), ("standard_normal", (k, n))]
+        fresh = stream(chain.settings.seed, 0, "effects")
+        fresh.random(m)
+        fresh.standard_normal((k, n))
+        assert recorded.gen.random() == fresh.random()
 
 
 class TestColumnDataDeltas:
