@@ -27,8 +27,9 @@ import numpy as np
 from .errors import AllRemoved, ConfigError, EmptyWindowWarning, InsufficientDraws
 from .io import write_table
 from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, join_draws,
-                    mult_spec, run_chain)
+                    mult_spec, run_chain, slice_bounds)
 from .mult import MultChain
+from .prior import build_layout
 from .rng import stream
 
 
@@ -76,7 +77,9 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     ``posterior_summary``. A gene is removed for the first rule it breaks, in
     this order: its own-factor inclusion probability is at most 0.5, its
     loading sign disagrees with the majority of its group's loaded members,
-    or it loads on the other group's factor.
+    or it loads on the other group's factor. Empty or overlapping groups
+    raise ConfigError, and an index outside the data the SpecConflict that
+    ``select_candidate_genes`` raises for it.
     """
     g1 = np.asarray(sorted(set(int(i) for i in group1)), dtype=int)
     g2 = np.asarray(sorted(set(int(i) for i in group2)), dtype=int)
@@ -84,6 +87,9 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
         raise ConfigError("both seed groups must be nonempty")
     if np.intersect1d(g1, g2).size:
         raise ConfigError("seed groups overlap")
+    # an index outside the data raises as in select_candidate_genes, whose anchored spec checks it
+    build_layout(two_factor_null_spec({0: frozenset(g1.tolist()), 1: frozenset(g2.tolist())}),
+                 data.n_features)
     rows = np.concatenate([g1, g2])
     est, incl = _loading_estimates(
         run_chain(MultChain(two_factor_null_spec(), _submatrix(data, rows), settings)))
@@ -500,16 +506,17 @@ def posterior_mean_scores(draws: PosteriorDraws) -> np.ndarray:
 
 
 def posterior_mean_effects(draws: PosteriorDraws, features: slice = slice(None)) -> np.ndarray:
-    """Posterior mean of rows ``features`` (a step-1 slice) of the effect
-    matrix (of all the per-state products for the multiplicative families).
+    """Posterior mean of rows ``features`` (a slice under the rule of
+    ``model.slice_bounds``; an empty one gives (0, n)) of the effect matrix
+    (of all the per-state products for the multiplicative families).
     Only those gp rows are read, a block of whole rows at a time: n >= 2
     columns sum along the state axis in state order, as the whole mean does."""
+    (S, m, _), n = draws.values["loadings"].shape, draws.values["scores"].shape[2]
+    first, stop = slice_bounds(features, m)
     if draws.spec.is_mult:
         products = map(np.matmul, draws.stack("inter_loadings"), draws.stack("inter_scores"))
-        return (reduce(np.add, products) / len(draws))[features]
-    S, m, n = draws.values["effects"].shape
-    first, stop, _ = features.indices(m)
+        return (reduce(np.add, products) / S)[first:stop]
     step = n * max(1, _SUMMARY_BLOCK // (S * n * 8))
-    return np.concatenate([draws.traces("effects", slice(start, min(start + step, stop * n)))
-                           .mean(axis=0) for start in range(first * n, stop * n, step)]
-                          ).reshape(-1, n)
+    means = [draws.traces("effects", slice(start, min(start + step, stop * n))).mean(axis=0)
+             for start in range(first * n, stop * n, step)]
+    return np.concatenate(means or [np.empty(0)]).reshape(-1, n)

@@ -9,7 +9,9 @@ three blocks: ``score_columns``, ``step`` (the burn-in step update) and
 ``effect_rows`` (the effect rows, or under variants 2 and 4 the shared
 effect, with their indicators), and counts the kernels it builds, their
 jitter escalations, the column moves proposed and accepted, and the active
-rows, over every sweep. Score columns move by
+rows, over every sweep. The chain keeps its own adaptation window: the step
+adapts in its first ``burn_in`` sweeps and is fixed after them, and only
+those later sweeps enter the acceptance ledger. Score columns move by
 random-walk Metropolis because the kernel couples them to every active effect
 row; a move of column j changes only row and column j of the kernel, so it is
 scored by the change in the conditional GP density of entry j. A factor for
@@ -160,7 +162,10 @@ class GpChain(Chain):
     ``counts`` tallies, over every sweep, burn-in included: the kernels built
     (the initial one too) and those whose factor needed a jitter above the
     ladder's first, the score-column moves proposed and accepted, and the
-    active effect rows after each sweep's effect block."""
+    active effect rows after each sweep's effect block. While ``iteration``
+    is below the chain's ``burn_in`` the ``step`` block adapts ``rw_step``;
+    from then on the step is fixed and ``accept_counts`` tallies every
+    column's proposals and acceptances, however the chain is swept."""
 
     is_mult = False
 
@@ -171,9 +176,8 @@ class GpChain(Chain):
                                      "accepted_moves", "active_rows"), 0)
         self.build_kernel()
         self.rw_step = float(settings.rw_step)
-        self.adapting = True
         self.accepted = 0  # score columns the sweep's score-column block moved
-        # accepted / proposed per column, tallied only while adaptation is frozen
+        # accepted / proposed per column, tallied only after burn-in
         self.accept_counts = np.zeros((data.n_samples, 2), dtype=np.int64)
 
     def family_blocks(self) -> dict[str, Callable[[], object]]:
@@ -217,7 +221,7 @@ class GpChain(Chain):
         else:
             accept = log_u < delta
         state.scores[:, accept] = proposals[:, accept]
-        if not self.adapting:
+        if self.iteration >= self.burn_in:
             self.accept_counts[:, 0] += accept
             self.accept_counts[:, 1] += 1
         self.accepted = int(np.count_nonzero(accept))
@@ -228,9 +232,10 @@ class GpChain(Chain):
         return self.accepted
 
     def update_step(self) -> None:
-        """During burn-in, move the log step toward the target acceptance by
-        this sweep's rate (Robbins-Monro); afterwards the step stays fixed."""
-        if self.adapting:
+        """During the chain's first ``burn_in`` sweeps, move the log step
+        toward the target acceptance by this sweep's rate (Robbins-Monro);
+        afterwards the step stays fixed."""
+        if self.iteration < self.burn_in:
             rate = self.accepted / self.data.n_samples
             gain = max((self.iteration + 1) ** -_ADAPT_DECAY, _ADAPT_GAIN_FLOOR)
             step = np.log(self.rw_step) + gain * (rate - _MH_TARGET)

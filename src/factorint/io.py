@@ -320,9 +320,10 @@ class BundleField:
         return np.frombuffer(raw, self.dtype).reshape(self.shape)
 
     def read_rows(self, rows: slice) -> np.ndarray:
-        """Parameters ``rows`` (a slice with step 1 over the trailing axes
-        in C order) of every index of the leading axis, as an (S, rows)
-        array: one read per index of the leading axis."""
+        """Parameters ``rows`` (a slice over the trailing axes in C order,
+        step 1 and stop >= start, as ``PosteriorDraws.traces`` hands it on)
+        of every index of the leading axis, as an (S, rows) array: one read
+        per index of the leading axis."""
         start, stop, _ = rows.indices(self.stride // self.dtype.itemsize)
         out = np.empty((self.shape[0], stop - start), self.dtype)
         nbytes, skip = out[0].nbytes, start * self.dtype.itemsize
@@ -542,10 +543,9 @@ class DrawsWriter(_BundleFile):
 
     def put(self, k: int, sampler) -> None:
         if k == 0:
-            n_states = sampler.settings.retained(sampler.spec.family)
             # views of the right dtype and shape: the layout reads no values
             shell = chain_draws(sampler, {
-                name: np.broadcast_to(v, (n_states, *v.shape)) for name in STATE_FIELDS
+                name: np.broadcast_to(v, (sampler.n_retained, *v.shape)) for name in STATE_FIELDS
                 if (v := getattr(sampler.state, name)) is not None})
             self.rw_step = shell.rw_step_final
             offsets = self._start(*_draws_layout(shell))

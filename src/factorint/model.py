@@ -396,12 +396,23 @@ class PosteriorDraws:
         return arr if isinstance(arr, np.ndarray) else arr.read()
 
     def traces(self, attr: str, rows: slice) -> np.ndarray:
-        """(S, k) traces of parameters ``rows``, a step-1 slice over the
-        trailing axes of field ``attr`` in C order."""
+        """(S, k) traces of parameters ``rows``, a slice under the rule of
+        ``slice_bounds``, over the trailing axes of field ``attr`` in C order."""
         arr = self.values[attr]
+        rows = slice(*slice_bounds(rows, math.prod(arr.shape[1:])))
         if isinstance(arr, np.ndarray):
             return arr.reshape(len(arr), -1)[:, rows]
         return arr.read_rows(rows)
+
+
+def slice_bounds(rows: slice, size: int) -> tuple[int, int]:
+    """(start, stop) of ``rows`` over ``size`` entries, the one rule for a
+    slice of draws: its step must be 1 (ConfigError otherwise), and an empty
+    slice runs from start to start, so its read has 0 rows."""
+    if rows.step not in (None, 1):
+        raise ConfigError(f"a slice of draws must have step 1, got {rows}")
+    start, stop, _ = rows.indices(size)
+    return start, max(start, stop)
 
 
 class JoinedField:
@@ -473,15 +484,16 @@ def _as_float(value: Real) -> float:
 @dataclass(frozen=True)
 class McmcSettings:
     """Chain-length and proposal configuration for one run: the only place
-    these defaults are written. Each sampler keeps its own as ``settings``,
-    and ``run_chain`` reads the run's length and seed from there."""
+    these defaults are written. Each sampler keeps its own as ``settings``
+    and resolves its burn-in and retained count from them once, when built;
+    ``run_chain`` reads the run's length and thinning from there."""
 
     n_iters: int = 600
     burn_in: int | None = None  # None: 400 for multiplicative families, 300 for gp
     thin: int = 1
     seed: int = 0
     n_chains: int = 1
-    rw_step: float = 0.1  # the gp step, adapted during burn-in; burn_in=0 keeps it fixed
+    rw_step: float = 0.1  # the gp step at the start; burn_in=0 is the one way to hold it fixed
 
     def __post_init__(self):
         for name in ("n_iters", "burn_in", "thin", "seed", "n_chains"):
@@ -527,7 +539,7 @@ def chain_draws(sampler, values: dict[str, np.ndarray]) -> PosteriorDraws:
     stand."""
     settings = sampler.settings
     return PosteriorDraws(
-        spec=sampler.spec, values=values, burn_in=settings.resolve_burn_in(sampler.spec.family),
+        spec=sampler.spec, values=values, burn_in=sampler.burn_in,
         thin=settings.thin, n_iters=settings.n_iters, seed=settings.seed,
         chain=sampler.streams.chain, feature_ids=sampler.data.feature_ids,
         sample_ids=sampler.data.sample_ids, mh_accept_counts=sampler.accept_counts,
@@ -543,8 +555,7 @@ class StateArrays:
     def put(self, k: int, sampler) -> None:
         state = sampler.state
         if k == 0:
-            n_states = sampler.settings.retained(sampler.spec.family)
-            self.values = {name: np.empty((n_states, *v.shape), v.dtype)
+            self.values = {name: np.empty((sampler.n_retained, *v.shape), v.dtype)
                            for name in STATE_FIELDS if (v := getattr(state, name)) is not None}
         for name, arr in self.values.items():
             arr[k] = getattr(state, name)
@@ -555,7 +566,8 @@ class StateArrays:
 
 def run_chain(sampler, sink=None):
     """Sweep a ``MultChain`` or ``GpChain`` ``n_iters`` times under its
-    ``settings`` and hand every ``thin``-th state after burn-in to ``sink``.
+    ``settings`` and hand every ``thin``-th state after the chain's
+    ``burn_in`` to ``sink``; it sets nothing on the chain.
 
     The sink gets ``put(k, sampler)`` for retained state k = 0, 1, ... as the
     chain reaches it, and ``close(sampler)`` after the last sweep, which
@@ -567,16 +579,14 @@ def run_chain(sampler, sink=None):
     times each one, so the draws' ``profile`` holds the chain's time per
     block and its counts over every sweep, burn-in included.
 
-    Proposal adaptation ends before the first post-burn-in sweep (before
-    sweep 1 when ``burn_in`` is 0), so the retained states come from a
-    fixed Metropolis kernel and the acceptance ledger counts only them.
+    A ``GpChain`` keeps its own adaptation window: its step adapts in its
+    first ``burn_in`` sweeps and its acceptance ledger counts only the
+    sweeps after them, so the retained states come from a fixed Metropolis
+    kernel and the ledger counts only them, here as in a chain swept by hand.
     """
-    settings = sampler.settings
-    burn = settings.resolve_burn_in(sampler.spec.family)
+    settings, burn = sampler.settings, sampler.burn_in
     sink = StateArrays() if sink is None else sink
     for it in range(1, settings.n_iters + 1):
-        if it == burn + 1:
-            sampler.adapting = False
         sampler.sweep()
         if it > burn and (it - burn) % settings.thin == 0:
             sink.put((it - burn) // settings.thin - 1, sampler)

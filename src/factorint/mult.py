@@ -93,15 +93,14 @@ def score_conditional(state: McmcState, data: DataMatrix, spec: ModelSpec,
     loadings times the partner scores; under approach 1 the product prior adds
     pseudo-observations from the interaction scores.
     """
-    pairs = factor_pairs(spec.n_factors)
+    # (pair index, the other factor) of every pair that holds factor l
+    partners = [(t, l1 + l2 - l) for t, (l1, l2) in enumerate(factor_pairs(spec.n_factors))
+                if l in (l1, l2)]
     w = 1.0 / state.noise_var
     if spec.family is Family.MULT_APPROACH2:
         c = np.repeat(state.loadings[:, l][:, None], data.n_samples, axis=1)
-        for t, (l1, l2) in enumerate(pairs):
-            if l == l1:
-                c += np.outer(state.inter_loadings[:, t], state.scores[l2])
-            elif l == l2:
-                c += np.outer(state.inter_loadings[:, t], state.scores[l1])
+        for t, partner in partners:
+            c += np.outer(state.inter_loadings[:, t], state.scores[partner])
         R = residual_matrix(state, data, spec) + c * state.scores[l][None, :]
         prec = 1.0 + (c * c * w[:, None]).sum(axis=0)
         num = (c * R * w[:, None]).sum(axis=0)
@@ -110,10 +109,7 @@ def score_conditional(state: McmcState, data: DataMatrix, spec: ModelSpec,
         R = residual_matrix(state, data, spec) + np.outer(a, state.scores[l])
         prec = np.full(data.n_samples, 1.0 + float(a * a @ w))
         num = (a * w) @ R
-        for t, (l1, l2) in enumerate(pairs):
-            partner = l2 if l == l1 else (l1 if l == l2 else None)
-            if partner is None:
-                continue
+        for t, partner in partners:
             other = state.scores[partner]
             prec += other * other / spec.product_var
             num += other * state.inter_scores[t] / spec.product_var
@@ -200,10 +196,13 @@ def initial_state(spec: ModelSpec, data: DataMatrix, layout: PriorLayout,
 
 class Chain:
     """Set-up and Gibbs scan of either sampler: family check against the
-    subclass's ``is_mult``, spec, prior layout, streams and the initial
-    state, drawn from the ``init`` stream.
+    subclass's ``is_mult``, spec, prior layout, streams, the run's schedule
+    and the initial state, drawn from the ``init`` stream.
 
-    ``iteration`` counts the sweeps run, and ``block_seconds`` holds the
+    ``burn_in`` and ``n_retained`` are the settings' burn-in for the family
+    and the number of states kept after it, resolved once here, so settings
+    that no run of the family accepts raise ``ConfigError`` when the chain is
+    built. ``iteration`` counts the sweeps run, and ``block_seconds`` holds the
     ``time.perf_counter`` time each block of ``blocks`` has taken over them,
     burn-in included; ``counts`` holds the family's own tallies."""
 
@@ -217,6 +216,8 @@ class Chain:
         self.settings = settings
         self.layout = build_layout(spec, data.n_features)
         self.streams = settings.streams(chain)
+        self.burn_in = settings.resolve_burn_in(spec.family)
+        self.n_retained = settings.retained(spec.family)
         self.state = initial_state(spec, data, self.layout, self.streams.get("init"))
         self.iteration = 0
         self.block_seconds = dict.fromkeys(self.blocks(), 0.0)
@@ -253,9 +254,8 @@ class MultChain(Chain):
     """One multiplicative-family chain over immutable data."""
 
     is_mult = True
-    # plain Gibbs: no proposal to adapt, no Metropolis acceptance ledger and
-    # no kernel or moves to count
-    adapting = False
+    # plain Gibbs: no Metropolis step or acceptance ledger, and no kernel or
+    # moves to count
     accept_counts = None
     rw_step = None
     counts: dict[str, int] = {}

@@ -360,8 +360,6 @@ def copied_state_values(sampler) -> dict[str, np.ndarray]:
     burn = settings.resolve_burn_in(sampler.spec.family)
     states = []
     for it in range(1, settings.n_iters + 1):
-        if it == burn + 1:
-            sampler.adapting = False
         sampler.sweep()
         if it > burn and (it - burn) % settings.thin == 0:
             states.append(sampler.state.copy())
@@ -411,6 +409,17 @@ class TestRunChain:
                 assert (value.shape, value.dtype) == (shapes[name], model.STATE_DTYPES[name]), name
             else:
                 assert value is None, name
+
+    @pytest.mark.parametrize("chain_type, spec", [(GpChain, gp_spec(1)), (MultChain, mult_spec(2))],
+                             ids=["gp", "mult"])
+    @pytest.mark.parametrize("settings, match", [
+        (McmcSettings(n_iters=10, burn_in=10), r"burn_in 10 must lie in \[0, n_iters=10\)"),
+        (McmcSettings(n_iters=10, burn_in=3, thin=2), "not divisible by thin = 2")],
+        ids=["burn_in_past_the_end", "retained_not_divisible"])
+    def test_bad_burn_in_raises_when_the_chain_is_built(self, chain_type, spec, settings, match):
+        data = standardize_rows(np.random.default_rng(44).normal(size=(5, 6)))
+        with pytest.raises(ConfigError, match=match):
+            chain_type(spec, data, settings)
 
     def test_retained_arrays_are_read_only(self):
         data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))

@@ -30,17 +30,18 @@ from factorint.gp import (
     update_shared_effect,
 )
 from factorint.kernels import KernelMatrix, SweepFactor, marginal_ratio_rows
+from factorint.model import run_chain
 from factorint.mult import initial_state
 from factorint.prior import _logit, build_layout
 from factorint.rng import stream
 from tests_support import states
 
 
-def make_chain(variant=1, m=4, n=6, seed=5, sweeps=4, **spec_kw):
+def make_chain(variant=1, m=4, n=6, seed=5, sweeps=4, burn_in=None, **spec_kw):
     rng = np.random.default_rng(70 + variant)
     spec = gp_spec(variant, **spec_kw)
     data = standardize_rows(rng.normal(size=(m, n)))
-    chain = GpChain(spec, data, McmcSettings(seed=seed))
+    chain = GpChain(spec, data, McmcSettings(seed=seed, burn_in=burn_in))
     for _ in range(sweeps):
         chain.sweep()
     return chain
@@ -249,7 +250,7 @@ class TestScoreMetropolis:
         # so its conditional variance is 0 and the move must be rejected.
         rng = np.random.default_rng(19)
         data = standardize_rows(rng.normal(size=(4, 6)))
-        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7))
+        chain = GpChain(gp_spec(1), data, McmcSettings(seed=7, burn_in=0))
         chain.rw_step = 1.0
         st = chain.state
         st.scores[:] = 0.0
@@ -261,7 +262,6 @@ class TestScoreMetropolis:
         K = se_kernel(st.scores, chain.spec.length_scale).K
         np.testing.assert_array_equal(K, np.eye(6))
         chain.kernel = KernelMatrix(K, chain.spec.length_scale, 0.0, np.eye(6))
-        chain.adapting = False
 
         class OntoNextColumn:
             """Proposal noise moving column j exactly onto column j + 1."""
@@ -316,6 +316,7 @@ def reference_update_score_columns(chain):
     steps = rng.standard_normal((spec.n_factors, n))
     uniforms = rng.random(n)
     gp_cur = gp_prior_logdens(chain.kernel, state, spec)
+    counting = chain.iteration >= chain.burn_in  # the ledger counts only after burn-in
     accepted = 0
     for j in range(n):
         proposal = state.scores[:, j] + chain.rw_step * steps[:, j]
@@ -324,17 +325,17 @@ def reference_update_score_columns(chain):
             delta, kernel_prop, gp_prop = column_delta_log_joint(
                 state, chain.data, spec, chain.kernel, j, proposal, gp_cur)
         except CholeskyFailure:
-            if not chain.adapting:
+            if counting:
                 chain.accept_counts[j, 1] += 1
             continue
-        if not chain.adapting:
+        if counting:
             chain.accept_counts[j, 1] += 1
         if log_u < delta:
             state.scores[:, j] = proposal
             chain.kernel = kernel_prop
             gp_cur = gp_prop
             accepted += 1
-            if not chain.adapting:
+            if counting:
                 chain.accept_counts[j, 0] += 1
     return accepted
 
@@ -450,7 +451,7 @@ class TestColumnFactorSweep:
     @pytest.mark.parametrize("variant, active", [(1, True), (1, False), (2, True)])
     def test_sweep_matches_full_rebuild_loop(self, variant, active):
         # ls = 0.8 couples the columns, so a stale factor would change decisions
-        chain = make_chain(variant=variant, m=6, n=12, sweeps=6, length_scale=0.8)
+        chain = make_chain(variant=variant, m=6, n=12, sweeps=6, burn_in=6, length_scale=0.8)
         st = chain.state
         if variant == 1:
             st.inter_mask[:] = 0
@@ -459,7 +460,6 @@ class TestColumnFactorSweep:
                 st.inter_mask[[0, 3]] = 1
                 st.effects[[0, 3]] = (np.linalg.cholesky(chain.kernel.regularized())
                                       @ np.random.default_rng(31).normal(size=(12, 2))).T
-        chain.adapting = False
         twin = copy.deepcopy(chain)
         total = 0
         for _ in range(3):
@@ -579,6 +579,27 @@ class TestColumnFactorSweep:
 
 
 class TestChainContracts:
+    def test_hand_swept_chain_keeps_its_adaptation_window(self):
+        # burn_in = 5: the step moves in each of sweeps 1-5 (a rate of k/8
+        # never equals the 0.30 target) and is fixed from sweep 6 on, and
+        # the ledger counts every column in exactly sweeps 6-10, as in the
+        # same chain run by ``run_chain``
+        data = standardize_rows(np.random.default_rng(27).normal(size=(6, 8)))
+        settings = McmcSettings(n_iters=10, burn_in=5, seed=6)
+        chain = GpChain(gp_spec(1), data, settings)
+        steps = [chain.rw_step]
+        for _ in range(settings.n_iters):
+            chain.sweep()
+            steps.append(chain.rw_step)
+        assert all(before != after for before, after in zip(steps[:5], steps[1:6]))
+        assert steps[6:] == [steps[5]] * 5
+        np.testing.assert_array_equal(chain.accept_counts[:, 1], 5)
+        assert chain.accept_counts[:, 0].sum() > 0
+        draws = run_chain(GpChain(gp_spec(1), data, settings))
+        assert draws.rw_step_final == chain.rw_step
+        np.testing.assert_array_equal(draws.mh_accept_counts, chain.accept_counts)
+        np.testing.assert_array_equal(draws.stack("scores")[-1], chain.state.scores)
+
     def test_kernel_state_coherence(self):
         chain = make_chain(sweeps=5)
         rebuilt = se_kernel(chain.state.scores, chain.spec.length_scale)

@@ -25,6 +25,7 @@ from factorint import (
     mult_spec,
     se_kernel,
     seed_gene_window,
+    select_candidate_genes,
     standardize_rows,
 )
 from factorint import io as fio
@@ -58,6 +59,13 @@ INPUT_CHECKS = {
     "overlapping_seed_groups": (lambda d: clean_seed_genes(small_data(), [0, 1], [1, 2],
                                                            McmcSettings()),
                                 ConfigError, "seed groups overlap"),
+    **{f"{function.__name__}_seed_index_{name}": (
+        lambda d, function=function, index=index: function(small_data(), [0, index], [2, 3],
+                                                           McmcSettings()),
+        SpecConflict, match)
+       for function in (clean_seed_genes, select_candidate_genes)
+       for name, index, match in (("negative", -1, "seed group contains a negative feature index"),
+                                  ("past_the_data", 6, r"seed feature index 6 outside 0\.\.5"))},
     "annotation_short_row": (
         lambda d: fio.read_annotation(write(d / "a.csv", "probe_id,chromosome,position\np1,1\n")),
         ConfigError, ":2: expected 3 cells"),

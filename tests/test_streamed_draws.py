@@ -30,6 +30,7 @@ from factorint import (
     fit_spec,
     generate_saddle_dataset,
     gp_spec,
+    join_draws,
     mult_spec,
     posterior_mean_effects,
     posterior_summary,
@@ -355,6 +356,32 @@ def test_mean_effect_rows_are_rows_of_the_whole_mean(tmp_path, monkeypatch, spec
                 assert row[0].tobytes() == whole[f].tobytes(), (name, f)
             part = posterior_mean_effects(draws, slice(2, m - 1))
             assert part.tobytes() == whole[2:m - 1].tobytes(), name
+
+
+@pytest.mark.parametrize("spec", READER_SPECS.values(), ids=READER_SPECS)
+def test_one_slice_rule_for_every_field_and_family(tmp_path, spec):
+    # every reader refuses a slice whose step is not 1, and reads an empty
+    # slice as 0 rows, from memory, from a file and from a join of the two
+    data, groups = saddle_data(15)
+    settings = McmcSettings(n_iters=30, burn_in=10, seed=15)
+    spec = replace(spec, seed_groups=groups)
+    path = tmp_path / "draws.bin"
+    with fio.DrawsWriter(path) as writer:
+        fit_spec(spec, data, settings, 0, writer)
+    held = fit_spec(spec, data, settings, 1)
+    m, n = data.n_features, data.n_samples
+    for name, draws in (("held", held), ("opened", fio.open_draws(path)),
+                        ("joined", join_draws(fio.open_draws(path), held))):
+        for field in draws.values:
+            with pytest.raises(ConfigError, match="step 1"):
+                draws.traces(field, slice(0, 10, 2))
+            for empty in (slice(3, 3), slice(5, 2)):
+                assert draws.traces(field, empty).shape == (len(draws), 0), (name, field)
+        for stepped in (slice(0, 10, 2), slice(None, None, -1)):
+            with pytest.raises(ConfigError, match="step 1"):
+                posterior_mean_effects(draws, stepped)
+        for empty in (slice(4, 4), slice(5, 2), slice(m, None)):
+            assert posterior_mean_effects(draws, empty).shape == (0, n), (name, empty)
 
 
 @pytest.mark.parametrize("read", [fio.load_draws, fio.open_draws],

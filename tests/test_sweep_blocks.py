@@ -61,8 +61,7 @@ def test_gp_counts_cover_every_sweep(variant):
     active = 0
     kernel = chain.kernel
     builds = 1
-    for it in range(settings.n_iters):
-        chain.adapting = it < 5
+    for _ in range(settings.n_iters):
         chain.sweep()
         active += int(chain.state.inter_mask.sum())
         builds += chain.kernel is not kernel
