@@ -46,7 +46,7 @@ from .genomics import (
     posterior_summary,
     require_states,
 )
-from .model import Family, PosteriorDraws, join_draws, standardize_rows
+from .model import PosteriorDraws, join_draws, standardize_rows
 from .simulate import (
     compare_models,
     export_surface,
@@ -146,7 +146,7 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> int:
         _chains.append(all_draws[-1].profile)
     posterior_summary(*all_draws).write_csv(out / "summary.csv")
 
-    if spec.family is Family.GP:
+    if all_draws[0].mh_accept_counts is not None:
         fio.write_table(out / "acceptance.csv",
                         ["chain", "column", "accepted", "proposed", "rate", "rw_step_final"],
                         ([draws.chain, j, acc, prop, f"{acc / prop if prop else 0.0:.6g}",

@@ -67,6 +67,13 @@ def _submatrix(data: DataMatrix, rows: np.ndarray) -> DataMatrix:
                       data.sample_ids)
 
 
+def _anchored_spec(group1, group2) -> ModelSpec:
+    """The two-factor null spec anchored at the seed groups: ``group1`` on
+    factor 0 and ``group2`` on factor 1; its rules judge the groups."""
+    return two_factor_null_spec({0: frozenset(int(i) for i in group1),
+                                 1: frozenset(int(i) for i in group2)})
+
+
 def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
                      ) -> tuple[np.ndarray, np.ndarray, list[RemovalRecord]]:
     """Drop seed genes whose fitted pattern contradicts the group assumption.
@@ -77,19 +84,14 @@ def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
     ``posterior_summary``. A gene is removed for the first rule it breaks, in
     this order: its own-factor inclusion probability is at most 0.5, its
     loading sign disagrees with the majority of its group's loaded members,
-    or it loads on the other group's factor. Empty or overlapping groups
-    raise ConfigError, and an index outside the data the SpecConflict that
-    ``select_candidate_genes`` raises for it.
+    or it loads on the other group's factor. An empty or overlapping group,
+    or an index that is negative or outside the data, raises the
+    SpecConflict that ``select_candidate_genes`` raises for it.
     """
-    g1 = np.asarray(sorted(set(int(i) for i in group1)), dtype=int)
-    g2 = np.asarray(sorted(set(int(i) for i in group2)), dtype=int)
-    if g1.size == 0 or g2.size == 0:
-        raise ConfigError("both seed groups must be nonempty")
-    if np.intersect1d(g1, g2).size:
-        raise ConfigError("seed groups overlap")
-    # an index outside the data raises as in select_candidate_genes, whose anchored spec checks it
-    build_layout(two_factor_null_spec({0: frozenset(g1.tolist()), 1: frozenset(g2.tolist())}),
-                 data.n_features)
+    spec = _anchored_spec(group1, group2)
+    # the fit below is unanchored, so the anchored spec's layout checks the indices
+    build_layout(spec, data.n_features)
+    g1, g2 = (np.asarray(sorted(spec.seed_groups[k]), dtype=int) for k in (0, 1))
     rows = np.concatenate([g1, g2])
     est, incl = _loading_estimates(
         run_chain(MultChain(two_factor_null_spec(), _submatrix(data, rows), settings)))
@@ -123,14 +125,14 @@ def select_candidate_genes(data: DataMatrix, group1, group2,
     reports it, exceeds 0.5 on both factors.
 
     The underlying fit is the two-factor no-interaction model with degenerate
-    seed priors keeping the factor interpretation anchored.
+    seed priors keeping the factor interpretation anchored. An empty or
+    overlapping group, or an index that is negative or outside the data,
+    raises SpecConflict.
     """
-    g1 = frozenset(int(i) for i in group1)
-    g2 = frozenset(int(i) for i in group2)
-    _, incl = _loading_estimates(
-        run_chain(MultChain(two_factor_null_spec({0: g1, 1: g2}), data, settings)))
+    spec = _anchored_spec(group1, group2)
+    _, incl = _loading_estimates(run_chain(MultChain(spec, data, settings)))
     mask = (incl > 0.5).all(axis=1)
-    mask[list(g1 | g2)] = False
+    mask[list(spec.seed_union())] = False
     return np.flatnonzero(mask)
 
 

@@ -4,6 +4,7 @@ File formats
 ------------
 CSV tables: ``write_table`` writes every one, in the package's one dialect:
 UTF-8, comma-delimited, ``\r\n`` line ends, quotes only where a cell needs them.
+Every text file is read as UTF-8, one leading byte-order mark dropped.
 
 Data CSV: first row sample ids (the top-left cell is a label), first column
 feature ids, remaining cells finite real numbers; read a row at a time.
@@ -126,19 +127,21 @@ def write_data_csv(path, data: DataMatrix) -> None:
 
 
 def _read_text(path) -> str:
-    """The whole file, which must be UTF-8."""
+    """The whole file, which must be UTF-8, less one leading byte-order mark;
+    a byte that is not UTF-8 is named by its offset in the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8")
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return text.removeprefix("\ufeff")
 
 
 @contextmanager
 def _csv_reader(path):
     """A ``csv.reader`` over the file at ``path``, decoded as UTF-8 a block
-    at a time; ConfigError, naming the first byte that is not UTF-8, when
-    the file is not."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    at a time, less one leading byte-order mark; ConfigError, naming the
+    first byte that is not UTF-8, when the file is not."""
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         try:
             yield csv.reader(fh)
         except UnicodeDecodeError:
@@ -749,7 +752,7 @@ KEYS = {
     "model.family": Key(_choice(Family), "mult_approach1 | mult_approach2 | gp (default {})",
                         default="mult_approach2"),
     "model.factors": Key(_int, "integer factor count (default 2)", "n_factors"),
-    "model.gp_variant": Key(_int, "1..5 (gp family, default {})", default="1"),
+    "model.gp_variant": Key(_int, "1..5 (gp family, default {})", "gp_variant", default="1"),
     "model.length_scale": Key(_float, "positive real (gp family, default 0.2)", "length_scale"),
     "model.product_var": Key(_float, "positive real (mult approach 1, default 1e-5)",
                              "product_var"),
@@ -802,8 +805,6 @@ CONFIG_KEYS = "".join(f"\n{key:<25} {row.help.format(row.default)}"
                       for key, row in KEYS.items()) + "\n"
 # the placeholder row of each head a placeholder segment follows
 _OPEN = {key.rpartition(".")[0]: row for key, row in KEYS.items() if key.endswith(">")}
-# keys read by one family only
-_FAMILY_ONLY = {"model.length_scale": Family.GP, "model.product_var": Family.MULT_APPROACH1}
 
 
 def _row(key: str) -> Key | None:
@@ -839,14 +840,16 @@ def feature_index(token: str, labels: Sequence[str] | None, key: str) -> int:
 
 
 def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> ModelSpec:
-    """The model ``cfg`` describes, built once. Only the keys it sets are
+    """The model ``cfg`` describes, built once. Every model key it sets is
     read, and ``mult_spec``, ``gp_spec`` and ``ModelSpec`` supply every other
-    value. ``model.product_var`` is read for approach 1 only, and
-    ``model.gp_variant`` and ``model.length_scale`` for the gp family only."""
+    value, so the spec's rules judge each key: a key of another family, such
+    as ``model.product_var`` for the gp family, raises SpecConflict. Only the
+    text of the seed-group keys is checked here (a group number outside
+    1..``model.factors``, two keys of one group, a key that names no
+    feature); the groups themselves are the spec's to judge."""
     family = value(cfg, "model.family")
     kwargs = {row.field: value(cfg, key) for key, row in KEYS.items()
-              if row.field and key in cfg and key.partition(".")[0] == "model"
-              and _FAMILY_ONLY.get(key, family) is family}
+              if row.field and key in cfg and key.partition(".")[0] == "model"}
     for key, name in (("model.gamma", "load_prob_prior"), ("model.beta", "inter_prob_prior")):
         default = {"default": value(cfg, key)} if key in cfg else {}
         groups = {k[len(key) + 1:]: value(cfg, k) for k in cfg if k.startswith(key + ".")}
@@ -873,7 +876,7 @@ def spec_from_config(cfg: dict[str, str], data: DataMatrix | None = None) -> Mod
                 raise ConfigError(f"{key}: names no feature")
     kwargs["seed_groups"] = seed_groups or None
     if family is Family.GP:
-        return gp_spec(value(cfg, "model.gp_variant"), **kwargs)
+        return gp_spec(kwargs.pop("gp_variant", value(cfg, "model.gp_variant")), **kwargs)
     return mult_spec(1 if family is Family.MULT_APPROACH1 else 2, **kwargs)
 
 

@@ -54,7 +54,9 @@ _CONSTANT_ROW_TOL = 1e-12
 
 @dataclass(frozen=True)
 class DataMatrix:
-    """Feature-by-sample matrix with identifiers. Rows are standardized."""
+    """Feature-by-sample matrix of finite values with distinct identifiers,
+    held as given: ``standardize_rows`` makes the standardized one a fit
+    takes, and ``io.read_data_csv`` returns a file's values as written."""
 
     values: np.ndarray
     feature_ids: tuple[str, ...]
@@ -257,7 +259,12 @@ def gp_spec(variant: int, n_factors: int = 2, length_scale: float = 0.2, **kwarg
 
 
 def validate_spec(spec: ModelSpec) -> ModelSpec:
-    """The rules of a ``ModelSpec``, run when one is built; returns ``spec``."""
+    """The rules of a ``ModelSpec``, run when one is built; returns ``spec``.
+    Each family's own fields are set for it alone (``product_var`` for
+    approach 1, ``gp_variant`` and ``length_scale`` for gp), and each seed
+    group names a factor inside ``n_factors`` and at least one feature index
+    >= 0, no feature in two groups; ``prior.build_layout`` checks the
+    indices against the data's features."""
     if not isinstance(spec.family, Family):
         raise SpecConflict(f"family must be a Family member, got {spec.family!r}")
     validate_prior(spec)
@@ -295,6 +302,8 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
             if not 0 <= int(factor) < spec.n_factors:
                 raise SpecConflict(f"seed group factor {factor} outside 0..{spec.n_factors - 1}")
             members = set(int(i) for i in members)
+            if not members:
+                raise SpecConflict(f"seed group {factor} is empty")
             if any(i < 0 for i in members):
                 raise SpecConflict("seed group contains a negative feature index")
             overlap = seen & members

@@ -54,11 +54,14 @@ INPUT_CHECKS = {
     "mult_approach_3": (lambda d: mult_spec(3), SpecConflict, "approach must be 1 or 2, got 3"),
     "negative_window": (lambda d: seed_gene_window(ANNOTATION, "1", 10, -1), ConfigError,
                         "half_width must be nonnegative"),
-    "empty_seed_group": (lambda d: clean_seed_genes(small_data(), [0, 1], [], McmcSettings()),
-                         ConfigError, "both seed groups must be nonempty"),
-    "overlapping_seed_groups": (lambda d: clean_seed_genes(small_data(), [0, 1], [1, 2],
-                                                           McmcSettings()),
-                                ConfigError, "seed groups overlap"),
+    **{f"{function.__name__}_seed_groups_{name}": (
+        lambda d, function=function, group2=group2: function(small_data(), [0, 1], group2,
+                                                             McmcSettings()),
+        SpecConflict, match)
+       for function in (clean_seed_genes, select_candidate_genes)
+       for name, group2, match in (("empty", [], "^seed group 1 is empty$"),
+                                   ("overlapping", [1, 2],
+                                    r"^seed groups overlap on features \[1\]$"))},
     **{f"{function.__name__}_seed_index_{name}": (
         lambda d, function=function, index=index: function(small_data(), [0, index], [2, 3],
                                                            McmcSettings()),

@@ -32,6 +32,7 @@ from factorint import (
     DataMatrix,
     FactorIntError,
     FormatVersionMismatch,
+    SpecConflict,
     detect_interactions,
     export_surface,
     generate_saddle_dataset,
@@ -113,6 +114,48 @@ class TestAnnotationCsv:
         path.write_bytes("probe_id,chromosome,position\npé,1,5\n".encode("latin-1"))
         with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text"):
             fio.read_annotation(path)
+
+
+BOM = "\ufeff".encode("utf-8")
+
+
+class TestByteOrderMark:
+    """Each text reader drops one leading UTF-8 byte-order mark, and still
+    names a byte that is not UTF-8 by its offset in the file."""
+
+    def test_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(BOM + b"simulate.features = 12\nmcmc.seed = 3\n")
+        assert fio.read_config(path) == {"simulate.features": "12", "mcmc.seed": "3"}
+
+    def test_data_csv(self, tmp_path):
+        data = small_data()
+        path = tmp_path / "data.csv"
+        fio.write_data_csv(path, data)
+        path.write_bytes(BOM + path.read_bytes())
+        back = fio.read_data_csv(path)
+        np.testing.assert_array_equal(back.values, data.values)
+        assert (back.feature_ids, back.sample_ids) == (data.feature_ids, data.sample_ids)
+
+    def test_annotation_csv(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_bytes(BOM + b"probe_id,chromosome,position\np1,22,100\n")
+        back = fio.read_annotation(path)
+        assert (back.probe_ids, back.chromosomes, back.positions.tolist()) == (("p1",), ("22",),
+                                                                               [100])
+
+    @pytest.mark.parametrize("reader, body", [
+        (fio.read_config, "model.family = gp  # caf\u00e9\n"),
+        (fio.read_annotation, "probe_id,chromosome,position\np\u00e9,1,5\n"),
+    ])
+    def test_bad_byte_is_named_at_its_offset_in_the_file(self, tmp_path, reader, body):
+        path = tmp_path / "bad.txt"
+        blob = BOM + body.encode("latin-1")
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: not UTF-8 text "
+                                              rf"\(invalid continuation byte at byte "
+                                              rf"{blob.index(0xE9)}\)$"):
+            reader(path)
 
 
 class TestBundleFormat:
@@ -666,11 +709,15 @@ class TestConfigParsing:
         assert fio.settings_from_config({}) == McmcSettings()
 
     @pytest.mark.parametrize("family, spec", FAMILY_DEFAULTS)
-    def test_keys_of_other_families_are_not_read(self, family, spec):
+    def test_keys_of_other_families_are_refused(self, family, spec):
         own = {"mult_approach1": {"model.product_var"},
                "gp": {"model.length_scale", "model.gp_variant"}}.get(family, set())
-        others = {"model.product_var", "model.length_scale", "model.gp_variant"} - own
-        assert fio.spec_from_config({"model.family": family, **dict.fromkeys(others, "x")}) == spec
+        for key in sorted({"model.product_var", "model.length_scale", "model.gp_variant"} - own):
+            with pytest.raises(SpecConflict, match="^(product_var|gp_variant/length_scale) "
+                                                   "appl(y|ies) only to "):
+                fio.spec_from_config({"model.family": family, key: "1"})
+            with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected "):
+                fio.spec_from_config({"model.family": family, key: "x"})
 
     @pytest.mark.parametrize("key", ["model.gamma.expected", "model.beta.seed",
                                      "model.seed_group.3", "mcmc.iters", "overlap.replicates"])
@@ -1092,6 +1139,8 @@ class TestCli:
         ("test-overlap", "overlap.replicates=0"),
         ("test-overlap", "overlap.observed=-1"),
         ("export-surface", "surface.feature=nope"),
+        ("fit", "model.product_var=abc"),
+        ("fit", "model.length_scale=abc"),
         *MISSING_FILE_CASES,
     ])
     def test_bad_config_value_prints_one_config_error(self, fitted, tmp_path, capsys,
@@ -1118,6 +1167,37 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ERROR SpecConflict: model.beta: the global inclusion")
+
+    @pytest.mark.parametrize("settings, message", [
+        (("model.family=mult_approach2", "model.length_scale=0.5"),
+         "gp_variant/length_scale apply only to the gp family"),
+        (("model.family=gp", "model.product_var=1e-5"),
+         "product_var applies only to multiplicative approach 1"),
+        (("model.family=mult_approach1", "model.gp_variant=2"),
+         "gp_variant/length_scale apply only to the gp family"),
+    ], ids=["mult_approach2-length_scale", "gp-product_var", "mult_approach1-gp_variant"])
+    def test_key_of_another_family_prints_one_error(self, fitted, tmp_path, capsys, settings,
+                                                    message):
+        args = ["fit", "--output-dir", str(tmp_path), "--set", f"paths.data={fitted / 'data.csv'}"]
+        for item in settings:
+            args += ["--set", item]
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR SpecConflict: {message}"]
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_compare_spec_with_a_key_of_another_family_prints_one_error(self, fitted, tmp_path,
+                                                                          capsys):
+        spec = tmp_path / "spec" / "gp.cfg"
+        spec.parent.mkdir()
+        spec.write_text("model.family = gp\nmodel.product_var = 1e-5\n", encoding="utf-8")
+        args = ["compare", "--output-dir", str(tmp_path / "out")]
+        for item in command_settings(fitted, "compare")[:2] + [f"compare.specs={spec}"]:
+            args += option_args(item)
+        assert run_cli(*args) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["ERROR SpecConflict: product_var applies only to multiplicative approach 1"]
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     @pytest.mark.parametrize("command, setting", MISSING_FILE_CASES)
     def test_missing_input_file_names_the_key(self, fitted, tmp_path, capsys, command, setting):
