@@ -70,8 +70,7 @@ def _submatrix(data: DataMatrix, rows: np.ndarray) -> DataMatrix:
 def _anchored_spec(group1, group2) -> ModelSpec:
     """The two-factor null spec anchored at the seed groups: ``group1`` on
     factor 0 and ``group2`` on factor 1; its rules judge the groups."""
-    return two_factor_null_spec({0: frozenset(int(i) for i in group1),
-                                 1: frozenset(int(i) for i in group2)})
+    return two_factor_null_spec({0: frozenset(group1), 1: frozenset(group2)})
 
 
 def clean_seed_genes(data: DataMatrix, group1, group2, settings: McmcSettings,
@@ -151,7 +150,7 @@ def detect_interactions(draws: PosteriorDraws, threshold: float = 0.5) -> dict[i
     if not 0.0 < threshold < 1.0:
         raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
     probs = interaction_probabilities(draws)
-    return {int(i): float(probs[i]) for i in np.flatnonzero(probs > threshold)}
+    return {i: float(probs[i]) for i in np.flatnonzero(probs > threshold).tolist()}
 
 
 # numpy's hypergeometric sampler takes group sizes below 10**9 only.

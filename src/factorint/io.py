@@ -35,7 +35,8 @@ breaks one is CorruptFile:
   writes;
 - ``spec_from_dict`` reads the spec through ``_SPEC_FIELDS``, one reader per
   ``ModelSpec`` field, so a spec that lacks a field or holds a key that is not
-  one fails rather than resets a field to its default or ignores the key;
+  one fails rather than resets a field to its default or ignores the key, and
+  a count or index that is not an integer fails rather than is truncated;
 - the counts are ints that make an ``McmcSettings`` whose ``streams(chain)``
   and ``retained(family)`` hold, with the final step as its ``rw_step`` for
   gp draws; the step is None exactly for the multiplicative families;
@@ -61,8 +62,13 @@ CLI owns, that default. ``CONFIG_KEYS``, the help text that ``factorint
 --help`` ends with, is rendered from it. ``value(cfg, key)`` is the one
 reader of a key, also for ``spec_from_config`` and ``settings_from_config``;
 a model or run key that is not set takes the default of ``ModelSpec``,
-``mult_spec``/``gp_spec`` or ``McmcSettings``. What each reader reads is
-checked by ``check_config_keys``. ``feature_index`` reads each feature a
+``mult_spec``/``gp_spec`` or ``McmcSettings``. The parsers read a value's
+text only; the rules for the number it holds (an integer, a positive finite
+number, a key of the family) are the spec's and the settings' own, run
+through ``prior.check_integer`` and ``prior.check_positive`` when they are
+built, so ``model.slab_var_inter`` for the gp family parses here and raises
+SpecConflict there. What each reader reads is checked by
+``check_config_keys``. ``feature_index`` reads each feature a
 value names: by its id, else by its 0-based index.
 """
 
@@ -140,13 +146,17 @@ def _read_text(path) -> str:
 def _csv_reader(path):
     """A ``csv.reader`` over the file at ``path``, decoded as UTF-8 a block
     at a time, less one leading byte-order mark; ConfigError, naming the
-    first byte that is not UTF-8, when the file is not."""
+    first byte that is not UTF-8, when the file is not, and naming the line
+    for a row the reader cannot parse."""
     with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            yield csv.reader(fh)
+            yield reader
         except UnicodeDecodeError:
             _read_text(path)     # raises the ConfigError with the file's byte offset
             raise
+        except csv.Error as exc:  # such as a cell beyond the field size limit
+            raise ConfigError(f"{path}:{reader.line_num}: {exc}") from None
 
 
 def read_data_csv(path) -> DataMatrix:
@@ -445,7 +455,10 @@ def read_truth(path, m: int, n: int) -> tuple[SyntheticTruth, str]:
 def spec_to_dict(value):
     """The JSON data of a spec, or of any of its fields: a dataclass as a dict
     of its fields, an enum by its value, a tuple as a list, a frozenset as its
-    sorted ints, and a mapping with string keys, a tuple key comma-joined."""
+    sorted members, a mapping with string keys, a tuple key comma-joined, and
+    a numpy number as the Python number it holds."""
+    if isinstance(value, np.generic):
+        return value.item()
     if dataclasses.is_dataclass(value):
         return {f.name: spec_to_dict(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
@@ -453,7 +466,7 @@ def spec_to_dict(value):
     if isinstance(value, tuple):
         return [spec_to_dict(v) for v in value]
     if isinstance(value, frozenset):
-        return sorted(int(i) for i in value)
+        return [spec_to_dict(i) for i in sorted(value)]
     if isinstance(value, Mapping):
         return {",".join(map(str, k)) if isinstance(k, tuple) else str(k): spec_to_dict(v)
                 for k, v in sorted(value.items())}
@@ -476,14 +489,20 @@ def _beta_table(d: dict) -> BetaTable:
                      entries={_index(k): tuple(v) for k, v in d["entries"].items()})
 
 
+def _same(v):
+    return v
+
+
 # The reader of each ModelSpec field, in field order: it turns the field's
-# non-null ``spec_to_dict`` value back into the field's value.
+# non-null ``spec_to_dict`` value back into the field's value. A count or an
+# index is taken as written, so the spec's rules refuse one that is not an
+# integer rather than a reader truncating it.
 _SPEC_FIELDS = {
-    "family": Family, "n_factors": int, "slab_var_loading": float, "slab_var_inter": float,
-    "noise_prior": tuple, "product_var": float, "gp_variant": int, "length_scale": float,
+    "family": Family, "n_factors": _same, "slab_var_loading": float, "slab_var_inter": float,
+    "noise_prior": tuple, "product_var": float, "gp_variant": _same, "length_scale": float,
     "load_prob_model": LoadProbModel, "inter_prob_model": InterProbModel,
     "load_prob_prior": _beta_table, "inter_prob_prior": _beta_table,
-    "seed_groups": lambda d: {int(k): frozenset(map(int, v)) for k, v in d.items()},
+    "seed_groups": lambda d: {int(k): frozenset(v) for k, v in d.items()},
     "fixed_load_prob": lambda d: {_index(k): float(v) for k, v in d.items()},
     "fixed_inter_prob": lambda d: {int(k): float(v) for k, v in d.items()},
     "seed_constraints": bool, "include_interactions": bool,
@@ -758,8 +777,8 @@ KEYS = {
                              "product_var"),
     "model.slab_var_loading": Key(_float, "slab variance of the loadings (default 10)",
                                   "slab_var_loading"),
-    "model.slab_var_inter": Key(_float, "slab variance of the interaction loadings (default 10)",
-                                "slab_var_inter"),
+    "model.slab_var_inter": Key(_float, "slab variance of the interaction loadings (mult "
+                                "families, default 10)", "slab_var_inter"),
     "model.noise_shape": Key(_float, "inverse-gamma shape (default 2.1)"),
     "model.noise_scale": Key(_float, "inverse-gamma scale (default 1.1)"),
     "model.load_prob_model": Key(_choice(LoadProbModel), "per_entry | grouped (one probability "

@@ -24,13 +24,13 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, fields
 from enum import Enum
-from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ConstantRow, InvalidFactorCount, SpecConflict
-from .prior import BetaTable, InterProbModel, LoadProbModel, check_positive, validate_prior
+from .prior import (BetaTable, InterProbModel, LoadProbModel, check_integer, check_positive,
+                    validate_prior)
 from .rng import RngStreams
 
 
@@ -168,14 +168,15 @@ def standardize_rows(
 
 
 def interaction_pair_count(n_factors: int) -> int:
-    """Number of unordered factor pairs, L(L-1)/2."""
-    return len(factor_pairs(n_factors))
+    """Number of unordered factor pairs, L(L-1)/2, counted without listing them."""
+    if n_factors < 2:
+        raise InvalidFactorCount(f"need at least 2 factors, got {n_factors}")
+    return n_factors * (n_factors - 1) // 2
 
 
 def factor_pairs(n_factors: int) -> tuple[tuple[int, int], ...]:
     """Unordered factor pairs (l1 < l2), lexicographic, 0-based."""
-    if n_factors < 2:
-        raise InvalidFactorCount(f"need at least 2 factors, got {n_factors}")
+    interaction_pair_count(n_factors)  # the factor-count rule
     return tuple((l1, l2) for l1 in range(n_factors - 1) for l2 in range(l1 + 1, n_factors))
 
 
@@ -260,30 +261,42 @@ def gp_spec(variant: int, n_factors: int = 2, length_scale: float = 0.2, **kwarg
 
 def validate_spec(spec: ModelSpec) -> ModelSpec:
     """The rules of a ``ModelSpec``, run when one is built; returns ``spec``.
+    ``n_factors`` and ``gp_variant`` are integers and every variance a
+    positive number, as ``prior.check_integer`` and ``prior.check_positive``
+    judge them (so ``True``, ``"3"`` and ``2.5`` are refused and numpy's
+    numbers accepted); ``noise_prior`` is a (shape, scale) pair of them.
     Each family's own fields are set for it alone (``product_var`` for
-    approach 1, ``gp_variant`` and ``length_scale`` for gp), and each seed
-    group names a factor inside ``n_factors`` and at least one feature index
-    >= 0, no feature in two groups; ``prior.build_layout`` checks the
-    indices against the data's features."""
+    approach 1, ``gp_variant`` and ``length_scale`` for gp, and a
+    ``slab_var_inter`` other than its default for the multiplicative
+    families), and each seed group names an integer factor inside
+    ``n_factors`` and at least one integer feature index >= 0, no feature in
+    two groups; ``prior.build_layout`` checks the indices against the data's
+    features."""
     if not isinstance(spec.family, Family):
         raise SpecConflict(f"family must be a Family member, got {spec.family!r}")
     validate_prior(spec)
-    if spec.n_factors < 2:
+    if check_integer("n_factors", spec.n_factors, InvalidFactorCount) < 2:
         raise InvalidFactorCount(f"need at least 2 factors, got {spec.n_factors}")
     check_positive("slab_var_loading", spec.slab_var_loading)
     check_positive("slab_var_inter", spec.slab_var_inter)
-    a, b = spec.noise_prior
-    check_positive("noise_prior shape", a)
-    check_positive("noise_prior scale", b)
+    try:
+        shape, scale = spec.noise_prior
+    except (TypeError, ValueError):
+        raise SpecConflict(f"noise_prior must be a (shape, scale) pair, "
+                           f"got {spec.noise_prior!r}") from None
+    check_positive("noise_prior shape", shape)
+    check_positive("noise_prior scale", scale)
     if spec.family is Family.MULT_APPROACH1:
         check_positive("product_var", spec.product_var)
     elif spec.product_var is not None:
         raise SpecConflict("product_var applies only to multiplicative approach 1")
 
     if spec.family is Family.GP:
-        if spec.gp_variant not in GP_VARIANT_TABLE:
+        if check_integer("gp_variant", spec.gp_variant) not in GP_VARIANT_TABLE:
             raise SpecConflict(f"gp_variant must be in 1..5, got {spec.gp_variant}")
         check_positive("length_scale", spec.length_scale)
+        if spec.slab_var_inter != ModelSpec.slab_var_inter:
+            raise SpecConflict("slab_var_inter applies only to the multiplicative families")
         if not spec.include_interactions:
             raise SpecConflict("the nonlinear family has no interaction-free variant")
         load_model, _, inter_model = GP_VARIANT_TABLE[spec.gp_variant]
@@ -296,20 +309,18 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
         if spec.gp_variant is not None or spec.length_scale is not None:
             raise SpecConflict("gp_variant/length_scale apply only to the gp family")
 
-    if spec.seed_groups:
-        seen: set[int] = set()
-        for factor, members in spec.seed_groups.items():
-            if not 0 <= int(factor) < spec.n_factors:
-                raise SpecConflict(f"seed group factor {factor} outside 0..{spec.n_factors - 1}")
-            members = set(int(i) for i in members)
-            if not members:
-                raise SpecConflict(f"seed group {factor} is empty")
-            if any(i < 0 for i in members):
-                raise SpecConflict("seed group contains a negative feature index")
-            overlap = seen & members
-            if overlap:
-                raise SpecConflict(f"seed groups overlap on features {sorted(overlap)}")
-            seen |= members
+    seen: set[int] = set()
+    for factor, members in (spec.seed_groups or {}).items():
+        if not 0 <= check_integer("seed group factor", factor) < spec.n_factors:
+            raise SpecConflict(f"seed group factor {factor} outside 0..{spec.n_factors - 1}")
+        if not members:
+            raise SpecConflict(f"seed group {factor} is empty")
+        for i in members:
+            check_integer("seed feature index", i, low=0)
+        overlap = seen.intersection(members)
+        if overlap:
+            raise SpecConflict(f"seed groups overlap on features {sorted(overlap)}")
+        seen.update(members)
     return spec
 
 
@@ -476,26 +487,18 @@ def join_draws(draws: PosteriorDraws, *more: PosteriorDraws) -> PosteriorDraws:
                           draws.feature_ids, draws.sample_ids)
 
 
-def _is_number(value, kind: type) -> bool:
-    """Whether ``value`` is a number of ABC ``kind`` (numpy's included),
-    ``bool`` excepted."""
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _as_float(value: Real) -> float:
-    """``float(value)``, or inf for an int beyond the float range."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
 @dataclass(frozen=True)
 class McmcSettings:
     """Chain-length and proposal configuration for one run: the only place
     these defaults are written. Each sampler keeps its own as ``settings``
     and resolves its burn-in and retained count from them once, when built;
-    ``run_chain`` reads the run's length and thinning from there."""
+    ``run_chain`` reads the run's length and thinning from there.
+
+    Each count must be an integer (``prior.check_integer``: numpy's accepted,
+    ``bool`` and 2.0 refused), ``seed`` >= 0 and ``thin`` and ``n_chains``
+    >= 1, and ``rw_step`` a positive finite number (``prior.check_positive``);
+    ConfigError otherwise. The fields hold the plain Python numbers the
+    checks return, so settings of numpy numbers write the same draws file."""
 
     n_iters: int = 600
     burn_in: int | None = None  # None: 400 for multiplicative families, 300 for gp
@@ -505,24 +508,16 @@ class McmcSettings:
     rw_step: float = 0.1  # the gp step at the start; burn_in=0 is the one way to hold it fixed
 
     def __post_init__(self):
-        for name in ("n_iters", "burn_in", "thin", "seed", "n_chains"):
-            value = getattr(self, name)
-            if not (_is_number(value, Integral) or name == "burn_in" and value is None):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.thin < 1:
-            raise ConfigError(f"thin must be >= 1, got {self.thin}")
-        if self.n_chains < 1:
-            raise ConfigError(f"n_chains must be >= 1, got {self.n_chains}")
-        if not (_is_number(self.rw_step, Real) and 0 < _as_float(self.rw_step) < math.inf):
-            raise ConfigError(f"rw_step must be finite and positive, got {self.rw_step!r}")
+        for name, low in (("n_iters", None), ("burn_in", None), ("thin", 1), ("seed", 0),
+                          ("n_chains", 1)):
+            if not (name == "burn_in" and self.burn_in is None):
+                object.__setattr__(self, name, check_integer(name, getattr(self, name),
+                                                             ConfigError, low))
+        object.__setattr__(self, "rw_step", check_positive("rw_step", self.rw_step, ConfigError))
 
     def streams(self, chain: int) -> RngStreams:
         """The random streams of chain ``chain`` of this run."""
-        if chain < 0:
-            raise ConfigError(f"chain must be >= 0, got {chain}")
-        return RngStreams(self.seed, chain)
+        return RngStreams(self.seed, check_integer("chain", chain, ConfigError, 0))
 
     def retained(self, family: Family) -> int:
         """Number of states a chain of ``family`` keeps under these settings."""

@@ -4,7 +4,9 @@ Every loading and every interaction term has a binary inclusion indicator and
 a Gaussian slab; the indicator's inclusion probability has a Beta prior, and
 its posterior is the model's significance test. This module holds how those
 probabilities are shared (per entry, global, or per group label derived from
-the seed groups), the rules a spec's prior settings must satisfy, the layout
+the seed groups), the package's one rule for an integer (``check_integer``)
+and one for a positive number (``check_positive``), the rules a spec's prior
+settings must satisfy, the layout
 ``build_layout`` resolves for a feature count, and the closed forms the
 samplers and the log joints read: the slab conditional and its Bayes factor,
 the conjugate Beta update and the log densities. It also makes every draw from
@@ -18,11 +20,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from numbers import Integral, Real
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import SpecConflict
+from .errors import InvalidFactorCount, SpecConflict
 
 
 class LoadProbModel(str, Enum):
@@ -58,9 +61,39 @@ class BetaTable:
     entries: Mapping[tuple, tuple[float, float]] = field(default_factory=dict)
 
 
-def check_positive(name: str, value) -> None:
-    if value is None or not np.isfinite(value) or value <= 0:
-        raise SpecConflict(f"{name} must be a positive finite number, got {value}")
+def check_positive(name: str, value, error: type[Exception] = SpecConflict) -> float:
+    """``value`` as a plain float: it must be a real number, numpy's
+    included, that is finite and above 0; ``bool``, strings and None are not
+    numbers here. ``error``, naming ``name``, otherwise."""
+    try:
+        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) \
+            else math.nan
+    except OverflowError:  # an int beyond the float range
+        number = math.inf
+    if not 0 < number < math.inf:
+        raise error(f"{name} must be a positive finite number, got {value!r}")
+    return number
+
+
+def check_integer(name: str, value, error: type[Exception] = SpecConflict,
+                  low: int | None = None) -> int:
+    """``value`` as a plain int: it must be an integral number, numpy's
+    included, of at least ``low`` when given; ``bool``, strings and
+    non-integral numbers such as 1.0 are not integers here. ``error``,
+    naming ``name``, otherwise."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name} must be >= {low}, got {value}")
+    return int(value)
+
+
+def check_index(name: str, key: tuple, shape: tuple[int, ...]) -> None:
+    """SpecConflict, naming ``name``, unless ``key`` indexes one entry of an
+    array of ``shape``: one integer (``check_integer``) per axis, inside it."""
+    if not (isinstance(key, tuple) and len(key) == len(shape)
+            and all(0 <= check_integer(name, k) < n for k, n in zip(key, shape))):
+        raise SpecConflict(f"{name} {key} outside the shape {shape}")
 
 
 def validate_prior(spec) -> None:
@@ -88,14 +121,10 @@ def validate_prior(spec) -> None:
         for pair in (table.default, *table.groups.values(), *table.entries.values()):
             check_positive("Beta hyperparameter", pair[0])
             check_positive("Beta hyperparameter", pair[1])
-    if spec.fixed_load_prob:
-        for (i, l), v in spec.fixed_load_prob.items():
+    for name, probs in (("loading", spec.fixed_load_prob), ("interaction", spec.fixed_inter_prob)):
+        for key, v in (probs or {}).items():
             if v not in (0.0, 1.0):
-                raise SpecConflict(f"fixed loading probability at ({i},{l}) must be 0 or 1, got {v}")
-    if spec.fixed_inter_prob:
-        for i, v in spec.fixed_inter_prob.items():
-            if v not in (0.0, 1.0):
-                raise SpecConflict(f"fixed interaction probability at {i} must be 0 or 1, got {v}")
+                raise SpecConflict(f"fixed {name} probability at {key} must be 0 or 1, got {v}")
 
 
 @dataclass(frozen=True)
@@ -138,8 +167,7 @@ class InclusionPrior:
         else:
             pairs = by_label[group]
             for key, pair in table.entries.items():
-                if len(key) != fixed.ndim or not all(0 <= k < n for k, n in zip(key, fixed.shape)):
-                    raise SpecConflict(f"Beta prior entry {key} outside the shape {fixed.shape}")
+                check_index("Beta prior entry index", key, fixed.shape)
                 pairs[key] = pair
             share = np.arange(fixed.size).reshape(fixed.shape)
             pairs = pairs.reshape(-1, 2)
@@ -159,8 +187,13 @@ class PriorLayout:
 
 
 def build_layout(spec, n_features: int) -> PriorLayout:
-    """The inclusion priors of a ``ModelSpec`` on ``n_features`` features."""
+    """The inclusion priors of a ``ModelSpec`` on ``n_features`` features.
+    InvalidFactorCount for more factors than features, before anything is
+    allocated; SpecConflict for a seed feature, fixed probability or Beta
+    entry whose index is not one of the layout's (``check_index``)."""
     m, L = n_features, spec.n_factors
+    if L > m:
+        raise InvalidFactorCount(f"{L} factors on {m} features: at most one factor per feature")
     fixed_load = np.full((m, L), np.nan)
     load_group = np.full((m, L), LOAD_GROUPS.index("unknown"), dtype=np.int8)
 
@@ -173,12 +206,12 @@ def build_layout(spec, n_features: int) -> PriorLayout:
         raise SpecConflict(f"seed feature index {max(seed_union)} outside 0..{m - 1}")
     if spec.seed_groups:
         for factor, members in spec.seed_groups.items():
-            idx = np.fromiter((int(i) for i in members), dtype=int)
+            idx = np.fromiter(members, dtype=int)
             load_group[idx, :] = LOAD_GROUPS.index("excluded")
-            load_group[idx, int(factor)] = LOAD_GROUPS.index("expected")
+            load_group[idx, factor] = LOAD_GROUPS.index("expected")
             if spec.seed_constraints:
                 fixed_load[idx, :] = 0.0
-                fixed_load[idx, int(factor)] = 1.0
+                fixed_load[idx, factor] = 1.0
         seed_idx = np.fromiter(sorted(seed_union), dtype=int)
         inter_group[seed_idx, ...] = INTER_GROUPS.index("seed")
         if spec.seed_constraints:
@@ -187,16 +220,12 @@ def build_layout(spec, n_features: int) -> PriorLayout:
     if not spec.include_interactions:
         fixed_inter[...] = 0.0
 
-    if spec.fixed_load_prob:
-        for (i, l), v in spec.fixed_load_prob.items():
-            if not (0 <= i < m and 0 <= l < L):
-                raise SpecConflict(f"fixed loading probability index ({i},{l}) out of range")
-            fixed_load[i, l] = v
-    if spec.fixed_inter_prob:
-        for i, v in spec.fixed_inter_prob.items():
-            if not 0 <= i < m:
-                raise SpecConflict(f"fixed interaction probability index {i} out of range")
-            fixed_inter[i, ...] = v
+    for key, v in (spec.fixed_load_prob or {}).items():
+        check_index("fixed loading probability index", key, (m, L))
+        fixed_load[key] = v
+    for i, v in (spec.fixed_inter_prob or {}).items():
+        check_index("fixed interaction probability index", (i,), (m,))
+        fixed_inter[i, ...] = v
 
     return PriorLayout(
         InclusionPrior.build(spec.load_prob_model, spec.load_prob_prior, LOAD_GROUPS,

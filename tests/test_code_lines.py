@@ -78,3 +78,26 @@ def test_base_that_names_no_commit_is_an_error(tmp_path, capsys):
         code_lines.main(["--base", "nosuch", str(tmp_path)])
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1].endswith("--base: 'nosuch' names no commit")
+
+
+def test_missing_path_is_an_error_unless_the_base_has_it(tmp_path, capsys):
+    missing, gone = tmp_path / "nosuch.py", tmp_path / "gone.py"
+    with pytest.raises(SystemExit) as exc:
+        code_lines.main([str(missing)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"{missing}: no such file or directory")
+    git(tmp_path, "init", "-q")
+    gone.write_text("a = 1\n")
+    git(tmp_path, "add", "-A")
+    git(tmp_path, "commit", "-q", "-m", "first")
+    gone.unlink()
+    # absent now but there at the revision: counted there
+    assert code_lines.main(["--base", "HEAD", str(gone)]) == 0
+    assert capsys.readouterr().out.splitlines() == [f"     1 ->      -  {gone}",
+                                                    "     1 ->      0  total"]
+    with pytest.raises(SystemExit) as exc:
+        code_lines.main(["--base", "HEAD", str(missing)])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1].endswith(
+        f"{missing}: no such file or directory, now or at HEAD")

@@ -32,6 +32,7 @@ from factorint import (
     standardize_rows,
     validate_spec,
 )
+from factorint import io as fio
 from factorint import model
 from factorint.model import GP_VARIANT_TABLE, STATE_FIELDS, run_chain, state_shapes
 from factorint.prior import build_layout
@@ -127,13 +128,15 @@ BROKEN_SPECS = {
     "zero_beta_pair": (mult_spec(2), {"inter_prob_prior": BetaTable(default=(0.0, 1.0))},
                        SpecConflict, "Beta hyperparameter"),
     "fixed_load_prob_not_0_or_1": (mult_spec(2), {"fixed_load_prob": {(0, 1): 0.5}}, SpecConflict,
-                                   r"fixed loading probability at \(0,1\)"),
+                                   r"fixed loading probability at \(0, 1\)"),
     "fixed_inter_prob_not_0_or_1": (gp_spec(1), {"fixed_inter_prob": {3: 0.2}}, SpecConflict,
                                     "fixed interaction probability at 3"),
     "one_factor": (mult_spec(2), {"n_factors": 1}, InvalidFactorCount, "at least 2 factors"),
     "zero_slab_var": (mult_spec(2), {"slab_var_loading": 0.0}, SpecConflict, "slab_var_loading"),
     "gp_negative_slab_var_inter": (gp_spec(1), {"slab_var_inter": -1.0}, SpecConflict,
                                    "slab_var_inter"),
+    "gp_with_slab_var_inter": (gp_spec(1), {"slab_var_inter": 3.0}, SpecConflict,
+                               "^slab_var_inter applies only to the multiplicative families$"),
     "negative_noise_shape": (gp_spec(1), {"noise_prior": (-1.0, 1.1)}, SpecConflict,
                              "noise_prior shape"),
     "nan_noise_scale": (mult_spec(1), {"noise_prior": (2.1, float("nan"))}, SpecConflict,
@@ -158,7 +161,7 @@ BROKEN_SPECS = {
     "seed_group_factor_outside": (mult_spec(2), {"seed_groups": {2: frozenset({0})}},
                                   SpecConflict, r"seed group factor 2 outside 0\.\.1"),
     "negative_seed_feature": (gp_spec(1), {"seed_groups": {0: frozenset({-1})}}, SpecConflict,
-                              "negative feature index"),
+                              "^seed feature index must be >= 0, got -1$"),
     "overlapping_seed_groups": (mult_spec(2), {"seed_groups": {0: frozenset({0, 1}),
                                                                1: frozenset({1, 2})}},
                                 SpecConflict, r"overlap on features \[1\]"),
@@ -328,7 +331,7 @@ class TestSettings:
     def test_bad_rw_step_rejected(self, rw_step):
         # a fixed step is burn_in = 0, so no step below the positive reals is kept
         from factorint import ConfigError
-        with pytest.raises(ConfigError, match="rw_step must be finite and positive"):
+        with pytest.raises(ConfigError, match="rw_step must be a positive finite number"):
             McmcSettings(rw_step=rw_step)
 
     def test_burn_in_must_precede_end(self):
@@ -345,12 +348,29 @@ class TestSettings:
         with pytest.raises(ConfigError, match=f"{field} must be an integer"):
             McmcSettings(**{field: value})
 
-    def test_numpy_numbers_accepted(self):
+    def test_numpy_numbers_accepted(self, tmp_path):
         settings = McmcSettings(n_iters=np.int64(40), burn_in=np.int32(20), thin=np.uint8(2),
                                 seed=np.int64(3), n_chains=np.int16(2), rw_step=np.float32(0.2))
         assert settings.retained(Family.GP) == 10
+        # the settings keep the plain Python numbers
+        assert settings == McmcSettings(n_iters=40, burn_in=20, thin=2, seed=3, n_chains=2,
+                                        rw_step=float(np.float32(0.2)))
+        assert {type(v) for v in settings.__dict__.values()} == {int, float}
         data = standardize_rows(np.random.default_rng(42).normal(size=(5, 6)))
-        assert len(fit_spec(gp_spec(1), data, settings)) == 10
+        # a spec of numpy numbers writes a draws file that reads back to it
+        spec = gp_spec(np.int64(1), n_factors=np.int32(2), length_scale=np.float32(0.5),
+                       slab_var_loading=np.float64(5.0), noise_prior=(np.float32(2.5), np.int8(1)),
+                       seed_groups={np.int64(0): frozenset({np.int32(1)})},
+                       fixed_inter_prob={np.int64(4): np.float64(0.0)})
+        with fio.DrawsWriter(tmp_path / "streamed.bin") as writer:
+            assert len(fit_spec(spec, data, settings, np.int64(1), writer)) == 10
+        fio.persist_draws(fit_spec(spec, data, settings), tmp_path / "kept.bin")
+        for name, read, chain in (("streamed.bin", fio.open_draws, 1),
+                                  ("kept.bin", fio.load_draws, 0)):
+            draws = read(tmp_path / name)
+            assert draws.spec == spec
+            assert (draws.n_iters, draws.burn_in, draws.thin, draws.seed, draws.chain,
+                    len(draws)) == (40, 20, 2, 3, chain, 10)
 
 
 def copied_state_values(sampler) -> dict[str, np.ndarray]:

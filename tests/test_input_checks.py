@@ -12,9 +12,11 @@ import pytest
 
 from factorint import (
     Annotation,
+    BetaTable,
     ConfigError,
     DataMatrix,
     GpChain,
+    InvalidFactorCount,
     McmcSettings,
     MultChain,
     ShapeMismatch,
@@ -67,7 +69,7 @@ INPUT_CHECKS = {
                                                            McmcSettings()),
         SpecConflict, match)
        for function in (clean_seed_genes, select_candidate_genes)
-       for name, index, match in (("negative", -1, "seed group contains a negative feature index"),
+       for name, index, match in (("negative", -1, "^seed feature index must be >= 0, got -1$"),
                                   ("past_the_data", 6, r"seed feature index 6 outside 0\.\.5"))},
     "annotation_short_row": (
         lambda d: fio.read_annotation(write(d / "a.csv", "probe_id,chromosome,position\np1,1\n")),
@@ -82,13 +84,53 @@ INPUT_CHECKS = {
                                 "GpChain requires a gp family spec"),
     "fixed_load_prob_outside": (
         lambda d: build_layout(mult_spec(2, fixed_load_prob={(6, 0): 1.0}), 6), SpecConflict,
-        r"fixed loading probability index \(6,0\) out of range"),
+        r"fixed loading probability index \(6, 0\) outside the shape \(6, 2\)"),
     "fixed_load_prob_factor_outside": (
         lambda d: build_layout(mult_spec(2, fixed_load_prob={(0, 2): 0.0}), 6), SpecConflict,
-        r"index \(0,2\) out of range"),
+        r"index \(0, 2\) outside the shape \(6, 2\)"),
     "fixed_inter_prob_outside": (
         lambda d: build_layout(gp_spec(1, fixed_inter_prob={-1: 0.0}), 6), SpecConflict,
-        "fixed interaction probability index -1 out of range"),
+        r"fixed interaction probability index \(-1,\) outside the shape \(6,\)"),
+    # a count, index or positive value of a spec that is not one: refused, not
+    # truncated or failing with a bare Python error
+    **{f"spec_{name}": (lambda d, make=make: make(), error, f"^{match}$")
+       for name, make, error, match in (
+           ("fractional_factor_count", lambda: mult_spec(2, n_factors=2.5), InvalidFactorCount,
+            "n_factors must be an integer, got 2.5"),
+           ("text_factor_count", lambda: mult_spec(2, n_factors="3"), InvalidFactorCount,
+            "n_factors must be an integer, got '3'"),
+           ("float_gp_variant", lambda: gp_spec(1.0), SpecConflict,
+            "gp_variant must be an integer, got 1.0"),
+           ("bool_slab_var", lambda: mult_spec(2, slab_var_loading=True), SpecConflict,
+            "slab_var_loading must be a positive finite number, got True"),
+           ("text_slab_var", lambda: mult_spec(2, slab_var_loading="1"), SpecConflict,
+            "slab_var_loading must be a positive finite number, got '1'"),
+           ("text_length_scale", lambda: gp_spec(1, length_scale="0.2"), SpecConflict,
+            "length_scale must be a positive finite number, got '0.2'"),
+           ("short_noise_prior", lambda: mult_spec(2, noise_prior=(1,)), SpecConflict,
+            r"noise_prior must be a \(shape, scale\) pair, got \(1,\)"),
+           ("fractional_seed_factor", lambda: mult_spec(2, seed_groups={0.5: frozenset({1})}),
+            SpecConflict, "seed group factor must be an integer, got 0.5"),
+           ("fractional_seed_feature", lambda: mult_spec(2, seed_groups={0: frozenset({1.7})}),
+            SpecConflict, "seed feature index must be an integer, got 1.7"),
+           ("bool_seed_feature", lambda: mult_spec(2, seed_groups={0: frozenset({True})}),
+            SpecConflict, "seed feature index must be an integer, got True"),
+           ("fractional_fixed_load_prob",
+            lambda: build_layout(mult_spec(2, fixed_load_prob={(0.5, 1): 0.0}), 6), SpecConflict,
+            "fixed loading probability index must be an integer, got 0.5"),
+           ("fractional_beta_entry",
+            lambda: build_layout(mult_spec(2, load_prob_prior=BetaTable(
+                entries={(1.0, 0): (2.0, 2.0)})), 6), SpecConflict,
+            "Beta prior entry index must be an integer, got 1.0"),
+           ("text_fixed_inter_prob",
+            lambda: build_layout(gp_spec(1, fixed_inter_prob={"3": 0.0}), 6), SpecConflict,
+            "fixed interaction probability index must be an integer, got '3'"),
+           ("bool_fixed_inter_prob",
+            lambda: build_layout(gp_spec(1, fixed_inter_prob={True: 0.0}), 6), SpecConflict,
+            "fixed interaction probability index must be an integer, got True"),
+           ("more_factors_than_features", lambda: build_layout(mult_spec(2, n_factors=7), 6),
+            InvalidFactorCount, "7 factors on 6 features: at most one factor per feature"),
+       )},
     "kernel_rows_of_another_length": (
         lambda d: se_kernel(np.random.default_rng(1).normal(size=(2, 5)), 0.5).logdens(
             np.zeros((2, 4))), ShapeMismatch, "rows have length 4, kernel is 5x5"),

@@ -74,6 +74,13 @@ class TestDataCsv:
         with pytest.raises(ConfigError):
             fio.read_data_csv(path)
 
+    def test_cell_beyond_the_field_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(f"feature_id,s1,s2\nf1,1,2\nf2,{'1' * 200_000},3\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:3: field larger than "
+                                              r"field limit \(131072\)$"):
+            fio.read_data_csv(path)
+
     def test_read_holds_about_the_matrix(self, tmp_path):
         # the cells are parsed a row at a time: the read's peak is the row
         # arrays, their stack and the DataMatrix copy, not the file's text
@@ -107,6 +114,13 @@ class TestAnnotationCsv:
         path = tmp_path / "ann.csv"
         path.write_text("probe,chrom,pos\np1,22,100\n")
         with pytest.raises(ConfigError):
+            fio.read_annotation(path)
+
+    def test_cell_beyond_the_field_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "ann.csv"
+        path.write_text(f"probe_id,chromosome,position\np1,{'1' * 200_000},12\n")
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}:2: field larger than "
+                                              r"field limit \(131072\)$"):
             fio.read_annotation(path)
 
     def test_non_utf8_file_names_the_path(self, tmp_path):
@@ -302,6 +316,12 @@ DRAWS_FAULTS = {
     "text_thin": lambda meta, arrays: meta.update(thin="x"),
     "narrow_noise_var": lambda meta, arrays: arrays.update(noise_var=arrays["noise_var"][:, :2]),
     "spec_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=3),
+    # a factor count far beyond the data, whose pairs are counted, not listed
+    "spec_huge_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=10**6),
+    # a count or an index that is not an integer is refused, not truncated
+    "spec_fractional_factor_count": lambda meta, arrays: meta["spec"].update(n_factors=2.5),
+    "spec_fractional_seed_feature": lambda meta, arrays: meta["spec"].update(
+        seed_groups={"0": [1.7]}),
     "flat_loadings": lambda meta, arrays: arrays.update(
         loadings=arrays["loadings"].reshape(len(arrays["loadings"]), -1)),
     # a spec without one of its fields, and a spec with a key that is no field
@@ -712,9 +732,13 @@ class TestConfigParsing:
     def test_keys_of_other_families_are_refused(self, family, spec):
         own = {"mult_approach1": {"model.product_var"},
                "gp": {"model.length_scale", "model.gp_variant"}}.get(family, set())
-        for key in sorted({"model.product_var", "model.length_scale", "model.gp_variant"} - own):
-            with pytest.raises(SpecConflict, match="^(product_var|gp_variant/length_scale) "
-                                                   "appl(y|ies) only to "):
+        # slab_var_inter is the multiplicative families' own
+        others = {"model.product_var", "model.length_scale", "model.gp_variant"} - own
+        if family == "gp":
+            others.add("model.slab_var_inter")
+        for key in sorted(others):
+            with pytest.raises(SpecConflict, match="^(product_var|gp_variant/length_scale|"
+                                                   "slab_var_inter) appl(y|ies) only to "):
                 fio.spec_from_config({"model.family": family, key: "1"})
             with pytest.raises(ConfigError, match=f"^{re.escape(key)}: expected "):
                 fio.spec_from_config({"model.family": family, key: "x"})
@@ -1175,7 +1199,10 @@ class TestCli:
          "product_var applies only to multiplicative approach 1"),
         (("model.family=mult_approach1", "model.gp_variant=2"),
          "gp_variant/length_scale apply only to the gp family"),
-    ], ids=["mult_approach2-length_scale", "gp-product_var", "mult_approach1-gp_variant"])
+        (("model.family=gp", "model.slab_var_inter=3"),
+         "slab_var_inter applies only to the multiplicative families"),
+    ], ids=["mult_approach2-length_scale", "gp-product_var", "mult_approach1-gp_variant",
+            "gp-slab_var_inter"])
     def test_key_of_another_family_prints_one_error(self, fitted, tmp_path, capsys, settings,
                                                     message):
         args = ["fit", "--output-dir", str(tmp_path), "--set", f"paths.data={fitted / 'data.csv'}"]
@@ -1185,6 +1212,25 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"ERROR SpecConflict: {message}"]
         assert not (tmp_path / "manifest.json").exists()
+
+    @pytest.mark.parametrize("factors", ["7", "99999999999999999999"])
+    def test_more_factors_than_features_prints_one_error(self, fitted, tmp_path, capsys,
+                                                         factors):
+        # the fitted data has 6 features
+        assert run_cli("fit", "--output-dir", str(tmp_path), "--set",
+                       f"paths.data={fitted / 'data.csv'}", "--set", f"model.factors={factors}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR InvalidFactorCount: {factors} factors on 6 features: at most one "
+                       "factor per feature"]
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_data_cell_beyond_the_field_limit_prints_one_config_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(f"feature_id,s1,s2\nf1,1,2\nf2,{'1' * 200_000},3\n")
+        assert run_cli("fit", "--output-dir", str(tmp_path / "out"), "--set",
+                       f"paths.data={path}") == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"ERROR ConfigError: {path}:3: field larger than field limit (131072)"]
 
     def test_compare_spec_with_a_key_of_another_family_prints_one_error(self, fitted, tmp_path,
                                                                           capsys):

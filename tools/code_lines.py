@@ -75,6 +75,12 @@ def main(argv: list[str]) -> int:
     if args.base is not None and _git(where, "rev-parse", "--verify", "--quiet",
                                       f"{args.base}^{{commit}}").returncode:
         parser.error(f"--base: {args.base!r} names no commit")
+    for path in args.paths:
+        # a path absent now still counts when it is there at the revision
+        if not path.exists() and (args.base is None or _git(
+                path.parent, "cat-file", "-e", f"{args.base}:./{path.name}").returncode):
+            at = "" if args.base is None else f", now or at {args.base}"
+            parser.error(f"{path}: no such file or directory{at}")
     # each file once, also when two paths name it
     files = dict.fromkeys(f for arg in args.paths for f in _files(arg, args.base))
     counts = {path: code_lines(path.read_text(encoding="utf-8"))
