@@ -29,17 +29,21 @@ from .io import write_table
 from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, join_draws,
                     mult_spec, run_chain, slice_bounds)
 from .mult import MultChain
-from .prior import build_layout
+from .prior import build_layout, check_integer, check_positive, shown
 from .rng import stream
 
 
 def seed_gene_window(annotation: Annotation, chromosome: str, center: int,
                      half_width: int) -> np.ndarray:
-    """Indices of probes on the chromosome within ``half_width`` of ``center``."""
-    if half_width < 0:
-        raise ConfigError(f"half_width must be nonnegative, got {half_width}")
+    """Indices of probes on the chromosome within ``half_width`` of ``center``.
+    ConfigError unless both are integers >= 0 (``prior.check_integer``): a
+    position is refused, never truncated."""
+    center = check_integer("center", center, ConfigError, 0)
+    half_width = check_integer("half_width", half_width, ConfigError, 0)
     chrom = np.asarray(annotation.chromosomes) == str(chromosome)
-    near = np.abs(annotation.positions - int(center)) <= int(half_width)
+    # compared, not subtracted, so that no int beyond int64 meets the positions
+    near = (annotation.positions >= center - half_width) & \
+        (annotation.positions <= center + half_width)
     idx = np.flatnonzero(chrom & near)
     if idx.size == 0:
         warnings.warn(
@@ -146,9 +150,10 @@ def interaction_probabilities(draws: PosteriorDraws) -> np.ndarray:
 
 
 def detect_interactions(draws: PosteriorDraws, threshold: float = 0.5) -> dict[int, float]:
-    """Features whose interaction probability exceeds the threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise ConfigError(f"threshold must lie in (0, 1), got {threshold}")
+    """Features whose interaction probability exceeds the threshold, a
+    positive number (``prior.check_positive``) below 1; ConfigError otherwise."""
+    if not check_positive("threshold", threshold, ConfigError) < 1.0:
+        raise ConfigError(f"threshold must lie in (0, 1), got {shown(threshold)}")
     probs = interaction_probabilities(draws)
     return {i: float(probs[i]) for i in np.flatnonzero(probs > threshold).tolist()}
 
@@ -163,7 +168,11 @@ _OVERLAP_BLOCK = 8192
 
 @dataclass(frozen=True)
 class OverlapTestInput:
-    """Configuration of the cross-dataset overlap test."""
+    """Configuration of the cross-dataset overlap test. Every count is an
+    integer (``prior.check_integer``), refused rather than truncated: the
+    population in [1, ``MAX_POPULATION``), at least two dataset counts in
+    [0, population], an observed overlap >= 0 and at least one replicate;
+    ConfigError otherwise. The fields hold the plain ints the checks return."""
 
     population_size: int
     per_dataset_counts: tuple[int, ...]
@@ -171,17 +180,17 @@ class OverlapTestInput:
     n_replicates: int = 100_000
 
     def __post_init__(self):
-        if not 1 <= self.population_size < MAX_POPULATION:
+        for name, low in (("population_size", 1), ("observed_overlap", 0), ("n_replicates", 1)):
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, low))
+        object.__setattr__(self, "per_dataset_counts", tuple(
+            check_integer("dataset count", c, ConfigError, 0) for c in self.per_dataset_counts))
+        if self.population_size >= MAX_POPULATION:
             raise ConfigError(f"population_size must lie in [1, {MAX_POPULATION}), "
-                              f"got {self.population_size}")
+                              f"got {shown(self.population_size)}")
         if len(self.per_dataset_counts) < 2:
             raise ConfigError("need at least two datasets")
-        if any(not 0 <= c <= self.population_size for c in self.per_dataset_counts):
+        if max(self.per_dataset_counts) > self.population_size:
             raise ConfigError("every dataset count must lie in [0, population_size]")
-        if self.n_replicates < 1:
-            raise ConfigError("n_replicates must be positive")
-        if self.observed_overlap < 0:
-            raise ConfigError("observed_overlap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -204,7 +213,7 @@ def overlap_permutation_test(inp: OverlapTestInput, seed: int = 0,
     uniformly at random without replacement, one set per dataset.
 
     The p-value is the fraction of replicates whose overlap reaches the
-    observed value.
+    observed value. ConfigError for a ``seed`` that ``rng.stream`` refuses.
 
     The draw is exact without materialising any set. The summed pairwise
     overlap is the sum over elements of C(k, 2), where k counts the sets that

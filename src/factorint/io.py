@@ -63,11 +63,14 @@ CLI owns, that default. ``CONFIG_KEYS``, the help text that ``factorint
 reader of a key, also for ``spec_from_config`` and ``settings_from_config``;
 a model or run key that is not set takes the default of ``ModelSpec``,
 ``mult_spec``/``gp_spec`` or ``McmcSettings``. The parsers read a value's
-text only; the rules for the number it holds (an integer, a positive finite
-number, a key of the family) are the spec's and the settings' own, run
-through ``prior.check_integer`` and ``prior.check_positive`` when they are
-built, so ``model.slab_var_inter`` for the gp family parses here and raises
-SpecConflict there. What each reader reads is checked by
+text only, and no parser checks a number: the rules for the number a value
+holds (an integer, a positive finite number, a bound, a key of the family)
+belong to the code that uses it, the spec, the settings, the simulator, the
+overlap test or ``detect_interactions``, run through ``prior.check_integer``
+and ``prior.check_positive``. So ``model.slab_var_inter`` for the gp family
+parses here and raises SpecConflict when the spec is built, and
+``simulate.noise_scale = 0`` parses here and raises ConfigError in
+``generate_saddle_dataset``. What each reader reads is checked by
 ``check_config_keys``. ``feature_index`` reads each feature a
 value names: by its id, else by its 0-based index.
 """
@@ -211,7 +214,7 @@ def read_annotation(path) -> Annotation:
                 positions.append(int(row[2]))
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return Annotation(tuple(probes), tuple(chroms), np.asarray(positions, dtype=np.int64))
+    return Annotation(tuple(probes), tuple(chroms), positions)
 
 
 def write_annotation(path, annotation: Annotation) -> None:
@@ -726,13 +729,6 @@ def _ints(text: str, key: str) -> tuple[int, ...]:
     return tuple(_parse(int, v, key, "comma-separated integers") for v in text.split(","))
 
 
-def _positive(text: str, key: str) -> float:
-    value = _float(text, key)
-    if not (math.isfinite(value) and value > 0):
-        raise ConfigError(f"{key}: expected a positive finite number, got {text!r}")
-    return value
-
-
 def _bool(text: str, key: str) -> bool:
     low = text.lower()
     if low in ("true", "1", "yes", "on"):
@@ -810,7 +806,7 @@ KEYS = {
     "simulate.samples": Key(_int, "n (default {})", default="100"),
     "simulate.frac_affected": Key(_float, "fraction of candidates with effects (default {})",
                                   default="0.1"),
-    "simulate.noise_scale": Key(_positive, "noise standard deviation (default {})", default="1.0"),
+    "simulate.noise_scale": Key(_float, "noise standard deviation (default {})", default="1.0"),
     "detect.threshold": Key(_float, "posterior probability threshold (default {})", default="0.5"),
     "surface.feature": Key(_text, "feature id, else 0-based index"),
     "compare.specs": Key(_items, "comma-separated model config paths"),

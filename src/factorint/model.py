@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ConstantRow, InvalidFactorCount, SpecConflict
-from .prior import (BetaTable, InterProbModel, LoadProbModel, check_integer, check_positive,
-                    validate_prior)
+from .prior import (BetaTable, InterProbModel, LoadProbModel, check_integer, check_pair,
+                    check_positive, shown, validate_prior)
 from .rng import RngStreams
 
 
@@ -94,20 +94,25 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class Annotation:
-    """Probe positions on the genome."""
+    """Probe positions on the genome. Each position is an integer in
+    [0, 2**63) (``prior.check_integer``), refused rather than truncated;
+    ConfigError otherwise, and for columns of mismatched lengths or repeated
+    probe ids."""
 
     probe_ids: tuple[str, ...]
     chromosomes: tuple[str, ...]
     positions: np.ndarray
 
     def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.int64)
+        try:
+            positions = np.array([check_integer("annotation position", p, ConfigError, 0) for p
+                                  in np.asarray(self.positions, dtype=object).tolist()], np.int64)
+        except OverflowError:
+            raise ConfigError("annotation positions must lie below 2**63") from None
         if len(self.probe_ids) != len(self.chromosomes) or len(self.probe_ids) != positions.shape[0]:
             raise ConfigError("annotation columns have mismatched lengths")
         if len(set(self.probe_ids)) != len(self.probe_ids):
             raise ConfigError("annotation probe ids are not unique")
-        if (positions < 0).any():
-            raise ConfigError("annotation positions must be nonnegative")
         positions.flags.writeable = False
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "probe_ids", tuple(str(p) for p in self.probe_ids))
@@ -235,7 +240,7 @@ def mult_spec(approach: int, n_factors: int = 2, **kwargs) -> ModelSpec:
     """Multiplicative-interaction model; approach 1 ties the interaction scores
     to the score product through a Gaussian, approach 2 imposes the product."""
     if approach not in (1, 2):
-        raise SpecConflict(f"multiplicative approach must be 1 or 2, got {approach}")
+        raise SpecConflict(f"multiplicative approach must be 1 or 2, got {shown(approach)}")
     family = Family.MULT_APPROACH1 if approach == 1 else Family.MULT_APPROACH2
     if approach == 1:
         kwargs.setdefault("product_var", 1e-5)
@@ -276,16 +281,10 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
         raise SpecConflict(f"family must be a Family member, got {spec.family!r}")
     validate_prior(spec)
     if check_integer("n_factors", spec.n_factors, InvalidFactorCount) < 2:
-        raise InvalidFactorCount(f"need at least 2 factors, got {spec.n_factors}")
+        raise InvalidFactorCount(f"need at least 2 factors, got {shown(spec.n_factors)}")
     check_positive("slab_var_loading", spec.slab_var_loading)
     check_positive("slab_var_inter", spec.slab_var_inter)
-    try:
-        shape, scale = spec.noise_prior
-    except (TypeError, ValueError):
-        raise SpecConflict(f"noise_prior must be a (shape, scale) pair, "
-                           f"got {spec.noise_prior!r}") from None
-    check_positive("noise_prior shape", shape)
-    check_positive("noise_prior scale", scale)
+    check_pair("noise_prior", spec.noise_prior, ("shape", "scale"))
     if spec.family is Family.MULT_APPROACH1:
         check_positive("product_var", spec.product_var)
     elif spec.product_var is not None:
@@ -293,7 +292,7 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
 
     if spec.family is Family.GP:
         if check_integer("gp_variant", spec.gp_variant) not in GP_VARIANT_TABLE:
-            raise SpecConflict(f"gp_variant must be in 1..5, got {spec.gp_variant}")
+            raise SpecConflict(f"gp_variant must be in 1..5, got {shown(spec.gp_variant)}")
         check_positive("length_scale", spec.length_scale)
         if spec.slab_var_inter != ModelSpec.slab_var_inter:
             raise SpecConflict("slab_var_inter applies only to the multiplicative families")
@@ -312,7 +311,8 @@ def validate_spec(spec: ModelSpec) -> ModelSpec:
     seen: set[int] = set()
     for factor, members in (spec.seed_groups or {}).items():
         if not 0 <= check_integer("seed group factor", factor) < spec.n_factors:
-            raise SpecConflict(f"seed group factor {factor} outside 0..{spec.n_factors - 1}")
+            raise SpecConflict(f"seed group factor {shown(factor)} outside "
+                               f"0..{spec.n_factors - 1}")
         if not members:
             raise SpecConflict(f"seed group {factor} is empty")
         for i in members:
@@ -516,8 +516,9 @@ class McmcSettings:
         object.__setattr__(self, "rw_step", check_positive("rw_step", self.rw_step, ConfigError))
 
     def streams(self, chain: int) -> RngStreams:
-        """The random streams of chain ``chain`` of this run."""
-        return RngStreams(self.seed, check_integer("chain", chain, ConfigError, 0))
+        """The random streams of chain ``chain`` of this run; ConfigError
+        unless it is an integer >= 0 (``rng.RngStreams``)."""
+        return RngStreams(self.seed, chain)
 
     def retained(self, family: Family) -> int:
         """Number of states a chain of ``family`` keeps under these settings."""
@@ -529,11 +530,11 @@ class McmcSettings:
         else:
             burn = 300 if family is Family.GP else 400
         if not 0 <= burn < self.n_iters:
-            raise ConfigError(f"burn_in {burn} must lie in [0, n_iters={self.n_iters})")
+            raise ConfigError(f"burn_in {shown(burn)} must lie in "
+                              f"[0, n_iters={shown(self.n_iters)})")
         if (self.n_iters - burn) % self.thin:
-            raise ConfigError(
-                f"(n_iters - burn_in) = {self.n_iters - burn} is not divisible by thin = {self.thin}"
-            )
+            raise ConfigError(f"(n_iters - burn_in) = {shown(self.n_iters - burn)} is not "
+                              f"divisible by thin = {shown(self.thin)}")
         return burn
 
 

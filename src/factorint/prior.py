@@ -4,9 +4,11 @@ Every loading and every interaction term has a binary inclusion indicator and
 a Gaussian slab; the indicator's inclusion probability has a Beta prior, and
 its posterior is the model's significance test. This module holds how those
 probabilities are shared (per entry, global, or per group label derived from
-the seed groups), the package's one rule for an integer (``check_integer``)
-and one for a positive number (``check_positive``), the rules a spec's prior
-settings must satisfy, the layout
+the seed groups), the package's one rule for a real number (``as_real``), one
+for an integer (``check_integer``), one for a positive number
+(``check_positive``) and one for a pair of them (``check_pair``), the text a
+refusal shows of a value (``shown``), the rules a
+spec's prior settings must satisfy, the layout
 ``build_layout`` resolves for a feature count, and the closed forms the
 samplers and the log joints read: the slab conditional and its Bayes factor,
 the conjugate Beta update and the log densities. It also makes every draw from
@@ -61,17 +63,36 @@ class BetaTable:
     entries: Mapping[tuple, tuple[float, float]] = field(default_factory=dict)
 
 
-def check_positive(name: str, value, error: type[Exception] = SpecConflict) -> float:
-    """``value`` as a plain float: it must be a real number, numpy's
-    included, that is finite and above 0; ``bool``, strings and None are not
-    numbers here. ``error``, naming ``name``, otherwise."""
+def shown(value) -> str:
+    """``repr(value)`` for a refusal message; an int too long to print in
+    decimal (``sys.set_int_max_str_digits``), or a container holding one,
+    is shown by its size instead, so that the message can always be built."""
     try:
-        number = float(value) if isinstance(value, Real) and not isinstance(value, bool) \
-            else math.nan
-    except OverflowError:  # an int beyond the float range
-        number = math.inf
+        return repr(value)
+    except ValueError:
+        if isinstance(value, Integral):
+            return f"{'a negative' if value < 0 else 'an'} int of {int(value).bit_length()} bits"
+        return f"a {type(value).__name__} holding an int too long to print"
+
+
+def as_real(value) -> float:
+    """``value`` as a plain float when it is a real number, numpy's
+    included (an int beyond the float range as inf of its sign); NaN for
+    anything else, ``bool``, strings and None included."""
+    if not isinstance(value, Real) or isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def check_positive(name: str, value, error: type[Exception] = SpecConflict) -> float:
+    """``value`` as a plain float: it must be a real number (``as_real``)
+    that is finite and above 0. ``error``, naming ``name``, otherwise."""
+    number = as_real(value)
     if not 0 < number < math.inf:
-        raise error(f"{name} must be a positive finite number, got {value!r}")
+        raise error(f"{name} must be a positive finite number, got {shown(value)}")
     return number
 
 
@@ -82,10 +103,23 @@ def check_integer(name: str, value, error: type[Exception] = SpecConflict,
     non-integral numbers such as 1.0 are not integers here. ``error``,
     naming ``name``, otherwise."""
     if not isinstance(value, Integral) or isinstance(value, bool):
-        raise error(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {shown(value)}")
     if low is not None and value < low:
-        raise error(f"{name} must be >= {low}, got {value}")
+        raise error(f"{name} must be >= {low}, got {shown(value)}")
     return int(value)
+
+
+def check_pair(name: str, pair, parts: tuple[str, str]) -> tuple[float, float]:
+    """``pair`` as two plain floats: it must hold exactly two values, each
+    positive (``check_positive``). SpecConflict, naming ``name`` and its
+    ``parts``, otherwise."""
+    try:
+        first, second = pair
+    except (TypeError, ValueError):
+        raise SpecConflict(f"{name} must be a ({', '.join(parts)}) pair, "
+                           f"got {shown(pair)}") from None
+    return (check_positive(f"{name} {parts[0]}", first),
+            check_positive(f"{name} {parts[1]}", second))
 
 
 def check_index(name: str, key: tuple, shape: tuple[int, ...]) -> None:
@@ -93,13 +127,13 @@ def check_index(name: str, key: tuple, shape: tuple[int, ...]) -> None:
     array of ``shape``: one integer (``check_integer``) per axis, inside it."""
     if not (isinstance(key, tuple) and len(key) == len(shape)
             and all(0 <= check_integer(name, k) < n for k, n in zip(key, shape))):
-        raise SpecConflict(f"{name} {key} outside the shape {shape}")
+        raise SpecConflict(f"{name} {shown(key)} outside the shape {shape}")
 
 
 def validate_prior(spec) -> None:
     """The inclusion-prior rules of a ``ModelSpec``: enum probability models,
-    only the Beta overrides each model uses, known group names, positive Beta
-    pairs and 0/1 fixed probabilities."""
+    only the Beta overrides each model uses, known group names, Beta pairs
+    of two positive numbers (``check_pair``) and 0/1 fixed probabilities."""
     for name, kind in (("load_prob_model", LoadProbModel), ("inter_prob_model", InterProbModel)):
         if not isinstance(getattr(spec, name), kind):
             raise SpecConflict(f"{name} must be a {kind.__name__} member, "
@@ -119,12 +153,12 @@ def validate_prior(spec) -> None:
             raise SpecConflict(f"{key}: unknown group {unknown}, expected one of {names}")
     for table in (spec.load_prob_prior, spec.inter_prob_prior):
         for pair in (table.default, *table.groups.values(), *table.entries.values()):
-            check_positive("Beta hyperparameter", pair[0])
-            check_positive("Beta hyperparameter", pair[1])
+            check_pair("Beta hyperparameter", pair, ("a", "b"))
     for name, probs in (("loading", spec.fixed_load_prob), ("interaction", spec.fixed_inter_prob)):
         for key, v in (probs or {}).items():
             if v not in (0.0, 1.0):
-                raise SpecConflict(f"fixed {name} probability at {key} must be 0 or 1, got {v}")
+                raise SpecConflict(f"fixed {name} probability at {shown(key)} must be 0 or 1, "
+                                   f"got {shown(v)}")
 
 
 @dataclass(frozen=True)
@@ -193,7 +227,8 @@ def build_layout(spec, n_features: int) -> PriorLayout:
     entry whose index is not one of the layout's (``check_index``)."""
     m, L = n_features, spec.n_factors
     if L > m:
-        raise InvalidFactorCount(f"{L} factors on {m} features: at most one factor per feature")
+        raise InvalidFactorCount(f"{shown(L)} factors on {m} features: "
+                                 "at most one factor per feature")
     fixed_load = np.full((m, L), np.nan)
     load_group = np.full((m, L), LOAD_GROUPS.index("unknown"), dtype=np.int8)
 

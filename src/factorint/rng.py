@@ -12,19 +12,26 @@ import zlib
 
 import numpy as np
 
+from .errors import ConfigError
+from .prior import check_integer
+
 
 def stream(seed: int, chain: int, purpose: str) -> np.random.Generator:
-    """Return the generator for one (seed, chain, purpose) triple."""
-    key = (int(seed), int(chain), zlib.crc32(purpose.encode("ascii")))
+    """Return the generator for one (seed, chain, purpose) triple. The seed
+    and chain are integers >= 0 (``prior.check_integer``), refused rather
+    than truncated; ConfigError otherwise."""
+    key = (check_integer("seed", seed, ConfigError, 0),
+           check_integer("chain", chain, ConfigError, 0), zlib.crc32(purpose.encode("ascii")))
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
 
 
 class RngStreams:
-    """Lazy cache of named streams for a single chain."""
+    """Lazy cache of named streams for a single chain; its seed and chain
+    are checked as ``stream`` checks them, when it is built."""
 
     def __init__(self, seed: int, chain: int = 0):
-        self.seed = int(seed)
-        self.chain = int(chain)
+        self.seed = check_integer("seed", seed, ConfigError, 0)
+        self.chain = check_integer("chain", chain, ConfigError, 0)
         self._streams: dict[str, np.random.Generator] = {}
 
     def get(self, purpose: str) -> np.random.Generator:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidFraction, ShapeMismatch
+from .errors import ConfigError, InvalidFraction, ShapeMismatch
 from .genomics import detect_interactions, posterior_mean_effects, posterior_mean_scores
 from .gp import GpChain
 from .io import write_table
@@ -28,14 +28,17 @@ from .model import (
     standardize_rows,
 )
 from .mult import MultChain
+from .prior import as_real, check_integer, check_positive, shown
 from .rng import stream
 
 
 def _seed_blocks(m: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The two seed blocks, of max(5, m // 10) features each, and the
-    candidate features after them, of which m > 10 leaves at least one."""
-    if m <= 10 or n < 10:
-        raise InvalidFraction(f"need m > 10 and n >= 10, got {m}x{n}")
+    candidate features after them, of which m > 10 leaves at least one.
+    InvalidFraction unless ``m`` > 10 and ``n`` >= 10 are integers
+    (``prior.check_integer``)."""
+    m = check_integer("m", m, InvalidFraction, 11)
+    check_integer("n", n, InvalidFraction, 10)
     g = max(5, m // 10)
     return np.arange(g), np.arange(g, 2 * g), np.arange(2 * g, m)
 
@@ -72,10 +75,16 @@ def generate_saddle_dataset(m: int, n: int, frac_affected: float, noise_scale: f
     features load on both factors, and ``frac_affected`` of them receive an
     effect row equal to the score product times a per-feature coefficient.
     Rows are standardized with the truth rescaled consistently.
+
+    InvalidFraction for sizes ``_seed_blocks`` refuses or a ``frac_affected``
+    that is not a real number (``prior.as_real``) in [0, 1); ConfigError
+    for a ``noise_scale`` that is not a positive finite number
+    (``prior.check_positive``) or a ``seed`` that ``rng.stream`` refuses.
     """
     g1, g2, candidates = _seed_blocks(m, n)
-    if not 0.0 <= frac_affected < 1.0:
-        raise InvalidFraction(f"frac_affected must lie in [0, 1), got {frac_affected}")
+    if not 0.0 <= as_real(frac_affected) < 1.0:
+        raise InvalidFraction(f"frac_affected must lie in [0, 1), got {shown(frac_affected)}")
+    noise_scale = check_positive("noise_scale", noise_scale, ConfigError)
     rng = stream(seed, 0, "simulate")
 
     scores = rng.standard_normal((2, n))
@@ -97,7 +106,9 @@ def generate_hidden_factor_dataset(m: int, n: int, seed: int = 0,
                                    ) -> tuple[DataMatrix, SyntheticTruth]:
     """Two-factor data with no interaction but a strong unmodeled third factor
     over most candidate features. A loosely tied interaction column fitted to
-    this data drifts toward the extra factor instead of the score product."""
+    this data drifts toward the extra factor instead of the score product.
+    InvalidFraction for sizes ``_seed_blocks`` refuses, ConfigError for a
+    ``seed`` that ``rng.stream`` refuses."""
     g1, g2, candidates = _seed_blocks(m, n)
     rng = stream(seed, 0, "simulate-hidden")
 

@@ -96,6 +96,15 @@ class TestSeedGeneWindow:
         assert idx.size == 1
         assert ann.probe_ids[idx[0]] == "chr16_0"
 
+    def test_window_reaches_past_int64(self):
+        ann = synthetic_annotation()
+        idx = seed_gene_window(ann, "16", 10**30, 10**30)
+        assert [ann.probe_ids[i] for i in idx] == [f"chr16_{k}" for k in range(20)]
+
+    def test_window_edges_are_inclusive(self):
+        ann = Annotation(("a", "b", "c", "d"), ("1",) * 4, np.array([1, 11, 20, 21]))
+        assert seed_gene_window(ann, "1", np.int64(11), np.int32(9)).tolist() == [1, 2]
+
 
 # ------------------------------------------------- cleaning and selection
 
@@ -395,6 +404,21 @@ class TestOverlapPermutationTest:
                                observed_overlap=3, n_replicates=500)
         p1, r1 = overlap_permutation_test(inp, seed=11)
         p2, r2 = overlap_permutation_test(inp, seed=11)
+        assert p1 == p2
+        np.testing.assert_array_equal(r1.values, r2.values)
+        np.testing.assert_array_equal(r1.counts, r2.counts)
+
+    def test_numpy_ints_give_the_python_ints_result(self):
+        python = OverlapTestInput(population_size=120, per_dataset_counts=(30, 25, 40),
+                                  observed_overlap=21, n_replicates=3000)
+        numpy = OverlapTestInput(population_size=np.int64(120),
+                                 per_dataset_counts=np.array([30, 25, 40], dtype=np.int32),
+                                 observed_overlap=np.int16(21), n_replicates=np.uint32(3000))
+        assert numpy == python
+        assert all(type(v) is int for v in (numpy.population_size, *numpy.per_dataset_counts,
+                                            numpy.observed_overlap, numpy.n_replicates))
+        p1, r1 = overlap_permutation_test(python, seed=6)
+        p2, r2 = overlap_permutation_test(numpy, seed=6)
         assert p1 == p2
         np.testing.assert_array_equal(r1.values, r2.values)
         np.testing.assert_array_equal(r1.counts, r2.counts)

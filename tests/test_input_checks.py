@@ -2,9 +2,11 @@
 
 One case per check that only a library caller reaches: the shapes of the
 data matrix and the annotation, the annotation reader, the seed-gene
-helpers, a sampler given the other family's spec, the prior layout and the
-kernel. The checks the CLI reaches run through it in ``test_io_cli``, which
-also asserts the single ``ERROR`` line.
+helpers, a sampler given the other family's spec, the prior layout, the
+kernel, and each number a library caller passes that is not one, not an
+integer or out of bounds: refused with a package error, never truncated.
+The checks the CLI reaches run through it in ``test_io_cli``, which also
+asserts the single ``ERROR`` line.
 """
 
 import numpy as np
@@ -15,16 +17,25 @@ from factorint import (
     BetaTable,
     ConfigError,
     DataMatrix,
+    Family,
     GpChain,
+    InterProbModel,
     InvalidFactorCount,
+    InvalidFraction,
     McmcSettings,
     MultChain,
+    OverlapTestInput,
     ShapeMismatch,
     SpecConflict,
     clean_seed_genes,
+    detect_interactions,
+    generate_hidden_factor_dataset,
+    generate_saddle_dataset,
     gp_marginal_loglik_ratio,
     gp_spec,
     mult_spec,
+    overlap_permutation_test,
+    run_mult_chain,
     se_kernel,
     seed_gene_window,
     select_candidate_genes,
@@ -55,7 +66,7 @@ INPUT_CHECKS = {
                              "two-dimensional"),
     "mult_approach_3": (lambda d: mult_spec(3), SpecConflict, "approach must be 1 or 2, got 3"),
     "negative_window": (lambda d: seed_gene_window(ANNOTATION, "1", 10, -1), ConfigError,
-                        "half_width must be nonnegative"),
+                        "half_width must be >= 0, got -1"),
     **{f"{function.__name__}_seed_groups_{name}": (
         lambda d, function=function, group2=group2: function(small_data(), [0, 1], group2,
                                                              McmcSettings()),
@@ -130,6 +141,90 @@ INPUT_CHECKS = {
             "fixed interaction probability index must be an integer, got True"),
            ("more_factors_than_features", lambda: build_layout(mult_spec(2, n_factors=7), 6),
             InvalidFactorCount, "7 factors on 6 features: at most one factor per feature"),
+       )},
+    # a Beta pair that is not two numbers
+    **{f"beta_pair_{name}": (lambda d, make=make: make(), SpecConflict,
+                             rf"^Beta hyperparameter must be a \(a, b\) pair, got {match}$")
+       for name, make, match in (
+           ("short_default",
+            lambda: mult_spec(2, inter_prob_prior=BetaTable(default=(1.0,))), r"\(1\.0,\)"),
+           ("long_default",
+            lambda: mult_spec(2, inter_prob_prior=BetaTable(default=(1.0, 2.0, 3.0))),
+            r"\(1\.0, 2\.0, 3\.0\)"),
+           ("long_group",
+            lambda: mult_spec(2, inter_prob_model=InterProbModel.GROUPED,
+                              inter_prob_prior=BetaTable(groups={"seed": (1.0, 2.0, 3.0)})),
+            r"\(1\.0, 2\.0, 3\.0\)"),
+           ("short_entry",
+            lambda: mult_spec(2, load_prob_prior=BetaTable(entries={(0, 1): (1.0,)})),
+            r"\(1\.0,\)"),
+       )},
+    # an int too long to print in decimal is shown by its size
+    **{f"huge_int_{name}": (lambda d, make=make: make(), error, f"^{match}$")
+       for name, make, error, match in (
+           ("rw_step", lambda: McmcSettings(rw_step=10**5000), ConfigError,
+            "rw_step must be a positive finite number, got an int of 16610 bits"),
+           ("seed", lambda: McmcSettings(seed=-10**5000), ConfigError,
+            "seed must be >= 0, got a negative int of 16610 bits"),
+           ("n_iters", lambda: McmcSettings(n_iters=-10**5000).retained(Family.GP), ConfigError,
+            r"burn_in 300 must lie in \[0, n_iters=a negative int of 16610 bits\)"),
+           ("slab_var", lambda: mult_spec(2, slab_var_loading=-10**5000), SpecConflict,
+            "slab_var_loading must be a positive finite number, got a negative int of 16610 bits"),
+           ("factor_count", lambda: build_layout(mult_spec(2, n_factors=10**5000), 6),
+            InvalidFactorCount,
+            "an int of 16610 bits factors on 6 features: at most one factor per feature"),
+           ("negative_factor_count", lambda: mult_spec(2, n_factors=-10**5000),
+            InvalidFactorCount, "need at least 2 factors, got a negative int of 16610 bits"),
+           ("fixed_load_prob_index",
+            lambda: build_layout(mult_spec(2, fixed_load_prob={(10**5000, 1): 1.0}), 6),
+            SpecConflict, r"fixed loading probability index a tuple holding an int too long "
+                          r"to print outside the shape \(6, 2\)"),
+       )},
+    # the numbers of the simulators, the overlap test, the seed-gene window, the
+    # annotation and the detection threshold
+    **{f"{name}": (lambda d, make=make: make(), error, f"^{match}$")
+       for name, make, error, match in (
+           ("overlap_fractional_population", lambda: OverlapTestInput(10.5, (3, 4), 2, 2000),
+            ConfigError, "population_size must be an integer, got 10.5"),
+           ("overlap_fractional_count", lambda: OverlapTestInput(10, (3.9, 4), 2, 2000),
+            ConfigError, "dataset count must be an integer, got 3.9"),
+           ("overlap_bool_count", lambda: OverlapTestInput(10, (True, 4), 2, 2000),
+            ConfigError, "dataset count must be an integer, got True"),
+           ("overlap_fractional_replicates",
+            lambda: OverlapTestInput(10, (3, 4), 2, n_replicates=100.5), ConfigError,
+            "n_replicates must be an integer, got 100.5"),
+           ("window_fractional_center", lambda: seed_gene_window(ANNOTATION, "1", 10.9, 9.5),
+            ConfigError, "center must be an integer, got 10.9"),
+           ("window_nan_half_width", lambda: seed_gene_window(ANNOTATION, "1", 10, np.nan),
+            ConfigError, "half_width must be an integer, got nan"),
+           ("annotation_fractional_position",
+            lambda: Annotation(("p1", "p2"), ("1", "1"), [1.7, 20]), ConfigError,
+            "annotation position must be an integer, got 1.7"),
+           ("annotation_position_beyond_int64",
+            lambda: Annotation(("p1", "p2"), ("1", "1"), [1, 2**63]), ConfigError,
+            r"annotation positions must lie below 2\*\*63"),
+           ("simulate_negative_noise", lambda: generate_saddle_dataset(30, 20, 0.1,
+                                                                       noise_scale=-1.0),
+            ConfigError, "noise_scale must be a positive finite number, got -1.0"),
+           ("simulate_zero_noise", lambda: generate_saddle_dataset(30, 20, 0.1, noise_scale=0.0),
+            ConfigError, "noise_scale must be a positive finite number, got 0.0"),
+           ("simulate_fractional_features", lambda: generate_saddle_dataset(30.0, 20, 0.1),
+            InvalidFraction, "m must be an integer, got 30.0"),
+           ("hidden_fractional_features", lambda: generate_hidden_factor_dataset(30.0, 20),
+            InvalidFraction, "m must be an integer, got 30.0"),
+           ("simulate_text_fraction", lambda: generate_saddle_dataset(30, 20, "0.1"),
+            InvalidFraction, r"frac_affected must lie in \[0, 1\), got '0.1'"),
+           ("simulate_fractional_seed", lambda: generate_saddle_dataset(30, 20, 0.1, seed=1.5),
+            ConfigError, "seed must be an integer, got 1.5"),
+           ("hidden_negative_seed", lambda: generate_hidden_factor_dataset(30, 20, seed=-1),
+            ConfigError, "seed must be >= 0, got -1"),
+           ("overlap_fractional_seed",
+            lambda: overlap_permutation_test(OverlapTestInput(10, (3, 4), 2, 10), seed=2.5),
+            ConfigError, "seed must be an integer, got 2.5"),
+           ("detect_text_threshold",
+            lambda: detect_interactions(run_mult_chain(mult_spec(2), small_data(), n_iters=4,
+                                                       burn_in=2), "0.5"),
+            ConfigError, "threshold must be a positive finite number, got '0.5'"),
        )},
     "kernel_rows_of_another_length": (
         lambda d: se_kernel(np.random.default_rng(1).normal(size=(2, 5)), 0.5).logdens(

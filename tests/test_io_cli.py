@@ -32,6 +32,7 @@ from factorint import (
     DataMatrix,
     FactorIntError,
     FormatVersionMismatch,
+    OverlapTestInput,
     SpecConflict,
     detect_interactions,
     export_surface,
@@ -677,9 +678,6 @@ class TestConfigParsing:
         assert fio.value({}, "model.family") is Family.MULT_APPROACH2
         assert fio.value({"compare.specs": " a.cfg, ,b.cfg"}, "compare.specs") == ("a.cfg",
                                                                                   "b.cfg")
-        with pytest.raises(ConfigError, match="^simulate.noise_scale: expected a positive "
-                                              "finite number, got '0'$"):
-            fio.value({"simulate.noise_scale": "0"}, "simulate.noise_scale")
 
     def test_spec_from_config_gp_variant_defaults(self):
         cfg = {"model.family": "gp", "model.gp_variant": "5"}
@@ -1176,6 +1174,35 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("ERROR ConfigError:")
+
+    # setting -> (command, the library call given that value and the command's
+    # other values); ``call`` takes the ``fitted`` directory
+    REFUSED_ALIKE = {
+        "simulate.noise_scale=0": (
+            "simulate", lambda root: generate_saddle_dataset(100, 100, 0.1, noise_scale=0.0)),
+        "simulate.features=5": ("simulate", lambda root: generate_saddle_dataset(5, 100, 0.1)),
+        "overlap.replicates=0": (
+            "test-overlap", lambda root: OverlapTestInput(100, (10, 10), 0, n_replicates=0)),
+        "overlap.observed=-1": ("test-overlap", lambda root: OverlapTestInput(100, (10, 10), -1)),
+        "overlap.population=1000000000": (
+            "test-overlap", lambda root: OverlapTestInput(10**9, (10, 10), 0)),
+        "detect.threshold=1.5": (
+            "detect", lambda root: detect_interactions(fio.open_draws(root / "draws.bin"), 1.5)),
+    }
+
+    @pytest.mark.parametrize("setting, command, call",
+                             [(k, *v) for k, v in REFUSED_ALIKE.items()], ids=REFUSED_ALIKE)
+    def test_cli_and_library_refuse_a_value_alike(self, fitted, tmp_path, capsys, setting,
+                                                  command, call):
+        # the parser reads the text; the code that uses the number owns its rule
+        args = [command, "--output-dir", str(tmp_path)]
+        for item in command_settings(fitted, command) + [setting]:
+            args += option_args(item)
+        assert run_cli(*args) == 1
+        with pytest.raises(FactorIntError) as raised:
+            call(fitted)
+        assert capsys.readouterr().err.strip().splitlines() == [
+            f"ERROR {type(raised.value).__name__}: {raised.value}"]
 
     @pytest.mark.parametrize("settings", [
         ("model.family=gp", "model.gp_variant=3", "model.beta.seed=5,5"),

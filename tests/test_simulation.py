@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from factorint import (
+    ConfigError,
     Family,
     InvalidFraction,
     McmcSettings,
@@ -24,6 +25,7 @@ from factorint import (
     saddle_quadrant_recovery,
     standardize_rows,
 )
+from factorint import io as fio
 from factorint.model import STATE_FIELDS
 from tests_support import states
 
@@ -69,6 +71,21 @@ class TestGenerateSaddleDataset:
             generate_saddle_dataset(40, 20, 1.0, seed=0)
         with pytest.raises(InvalidFraction):
             generate_saddle_dataset(5, 20, 0.1, seed=0)
+
+    def test_noise_scale_of_the_config_is_checked_by_the_simulator(self):
+        # the config parser reads the number; the simulator that uses it refuses it
+        noise_scale = fio.value({"simulate.noise_scale": "0"}, "simulate.noise_scale")
+        assert noise_scale == 0.0
+        with pytest.raises(ConfigError, match="^noise_scale must be a positive finite number, "
+                                              "got 0.0$"):
+            generate_saddle_dataset(40, 20, 0.1, noise_scale=noise_scale)
+
+    def test_numpy_sizes_and_fraction_give_the_same_dataset(self):
+        a_data, a_truth = generate_saddle_dataset(40, 20, 0.2, noise_scale=1, seed=4)
+        b_data, b_truth = generate_saddle_dataset(np.int64(40), np.int32(20), np.float64(0.2),
+                                                  noise_scale=np.float64(1.0), seed=4)
+        np.testing.assert_array_equal(a_data.values, b_data.values)
+        np.testing.assert_array_equal(a_truth.noise_var, b_truth.noise_var)
 
     def test_hidden_factor_dataset_has_no_effects(self):
         data, truth = generate_hidden_factor_dataset(60, 40, seed=9)
