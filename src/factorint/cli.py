@@ -136,6 +136,9 @@ def cmd_fit(cfg: dict[str, str], out: Path) -> int:
     data = standardize_rows(fio.read_data_csv(path))
     spec = fio.spec_from_config(cfg, data)
     settings = fio.settings_from_config(cfg)
+    if spec.is_mult and "mcmc.rw_step" in cfg:
+        raise ConfigError(f"mcmc.rw_step: only the gp chain has an MH step; model.family "
+                          f"{spec.family.value} does not read it")
     require_states(settings.n_chains * settings.retained(spec.family))
     all_draws = []
     for chain in range(settings.n_chains):

@@ -29,7 +29,7 @@ from .io import write_table
 from .model import (Annotation, DataMatrix, McmcSettings, ModelSpec, PosteriorDraws, join_draws,
                     mult_spec, run_chain, slice_bounds)
 from .mult import MultChain
-from .prior import build_layout, check_integer, check_positive, shown
+from .prior import build_layout, check_integer, check_integers, check_positive, shown
 from .rng import stream
 
 
@@ -170,7 +170,8 @@ _OVERLAP_BLOCK = 8192
 class OverlapTestInput:
     """Configuration of the cross-dataset overlap test. Every count is an
     integer (``prior.check_integer``), refused rather than truncated: the
-    population in [1, ``MAX_POPULATION``), at least two dataset counts in
+    population in [1, ``MAX_POPULATION``), a one-dimensional sequence
+    (``prior.check_integers``) of at least two dataset counts in
     [0, population], an observed overlap >= 0 and at least one replicate;
     ConfigError otherwise. The fields hold the plain ints the checks return."""
 
@@ -182,8 +183,8 @@ class OverlapTestInput:
     def __post_init__(self):
         for name, low in (("population_size", 1), ("observed_overlap", 0), ("n_replicates", 1)):
             object.__setattr__(self, name, check_integer(name, getattr(self, name), ConfigError, low))
-        object.__setattr__(self, "per_dataset_counts", tuple(
-            check_integer("dataset count", c, ConfigError, 0) for c in self.per_dataset_counts))
+        object.__setattr__(self, "per_dataset_counts", tuple(check_integers(
+            "per_dataset_counts", self.per_dataset_counts, "dataset count", ConfigError, 0)))
         if self.population_size >= MAX_POPULATION:
             raise ConfigError(f"population_size must lie in [1, {MAX_POPULATION}), "
                               f"got {shown(self.population_size)}")
@@ -298,17 +299,6 @@ def two_window_converged(trace: np.ndarray) -> bool | np.ndarray:
 
 
 @dataclass(frozen=True)
-class ParameterSummary:
-    name: str
-    role: str
-    estimate: float
-    ci_low: float
-    ci_high: float
-    inclusion_prob: float | None
-    converged: bool
-
-
-@dataclass(frozen=True)
 class FieldSummary:
     """The summary of every parameter of one state field: one array per
     column, in C order of the field's trailing axes, and ``labels``, one
@@ -329,11 +319,6 @@ class FieldSummary:
     def names(self) -> Iterator[str]:
         return (f"{self.name}[{key}]" for key in map(",".join, product(*self.labels)))
 
-    def rows(self) -> Iterator[ParameterSummary]:
-        incl = repeat(None) if self.inclusion_prob is None else self.inclusion_prob.tolist()
-        return map(ParameterSummary, self.names(), repeat(self.role), self.estimate.tolist(),
-                   self.ci_low.tolist(), self.ci_high.tolist(), incl, self.converged.tolist())
-
 
 # Rows that ``PosteriorSummary.write_csv`` formats at a time.
 _CSV_ROWS = 4096
@@ -342,13 +327,16 @@ _CSV_ROWS = 4096
 @dataclass(frozen=True)
 class PosteriorSummary:
     """Per-parameter summary of a fit, held as one ``FieldSummary`` per
-    state field; ``rows`` and ``by_name`` build the parameter rows on demand."""
+    state field; ``write_csv`` writes it as ``summary.csv``, one row per
+    parameter, field by field in the order of ``FieldSummary.names``."""
 
     fields: tuple[FieldSummary, ...] = ()
 
     @property
-    def rows(self) -> tuple[ParameterSummary, ...]:
-        return tuple(row for f in self.fields for row in f.rows())
+    def rows(self) -> tuple[list[str], ...]:
+        """The rows of ``summary.csv`` below its header; the benchmark's
+        tracer counts them."""
+        return tuple(self._csv_rows())
 
     def write_csv(self, path) -> None:
         write_table(path, ["parameter", "role", "estimate", "ci_low", "ci_high",
@@ -367,9 +355,6 @@ class PosteriorSummary:
                 for e, l, h, p, c, name in zip(est, lo, hi, incl, conv, names):
                     yield [name, f.role, f"{e:.10g}", f"{l:.10g}", f"{h:.10g}",
                            "" if p is None else f"{p:.10g}", "1" if c else "0"]
-
-    def by_name(self) -> dict[str, ParameterSummary]:
-        return {r.name: r for r in self.rows}
 
 
 # Fewest retained states, pooled over the chains, that ``posterior_summary``

@@ -29,8 +29,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ConstantRow, InvalidFactorCount, SpecConflict
-from .prior import (BetaTable, InterProbModel, LoadProbModel, check_integer, check_pair,
-                    check_positive, shown, validate_prior)
+from .prior import (BetaTable, InterProbModel, LoadProbModel, check_integer, check_integers,
+                    check_pair, check_positive, shown, validate_prior)
 from .rng import RngStreams
 
 
@@ -94,10 +94,10 @@ class DataMatrix:
 
 @dataclass(frozen=True)
 class Annotation:
-    """Probe positions on the genome. Each position is an integer in
-    [0, 2**63) (``prior.check_integer``), refused rather than truncated;
-    ConfigError otherwise, and for columns of mismatched lengths or repeated
-    probe ids."""
+    """Probe positions on the genome: a one-dimensional sequence of
+    integers in [0, 2**63) (``prior.check_integers``), refused rather than
+    truncated; ConfigError otherwise, and for columns of mismatched lengths
+    or repeated probe ids."""
 
     probe_ids: tuple[str, ...]
     chromosomes: tuple[str, ...]
@@ -105,8 +105,8 @@ class Annotation:
 
     def __post_init__(self):
         try:
-            positions = np.array([check_integer("annotation position", p, ConfigError, 0) for p
-                                  in np.asarray(self.positions, dtype=object).tolist()], np.int64)
+            positions = np.array(check_integers("annotation positions", self.positions,
+                                                "annotation position", ConfigError, 0), np.int64)
         except OverflowError:
             raise ConfigError("annotation positions must lie below 2**63") from None
         if len(self.probe_ids) != len(self.chromosomes) or len(self.probe_ids) != positions.shape[0]:

@@ -5,7 +5,8 @@ a Gaussian slab; the indicator's inclusion probability has a Beta prior, and
 its posterior is the model's significance test. This module holds how those
 probabilities are shared (per entry, global, or per group label derived from
 the seed groups), the package's one rule for a real number (``as_real``), one
-for an integer (``check_integer``), one for a positive number
+for an integer (``check_integer``) and a sequence of them
+(``check_integers``), one for a positive number
 (``check_positive``) and one for a pair of them (``check_pair``), the text a
 refusal shows of a value (``shown``), the rules a
 spec's prior settings must satisfy, the layout
@@ -64,9 +65,15 @@ class BetaTable:
 
 
 def shown(value) -> str:
-    """``repr(value)`` for a refusal message; an int too long to print in
-    decimal (``sys.set_int_max_str_digits``), or a container holding one,
-    is shown by its size instead, so that the message can always be built."""
+    """``repr(value)`` for a refusal message, a numpy scalar shown as the
+    Python number it holds, alone or in a tuple or list; an int too long to
+    print in decimal (``sys.set_int_max_str_digits``), or a container
+    holding one, is shown by its size instead, so that the message can
+    always be built."""
+    if type(value) in (tuple, list):
+        value = type(value)(v.item() if isinstance(v, np.generic) else v for v in value)
+    elif isinstance(value, np.generic):
+        value = value.item()
     try:
         return repr(value)
     except ValueError:
@@ -107,6 +114,17 @@ def check_integer(name: str, value, error: type[Exception] = SpecConflict,
     if low is not None and value < low:
         raise error(f"{name} must be >= {low}, got {shown(value)}")
     return int(value)
+
+
+def check_integers(name: str, values, item: str, error: type[Exception] = SpecConflict,
+                   low: int | None = None) -> list[int]:
+    """``values`` as a list of plain ints: a one-dimensional sequence, each
+    entry an ``item`` that ``check_integer`` accepts. ``error``, naming
+    ``name`` or ``item``, otherwise."""
+    array = np.asarray(values, dtype=object)
+    if array.ndim != 1:
+        raise error(f"{name} must be a one-dimensional sequence, got {array.ndim} dimensions")
+    return [check_integer(item, v, error, low) for v in array.tolist()]
 
 
 def check_pair(name: str, pair, parts: tuple[str, str]) -> tuple[float, float]:

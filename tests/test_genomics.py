@@ -1,6 +1,8 @@
 """Applied pipeline: windows, cleaning, selection, detection, the overlap
 permutation test, and posterior summaries."""
 
+import csv
+import math
 import time
 import tracemalloc
 from dataclasses import replace
@@ -38,8 +40,8 @@ from factorint import (
 )
 from factorint import genomics
 from factorint import io as fio
-from factorint.genomics import (ParameterSummary, interaction_probabilities,
-                                posterior_mean_scores, two_window_converged)
+from factorint.genomics import (interaction_probabilities, posterior_mean_scores,
+                                two_window_converged)
 from factorint.model import STATE_FIELDS
 from factorint.rng import stream
 
@@ -108,7 +110,8 @@ class TestSeedGeneWindow:
 
 # ------------------------------------------------- cleaning and selection
 
-from tests_support import candidate_structured, seed_structured
+from tests_support import (SUMMARY_COLUMNS, assert_same_columns, candidate_structured,
+                           seed_structured, summary_columns)
 
 
 class TestCleanSeedGenes:
@@ -599,6 +602,13 @@ def gaussian_draws(mu: float, sd: float, n_states: int, seed: int) -> PosteriorD
                           burn_in=0, thin=1, n_iters=n_states, seed=seed)
 
 
+def entry(columns: dict[str, np.ndarray], parameter: str) -> dict:
+    """The values of ``columns`` (``summary_columns``) at the one parameter
+    named ``parameter``."""
+    (at,) = np.flatnonzero(columns["parameter"] == parameter)
+    return {key: column[at] for key, column in columns.items()}
+
+
 class TestPosteriorSummary:
     def test_requires_twenty_states(self):
         with pytest.raises(InsufficientDraws):
@@ -606,11 +616,9 @@ class TestPosteriorSummary:
 
     def test_spike_dominated_parameter(self):
         z = np.zeros((50, 4))
-        summary = posterior_summary(fake_draws(z))
-        rows = summary.by_name()
-        row = rows["effect[0,0]"]
-        assert row.estimate == 0.0 and row.ci_low == 0.0 and row.ci_high == 0.0
-        assert row.inclusion_prob == 0.0
+        row = entry(summary_columns(posterior_summary(fake_draws(z))), "effect[0,0]")
+        assert row["estimate"] == 0.0 and row["ci_low"] == 0.0 and row["ci_high"] == 0.0
+        assert row["inclusion_prob"] == 0.0
 
     def test_interval_is_numpys_percentile_bit_for_bit(self):
         # rows of ties, a NaN, and down to one state, which fits do not give
@@ -649,10 +657,10 @@ class TestPosteriorSummary:
             ))
         draws = PosteriorDraws(spec=__import__("factorint").gp_spec(1), values=stacked(states),
                                burn_in=0, thin=1, n_iters=S, seed=0)
-        row = posterior_summary(draws).by_name()["loading[0,1]"]
-        assert row.inclusion_prob == pytest.approx(0.8)
-        assert 4.5 < row.estimate < 5.5
-        assert row.ci_low > 4.0  # the spike zeros do not drag the interval down
+        row = entry(summary_columns(posterior_summary(draws)), "loading[0,1]")
+        assert row["inclusion_prob"] == pytest.approx(0.8)
+        assert 4.5 < row["estimate"] < 5.5
+        assert row["ci_low"] > 4.0  # the spike zeros do not drag the interval down
 
     def test_coverage_of_plain_intervals(self):
         # calibration: truth from the prior, one observation, exact Gaussian
@@ -666,8 +674,8 @@ class TestPosteriorSummary:
             y = true_value + meta_rng.normal()
             post_mean, post_sd = y / 2.0, np.sqrt(0.5)
             draws = gaussian_draws(post_mean, post_sd, 200, rep)
-            row = posterior_summary(draws).by_name()["loading[0,1]"]
-            if row.ci_low <= true_value <= row.ci_high:
+            row = entry(summary_columns(posterior_summary(draws)), "loading[0,1]")
+            if row["ci_low"] <= true_value <= row["ci_high"]:
                 covered += 1
         assert 0.91 <= covered / reps <= 0.985
 
@@ -677,6 +685,26 @@ class TestPosteriorSummary:
         summary.write_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "parameter,role,estimate,ci_low,ci_high,inclusion_prob,converged"
+
+    def test_csv_rows_cross_the_chunk_boundary(self, tmp_path):
+        # 70 x 70 effects: more parameters than ``write_csv`` formats at a time
+        summary = posterior_summary(wide_gp_draws(20, seed=74, m=70, n=70))
+        assert [len(f) for f in summary.fields] == [140, 140, 4900, 70]
+        assert 4900 > genomics._CSV_ROWS
+        summary.write_csv(tmp_path / "summary.csv")
+        with open(tmp_path / "summary.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))[1:]
+        names = [name for f in summary.fields for name in f.names()]
+        assert [row[0] for row in rows] == names
+        assert len(set(names)) == len(names) == 5250
+        expected = []
+        for f in summary.fields:
+            incl = [None] * len(f) if f.inclusion_prob is None else f.inclusion_prob
+            for name, e, lo, hi, p, c in zip(f.names(), f.estimate, f.ci_low, f.ci_high, incl,
+                                             f.converged, strict=True):
+                expected.append([name, f.role, f"{e:.10g}", f"{lo:.10g}", f"{hi:.10g}",
+                                 "" if p is None else f"{p:.10g}", "1" if c else "0"])
+        assert rows == expected
 
 
 def reference_two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> bool:
@@ -696,14 +724,16 @@ def reference_two_window_converged(trace: np.ndarray, z_limit: float = 3.0) -> b
     return bool(diff / denom < z_limit)
 
 
-def reference_summary(draws: PosteriorDraws) -> tuple[ParameterSummary, ...]:
-    """Reference summary: one percentile and diagnostic call per parameter,
-    looping over every index of every field (the former implementation)."""
+def reference_summary(draws: PosteriorDraws) -> dict[str, np.ndarray]:
+    """Reference summary, one array per column of ``summary.csv`` as
+    ``summary_columns`` gives them: one percentile and diagnostic call per
+    parameter, looping over every index of every field (the former
+    implementation)."""
 
     def plain(name, role, trace):
         lo, hi = np.percentile(trace, [2.5, 97.5])
-        return ParameterSummary(name, role, float(trace.mean()), float(lo), float(hi),
-                                None, reference_two_window_converged(trace))
+        return (name, role, float(trace.mean()), float(lo), float(hi), math.nan,
+                reference_two_window_converged(trace))
 
     def mixture(name, role, trace, indicator):
         incl = float(indicator.mean())
@@ -713,8 +743,8 @@ def reference_summary(draws: PosteriorDraws) -> tuple[ParameterSummary, ...]:
             est = float(sub.mean())
         else:
             est, lo, hi = 0.0, 0.0, 0.0
-        return ParameterSummary(name, role, est, float(lo), float(hi), incl,
-                                reference_two_window_converged(trace))
+        return (name, role, est, float(lo), float(hi), incl,
+                reference_two_window_converged(trace))
 
     loadings = draws.stack("loadings")
     load_mask = draws.stack("load_mask")
@@ -752,17 +782,15 @@ def reference_summary(draws: PosteriorDraws) -> tuple[ParameterSummary, ...]:
     noise = draws.stack("noise_var")
     for i in range(m):
         rows.append(plain(f"noise_var[{fids[i]}]", "noise_variance", noise[:, i]))
-    return tuple(rows)
+    return {key: np.array(column)
+            for key, column in zip(("parameter", "role", *SUMMARY_COLUMNS), zip(*rows))}
 
 
 def assert_same_summary(draws: PosteriorDraws) -> PosteriorSummary:
-    """The summary equals the per-parameter reference row by row, down to the
-    type and bits of every field (``repr`` tells 0.0 from -0.0 and a numpy
-    scalar from a Python one)."""
-    got, expected = posterior_summary(draws), reference_summary(draws)
-    assert len(got.rows) == len(expected)
-    differ = [(a, b) for a, b in zip(got.rows, expected) if repr(a) != repr(b)]
-    assert not differ, f"{len(differ)} rows differ, the first: {differ[0]}"
+    """The summary's arrays equal the per-parameter reference column by
+    column, bit for bit (``assert_same_columns``)."""
+    got = posterior_summary(draws)
+    assert_same_columns(summary_columns(got), reference_summary(draws))
     return got
 
 
@@ -796,9 +824,10 @@ class TestSummaryMatchesReference:
     @pytest.mark.parametrize("seed", [3, 4])
     def test_fitted_draws(self, spec, seed):
         summary = assert_same_summary(saddle_fit(spec, seed))
-        incl = [r.inclusion_prob for r in summary.rows if r.inclusion_prob is not None]
+        incl = np.concatenate([f.inclusion_prob for f in summary.fields
+                               if f.inclusion_prob is not None])
         # the slab path runs, for more than one count of slab states
-        assert len({p for p in incl if 0.5 < p}) > 1
+        assert np.unique(incl[incl > 0.5]).size > 1
 
     def test_pooled_two_chain_draws(self):
         draws = saddle_fit(mult_spec(1), 5, n_chains=2, thin=2)
@@ -828,12 +857,14 @@ class TestSummaryMatchesReference:
             "loadings": loadings, "scores": scores, "load_mask": load_mask,
             "load_prob": np.full((S, m, 2), 0.5), "noise_var": noise_var,
             "inter_mask": mask, "inter_prob": np.full((S, m), 0.5), "effects": effects})
-        rows = assert_same_summary(draws).by_name()
-        assert [rows[f"effect[{i},0]"].inclusion_prob * S for i in range(m)] \
+        columns = summary_columns(assert_same_summary(draws))
+        assert [entry(columns, f"effect[{i},0]")["inclusion_prob"] * S for i in range(m)] \
             == pytest.approx(counts[:-1] + [S])
-        assert rows["effect[2,0]"].estimate == 0.0
-        assert rows["effect[3,1]"].ci_low == rows["effect[3,1]"].ci_high == 2.5
-        assert rows["loading[5,1]"].converged and rows["noise_var[0]"].converged
+        assert entry(columns, "effect[2,0]")["estimate"] == 0.0
+        constant = entry(columns, "effect[3,1]")
+        assert constant["ci_low"] == constant["ci_high"] == 2.5
+        assert entry(columns, "loading[5,1]")["converged"]
+        assert entry(columns, "noise_var[0]")["converged"]
 
 
 def block_of_rows(states: int) -> int:
@@ -873,7 +904,7 @@ class TestBlockedSummary:
             monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", rows_per_block * 8 * states)
         got = posterior_summary(*chains)
         expected = assert_same_summary(pooled(chains))
-        assert [repr(r) for r in got.rows] == [repr(r) for r in expected.rows]
+        assert_same_columns(summary_columns(got), summary_columns(expected))
         got.write_csv(tmp_path / "chains.csv")
         expected.write_csv(tmp_path / "pooled.csv")
         assert (tmp_path / "chains.csv").read_bytes() == (tmp_path / "pooled.csv").read_bytes()
@@ -892,8 +923,8 @@ class TestBlockedSummary:
             states = sum(map(len, chains))
             monkeypatch.setattr(genomics, "_SUMMARY_BLOCK", rows_per_block * 8 * states)
         got, expected = posterior_summary(*opened), posterior_summary(*chains)
-        assert len(got.rows) == len(expected.rows) > 0
-        assert [repr(r) for r in got.rows] == [repr(r) for r in expected.rows]
+        assert sum(map(len, expected.fields)) > 0
+        assert_same_columns(summary_columns(got), summary_columns(expected))
         got.write_csv(tmp_path / "opened.csv")
         expected.write_csv(tmp_path / "held.csv")
         assert (tmp_path / "opened.csv").read_bytes() == (tmp_path / "held.csv").read_bytes()
@@ -902,8 +933,8 @@ class TestBlockedSummary:
         a, b = gaussian_draws(0.0, 1.0, 12, 1), gaussian_draws(0.0, 1.0, 12, 2)
         with pytest.raises(InsufficientDraws):
             posterior_summary(a)
-        assert [repr(r) for r in posterior_summary(a, b).rows] \
-            == [repr(r) for r in posterior_summary(pooled([a, b])).rows]
+        assert_same_columns(summary_columns(posterior_summary(a, b)),
+                            summary_columns(posterior_summary(pooled([a, b]))))
 
     @pytest.mark.parametrize("change", [
         {"spec": gp_spec(2)}, {"feature_ids": ("a",)}, {"sample_ids": ("x", "y")},
@@ -936,16 +967,15 @@ class TestBlockedSummary:
         draws = wide_gp_draws(2000, seed=71)
         field_bytes = draws.values["effects"].nbytes
         assert field_bytes >= 32_000_000
-        rows, peak = traced_summary(draws)
-        assert len(rows) == 20 * 2 + 2 * 100 + 20 * 100 + 20
+        summary, peak = traced_summary(draws)
+        assert sum(map(len, summary.fields)) == 20 * 2 + 2 * 100 + 20 * 100 + 20
         assert peak < field_bytes / 8, f"peak {peak / 1e6:.1f} MB"
 
 
-def wide_gp_draws(S: int, seed: int, chain: int = 0) -> PosteriorDraws:
-    """Draws of S states of a gp model on 20 features x 100 samples, whose
+def wide_gp_draws(S: int, seed: int, chain: int = 0, m: int = 20, n: int = 100) -> PosteriorDraws:
+    """Draws of S states of a gp model on m features x n samples, whose
     interaction inclusion rates run from 0.2 (spike-dominated) to 1."""
     rng = np.random.default_rng(seed)
-    m, n = 20, 100
     effects = rng.normal(size=(S, m, n))
     mask = (rng.random((S, m)) < np.linspace(0.2, 1.0, m)).astype(np.int8)
     effects *= mask[:, :, None]
@@ -957,12 +987,12 @@ def wide_gp_draws(S: int, seed: int, chain: int = 0) -> PosteriorDraws:
         "inter_prob": np.full((S, m), 0.5), "effects": effects})
 
 
-def traced_summary(draws: PosteriorDraws) -> tuple[tuple, int]:
-    """The summary rows of ``draws`` and the ``tracemalloc`` peak of making them."""
+def traced_summary(draws: PosteriorDraws) -> tuple[PosteriorSummary, int]:
+    """The summary of ``draws`` and the ``tracemalloc`` peak of making it."""
     tracemalloc.start()
     try:
-        rows = posterior_summary(draws).rows
-        return rows, tracemalloc.get_traced_memory()[1]
+        summary = posterior_summary(draws)
+        return summary, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
@@ -980,8 +1010,8 @@ class TestJoinedChains:
         chains = saddle_chains(spec, 5, n_chains=2, thin=2)
         joined, held = join_draws(*chains), pooled(chains)
         assert len(joined) == len(held) == 40
-        assert [repr(r) for r in posterior_summary(joined).rows] \
-            == [repr(r) for r in posterior_summary(held).rows]
+        assert_same_columns(summary_columns(posterior_summary(joined)),
+                            summary_columns(posterior_summary(held)))
         assert detect_interactions(joined, 0.3) == detect_interactions(held, 0.3)
         for reduce in (interaction_probabilities, posterior_mean_scores, posterior_mean_effects,
                        lambda draws: posterior_mean_effects(draws, slice(6, 7))):
@@ -998,8 +1028,8 @@ class TestJoinedChains:
         chains = [fio.open_draws(tmp_path / f"draws_{chain}.bin") for chain in range(2)]
         field_bytes = 400 * 20 * 100 * 8
         assert field_bytes >= 6_000_000
-        rows, peak = traced_summary(join_draws(*chains))
-        assert len(rows) == 20 * 2 + 2 * 100 + 20 * 100 + 20
+        summary, peak = traced_summary(join_draws(*chains))
+        assert sum(map(len, summary.fields)) == 20 * 2 + 2 * 100 + 20 * 100 + 20
         assert peak < field_bytes, f"peak {peak / 1e6:.1f} MB"
 
 

@@ -141,6 +141,16 @@ INPUT_CHECKS = {
             "fixed interaction probability index must be an integer, got True"),
            ("more_factors_than_features", lambda: build_layout(mult_spec(2, n_factors=7), 6),
             InvalidFactorCount, "7 factors on 6 features: at most one factor per feature"),
+           # a numpy number is shown as the Python number it holds
+           ("more_numpy_factors_than_features",
+            lambda: build_layout(mult_spec(2, n_factors=np.int64(7)), 6), InvalidFactorCount,
+            "7 factors on 6 features: at most one factor per feature"),
+           ("negative_numpy_seed_feature",
+            lambda: mult_spec(2, seed_groups={0: frozenset({np.int64(-3)})}), SpecConflict,
+            "seed feature index must be >= 0, got -3"),
+           ("numpy_fixed_load_prob_outside",
+            lambda: build_layout(mult_spec(2, fixed_load_prob={(np.int64(6), 0): 1.0}), 6),
+            SpecConflict, r"fixed loading probability index \(6, 0\) outside the shape \(6, 2\)"),
        )},
     # a Beta pair that is not two numbers
     **{f"beta_pair_{name}": (lambda d, make=make: make(), SpecConflict,
@@ -190,6 +200,8 @@ INPUT_CHECKS = {
             ConfigError, "dataset count must be an integer, got 3.9"),
            ("overlap_bool_count", lambda: OverlapTestInput(10, (True, 4), 2, 2000),
             ConfigError, "dataset count must be an integer, got True"),
+           ("overlap_count_not_a_sequence", lambda: OverlapTestInput(10, 5, 2), ConfigError,
+            "per_dataset_counts must be a one-dimensional sequence, got 0 dimensions"),
            ("overlap_fractional_replicates",
             lambda: OverlapTestInput(10, (3, 4), 2, n_replicates=100.5), ConfigError,
             "n_replicates must be an integer, got 100.5"),
@@ -200,6 +212,12 @@ INPUT_CHECKS = {
            ("annotation_fractional_position",
             lambda: Annotation(("p1", "p2"), ("1", "1"), [1.7, 20]), ConfigError,
             "annotation position must be an integer, got 1.7"),
+           ("annotation_position_not_a_sequence", lambda: Annotation(("a",), ("1",), 5),
+            ConfigError,
+            "annotation positions must be a one-dimensional sequence, got 0 dimensions"),
+           ("annotation_positions_of_two_dimensions",
+            lambda: Annotation(("a", "b"), ("1", "1"), np.array([[1], [2]])), ConfigError,
+            "annotation positions must be a one-dimensional sequence, got 2 dimensions"),
            ("annotation_position_beyond_int64",
             lambda: Annotation(("p1", "p2"), ("1", "1"), [1, 2**63]), ConfigError,
             r"annotation positions must lie below 2\*\*63"),

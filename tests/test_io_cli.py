@@ -1221,15 +1221,18 @@ class TestCli:
 
     @pytest.mark.parametrize("settings, message", [
         (("model.family=mult_approach2", "model.length_scale=0.5"),
-         "gp_variant/length_scale apply only to the gp family"),
+         "SpecConflict: gp_variant/length_scale apply only to the gp family"),
         (("model.family=gp", "model.product_var=1e-5"),
-         "product_var applies only to multiplicative approach 1"),
+         "SpecConflict: product_var applies only to multiplicative approach 1"),
         (("model.family=mult_approach1", "model.gp_variant=2"),
-         "gp_variant/length_scale apply only to the gp family"),
+         "SpecConflict: gp_variant/length_scale apply only to the gp family"),
         (("model.family=gp", "model.slab_var_inter=3"),
-         "slab_var_inter applies only to the multiplicative families"),
+         "SpecConflict: slab_var_inter applies only to the multiplicative families"),
+        *((("model.family=" + family, "mcmc.rw_step=0.5"),
+           "ConfigError: mcmc.rw_step: only the gp chain has an MH step; model.family "
+           f"{family} does not read it") for family in ("mult_approach1", "mult_approach2")),
     ], ids=["mult_approach2-length_scale", "gp-product_var", "mult_approach1-gp_variant",
-            "gp-slab_var_inter"])
+            "gp-slab_var_inter", "mult_approach1-rw_step", "mult_approach2-rw_step"])
     def test_key_of_another_family_prints_one_error(self, fitted, tmp_path, capsys, settings,
                                                     message):
         args = ["fit", "--output-dir", str(tmp_path), "--set", f"paths.data={fitted / 'data.csv'}"]
@@ -1237,7 +1240,7 @@ class TestCli:
             args += ["--set", item]
         assert run_cli(*args) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"ERROR SpecConflict: {message}"]
+        assert err == [f"ERROR {message}"]
         assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("factors", ["7", "99999999999999999999"])
@@ -1467,7 +1470,9 @@ class TestCli:
                        "--set", f"paths.data={out / 'data.csv'}",
                        "--set", f"paths.truth={out / 'truth.bin'}",
                        "--set", f"compare.specs={spec_a}, {spec_b}",
-                       "--set", "mcmc.iters=60", "--set", "mcmc.burn_in=30") == 0
+                       "--set", "mcmc.iters=60", "--set", "mcmc.burn_in=30",
+                       # read for the gp specs, so accepted beside multiplicative ones
+                       "--set", "mcmc.rw_step=0.5") == 0
         lines = (out / "comparison.csv").read_text().strip().splitlines()
         assert len(lines) == 3
         assert (out / "surface_mult2.csv").exists()

@@ -1,10 +1,41 @@
 """Planted-truth dataset builders shared by the genomics and acceptance
-tests, and per-state views of retained draws."""
+tests, per-state views of retained draws, and the columns of a posterior
+summary as arrays."""
 
 import numpy as np
 
 from factorint import standardize_rows
 from factorint.model import McmcState
+
+
+# the columns of ``summary.csv`` after ``parameter`` and ``role``
+SUMMARY_COLUMNS = ("estimate", "ci_low", "ci_high", "inclusion_prob", "converged")
+
+
+def summary_columns(summary) -> dict[str, np.ndarray]:
+    """The columns of ``summary.csv`` as arrays over every parameter, joined
+    from the ``FieldSummary`` arrays of ``summary``: ``parameter`` and
+    ``role`` as strings, and ``inclusion_prob`` NaN where a field has none."""
+    fields = summary.fields
+    columns = {"parameter": np.array([name for f in fields for name in f.names()]),
+               "role": np.array([f.role for f in fields for _ in range(len(f))])}
+    for key in SUMMARY_COLUMNS:
+        columns[key] = np.concatenate([np.full(len(f), np.nan) if getattr(f, key) is None
+                                       else getattr(f, key) for f in fields])
+    return columns
+
+
+def assert_same_columns(got: dict[str, np.ndarray], expected: dict[str, np.ndarray]) -> None:
+    """Each column of ``got`` equals that of ``expected`` bit for bit: the
+    same dtype and shape, NaN where it has NaN, and each other value equal
+    and of the same sign, so that 0.0 and -0.0 differ."""
+    assert got.keys() == expected.keys()
+    for key, column in got.items():
+        np.testing.assert_array_equal(column, expected[key], err_msg=key, strict=True)
+        if column.dtype.kind == "f":
+            numbers = ~np.isnan(column)
+            np.testing.assert_array_equal(np.signbit(column[numbers]),
+                                          np.signbit(expected[key][numbers]), err_msg=key)
 
 
 def states(draws):
